@@ -359,8 +359,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     /// rest of the pool at time `now` (throttle migration or failure drain).
     const auto migrate_off = [&](std::size_t index, double now) {
         auto& w = *workers[index];
-        std::vector<serving::Request> displaced;
-        while (!w.queue.empty()) displaced.push_back(w.queue.take(0));
+        auto displaced = w.queue.drain();
         for (auto& s : w.inbox) displaced.push_back(std::move(s.request));
         w.inbox.clear();
         // Deterministic order: global arrival order, like the dispatcher's

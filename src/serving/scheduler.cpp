@@ -1,74 +1,43 @@
 #include "serving/scheduler.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace lotus::serving {
 
 namespace {
 
-/// Index of the pending request with the earliest arrival (ties: lowest id).
-std::size_t fifo_index(const RequestQueue& queue) {
-    const auto& pending = queue.pending();
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < pending.size(); ++i) {
-        const auto& a = pending[i];
-        const auto& b = pending[best];
-        if (a.arrival_s < b.arrival_s || (a.arrival_s == b.arrival_s && a.id < b.id)) {
-            best = i;
-        }
-    }
-    return best;
-}
-
-/// Index of the pending request with the earliest absolute deadline
-/// (ties: earliest arrival, then lowest id).
-std::size_t edf_index(const RequestQueue& queue) {
-    const auto& pending = queue.pending();
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < pending.size(); ++i) {
-        const auto& a = pending[i];
-        const auto& b = pending[best];
-        const double da = a.deadline_s();
-        const double db = b.deadline_s();
-        if (da < db || (da == db && (a.arrival_s < b.arrival_s ||
-                                     (a.arrival_s == b.arrival_s && a.id < b.id)))) {
-            best = i;
-        }
-    }
-    return best;
+/// Pop the first request under `order`; nothing when the queue is empty.
+ScheduleDecision pop_first(RequestQueue& queue, QueueOrder order) {
+    ScheduleDecision d;
+    queue.set_order(order);
+    if (!queue.empty()) d.next = queue.pop();
+    return d;
 }
 
 } // namespace
 
 ScheduleDecision FifoScheduler::pick(RequestQueue& queue, double /*now_s*/,
                                      double /*expected_service_s*/) {
-    ScheduleDecision d;
-    if (!queue.empty()) d.next = queue.take(fifo_index(queue));
-    return d;
+    return pop_first(queue, QueueOrder::arrival);
 }
 
 ScheduleDecision EdfScheduler::pick(RequestQueue& queue, double /*now_s*/,
                                     double /*expected_service_s*/) {
-    ScheduleDecision d;
-    if (!queue.empty()) d.next = queue.take(edf_index(queue));
-    return d;
+    return pop_first(queue, QueueOrder::deadline);
 }
 
 ScheduleDecision EdfAdmitScheduler::pick(RequestQueue& queue, double now_s,
                                          double expected_service_s) {
-    ScheduleDecision d;
     // Shed every request that cannot meet its deadline even if dispatched
     // immediately. With no service estimate yet, only already-expired
-    // requests are provably infeasible.
+    // requests are provably infeasible. In deadline order those requests
+    // are exactly the ones above the first feasible one.
     const double horizon = now_s + (expected_service_s > 0.0 ? expected_service_s : 0.0);
-    for (std::size_t i = 0; i < queue.pending().size();) {
-        if (queue.pending()[i].deadline_s() < horizon) {
-            d.shed.push_back(queue.take(i));
-        } else {
-            ++i;
-        }
-    }
-    if (!queue.empty()) d.next = queue.take(edf_index(queue));
+    queue.set_order(QueueOrder::deadline);
+    auto shed = queue.pop_while([horizon](const Request& r) { return r.deadline_s() < horizon; });
+    ScheduleDecision d = pop_first(queue, QueueOrder::deadline);
+    d.shed = std::move(shed);
     return d;
 }
 

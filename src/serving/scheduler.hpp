@@ -18,6 +18,12 @@
 //  * edf_admit -- EDF plus admission control: shed any request whose
 //                 deadline cannot be met even if it started right now
 //                 (now + expected service > deadline).
+//
+// Cost per pick on a queue of n pending requests (see queue.hpp): fifo and
+// edf pop the heap top, O(log n); edf_admit pops its k shed requests off the
+// deadline-ordered top and sorts them back into push order, O((k + 1) log n
+// + k log k). A pick whose order differs from the queue's current one
+// re-heapifies once, O(n) -- only when two policies share a queue.
 
 #include <memory>
 #include <optional>

@@ -16,8 +16,9 @@ of the serve_saturation cell (the end-to-end speedup the batched RL math
 bought), failing when the current ratio falls more than --threshold (10%)
 below the baseline's. It also re-asserts the correctness flags the bench
 already gated on (bit-identical losses / summaries / JSON, telemetry
-non-perturbation), so a stale or hand-edited trajectory file cannot slip
-through.
+non-perturbation) and the queue gate (serve_overload wall_ratio <= 1.5:
+the overloaded run within 1.5x of the under-capacity one), so a stale or
+hand-edited trajectory file cannot slip through.
 
 Even on a pass, every numeric metric of every cell present in both files
 is printed as a current-vs-baseline delta so CI logs show the trend, not
@@ -32,6 +33,9 @@ Stdlib only; exit 0 on pass, 1 on regression, 2 on malformed input.
 import argparse
 import json
 import sys
+
+# bench_overhead's queue gate: overloaded wall / under-capacity wall.
+QUEUE_GATE_RATIO = 1.5
 
 
 def load(path):
@@ -141,6 +145,10 @@ def main():
     for cell, flag in flags:
         if cur.get("cells", {}).get(cell, {}).get(flag) is not True:
             failures.append(f"current {cell}.{flag} is not true")
+    queue_ratio = cur.get("cells", {}).get("serve_overload", {}).get("wall_ratio")
+    if not isinstance(queue_ratio, (int, float)) or queue_ratio > QUEUE_GATE_RATIO:
+        failures.append(f"current serve_overload.wall_ratio is {queue_ratio!r}, "
+                        f"not <= {QUEUE_GATE_RATIO}")
 
     print_cell_deltas(cur, base)
 
