@@ -8,12 +8,11 @@
 #include "fleet/router.hpp"
 #include "platform/presets.hpp"
 #include "prof/profiler.hpp"
-#include "runtime/engine.hpp"
+#include "runtime/runner.hpp"
 #include "serving/engine.hpp"
 #include "serving/queue.hpp"
 #include "serving/scheduler.hpp"
 #include "telemetry/recorder.hpp"
-#include "trace/record.hpp"
 #include "util/rng.hpp"
 #include "workload/dataset.hpp"
 
@@ -21,14 +20,7 @@ namespace lotus::fleet {
 
 namespace {
 
-/// EWMA weight of the newest service-time sample in the per-device
-/// expected-service estimate (same constant as the serving engine).
-constexpr double kServiceEwma = 0.3;
-
-/// Clock-comparison tolerance (see serving/engine.cpp): the idle integrator
-/// sums slices, so a device clock can land a few ulps short of the instant
-/// it targeted.
-constexpr double kTimeEps = 1e-9;
+using serving::kTimeEps;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -45,14 +37,14 @@ struct Staged {
 /// its own governor and queue discipline, and the dispatcher-side bookkeeping
 /// the router reads.
 struct Worker {
-    Worker(const FleetDevice& slot, double ambient, const runtime::EngineConfig& engine_cfg,
-           std::unique_ptr<governors::Governor> gov, const std::string& scheduler_name)
+    Worker(const FleetDevice& slot, double ambient, std::unique_ptr<governors::Governor> gov,
+           const std::string& scheduler_name)
         : spec(&slot), device([&] {
               auto s = slot.spec;
               if (slot.ambient_overridden()) s.initial_ambient_celsius = slot.ambient_celsius;
               return s;
           }()),
-          engine(device, engine_cfg), governor(std::move(gov)),
+          engine(device), governor(std::move(gov)),
           scheduler(serving::make_scheduler(scheduler_name)) {
         // Telemetry processes are named by slot id, not spec name, so
         // identical twins stay distinguishable in a trace.
@@ -134,29 +126,14 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
             throw std::invalid_argument("FleetEngine: duplicate device id '" + d.id + "'");
         }
     }
-    if (config_.streams.empty()) {
-        throw std::invalid_argument("FleetEngine: no streams configured");
-    }
-    for (const auto& s : config_.streams) {
-        if (s.requests == 0) {
-            throw std::invalid_argument("FleetEngine: stream '" + s.name +
-                                        "' emits zero requests");
-        }
-        if (s.slo_s <= 0.0) {
-            throw std::invalid_argument("FleetEngine: stream '" + s.name +
-                                        "' has a non-positive SLO");
-        }
-        (void)workload::dataset_by_name(s.dataset); // throws on unknown dataset
-    }
+    serving::validate_streams(config_.streams, "FleetEngine");
     (void)serving::make_scheduler(config_.scheduler); // throws on unknown policy
     (void)make_router(config_.router);                // throws on unknown router
 }
 
 std::vector<serving::Request> FleetEngine::build_requests() const {
-    if (!config_.replay_trace.empty()) {
-        return trace::load_requests(config_.replay_trace, config_.streams);
-    }
-    return serving::build_request_timeline(config_.streams, config_.seed);
+    return serving::replay_or_build_timeline(config_.streams, config_.seed,
+                                             config_.replay_trace);
 }
 
 std::uint64_t FleetEngine::governor_seed(std::uint64_t governor_seed_root,
@@ -176,7 +153,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     for (std::size_t i = 0; i < config_.devices.size(); ++i) {
         const auto& slot = config_.devices[i];
         workers.push_back(std::make_unique<Worker>(
-            slot, config_.ambient_celsius, config_.engine,
+            slot, config_.ambient_celsius,
             make_governor(slot.spec, governor_seed(governor_seed_root, i)),
             config_.scheduler));
     }
@@ -188,29 +165,17 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     };
 
     // --- per-device pre-training (not recorded; device-id-namespaced) ------
-    if (config_.pretrain_iterations > 0) {
-        // Pretrain advances each device clock then rewinds it via reset();
-        // recording it would break the trace's monotonic timeline.
-        telemetry::SuspendScope no_telemetry;
-        const auto& warm = config_.streams.front();
-        for (std::size_t i = 0; i < workers.size(); ++i) {
-            auto& w = *workers[i];
-            // Non-learning governors need no warm-up (harness rule).
-            if (w.governor->decision_overhead_s() == 0.0) continue;
-            // Exactly the stream a per-device ServingEngine would draw with
-            // ServingConfig::instance = device id (ids are unique, so the
-            // namespace alone decorrelates identical twins).
-            workload::FrameStream stream(
-                workload::dataset_by_name(warm.dataset),
-                util::derive_seed(config_.seed,
-                                  w.spec->id + "/pretrain/" + warm.dataset, 0));
-            const double constraint = slot_pretrain_constraint(*w.spec);
-            for (std::size_t k = 0; k < config_.pretrain_iterations; ++k) {
-                w.engine.run_frame(model, stream.next(), *w.governor, constraint, k);
-            }
-            w.device.reset();
-            w.engine.reset();
-        }
+    const auto& warm = config_.streams.front();
+    for (auto& w : workers) {
+        // Non-learning governors need no warm-up (harness rule).
+        if (w->governor->decision_overhead_s() == 0.0) continue;
+        // Device ids are unique, so the namespace alone decorrelates
+        // identical twins.
+        workload::FrameStream frames(
+            workload::dataset_by_name(warm.dataset),
+            util::derive_seed(config_.seed, w->spec->id + "/pretrain/" + warm.dataset, 0));
+        runtime::pretrain(w->device, w->engine, model, *w->governor, frames,
+                          slot_pretrain_constraint(*w->spec), config_.pretrain_iterations);
     }
 
     // Governor-informed service prior: before a device completes its first
@@ -285,23 +250,13 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                             (on_device ? telemetry::jstr(workers[device_index]->spec->id)
                                        : std::string("null")));
         }
-        serving::ServingRecord row;
-        row.request_id = r.id;
-        row.stream = r.stream;
-        row.arrival_s = r.arrival_s;
-        row.start_s = now;
-        row.queue_wait_s = std::max(0.0, now - r.arrival_s);
-        row.e2e_s = row.queue_wait_s;
-        row.slo_s = r.slo_s;
-        row.shed = true;
-        row.missed = true;
-        row.proposals = r.frame.proposals;
+        double cpu_temp = 0.0;
+        double gpu_temp = 0.0;
         if (device_index != FleetRecord::kNoDevice) {
-            const auto& w = *workers[device_index];
-            row.cpu_temp = w.device.cpu_temp();
-            row.gpu_temp = w.device.gpu_temp();
+            cpu_temp = workers[device_index]->device.cpu_temp();
+            gpu_temp = workers[device_index]->device.gpu_temp();
         }
-        trace.add(FleetRecord{std::move(row), device_index,
+        trace.add(FleetRecord{serving::shed_record(r, now, cpu_temp, gpu_temp), device_index,
                               migrated[r.id] != 0});
     };
 
@@ -381,6 +336,20 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         }
     };
 
+    /// The device is past its failure instant: withdraw it and re-route
+    /// everything it still holds.
+    const auto withdraw = [&](std::size_t index) {
+        auto& w = *workers[index];
+        w.drained = true;
+        const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
+        if (tel) {
+            tel->instant(tel_router, "device_failed", t_fail,
+                         "\"device\":" + telemetry::jstr(w.spec->id) +
+                             ",\"pending\":" + std::to_string(w.pending()));
+        }
+        migrate_off(index, t_fail);
+    };
+
     /// Serve one scheduling step on `w`: idle up to the event instant, move
     /// ready staged requests into the scheduler-visible queue, pick, run.
     const auto dispatch_one = [&](std::size_t index) {
@@ -419,21 +388,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                                                w.iteration++, wait);
         w.observe_peak();
 
-        serving::ServingRecord row;
-        row.request_id = req.id;
-        row.stream = req.stream;
-        row.arrival_s = req.arrival_s;
-        row.start_s = result.start_time_s;
-        row.queue_wait_s = wait;
-        row.service_s = result.latency_s;
-        row.e2e_s = result.e2e_latency_s();
-        row.slo_s = req.slo_s;
-        row.missed = !serving::slo_satisfied(row.e2e_s, req.slo_s);
-        row.throttled = result.throttled;
-        row.proposals = result.proposals_used;
-        row.cpu_temp = result.cpu_temp;
-        row.gpu_temp = result.gpu_temp;
-        row.energy_j = result.energy_j;
+        auto row = serving::served_record(req, wait, result);
         if (rollup) {
             rollup->record_request(w.spec->id, config_.streams[req.stream].name,
                                    w.device.now(),
@@ -458,11 +413,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             }
         }
         trace.add(FleetRecord{std::move(row), index, migrated[req.id] != 0});
-
-        w.expected_service_s = w.expected_service_s <= 0.0
-                                   ? result.latency_s
-                                   : (1.0 - kServiceEwma) * w.expected_service_s +
-                                         kServiceEwma * result.latency_s;
+        w.expected_service_s = serving::update_expected_service(w.expected_service_s,
+                                                                result.latency_s);
 
         if (config_.migrate_on_throttle && result.throttled && w.pending() > 0) {
             migrate_off(index, w.device.now());
@@ -499,16 +451,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         if (best != Router::npos && t_evt + kTimeEps < t_arr) {
             auto& w = *workers[best];
             if (!w.alive(std::max(t_evt, w.device.now()))) {
-                // The device is past its failure instant: withdraw it and
-                // re-route everything it still holds.
-                w.drained = true;
-                const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
-                if (tel) {
-                    tel->instant(tel_router, "device_failed", t_fail,
-                                 "\"device\":" + telemetry::jstr(w.spec->id) +
-                                     ",\"pending\":" + std::to_string(w.pending()));
-                }
-                migrate_off(best, t_fail);
+                withdraw(best);
             } else {
                 dispatch_one(best);
             }
@@ -528,16 +471,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             }
             // A device whose failure instant has passed gives up its queue
             // the moment the dispatcher acts at or after that instant.
-            if (!w.drained && !w.alive(t_arr) && w.pending() > 0) {
-                w.drained = true;
-                const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
-                if (tel) {
-                    tel->instant(tel_router, "device_failed", t_fail,
-                                 "\"device\":" + telemetry::jstr(w.spec->id) +
-                                     ",\"pending\":" + std::to_string(w.pending()));
-                }
-                migrate_off(i, t_fail);
-            }
+            if (!w.drained && !w.alive(t_arr) && w.pending() > 0) withdraw(i);
         }
         if (tel) {
             tel->async_begin(tel_streams[req.stream], "request", req.id, req.arrival_s,

@@ -30,6 +30,14 @@
 // trips throttle likewise drains the device's queue to the rest of the
 // pool -- work shifts away from a hot die before the backlog bakes on it.
 //
+// The per-request lifecycle is the serving layer's (serving/engine.hpp):
+// stream validation, the replayed-or-generated timeline, the served and shed
+// ledger rows, the expected-service EWMA, and runtime::pretrain for the
+// per-device warm-up. What stays fleet-only: routing, migration, failure
+// drains, the expected-service prior seeded from the pretrain constraint,
+// the `device` field on telemetry events and the `<id>/pretrain/<dataset>`
+// seed namespace.
+//
 // run() is const and reentrant: every call builds its own devices,
 // engines, governors, router and queues, so harness episodes execute from
 // concurrent threads byte-identically to a serial run.
@@ -57,8 +65,8 @@ public:
         const platform::DeviceSpec& spec, std::uint64_t seed)>;
 
     /// Validates the config (throws std::invalid_argument on an empty pool,
-    /// duplicate device ids, empty streams, unknown schedulers/routers or
-    /// datasets).
+    /// duplicate device ids, invalid streams -- see serving::validate_streams
+    /// -- or unknown schedulers/routers).
     explicit FleetEngine(FleetConfig config);
 
     /// Serve the merged timeline to completion; one governor per device.

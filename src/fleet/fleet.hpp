@@ -22,7 +22,6 @@
 
 #include "detector/model.hpp"
 #include "platform/device.hpp"
-#include "runtime/engine.hpp"
 #include "serving/request.hpp"
 
 namespace lotus::fleet {
@@ -59,7 +58,6 @@ struct FleetDevice {
 struct FleetConfig {
     std::vector<FleetDevice> devices;
     detector::DetectorKind detector = detector::DetectorKind::faster_rcnn;
-    runtime::EngineConfig engine{};
     std::vector<serving::StreamSpec> streams;
     /// Per-device queue policy: "fifo", "edf" or "edf_admit".
     std::string scheduler = "edf";

@@ -85,57 +85,14 @@ double FleetTrace::load_skew() const {
     return mean > 0.0 ? stats.stddev() / mean : 0.0;
 }
 
-serving::ServingSummary FleetTrace::summarize(const std::vector<const FleetRecord*>& rows,
-                                              std::string label) const {
-    serving::ServingSummary s;
-    s.stream = std::move(label);
-    s.requests = rows.size();
-    if (rows.empty()) return s;
-
-    std::vector<double> served_e2e_ms;
-    util::RunningStats wait_ms;
-    util::RunningStats device_temp;
-    double energy = 0.0;
-    for (const auto* r : rows) {
-        const double dev = 0.5 * (r->row.cpu_temp + r->row.gpu_temp);
-        device_temp.add(dev);
-        s.peak_device_temp_c = std::max(s.peak_device_temp_c, dev);
-        if (r->row.shed) {
-            ++s.shed;
-        } else {
-            ++s.served;
-            served_e2e_ms.push_back(r->row.e2e_s * 1e3);
-            wait_ms.add(r->row.queue_wait_s * 1e3);
-            energy += r->row.energy_j;
-        }
-        if (r->row.missed) ++s.missed;
-    }
-    if (!served_e2e_ms.empty()) {
-        const auto pct = util::percentiles(std::move(served_e2e_ms), {50.0, 95.0, 99.0});
-        s.p50_ms = pct[0];
-        s.p95_ms = pct[1];
-        s.p99_ms = pct[2];
-    }
-    s.mean_wait_ms = wait_ms.mean();
-    s.miss_rate = static_cast<double>(s.missed) / static_cast<double>(s.requests);
-    s.shed_rate = static_cast<double>(s.shed) / static_cast<double>(s.requests);
-    s.throughput_rps =
-        makespan_s_ > 0.0 ? static_cast<double>(s.served) / makespan_s_ : 0.0;
-    s.energy_per_req_j = s.served > 0 ? energy / static_cast<double>(s.served) : 0.0;
-    s.mean_device_temp_c = device_temp.mean();
-    return s;
-}
+// Full-ledger traces replay the matching rows, in ledger order, into a local
+// accumulator (records_ is empty in summary-only mode, where the live
+// accumulators answer).
 
 serving::ServingSummary FleetTrace::aggregate() const {
-    serving::ServingSummary s;
-    if (!capture_rows_) {
-        s = aggregate_acc_.summarize("fleet", makespan_s_);
-    } else {
-        std::vector<const FleetRecord*> rows;
-        rows.reserve(records_.size());
-        for (const auto& r : records_) rows.push_back(&r);
-        s = summarize(rows, "fleet");
-    }
+    serving::SummaryAccumulator ledger;
+    for (const auto& r : records_) ledger.add(r.row);
+    auto s = (capture_rows_ ? ledger : aggregate_acc_).summarize("fleet", makespan_s_);
     // Charge the whole pool's energy (idle included) to the served load,
     // and report the run-long fleet peak rather than the completion-time
     // peak.
@@ -150,17 +107,12 @@ serving::ServingSummary FleetTrace::device_summary(std::size_t device) const {
     if (device >= device_names_.size()) {
         throw std::out_of_range("FleetTrace::device_summary: unknown device index");
     }
-    serving::ServingSummary s;
-    if (!capture_rows_) {
-        s = device_accs_[device].summarize(device_names_[device], makespan_s_);
-    } else {
-        std::vector<const FleetRecord*> rows;
-        rows.reserve(records_.size());
-        for (const auto& r : records_) {
-            if (r.device == device) rows.push_back(&r);
-        }
-        s = summarize(rows, device_names_[device]);
+    serving::SummaryAccumulator ledger;
+    for (const auto& r : records_) {
+        if (r.device == device) ledger.add(r.row);
     }
+    auto s = (capture_rows_ ? ledger : device_accs_[device])
+                 .summarize(device_names_[device], makespan_s_);
     const auto& stats = device_stats_[device];
     s.peak_device_temp_c = std::max(s.peak_device_temp_c, stats.peak_temp_c);
     if (s.served > 0 && stats.energy_j > 0.0) {
@@ -173,15 +125,12 @@ serving::ServingSummary FleetTrace::stream_summary(std::size_t stream) const {
     if (stream >= stream_names_.size()) {
         throw std::out_of_range("FleetTrace::stream_summary: unknown stream index");
     }
-    if (!capture_rows_) {
-        return stream_accs_[stream].summarize(stream_names_[stream], makespan_s_);
-    }
-    std::vector<const FleetRecord*> rows;
-    rows.reserve(records_.size());
+    serving::SummaryAccumulator ledger;
     for (const auto& r : records_) {
-        if (r.row.stream == stream) rows.push_back(&r);
+        if (r.row.stream == stream) ledger.add(r.row);
     }
-    return summarize(rows, stream_names_[stream]);
+    return (capture_rows_ ? ledger : stream_accs_[stream])
+        .summarize(stream_names_[stream], makespan_s_);
 }
 
 std::vector<serving::ServingSummary> FleetTrace::all_summaries() const {

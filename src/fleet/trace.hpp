@@ -121,9 +121,6 @@ public:
     void write_csv(const std::string& path) const;
 
 private:
-    [[nodiscard]] serving::ServingSummary summarize(
-        const std::vector<const FleetRecord*>& rows, std::string label) const;
-
     std::vector<std::string> device_names_;
     std::vector<std::string> stream_names_;
     std::vector<FleetRecord> records_;

@@ -318,7 +318,6 @@ ScenarioRegistry::ScenarioRegistry() {
             .iterations = orin_iters,
             .pretrain_iterations = orin_pre,
             .seed = 42,
-            .engine = {},
             .frame_hook = nullptr,
         });
         s.name = "fig7b_domain_changes";

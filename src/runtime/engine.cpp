@@ -12,6 +12,10 @@ namespace {
 /// Work below this many ops/bytes is considered finished (guards against
 /// floating-point residue in the integration loop).
 constexpr double kWorkEpsilon = 1.0;
+/// CPU utilization while the GPU executes (host thread, kernel launches).
+constexpr double kCpuUtilDuringGpu = 0.15;
+/// CPU utilization while idle / waiting for the agent.
+constexpr double kIdleCpuUtil = 0.05;
 } // namespace
 
 InferenceEngine::InferenceEngine(platform::EdgeDevice& device, EngineConfig config)
@@ -123,7 +127,7 @@ void InferenceEngine::charge_decision_overhead() {
     if (overhead > 0.0) {
         // The device idles while the observation travels to the agent and
         // the action comes back (socket + Q-network, Sec. 4.4.2).
-        device_.advance(overhead, cfg_.idle_cpu_util, 0.0);
+        device_.advance(overhead, kIdleCpuUtil, 0.0);
     }
 }
 
@@ -144,7 +148,7 @@ void InferenceEngine::execute_gpu_work(double ops, double bytes) {
         const double bw = device_.mem_bandwidth();
         const double t_need = ops / throughput + bytes / bw;
         const double t_slice = std::min(t_need, cfg_.max_slice_s);
-        const double h = device_.advance_work(t_slice, cfg_.cpu_util_during_gpu, 1.0);
+        const double h = device_.advance_work(t_slice, kCpuUtilDuringGpu, 1.0);
         const double frac = h / t_need;
         ops -= ops * frac;
         bytes -= bytes * frac;
@@ -156,7 +160,7 @@ void InferenceEngine::run_idle(double duration_s, governors::Governor& governor)
         throw std::invalid_argument("run_idle: negative duration");
     }
     bind(governor);
-    device_.advance(duration_s, cfg_.idle_cpu_util, 0.0);
+    device_.advance(duration_s, kIdleCpuUtil, 0.0);
 }
 
 FrameResult InferenceEngine::run_frame(const detector::DetectorModel& model,

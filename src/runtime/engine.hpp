@@ -28,10 +28,6 @@ struct EngineConfig {
     /// polls), so this merely caps how much work the engine commits to one
     /// throughput sample.
     double max_slice_s = 0.25;
-    /// CPU utilization while the GPU executes (host thread, kernel launches).
-    double cpu_util_during_gpu = 0.15;
-    /// CPU utilization while idle / waiting for the agent.
-    double idle_cpu_util = 0.05;
 };
 
 struct FrameResult {

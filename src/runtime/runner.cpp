@@ -18,6 +18,25 @@ std::uint64_t stream_seed(std::uint64_t base, const std::string& dataset) {
 
 } // namespace
 
+void pretrain(platform::EdgeDevice& device, InferenceEngine& engine,
+              const detector::DetectorModel& model, governors::Governor& governor,
+              workload::FrameStream& frames, double constraint_s, std::size_t iterations,
+              const FrameHook& hook) {
+    if (iterations == 0) return;
+    // Pretrain advances the clock and then rewinds it via reset();
+    // recording it would break the trace's monotonic timeline.
+    telemetry::SuspendScope no_telemetry;
+    for (std::size_t i = 0; i < iterations; ++i) {
+        auto frame = frames.next();
+        if (hook) hook(frame, i);
+        engine.run_frame(model, frame, governor, constraint_s, i);
+    }
+    // Cold restart for the measured phase: the device cools down and the
+    // clock resets, but the governor keeps its learned state.
+    device.reset();
+    engine.reset();
+}
+
 ExperimentRunner::ExperimentRunner(ExperimentConfig config) : config_(std::move(config)) {
     if (config_.iterations == 0) {
         throw std::invalid_argument("ExperimentRunner: zero iterations");
@@ -26,7 +45,7 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig config) : config_(std::move(
 
 Trace ExperimentRunner::run(governors::Governor& governor) const {
     platform::EdgeDevice device(config_.device_spec);
-    InferenceEngine engine(device, config_.engine);
+    InferenceEngine engine(device);
     const auto model = detector::make_detector(config_.detector);
 
     // One frame stream per dataset, shared across pre-training and the
@@ -45,23 +64,10 @@ Trace ExperimentRunner::run(governors::Governor& governor) const {
     };
 
     // --- pre-training phase (not recorded) ----------------------------------
-    if (config_.pretrain_iterations > 0) {
-        // Pretrain advances the clock and then rewinds it via reset();
-        // recording it would break the trace's monotonic timeline.
-        telemetry::SuspendScope no_telemetry;
-        const auto& seg0 = config_.schedule.at(0);
-        device.set_ambient(config_.ambient.at(0));
-        auto& stream = stream_for(seg0.dataset);
-        for (std::size_t i = 0; i < config_.pretrain_iterations; ++i) {
-            auto frame = stream.next();
-            if (config_.frame_hook) config_.frame_hook(frame, i);
-            engine.run_frame(model, frame, governor, seg0.latency_constraint_s, i);
-        }
-        // Cold restart for the measured phase: the device cools down and the
-        // clock resets, but the governor keeps its learned state.
-        device.reset();
-        engine.reset();
-    }
+    const auto& seg0 = config_.schedule.at(0);
+    device.set_ambient(config_.ambient.at(0));
+    pretrain(device, engine, model, governor, stream_for(seg0.dataset),
+             seg0.latency_constraint_s, config_.pretrain_iterations, config_.frame_hook);
 
     // --- measured phase ------------------------------------------------------
     Trace trace;
@@ -111,7 +117,6 @@ ExperimentConfig static_experiment(platform::DeviceSpec device_spec,
         .iterations = iterations,
         .pretrain_iterations = pretrain_iterations,
         .seed = seed,
-        .engine = {},
         .frame_hook = nullptr,
     };
     return cfg;

@@ -7,7 +7,8 @@
 // phase runs the governor on the first segment without recording -- the
 // paper trains its agents for 10,000 iterations (Sec. 4.4.1) before the
 // comparisons; the device is reset to a cold start afterwards while the
-// agent keeps its learned weights.
+// agent keeps its learned weights. runtime::pretrain is that warm-up, shared
+// with the serving and fleet engines.
 
 #include <cstdint>
 #include <functional>
@@ -15,11 +16,24 @@
 
 #include "detector/model.hpp"
 #include "platform/device.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/trace.hpp"
 #include "workload/dataset.hpp"
 #include "workload/environment.hpp"
 
 namespace lotus::runtime {
+
+/// Transform applied to a sampled frame before execution.
+using FrameHook = std::function<void(workload::FrameSample&, std::size_t iteration)>;
+
+/// Warm a governor up: run `iterations` unrecorded frames from `frames`
+/// against `constraint_s` (each passed through `hook` when set), with
+/// telemetry suspended, then cold-restart the device and the engine. The
+/// governor keeps its learned state. A no-op for zero iterations.
+void pretrain(platform::EdgeDevice& device, InferenceEngine& engine,
+              const detector::DetectorModel& model, governors::Governor& governor,
+              workload::FrameStream& frames, double constraint_s, std::size_t iterations,
+              const FrameHook& hook = nullptr);
 
 struct ExperimentConfig {
     platform::DeviceSpec device_spec;
@@ -29,11 +43,10 @@ struct ExperimentConfig {
     std::size_t iterations = 3000;
     std::size_t pretrain_iterations = 0;
     std::uint64_t seed = 42;
-    EngineConfig engine{};
     /// Optional transform applied to every sampled frame before execution.
     /// Probe scenarios (e.g. the Fig. 2 proposal sweep) use it to pin frame
     /// properties that are normally drawn from the dataset stream.
-    std::function<void(workload::FrameSample&, std::size_t iteration)> frame_hook;
+    FrameHook frame_hook;
 };
 
 class ExperimentRunner {

@@ -18,16 +18,16 @@ double exp_gap(util::Rng& rng, double rate_hz) {
 
 void validate(const ArrivalSpec& spec) {
     if (spec.rate_hz <= 0.0) {
-        throw std::invalid_argument("generate_arrivals: rate_hz must be > 0");
+        throw std::invalid_argument("ArrivalSpec: rate_hz must be > 0");
     }
     if (spec.burst == 0) {
-        throw std::invalid_argument("generate_arrivals: burst must be >= 1");
+        throw std::invalid_argument("ArrivalSpec: burst must be >= 1");
     }
     if (spec.burst_spread_s < 0.0 || spec.phase_s < 0.0) {
-        throw std::invalid_argument("generate_arrivals: negative spacing/phase");
+        throw std::invalid_argument("ArrivalSpec: negative spacing/phase");
     }
     if (!(spec.diurnal_floor > 0.0) || spec.diurnal_floor > 1.0) {
-        throw std::invalid_argument("generate_arrivals: diurnal_floor must be in (0, 1]");
+        throw std::invalid_argument("ArrivalSpec: diurnal_floor must be in (0, 1]");
     }
 }
 
@@ -142,15 +142,6 @@ double ArrivalGenerator::next() {
     const double out = have_last_ ? std::max(raw, last_) : raw;
     last_ = out;
     have_last_ = true;
-    return out;
-}
-
-std::vector<double> generate_arrivals(const ArrivalSpec& spec, std::size_t count,
-                                      std::uint64_t seed) {
-    ArrivalGenerator gen(spec, count, seed);
-    std::vector<double> out;
-    out.reserve(count);
-    while (!gen.done()) out.push_back(gen.next());
     return out;
 }
 

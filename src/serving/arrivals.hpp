@@ -18,11 +18,12 @@
 //
 // All processes are pure functions of (spec, count, seed): parallel harness
 // episodes replaying the same stream get byte-identical arrival times.
+// ArrivalGenerator is the one implementation; timelines draw from it one
+// arrival at a time.
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/rng.hpp"
 
@@ -50,12 +51,12 @@ struct ArrivalSpec {
     double diurnal_floor = 0.2;
 };
 
-/// Streaming arrival-time generator: emits the same sequence
-/// generate_arrivals materialises, one value per next() call, in O(1)
-/// memory -- the primitive behind trace synthesis of million-request
-/// timelines. Arrivals are clamped non-decreasing (volley processes can
-/// mathematically overlap adjacent volleys at extreme rates) and every
-/// value is finite. Deterministic in (spec, count, seed).
+/// Streaming arrival-time generator: emits `count` ascending arrival times,
+/// one value per next() call, in O(1) memory -- the primitive behind request
+/// timelines and trace synthesis of million-request timelines. Arrivals are
+/// clamped non-decreasing (volley processes can mathematically overlap
+/// adjacent volleys at extreme rates) and every value is finite.
+/// Deterministic in (spec, count, seed).
 class ArrivalGenerator {
 public:
     /// Validates the spec; throws std::invalid_argument for non-positive
@@ -89,11 +90,5 @@ private:
     double last_ = 0.0;
     bool have_last_ = false;
 };
-
-/// Generate `count` ascending arrival times. Deterministic in (spec, count,
-/// seed). Throws std::invalid_argument for non-positive rates or zero burst
-/// sizes. Equivalent to draining an ArrivalGenerator.
-[[nodiscard]] std::vector<double> generate_arrivals(const ArrivalSpec& spec,
-                                                    std::size_t count, std::uint64_t seed);
 
 } // namespace lotus::serving

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "prof/profiler.hpp"
-#include "runtime/engine.hpp"
+#include "runtime/runner.hpp"
 #include "serving/scheduler.hpp"
 #include "telemetry/recorder.hpp"
 #include "trace/record.hpp"
@@ -14,70 +14,108 @@ namespace lotus::serving {
 
 namespace {
 
-/// EWMA weight of the newest service-time sample in the scheduler's
-/// expected-service estimate.
+/// EWMA weight of the newest service-time sample in the expected-service
+/// estimate.
 constexpr double kServiceEwma = 0.3;
-
-/// Tolerance when comparing simulated clock against arrival times: the idle
-/// integrator sums slices, so the clock can land a few ulps short of the
-/// arrival it targeted. Guarantees the event loop always makes progress.
-constexpr double kTimeEps = 1e-9;
-
-/// Prefix a derive_seed stream id with the engine instance namespace; the
-/// empty instance maps to the bare id so historical seeds are preserved.
-std::string seed_id(const std::string& instance, const std::string& what) {
-    return instance.empty() ? what : instance + "/" + what;
-}
 
 } // namespace
 
-ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) {
-    if (config_.streams.empty()) {
-        throw std::invalid_argument("ServingEngine: no streams configured");
+void validate_streams(const std::vector<StreamSpec>& streams, const std::string& owner) {
+    if (streams.empty()) {
+        throw std::invalid_argument(owner + ": no streams configured");
     }
-    for (const auto& s : config_.streams) {
+    for (const auto& s : streams) {
         if (s.requests == 0) {
-            throw std::invalid_argument("ServingEngine: stream '" + s.name +
+            throw std::invalid_argument(owner + ": stream '" + s.name +
                                         "' emits zero requests");
         }
         if (s.slo_s <= 0.0) {
-            throw std::invalid_argument("ServingEngine: stream '" + s.name +
+            throw std::invalid_argument(owner + ": stream '" + s.name +
                                         "' has a non-positive SLO");
         }
         (void)workload::dataset_by_name(s.dataset); // throws on unknown dataset
+        try {
+            (void)ArrivalGenerator(s.arrival, s.requests, 0); // validates the spec
+        } catch (const std::invalid_argument& e) {
+            throw std::invalid_argument(owner + ": stream '" + s.name + "': " + e.what());
+        }
     }
+}
+
+ServingRecord served_record(const Request& r, double wait_s,
+                            const runtime::FrameResult& result) {
+    ServingRecord row;
+    row.request_id = r.id;
+    row.stream = r.stream;
+    row.arrival_s = r.arrival_s;
+    row.start_s = result.start_time_s;
+    row.queue_wait_s = wait_s;
+    row.service_s = result.latency_s;
+    row.e2e_s = result.e2e_latency_s();
+    row.slo_s = r.slo_s;
+    row.missed = !slo_satisfied(row.e2e_s, r.slo_s);
+    row.throttled = result.throttled;
+    row.proposals = result.proposals_used;
+    row.cpu_temp = result.cpu_temp;
+    row.gpu_temp = result.gpu_temp;
+    row.energy_j = result.energy_j;
+    return row;
+}
+
+ServingRecord shed_record(const Request& r, double now_s, double cpu_temp,
+                          double gpu_temp) {
+    ServingRecord row;
+    row.request_id = r.id;
+    row.stream = r.stream;
+    row.arrival_s = r.arrival_s;
+    row.start_s = now_s;
+    row.queue_wait_s = std::max(0.0, now_s - r.arrival_s);
+    row.e2e_s = row.queue_wait_s;
+    row.slo_s = r.slo_s;
+    row.shed = true;
+    row.missed = true;
+    row.proposals = r.frame.proposals;
+    row.cpu_temp = cpu_temp;
+    row.gpu_temp = gpu_temp;
+    return row;
+}
+
+double update_expected_service(double expected_s, double latency_s) {
+    return expected_s <= 0.0 ? latency_s
+                             : (1.0 - kServiceEwma) * expected_s + kServiceEwma * latency_s;
+}
+
+ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) {
+    validate_streams(config_.streams, "ServingEngine");
     (void)make_scheduler(config_.scheduler); // throws on unknown policy
 }
 
-std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& instance,
-                                  const std::string& stream_name, std::size_t index) {
-    return util::derive_seed(seed, seed_id(instance, "arrivals/" + stream_name), index);
+std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& stream_name,
+                                  std::size_t index) {
+    return util::derive_seed(seed, "arrivals/" + stream_name, index);
 }
 
-std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& instance,
-                                const std::string& stream_name, std::size_t index) {
-    return util::derive_seed(seed, seed_id(instance, "frames/" + stream_name), index);
+std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& stream_name,
+                                std::size_t index) {
+    return util::derive_seed(seed, "frames/" + stream_name, index);
 }
 
 std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& streams,
-                                            std::uint64_t seed,
-                                            const std::string& instance) {
+                                            std::uint64_t seed) {
     std::vector<Request> all;
     std::size_t total = 0;
     for (const auto& stream : streams) total += stream.requests;
     all.reserve(total);
     for (std::size_t s = 0; s < streams.size(); ++s) {
         const auto& stream = streams[s];
-        const auto arrivals = generate_arrivals(
-            stream.arrival, stream.requests,
-            arrival_stream_seed(seed, instance, stream.name, s));
-        workload::FrameStream frames(
-            workload::dataset_by_name(stream.dataset),
-            frame_stream_seed(seed, instance, stream.name, s));
+        ArrivalGenerator arrivals(stream.arrival, stream.requests,
+                                  arrival_stream_seed(seed, stream.name, s));
+        workload::FrameStream frames(workload::dataset_by_name(stream.dataset),
+                                     frame_stream_seed(seed, stream.name, s));
         for (std::size_t k = 0; k < stream.requests; ++k) {
             Request r;
             r.stream = s;
-            r.arrival_s = arrivals[k];
+            r.arrival_s = arrivals.next();
             r.slo_s = stream.slo_s;
             r.frame = frames.next();
             all.push_back(std::move(r));
@@ -95,40 +133,34 @@ std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& strea
     return all;
 }
 
+std::vector<Request> replay_or_build_timeline(const std::vector<StreamSpec>& streams,
+                                              std::uint64_t seed,
+                                              const std::string& replay_trace) {
+    if (!replay_trace.empty()) return trace::load_requests(replay_trace, streams);
+    return build_request_timeline(streams, seed);
+}
+
 std::vector<Request> ServingEngine::build_requests() const {
-    if (!config_.replay_trace.empty()) {
-        return trace::load_requests(config_.replay_trace, config_.streams);
-    }
-    return build_request_timeline(config_.streams, config_.seed, config_.instance);
+    return replay_or_build_timeline(config_.streams, config_.seed, config_.replay_trace);
 }
 
 ServingTrace ServingEngine::run(governors::Governor& governor) const {
     LOTUS_PROF_SCOPE("serving.run");
     platform::EdgeDevice device(config_.device_spec);
     device.set_ambient(config_.ambient_celsius);
-    runtime::InferenceEngine engine(device, config_.engine);
+    runtime::InferenceEngine engine(device);
     const auto model = detector::make_detector(config_.detector);
     auto scheduler = make_scheduler(config_.scheduler);
 
     // --- pre-training phase (not recorded; mirrors ExperimentRunner) --------
-    if (config_.pretrain_iterations > 0) {
-        // Pretrain advances the clock and then rewinds it via reset();
-        // recording it would break the trace's monotonic timeline.
-        telemetry::SuspendScope no_telemetry;
-        const auto& warm = config_.streams.front();
-        const double constraint = config_.pretrain_constraint_s > 0.0
-                                      ? config_.pretrain_constraint_s
-                                      : warm.slo_s;
-        workload::FrameStream stream(
-            workload::dataset_by_name(warm.dataset),
-            util::derive_seed(config_.seed,
-                              seed_id(config_.instance, "pretrain/" + warm.dataset), 0));
-        for (std::size_t i = 0; i < config_.pretrain_iterations; ++i) {
-            engine.run_frame(model, stream.next(), governor, constraint, i);
-        }
-        device.reset();
-        engine.reset();
-    }
+    const auto& warm = config_.streams.front();
+    workload::FrameStream warm_frames(
+        workload::dataset_by_name(warm.dataset),
+        util::derive_seed(config_.seed, "pretrain/" + warm.dataset, 0));
+    runtime::pretrain(device, engine, model, governor, warm_frames,
+                      config_.pretrain_constraint_s > 0.0 ? config_.pretrain_constraint_s
+                                                          : warm.slo_s,
+                      config_.pretrain_iterations);
 
     const auto requests = build_requests();
     std::vector<std::string> names;
@@ -181,20 +213,7 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
                         "\"stream\":" + telemetry::jstr(config_.streams[r.stream].name) +
                             ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
         }
-        ServingRecord row;
-        row.request_id = r.id;
-        row.stream = r.stream;
-        row.arrival_s = r.arrival_s;
-        row.start_s = now;
-        row.queue_wait_s = std::max(0.0, now - r.arrival_s);
-        row.e2e_s = row.queue_wait_s;
-        row.slo_s = r.slo_s;
-        row.shed = true;
-        row.missed = true;
-        row.proposals = r.frame.proposals;
-        row.cpu_temp = device.cpu_temp();
-        row.gpu_temp = device.gpu_temp();
-        trace.add(std::move(row));
+        trace.add(shed_record(r, now, device.cpu_temp(), device.gpu_temp()));
     };
 
     while (next_arrival < requests.size() || !queue.empty()) {
@@ -241,21 +260,7 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
         const auto result =
             engine.run_frame(model, req.frame, governor, req.slo_s, iteration++, wait);
 
-        ServingRecord row;
-        row.request_id = req.id;
-        row.stream = req.stream;
-        row.arrival_s = req.arrival_s;
-        row.start_s = result.start_time_s;
-        row.queue_wait_s = wait;
-        row.service_s = result.latency_s;
-        row.e2e_s = result.e2e_latency_s();
-        row.slo_s = req.slo_s;
-        row.missed = !slo_satisfied(row.e2e_s, req.slo_s);
-        row.throttled = result.throttled;
-        row.proposals = result.proposals_used;
-        row.cpu_temp = result.cpu_temp;
-        row.gpu_temp = result.gpu_temp;
-        row.energy_j = result.energy_j;
+        auto row = served_record(req, wait, result);
         if (rollup) {
             rollup->record_request(device.telemetry_label(),
                                    config_.streams[req.stream].name, device.now(),
@@ -278,11 +283,7 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
             }
         }
         trace.add(std::move(row));
-
-        expected_service = expected_service <= 0.0
-                               ? result.latency_s
-                               : (1.0 - kServiceEwma) * expected_service +
-                                     kServiceEwma * result.latency_s;
+        expected_service = update_expected_service(expected_service, result.latency_s);
     }
 
     trace.set_makespan(device.now());

@@ -20,40 +20,73 @@
 // run() is const and reentrant: every call builds its own device, engine,
 // streams and scheduler, so harness episodes execute from concurrent
 // threads, one governor per thread, byte-identically to a serial run.
+//
+// The request lifecycle both this engine and fleet::FleetEngine run lives
+// here once, as free functions: stream validation, the replayed-or-generated
+// timeline, the served and shed ledger rows, the expected-service EWMA and
+// the clock tolerance. Telemetry spans and breaches stay per engine. The
+// warm-up is runtime::pretrain, drawn from the `pretrain/<dataset>` seed
+// namespace; the expected-service estimate starts at 0.
 
 #include "governors/governor.hpp"
+#include "runtime/engine.hpp"
 #include "serving/request.hpp"
 #include "serving/trace.hpp"
 
 namespace lotus::serving {
 
+/// Tolerance when comparing a simulated clock against arrival (or staging)
+/// times: the idle integrator sums slices, so a clock can land a few ulps
+/// short of the instant it targeted. Guarantees event loops make progress.
+inline constexpr double kTimeEps = 1e-9;
+
 /// Materialise the merged, arrival-ordered request timeline of a stream set:
 /// per-stream arrival times and frame samples are pure functions of
-/// (seed, instance, stream name, stream index), then the per-stream
-/// timelines merge with deterministic tie-breaks and ids in global arrival
-/// order. `instance` namespaces the seed derivation (see
-/// ServingConfig::instance); "" reproduces the historical derivation.
+/// (seed, stream name, stream index), then the per-stream timelines merge
+/// with deterministic tie-breaks and ids in global arrival order.
 [[nodiscard]] std::vector<Request> build_request_timeline(
-    const std::vector<StreamSpec>& streams, std::uint64_t seed,
-    const std::string& instance = "");
+    const std::vector<StreamSpec>& streams, std::uint64_t seed);
+
+/// The timeline an engine serves: the recorded .ltrc trace at `replay_trace`
+/// when set, else build_request_timeline(streams, seed).
+[[nodiscard]] std::vector<Request> replay_or_build_timeline(
+    const std::vector<StreamSpec>& streams, std::uint64_t seed, const std::string& replay_trace);
 
 /// The derive_seed inputs build_request_timeline uses for stream `index`'s
 /// arrival process / frame stream. Exported so trace synthesis
 /// (trace::synth_trace) can reproduce a timeline stream-by-stream without
 /// materialising it.
 [[nodiscard]] std::uint64_t arrival_stream_seed(std::uint64_t seed,
-                                                const std::string& instance,
                                                 const std::string& stream_name,
                                                 std::size_t index);
 [[nodiscard]] std::uint64_t frame_stream_seed(std::uint64_t seed,
-                                              const std::string& instance,
                                               const std::string& stream_name,
                                               std::size_t index);
+
+/// Throws std::invalid_argument (prefixed with `owner`) on an empty stream
+/// set, a stream with zero requests, a non-positive SLO, an unknown dataset
+/// or an arrival spec ArrivalGenerator rejects.
+void validate_streams(const std::vector<StreamSpec>& streams, const std::string& owner);
+
+/// Ledger row of request `r`, dispatched after `wait_s` in the queue and
+/// executed as `result`.
+[[nodiscard]] ServingRecord served_record(const Request& r, double wait_s,
+                                          const runtime::FrameResult& result);
+/// Ledger row of request `r`, shed at `now_s` from a device at the given
+/// temperatures.
+[[nodiscard]] ServingRecord shed_record(const Request& r, double now_s, double cpu_temp,
+                                        double gpu_temp);
+
+/// Fold one service-time sample into a device's expected-service estimate
+/// (the scheduler's and router's pace prior); a non-positive estimate is
+/// replaced by the sample.
+[[nodiscard]] double update_expected_service(double expected_s, double latency_s);
 
 class ServingEngine {
 public:
     /// Validates the config (throws std::invalid_argument on empty streams,
-    /// non-positive SLOs/rates, unknown datasets or schedulers).
+    /// non-positive SLOs, invalid arrival specs, unknown datasets or
+    /// schedulers).
     explicit ServingEngine(ServingConfig config);
 
     /// Serve every stream's requests to completion under the governor.

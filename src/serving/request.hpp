@@ -20,7 +20,6 @@
 
 #include "detector/model.hpp"
 #include "platform/device.hpp"
-#include "runtime/engine.hpp"
 #include "serving/arrivals.hpp"
 #include "workload/dataset.hpp"
 
@@ -58,7 +57,6 @@ struct ServingConfig {
 
     platform::DeviceSpec device_spec;
     detector::DetectorKind detector = detector::DetectorKind::faster_rcnn;
-    runtime::EngineConfig engine{};
     std::vector<StreamSpec> streams;
     /// Scheduling policy: "fifo", "edf" or "edf_admit" (see make_scheduler).
     std::string scheduler = "edf";
@@ -74,13 +72,6 @@ struct ServingConfig {
     double pretrain_constraint_s = 0.0;
     std::uint64_t seed = 42;
     double ambient_celsius = 25.0;
-    /// Seed namespace folded into every util::derive_seed call (arrivals,
-    /// frames, pre-training). Two engine instances replaying the *same*
-    /// stream configs must not draw identical randomness when they model
-    /// different physical devices -- the fleet layer sets this to the device
-    /// id. Empty (the single-device default) reproduces the historical seed
-    /// derivation exactly.
-    std::string instance;
     /// Materialise the per-request ledger. Turn off for the summary-only
     /// fast path (bit-identical summaries, no per-row storage) when no CSV
     /// dump or chart column extraction is needed.

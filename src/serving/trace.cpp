@@ -69,72 +69,26 @@ void ServingTrace::add(ServingRecord record) {
     stream_accs_[record.stream].add(record);
 }
 
-ServingSummary ServingTrace::summarize(const std::vector<const ServingRecord*>& rows,
-                                       std::string label) const {
-    ServingSummary s;
-    s.stream = std::move(label);
-    s.requests = rows.size();
-    if (rows.empty()) return s;
-
-    std::vector<double> served_e2e_ms;
-    util::RunningStats wait_ms;
-    util::RunningStats device_temp;
-    double energy = 0.0;
-    for (const auto* r : rows) {
-        const double dev = 0.5 * (r->cpu_temp + r->gpu_temp);
-        device_temp.add(dev);
-        s.peak_device_temp_c = std::max(s.peak_device_temp_c, dev);
-        if (r->shed) {
-            ++s.shed;
-        } else {
-            ++s.served;
-            served_e2e_ms.push_back(r->e2e_s * 1e3);
-            wait_ms.add(r->queue_wait_s * 1e3);
-            energy += r->energy_j;
-        }
-        if (r->missed) ++s.missed;
-    }
-    if (!served_e2e_ms.empty()) {
-        const auto pct = util::percentiles(std::move(served_e2e_ms), {50.0, 95.0, 99.0});
-        s.p50_ms = pct[0];
-        s.p95_ms = pct[1];
-        s.p99_ms = pct[2];
-    }
-    s.mean_wait_ms = wait_ms.mean();
-    s.miss_rate = static_cast<double>(s.missed) / static_cast<double>(s.requests);
-    s.shed_rate = static_cast<double>(s.shed) / static_cast<double>(s.requests);
-    s.throughput_rps =
-        makespan_s_ > 0.0 ? static_cast<double>(s.served) / makespan_s_ : 0.0;
-    s.energy_per_req_j = s.served > 0 ? energy / static_cast<double>(s.served) : 0.0;
-    s.mean_device_temp_c = device_temp.mean();
-    return s;
-}
+// Full-ledger traces replay the matching rows, in ledger order, into a local
+// accumulator (records_ is empty in summary-only mode, where the live
+// accumulators answer).
 
 ServingSummary ServingTrace::stream_summary(std::size_t stream) const {
     if (stream >= stream_names_.size()) {
         throw std::out_of_range("ServingTrace::stream_summary: unknown stream index");
     }
-    if (!capture_rows_) {
-        return stream_accs_[stream].summarize(stream_names_[stream], makespan_s_);
-    }
-    std::vector<const ServingRecord*> rows;
-    rows.reserve(records_.size());
+    SummaryAccumulator ledger;
     for (const auto& r : records_) {
-        if (r.stream == stream) rows.push_back(&r);
+        if (r.stream == stream) ledger.add(r);
     }
-    return summarize(rows, stream_names_[stream]);
+    return (capture_rows_ ? ledger : stream_accs_[stream])
+        .summarize(stream_names_[stream], makespan_s_);
 }
 
 ServingSummary ServingTrace::aggregate() const {
-    ServingSummary s;
-    if (!capture_rows_) {
-        s = aggregate_acc_.summarize("all", makespan_s_);
-    } else {
-        std::vector<const ServingRecord*> rows;
-        rows.reserve(records_.size());
-        for (const auto& r : records_) rows.push_back(&r);
-        s = summarize(rows, "all");
-    }
+    SummaryAccumulator ledger;
+    for (const auto& r : records_) ledger.add(r);
+    auto s = (capture_rows_ ? ledger : aggregate_acc_).summarize("all", makespan_s_);
     // Charge the whole device energy (idle included) to the served load.
     if (s.served > 0 && total_energy_j_ > 0.0) {
         s.energy_per_req_j = total_energy_j_ / static_cast<double>(s.served);

@@ -73,19 +73,16 @@ struct ServingSummary {
     double peak_device_temp_c = 0.0;
 };
 
-/// Streaming replacement for the ledger-scan arithmetic of
-/// ServingTrace::summarize. Feed it records in ledger order and it produces
-/// a ServingSummary whose every derived double is bit-identical to a scan of
-/// the same rows: the Welford statistics see the same add order, the
-/// percentile input vector holds the same values in the same order, and the
-/// peak/energy reductions run the same max/sum chains. Only the served
-/// end-to-end latencies are retained (percentiles need the full sample);
-/// everything else is O(1) state.
+/// The one summary arithmetic of the serving and fleet ledgers. Feed it
+/// records in ledger order and it produces a ServingSummary: summary-only
+/// traces feed it live as requests complete, full-ledger traces replay the
+/// matching stored rows into a local one, so both modes summarise
+/// bit-identically. Only the served end-to-end latencies are retained
+/// (percentiles need the full sample); everything else is O(1) state.
 class SummaryAccumulator {
 public:
     void add(const ServingRecord& record);
-    /// Summary over everything added so far (same arithmetic as
-    /// ServingTrace::summarize over the equivalent row set).
+    /// Summary over everything added so far.
     [[nodiscard]] ServingSummary summarize(std::string label, double makespan_s) const;
 
     [[nodiscard]] std::size_t requests() const noexcept { return requests_; }
@@ -160,9 +157,6 @@ public:
     void write_csv(const std::string& path) const;
 
 private:
-    [[nodiscard]] ServingSummary summarize(const std::vector<const ServingRecord*>& rows,
-                                           std::string label) const;
-
     std::vector<std::string> stream_names_;
     std::vector<ServingRecord> records_;
     bool capture_rows_ = true;

@@ -171,9 +171,9 @@ void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>
         const auto& stream = streams[s];
         heads.push_back(Head{
             serving::ArrivalGenerator(stream.arrival, stream.requests,
-                                      serving::arrival_stream_seed(seed, "", stream.name, s)),
+                                      serving::arrival_stream_seed(seed, stream.name, s)),
             workload::FrameStream(workload::dataset_by_name(stream.dataset),
-                                  serving::frame_stream_seed(seed, "", stream.name, s)),
+                                  serving::frame_stream_seed(seed, stream.name, s)),
             0.0, workload::FrameSample{}, false});
         auto& head = heads.back();
         if (!head.arrivals.done()) {

@@ -102,6 +102,21 @@ TEST(FleetEngine, ValidatesTheConfig) {
     EXPECT_THROW((void)FleetEngine(cfg), std::invalid_argument);
 }
 
+TEST(FleetEngine, RejectsInvalidArrivalSpecsAtConstruction) {
+    auto cfg = small_config();
+    cfg.streams[2].arrival.rate_hz = 0.0;
+    EXPECT_THROW((void)FleetEngine(cfg), std::invalid_argument);
+
+    cfg = small_config();
+    cfg.streams[1].arrival.burst = 0; // stream 1 is bursty
+    EXPECT_THROW((void)FleetEngine(cfg), std::invalid_argument);
+
+    cfg = small_config();
+    cfg.streams[0].arrival.kind = serving::ArrivalKind::diurnal;
+    cfg.streams[0].arrival.diurnal_floor = 0.0;
+    EXPECT_THROW((void)FleetEngine(cfg), std::invalid_argument);
+}
+
 TEST(FleetEngine, EveryRequestIsAccountedExactlyOnce) {
     const FleetEngine engine(small_config());
     const auto trace = engine.run(fixed_factory(5, 3), 1);

@@ -79,42 +79,6 @@ TEST(ServingDeterminism, EngineRepeatsByteIdentically) {
     expect_traces_identical(engine.run(g1), engine.run(g2), "repeat");
 }
 
-TEST(ServingDeterminism, InstanceNamespaceDecorrelatesIdenticalConfigs) {
-    // Seed-collision regression (fleet satellite): two engines replaying the
-    // SAME stream configs for DIFFERENT physical devices must not draw
-    // identical arrival/frame randomness -- the instance id namespaces every
-    // derive_seed call.
-    auto cfg = small_config();
-    cfg.instance = "dev0";
-    const auto dev0 = ServingEngine(cfg).build_requests();
-    cfg.instance = "dev1";
-    const auto dev1 = ServingEngine(cfg).build_requests();
-    ASSERT_EQ(dev0.size(), dev1.size());
-    bool arrivals_differ = false;
-    bool frames_differ = false;
-    for (std::size_t i = 0; i < dev0.size(); ++i) {
-        arrivals_differ = arrivals_differ || dev0[i].arrival_s != dev1[i].arrival_s;
-        frames_differ = frames_differ || dev0[i].frame.proposals != dev1[i].frame.proposals;
-    }
-    EXPECT_TRUE(arrivals_differ);
-    EXPECT_TRUE(frames_differ);
-
-    // Same instance -> byte-identical timeline; and the empty instance
-    // reproduces the historical (pre-namespace) derivation.
-    cfg.instance = "dev0";
-    const auto again = ServingEngine(cfg).build_requests();
-    for (std::size_t i = 0; i < dev0.size(); ++i) {
-        ASSERT_EQ(dev0[i].arrival_s, again[i].arrival_s);
-    }
-    cfg.instance.clear();
-    const auto bare = ServingEngine(cfg).build_requests();
-    const auto legacy = build_request_timeline(cfg.streams, cfg.seed);
-    ASSERT_EQ(bare.size(), legacy.size());
-    for (std::size_t i = 0; i < bare.size(); ++i) {
-        ASSERT_EQ(bare[i].arrival_s, legacy[i].arrival_s);
-    }
-}
-
 TEST(ServingDeterminism, SeedChangesTheTimeline) {
     auto cfg = small_config();
     const auto a = ServingEngine(cfg).build_requests();

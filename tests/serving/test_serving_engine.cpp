@@ -76,6 +76,20 @@ TEST(ServingEngine, ValidatesConfig) {
     EXPECT_THROW((void)ServingEngine(bad_scheduler), std::invalid_argument);
 }
 
+TEST(ServingEngine, RejectsInvalidArrivalSpecsAtConstruction) {
+    auto zero_rate = base_config(2, 1, 1.0);
+    zero_rate.streams[1].arrival.rate_hz = 0.0;
+    EXPECT_THROW((void)ServingEngine(zero_rate), std::invalid_argument);
+
+    auto zero_burst = base_config(2, 1, 1.0, ArrivalKind::bursty);
+    zero_burst.streams[1].arrival.burst = 0;
+    EXPECT_THROW((void)ServingEngine(zero_burst), std::invalid_argument);
+
+    auto zero_floor = base_config(2, 1, 1.0, ArrivalKind::diurnal);
+    zero_floor.streams[1].arrival.diurnal_floor = 0.0;
+    EXPECT_THROW((void)ServingEngine(zero_floor), std::invalid_argument);
+}
+
 TEST(ServingEngine, BuildsMergedTimeline) {
     const ServingEngine engine(base_config(3, 4, 1.0));
     const auto requests = engine.build_requests();
