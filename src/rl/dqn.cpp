@@ -80,14 +80,24 @@ double DqnCore::train_batch(std::span<const Transition* const> batch) {
     if (batch.empty()) return -1.0;
     LOTUS_PROF_SCOPE("rl.train_batch");
     LOTUS_PROF_COUNT("rl.train_steps", 1);
-    return config_.math == DqnMath::scalar ? train_batch_scalar(batch)
-                                           : train_batch_batched(batch);
+    const double loss = config_.math == DqnMath::scalar ? accumulate_grads_scalar(batch)
+                                                        : accumulate_grads_batched(batch);
+    {
+        LOTUS_PROF_SCOPE("rl.train.adam");
+        optimizer_.step(online_);
+    }
+    ++updates_;
+    if (config_.target_sync_every > 0 && updates_ % config_.target_sync_every == 0) {
+        sync_target();
+    }
+    return loss;
 }
 
 // Per-sample reference implementation: 2 x batch_size scalar forwards for
-// the bootstrap (target + double-DQN selection) plus one cached forward per
-// sample. Kept in-tree as the byte-identity oracle for the batched path.
-double DqnCore::train_batch_scalar(std::span<const Transition* const> batch) {
+// the bootstrap (target + double-DQN selection) plus one cached forward and
+// one backward per sample. Kept in-tree as the byte-identity oracle for the
+// batched path.
+double DqnCore::accumulate_grads_scalar(std::span<const Transition* const> batch) {
     double loss_acc = 0.0;
     std::vector<double> dout(online_.output_dim(), 0.0);
     ForwardCache cache;
@@ -122,141 +132,136 @@ double DqnCore::train_batch_scalar(std::span<const Transition* const> batch) {
         dout[a] = grad * inv_n;
         online_.backward(cache, dout);
     }
-
-    optimizer_.step(online_);
-    ++updates_;
-    if (config_.target_sync_every > 0 && updates_ % config_.target_sync_every == 0) {
-        sync_target();
-    }
     return loss_acc * inv_n;
 }
 
-// Blocked implementation: the minibatch is partitioned by width (transitions
-// carry per-step widths, alternating 0.75x/1.0x under LOTUS) and each
-// width-group's forwards run as one Matrix::slice_matmul pass per layer --
-// the target-net bootstrap, the double-DQN a* selection and the online
-// current-state pass each cost one batched forward instead of one scalar
-// forward per transition. Per-sample backwards then walk the ORIGINAL batch
-// order, so gradient, mask and loss accumulation are bit-identical to
-// train_batch_scalar (enforced by tests/rl/test_batched_forward.cpp).
-double DqnCore::train_batch_batched(std::span<const Transition* const> batch) {
+// Batched implementation: the minibatch is partitioned by width
+// (transitions carry per-step widths, alternating 0.75x/1.0x under LOTUS)
+// and each width group's forwards run as one sample-vectorized
+// Matrix::slice_matmul pass per layer -- the target-net bootstrap, the
+// double-DQN a* selection and the online current-state pass each cost one
+// batched forward instead of one scalar forward per transition. One
+// backward_batch then accumulates every sample's gradients in the ORIGINAL
+// batch order, so gradients, touched prefixes and the loss are
+// bit-identical to accumulate_grads_scalar (enforced by
+// tests/rl/test_batched_forward.cpp).
+double DqnCore::accumulate_grads_batched(std::span<const Transition* const> batch) {
     const std::size_t n = batch.size();
     const double inv_n = 1.0 / static_cast<double>(n);
     auto& ts = train_;
 
     // Bootstrap values: one batched target (and, for double DQN, online
     // selection) pass per distinct width_next over non-terminal transitions.
-    ts.bootstrap.assign(n, 0.0);
-    ts.widths.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (batch[i]->terminal) continue;
-        const double w = batch[i]->width_next;
-        if (std::find(ts.widths.begin(), ts.widths.end(), w) == ts.widths.end()) {
-            ts.widths.push_back(w);
-        }
-    }
-    for (const double w : ts.widths) {
-        ts.members.clear();
+    {
+        LOTUS_PROF_SCOPE("rl.train.bootstrap_fwd");
+        ts.bootstrap.assign(n, 0.0);
+        ts.widths.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            if (!batch[i]->terminal && batch[i]->width_next == w) ts.members.push_back(i);
-        }
-        const std::size_t m = ts.members.size();
-        const std::size_t in0 = target_.active_units(0, w);
-        ts.x.resize(m, in0);
-        for (std::size_t row = 0; row < m; ++row) {
-            const auto& s = batch[ts.members[row]]->next_state;
-            if (s.size() < in0) {
-                throw std::invalid_argument("DqnCore: next_state too short for width");
+            if (batch[i]->terminal) continue;
+            const double w = batch[i]->width_next;
+            if (std::find(ts.widths.begin(), ts.widths.end(), w) == ts.widths.end()) {
+                ts.widths.push_back(w);
             }
-            std::copy(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(in0),
-                      ts.x.row(row).begin());
         }
-        target_.forward_batch(ts.x, m, w, ts.net_cache);
-        if (config_.double_dqn) {
-            online_.forward_batch(ts.x, m, w, ts.select_cache);
-            for (std::size_t row = 0; row < m; ++row) {
-                const auto qo = ts.select_cache.output.row(row);
-                const auto a_star = static_cast<std::size_t>(
-                    std::distance(qo.begin(), std::max_element(qo.begin(), qo.end())));
-                ts.bootstrap[ts.members[row]] = ts.net_cache.output(row, a_star);
+        for (const double w : ts.widths) {
+            ts.members.clear();
+            for (std::size_t i = 0; i < n; ++i) {
+                if (!batch[i]->terminal && batch[i]->width_next == w) ts.members.push_back(i);
             }
-        } else {
+            const std::size_t m = ts.members.size();
+            const std::size_t in0 = target_.active_units(0, w);
+            ts.x.resize(m, in0);
             for (std::size_t row = 0; row < m; ++row) {
-                const auto qn = ts.net_cache.output.row(row);
-                ts.bootstrap[ts.members[row]] = *std::max_element(qn.begin(), qn.end());
+                const auto& s = batch[ts.members[row]]->next_state;
+                if (s.size() < in0) {
+                    throw std::invalid_argument("DqnCore: next_state too short for width");
+                }
+                std::copy(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(in0),
+                          ts.x.row(row).begin());
+            }
+            target_.forward_batch(ts.x, m, w, ts.net_cache);
+            if (config_.double_dqn) {
+                online_.forward_batch(ts.x, m, w, ts.select_cache);
+                for (std::size_t row = 0; row < m; ++row) {
+                    const auto qo = ts.select_cache.output.row(row);
+                    const auto a_star = static_cast<std::size_t>(
+                        std::distance(qo.begin(), std::max_element(qo.begin(), qo.end())));
+                    ts.bootstrap[ts.members[row]] = ts.net_cache.output(row, a_star);
+                }
+            } else {
+                for (std::size_t row = 0; row < m; ++row) {
+                    const auto qn = ts.net_cache.output.row(row);
+                    ts.bootstrap[ts.members[row]] = *std::max_element(qn.begin(), qn.end());
+                }
             }
         }
     }
 
     // Online forwards on the current states, grouped by width_state; each
-    // group keeps its own cache so the per-sample backwards below can read
-    // activations regardless of grouping order.
-    ts.widths.clear();
-    ts.group_of.assign(n, 0);
-    ts.row_of.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double w = batch[i]->width_state;
-        const auto it = std::find(ts.widths.begin(), ts.widths.end(), w);
-        if (it == ts.widths.end()) {
-            ts.group_of[i] = ts.widths.size();
-            ts.widths.push_back(w);
-        } else {
-            ts.group_of[i] = static_cast<std::size_t>(std::distance(ts.widths.begin(), it));
-        }
-    }
-    if (ts.online_caches.size() < ts.widths.size()) {
-        ts.online_caches.resize(ts.widths.size());
-    }
-    for (std::size_t g = 0; g < ts.widths.size(); ++g) {
-        const double w = ts.widths[g];
-        ts.members.clear();
+    // group keeps its own cache, and samples[i] records where sample i's
+    // activations live so the backward below can walk the original order.
+    {
+        LOTUS_PROF_SCOPE("rl.train.online_fwd");
+        ts.widths.clear();
+        ts.group_of.assign(n, 0);
         for (std::size_t i = 0; i < n; ++i) {
-            if (ts.group_of[i] == g) {
-                ts.row_of[i] = ts.members.size();
-                ts.members.push_back(i);
+            const double w = batch[i]->width_state;
+            const auto it = std::find(ts.widths.begin(), ts.widths.end(), w);
+            if (it == ts.widths.end()) {
+                ts.group_of[i] = ts.widths.size();
+                ts.widths.push_back(w);
+            } else {
+                ts.group_of[i] =
+                    static_cast<std::size_t>(std::distance(ts.widths.begin(), it));
             }
         }
-        const std::size_t m = ts.members.size();
-        const std::size_t in0 = online_.active_units(0, w);
-        ts.x.resize(m, in0);
-        for (std::size_t row = 0; row < m; ++row) {
-            const auto& s = batch[ts.members[row]]->state;
-            if (s.size() < in0) {
-                throw std::invalid_argument("DqnCore: state too short for width");
-            }
-            std::copy(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(in0),
-                      ts.x.row(row).begin());
+        if (ts.online_caches.size() < ts.widths.size()) {
+            ts.online_caches.resize(ts.widths.size());
         }
-        online_.forward_batch(ts.x, m, w, ts.online_caches[g]);
+        ts.samples.resize(n);
+        for (std::size_t g = 0; g < ts.widths.size(); ++g) {
+            const double w = ts.widths[g];
+            ts.members.clear();
+            for (std::size_t i = 0; i < n; ++i) {
+                if (ts.group_of[i] == g) {
+                    ts.samples[i] = {&ts.online_caches[g], ts.members.size()};
+                    ts.members.push_back(i);
+                }
+            }
+            const std::size_t m = ts.members.size();
+            const std::size_t in0 = online_.active_units(0, w);
+            ts.x.resize(m, in0);
+            for (std::size_t row = 0; row < m; ++row) {
+                const auto& s = batch[ts.members[row]]->state;
+                if (s.size() < in0) {
+                    throw std::invalid_argument("DqnCore: state too short for width");
+                }
+                std::copy(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(in0),
+                          ts.x.row(row).begin());
+            }
+            online_.forward_batch(ts.x, m, w, ts.online_caches[g]);
+        }
     }
 
-    // Loss and per-sample backward in the original batch order (bit-exact
+    // Loss and one batched backward in the original batch order (bit-exact
     // accumulation order).
+    LOTUS_PROF_SCOPE("rl.train.backward");
     double loss_acc = 0.0;
-    ts.dout.assign(online_.output_dim(), 0.0);
+    ts.dout.resize(n, online_.output_dim(), 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         const Transition* t = batch[i];
         const double target_q = t->reward + config_.gamma * ts.bootstrap[i];
-        auto& cache = ts.online_caches[ts.group_of[i]];
-        const std::size_t row = ts.row_of[i];
         const auto a = static_cast<std::size_t>(t->action);
         if (a >= online_.output_dim()) {
             throw std::out_of_range("DqnCore: action index out of range");
         }
-        const auto [value, grad] = huber(cache.output(row, a) - target_q,
+        const auto& sample = ts.samples[i];
+        const auto [value, grad] = huber(sample.cache->output(sample.column, a) - target_q,
                                          config_.huber_delta);
         loss_acc += value;
-
-        std::fill(ts.dout.begin(), ts.dout.end(), 0.0);
-        ts.dout[a] = grad * inv_n;
-        online_.backward_row(cache, row, ts.dout, ts.backward);
+        ts.dout(i, a) = grad * inv_n;
     }
-
-    optimizer_.step(online_);
-    ++updates_;
-    if (config_.target_sync_every > 0 && updates_ % config_.target_sync_every == 0) {
-        sync_target();
-    }
+    online_.backward_batch(ts.samples, ts.dout, ts.backward);
     return loss_acc * inv_n;
 }
 

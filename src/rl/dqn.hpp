@@ -22,10 +22,11 @@ namespace lotus::rl {
 
 /// Which train_batch implementation a DqnCore uses. Both are bit-identical
 /// (enforced by tests/rl/test_batched_forward.cpp): `batched` runs the
-/// target-net / double-DQN / online forwards as width-grouped blocked
-/// matrix-matrix passes; `scalar` is the per-sample reference kept in-tree
-/// for byte-identity tests and perf A/B (mirroring the thermal stepper's
-/// euler_slice reference).
+/// target-net / double-DQN / online forwards as width-grouped,
+/// sample-vectorized matrix-matrix passes and one batched backward;
+/// `scalar` is the per-sample reference kept in-tree for byte-identity
+/// tests and perf A/B (mirroring the thermal stepper's euler_slice
+/// reference).
 enum class DqnMath { batched, scalar };
 
 /// Process-wide override of DqnConfig::math, applied at DqnCore
@@ -90,8 +91,10 @@ public:
     [[nodiscard]] const DqnConfig& config() const noexcept { return config_; }
 
 private:
-    double train_batch_scalar(std::span<const Transition* const> batch);
-    double train_batch_batched(std::span<const Transition* const> batch);
+    // Forward + backward for one minibatch into online_'s gradients;
+    // returns the mean Huber loss. train_batch() then runs Adam.
+    double accumulate_grads_scalar(std::span<const Transition* const> batch);
+    double accumulate_grads_batched(std::span<const Transition* const> batch);
 
     DqnConfig config_;
     SlimmableMlp online_;
@@ -114,9 +117,9 @@ private:
         std::vector<double> widths;         ///< distinct widths, first-seen order
         std::vector<std::size_t> members;   ///< member indices of current group
         std::vector<std::size_t> group_of;  ///< batch index -> width-group index
-        std::vector<std::size_t> row_of;    ///< batch index -> row within its group
-        std::vector<double> dout;
-        MlpScratch backward;
+        std::vector<BatchSample> samples;   ///< batch index -> its online activations
+        Matrix dout;                        ///< batch x output_dim loss gradients
+        BackwardScratch backward;
     };
     TrainScratch train_;
 };

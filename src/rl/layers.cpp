@@ -14,8 +14,6 @@ SlimmableLinear::SlimmableLinear(std::size_t in_features, std::size_t out_featur
       b_(out_features, 0.0),
       gw_(out_features, in_features),
       gb_(out_features, 0.0),
-      mask_w_(out_features * in_features, 0),
-      mask_b_(out_features, 0),
       marked_cols_(out_features, 0) {
     // Kaiming-uniform init over the *full* fan-in, matching common slimmable
     // network practice (the shared leading weights see both widths).
@@ -40,15 +38,24 @@ void SlimmableLinear::backward(std::span<const double> x, std::span<const double
     Matrix::slice_matvec_transposed(w_, dy, dx, out_active, in_active);
     Matrix::slice_outer_accumulate(gw_, dy, x, out_active, in_active);
     for (std::size_t r = 0; r < out_active; ++r) gb_[r] += dy[r];
-    // Marking always covers the leading [0, in_active) span of each row, so
-    // the per-row high-water mark lets every backward call after the first
-    // (per batch, per width) skip the byte stores entirely.
+    mark(in_active, out_active);
+}
+
+void SlimmableLinear::backward_batch(const Matrix& x, const Matrix& dy, Matrix* dx,
+                                     std::span<const Matrix::Slice> slices) noexcept {
+    if (dx != nullptr) Matrix::slice_matmul_transposed(w_, dy, *dx, slices);
+    Matrix::slice_outer_accumulate_batch(gw_, dy, x, slices);
+    for (std::size_t k = 0; k < slices.size(); ++k) {
+        const auto dyk = dy.row(k);
+        for (std::size_t r = 0; r < slices[k].out; ++r) gb_[r] += dyk[r];
+        mark(slices[k].in, slices[k].out);
+    }
+}
+
+void SlimmableLinear::mark(std::size_t in_active, std::size_t out_active) noexcept {
+    const auto in = static_cast<std::uint32_t>(in_active);
     for (std::size_t r = 0; r < out_active; ++r) {
-        if (marked_cols_[r] >= in_active) continue;
-        std::uint8_t* mrow = mask_w_.data() + r * in_;
-        std::fill(mrow + marked_cols_[r], mrow + in_active, std::uint8_t{1});
-        marked_cols_[r] = static_cast<std::uint32_t>(in_active);
-        mask_b_[r] = 1;
+        marked_cols_[r] = std::max(marked_cols_[r], in);
     }
 }
 
@@ -56,15 +63,13 @@ void SlimmableLinear::zero_grad() noexcept {
     auto gw = gw_.flat();
     std::fill(gw.begin(), gw.end(), 0.0);
     std::fill(gb_.begin(), gb_.end(), 0.0);
-    std::fill(mask_w_.begin(), mask_w_.end(), std::uint8_t{0});
-    std::fill(mask_b_.begin(), mask_b_.end(), std::uint8_t{0});
     std::fill(marked_cols_.begin(), marked_cols_.end(), 0U);
 }
 
 void relu_inplace(std::span<double> x, std::size_t active) noexcept {
-    for (std::size_t i = 0; i < active; ++i) {
-        if (x[i] < 0.0) x[i] = 0.0;
-    }
+    // Unconditional store: branch-free and vectorizable; -0.0 and NaN pass
+    // through unchanged, as with a conditional one.
+    for (std::size_t i = 0; i < active; ++i) x[i] = x[i] < 0.0 ? 0.0 : x[i];
 }
 
 void relu_backward(std::span<const double> pre_activation, std::span<double> dy,

@@ -8,10 +8,13 @@
 // yet known) and at 1.0x for the post-RPN decision; both share the leading
 // weights, which is exactly what this slicing implements.
 //
-// Gradients are accumulated into `grad_w` / `grad_b`, and a parallel byte
-// mask records which entries were touched so the optimizer can honour the
-// paper's "the remaining weights are not updated" rule under Adam (whose
-// update is non-zero even for zero gradients).
+// Gradients are accumulated into `grad_w` / `grad_b`, and a per-row
+// high-water mark records which entries were touched so the optimizer can
+// honour the paper's "the remaining weights are not updated" rule under Adam
+// (whose update is non-zero even for zero gradients). A backward slice
+// always covers the leading [0, in_active) columns of rows [0, out_active),
+// so the touched set of row r is exactly the prefix [0, marked_cols()[r]),
+// and bias r is touched exactly when marked_cols()[r] > 0.
 
 #include <cstdint>
 #include <span>
@@ -34,47 +37,54 @@ public:
     void forward(std::span<const double> x, std::span<double> y,
                  std::size_t in_active, std::size_t out_active) const noexcept;
 
-    /// Batched forward: Y[k, 0:out_active] = W[0:out_active, 0:in_active]
-    /// X[k, 0:in_active] + b for every row k < batch. Bit-identical to
-    /// `batch` calls of forward() (see Matrix::slice_matmul).
+    /// Batched forward: Y[0:out_active, k] = W[0:out_active, 0:in_active]
+    /// X[0:in_active, k] + b for every sample column k < batch (X and Y
+    /// feature-major). Bit-identical to `batch` calls of forward() (see
+    /// Matrix::slice_matmul).
     void forward_batch(const Matrix& x, Matrix& y, std::size_t in_active,
                        std::size_t out_active, std::size_t batch) const noexcept;
 
     /// Backprop for the same slice. `x` is the input that produced the
     /// forward pass, `dy` the upstream gradient (length out_active); writes
-    /// `dx` (length in_active), accumulates weight/bias grads and marks the
-    /// touched mask.
+    /// `dx` (length in_active), accumulates weight/bias grads and extends
+    /// the touched prefixes.
     void backward(std::span<const double> x, std::span<const double> dy,
                   std::span<double> dx, std::size_t in_active,
                   std::size_t out_active) noexcept;
 
+    /// Backprop for a minibatch: sample k (row k of the sample-major `x` and
+    /// `dy`) ran the leading slice `slices[k]`. Accumulates grads in sample
+    /// order and writes `dx` row k unless `dx` is null -- bit-identical to
+    /// backward() called for k = 0, 1, ... in order.
+    void backward_batch(const Matrix& x, const Matrix& dy, Matrix* dx,
+                        std::span<const Matrix::Slice> slices) noexcept;
+
     void zero_grad() noexcept;
 
-    // Parameter/grad/mask access for the optimizer and for tests.
+    // Parameter/grad/touched-prefix access for the optimizer and for tests.
     [[nodiscard]] Matrix& weights() noexcept { return w_; }
     [[nodiscard]] const Matrix& weights() const noexcept { return w_; }
     [[nodiscard]] std::span<double> bias() noexcept { return b_; }
     [[nodiscard]] std::span<const double> bias() const noexcept { return b_; }
     [[nodiscard]] Matrix& grad_weights() noexcept { return gw_; }
     [[nodiscard]] std::span<double> grad_bias() noexcept { return gb_; }
-    [[nodiscard]] std::span<const std::uint8_t> weight_mask() const noexcept { return mask_w_; }
-    [[nodiscard]] std::span<std::uint8_t> weight_mask() noexcept { return mask_w_; }
-    [[nodiscard]] std::span<const std::uint8_t> bias_mask() const noexcept { return mask_b_; }
-    [[nodiscard]] std::span<std::uint8_t> bias_mask() noexcept { return mask_b_; }
+    /// Touched columns per weight row since the last zero_grad(): row r's
+    /// touched entries are [0, marked_cols()[r]).
+    [[nodiscard]] std::span<const std::uint32_t> marked_cols() const noexcept {
+        return marked_cols_;
+    }
 
 private:
+    /// Extend rows [0, out_active) to cover columns [0, in_active).
+    void mark(std::size_t in_active, std::size_t out_active) noexcept;
+
     std::size_t in_;
     std::size_t out_;
     Matrix w_;
     std::vector<double> b_;
     Matrix gw_;
     std::vector<double> gb_;
-    std::vector<std::uint8_t> mask_w_;
-    std::vector<std::uint8_t> mask_b_;
-    /// Per-row high-water mark over mask_w_: marking always covers the
-    /// leading [0, in_active) span of a row, so one length per row lets
-    /// backward() skip rows already marked at this width or wider and fill
-    /// only the delta span otherwise. Reset by zero_grad().
+    /// Per-row touched prefix length; reset by zero_grad().
     std::vector<std::uint32_t> marked_cols_;
 };
 

@@ -1,10 +1,13 @@
 #pragma once
 // Dense row-major matrix used by the neural-network substrate.
 //
-// The Q-networks in this reproduction are small MLPs (thousands of weights),
-// so a straightforward double-precision implementation is both fast enough
-// (micro-benchmarked in bench_overhead) and makes the finite-difference
-// gradient tests in tests/rl exact to ~1e-7.
+// The Q-networks in this reproduction are small MLPs (thousands of weights)
+// in double precision, which keeps the finite-difference gradient tests in
+// tests/rl exact to ~1e-7. The batched kernels reorder loops for the
+// minibatch train step (vectorized across samples, one grad row loaded per
+// batch) but never a reduction, so each is bit-identical to its per-sample
+// counterpart. The lotus target is compiled with -ffp-contract=off, so no
+// build (-march, -mfma, aarch64) fuses a multiply and an add into an FMA.
 
 #include <cstddef>
 #include <span>
@@ -15,6 +18,8 @@ namespace lotus::rl {
 class Matrix {
 public:
     Matrix() = default;
+    /// Throws std::invalid_argument on a zero dimension or when rows * cols
+    /// overflows std::size_t.
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -42,7 +47,8 @@ public:
 
     /// Reshape in place to rows x cols, filling every element; reuses the
     /// underlying capacity (hot-path scratch matrices reallocate only to
-    /// grow). Throws like the constructor on a zero dimension.
+    /// grow). Throws like the constructor on a zero dimension or a
+    /// rows * cols overflow, leaving the matrix unchanged.
     void resize(std::size_t rows, std::size_t cols, double fill = 0.0);
 
     /// y = A[0:out, 0:in] * x[0:in] + b[0:out]; the slicing is what makes the
@@ -51,12 +57,13 @@ public:
                              std::span<const double> b, std::span<double> y,
                              std::size_t out, std::size_t in) noexcept;
 
-    /// Y[k, 0:out] = A[0:out, 0:in] * X[k, 0:in] + b[0:out] for every row
-    /// k < batch. Register-blocked over (batch rows x output rows) with
-    /// contiguous-row accesses, but every output element's reduction runs
-    /// over c in ascending order starting from b[r] -- each result is
-    /// bit-identical to `batch` separate slice_matvec calls. X and Y may
-    /// have more columns than in/out; only the leading slices are touched.
+    /// Y[0:out, k] = A[0:out, 0:in] * X[0:in, k] + b[0:out] for every column
+    /// k < batch. X and Y are feature-major (units x samples: column k is
+    /// sample k) and may have more rows/columns than in/out/batch; only the
+    /// leading slices are touched. Vectorized across samples with a register
+    /// tile of 2 outputs x 8 samples, never across the reduction: every
+    /// output element is one chain over c in ascending order starting from
+    /// b[r], so each column is bit-identical to slice_matvec on that sample.
     static void slice_matmul(const Matrix& a, const Matrix& x, std::span<const double> b,
                              Matrix& y, std::size_t out, std::size_t in,
                              std::size_t batch) noexcept;
@@ -70,6 +77,32 @@ public:
     static void slice_outer_accumulate(Matrix& grad, std::span<const double> y_grad,
                                        std::span<const double> x,
                                        std::size_t out, std::size_t in) noexcept;
+
+    /// Leading slice one sample of a batched backward reads: rows [0, out)
+    /// of the weight matrix and columns [0, in).
+    struct Slice {
+        std::size_t out;
+        std::size_t in;
+    };
+
+    /// DX[k, 0:in_k] = A[0:out_k, 0:in_k]^T * DY[k, 0:out_k] for every sample
+    /// k < slices.size(), with DX and DY sample-major (row k = sample k).
+    /// Columns of DX from in_k on are left untouched.
+    /// Loads each row of A once for all samples; every element is still one
+    /// chain over r in ascending order from 0.0 that skips DY == 0.0, so
+    /// each row is bit-identical to slice_matvec_transposed on that sample.
+    static void slice_matmul_transposed(const Matrix& a, const Matrix& y_grad,
+                                        Matrix& x_grad,
+                                        std::span<const Slice> slices) noexcept;
+
+    /// grad[0:out_k, 0:in_k] += DY[k, 0:out_k] (outer) X[k, 0:in_k] for
+    /// k = 0, 1, ... in order (DY, X sample-major; DY needs max_k out_k
+    /// columns, since every row reads its column). Loads each grad row once
+    /// and adds the samples' terms in span order, skipping DY == 0.0:
+    /// bit-identical to slice_outer_accumulate called sample by sample.
+    static void slice_outer_accumulate_batch(Matrix& grad, const Matrix& y_grad,
+                                             const Matrix& x,
+                                             std::span<const Slice> slices) noexcept;
 
 private:
     std::size_t rows_ = 0;

@@ -79,39 +79,28 @@ void SlimmableMlp::forward_batch(const Matrix& x, std::size_t batch, double widt
     }
     cache.width = width;
     cache.batch = batch;
-    cache.inputs.resize(layers_.size());
-    cache.pre.resize(layers_.size());
+    cache.activations.resize(layers_.size() + 1);
 
-    cache.inputs[0].resize(batch, in0);
+    auto& input = cache.activations[0];
+    input.resize(in0, batch);
     for (std::size_t k = 0; k < batch; ++k) {
-        const auto src = x.row(k);
-        std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(in0),
-                  cache.inputs[0].row(k).begin());
+        for (std::size_t c = 0; c < in0; ++c) input(c, k) = x(k, c);
     }
     for (std::size_t l = 0; l < layers_.size(); ++l) {
         const std::size_t in_active = active_units(l, width);
         const std::size_t out_active = active_units(l + 1, width);
-        cache.pre[l].resize(batch, out_active);
-        layers_[l].forward_batch(cache.inputs[l], cache.pre[l], in_active, out_active,
-                                 batch);
-        if (l + 1 < layers_.size()) {
-            auto& next_in = cache.inputs[l + 1];
-            next_in.resize(batch, out_active);
-            auto src = cache.pre[l].flat();
-            auto dst = next_in.flat();
-            std::copy(src.begin(), src.end(), dst.begin());
-            relu_inplace(dst, dst.size());
-        }
+        auto& y = cache.activations[l + 1];
+        y.resize(out_active, batch);
+        layers_[l].forward_batch(cache.activations[l], y, in_active, out_active, batch);
+        if (l + 1 < layers_.size()) relu_inplace(y.flat(), y.size());
     }
 
-    // Expand to the full output dimension per row; at full (or non-slim)
-    // output width this is the identity.
-    const std::size_t out_last = active_units(layers_.size(), width);
+    // Transpose to one row per sample, expanded to the full output
+    // dimension; at full (or non-slim) output width this is the identity.
+    const auto& last = cache.activations.back();
     cache.output.resize(batch, output_dim(), 0.0);
-    for (std::size_t k = 0; k < batch; ++k) {
-        const auto src = cache.pre.back().row(k);
-        std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(out_last),
-                  cache.output.row(k).begin());
+    for (std::size_t r = 0; r < last.rows(); ++r) {
+        for (std::size_t k = 0; k < batch; ++k) cache.output(k, r) = last(r, k);
     }
 }
 
@@ -167,30 +156,55 @@ void SlimmableMlp::backward(const ForwardCache& cache, std::span<const double> d
     }
 }
 
-void SlimmableMlp::backward_row(const BatchCache& cache, std::size_t row,
-                                std::span<const double> dout, MlpScratch& scratch) {
-    if (dout.size() != output_dim()) {
-        throw std::invalid_argument("SlimmableMlp::backward_row: dout size mismatch");
+void SlimmableMlp::backward_batch(std::span<const BatchSample> samples,
+                                  const Matrix& dout, BackwardScratch& scratch) {
+    const std::size_t n = samples.size();
+    if (dout.cols() != output_dim() || dout.rows() < n) {
+        throw std::invalid_argument("SlimmableMlp::backward_batch: dout shape mismatch");
     }
-    if (row >= cache.batch) {
-        throw std::out_of_range("SlimmableMlp::backward_row: row out of range");
-    }
-    const double width = cache.width;
-    const std::size_t last = layers_.size() - 1;
-
-    scratch.a.assign(dout.begin(), dout.begin() + static_cast<std::ptrdiff_t>(
-                                       active_units(last + 1, width)));
-    auto* dy = &scratch.a;
-    auto* dx = &scratch.b;
-    for (std::size_t li = layers_.size(); li-- > 0;) {
-        const std::size_t in_active = active_units(li, width);
-        const std::size_t out_active = active_units(li + 1, width);
-        if (li != last) {
-            relu_backward(cache.pre[li].row(row), *dy, out_active);
+    for (const auto& s : samples) {
+        if (s.cache == nullptr || s.column >= s.cache->batch ||
+            s.cache->activations.size() != layers_.size() + 1) {
+            throw std::out_of_range("SlimmableMlp::backward_batch: bad sample");
         }
-        dx->assign(in_active, 0.0);
-        layers_[li].backward(cache.inputs[li].row(row), *dy, *dx, in_active, out_active);
-        std::swap(dy, dx);
+    }
+    if (n == 0) return;
+    auto& slices = scratch.slices;
+    slices.resize(n);
+    const Matrix* dy = &dout;
+    for (std::size_t li = layers_.size(); li-- > 0;) {
+        std::size_t in_max = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double width = samples[i].cache->width;
+            slices[i] = {active_units(li + 1, width), active_units(li, width)};
+            in_max = std::max(in_max, slices[i].in);
+        }
+        // Gather this layer's inputs into sample-major rows.
+        scratch.x.resize(n, in_max);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto& act = samples[i].cache->activations[li];
+            const std::size_t k = samples[i].column;
+            for (std::size_t c = 0; c < slices[i].in; ++c) scratch.x(i, c) = act(c, k);
+        }
+        if (li == 0) {
+            layers_[li].backward_batch(scratch.x, *dy, nullptr, slices);
+            break;
+        }
+        scratch.dx.resize(n, in_max);
+        layers_[li].backward_batch(scratch.x, *dy, &scratch.dx, slices);
+        // ReLU backward into layer li-1's output gradient. The mask reads the
+        // ReLU output: relu(p) == 0.0 exactly when p <= 0.0 (including -0.0
+        // and excluding NaN), the test relu_backward applies to p.
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto& act = samples[i].cache->activations[li];
+            const std::size_t k = samples[i].column;
+            const auto dx = scratch.dx.row(i);
+            for (std::size_t c = 0; c < slices[i].in; ++c) {
+                dx[c] = act(c, k) == 0.0 ? 0.0 : dx[c];
+            }
+        }
+        std::swap(scratch.dx, scratch.dy);
+        dy = &scratch.dy;
     }
 }
 

@@ -39,25 +39,41 @@ struct ForwardCache {
     std::vector<double> output;
 };
 
-/// Two reusable ping-pong buffers for the allocation-free forward() and
-/// backward_row() overloads; reallocation stops once warm.
+/// Two reusable ping-pong buffers for the allocation-free forward()
+/// overload; reallocation stops once warm.
 struct MlpScratch {
     std::vector<double> a;
     std::vector<double> b;
 };
 
-/// Activations for a whole minibatch (row k = sample k), captured by
-/// forward_batch for per-row backward_row() calls. Matrices are resized in
-/// place, so a reused cache is allocation-free once warm.
+/// Activations for a whole minibatch at one width, captured by
+/// forward_batch for backward_batch(). Matrices are resized in place, so a
+/// reused cache is allocation-free once warm.
 struct BatchCache {
     double width = 1.0;
     std::size_t batch = 0;
-    /// inputs[l]: batch x active_units(l) inputs fed to layer l.
-    std::vector<Matrix> inputs;
-    /// pre[l]: batch x active_units(l+1) pre-activation outputs of layer l.
-    std::vector<Matrix> pre;
-    /// batch x output_dim final outputs (expanded like ForwardCache::output).
+    /// activations[b]: active_units(b) x batch, feature-major (column k =
+    /// sample k), at layer boundary b: [0] is the network input, [l] for
+    /// 0 < l < num_layers() the ReLU output of layer l-1, and the last entry
+    /// the output layer's result.
+    std::vector<Matrix> activations;
+    /// batch x output_dim final outputs (row k = sample k, expanded like
+    /// ForwardCache::output).
     Matrix output;
+};
+
+/// One sample of a minibatch backward: column `column` of `cache`.
+struct BatchSample {
+    const BatchCache* cache = nullptr;
+    std::size_t column = 0;
+};
+
+/// Reusable sample-major buffers for backward_batch().
+struct BackwardScratch {
+    Matrix x;
+    Matrix dy;
+    Matrix dx;
+    std::vector<Matrix::Slice> slices;
 };
 
 class SlimmableMlp {
@@ -89,8 +105,8 @@ public:
 
     /// Batched forward over the leading `batch` rows of X (each row one
     /// sample; X must have at least active_units(0, width) columns). Records
-    /// per-layer activations for backward_row(); every row of cache.output
-    /// is bit-identical to forward() on that sample.
+    /// per-layer activations for backward_batch(); every row of
+    /// cache.output is bit-identical to forward() on that sample.
     void forward_batch(const Matrix& x, std::size_t batch, double width,
                        BatchCache& cache) const;
 
@@ -98,11 +114,13 @@ public:
     /// dimension; entries for actions you do not want to train must be 0).
     void backward(const ForwardCache& cache, std::span<const double> dout);
 
-    /// Backward for one sample of a BatchCache. Gradient accumulation order
-    /// is the caller's row order; walking rows in original batch order makes
-    /// the accumulated grads bit-identical to per-sample backward() calls.
-    void backward_row(const BatchCache& cache, std::size_t row,
-                      std::span<const double> dout, MlpScratch& scratch);
+    /// Backward for a minibatch whose samples may come from several caches
+    /// (one per width). Row i of `dout` (output_dim columns) is
+    /// dL/d(output) of samples[i]. Gradients accumulate over the samples in
+    /// span order, so passing them in original batch order makes every grad
+    /// bit-identical to per-sample backward() calls in that order.
+    void backward_batch(std::span<const BatchSample> samples, const Matrix& dout,
+                        BackwardScratch& scratch);
 
     void zero_grad() noexcept;
 

@@ -38,20 +38,21 @@ double Adam::step(SlimmableMlp& net) {
         throw std::invalid_argument("Adam::step: network topology changed");
     }
 
-    // Optional global-norm gradient clipping over touched entries.
+    // Optional global-norm gradient clipping over touched entries: one
+    // sequential sum in flat order (each layer's weights, then its biases).
     double scale = 1.0;
     if (config_.grad_clip > 0.0) {
         double sq = 0.0;
         for (auto& layer : net.layers()) {
-            const auto gw = layer.grad_weights().flat();
-            const auto mw = layer.weight_mask();
-            for (std::size_t i = 0; i < gw.size(); ++i) {
-                if (mw[i]) sq += gw[i] * gw[i];
+            const auto marked = layer.marked_cols();
+            const auto& gw = layer.grad_weights();
+            for (std::size_t r = 0; r < marked.size(); ++r) {
+                const double* g = gw.row(r).data();
+                for (std::size_t c = 0; c < marked[r]; ++c) sq += g[c] * g[c];
             }
             const auto gb = layer.grad_bias();
-            const auto mb = layer.bias_mask();
-            for (std::size_t i = 0; i < gb.size(); ++i) {
-                if (mb[i]) sq += gb[i] * gb[i];
+            for (std::size_t r = 0; r < marked.size(); ++r) {
+                if (marked[r] > 0) sq += gb[r] * gb[r];
             }
         }
         const double norm = std::sqrt(sq);
@@ -62,35 +63,40 @@ double Adam::step(SlimmableMlp& net) {
     const double lr = lr_.at(t_);
     const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
     const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+    const double beta1 = config_.beta1;
+    const double beta2 = config_.beta2;
+    const double eps = config_.epsilon;
+
+    // Elementwise update of the touched spans only: untouched parameters and
+    // moments keep their exact values. Each span is branch-free, so the
+    // compiler can vectorize it without changing any result.
+    const auto update = [&](double* __restrict p, const double* __restrict g,
+                            double* __restrict m, double* __restrict v, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const double gi = g[i] * scale;
+            m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+            const double mhat = m[i] / bc1;
+            const double vhat = v[i] / bc2;
+            p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+        }
+    };
 
     for (std::size_t li = 0; li < net.layers().size(); ++li) {
         auto& layer = net.layers()[li];
         auto& mom = moments_[li];
-
-        auto w = layer.weights().flat();
-        auto gw = layer.grad_weights().flat();
-        const auto mw = layer.weight_mask();
-        for (std::size_t i = 0; i < w.size(); ++i) {
-            if (!mw[i]) continue;
-            const double g = gw[i] * scale;
-            mom.m_w[i] = config_.beta1 * mom.m_w[i] + (1.0 - config_.beta1) * g;
-            mom.v_w[i] = config_.beta2 * mom.v_w[i] + (1.0 - config_.beta2) * g * g;
-            const double mhat = mom.m_w[i] / bc1;
-            const double vhat = mom.v_w[i] / bc2;
-            w[i] -= lr * mhat / (std::sqrt(vhat) + config_.epsilon);
+        const auto marked = layer.marked_cols();
+        const std::size_t cols = layer.in_features();
+        double* w = layer.weights().flat().data();
+        const double* gw = layer.grad_weights().flat().data();
+        for (std::size_t r = 0; r < marked.size(); ++r) {
+            const std::size_t o = r * cols;
+            update(w + o, gw + o, mom.m_w.data() + o, mom.v_w.data() + o, marked[r]);
         }
-
         auto b = layer.bias();
-        auto gb = layer.grad_bias();
-        const auto mb = layer.bias_mask();
-        for (std::size_t i = 0; i < b.size(); ++i) {
-            if (!mb[i]) continue;
-            const double g = gb[i] * scale;
-            mom.m_b[i] = config_.beta1 * mom.m_b[i] + (1.0 - config_.beta1) * g;
-            mom.v_b[i] = config_.beta2 * mom.v_b[i] + (1.0 - config_.beta2) * g * g;
-            const double mhat = mom.m_b[i] / bc1;
-            const double vhat = mom.v_b[i] / bc2;
-            b[i] -= lr * mhat / (std::sqrt(vhat) + config_.epsilon);
+        const auto gb = layer.grad_bias();
+        for (std::size_t r = 0; r < marked.size(); ++r) {
+            if (marked[r] > 0) update(&b[r], &gb[r], &mom.m_b[r], &mom.v_b[r], 1);
         }
     }
 

@@ -2,10 +2,10 @@
 // Adam optimizer with cosine learning-rate decay (Sec. 4.4.1: Adam with
 // beta1 = 0.9, beta2 = 0.99, lr = 0.01 with cosine decay).
 //
-// The step() honours the per-parameter "touched" masks produced by the
-// slimmable backward pass: untouched parameters keep their exact values, as
-// the paper requires for reduced-width updates ("the remaining weights are
-// not updated").
+// The step() honours the per-row touched prefixes produced by the slimmable
+// backward pass (SlimmableLinear::marked_cols): untouched parameters keep
+// their exact values, as the paper requires for reduced-width updates ("the
+// remaining weights are not updated").
 
 #include <cstddef>
 #include <vector>
@@ -46,8 +46,8 @@ public:
     /// The optimizer sizes its moment buffers from the network topology.
     Adam(const SlimmableMlp& net, AdamConfig config);
 
-    /// Apply one update using the gradients (and touched masks) accumulated
-    /// in `net`, then clear them. Returns the learning rate used.
+    /// Apply one update using the gradients (and touched prefixes)
+    /// accumulated in `net`, then clear them. Returns the learning rate used.
     double step(SlimmableMlp& net);
 
     [[nodiscard]] std::size_t steps_taken() const noexcept { return t_; }

@@ -4,12 +4,17 @@
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace lotus::rl {
 
 namespace {
 
 constexpr const char* kMagic = "lotus-mlp v1";
+/// Largest layer size a checkpoint may declare. The paper's layers are at
+/// most 128 wide; the cap turns a corrupt or hostile header into a clear
+/// error instead of a huge allocation.
+constexpr std::size_t kMaxDim = 65'536;
 
 void expect_token(std::istream& in, const std::string& expected) {
     std::string token;
@@ -31,7 +36,10 @@ MlpConfig read_header(std::istream& in) {
     if (!(in >> n) || n < 2 || n > 64) throw std::runtime_error("load_mlp: bad dims count");
     cfg.dims.resize(n);
     for (auto& d : cfg.dims) {
-        if (!(in >> d) || d == 0) throw std::runtime_error("load_mlp: bad dim");
+        if (!(in >> d)) throw std::runtime_error("load_mlp: bad dim");
+        if (d == 0 || d > kMaxDim) {
+            throw std::runtime_error("load_mlp: dim " + std::to_string(d) + " out of range");
+        }
     }
     int flag = 0;
     expect_token(in, "slim_input");

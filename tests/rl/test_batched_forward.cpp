@@ -1,18 +1,25 @@
-// Byte-identity tests for the batched/blocked RL math (the hot-path perf
-// layer): Matrix::slice_matmul versus slice_matvec, the scratch-buffer and
-// batched SlimmableMlp forwards versus the per-sample path, and full
-// DqnCore::train_batch equivalence -- identical losses, Q-values and
-// post-training parameters between DqnMath::scalar and DqnMath::batched
-// across widths, batch sizes and slimmable active dims (including ragged
-// out_active < out_ via slim_output). "Identical" here means bitwise: the
-// batched kernels restructure the loops but never the per-element reduction
-// order, so every double must match exactly, not approximately.
+// Byte-identity tests for the batched RL math (the hot-path perf layer):
+// the sample-vectorized Matrix::slice_matmul versus slice_matvec, the
+// batched backward kernels versus per-sample SlimmableLinear::backward, the
+// scratch-buffer and batched SlimmableMlp forwards and backward versus the
+// per-sample path, and full DqnCore::train_batch equivalence -- identical
+// losses, Q-values and post-training parameters between DqnMath::scalar and
+// DqnMath::batched across widths, batch sizes and slimmable active dims
+// (including ragged out_active < out_ via slim_output, and the paper's
+// {7,128,128,128,48} net on LOTUS-style batches). "Identical" here means
+// bitwise: the batched kernels restructure the loops but never the
+// per-element reduction order, so every double must match exactly, not
+// approximately.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "prof/profiler.hpp"
 #include "rl/dqn.hpp"
 #include "rl/layers.hpp"
 #include "rl/matrix.hpp"
@@ -43,29 +50,136 @@ void expect_bitwise_eq(std::span<const double> a, std::span<const double> b) {
     }
 }
 
+/// Feature-major copy of `m`'s leading rows x cols (column k = row k of m),
+/// padded with `pad` extra rows/columns of poison.
+[[nodiscard]] Matrix feature_major(const Matrix& m, std::size_t rows, std::size_t cols,
+                                   std::size_t pad) {
+    Matrix t(cols + pad, rows + pad, -77.0);
+    for (std::size_t k = 0; k < rows; ++k) {
+        for (std::size_t c = 0; c < cols; ++c) t(c, k) = m(k, c);
+    }
+    return t;
+}
+
 TEST(SliceMatmul, BitIdenticalToMatvecAcrossShapes) {
     util::Rng rng(7);
-    // Shapes chosen to hit every tail path of the 2x4 register blocking:
-    // batch in {1,2,3,5,8}, out in {1,3,4,6,48}, plus oversized X/Y columns.
+    // Shapes chosen to hit every tail path of the 2-output x 8-sample tile
+    // (batch 1/7/33: scalar, 2-sample and 8-sample tails; odd `out`), plus
+    // oversized X/Y.
     const struct {
         std::size_t out, in, batch;
-    } shapes[] = {{1, 1, 1}, {3, 5, 2},  {4, 7, 3},   {6, 6, 5},
-                  {48, 7, 8}, {5, 128, 4}, {128, 96, 2}, {9, 13, 7}};
+    } shapes[] = {{1, 1, 1},    {3, 5, 2},    {4, 7, 3},    {6, 6, 5},   {48, 7, 8},
+                  {5, 128, 4},  {128, 96, 2}, {9, 13, 7},   {6, 6, 33},  {48, 6, 7},
+                  {96, 7, 33},  {96, 6, 1},   {6, 7, 7},    {48, 7, 33}, {96, 96, 16},
+                  {128, 128, 32}};
     for (const auto& s : shapes) {
         const Matrix a = random_matrix(s.out, s.in + 2, rng); // wider than `in`
-        const Matrix x = random_matrix(s.batch, s.in + 1, rng);
+        const Matrix x_rows = random_matrix(s.batch, s.in, rng);
+        const Matrix x = feature_major(x_rows, s.batch, s.in, 1);
         const auto b = random_vector(s.out, rng);
-        Matrix y_batched(s.batch, s.out + 1, -99.0); // oversized, poisoned
+        Matrix y_batched(s.out + 1, s.batch + 1, -99.0); // oversized, poisoned
         Matrix::slice_matmul(a, x, b, y_batched, s.out, s.in, s.batch);
 
         std::vector<double> y_ref(s.out);
         for (std::size_t k = 0; k < s.batch; ++k) {
-            Matrix::slice_matvec(a, x.row(k), b, y_ref, s.out, s.in);
-            expect_bitwise_eq(y_ref, y_batched.row(k).first(s.out));
-            // Columns beyond `out` stay untouched.
-            EXPECT_EQ(y_batched(k, s.out), -99.0);
+            Matrix::slice_matvec(a, x_rows.row(k), b, y_ref, s.out, s.in);
+            for (std::size_t r = 0; r < s.out; ++r) {
+                EXPECT_EQ(std::memcmp(&y_ref[r], &y_batched(r, k), sizeof(double)), 0)
+                    << s.out << "x" << s.in << " batch " << s.batch << " (" << r << ", "
+                    << k << ")";
+            }
+            EXPECT_EQ(y_batched(s.out, k), -99.0); // rows beyond `out` untouched
+        }
+        for (std::size_t r = 0; r <= s.out; ++r) {
+            EXPECT_EQ(y_batched(r, s.batch), -99.0); // columns beyond `batch` too
         }
     }
+}
+
+struct BackwardShape {
+    std::size_t batch, out, in;
+};
+
+/// backward_batch on one layer against per-sample backward() calls in the
+/// same order. `narrow` marks samples run at the 0.75x slice of (out, in);
+/// `zero_every` zeroes every n-th upstream gradient entry exactly (plus one
+/// -0.0) to exercise the `g == 0.0` skips.
+void check_layer_backward_batch(const BackwardShape& s, const std::vector<bool>& narrow,
+                                std::size_t zero_every, std::uint64_t seed) {
+    util::Rng rng(seed);
+    util::Rng init_a(seed + 1000);
+    util::Rng init_b(seed + 1000);
+    SlimmableLinear per_sample(s.in, s.out, init_a);
+    SlimmableLinear batched(s.in, s.out, init_b);
+
+    std::vector<Matrix::Slice> slices(s.batch);
+    Matrix x = random_matrix(s.batch, s.in, rng);
+    Matrix dy = random_matrix(s.batch, s.out, rng);
+    std::size_t nth = 0;
+    for (std::size_t k = 0; k < s.batch; ++k) {
+        const bool small = narrow[k];
+        slices[k] = {small ? (3 * s.out + 3) / 4 : s.out, small ? (3 * s.in + 3) / 4 : s.in};
+        for (std::size_t r = 0; r < s.out; ++r) {
+            if (zero_every > 0 && ++nth % zero_every == 0) dy(k, r) = 0.0;
+        }
+    }
+    dy(0, 0) = -0.0;
+
+    Matrix dx_ref(s.batch, s.in, -5.0);
+    for (std::size_t k = 0; k < s.batch; ++k) {
+        per_sample.backward(x.row(k).first(slices[k].in), dy.row(k).first(slices[k].out),
+                            dx_ref.row(k).first(slices[k].in), slices[k].in,
+                            slices[k].out);
+    }
+    Matrix dx(s.batch, s.in, -5.0);
+    batched.backward_batch(x, dy, &dx, slices);
+
+    const auto label = "batch " + std::to_string(s.batch) + " out " + std::to_string(s.out) +
+                       " in " + std::to_string(s.in);
+    SCOPED_TRACE(label);
+    expect_bitwise_eq(per_sample.grad_weights().flat(), batched.grad_weights().flat());
+    expect_bitwise_eq(per_sample.grad_bias(), batched.grad_bias());
+    expect_bitwise_eq(dx_ref.flat(), dx.flat()); // beyond in_k: untouched in both
+    const auto ref_marked = per_sample.marked_cols();
+    const auto marked = batched.marked_cols();
+    EXPECT_TRUE(std::equal(ref_marked.begin(), ref_marked.end(), marked.begin(), marked.end()));
+
+    // dx == nullptr skips the input gradient and still accumulates grads.
+    batched.zero_grad();
+    per_sample.zero_grad();
+    batched.backward_batch(x, dy, nullptr, slices);
+    for (std::size_t k = 0; k < s.batch; ++k) {
+        per_sample.backward(x.row(k).first(slices[k].in), dy.row(k).first(slices[k].out),
+                            dx_ref.row(k).first(slices[k].in), slices[k].in,
+                            slices[k].out);
+    }
+    expect_bitwise_eq(per_sample.grad_weights().flat(), batched.grad_weights().flat());
+}
+
+TEST(SlimmableLinearBackwardBatch, BitIdenticalToPerSampleBackward) {
+    std::uint64_t seed = 50;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{33}}) {
+        for (const std::size_t out : {std::size_t{6}, std::size_t{48}, std::size_t{96}}) {
+            for (const std::size_t in : {std::size_t{6}, std::size_t{7}, std::size_t{128}}) {
+                const BackwardShape s{batch, out, in};
+                check_layer_backward_batch(s, std::vector<bool>(batch, false), 0, ++seed);
+                check_layer_backward_batch(s, std::vector<bool>(batch, false), 3, ++seed);
+                // Alternating widths: every 0.75x sample sits between 1.0x ones.
+                std::vector<bool> mixed(batch);
+                for (std::size_t k = 0; k < batch; ++k) mixed[k] = k % 2 == 1;
+                check_layer_backward_batch(s, mixed, 4, ++seed);
+            }
+        }
+    }
+}
+
+// More terms per row than one accumulation chunk holds (64), all nonzero,
+// with the narrow sample in the middle.
+TEST(SlimmableLinearBackwardBatch, LongBatchesSpanSeveralChunks) {
+    std::vector<bool> narrow(150, false);
+    narrow[75] = true;
+    check_layer_backward_batch({150, 96, 128}, narrow, 0, 7);
+    check_layer_backward_batch({150, 130, 7}, std::vector<bool>(150, true), 5, 8);
 }
 
 TEST(MlpScratchForward, BitIdenticalToVectorForward) {
@@ -113,50 +227,64 @@ TEST(MlpForwardBatch, BitIdenticalToPerSampleForward) {
     }
 }
 
-TEST(MlpBackwardRow, BitIdenticalGradsToPerSampleBackward) {
-    MlpConfig cfg;
-    cfg.dims = {7, 21, 48};
-    cfg.seed = 31;
-    SlimmableMlp scalar_net(cfg);
-    SlimmableMlp batched_net(cfg); // same seed -> same init
-    util::Rng rng(13);
-    const std::size_t batch = 6;
-    const double width = 0.75;
+TEST(MlpBackwardBatch, BitIdenticalGradsToPerSampleBackward) {
+    for (const bool slim_output : {false, true}) {
+        MlpConfig cfg;
+        cfg.dims = {7, 21, 13, 48};
+        cfg.slim_output = slim_output;
+        cfg.seed = 31;
+        SlimmableMlp scalar_net(cfg);
+        SlimmableMlp batched_net(cfg); // same seed -> same init
+        util::Rng rng(13);
+        const std::size_t batch = 9;
 
-    Matrix x = random_matrix(batch, 7, rng);
-    std::vector<std::vector<double>> douts;
-    for (std::size_t k = 0; k < batch; ++k) {
-        douts.push_back(random_vector(scalar_net.output_dim(), rng));
-    }
+        // Two width groups, interleaved in the batch order: sample i runs at
+        // width 0.75 when i % 3 == 1, else 1.0.
+        const double widths[] = {1.0, 0.75};
+        Matrix x = random_matrix(batch, 7, rng);
+        Matrix dout = random_matrix(batch, scalar_net.output_dim(), rng);
+        dout(2, 5) = 0.0;
+        std::vector<BatchCache> caches(2);
+        std::vector<BatchSample> samples(batch);
+        for (std::size_t g = 0; g < 2; ++g) {
+            std::vector<std::size_t> members;
+            for (std::size_t i = 0; i < batch; ++i) {
+                if ((i % 3 == 1) == (g == 1)) members.push_back(i);
+            }
+            Matrix xg(members.size(), 7);
+            for (std::size_t j = 0; j < members.size(); ++j) {
+                const auto src = x.row(members[j]);
+                std::copy(src.begin(), src.end(), xg.row(j).begin());
+                samples[members[j]] = {&caches[g], j};
+            }
+            batched_net.forward_batch(xg, members.size(), widths[g], caches[g]);
+        }
 
-    ForwardCache fc;
-    for (std::size_t k = 0; k < batch; ++k) {
-        scalar_net.forward_cached(x.row(k), width, fc);
-        scalar_net.backward(fc, douts[k]);
-    }
+        ForwardCache fc;
+        for (std::size_t i = 0; i < batch; ++i) {
+            scalar_net.forward_cached(x.row(i), widths[i % 3 == 1 ? 1 : 0], fc);
+            scalar_net.backward(fc, dout.row(i));
+        }
+        BackwardScratch scratch;
+        batched_net.backward_batch({}, dout, scratch); // empty: a no-op
+        batched_net.backward_batch(samples, dout, scratch);
 
-    BatchCache bc;
-    MlpScratch scratch;
-    batched_net.forward_batch(x, batch, width, bc);
-    for (std::size_t k = 0; k < batch; ++k) {
-        batched_net.backward_row(bc, k, douts[k], scratch);
-    }
-
-    for (std::size_t l = 0; l < scalar_net.num_layers(); ++l) {
-        auto& sl = scalar_net.layers()[l];
-        auto& bl = batched_net.layers()[l];
-        expect_bitwise_eq(sl.grad_weights().flat(), bl.grad_weights().flat());
-        expect_bitwise_eq(sl.grad_bias(), bl.grad_bias());
-        const auto sm = sl.weight_mask();
-        const auto bm = bl.weight_mask();
-        ASSERT_EQ(sm.size(), bm.size());
-        EXPECT_EQ(std::memcmp(sm.data(), bm.data(), sm.size()), 0);
+        for (std::size_t l = 0; l < scalar_net.num_layers(); ++l) {
+            auto& sl = scalar_net.layers()[l];
+            auto& bl = batched_net.layers()[l];
+            SCOPED_TRACE("layer " + std::to_string(l));
+            expect_bitwise_eq(sl.grad_weights().flat(), bl.grad_weights().flat());
+            expect_bitwise_eq(sl.grad_bias(), bl.grad_bias());
+            const auto sm = sl.marked_cols();
+            const auto bm = bl.marked_cols();
+            EXPECT_TRUE(std::equal(sm.begin(), sm.end(), bm.begin(), bm.end()));
+        }
     }
 }
 
-// The mask high-water-mark optimisation must mark exactly the union of the
+// The touched-prefix high-water mark must record exactly the union of the
 // leading spans touched across a batch of mixed widths.
-TEST(SlimmableLinearMask, PrefixMarkingMatchesBruteForce) {
+TEST(SlimmableLinearMarking, PrefixMarkingMatchesBruteForce) {
     util::Rng rng(17);
     SlimmableLinear layer(8, 6, rng);
     std::vector<double> dx(8, 0.0);
@@ -164,36 +292,30 @@ TEST(SlimmableLinearMask, PrefixMarkingMatchesBruteForce) {
     const auto dy = random_vector(6, rng);
 
     // Narrow, wide, then narrow again: the second narrow call must not
-    // unmark anything, the wide call must extend every row span.
+    // shrink anything, the wide call must extend every row span.
     const struct {
         std::size_t in_active, out_active;
     } calls[] = {{4, 3}, {8, 6}, {4, 3}, {6, 5}};
-    std::vector<std::uint8_t> expect_w(8 * 6, 0);
-    std::vector<std::uint8_t> expect_b(6, 0);
+    std::vector<std::uint32_t> expect(6, 0);
     for (const auto& call : calls) {
         layer.backward(x, std::span<const double>(dy).first(call.out_active),
                        std::span<double>(dx).first(call.in_active), call.in_active,
                        call.out_active);
         for (std::size_t r = 0; r < call.out_active; ++r) {
-            expect_b[r] = 1;
-            for (std::size_t c = 0; c < call.in_active; ++c) expect_w[r * 8 + c] = 1;
+            expect[r] = std::max(expect[r], static_cast<std::uint32_t>(call.in_active));
         }
     }
-    const auto mw = layer.weight_mask();
-    const auto mb = layer.bias_mask();
-    EXPECT_EQ(std::memcmp(mw.data(), expect_w.data(), expect_w.size()), 0);
-    EXPECT_EQ(std::memcmp(mb.data(), expect_b.data(), expect_b.size()), 0);
+    const auto marked = layer.marked_cols();
+    EXPECT_TRUE(std::equal(marked.begin(), marked.end(), expect.begin(), expect.end()));
 
     // zero_grad resets the high-water marks too: a narrow backward after it
     // must mark the narrow prefix again from scratch.
     layer.zero_grad();
-    for (const auto m : layer.weight_mask()) ASSERT_EQ(m, 0);
+    for (const auto m : layer.marked_cols()) ASSERT_EQ(m, 0u);
     layer.backward(x, std::span<const double>(dy).first(2),
                    std::span<double>(dx).first(3), 3, 2);
     for (std::size_t r = 0; r < 6; ++r) {
-        for (std::size_t c = 0; c < 8; ++c) {
-            EXPECT_EQ(layer.weight_mask()[r * 8 + c], (r < 2 && c < 3) ? 1 : 0);
-        }
+        EXPECT_EQ(layer.marked_cols()[r], r < 2 ? 3u : 0u) << "r=" << r;
     }
 }
 
@@ -215,24 +337,36 @@ struct DqnCase {
     bool double_dqn;
     bool slim_output;
     std::size_t batch_size;
+    /// The paper's Q-net {7,128,128,128,48} on LOTUS-style single-width
+    /// batches for 250 steps (2 target syncs) instead of the small mixed
+    /// pool.
+    bool paper_shape = false;
+
+    friend void PrintTo(const DqnCase& c, std::ostream* os) {
+        *os << (c.paper_shape ? "paper " : "") << (c.double_dqn ? "double" : "vanilla")
+            << (c.slim_output ? " ragged" : " fullout") << " b" << c.batch_size;
+    }
 };
 
 class DqnMathEquivalence : public ::testing::TestWithParam<DqnCase> {};
 
 // The full gate: scalar and batched DqnCores fed identical transition
 // streams must agree bitwise on every loss, every Q-value and every
-// parameter after several optimizer steps (including a target-net sync).
+// parameter after several optimizer steps (including target-net syncs).
 TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
     const auto param = GetParam();
     MlpConfig net;
-    net.dims = {7, 24, 16, 48};
+    net.dims = param.paper_shape ? std::vector<std::size_t>{7, 128, 128, 128, 48}
+                                 : std::vector<std::size_t>{7, 24, 16, 48};
     net.slim_output = param.slim_output;
     net.seed = 41;
 
     DqnConfig cfg;
     cfg.gamma = 0.9;
-    cfg.target_sync_every = 3; // force a sync mid-test
+    // Force syncs mid-test (the paper-shape run keeps the default period).
+    cfg.target_sync_every = param.paper_shape ? 100 : 3;
     cfg.double_dqn = param.double_dqn;
+    const int steps = param.paper_shape ? 250 : 8;
 
     cfg.math = DqnMath::scalar;
     DqnCore scalar_core(net, cfg);
@@ -240,28 +374,39 @@ TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
     DqnCore batched_core(net, cfg);
 
     util::Rng rng(97);
-    // Mixed widths alternating like LOTUS' even/odd steps, plus terminals
-    // and a lone off-grid width to force a third bucket.
-    std::vector<Transition> pool;
+    // Small nets: mixed widths alternating like LOTUS' even/odd steps inside
+    // one batch, plus terminals and a lone off-grid width to force a third
+    // bucket. Paper shape: like LotusAgent's two buffers -- even batches
+    // step 0.75x -> bootstrap 1.0x, odd batches 1.0x -> 0.75x.
+    std::vector<Transition> pools[2];
     for (std::size_t i = 0; i < 64; ++i) {
-        const double ws = (i % 2 == 0) ? 1.0 : 0.75;
-        const double wn = (i % 2 == 0) ? 0.75 : 1.0;
-        pool.push_back(make_transition(rng, 7, 48, i % 7 == 3 ? 0.5 : ws, wn,
-                                       i % 5 == 0));
+        const bool even = i % 2 == 0;
+        if (param.paper_shape) {
+            for (const bool pool_even : {true, false}) {
+                pools[pool_even ? 0 : 1].push_back(make_transition(
+                    rng, 7, 48, pool_even ? 0.75 : 1.0, pool_even ? 1.0 : 0.75, i % 11 == 4));
+            }
+        } else {
+            pools[0].push_back(make_transition(rng, 7, 48, i % 7 == 3 ? 0.5 : (even ? 1.0 : 0.75),
+                                               even ? 0.75 : 1.0, i % 5 == 0));
+        }
     }
 
-    std::size_t cursor = 0;
-    for (int step = 0; step < 8; ++step) {
+    std::size_t cursor[2] = {0, 0};
+    for (int step = 0; step < steps; ++step) {
+        const std::size_t p = param.paper_shape ? static_cast<std::size_t>(step % 2) : 0;
         std::vector<const Transition*> batch;
         for (std::size_t i = 0; i < param.batch_size; ++i) {
-            batch.push_back(&pool[cursor]);
-            cursor = (cursor + 1) % pool.size();
+            batch.push_back(&pools[p][cursor[p]]);
+            // Paper shape: stride 7 (coprime to 64) varies each batch's mix.
+            cursor[p] = (cursor[p] + (param.paper_shape ? 7 : 1)) % pools[p].size();
         }
         const double scalar_loss = scalar_core.train_batch(batch);
         const double batched_loss = batched_core.train_batch(batch);
-        EXPECT_EQ(std::memcmp(&scalar_loss, &batched_loss, sizeof(double)), 0)
+        ASSERT_EQ(std::memcmp(&scalar_loss, &batched_loss, sizeof(double)), 0)
             << "step " << step << ": " << scalar_loss << " vs " << batched_loss;
     }
+    EXPECT_GE(batched_core.updates() / cfg.target_sync_every, 2u);
 
     for (std::size_t l = 0; l < scalar_core.online().num_layers(); ++l) {
         const auto& sl = scalar_core.online().layers()[l];
@@ -284,13 +429,67 @@ INSTANTIATE_TEST_SUITE_P(
     WidthsAndBatchSizes, DqnMathEquivalence,
     ::testing::Values(DqnCase{false, false, 32}, DqnCase{true, false, 32},
                       DqnCase{false, true, 32}, DqnCase{true, true, 7},
-                      DqnCase{false, false, 1}, DqnCase{true, false, 5}),
+                      DqnCase{false, false, 1}, DqnCase{true, false, 5},
+                      DqnCase{false, false, 32, true}, DqnCase{true, false, 32, true}),
     [](const ::testing::TestParamInfo<DqnCase>& info) {
         const auto& c = info.param;
-        return std::string(c.double_dqn ? "double" : "vanilla") +
+        return std::string(c.paper_shape ? "paper_" : "") +
+               (c.double_dqn ? "double" : "vanilla") +
                (c.slim_output ? "_ragged" : "_fullout") + "_b" +
                std::to_string(c.batch_size);
     });
+
+#if defined(LOTUS_PROFILING_ENABLED) && LOTUS_PROFILING_ENABLED
+// rl.train_batch splits into four phase regions, each entered once per
+// batched step under it, and the phases' totals never exceed the parent's.
+TEST(DqnProfilerRegions, TrainBatchPhasesNestUnderTrainBatch) {
+    prof::set_enabled(false);
+    prof::reset();
+    MlpConfig net;
+    net.dims = {7, 24, 16, 48};
+    net.seed = 5;
+    DqnConfig cfg;
+    cfg.double_dqn = true;
+    DqnCore core(net, cfg);
+    util::Rng rng(6);
+    std::vector<Transition> pool;
+    for (std::size_t i = 0; i < 16; ++i) {
+        pool.push_back(make_transition(rng, 7, 48, i % 2 ? 1.0 : 0.75, 1.0, i % 4 == 0));
+    }
+    std::vector<const Transition*> batch;
+    for (const auto& t : pool) batch.push_back(&t);
+
+    prof::set_enabled(true);
+    constexpr std::uint64_t kSteps = 12;
+    for (std::uint64_t i = 0; i < kSteps; ++i) (void)core.train_batch(batch);
+    const auto report = prof::capture();
+    prof::set_enabled(false);
+    prof::reset();
+
+    const auto index_of = [&](const std::string& name) {
+        for (std::size_t i = 0; i < report.regions.size(); ++i) {
+            if (report.regions[i].name == name) return i;
+        }
+        return report.regions.size();
+    };
+    const std::size_t parent = index_of("rl.train_batch");
+    ASSERT_LT(parent, report.regions.size());
+    EXPECT_EQ(report.regions[parent].calls, kSteps);
+    std::uint64_t children_ns = 0;
+    for (const char* name : {"rl.train.bootstrap_fwd", "rl.train.online_fwd",
+                             "rl.train.backward", "rl.train.adam"}) {
+        const std::size_t i = index_of(name);
+        ASSERT_LT(i, report.regions.size()) << name;
+        const auto& region = report.regions[i];
+        EXPECT_EQ(region.parent, parent) << name;
+        EXPECT_EQ(region.calls, kSteps) << name;
+        EXPECT_LE(region.total_ns, report.regions[parent].total_ns) << name;
+        children_ns += region.total_ns;
+    }
+    EXPECT_LE(children_ns, report.regions[parent].total_ns);
+    EXPECT_EQ(children_ns, report.regions[parent].child_ns);
+}
+#endif
 
 // force_dqn_math overrides the config at construction time only.
 TEST(DqnMathOverride, ForcedModeAppliesAtConstruction) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "rl/layers.hpp"
@@ -26,6 +28,33 @@ TEST(Matrix, ConstructionAndAccess) {
 TEST(Matrix, ZeroDimensionThrows) {
     EXPECT_THROW(Matrix(0, 3), std::invalid_argument);
     EXPECT_THROW(Matrix(3, 0), std::invalid_argument);
+}
+
+// rows * cols must not wrap: 2^33 x 2^31 is 2^64, which would wrap to 0.
+TEST(Matrix, SizeOverflowThrowsBeforeAllocating) {
+    const std::size_t big = std::size_t{1} << 33;
+    const std::size_t wraps_to_zero = std::size_t{1} << 31;
+    EXPECT_THROW(Matrix(big, wraps_to_zero), std::invalid_argument);
+    EXPECT_THROW(Matrix(std::numeric_limits<std::size_t>::max(), 2), std::invalid_argument);
+    try {
+        Matrix m(big, wraps_to_zero);
+        FAIL() << "expected an overflow error";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos) << e.what();
+    }
+}
+
+TEST(Matrix, ResizeOverflowThrowsAndLeavesMatrixUnchanged) {
+    Matrix m(2, 3, 4.0);
+    EXPECT_THROW(m.resize(std::size_t{1} << 33, std::size_t{1} << 31), std::invalid_argument);
+    EXPECT_THROW(m.resize(0, 3), std::invalid_argument);
+    EXPECT_EQ(m.rows(), 2u);
+    EXPECT_EQ(m.cols(), 3u);
+    EXPECT_EQ(m.size(), 6u);
+    EXPECT_DOUBLE_EQ(m(1, 2), 4.0);
+    m.resize(3, 1, 0.5);
+    EXPECT_EQ(m.size(), 3u);
+    EXPECT_DOUBLE_EQ(m(2, 0), 0.5);
 }
 
 TEST(Matrix, AtBoundsChecked) {
@@ -139,7 +168,7 @@ TEST(SlimmableLinear, ReducedSliceIgnoresTail) {
     }
 }
 
-TEST(SlimmableLinear, BackwardMarksOnlyActiveMask) {
+TEST(SlimmableLinear, BackwardMarksOnlyActiveSlice) {
     util::Rng rng(3);
     SlimmableLinear layer(4, 4, rng);
     const std::vector<double> x{1, 2, 3, 4};
@@ -147,16 +176,12 @@ TEST(SlimmableLinear, BackwardMarksOnlyActiveMask) {
     std::vector<double> dx(3);
     layer.backward(x, dy, dx, 3, 3);
 
-    const auto mask = layer.weight_mask();
+    // Rows 0-2 touch columns [0, 3) (and so their biases); row 3 nothing.
+    const auto marked = layer.marked_cols();
+    ASSERT_EQ(marked.size(), 4u);
     for (std::size_t r = 0; r < 4; ++r) {
-        for (std::size_t c = 0; c < 4; ++c) {
-            const bool expected = r < 3 && c < 3;
-            ASSERT_EQ(mask[r * 4 + c] != 0, expected) << "r=" << r << " c=" << c;
-        }
+        EXPECT_EQ(marked[r], r < 3 ? 3u : 0u) << "r=" << r;
     }
-    const auto bmask = layer.bias_mask();
-    EXPECT_TRUE(bmask[0] && bmask[1] && bmask[2]);
-    EXPECT_FALSE(bmask[3]);
 }
 
 TEST(SlimmableLinear, ZeroGradClears) {
@@ -168,7 +193,7 @@ TEST(SlimmableLinear, ZeroGradClears) {
     layer.backward(x, dy, dx, 2, 2);
     layer.zero_grad();
     for (const double g : layer.grad_weights().flat()) EXPECT_EQ(g, 0.0);
-    for (const auto m : layer.weight_mask()) EXPECT_EQ(m, 0);
+    for (const auto m : layer.marked_cols()) EXPECT_EQ(m, 0u);
 }
 
 /// Finite-difference gradient check of a single layer at a given slice.

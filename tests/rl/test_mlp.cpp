@@ -202,13 +202,13 @@ TEST(SlimmableMlp, ReducedBackwardLeavesTailGradientsZero) {
     net.backward(cache, dout);
 
     // Hidden layer 1 (16 units, 12 active at 0.75): rows >= 12 of layer 1's
-    // weight grad must be exactly zero and unmasked.
+    // weight grad must be exactly zero and untouched.
     auto& l1 = net.layers()[1];
     for (std::size_t r = 12; r < 16; ++r) {
         for (std::size_t c = 0; c < l1.in_features(); ++c) {
             ASSERT_EQ(l1.grad_weights()(r, c), 0.0);
-            ASSERT_EQ(l1.weight_mask()[r * l1.in_features() + c], 0);
         }
+        ASSERT_EQ(l1.marked_cols()[r], 0u);
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include "rl/mlp.hpp"
 #include "rl/optimizer.hpp"
+#include "util/rng.hpp"
 
 namespace lotus::rl {
 namespace {
@@ -102,6 +103,56 @@ TEST(Adam, MaskedParametersExactlyUntouched) {
     }
 }
 
+// After wide steps every parameter carries nonzero Adam moments, so a
+// narrow step that updated its untouched tail (weights or biases) would
+// still move it: the touched prefixes alone must decide what is updated.
+TEST(Adam, TailFrozenByNarrowStepsDespiteMomentum) {
+    MlpConfig cfg;
+    cfg.dims = {7, 8, 4};
+    cfg.seed = 9;
+    SlimmableMlp net(cfg);
+    Adam adam(net, {});
+    util::Rng rng(10);
+    const auto train = [&](double width, int steps) {
+        for (int i = 0; i < steps; ++i) {
+            std::vector<double> x(7);
+            for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+            ForwardCache cache;
+            net.forward_cached(x, width, cache);
+            std::vector<double> dout(net.output_dim(), 0.1);
+            net.backward(cache, dout);
+            adam.step(net);
+        }
+    };
+    train(1.0, 20);
+    const auto& l0 = net.layers()[0];
+    const std::vector<double> w_before(l0.weights().flat().begin(), l0.weights().flat().end());
+    const std::vector<double> b_before(l0.bias().begin(), l0.bias().end());
+    // Precondition: the wide steps did reach the tail biases (biases start
+    // at 0), so their moments are nonzero.
+    ASSERT_NE(b_before[6], 0.0);
+    ASSERT_NE(b_before[7], 0.0);
+    train(0.75, 5);
+
+    // Layer 0 at 0.75: rows < 6 touch columns < 6 (and their biases).
+    std::size_t moved_active = 0;
+    for (std::size_t r = 0; r < 8; ++r) {
+        for (std::size_t c = 0; c < 7; ++c) {
+            const bool active = r < 6 && c < 6;
+            const bool moved = l0.weights()(r, c) != w_before[r * 7 + c];
+            if (active) {
+                moved_active += moved ? 1 : 0;
+            } else {
+                EXPECT_FALSE(moved) << "tail weight moved at (" << r << "," << c << ")";
+            }
+        }
+        if (r >= 6) {
+            EXPECT_EQ(l0.bias()[r], b_before[r]) << "tail bias moved at " << r;
+        }
+    }
+    EXPECT_GT(moved_active, 0u);
+}
+
 TEST(Adam, ActiveParametersDoMove) {
     MlpConfig cfg;
     cfg.dims = {7, 8, 4};
@@ -128,7 +179,7 @@ TEST(Adam, ActiveParametersDoMove) {
     EXPECT_GT(moved, 0u);
 }
 
-TEST(Adam, StepClearsGradientsAndMasks) {
+TEST(Adam, StepClearsGradientsAndTouchedPrefixes) {
     MlpConfig cfg;
     cfg.dims = {3, 4, 2};
     cfg.slim_input = false;
@@ -141,7 +192,7 @@ TEST(Adam, StepClearsGradientsAndMasks) {
     net.backward(cache, dout);
     adam.step(net);
     for (const auto& layer : net.layers()) {
-        for (const auto m : layer.weight_mask()) ASSERT_EQ(m, 0);
+        for (const auto m : layer.marked_cols()) ASSERT_EQ(m, 0u);
     }
 }
 

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "rl/optimizer.hpp"
 #include "rl/serialize.hpp"
@@ -77,6 +78,37 @@ TEST(Serialize, CorruptInputsRejected) {
     EXPECT_THROW((void)load_mlp(truncated), std::runtime_error);
     std::stringstream bad_magic("lotus-mlp v9\ndims 2 2 2\n");
     EXPECT_THROW((void)load_mlp(bad_magic), std::runtime_error);
+}
+
+// A negative dim parses as 2^64 - 1 into an unsigned field; it and any dim
+// above the cap must fail with a clear message before anything is sized.
+TEST(Serialize, OutOfRangeDimsRejectedWithClearMessage) {
+    const struct {
+        const char* dims;
+        const char* expect;
+    } cases[] = {
+        {"dims 3 7 -1 48", "load_mlp: dim 18446744073709551615 out of range"},
+        {"dims 3 7 65537 48", "load_mlp: dim 65537 out of range"},
+        {"dims 3 7 0 48", "load_mlp: dim 0 out of range"},
+    };
+    for (const auto& c : cases) {
+        std::stringstream in(std::string("lotus-mlp v1\n") + c.dims +
+                             "\nslim_input 1\nslim_output 0\n");
+        try {
+            (void)load_mlp(in);
+            ADD_FAILURE() << c.dims << ": expected a load error";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), c.expect) << c.dims;
+        }
+    }
+    // The cap itself is accepted by the header parser (1 x 65536 layer).
+    std::stringstream at_cap("lotus-mlp v1\ndims 2 1 65536\nslim_input 0\nslim_output 0\n");
+    try {
+        (void)load_mlp(at_cap);
+        ADD_FAILURE() << "expected truncated weights";
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), "load_mlp: expected token 'layer', got ''");
+    }
 }
 
 TEST(Serialize, MissingFileRejected) {
