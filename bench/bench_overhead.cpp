@@ -27,15 +27,14 @@
 //
 // PR 6 extends the same pattern to the host-side hot path and records the
 // result as a machine-readable perf trajectory, BENCH_overhead.json
-// (stamped with util::kSchemaVersion + build id), written to the working
-// directory:
+// (stamped with its own cell-layout version + build id), written to the
+// working directory:
 //
-//  * DQN train step: scalar per-sample reference vs width-grouped blocked
-//    matrix math (rl::DqnMath), gated on bit-identical losses;
-//  * serve_saturation end to end under both math modes: wall-clock,
-//    host requests/sec, thermal steps, scalar-matvec counts (>= 2x fewer
-//    under batched math) and allocation counts, gated on byte-identical
-//    scenario JSON;
+//  * DQN train step (batch 32, the paper's Q-network): us/step, matvec
+//    and allocation counts;
+//  * serve_saturation end to end: wall-clock, host requests/sec, thermal
+//    steps, matvec counts (single-sample forwards: the act path) and
+//    allocation counts;
 //  * the summary-only ledger fast path vs full row capture (same JSON,
 //    fewer allocations);
 //  * the internal profiler's timers-enabled overhead on
@@ -52,9 +51,11 @@
 //    must finish within 1.5x the wall-clock of the same load at 0.2 Hz,
 //    where it stays short.
 //
-// CI diffs the hardware-normalized ratios in the JSON against the
-// committed bench/BENCH_overhead.baseline.json via
-// tools/check_bench_regression.py.
+// CI compares the JSON against the committed
+// bench/BENCH_overhead.baseline.json via tools/check_bench_regression.py:
+// serve_saturation throughput normalized by the queue gate's under-capacity
+// run (no RL work, so it tracks host speed only; timed in pairs with the
+// serve_saturation runs) and the deterministic matvec count.
 
 #include <algorithm>
 #include <atomic>
@@ -67,7 +68,6 @@
 #include <fstream>
 #include <memory>
 #include <new>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -321,6 +321,12 @@ bool stepper_comparison() {
 // ---------------------------------------------------------------------------
 // PR 6: perf trajectory -> BENCH_overhead.json.
 
+/// Version of BENCH_overhead.json's cell layout, checked by
+/// tools/check_bench_regression.py; bumped whenever a cell changes shape
+/// (3: train_step and serve_saturation are single flat cells, and
+/// serve_saturation carries the reference_wall_s it is normalized by).
+constexpr int kBenchSchemaVersion = 3;
+
 /// %.6g rendering for the JSON document (full precision is timer noise).
 std::string json_num(double v) {
     char buf[40];
@@ -345,16 +351,13 @@ struct TrainCell {
     std::uint64_t matvec_calls = 0;
     std::uint64_t allocs = 0;
     std::uint64_t alloc_bytes = 0;
-    std::vector<double> losses;
 };
 
-/// Time `steps` DQN updates under one DqnMath mode. Both cells fill the
-/// replay buffer and sample batches from identically seeded RNGs, so the
-/// loss sequences must match bit for bit (the batched-math contract).
-TrainCell run_train_cell(rl::DqnMath math, int steps) {
+/// Time `steps` DQN updates on a replay buffer of LOTUS-style alternating
+/// widths (fixed seeds, so every run trains on the same batches).
+TrainCell run_train_cell(int steps) {
     rl::DqnConfig dqn_cfg;
     dqn_cfg.batch_size = 32;
-    dqn_cfg.math = math;
     rl::DqnCore dqn(paper_qnet_config(), dqn_cfg);
     rl::ReplayBuffer buffer(256);
     util::Rng fill(3);
@@ -368,14 +371,13 @@ TrainCell run_train_cell(rl::DqnMath math, int steps) {
         t.width_next = (i % 2 == 0) ? 1.0 : 0.75;
         buffer.push(std::move(t));
     }
-    util::Rng rng(11); // batch sampling; same seed per cell -> same batches
+    util::Rng rng(11); // batch sampling
     TrainCell cell;
-    cell.losses.reserve(static_cast<std::size_t>(steps));
     prof::reset();
     const std::uint64_t a0 = alloc_count();
     const std::uint64_t b0 = alloc_bytes();
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) cell.losses.push_back(dqn.train_step(buffer, rng, 1));
+    for (int i = 0; i < steps; ++i) g_sink = dqn.train_step(buffer, rng, 1);
     const auto t1 = std::chrono::steady_clock::now();
     cell.us_per_step = std::chrono::duration<double, std::micro>(t1 - t0).count() / steps;
     cell.allocs = alloc_count() - a0;
@@ -392,17 +394,20 @@ struct ServeCell {
     std::uint64_t matvec_calls = 0;
     std::uint64_t allocs = 0;
     std::uint64_t alloc_bytes = 0;
+    /// Min-of-N wall of the reference scenario (0 without one).
+    double reference_wall_s = 0.0;
     std::string json;
 };
 
 /// Run one full registry scenario on a fresh harness. `repeats > 1` re-runs
 /// for a min-of-N wall-clock (deterministic output, so only the first run's
-/// JSON/counters are kept). A forced DqnMath mode applies to every agent the
-/// episodes construct and is always restored to per-config behaviour.
-ServeCell run_serve_cell(const bench::Scenario& sc, std::optional<rl::DqnMath> math,
-                         bool summary_only, int repeats) {
-    rl::force_dqn_math(math);
+/// JSON/counters are kept). With a `reference`, every repeat is followed by
+/// one timed summary-only run of it, so the two min-of-N walls come from the
+/// same stretch of host time.
+ServeCell run_serve_cell(const bench::Scenario& sc, bool summary_only, int repeats,
+                         const bench::Scenario* reference = nullptr) {
     const harness::ExperimentHarness h(perf_harness_config(summary_only));
+    const harness::ExperimentHarness ref_h(perf_harness_config(/*summary_only=*/true));
     ServeCell cell;
     for (int rep = 0; rep < repeats; ++rep) {
         prof::reset();
@@ -426,9 +431,16 @@ ServeCell run_serve_cell(const bench::Scenario& sc, std::optional<rl::DqnMath> m
         } else {
             cell.wall_s = std::min(cell.wall_s, wall);
         }
+        if (reference != nullptr) {
+            const auto r0 = std::chrono::steady_clock::now();
+            g_sink = static_cast<double>(ref_h.run(*reference).size());
+            const double ref_wall =
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - r0).count();
+            cell.reference_wall_s =
+                rep == 0 ? ref_wall : std::min(cell.reference_wall_s, ref_wall);
+        }
     }
     cell.requests_per_sec = static_cast<double>(cell.requests) / std::max(cell.wall_s, 1e-9);
-    rl::force_dqn_math(std::nullopt);
     return cell;
 }
 
@@ -523,14 +535,20 @@ ProfilerAb profiler_ab_cpu_s(const bench::Scenario& sc, const harness::Experimen
     return {median(off_s), median(on_s), median(ratio), median(excess)};
 }
 
-void emit_serve_cell(std::ostringstream& js, const char* name, const ServeCell& c,
-                     const char* trailing_comma) {
-    js << "      \"" << name << "\": {\"wall_s\": " << json_num(c.wall_s)
-       << ", \"requests\": " << c.requests
+/// One serve cell as a JSON object (no key, no trailing comma);
+/// reference_wall_s only for a cell timed against a reference.
+std::string serve_cell_json(const ServeCell& c) {
+    std::ostringstream js;
+    js << "{\"wall_s\": " << json_num(c.wall_s) << ", \"requests\": " << c.requests
        << ", \"requests_per_sec\": " << json_num(c.requests_per_sec)
        << ", \"thermal_steps\": " << c.thermal_steps
        << ", \"matvec_calls\": " << c.matvec_calls << ", \"allocs\": " << c.allocs
-       << ", \"alloc_bytes\": " << c.alloc_bytes << "}" << trailing_comma << "\n";
+       << ", \"alloc_bytes\": " << c.alloc_bytes;
+    if (c.reference_wall_s > 0.0) {
+        js << ", \"reference_wall_s\": " << json_num(c.reference_wall_s);
+    }
+    js << "}";
+    return js.str();
 }
 
 /// Measure the perf cells, print them, gate the acceptance bars and write
@@ -540,79 +558,51 @@ bool perf_trajectory() {
     const bool fast = harness::fast_mode();
     const int train_steps = fast ? 80 : 400;
     const int serve_repeats = fast ? 2 : 1;
+    const int reference_pairs = fast ? 10 : 2;
     const int fleet_pairs = 2;
     const int profiler_pairs = 3;
 
-    // --- cell 1: DQN train step, scalar vs batched --------------------------
-    const auto scalar_t = run_train_cell(rl::DqnMath::scalar, train_steps);
-    const auto batched_t = run_train_cell(rl::DqnMath::batched, train_steps);
-    const bool loss_identical = scalar_t.losses == batched_t.losses;
-    if (!loss_identical) {
-        std::printf("FAIL: scalar and batched train losses diverge\n");
-        ok = false;
-    }
-    const double train_speedup = scalar_t.us_per_step / batched_t.us_per_step;
-
+    // --- cell 1: DQN train step ---------------------------------------------
+    const auto train = run_train_cell(train_steps);
     util::TextTable train_table({"train step (batch 32)", "us/step", "matvec calls", "allocs"});
-    train_table.add_row({"scalar", util::format_double(scalar_t.us_per_step, 2),
-                         std::to_string(scalar_t.matvec_calls),
-                         std::to_string(scalar_t.allocs)});
-    train_table.add_row({"batched", util::format_double(batched_t.us_per_step, 2),
-                         std::to_string(batched_t.matvec_calls),
-                         std::to_string(batched_t.allocs)});
-    train_table.add_row({"speedup", util::format_double(train_speedup, 2) + "x", "-",
-                         loss_identical ? "losses bit-identical" : "LOSSES DIVERGE"});
-    std::printf("%s", train_table.render("DQN math: scalar reference vs blocked batched "
-                                         "(" + std::to_string(train_steps) + " steps)")
+    train_table.add_row({"train_batch", util::format_double(train.us_per_step, 2),
+                         std::to_string(train.matvec_calls), std::to_string(train.allocs)});
+    std::printf("%s", train_table.render("DQN train step on the paper's Q-network (" +
+                                         std::to_string(train_steps) + " steps)")
                           .c_str());
 
-    // --- cell 2: serve_saturation end to end, scalar vs batched -------------
+    // --- cell 2: serve_saturation end to end ---------------------------------
+    // Timed in interleaved pairs with the queue gate's under-capacity load
+    // (cell 8): the performance governor, no RL work, so its wall tracks the
+    // host's speed and not the code under test. CI's regression check
+    // normalizes serve_saturation's requests/sec by it.
+    const std::size_t gate_requests = fast ? 5'000 : 20'000;
+    const auto overloaded_sc = overload_scenario(0.3, gate_requests);
+    const auto under_sc = overload_scenario(0.2, gate_requests);
     const auto& sc = bench::scenario("serve_saturation");
-    const auto scalar_s = run_serve_cell(sc, rl::DqnMath::scalar, false, serve_repeats);
-    const auto batched_s = run_serve_cell(sc, rl::DqnMath::batched, false, serve_repeats);
-    const bool serve_identical = scalar_s.json == batched_s.json;
-    if (!serve_identical) {
-        std::printf("FAIL: serve_saturation JSON differs between DqnMath modes\n");
-        ok = false;
-    }
-    const double serve_speedup = scalar_s.wall_s / batched_s.wall_s;
-    const double matvec_reduction =
-        static_cast<double>(scalar_s.matvec_calls) /
-        static_cast<double>(std::max<std::uint64_t>(batched_s.matvec_calls, 1));
-    if (prof::kCompiled && matvec_reduction < 2.0) {
-        std::printf("FAIL: batched math issues only %.2fx fewer scalar matvecs (< 2x)\n",
-                    matvec_reduction);
-        ok = false;
-    }
-    // Wall-clock improvement bar: only in full mode, where the episodes are
-    // long enough that scheduler noise cannot flip the sign.
-    if (!fast && serve_speedup <= 1.0) {
-        std::printf("FAIL: batched math is not faster end to end (%.2fx)\n", serve_speedup);
-        ok = false;
-    }
+    const auto serve =
+        run_serve_cell(sc, /*summary_only=*/false, reference_pairs, &under_sc);
 
     // --- cell 3: summary-only ledgers vs full row capture -------------------
     // Row capture is already allocation-*count* cheap (one reserve per
     // trace), so the fast path's win is the O(requests) row storage it never
     // materialises: the gate is on allocated bytes.
-    const auto summary_s =
-        run_serve_cell(sc, rl::DqnMath::batched, /*summary_only=*/true, serve_repeats);
-    const bool summary_identical = summary_s.json == batched_s.json;
+    const auto summary_s = run_serve_cell(sc, /*summary_only=*/true, serve_repeats);
+    const bool summary_identical = summary_s.json == serve.json;
     if (!summary_identical) {
         std::printf("FAIL: summary-only JSON differs from full-ledger JSON\n");
         ok = false;
     }
-    if (summary_s.alloc_bytes >= batched_s.alloc_bytes) {
+    if (summary_s.alloc_bytes >= serve.alloc_bytes) {
         std::printf("FAIL: summary-only mode does not shrink allocated bytes "
                     "(%llu >= %llu)\n",
                     static_cast<unsigned long long>(summary_s.alloc_bytes),
-                    static_cast<unsigned long long>(batched_s.alloc_bytes));
+                    static_cast<unsigned long long>(serve.alloc_bytes));
         ok = false;
     }
     const std::uint64_t ledger_bytes_saved =
-        batched_s.alloc_bytes > summary_s.alloc_bytes
-            ? batched_s.alloc_bytes - summary_s.alloc_bytes
-            : 0;
+        serve.alloc_bytes > summary_s.alloc_bytes ? serve.alloc_bytes - summary_s.alloc_bytes
+                                                  : 0;
 
     util::TextTable serve_table({"serve_saturation cell", "wall (s)", "req/s",
                                  "thermal steps", "matvec calls", "allocs",
@@ -624,16 +614,16 @@ bool perf_trajectory() {
                              std::to_string(c.matvec_calls), std::to_string(c.allocs),
                              util::format_double(static_cast<double>(c.alloc_bytes) / 1e6, 2)});
     };
-    serve_row("scalar math, full ledger", scalar_s);
-    serve_row("batched math, full ledger", batched_s);
-    serve_row("batched math, summary-only", summary_s);
+    serve_row("full ledger", serve);
+    serve_row("summary-only", summary_s);
     std::printf("%s", serve_table.render("hot-path layers on serve_saturation (all arms; "
                                          "JSON byte-identical across rows)")
                           .c_str());
-    std::printf("batched speedup %.2fx, matvec reduction %.1fx, summary-only skips "
-                "%.0f KB of ledger rows\n\n",
-                serve_speedup, matvec_reduction,
-                static_cast<double>(ledger_bytes_saved) / 1e3);
+    std::printf("summary-only skips %.0f KB of ledger rows; reference run (queue gate "
+                "load at 0.2 Hz, no RL): %.3fs, min of %d interleaved with the full-ledger "
+                "runs\n\n",
+                static_cast<double>(ledger_bytes_saved) / 1e3, serve.reference_wall_s,
+                reference_pairs);
 
     // --- cell 4: profiler timers-enabled overhead ---------------------------
     const auto& fleet_sc = bench::scenario("serve_fleet_saturation");
@@ -819,9 +809,6 @@ bool perf_trajectory() {
     // The same request count at an overloaded and an under-capacity rate:
     // simulated work is about equal, so a queue whose pick cost grows with
     // its depth shows up as the overloaded run's extra wall time.
-    const std::size_t gate_requests = fast ? 5'000 : 20'000;
-    const auto overloaded_sc = overload_scenario(0.3, gate_requests);
-    const auto under_sc = overload_scenario(0.2, gate_requests);
     const harness::ExperimentHarness gate_h(perf_harness_config(/*summary_only=*/true));
     std::size_t overloaded_depth = 0;
     std::size_t under_depth = 0;
@@ -852,35 +839,20 @@ bool perf_trajectory() {
     // --- BENCH_overhead.json -------------------------------------------------
     std::ostringstream js;
     js << "{\n"
-       << "  " << util::build_info_json_fields() << ",\n"
+       << "  \"schema_version\": " << kBenchSchemaVersion << ",\n"
+       << "  \"build\": \"" << util::build_id() << "\",\n"
        << "  \"bench\": \"bench_overhead\",\n"
        << "  \"fast_mode\": " << (fast ? "true" : "false") << ",\n"
        << "  \"profiling_compiled\": " << (prof::kCompiled ? "true" : "false") << ",\n"
        << "  \"cells\": {\n"
-       << "    \"train_step\": {\n"
-       << "      \"scalar\": {\"us_per_step\": " << json_num(scalar_t.us_per_step)
-       << ", \"matvec_calls\": " << scalar_t.matvec_calls
-       << ", \"allocs\": " << scalar_t.allocs
-       << ", \"alloc_bytes\": " << scalar_t.alloc_bytes << "},\n"
-       << "      \"batched\": {\"us_per_step\": " << json_num(batched_t.us_per_step)
-       << ", \"matvec_calls\": " << batched_t.matvec_calls
-       << ", \"allocs\": " << batched_t.allocs
-       << ", \"alloc_bytes\": " << batched_t.alloc_bytes << "},\n"
-       << "      \"speedup\": " << json_num(train_speedup) << ",\n"
-       << "      \"loss_bit_identical\": " << (loss_identical ? "true" : "false") << "\n"
-       << "    },\n"
-       << "    \"serve_saturation\": {\n";
-    emit_serve_cell(js, "scalar", scalar_s, ",");
-    emit_serve_cell(js, "batched", batched_s, ",");
-    js << "      \"speedup\": " << json_num(serve_speedup) << ",\n"
-       << "      \"matvec_reduction\": " << json_num(matvec_reduction) << ",\n"
-       << "      \"summaries_bit_identical\": " << (serve_identical ? "true" : "false")
-       << "\n"
-       << "    },\n"
-       << "    \"summary_only_ledgers\": {\n";
-    emit_serve_cell(js, "full", batched_s, ",");
-    emit_serve_cell(js, "summary_only", summary_s, ",");
-    js << "      \"ledger_bytes_saved\": " << ledger_bytes_saved << ",\n"
+       << "    \"train_step\": {\"us_per_step\": " << json_num(train.us_per_step)
+       << ", \"matvec_calls\": " << train.matvec_calls << ", \"allocs\": " << train.allocs
+       << ", \"alloc_bytes\": " << train.alloc_bytes << "},\n"
+       << "    \"serve_saturation\": " << serve_cell_json(serve) << ",\n"
+       << "    \"summary_only_ledgers\": {\n"
+       << "      \"full\": " << serve_cell_json(serve) << ",\n"
+       << "      \"summary_only\": " << serve_cell_json(summary_s) << ",\n"
+       << "      \"ledger_bytes_saved\": " << ledger_bytes_saved << ",\n"
        << "      \"json_bit_identical\": " << (summary_identical ? "true" : "false") << "\n"
        << "    },\n"
        << "    \"profiler_overhead\": {\n"
@@ -934,7 +906,7 @@ bool perf_trajectory() {
         ok = false;
     } else {
         std::printf("perf trajectory written to %s (schema_version %d)\n\n", out_path,
-                    util::kSchemaVersion);
+                    kBenchSchemaVersion);
     }
     return ok;
 }

@@ -102,7 +102,6 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
 
     if (scenario.serving) {
         auto serving_cfg = *scenario.serving;
-        if (arm.serving_tweak) arm.serving_tweak(serving_cfg);
         serving_cfg.seed = cfg.seed;
         if (!replay_from.empty()) serving_cfg.replay_trace = replay_from;
         if (config_.summary_only) serving_cfg.capture_rows = false;

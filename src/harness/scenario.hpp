@@ -54,9 +54,6 @@ struct ArmSpec {
         make_for;
     std::optional<PaperRow> paper;
     std::function<void(runtime::ExperimentConfig&)> tweak;
-    /// Per-arm adjustment of a serving scenario's config (scheduler shootouts
-    /// etc.); ignored for classic experiment scenarios.
-    std::function<void(serving::ServingConfig&)> serving_tweak;
     /// Per-arm adjustment of a fleet scenario's config (router shootouts,
     /// migration on/off); ignored for non-fleet scenarios.
     std::function<void(fleet::FleetConfig&)> fleet_tweak;

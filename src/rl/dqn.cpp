@@ -24,20 +24,13 @@ Huber huber(double residual, double delta) noexcept {
     return {delta * (a - 0.5 * delta), residual > 0 ? delta : -delta};
 }
 
-std::optional<DqnMath> g_forced_math;
-
 } // namespace
-
-void force_dqn_math(std::optional<DqnMath> mode) noexcept { g_forced_math = mode; }
-
-std::optional<DqnMath> forced_dqn_math() noexcept { return g_forced_math; }
 
 DqnCore::DqnCore(MlpConfig net_config, DqnConfig config)
     : config_(config),
       online_(net_config),
       target_(std::move(net_config)),
       optimizer_(online_, config.adam) {
-    if (g_forced_math) config_.math = *g_forced_math;
     target_.copy_parameters_from(online_);
 }
 
@@ -80,8 +73,7 @@ double DqnCore::train_batch(std::span<const Transition* const> batch) {
     if (batch.empty()) return -1.0;
     LOTUS_PROF_SCOPE("rl.train_batch");
     LOTUS_PROF_COUNT("rl.train_steps", 1);
-    const double loss = config_.math == DqnMath::scalar ? accumulate_grads_scalar(batch)
-                                                        : accumulate_grads_batched(batch);
+    const double loss = accumulate_grads(batch);
     {
         LOTUS_PROF_SCOPE("rl.train.adam");
         optimizer_.step(online_);
@@ -93,59 +85,14 @@ double DqnCore::train_batch(std::span<const Transition* const> batch) {
     return loss;
 }
 
-// Per-sample reference implementation: 2 x batch_size scalar forwards for
-// the bootstrap (target + double-DQN selection) plus one cached forward and
-// one backward per sample. Kept in-tree as the byte-identity oracle for the
-// batched path.
-double DqnCore::accumulate_grads_scalar(std::span<const Transition* const> batch) {
-    double loss_acc = 0.0;
-    std::vector<double> dout(online_.output_dim(), 0.0);
-    ForwardCache cache;
-    const double inv_n = 1.0 / static_cast<double>(batch.size());
-
-    for (const Transition* t : batch) {
-        double bootstrap = 0.0;
-        if (!t->terminal) {
-            const auto qn = target_.forward(t->next_state, t->width_next);
-            if (config_.double_dqn) {
-                // Decouple selection (online net) from evaluation (target).
-                const auto q_online = online_.forward(t->next_state, t->width_next);
-                const auto a_star = static_cast<std::size_t>(std::distance(
-                    q_online.begin(),
-                    std::max_element(q_online.begin(), q_online.end())));
-                bootstrap = qn[a_star];
-            } else {
-                bootstrap = *std::max_element(qn.begin(), qn.end());
-            }
-        }
-        const double target_q = t->reward + config_.gamma * bootstrap;
-
-        online_.forward_cached(t->state, t->width_state, cache);
-        const auto a = static_cast<std::size_t>(t->action);
-        if (a >= cache.output.size()) {
-            throw std::out_of_range("DqnCore: action index out of range");
-        }
-        const auto [value, grad] = huber(cache.output[a] - target_q, config_.huber_delta);
-        loss_acc += value;
-
-        std::fill(dout.begin(), dout.end(), 0.0);
-        dout[a] = grad * inv_n;
-        online_.backward(cache, dout);
-    }
-    return loss_acc * inv_n;
-}
-
-// Batched implementation: the minibatch is partitioned by width
-// (transitions carry per-step widths, alternating 0.75x/1.0x under LOTUS)
-// and each width group's forwards run as one sample-vectorized
-// Matrix::slice_matmul pass per layer -- the target-net bootstrap, the
-// double-DQN a* selection and the online current-state pass each cost one
-// batched forward instead of one scalar forward per transition. One
-// backward_batch then accumulates every sample's gradients in the ORIGINAL
-// batch order, so gradients, touched prefixes and the loss are
-// bit-identical to accumulate_grads_scalar (enforced by
+// The minibatch is partitioned by width (transitions carry per-step widths,
+// alternating 0.75x/1.0x under LOTUS); each width group's target-net
+// bootstrap, double-DQN a* selection and online forward is one
+// sample-vectorized Matrix::slice_matmul pass per layer. The loss and one
+// backward_batch then walk the samples in the ORIGINAL batch order, so the
+// result depends on that order only, never on the width grouping (pinned by
 // tests/rl/test_batched_forward.cpp).
-double DqnCore::accumulate_grads_batched(std::span<const Transition* const> batch) {
+double DqnCore::accumulate_grads(std::span<const Transition* const> batch) {
     const std::size_t n = batch.size();
     const double inv_n = 1.0 / static_cast<double>(n);
     auto& ts = train_;

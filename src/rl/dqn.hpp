@@ -9,7 +9,6 @@
 // targets (even step bootstraps at 1.0x, odd step at 0.75x).
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,23 +18,6 @@
 #include "util/rng.hpp"
 
 namespace lotus::rl {
-
-/// Which train_batch implementation a DqnCore uses. Both are bit-identical
-/// (enforced by tests/rl/test_batched_forward.cpp): `batched` runs the
-/// target-net / double-DQN / online forwards as width-grouped,
-/// sample-vectorized matrix-matrix passes and one batched backward;
-/// `scalar` is the per-sample reference kept in-tree for byte-identity
-/// tests and perf A/B (mirroring the thermal stepper's euler_slice
-/// reference).
-enum class DqnMath { batched, scalar };
-
-/// Process-wide override of DqnConfig::math, applied at DqnCore
-/// construction (lets benches A/B whole scenarios without plumbing a flag
-/// through every governor factory). Not thread-safe against concurrently
-/// constructing cores -- set it while episodes are quiescent. std::nullopt
-/// restores per-config behaviour.
-void force_dqn_math(std::optional<DqnMath> mode) noexcept;
-[[nodiscard]] std::optional<DqnMath> forced_dqn_math() noexcept;
 
 struct DqnConfig {
     double gamma = 0.9;
@@ -49,8 +31,6 @@ struct DqnConfig {
     /// the paper uses the vanilla DQN of Mnih et al. 2015 -- but exposed as
     /// an extension (see bench_ablation_design).
     bool double_dqn = false;
-    /// train_batch implementation (see DqnMath; bit-identical either way).
-    DqnMath math = DqnMath::batched;
     AdamConfig adam;
 };
 
@@ -93,8 +73,7 @@ public:
 private:
     // Forward + backward for one minibatch into online_'s gradients;
     // returns the mean Huber loss. train_batch() then runs Adam.
-    double accumulate_grads_scalar(std::span<const Transition* const> batch);
-    double accumulate_grads_batched(std::span<const Transition* const> batch);
+    double accumulate_grads(std::span<const Transition* const> batch);
 
     DqnConfig config_;
     SlimmableMlp online_;

@@ -32,15 +32,6 @@ void SlimmableLinear::forward_batch(const Matrix& x, Matrix& y, std::size_t in_a
     Matrix::slice_matmul(w_, x, b_, y, out_active, in_active, batch);
 }
 
-void SlimmableLinear::backward(std::span<const double> x, std::span<const double> dy,
-                               std::span<double> dx, std::size_t in_active,
-                               std::size_t out_active) noexcept {
-    Matrix::slice_matvec_transposed(w_, dy, dx, out_active, in_active);
-    Matrix::slice_outer_accumulate(gw_, dy, x, out_active, in_active);
-    for (std::size_t r = 0; r < out_active; ++r) gb_[r] += dy[r];
-    mark(in_active, out_active);
-}
-
 void SlimmableLinear::backward_batch(const Matrix& x, const Matrix& dy, Matrix* dx,
                                      std::span<const Matrix::Slice> slices) noexcept {
     if (dx != nullptr) Matrix::slice_matmul_transposed(w_, dy, *dx, slices);
@@ -70,13 +61,6 @@ void relu_inplace(std::span<double> x, std::size_t active) noexcept {
     // Unconditional store: branch-free and vectorizable; -0.0 and NaN pass
     // through unchanged, as with a conditional one.
     for (std::size_t i = 0; i < active; ++i) x[i] = x[i] < 0.0 ? 0.0 : x[i];
-}
-
-void relu_backward(std::span<const double> pre_activation, std::span<double> dy,
-                   std::size_t active) noexcept {
-    for (std::size_t i = 0; i < active; ++i) {
-        if (pre_activation[i] <= 0.0) dy[i] = 0.0;
-    }
 }
 
 } // namespace lotus::rl

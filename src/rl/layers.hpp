@@ -44,18 +44,14 @@ public:
     void forward_batch(const Matrix& x, Matrix& y, std::size_t in_active,
                        std::size_t out_active, std::size_t batch) const noexcept;
 
-    /// Backprop for the same slice. `x` is the input that produced the
-    /// forward pass, `dy` the upstream gradient (length out_active); writes
-    /// `dx` (length in_active), accumulates weight/bias grads and extends
-    /// the touched prefixes.
-    void backward(std::span<const double> x, std::span<const double> dy,
-                  std::span<double> dx, std::size_t in_active,
-                  std::size_t out_active) noexcept;
-
     /// Backprop for a minibatch: sample k (row k of the sample-major `x` and
-    /// `dy`) ran the leading slice `slices[k]`. Accumulates grads in sample
-    /// order and writes `dx` row k unless `dx` is null -- bit-identical to
-    /// backward() called for k = 0, 1, ... in order.
+    /// `dy`) ran the leading slice `slices[k]` = (out_k, in_k). For
+    /// k = 0, 1, ... in order it adds dy[k][r] * x[k][c] to grad_w(r, c) and
+    /// dy[k][r] to grad_b[r] over r < out_k, c < in_k, skipping terms whose
+    /// dy[k][r] == 0.0 (see Matrix::slice_outer_accumulate_batch), and
+    /// extends the touched prefixes. Unless `dx` is null, it also writes
+    /// row k of the input gradient, dx[k][c] = sum over r < out_k ascending
+    /// of dy[k][r] * W(r, c) (Matrix::slice_matmul_transposed).
     void backward_batch(const Matrix& x, const Matrix& dy, Matrix* dx,
                         std::span<const Matrix::Slice> slices) noexcept;
 
@@ -90,9 +86,5 @@ private:
 
 /// ReLU applied in place over the active prefix.
 void relu_inplace(std::span<double> x, std::size_t active) noexcept;
-
-/// dX = dY * 1[pre-activation > 0] over the active prefix.
-void relu_backward(std::span<const double> pre_activation, std::span<double> dy,
-                   std::size_t active) noexcept;
 
 } // namespace lotus::rl

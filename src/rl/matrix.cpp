@@ -147,29 +147,6 @@ void Matrix::slice_matmul(const Matrix& a, const Matrix& x, std::span<const doub
     }
 }
 
-void Matrix::slice_matvec_transposed(const Matrix& a, std::span<const double> y_grad,
-                                     std::span<double> x_grad,
-                                     std::size_t out, std::size_t in) noexcept {
-    for (std::size_t c = 0; c < in; ++c) x_grad[c] = 0.0;
-    for (std::size_t r = 0; r < out; ++r) {
-        const double g = y_grad[r];
-        if (g == 0.0) continue;
-        const double* wrow = a.data_.data() + r * a.cols_;
-        for (std::size_t c = 0; c < in; ++c) x_grad[c] += g * wrow[c];
-    }
-}
-
-void Matrix::slice_outer_accumulate(Matrix& grad, std::span<const double> y_grad,
-                                    std::span<const double> x,
-                                    std::size_t out, std::size_t in) noexcept {
-    for (std::size_t r = 0; r < out; ++r) {
-        const double g = y_grad[r];
-        if (g == 0.0) continue;
-        double* grow = grad.data_.data() + r * grad.cols_;
-        for (std::size_t c = 0; c < in; ++c) grow[c] += g * x[c];
-    }
-}
-
 namespace {
 
 // Terms one batched-backward pass adds to one destination row, in order:

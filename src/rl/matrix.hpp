@@ -5,8 +5,9 @@
 // in double precision, which keeps the finite-difference gradient tests in
 // tests/rl exact to ~1e-7. The batched kernels reorder loops for the
 // minibatch train step (vectorized across samples, one grad row loaded per
-// batch) but never a reduction, so each is bit-identical to its per-sample
-// counterpart. The lotus target is compiled with -ffp-contract=off, so no
+// batch) but never a reduction: each kernel states the order in which every
+// output element is summed, and its result is bit-identical to plain loops
+// in that order. The lotus target is compiled with -ffp-contract=off, so no
 // build (-march, -mfma, aarch64) fuses a multiply and an add into an FMA.
 
 #include <cstddef>
@@ -68,16 +69,6 @@ public:
                              Matrix& y, std::size_t out, std::size_t in,
                              std::size_t batch) noexcept;
 
-    /// x_grad[0:in] = A[0:out, 0:in]^T * y_grad[0:out].
-    static void slice_matvec_transposed(const Matrix& a, std::span<const double> y_grad,
-                                        std::span<double> x_grad,
-                                        std::size_t out, std::size_t in) noexcept;
-
-    /// grad[0:out, 0:in] += y_grad[0:out] (outer) x[0:in].
-    static void slice_outer_accumulate(Matrix& grad, std::span<const double> y_grad,
-                                       std::span<const double> x,
-                                       std::size_t out, std::size_t in) noexcept;
-
     /// Leading slice one sample of a batched backward reads: rows [0, out)
     /// of the weight matrix and columns [0, in).
     struct Slice {
@@ -87,19 +78,20 @@ public:
 
     /// DX[k, 0:in_k] = A[0:out_k, 0:in_k]^T * DY[k, 0:out_k] for every sample
     /// k < slices.size(), with DX and DY sample-major (row k = sample k).
-    /// Columns of DX from in_k on are left untouched.
-    /// Loads each row of A once for all samples; every element is still one
-    /// chain over r in ascending order from 0.0 that skips DY == 0.0, so
-    /// each row is bit-identical to slice_matvec_transposed on that sample.
+    /// Columns of DX from in_k on are left untouched. Summation order: each
+    /// element DX[k, c] is one chain that starts from 0.0 and adds
+    /// DY[k, r] * A(r, c) for r = 0, 1, ..., out_k - 1 in ascending order,
+    /// skipping every r with DY[k, r] == 0.0.
     static void slice_matmul_transposed(const Matrix& a, const Matrix& y_grad,
                                         Matrix& x_grad,
                                         std::span<const Slice> slices) noexcept;
 
     /// grad[0:out_k, 0:in_k] += DY[k, 0:out_k] (outer) X[k, 0:in_k] for
     /// k = 0, 1, ... in order (DY, X sample-major; DY needs max_k out_k
-    /// columns, since every row reads its column). Loads each grad row once
-    /// and adds the samples' terms in span order, skipping DY == 0.0:
-    /// bit-identical to slice_outer_accumulate called sample by sample.
+    /// columns, since every row reads its column). Summation order: each
+    /// element grad(r, c) is one chain from its current value that adds
+    /// DY[k, r] * X[k, c] for k = 0, 1, ... in span order over the samples
+    /// with r < out_k and c < in_k, skipping every k with DY[k, r] == 0.0.
     static void slice_outer_accumulate_batch(Matrix& grad, const Matrix& y_grad,
                                              const Matrix& x,
                                              std::span<const Slice> slices) noexcept;

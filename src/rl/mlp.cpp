@@ -104,58 +104,6 @@ void SlimmableMlp::forward_batch(const Matrix& x, std::size_t batch, double widt
     }
 }
 
-void SlimmableMlp::forward_cached(std::span<const double> x, double width,
-                                  ForwardCache& cache) const {
-    const std::size_t in0 = active_units(0, width);
-    if (x.size() < in0) {
-        throw std::invalid_argument("SlimmableMlp: input too short for active width");
-    }
-    cache.width = width;
-    cache.inputs.assign(layers_.size(), {});
-    cache.pre.assign(layers_.size(), {});
-
-    std::vector<double> cur(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(in0));
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-        const std::size_t in_active = active_units(l, width);
-        const std::size_t out_active = active_units(l + 1, width);
-        cache.inputs[l] = cur;
-        std::vector<double> next(out_active, 0.0);
-        layers_[l].forward(cur, next, in_active, out_active);
-        cache.pre[l] = next;
-        if (l + 1 < layers_.size()) {
-            relu_inplace(next, out_active);
-        }
-        cur = std::move(next);
-    }
-
-    // Expand to the full output dimension; at full (or non-slim) output width
-    // this is the identity.
-    cache.output.assign(output_dim(), 0.0);
-    std::copy(cur.begin(), cur.end(), cache.output.begin());
-}
-
-void SlimmableMlp::backward(const ForwardCache& cache, std::span<const double> dout) {
-    if (dout.size() != output_dim()) {
-        throw std::invalid_argument("SlimmableMlp::backward: dout size mismatch");
-    }
-    const double width = cache.width;
-    const std::size_t last = layers_.size() - 1;
-
-    std::vector<double> dy(dout.begin(),
-                           dout.begin() + static_cast<std::ptrdiff_t>(
-                               active_units(last + 1, width)));
-    for (std::size_t li = layers_.size(); li-- > 0;) {
-        const std::size_t in_active = active_units(li, width);
-        const std::size_t out_active = active_units(li + 1, width);
-        if (li != last) {
-            relu_backward(cache.pre[li], dy, out_active);
-        }
-        std::vector<double> dx(in_active, 0.0);
-        layers_[li].backward(cache.inputs[li], dy, dx, in_active, out_active);
-        dy = std::move(dx);
-    }
-}
-
 void SlimmableMlp::backward_batch(std::span<const BatchSample> samples,
                                   const Matrix& dout, BackwardScratch& scratch) {
     const std::size_t n = samples.size();
@@ -192,9 +140,10 @@ void SlimmableMlp::backward_batch(std::span<const BatchSample> samples,
         }
         scratch.dx.resize(n, in_max);
         layers_[li].backward_batch(scratch.x, *dy, &scratch.dx, slices);
-        // ReLU backward into layer li-1's output gradient. The mask reads the
-        // ReLU output: relu(p) == 0.0 exactly when p <= 0.0 (including -0.0
-        // and excluding NaN), the test relu_backward applies to p.
+        // ReLU backward into layer li-1's output gradient: zero where the
+        // pre-activation p <= 0.0. The mask reads the ReLU output, and
+        // relu(p) == 0.0 exactly when p <= 0.0 (including -0.0, excluding
+        // NaN).
         for (std::size_t i = 0; i < n; ++i) {
             const auto& act = samples[i].cache->activations[li];
             const std::size_t k = samples[i].column;

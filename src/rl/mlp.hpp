@@ -28,17 +28,6 @@ struct MlpConfig {
     std::uint64_t seed = 1;
 };
 
-/// Activations captured during forward_cached, needed for backward.
-struct ForwardCache {
-    double width = 1.0;
-    /// inputs[l] is the input vector fed to layer l (active prefix valid).
-    std::vector<std::vector<double>> inputs;
-    /// pre[l] is layer l's pre-activation output (active prefix valid).
-    std::vector<std::vector<double>> pre;
-    /// Final output (full output dimension).
-    std::vector<double> output;
-};
-
 /// Two reusable ping-pong buffers for the allocation-free forward()
 /// overload; reallocation stops once warm.
 struct MlpScratch {
@@ -57,8 +46,8 @@ struct BatchCache {
     /// 0 < l < num_layers() the ReLU output of layer l-1, and the last entry
     /// the output layer's result.
     std::vector<Matrix> activations;
-    /// batch x output_dim final outputs (row k = sample k, expanded like
-    /// ForwardCache::output).
+    /// batch x output_dim final outputs (row k = sample k, zero-filled past
+    /// the active output units like forward()).
     Matrix output;
 };
 
@@ -100,9 +89,6 @@ public:
     void forward(std::span<const double> x, double width, std::span<double> out,
                  MlpScratch& scratch) const;
 
-    /// Forward pass that records activations for a subsequent backward().
-    void forward_cached(std::span<const double> x, double width, ForwardCache& cache) const;
-
     /// Batched forward over the leading `batch` rows of X (each row one
     /// sample; X must have at least active_units(0, width) columns). Records
     /// per-layer activations for backward_batch(); every row of
@@ -110,15 +96,13 @@ public:
     void forward_batch(const Matrix& x, std::size_t batch, double width,
                        BatchCache& cache) const;
 
-    /// Accumulate parameter gradients for dL/d(output) = `dout` (full output
-    /// dimension; entries for actions you do not want to train must be 0).
-    void backward(const ForwardCache& cache, std::span<const double> dout);
-
-    /// Backward for a minibatch whose samples may come from several caches
-    /// (one per width). Row i of `dout` (output_dim columns) is
-    /// dL/d(output) of samples[i]. Gradients accumulate over the samples in
-    /// span order, so passing them in original batch order makes every grad
-    /// bit-identical to per-sample backward() calls in that order.
+    /// Accumulate parameter gradients for a minibatch whose samples may come
+    /// from several caches (one per width). Row i of `dout` (output_dim
+    /// columns; entries for actions you do not want to train must be 0) is
+    /// dL/d(output) of samples[i]. Grads accumulate sample by sample in span
+    /// order (see SlimmableLinear::backward_batch), the ReLU gradient is zero
+    /// where the cached ReLU output is 0.0, and the result does not depend
+    /// on which cache a sample came from.
     void backward_batch(std::span<const BatchSample> samples, const Matrix& dout,
                         BackwardScratch& scratch);
 

@@ -1,5 +1,7 @@
 #include "rl/serialize.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -22,6 +24,23 @@ void expect_token(std::istream& in, const std::string& expected) {
         throw std::runtime_error("load_mlp: expected token '" + expected + "', got '" +
                                  token + "'");
     }
+}
+
+/// Read one parameter of `section` ("weights" or "bias") of layer `layer`.
+/// The end of the input, a token that is not a number and a number outside
+/// the finite double range are three different errors.
+double read_param(std::istream& in, const char* section, std::size_t layer) {
+    const std::string at = " layer " + std::to_string(layer) + " " + section;
+    std::string token;
+    if (!(in >> token)) throw std::runtime_error("load_mlp: truncated at" + at);
+    double v = 0.0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+    if (ptr != end) throw std::runtime_error("load_mlp: malformed number '" + token + "' in" + at);
+    if (ec != std::errc{} || !std::isfinite(v)) {
+        throw std::runtime_error("load_mlp: number '" + token + "' out of range in" + at);
+    }
+    return v;
 }
 
 MlpConfig read_header(std::istream& in) {
@@ -96,13 +115,13 @@ void load_mlp_into(SlimmableMlp& net, std::istream& in) {
         }
         auto& layer = net.layers()[li];
         expect_token(in, "w");
-        for (auto& v : layer.weights().flat()) {
-            if (!(in >> v)) throw std::runtime_error("load_mlp: truncated weights");
-        }
+        for (auto& v : layer.weights().flat()) v = read_param(in, "weights", li);
         expect_token(in, "b");
-        for (auto& v : layer.bias()) {
-            if (!(in >> v)) throw std::runtime_error("load_mlp: truncated bias");
-        }
+        for (auto& v : layer.bias()) v = read_param(in, "bias", li);
+    }
+    if (!(in >> std::ws).eof()) {
+        throw std::runtime_error("load_mlp: trailing data after layer " +
+                                 std::to_string(net.layers().size() - 1));
     }
 }
 

@@ -26,7 +26,10 @@ void save_mlp(const SlimmableMlp& net, std::ostream& out);
 void save_mlp(const SlimmableMlp& net, const std::string& path);
 
 /// Load a network saved by save_mlp. The returned network reproduces the
-/// saved forward function exactly (bit-identical doubles).
+/// saved forward function exactly (bit-identical doubles). Throws
+/// std::runtime_error with a message naming the problem on a bad header, a
+/// truncated, malformed or out-of-range (non-finite) parameter, or any
+/// non-whitespace after the last layer.
 [[nodiscard]] SlimmableMlp load_mlp(std::istream& in);
 [[nodiscard]] SlimmableMlp load_mlp(const std::string& path);
 

@@ -14,8 +14,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -28,20 +26,10 @@
 #include "harness/registry.hpp"
 #include "harness/sinks.hpp"
 #include "platform/presets.hpp"
+#include "util/digest.hpp"
 
 namespace lotus {
 namespace {
-
-std::string fnv1a_hex(const std::string& bytes) {
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const unsigned char c : bytes) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
-    return buf;
-}
 
 std::string without_build_id(std::string json) {
     const std::string field = "\"build\":\"";
@@ -64,7 +52,7 @@ std::vector<harness::EpisodeResult> run_scenario(const harness::Scenario& sc,
 
 std::string json_digest(const harness::Scenario& sc,
                         const std::vector<harness::EpisodeResult>& results) {
-    return fnv1a_hex(without_build_id(harness::scenario_json(sc, results)));
+    return util::fnv1a_hex(without_build_id(harness::scenario_json(sc, results)));
 }
 
 /// Summary-only: the same JSON, no per-request ledger.
@@ -89,7 +77,7 @@ std::string ledger_digest(const std::vector<harness::EpisodeResult>& results) {
         bytes += text.str();
     }
     std::filesystem::remove(path);
-    return fnv1a_hex(bytes);
+    return util::fnv1a_hex(bytes);
 }
 
 const harness::ScenarioRegistry& fast_registry() {

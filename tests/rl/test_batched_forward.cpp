@@ -1,11 +1,12 @@
-// Byte-identity tests for the batched RL math (the hot-path perf layer):
-// the sample-vectorized Matrix::slice_matmul versus slice_matvec, the
-// batched backward kernels versus per-sample SlimmableLinear::backward, the
-// scratch-buffer and batched SlimmableMlp forwards and backward versus the
-// per-sample path, and full DqnCore::train_batch equivalence -- identical
-// losses, Q-values and post-training parameters between DqnMath::scalar and
-// DqnMath::batched across widths, batch sizes and slimmable active dims
-// (including ragged out_active < out_ via slim_output, and the paper's
+// Byte-identity tests for the batched RL math (the hot-path perf layer).
+// Kernel and layer level: the sample-vectorized Matrix::slice_matmul versus
+// slice_matvec, and the batched backward of SlimmableLinear and
+// SlimmableMlp versus naive references local to this file -- plain loops in
+// the summation order the headers document, with the same `g == 0.0`
+// skips, plus the expected touched prefixes. Train-step level: DqnCore
+// train_batch against pinned FNV-1a digests of its losses, parameters and
+// Q-values across widths, batch sizes and slimmable active dims (including
+// ragged out_active < out_ via slim_output, and the paper's
 // {7,128,128,128,48} net on LOTUS-style batches). "Identical" here means
 // bitwise: the batched kernels restructure the loops but never the
 // per-element reduction order, so every double must match exactly, not
@@ -14,8 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "rl/matrix.hpp"
 #include "rl/mlp.hpp"
 #include "rl/replay.hpp"
+#include "util/digest.hpp"
 #include "util/rng.hpp"
 
 namespace lotus::rl {
@@ -96,21 +100,62 @@ TEST(SliceMatmul, BitIdenticalToMatvecAcrossShapes) {
     }
 }
 
+/// Gradients and touched prefixes of one layer.
+struct LayerGrads {
+    Matrix gw;
+    std::vector<double> gb;
+    std::vector<std::uint32_t> marked;
+
+    explicit LayerGrads(const SlimmableLinear& layer)
+        : gw(layer.out_features(), layer.in_features()),
+          gb(layer.out_features(), 0.0),
+          marked(layer.out_features(), 0) {}
+};
+
+/// Naive SlimmableLinear::backward_batch for sample k of sample-major `x`
+/// and `dy` at slice (out, in): every grad element adds this sample's term
+/// to its chain, skipping dy == 0.0 (biases add every term); dx[c] (when
+/// given) is one chain from 0.0 over r ascending with the same skip.
+void naive_backward(const Matrix& w, const Matrix& x, const Matrix& dy, std::size_t k,
+                    Matrix::Slice slice, LayerGrads& g, Matrix* dx) {
+    const auto [out, in] = slice;
+    for (std::size_t r = 0; r < out; ++r) {
+        const double d = dy(k, r);
+        g.gb[r] += d;
+        g.marked[r] = std::max(g.marked[r], static_cast<std::uint32_t>(in));
+        if (d == 0.0) continue;
+        for (std::size_t c = 0; c < in; ++c) g.gw(r, c) += d * x(k, c);
+    }
+    if (dx == nullptr) return;
+    for (std::size_t c = 0; c < in; ++c) {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < out; ++r) {
+            if (dy(k, r) != 0.0) acc += dy(k, r) * w(r, c);
+        }
+        (*dx)(k, c) = acc;
+    }
+}
+
+void expect_grads_eq(const LayerGrads& ref, SlimmableLinear& layer) {
+    expect_bitwise_eq(ref.gw.flat(), layer.grad_weights().flat());
+    expect_bitwise_eq(ref.gb, layer.grad_bias());
+    const auto marked = layer.marked_cols();
+    EXPECT_TRUE(std::equal(ref.marked.begin(), ref.marked.end(), marked.begin(), marked.end()));
+}
+
 struct BackwardShape {
     std::size_t batch, out, in;
 };
 
-/// backward_batch on one layer against per-sample backward() calls in the
-/// same order. `narrow` marks samples run at the 0.75x slice of (out, in);
+/// backward_batch on one layer against the naive loops over the samples in
+/// order. `narrow` marks samples run at the 0.75x slice of (out, in);
 /// `zero_every` zeroes every n-th upstream gradient entry exactly (plus one
 /// -0.0) to exercise the `g == 0.0` skips.
 void check_layer_backward_batch(const BackwardShape& s, const std::vector<bool>& narrow,
                                 std::size_t zero_every, std::uint64_t seed) {
     util::Rng rng(seed);
-    util::Rng init_a(seed + 1000);
-    util::Rng init_b(seed + 1000);
-    SlimmableLinear per_sample(s.in, s.out, init_a);
-    SlimmableLinear batched(s.in, s.out, init_b);
+    util::Rng init(seed + 1000);
+    SlimmableLinear layer(s.in, s.out, init);
 
     std::vector<Matrix::Slice> slices(s.batch);
     Matrix x = random_matrix(s.batch, s.in, rng);
@@ -125,38 +170,27 @@ void check_layer_backward_batch(const BackwardShape& s, const std::vector<bool>&
     }
     dy(0, 0) = -0.0;
 
+    LayerGrads ref(layer);
     Matrix dx_ref(s.batch, s.in, -5.0);
     for (std::size_t k = 0; k < s.batch; ++k) {
-        per_sample.backward(x.row(k).first(slices[k].in), dy.row(k).first(slices[k].out),
-                            dx_ref.row(k).first(slices[k].in), slices[k].in,
-                            slices[k].out);
+        naive_backward(layer.weights(), x, dy, k, slices[k], ref, &dx_ref);
     }
     Matrix dx(s.batch, s.in, -5.0);
-    batched.backward_batch(x, dy, &dx, slices);
+    layer.backward_batch(x, dy, &dx, slices);
 
     const auto label = "batch " + std::to_string(s.batch) + " out " + std::to_string(s.out) +
                        " in " + std::to_string(s.in);
     SCOPED_TRACE(label);
-    expect_bitwise_eq(per_sample.grad_weights().flat(), batched.grad_weights().flat());
-    expect_bitwise_eq(per_sample.grad_bias(), batched.grad_bias());
+    expect_grads_eq(ref, layer);
     expect_bitwise_eq(dx_ref.flat(), dx.flat()); // beyond in_k: untouched in both
-    const auto ref_marked = per_sample.marked_cols();
-    const auto marked = batched.marked_cols();
-    EXPECT_TRUE(std::equal(ref_marked.begin(), ref_marked.end(), marked.begin(), marked.end()));
 
     // dx == nullptr skips the input gradient and still accumulates grads.
-    batched.zero_grad();
-    per_sample.zero_grad();
-    batched.backward_batch(x, dy, nullptr, slices);
-    for (std::size_t k = 0; k < s.batch; ++k) {
-        per_sample.backward(x.row(k).first(slices[k].in), dy.row(k).first(slices[k].out),
-                            dx_ref.row(k).first(slices[k].in), slices[k].in,
-                            slices[k].out);
-    }
-    expect_bitwise_eq(per_sample.grad_weights().flat(), batched.grad_weights().flat());
+    layer.zero_grad();
+    layer.backward_batch(x, dy, nullptr, slices);
+    expect_grads_eq(ref, layer);
 }
 
-TEST(SlimmableLinearBackwardBatch, BitIdenticalToPerSampleBackward) {
+TEST(SlimmableLinearBackwardBatch, BitIdenticalToNaiveReference) {
     std::uint64_t seed = 50;
     for (const std::size_t batch : {std::size_t{1}, std::size_t{7}, std::size_t{33}}) {
         for (const std::size_t out : {std::size_t{6}, std::size_t{48}, std::size_t{96}}) {
@@ -227,22 +261,70 @@ TEST(MlpForwardBatch, BitIdenticalToPerSampleForward) {
     }
 }
 
-TEST(MlpBackwardBatch, BitIdenticalGradsToPerSampleBackward) {
+/// Naive SlimmableMlp::backward_batch over samples i = 0, 1, ... (row i of
+/// `x` at widths[i], upstream gradient row i of `dout`): a plain-loop
+/// forward, each output one chain over c ascending from b[r], then the
+/// backward layer by layer through naive_backward, with the ReLU gradient
+/// zero where the pre-activation is <= 0.0.
+std::vector<LayerGrads> naive_mlp_backward(const SlimmableMlp& net, const Matrix& x,
+                                           std::span<const double> widths,
+                                           const Matrix& dout) {
+    const auto& layers = net.layers();
+    std::vector<LayerGrads> grads(layers.begin(), layers.end());
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+        const double w = widths[i];
+        // acts[l]: input of layer l as a one-row matrix; pre[l]: its output.
+        std::vector<Matrix> acts(layers.size(), Matrix(1, net.input_dim()));
+        std::vector<std::vector<double>> pre(layers.size());
+        std::copy(x.row(i).begin(), x.row(i).end(), acts[0].row(0).begin());
+        for (std::size_t l = 0; l < layers.size(); ++l) {
+            const std::size_t out = net.active_units(l + 1, w);
+            const std::size_t in = net.active_units(l, w);
+            for (std::size_t r = 0; r < out; ++r) {
+                double acc = layers[l].bias()[r];
+                for (std::size_t c = 0; c < in; ++c) {
+                    acc += layers[l].weights()(r, c) * acts[l](0, c);
+                }
+                pre[l].push_back(acc);
+            }
+            if (l + 1 == layers.size()) break;
+            acts[l + 1] = Matrix(1, out);
+            for (std::size_t r = 0; r < out; ++r) acts[l + 1](0, r) = std::max(pre[l][r], 0.0);
+        }
+        Matrix dy(1, net.output_dim());
+        std::copy(dout.row(i).begin(), dout.row(i).end(), dy.row(0).begin());
+        for (std::size_t l = layers.size(); l-- > 0;) {
+            const Matrix::Slice slice{net.active_units(l + 1, w), net.active_units(l, w)};
+            if (l + 1 < layers.size()) {
+                for (std::size_t r = 0; r < slice.out; ++r) {
+                    if (pre[l][r] <= 0.0) dy(0, r) = 0.0;
+                }
+            }
+            Matrix dx(1, slice.in);
+            naive_backward(layers[l].weights(), acts[l], dy, 0, slice, grads[l], &dx);
+            dy = std::move(dx);
+        }
+    }
+    return grads;
+}
+
+TEST(MlpBackwardBatch, BitIdenticalGradsToNaiveReference) {
     for (const bool slim_output : {false, true}) {
         MlpConfig cfg;
         cfg.dims = {7, 21, 13, 48};
         cfg.slim_output = slim_output;
         cfg.seed = 31;
-        SlimmableMlp scalar_net(cfg);
-        SlimmableMlp batched_net(cfg); // same seed -> same init
+        SlimmableMlp net(cfg);
         util::Rng rng(13);
         const std::size_t batch = 9;
 
         // Two width groups, interleaved in the batch order: sample i runs at
         // width 0.75 when i % 3 == 1, else 1.0.
-        const double widths[] = {1.0, 0.75};
+        const double group_widths[] = {1.0, 0.75};
+        std::vector<double> widths(batch);
+        for (std::size_t i = 0; i < batch; ++i) widths[i] = group_widths[i % 3 == 1 ? 1 : 0];
         Matrix x = random_matrix(batch, 7, rng);
-        Matrix dout = random_matrix(batch, scalar_net.output_dim(), rng);
+        Matrix dout = random_matrix(batch, net.output_dim(), rng);
         dout(2, 5) = 0.0;
         std::vector<BatchCache> caches(2);
         std::vector<BatchSample> samples(batch);
@@ -257,27 +339,17 @@ TEST(MlpBackwardBatch, BitIdenticalGradsToPerSampleBackward) {
                 std::copy(src.begin(), src.end(), xg.row(j).begin());
                 samples[members[j]] = {&caches[g], j};
             }
-            batched_net.forward_batch(xg, members.size(), widths[g], caches[g]);
+            net.forward_batch(xg, members.size(), group_widths[g], caches[g]);
         }
 
-        ForwardCache fc;
-        for (std::size_t i = 0; i < batch; ++i) {
-            scalar_net.forward_cached(x.row(i), widths[i % 3 == 1 ? 1 : 0], fc);
-            scalar_net.backward(fc, dout.row(i));
-        }
+        const auto ref = naive_mlp_backward(net, x, widths, dout);
         BackwardScratch scratch;
-        batched_net.backward_batch({}, dout, scratch); // empty: a no-op
-        batched_net.backward_batch(samples, dout, scratch);
+        net.backward_batch({}, dout, scratch); // empty: a no-op
+        net.backward_batch(samples, dout, scratch);
 
-        for (std::size_t l = 0; l < scalar_net.num_layers(); ++l) {
-            auto& sl = scalar_net.layers()[l];
-            auto& bl = batched_net.layers()[l];
+        for (std::size_t l = 0; l < net.num_layers(); ++l) {
             SCOPED_TRACE("layer " + std::to_string(l));
-            expect_bitwise_eq(sl.grad_weights().flat(), bl.grad_weights().flat());
-            expect_bitwise_eq(sl.grad_bias(), bl.grad_bias());
-            const auto sm = sl.marked_cols();
-            const auto bm = bl.marked_cols();
-            EXPECT_TRUE(std::equal(sm.begin(), sm.end(), bm.begin(), bm.end()));
+            expect_grads_eq(ref[l], net.layers()[l]);
         }
     }
 }
@@ -287,24 +359,19 @@ TEST(MlpBackwardBatch, BitIdenticalGradsToPerSampleBackward) {
 TEST(SlimmableLinearMarking, PrefixMarkingMatchesBruteForce) {
     util::Rng rng(17);
     SlimmableLinear layer(8, 6, rng);
-    std::vector<double> dx(8, 0.0);
-    const auto x = random_vector(8, rng);
-    const auto dy = random_vector(6, rng);
+    const Matrix x = random_matrix(4, 8, rng);
+    const Matrix dy = random_matrix(4, 6, rng);
 
-    // Narrow, wide, then narrow again: the second narrow call must not
-    // shrink anything, the wide call must extend every row span.
-    const struct {
-        std::size_t in_active, out_active;
-    } calls[] = {{4, 3}, {8, 6}, {4, 3}, {6, 5}};
+    // One batch: narrow, wide, then narrow again -- the second narrow sample
+    // must not shrink anything, the wide one must extend every row span.
+    const Matrix::Slice slices[] = {{3, 4}, {6, 8}, {3, 4}, {5, 6}};
     std::vector<std::uint32_t> expect(6, 0);
-    for (const auto& call : calls) {
-        layer.backward(x, std::span<const double>(dy).first(call.out_active),
-                       std::span<double>(dx).first(call.in_active), call.in_active,
-                       call.out_active);
-        for (std::size_t r = 0; r < call.out_active; ++r) {
-            expect[r] = std::max(expect[r], static_cast<std::uint32_t>(call.in_active));
+    for (const auto& slice : slices) {
+        for (std::size_t r = 0; r < slice.out; ++r) {
+            expect[r] = std::max(expect[r], static_cast<std::uint32_t>(slice.in));
         }
     }
+    layer.backward_batch(x, dy, nullptr, slices);
     const auto marked = layer.marked_cols();
     EXPECT_TRUE(std::equal(marked.begin(), marked.end(), expect.begin(), expect.end()));
 
@@ -312,8 +379,8 @@ TEST(SlimmableLinearMarking, PrefixMarkingMatchesBruteForce) {
     // must mark the narrow prefix again from scratch.
     layer.zero_grad();
     for (const auto m : layer.marked_cols()) ASSERT_EQ(m, 0u);
-    layer.backward(x, std::span<const double>(dy).first(2),
-                   std::span<double>(dx).first(3), 3, 2);
+    const Matrix::Slice narrow{2, 3};
+    layer.backward_batch(x, dy, nullptr, {&narrow, 1});
     for (std::size_t r = 0; r < 6; ++r) {
         EXPECT_EQ(layer.marked_cols()[r], r < 2 ? 3u : 0u) << "r=" << r;
     }
@@ -340,7 +407,9 @@ struct DqnCase {
     /// The paper's Q-net {7,128,128,128,48} on LOTUS-style single-width
     /// batches for 250 steps (2 target syncs) instead of the small mixed
     /// pool.
-    bool paper_shape = false;
+    bool paper_shape;
+    /// FNV-1a digest of the run (see TrainBatchMatchesPin).
+    const char* pin;
 
     friend void PrintTo(const DqnCase& c, std::ostream* os) {
         *os << (c.paper_shape ? "paper " : "") << (c.double_dqn ? "double" : "vanilla")
@@ -348,12 +417,21 @@ struct DqnCase {
     }
 };
 
-class DqnMathEquivalence : public ::testing::TestWithParam<DqnCase> {};
+void append_bytes(std::string& bytes, std::span<const double> values) {
+    bytes.append(reinterpret_cast<const char*>(values.data()), values.size() * sizeof(double));
+}
 
-// The full gate: scalar and batched DqnCores fed identical transition
-// streams must agree bitwise on every loss, every Q-value and every
-// parameter after several optimizer steps (including target-net syncs).
-TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
+class DqnPinnedDigest : public ::testing::TestWithParam<DqnCase> {};
+
+// The train step's golden pin: a DqnCore fed a fixed transition stream must
+// reproduce bit for bit its per-step losses, then per layer the final
+// online weights and biases and the target weights, then Q-values of a probe
+// state at 0.75x and 1.0x. The digest hashes those doubles' bytes in that
+// order. Every pin was recorded from two independent train-step
+// implementations -- a per-sample scalar one (one forward and one backward
+// per transition) and the batched one -- which agreed on every case; a pin
+// change is a behaviour change.
+TEST_P(DqnPinnedDigest, TrainBatchMatchesPin) {
     const auto param = GetParam();
     MlpConfig net;
     net.dims = param.paper_shape ? std::vector<std::size_t>{7, 128, 128, 128, 48}
@@ -367,11 +445,7 @@ TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
     cfg.target_sync_every = param.paper_shape ? 100 : 3;
     cfg.double_dqn = param.double_dqn;
     const int steps = param.paper_shape ? 250 : 8;
-
-    cfg.math = DqnMath::scalar;
-    DqnCore scalar_core(net, cfg);
-    cfg.math = DqnMath::batched;
-    DqnCore batched_core(net, cfg);
+    DqnCore core(net, cfg);
 
     util::Rng rng(97);
     // Small nets: mixed widths alternating like LOTUS' even/odd steps inside
@@ -392,6 +466,7 @@ TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
         }
     }
 
+    std::string bytes;
     std::size_t cursor[2] = {0, 0};
     for (int step = 0; step < steps; ++step) {
         const std::size_t p = param.paper_shape ? static_cast<std::size_t>(step % 2) : 0;
@@ -401,36 +476,34 @@ TEST_P(DqnMathEquivalence, TrainBatchBitIdentical) {
             // Paper shape: stride 7 (coprime to 64) varies each batch's mix.
             cursor[p] = (cursor[p] + (param.paper_shape ? 7 : 1)) % pools[p].size();
         }
-        const double scalar_loss = scalar_core.train_batch(batch);
-        const double batched_loss = batched_core.train_batch(batch);
-        ASSERT_EQ(std::memcmp(&scalar_loss, &batched_loss, sizeof(double)), 0)
-            << "step " << step << ": " << scalar_loss << " vs " << batched_loss;
+        const double loss = core.train_batch(batch);
+        ASSERT_GE(loss, 0.0) << "step " << step;
+        append_bytes(bytes, {&loss, 1});
     }
-    EXPECT_GE(batched_core.updates() / cfg.target_sync_every, 2u);
+    EXPECT_GE(core.updates() / cfg.target_sync_every, 2u);
 
-    for (std::size_t l = 0; l < scalar_core.online().num_layers(); ++l) {
-        const auto& sl = scalar_core.online().layers()[l];
-        const auto& bl = batched_core.online().layers()[l];
-        expect_bitwise_eq(sl.weights().flat(), bl.weights().flat());
-        expect_bitwise_eq(sl.bias(), bl.bias());
-        const auto& st = scalar_core.target().layers()[l];
-        const auto& bt = batched_core.target().layers()[l];
-        expect_bitwise_eq(st.weights().flat(), bt.weights().flat());
+    for (std::size_t l = 0; l < core.online().num_layers(); ++l) {
+        const auto& online = core.online().layers()[l];
+        append_bytes(bytes, online.weights().flat());
+        append_bytes(bytes, online.bias());
+        append_bytes(bytes, core.target().layers()[l].weights().flat());
     }
-
     const auto probe = random_vector(7, rng);
-    for (const double width : {0.75, 1.0}) {
-        expect_bitwise_eq(scalar_core.q_values(probe, width),
-                          batched_core.q_values(probe, width));
-    }
+    for (const double width : {0.75, 1.0}) append_bytes(bytes, core.q_values(probe, width));
+
+    EXPECT_EQ(util::fnv1a_hex(bytes), param.pin);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    WidthsAndBatchSizes, DqnMathEquivalence,
-    ::testing::Values(DqnCase{false, false, 32}, DqnCase{true, false, 32},
-                      DqnCase{false, true, 32}, DqnCase{true, true, 7},
-                      DqnCase{false, false, 1}, DqnCase{true, false, 5},
-                      DqnCase{false, false, 32, true}, DqnCase{true, false, 32, true}),
+    WidthsAndBatchSizes, DqnPinnedDigest,
+    ::testing::Values(DqnCase{false, false, 32, false, "db6de16c896b639e"},
+                      DqnCase{true, false, 32, false, "c22345c34028e946"},
+                      DqnCase{false, true, 32, false, "df9cd4c6a7bc9c18"},
+                      DqnCase{true, true, 7, false, "cf91afafd4bb693a"},
+                      DqnCase{false, false, 1, false, "12b815a1a90ffca9"},
+                      DqnCase{true, false, 5, false, "3bc5cf352c4ce647"},
+                      DqnCase{false, false, 32, true, "4e7df270a62f2413"},
+                      DqnCase{true, false, 32, true, "5a284027df9cc0a4"}),
     [](const ::testing::TestParamInfo<DqnCase>& info) {
         const auto& c = info.param;
         return std::string(c.paper_shape ? "paper_" : "") +
@@ -490,29 +563,6 @@ TEST(DqnProfilerRegions, TrainBatchPhasesNestUnderTrainBatch) {
     EXPECT_EQ(children_ns, report.regions[parent].child_ns);
 }
 #endif
-
-// force_dqn_math overrides the config at construction time only.
-TEST(DqnMathOverride, ForcedModeAppliesAtConstruction) {
-    MlpConfig net;
-    net.dims = {4, 8, 6};
-    net.seed = 1;
-    DqnConfig cfg;
-    cfg.math = DqnMath::batched;
-
-    force_dqn_math(DqnMath::scalar);
-    ASSERT_TRUE(forced_dqn_math().has_value());
-    DqnCore forced(net, cfg);
-    force_dqn_math(std::nullopt);
-    ASSERT_FALSE(forced_dqn_math().has_value());
-
-    // No direct accessor for the resolved mode; equivalence above proves both
-    // behave identically, so here we only check the override is sticky per
-    // core: training still works after the global reset.
-    util::Rng rng(2);
-    std::vector<Transition> ts{make_transition(rng, 4, 6, 1.0, 1.0, false)};
-    std::vector<const Transition*> batch{&ts[0]};
-    EXPECT_GE(forced.train_batch(batch), 0.0);
-}
 
 } // namespace
 } // namespace lotus::rl

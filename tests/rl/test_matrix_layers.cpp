@@ -1,5 +1,6 @@
 // Tests for the matrix kernels and slimmable layers, including
-// finite-difference gradient checks at multiple widths.
+// finite-difference gradient checks at multiple widths. Backward passes run
+// the production minibatch kernels on one-sample batches.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "one_sample.hpp"
 #include "rl/layers.hpp"
 #include "rl/matrix.hpp"
+#include "rl/mlp.hpp"
 #include "util/rng.hpp"
 
 namespace lotus::rl {
@@ -89,27 +92,35 @@ TEST(Matrix, SliceMatvecPartial) {
     EXPECT_DOUBLE_EQ(y[2], -99.0); // untouched
 }
 
-TEST(Matrix, TransposedMatvecMatchesManual) {
+TEST(Matrix, TransposedMatmulMatchesManual) {
     Matrix a(2, 3);
     double v = 1;
     for (std::size_t r = 0; r < 2; ++r) {
         for (std::size_t c = 0; c < 3; ++c) a(r, c) = v++;
     }
-    const std::vector<double> dy{2, -1};
-    std::vector<double> dx(3);
-    Matrix::slice_matvec_transposed(a, dy, dx, 2, 3);
+    Matrix dy(1, 2);
+    dy(0, 0) = 2;
+    dy(0, 1) = -1;
+    Matrix dx(1, 3);
+    const Matrix::Slice slice{2, 3};
+    Matrix::slice_matmul_transposed(a, dy, dx, {&slice, 1});
     // dx = A^T dy
-    EXPECT_DOUBLE_EQ(dx[0], 2 * 1 - 1 * 4);
-    EXPECT_DOUBLE_EQ(dx[1], 2 * 2 - 1 * 5);
-    EXPECT_DOUBLE_EQ(dx[2], 2 * 3 - 1 * 6);
+    EXPECT_DOUBLE_EQ(dx(0, 0), 2 * 1 - 1 * 4);
+    EXPECT_DOUBLE_EQ(dx(0, 1), 2 * 2 - 1 * 5);
+    EXPECT_DOUBLE_EQ(dx(0, 2), 2 * 3 - 1 * 6);
 }
 
 TEST(Matrix, OuterAccumulate) {
     Matrix g(2, 2, 0.0);
-    const std::vector<double> dy{1, 2};
-    const std::vector<double> x{3, 4};
-    Matrix::slice_outer_accumulate(g, dy, x, 2, 2);
-    Matrix::slice_outer_accumulate(g, dy, x, 2, 2); // accumulate twice
+    Matrix dy(1, 2);
+    dy(0, 0) = 1;
+    dy(0, 1) = 2;
+    Matrix x(1, 2);
+    x(0, 0) = 3;
+    x(0, 1) = 4;
+    const Matrix::Slice slice{2, 2};
+    Matrix::slice_outer_accumulate_batch(g, dy, x, {&slice, 1});
+    Matrix::slice_outer_accumulate_batch(g, dy, x, {&slice, 1}); // accumulate twice
     EXPECT_DOUBLE_EQ(g(0, 0), 2 * 1 * 3);
     EXPECT_DOUBLE_EQ(g(1, 1), 2 * 2 * 4);
 }
@@ -122,13 +133,27 @@ TEST(ReluOps, ForwardClampsNegativePrefixOnly) {
     EXPECT_DOUBLE_EQ(x[2], -3.0); // outside active prefix
 }
 
+// The ReLU gradient inside SlimmableMlp::backward_batch: a {1, 3, 1} net
+// whose hidden pre-activations are exactly {-0.5, 0.5, 0.0} passes the
+// upstream gradient only where the pre-activation is positive, so the
+// hidden layer's bias gradient is the mask itself.
 TEST(ReluOps, BackwardMasksByPreActivation) {
-    const std::vector<double> pre{-0.5, 0.5, 0.0};
-    std::vector<double> dy{1, 1, 1};
-    relu_backward(pre, dy, 3);
-    EXPECT_DOUBLE_EQ(dy[0], 0.0);
-    EXPECT_DOUBLE_EQ(dy[1], 1.0);
-    EXPECT_DOUBLE_EQ(dy[2], 0.0); // relu'(0) = 0 by convention here
+    MlpConfig cfg;
+    cfg.dims = {1, 3, 1};
+    SlimmableMlp net(cfg);
+    auto& hidden = net.layers()[0];
+    const double pre[] = {-0.5, 0.5, 0.0};
+    for (std::size_t r = 0; r < 3; ++r) {
+        hidden.weights()(r, 0) = pre[r];
+        hidden.bias()[r] = 0.0;
+        net.layers()[1].weights()(0, r) = 1.0;
+    }
+    const std::vector<double> x{1.0};
+    const std::vector<double> dout{1.0};
+    test::backprop_one(net, x, 1.0, dout);
+    EXPECT_DOUBLE_EQ(hidden.grad_bias()[0], 0.0);
+    EXPECT_DOUBLE_EQ(hidden.grad_bias()[1], 1.0);
+    EXPECT_DOUBLE_EQ(hidden.grad_bias()[2], 0.0); // relu'(0) = 0 by convention here
 }
 
 TEST(SlimmableLinear, ForwardMatchesManual) {
@@ -174,7 +199,7 @@ TEST(SlimmableLinear, BackwardMarksOnlyActiveSlice) {
     const std::vector<double> x{1, 2, 3, 4};
     const std::vector<double> dy{1, 1, 1};
     std::vector<double> dx(3);
-    layer.backward(x, dy, dx, 3, 3);
+    test::backward_one(layer, x, dy, dx, 3, 3);
 
     // Rows 0-2 touch columns [0, 3) (and so their biases); row 3 nothing.
     const auto marked = layer.marked_cols();
@@ -190,7 +215,7 @@ TEST(SlimmableLinear, ZeroGradClears) {
     const std::vector<double> x{1, 1};
     const std::vector<double> dy{1, 1};
     std::vector<double> dx(2);
-    layer.backward(x, dy, dx, 2, 2);
+    test::backward_one(layer, x, dy, dx, 2, 2);
     layer.zero_grad();
     for (const double g : layer.grad_weights().flat()) EXPECT_EQ(g, 0.0);
     for (const auto m : layer.marked_cols()) EXPECT_EQ(m, 0u);
@@ -208,7 +233,7 @@ void gradient_check_layer(std::size_t in, std::size_t out, std::size_t in_active
     const std::vector<double> dy(out_active, 1.0);
     std::vector<double> dx(in_active);
     layer.zero_grad();
-    layer.backward(x, dy, dx, in_active, out_active);
+    test::backward_one(layer, x, dy, dx, in_active, out_active);
 
     const double eps = 1e-6;
     auto loss = [&] {
@@ -249,7 +274,7 @@ TEST(SlimmableLinear, GradCheckInputGradient) {
     std::vector<double> x{0.3, -0.2, 0.8, 0.1};
     const std::vector<double> dy{1.0, 1.0, 1.0};
     std::vector<double> dx(4);
-    layer.backward(x, dy, dx, 4, 3);
+    test::backward_one(layer, x, dy, dx, 4, 3);
 
     const double eps = 1e-6;
     for (std::size_t i = 0; i < 4; ++i) {

@@ -1,11 +1,13 @@
 // Tests for the slimmable MLP: width arithmetic (including the paper's
 // "ceil(0.75 * 7) = 6 drops the proposal input" property), forward/backward
-// correctness, and the masked-update semantics.
+// correctness, and the masked-update semantics. Gradients come from the
+// production minibatch backward (forward_batch / backward_batch).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "one_sample.hpp"
 #include "rl/mlp.hpp"
 
 namespace lotus::rl {
@@ -151,10 +153,8 @@ void gradcheck_mlp(double width, std::uint64_t seed) {
     std::vector<double> dout(net.output_dim(), 0.0);
     dout[2] = 1.0;
 
-    ForwardCache cache;
-    net.forward_cached(x, width, cache);
     net.zero_grad();
-    net.backward(cache, dout);
+    test::backprop_one(net, x, width, dout);
 
     auto loss = [&] { return net.forward(x, width)[2]; };
     const double eps = 1e-6;
@@ -192,14 +192,79 @@ TEST(SlimmableMlp, GradCheckHalfWidth) {
     gradcheck_mlp(0.5, 9);
 }
 
+// A minibatch mixing widths in one backward_batch: 1.0x, then 0.75x, then
+// 1.0x (two width-group caches, the train step's layout). The loss is the
+// weighted sum of one Q-value per sample, so every gradient -- including the
+// tail weights only the full-width samples reach -- must match central
+// differences of that sum.
+TEST(SlimmableMlp, GradCheckMixedWidthBatch) {
+    MlpConfig cfg;
+    cfg.dims = {7, 9, 8, 6};
+    cfg.seed = 21;
+    SlimmableMlp net(cfg);
+    util::Rng rng(22);
+
+    const double widths[] = {1.0, 0.75, 1.0};
+    const std::size_t actions[] = {2, 5, 0};
+    const double weights[] = {1.0, -0.5, 0.75};
+    Matrix x(3, 7);
+    for (auto& v : x.flat()) v = rng.uniform(-1, 1);
+
+    // Group caches: samples 0 and 2 at 1.0x, sample 1 at 0.75x.
+    Matrix full(2, 7);
+    Matrix narrow(1, 7);
+    std::copy(x.row(0).begin(), x.row(0).end(), full.row(0).begin());
+    std::copy(x.row(1).begin(), x.row(1).end(), narrow.row(0).begin());
+    std::copy(x.row(2).begin(), x.row(2).end(), full.row(1).begin());
+    BatchCache full_cache;
+    BatchCache narrow_cache;
+    net.forward_batch(full, 2, 1.0, full_cache);
+    net.forward_batch(narrow, 1, 0.75, narrow_cache);
+    const BatchSample samples[] = {{&full_cache, 0}, {&narrow_cache, 0}, {&full_cache, 1}};
+    Matrix dout(3, net.output_dim());
+    for (std::size_t i = 0; i < 3; ++i) dout(i, actions[i]) = weights[i];
+    net.zero_grad();
+    BackwardScratch scratch;
+    net.backward_batch(samples, dout, scratch);
+
+    auto loss = [&] {
+        double l = 0.0;
+        for (std::size_t i = 0; i < 3; ++i) {
+            l += weights[i] * net.forward(x.row(i), widths[i])[actions[i]];
+        }
+        return l;
+    };
+    const double eps = 1e-6;
+    std::size_t tail_checked = 0;
+    for (std::size_t li = 0; li < net.num_layers(); ++li) {
+        auto& layer = net.layers()[li];
+        const std::size_t narrow_rows = net.active_units(li + 1, 0.75);
+        const std::size_t narrow_cols = net.active_units(li, 0.75);
+        for (std::size_t r = 0; r < layer.out_features(); ++r) {
+            for (std::size_t c = 0; c < layer.in_features(); ++c) {
+                double& w = layer.weights()(r, c);
+                const double orig = w;
+                w = orig + eps;
+                const double lp = loss();
+                w = orig - eps;
+                const double lm = loss();
+                w = orig;
+                const double numeric = (lp - lm) / (2 * eps);
+                ASSERT_NEAR(layer.grad_weights()(r, c), numeric, 1e-4)
+                    << "layer " << li << " w(" << r << "," << c << ")";
+                if (r >= narrow_rows || c >= narrow_cols) ++tail_checked;
+            }
+        }
+    }
+    EXPECT_GT(tail_checked, 0u);
+}
+
 TEST(SlimmableMlp, ReducedBackwardLeavesTailGradientsZero) {
     SlimmableMlp net(small_config());
     const std::vector<double> x(7, 0.4);
     std::vector<double> dout(net.output_dim(), 1.0);
-    ForwardCache cache;
-    net.forward_cached(x, 0.75, cache);
     net.zero_grad();
-    net.backward(cache, dout);
+    test::backprop_one(net, x, 0.75, dout);
 
     // Hidden layer 1 (16 units, 12 active at 0.75): rows >= 12 of layer 1's
     // weight grad must be exactly zero and untouched.

@@ -1,10 +1,12 @@
 // Tests for Adam + cosine LR: convergence, masked ("slimmable") updates, and
-// gradient clipping.
+// gradient clipping. Gradients come from the production minibatch backward
+// on one-sample batches.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "one_sample.hpp"
 #include "rl/mlp.hpp"
 #include "rl/optimizer.hpp"
 #include "util/rng.hpp"
@@ -51,13 +53,12 @@ TEST(Adam, ConvergesOnRegression) {
     const double target = 3.0;
     double loss = 0.0;
     for (int step = 0; step < 500; ++step) {
-        ForwardCache cache;
-        net.forward_cached(x, 1.0, cache);
-        const double err = cache.output[0] - target;
+        test::OneSample sample;
+        const double err = sample.forward(net, x, 1.0)[0] - target;
         loss = 0.5 * err * err;
         std::vector<double> dout{err};
         net.zero_grad();
-        net.backward(cache, dout);
+        sample.backward(net, dout);
         adam.step(net);
     }
     EXPECT_LT(loss, 1e-4);
@@ -85,10 +86,8 @@ TEST(Adam, MaskedParametersExactlyUntouched) {
 
     const std::vector<double> x(7, 0.5);
     for (int i = 0; i < 25; ++i) {
-        ForwardCache cache;
-        net.forward_cached(x, 0.75, cache);
         std::vector<double> dout(net.output_dim(), 0.1);
-        net.backward(cache, dout);
+        test::backprop_one(net, x, 0.75, dout);
         adam.step(net);
     }
 
@@ -117,10 +116,8 @@ TEST(Adam, TailFrozenByNarrowStepsDespiteMomentum) {
         for (int i = 0; i < steps; ++i) {
             std::vector<double> x(7);
             for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-            ForwardCache cache;
-            net.forward_cached(x, width, cache);
             std::vector<double> dout(net.output_dim(), 0.1);
-            net.backward(cache, dout);
+            test::backprop_one(net, x, width, dout);
             adam.step(net);
         }
     };
@@ -163,10 +160,8 @@ TEST(Adam, ActiveParametersDoMove) {
     std::vector<double> before(l0.weights().flat().begin(), l0.weights().flat().end());
 
     const std::vector<double> x(7, 0.5);
-    ForwardCache cache;
-    net.forward_cached(x, 0.75, cache);
     std::vector<double> dout(net.output_dim(), 0.5);
-    net.backward(cache, dout);
+    test::backprop_one(net, x, 0.75, dout);
     adam.step(net);
 
     // At least one active-slice weight must have moved (individual entries
@@ -186,10 +181,8 @@ TEST(Adam, StepClearsGradientsAndTouchedPrefixes) {
     SlimmableMlp net(cfg);
     Adam adam(net, {});
     const std::vector<double> x(3, 1.0);
-    ForwardCache cache;
-    net.forward_cached(x, 1.0, cache);
     std::vector<double> dout(2, 1.0);
-    net.backward(cache, dout);
+    test::backprop_one(net, x, 1.0, dout);
     adam.step(net);
     for (const auto& layer : net.layers()) {
         for (const auto m : layer.marked_cols()) ASSERT_EQ(m, 0u);
@@ -214,11 +207,9 @@ TEST(Adam, GradClipBoundsStepSize) {
 
     const std::vector<double> x{100.0, -100.0}; // produces huge grads
     auto run = [&](SlimmableMlp& net, Adam& opt) {
-        ForwardCache cache;
-        net.forward_cached(x, 1.0, cache);
         std::vector<double> dout{1e6, -1e6};
         net.zero_grad();
-        net.backward(cache, dout);
+        test::backprop_one(net, x, 1.0, dout);
         opt.step(net);
     };
     run(clipped_net, clipped);
@@ -248,10 +239,8 @@ TEST(Adam, LrFollowsCosineSchedule) {
     const std::vector<double> x{1.0, 1.0};
     double last_lr = 1.0;
     for (int i = 0; i < 10; ++i) {
-        ForwardCache cache;
-        net.forward_cached(x, 1.0, cache);
         std::vector<double> dout{0.1, 0.1};
-        net.backward(cache, dout);
+        test::backprop_one(net, x, 1.0, dout);
         const double lr = adam.step(net);
         ASSERT_LT(lr, last_lr);
         last_lr = lr;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "one_sample.hpp"
 #include "rl/optimizer.hpp"
 #include "rl/serialize.hpp"
 
@@ -111,6 +112,54 @@ TEST(Serialize, OutOfRangeDimsRejectedWithClearMessage) {
     }
 }
 
+/// Load `text` and expect a std::runtime_error with exactly `message`.
+void expect_load_error(const std::string& text, const std::string& message) {
+    std::stringstream in(text);
+    try {
+        (void)load_mlp(in);
+        ADD_FAILURE() << "expected a load error: " << message;
+    } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), message);
+    }
+}
+
+/// A one-layer 2 -> 1 checkpoint with weights `w` and bias `b`.
+std::string tiny_checkpoint(const std::string& w, const std::string& b = "0.125") {
+    return "lotus-mlp v1\ndims 2 2 1\nslim_input 0\nslim_output 0\nlayer 0\nw " + w +
+           "\nb " + b + "\n";
+}
+
+TEST(Serialize, TrailingNumbersRejected) {
+    std::stringstream whitespace_only(tiny_checkpoint("0.5 -0.25") + "  \n\t\n");
+    EXPECT_EQ(load_mlp(whitespace_only).layers()[0].bias()[0], 0.125);
+    expect_load_error(tiny_checkpoint("0.5 -0.25") + "3.0 4.0\n",
+                      "load_mlp: trailing data after layer 0");
+}
+
+TEST(Serialize, TrailingGarbageRejected) {
+    expect_load_error(tiny_checkpoint("0.5 -0.25") + "garbage",
+                      "load_mlp: trailing data after layer 0");
+}
+
+TEST(Serialize, TruncatedWeightsReportedAsTruncation) {
+    expect_load_error("lotus-mlp v1\ndims 2 2 1\nslim_input 0\nslim_output 0\nlayer 0\nw 0.5",
+                      "load_mlp: truncated at layer 0 weights");
+}
+
+TEST(Serialize, MalformedNumberReportedAsMalformed) {
+    expect_load_error(tiny_checkpoint("0.5 garbage"),
+                      "load_mlp: malformed number 'garbage' in layer 0 weights");
+    expect_load_error(tiny_checkpoint("0.5 -0.25", "1.0x"),
+                      "load_mlp: malformed number '1.0x' in layer 0 bias");
+}
+
+TEST(Serialize, OutOfRangeNumberReportedAsOutOfRange) {
+    expect_load_error(tiny_checkpoint("1e999 -0.25"),
+                      "load_mlp: number '1e999' out of range in layer 0 weights");
+    expect_load_error(tiny_checkpoint("0.5 -0.25", "nan"),
+                      "load_mlp: number 'nan' out of range in layer 0 bias");
+}
+
 TEST(Serialize, MissingFileRejected) {
     EXPECT_THROW((void)load_mlp("/nonexistent/dir/net.ckpt"), std::runtime_error);
     SlimmableMlp net(net_config());
@@ -123,10 +172,8 @@ TEST(Serialize, TrainedWeightsSurviveRoundTrip) {
     Adam adam(net, {});
     const std::vector<double> x(7, 0.4);
     for (int i = 0; i < 20; ++i) {
-        ForwardCache cache;
-        net.forward_cached(x, 0.75, cache);
         std::vector<double> dout(net.output_dim(), 0.2);
-        net.backward(cache, dout);
+        test::backprop_one(net, x, 0.75, dout);
         adam.step(net);
     }
     std::stringstream buffer;

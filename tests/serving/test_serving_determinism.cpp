@@ -121,22 +121,5 @@ TEST(ServingDeterminism, HarnessRepeatsAcrossRuns) {
     }
 }
 
-TEST(ServingDeterminism, ServingTweakAppliesPerEpisode) {
-    auto scenario = serving_scenario("serving_tweak");
-    scenario.arms.clear();
-    scenario.arms.push_back(harness::fixed_arm(5, 3));
-    auto fifo = harness::fixed_arm(5, 3);
-    fifo.name = "fixed+fifo";
-    fifo.serving_tweak = [](ServingConfig& cfg) { cfg.scheduler = "fifo"; };
-    scenario.arms.push_back(std::move(fifo));
-
-    const auto results = harness::ExperimentHarness({.jobs = 2, .seed = 9}).run(scenario);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].serving_config->scheduler, "edf_admit");
-    EXPECT_EQ(results[1].serving_config->scheduler, "fifo");
-    // The tweak applied to a copy: the shared scenario config is intact.
-    EXPECT_EQ(scenario.serving->scheduler, "edf_admit");
-}
-
 } // namespace
 } // namespace lotus::serving
