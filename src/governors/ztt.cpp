@@ -1,7 +1,6 @@
 #include "governors/ztt.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace lotus::governors {
 
@@ -35,6 +34,7 @@ ZttGovernor::ZttGovernor(std::size_t cpu_levels, std::size_t gpu_levels, ZttConf
       gpu_levels_(gpu_levels),
       dqn_(make_net_config(6, cpu_levels * gpu_levels, config), make_dqn_config(config)),
       replay_(config.replay_capacity),
+      eps_(config.eps_start, config.eps_end, config.eps_decay_rate),
       rng_(config.seed ^ 0x5A5A5A5AULL) {}
 
 std::vector<double> ZttGovernor::encode(const Observation& obs) const {
@@ -63,13 +63,6 @@ int ZttGovernor::cooldown_action(std::size_t cpu_level, std::size_t gpu_level) {
     const auto cpu = lower(cpu_level);
     const auto gpu = lower(gpu_level);
     return static_cast<int>(cpu * gpu_levels_ + gpu);
-}
-
-double ZttGovernor::epsilon() const noexcept {
-    const double eps = config_.eps_end +
-                       (config_.eps_start - config_.eps_end) *
-                           std::pow(config_.eps_decay_rate, static_cast<double>(frames_));
-    return eps;
 }
 
 LevelRequest ZttGovernor::on_frame_start(const Observation& obs) {

@@ -76,7 +76,7 @@ public:
 
     // Introspection for tests/benches.
     [[nodiscard]] const rl::DqnCore& dqn() const noexcept { return dqn_; }
-    [[nodiscard]] double epsilon() const noexcept;
+    [[nodiscard]] double epsilon() const noexcept { return eps_.at(frames_); }
     [[nodiscard]] std::size_t cooldown_activations() const noexcept { return cooldowns_; }
     [[nodiscard]] std::size_t frames_seen() const noexcept { return frames_; }
 
@@ -89,6 +89,7 @@ private:
     std::size_t gpu_levels_;
     rl::DqnCore dqn_;
     rl::ReplayBuffer replay_;
+    rl::ExponentialDecay eps_;
     util::Rng rng_;
 
     // Pending transition: state/action taken at the last frame start.

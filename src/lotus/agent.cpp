@@ -1,7 +1,6 @@
 #include "lotus/agent.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "telemetry/recorder.hpp"
@@ -54,6 +53,7 @@ LotusAgent::LotusAgent(std::size_t cpu_levels, std::size_t gpu_levels, LotusConf
       reward_(config_.reward),
       even_buffer_(config_.replay_capacity),
       odd_buffer_(config_.replay_capacity),
+      eps_(config_.eps_start, config_.eps_end, config_.eps_decay_rate),
       eps_t_(config_.eps_t0, config_.eps_t_floor, config_.eps_t_triggers),
       rng_(config_.seed ^ 0xC0FFEEULL) {
     if (config_.reduced_width <= 0.0 || config_.reduced_width > 1.0) {
@@ -80,12 +80,6 @@ std::string LotusAgent::name() const {
     if (config_.use_two_networks) return "Lotus(two-networks)";
     if (config_.ztt_style_cooldown) return "Lotus(ztt-cooldown)";
     return "Lotus";
-}
-
-double LotusAgent::epsilon() const noexcept {
-    return config_.eps_end +
-           (config_.eps_start - config_.eps_end) *
-               std::pow(config_.eps_decay_rate, static_cast<double>(decisions_));
 }
 
 bool LotusAgent::overheated(const governors::Observation& obs) const noexcept {

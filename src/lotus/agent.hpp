@@ -103,7 +103,7 @@ public:
     [[nodiscard]] const rl::DqnCore& odd_net() const noexcept { return dqn_odd(); }
     [[nodiscard]] const rl::ReplayBuffer& even_buffer() const noexcept { return even_buffer_; }
     [[nodiscard]] const rl::ReplayBuffer& odd_buffer() const noexcept { return odd_buffer_; }
-    [[nodiscard]] double epsilon() const noexcept;
+    [[nodiscard]] double epsilon() const noexcept { return eps_.at(decisions_); }
     [[nodiscard]] double epsilon_t() const noexcept { return eps_t_.value(); }
     [[nodiscard]] std::size_t cooldown_activations() const noexcept { return cooldowns_; }
     [[nodiscard]] std::size_t frames_seen() const noexcept { return frames_; }
@@ -156,6 +156,7 @@ private:
     rl::ReplayBuffer even_buffer_;
     rl::ReplayBuffer odd_buffer_;
 
+    rl::ExponentialDecay eps_;
     rl::SinusoidalTriggerDecay eps_t_;
     util::Rng rng_;
 

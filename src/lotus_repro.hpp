@@ -36,8 +36,6 @@
 #include "platform/opp.hpp"
 #include "platform/power.hpp"
 #include "platform/presets.hpp"
-#include "platform/sysfs.hpp"
-#include "platform/sysfs_client.hpp"
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
 

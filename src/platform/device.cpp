@@ -1,7 +1,6 @@
 #include "platform/device.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "prof/profiler.hpp"
@@ -13,8 +12,6 @@ namespace {
 /// Tolerance when comparing the clock against event deadlines (absorbs
 /// floating-point residue of stepping exactly onto an event instant).
 constexpr double kTimeEps = 1e-12;
-/// Legacy fixed sub-slice of ThermalStepping::euler_slice [s].
-constexpr double kEulerSlice = 0.02;
 } // namespace
 
 EdgeDevice::EdgeDevice(DeviceSpec spec)
@@ -61,14 +58,6 @@ void EdgeDevice::request_levels(std::size_t cpu_level, std::size_t gpu_level) {
         // while they execute.
         advance(spec_.dvfs_latency_s, 0.0, 0.0);
     }
-}
-
-void EdgeDevice::request_cpu_level(std::size_t level) {
-    request_levels(level, req_gpu_);
-}
-
-void EdgeDevice::request_gpu_level(std::size_t level) {
-    request_levels(req_cpu_, level);
 }
 
 std::size_t EdgeDevice::cpu_level() const noexcept {
@@ -120,7 +109,6 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
     if (dt == 0.0) return 0.0;
     LOTUS_PROF_SCOPE("device.advance");
 
-    const bool closed_form = spec_.thermal_stepping == ThermalStepping::closed_form;
     double remaining = dt;
     double elapsed = 0.0;
     fire_due_events(cpu_util, gpu_util);
@@ -145,16 +133,10 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
         t_next = std::max(t_next, now_ + 1e-9); // progress guarantee
         const double budget = std::min(t_next - now_, remaining);
 
-        double h;
-        if (closed_form) {
-            // One modal projection bounds the step (thermal_accuracy_k) and
-            // advances it; h <= budget.
-            h = thermal_.advance_bounded(budget, power, ambient_,
-                                         spec_.thermal_accuracy_k);
-        } else {
-            h = std::min(budget, kEulerSlice);
-            thermal_.step(h, power, ambient_);
-        }
+        // One modal projection bounds the step (thermal_accuracy_k) and
+        // advances it; h <= budget.
+        const double h =
+            thermal_.advance_bounded(budget, power, ambient_, spec_.thermal_accuracy_k);
         LOTUS_PROF_COUNT("device.thermal_segments", 1);
         last_power_ = {p_cpu, p_gpu};
         energy_j_ += (p_cpu + p_gpu) * h;
@@ -267,76 +249,6 @@ void EdgeDevice::publish_telemetry() {
         }
         tel_next_sample_ = now_ + tel->sample_period_s();
     }
-}
-
-void EdgeDevice::mount_sysfs(SysfsFs& fs) {
-    const auto khz = [](double hz) {
-        std::ostringstream ss;
-        ss << static_cast<long long>(hz / 1000.0);
-        return ss.str();
-    };
-    const auto hz_str = [](double hz) {
-        std::ostringstream ss;
-        ss << static_cast<long long>(hz);
-        return ss.str();
-    };
-    const auto milli_c = [](double celsius) {
-        std::ostringstream ss;
-        ss << static_cast<long long>(celsius * 1000.0);
-        return ss.str();
-    };
-
-    // cpufreq (kHz, like the kernel interface)
-    const std::string cpufreq = "/sys/devices/system/cpu/cpu0/cpufreq";
-    fs.add_file(cpufreq + "/scaling_cur_freq", [this, khz] { return khz(cpu_freq()); });
-    fs.add_file(cpufreq + "/scaling_available_frequencies", [this] {
-        std::ostringstream ss;
-        for (std::size_t i = 0; i < cpu_levels(); ++i) {
-            if (i) ss << ' ';
-            ss << static_cast<long long>(spec_.cpu.opp.freq(i) / 1000.0);
-        }
-        return ss.str();
-    });
-    fs.add_file(
-        cpufreq + "/scaling_setspeed", [this, khz] { return khz(spec_.cpu.opp.freq(req_cpu_)); },
-        [this](const std::string& v) {
-            const double f = std::stod(v) * 1000.0;
-            request_cpu_level(spec_.cpu.opp.level_for_freq(f));
-        });
-    fs.add_file(cpufreq + "/scaling_max_freq",
-                [this, khz] { return khz(spec_.cpu.opp.freq(cpu_throttle_.cap())); });
-
-    // devfreq GPU (Hz, like the kernel interface)
-    const std::string devfreq = "/sys/class/devfreq/gpu";
-    fs.add_file(devfreq + "/cur_freq", [this, hz_str] { return hz_str(gpu_freq()); });
-    fs.add_file(devfreq + "/available_frequencies", [this] {
-        std::ostringstream ss;
-        for (std::size_t i = 0; i < gpu_levels(); ++i) {
-            if (i) ss << ' ';
-            ss << static_cast<long long>(spec_.gpu.opp.freq(i));
-        }
-        return ss.str();
-    });
-    fs.add_file(
-        devfreq + "/userspace/set_freq",
-        [this, hz_str] { return hz_str(spec_.gpu.opp.freq(req_gpu_)); },
-        [this](const std::string& v) {
-            request_gpu_level(spec_.gpu.opp.level_for_freq(std::stod(v)));
-        });
-    fs.add_file(devfreq + "/max_freq",
-                [this, hz_str] { return hz_str(spec_.gpu.opp.freq(gpu_throttle_.cap())); });
-
-    // thermal zones (milli-degC, like the kernel interface)
-    fs.add_file("/sys/class/thermal/thermal_zone0/type", [] { return std::string("cpu-thermal"); });
-    fs.add_file("/sys/class/thermal/thermal_zone0/temp",
-                [this, milli_c] { return milli_c(cpu_temp()); });
-    fs.add_file("/sys/class/thermal/thermal_zone1/type", [] { return std::string("gpu-thermal"); });
-    fs.add_file("/sys/class/thermal/thermal_zone1/temp",
-                [this, milli_c] { return milli_c(gpu_temp()); });
-    fs.add_file("/sys/class/thermal/thermal_zone2/type",
-                [] { return std::string("board-thermal"); });
-    fs.add_file("/sys/class/thermal/thermal_zone2/temp",
-                [this, milli_c] { return milli_c(board_temp()); });
 }
 
 } // namespace lotus::platform

@@ -7,8 +7,7 @@
 // the way user space interacts with a Jetson or Android device:
 //   * request OPP levels (granted levels are clamped by the throttle caps),
 //   * burn compute time via advance(dt, cpu_util, gpu_util),
-//   * observe temperatures/frequencies -- directly or through the mounted
-//     sysfs tree.
+//   * observe temperatures, frequencies, power and energy.
 //
 // advance() is the *single time-advance authority*: every path that moves
 // the simulated clock -- work slices, idle gaps, agent decision overhead
@@ -18,10 +17,9 @@
 // thermal stepper's accuracy bound) and notifies the AdvanceListener at
 // each of them, so kernel-governor ticks land at their exact cadence and
 // throttle engagements are observable no matter which code path burned the
-// time. Between events the RC network is integrated either with the exact
-// closed-form exponential step (default) or with the legacy fixed 20 ms
-// Euler slicing (ThermalStepping::euler_slice, kept as the accuracy/perf
-// reference for bench_overhead).
+// time. Between events the RC network advances by the exact closed-form
+// exponential step (ThermalNetwork::advance_bounded), with each segment
+// bounded by DeviceSpec::thermal_accuracy_k.
 
 #include <array>
 #include <cstddef>
@@ -30,7 +28,6 @@
 
 #include "platform/opp.hpp"
 #include "platform/power.hpp"
-#include "platform/sysfs.hpp"
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
 
@@ -72,16 +69,6 @@ public:
     static constexpr double kNoEvent = 1e300;
 };
 
-/// Integration scheme used between events of the advance loop.
-enum class ThermalStepping {
-    /// Exact exponential solution of the RC network per segment (adaptive
-    /// event-driven stepping; segment length bounded by thermal_accuracy_k).
-    closed_form,
-    /// Legacy fixed 20 ms sub-slicing with Euler sub-steps of
-    /// ThermalParams::max_dt; kept as the reference integrator.
-    euler_slice,
-};
-
 /// One DVFS domain: its OPP ladder, power parameters and compute
 /// characteristics used by the detector latency model.
 struct DomainSpec {
@@ -106,10 +93,8 @@ struct DeviceSpec {
     /// microseconds").
     double dvfs_latency_s = 50e-6;
     double initial_ambient_celsius = 25.0;
-    /// Thermal integration scheme between advance-loop events.
-    ThermalStepping thermal_stepping = ThermalStepping::closed_form;
-    /// Closed-form stepping only: maximum temperature drift allowed per
-    /// frozen-power segment [K]. Bounds the error of holding the
+    /// Maximum temperature drift allowed per frozen-power segment of the
+    /// closed-form stepper [K]. Bounds the error of holding the
     /// (temperature-dependent) leakage power constant within a segment.
     double thermal_accuracy_k = 0.25;
 };
@@ -132,8 +117,6 @@ public:
     /// Advances the clock by the DVFS transition latency when the request
     /// changes anything.
     void request_levels(std::size_t cpu_level, std::size_t gpu_level);
-    void request_cpu_level(std::size_t level);
-    void request_gpu_level(std::size_t level);
 
     [[nodiscard]] std::size_t requested_cpu_level() const noexcept { return req_cpu_; }
     [[nodiscard]] std::size_t requested_gpu_level() const noexcept { return req_gpu_; }
@@ -201,9 +184,6 @@ public:
     void reset();
 
     [[nodiscard]] const DeviceSpec& spec() const noexcept { return spec_; }
-
-    /// Register the kernel-like sysfs nodes for this device on `fs`.
-    void mount_sysfs(SysfsFs& fs);
 
     // --- telemetry ----------------------------------------------------------
     /// Process name this device reports its telemetry under. Defaults to

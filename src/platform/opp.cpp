@@ -27,12 +27,4 @@ const OperatingPoint& OppTable::level(std::size_t i) const {
     return points_[i];
 }
 
-std::size_t OppTable::level_for_freq(double f) const noexcept {
-    if (f <= points_.front().freq_hz) return 0;
-    for (std::size_t i = points_.size(); i-- > 0;) {
-        if (points_[i].freq_hz <= f) return i;
-    }
-    return 0;
-}
-
 } // namespace lotus::platform

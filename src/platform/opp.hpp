@@ -31,10 +31,6 @@ public:
     [[nodiscard]] double min_freq() const noexcept { return points_.front().freq_hz; }
     [[nodiscard]] double max_freq() const noexcept { return points_.back().freq_hz; }
 
-    /// Highest level whose frequency is <= f (clamps to the ladder ends);
-    /// mirrors cpufreq's frequency->level resolution.
-    [[nodiscard]] std::size_t level_for_freq(double f) const noexcept;
-
     [[nodiscard]] const std::vector<OperatingPoint>& points() const noexcept { return points_; }
 
 private:

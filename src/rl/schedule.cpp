@@ -7,17 +7,6 @@
 
 namespace lotus::rl {
 
-LinearDecay::LinearDecay(double start, double end, std::size_t steps)
-    : start_(start), end_(end), steps_(steps) {
-    if (start < end) throw std::invalid_argument("LinearDecay: start < end");
-    if (steps == 0) throw std::invalid_argument("LinearDecay: zero steps");
-}
-
-double LinearDecay::at(std::size_t step) const noexcept {
-    const double frac = std::min(1.0, static_cast<double>(step) / static_cast<double>(steps_));
-    return start_ - (start_ - end_) * frac;
-}
-
 ExponentialDecay::ExponentialDecay(double start, double end, double rate)
     : start_(start), end_(end), rate_(rate) {
     if (start < end) throw std::invalid_argument("ExponentialDecay: start < end");

@@ -1,8 +1,8 @@
 #pragma once
 // Exploration schedules.
 //
-// * LinearDecay / ExponentialDecay: conventional epsilon-greedy schedules
-//   (used for the main exploration of both zTT and LOTUS).
+// * ExponentialDecay: the per-decision epsilon-greedy schedule of LOTUS's
+//   main exploration and the per-frame one of zTT.
 // * SinusoidalTriggerDecay: the paper's epsilon_t-greedy cool-down
 //   (Sec. 4.3.5). epsilon_t starts in [0, 1] and decays sinusoidally *per
 //   cool-down trigger*, so the agent is forced into random lower frequencies
@@ -13,20 +13,8 @@
 
 namespace lotus::rl {
 
-/// epsilon(t) = max(end, start - (start - end) * t / steps).
-class LinearDecay {
-public:
-    LinearDecay(double start, double end, std::size_t steps);
-
-    [[nodiscard]] double at(std::size_t step) const noexcept;
-
-private:
-    double start_;
-    double end_;
-    std::size_t steps_;
-};
-
-/// epsilon(t) = end + (start - end) * rate^t.
+/// epsilon(t) = end + (start - end) * rate^t. Throws std::invalid_argument
+/// unless start >= end and rate is in (0, 1).
 class ExponentialDecay {
 public:
     ExponentialDecay(double start, double end, double rate);

@@ -247,6 +247,18 @@ TEST(Ztt, EpsilonDecaysWithFrames) {
     EXPECT_EQ(gov.frames_seen(), 200u);
 }
 
+TEST(Ztt, EpsilonScheduleValidation) {
+    auto cfg = test_ztt_config();
+    cfg.eps_start = 0.005;
+    cfg.eps_end = 0.01; // exploration may not grow
+    EXPECT_THROW(ZttGovernor(8, 6, cfg), std::invalid_argument);
+    for (const double rate : {0.0, 1.0, 1.5}) {
+        cfg = test_ztt_config();
+        cfg.eps_decay_rate = rate;
+        EXPECT_THROW(ZttGovernor(8, 6, cfg), std::invalid_argument) << "rate " << rate;
+    }
+}
+
 TEST(Ztt, TransitionsAccumulateInReplay) {
     auto cfg = test_ztt_config();
     cfg.train_online = false;

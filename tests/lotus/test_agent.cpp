@@ -321,5 +321,17 @@ TEST(LotusAgent, ConfigValidation) {
     EXPECT_THROW(LotusAgent(8, 6, cfg), std::invalid_argument);
 }
 
+TEST(LotusAgent, EpsilonScheduleValidation) {
+    auto cfg = test_config();
+    cfg.eps_start = 0.01;
+    cfg.eps_end = 0.02; // exploration may not grow
+    EXPECT_THROW(LotusAgent(8, 6, cfg), std::invalid_argument);
+    for (const double rate : {0.0, 1.0, 1.5}) {
+        cfg = test_config();
+        cfg.eps_decay_rate = rate;
+        EXPECT_THROW(LotusAgent(8, 6, cfg), std::invalid_argument) << "rate " << rate;
+    }
+}
+
 } // namespace
 } // namespace lotus::core

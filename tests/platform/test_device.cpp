@@ -1,8 +1,13 @@
-// Tests for the EdgeDevice facade and the sysfs emulation layer.
+// Tests for the EdgeDevice facade: DVFS requests, the event-driven advance
+// loop, throttling, and the closed-form thermal stepper against a local
+// Euler reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "platform/device.hpp"
@@ -204,19 +209,82 @@ TEST(EdgeDevice, SubNanosecondAdvanceStillMakesProgress) {
     EXPECT_GT(dev.now(), 0.0);
 }
 
-TEST(EdgeDevice, ClosedFormAndEulerSteppingAgree) {
-    auto closed_spec = orin_nano_spec();
-    auto euler_spec = orin_nano_spec();
-    euler_spec.thermal_stepping = ThermalStepping::euler_slice;
-    EdgeDevice closed(closed_spec);
-    EdgeDevice euler(euler_spec);
-    for (auto* dev : {&closed, &euler}) {
-        dev->request_levels(5, 3);
-        dev->advance(30.0, 0.3, 0.8);
+/// One constant-utilization stretch of an excursion.
+struct Phase {
+    double dt;
+    double cpu_util;
+    double gpu_util;
+};
+
+struct EulerResult {
+    std::array<double, kNumThermalNodes> temps;
+    double energy_j;
+    std::uint64_t steps;
+};
+
+/// Reference integrator local to this test: 20 ms slices of
+/// ThermalNetwork::step (5 ms Euler sub-steps), each under the domain
+/// powers PowerModel::total gives at the slice start. Slices also end on the
+/// 100 ms throttle-poll grid, so they fall where the device's event loop
+/// splits time. Levels stay fixed (the excursions never reach a trip point).
+EulerResult euler_reference(const DeviceSpec& spec, std::size_t cpu_level,
+                            std::size_t gpu_level, const std::vector<Phase>& phases) {
+    ThermalNetwork net(spec.thermal);
+    net.reset(spec.initial_ambient_celsius);
+    const PowerModel cpu_power(spec.cpu.power);
+    const PowerModel gpu_power(spec.gpu.power);
+    const double poll_s = spec.gpu_throttle.poll_interval_s;
+    double now = 0.0;
+    double next_poll = poll_s;
+    double energy = 0.0;
+    for (const auto& phase : phases) {
+        for (double remaining = phase.dt; remaining > 0.0;) {
+            const double h = std::min({remaining, 0.02, next_poll - now});
+            const double p_cpu = cpu_power.total(spec.cpu.opp.freq(cpu_level),
+                                                 spec.cpu.opp.voltage(cpu_level),
+                                                 phase.cpu_util, net.temperature(ThermalNode::cpu));
+            const double p_gpu = gpu_power.total(spec.gpu.opp.freq(gpu_level),
+                                                 spec.gpu.opp.voltage(gpu_level),
+                                                 phase.gpu_util, net.temperature(ThermalNode::gpu));
+            net.step(h, {p_cpu, p_gpu, 0.0}, spec.initial_ambient_celsius);
+            energy += (p_cpu + p_gpu) * h;
+            now += h;
+            remaining -= h;
+            if (now >= next_poll - 1e-12) next_poll += poll_s;
+        }
     }
-    EXPECT_NEAR(closed.gpu_temp(), euler.gpu_temp(), 0.05);
-    EXPECT_NEAR(closed.cpu_temp(), euler.cpu_temp(), 0.05);
-    EXPECT_LT(closed.thermal_steps() * 3, euler.thermal_steps());
+    return {net.temperatures(), energy, net.steps()};
+}
+
+TEST(EdgeDevice, ClosedFormStepperMatchesEulerReference) {
+    // Excursions below the trip point, so throttling never interferes: a
+    // pure integrator comparison.
+    const struct {
+        const char* name;
+        std::vector<Phase> phases;
+    } excursions[] = {
+        {"heat_then_cool", {{20.0, 0.4, 0.8}, {10.0, 0.05, 0.0}}},
+        {"sustained_load", {{30.0, 0.3, 0.8}}},
+    };
+    const auto spec = orin_nano_spec();
+    for (const auto& ex : excursions) {
+        SCOPED_TRACE(ex.name);
+        EdgeDevice dev(spec);
+        dev.request_levels(5, 3); // charges one idle DVFS stall
+        for (const auto& p : ex.phases) dev.advance(p.dt, p.cpu_util, p.gpu_util);
+
+        std::vector<Phase> phases{{spec.dvfs_latency_s, 0.0, 0.0}};
+        phases.insert(phases.end(), ex.phases.begin(), ex.phases.end());
+        const auto ref = euler_reference(spec, 5, 3, phases);
+
+        EXPECT_NEAR(dev.cpu_temp(), ref.temps[0], 0.05);
+        EXPECT_NEAR(dev.gpu_temp(), ref.temps[1], 0.05);
+        EXPECT_NEAR(dev.board_temp(), ref.temps[2], 0.05);
+        EXPECT_NEAR(dev.energy_joules() / ref.energy_j, 1.0, 0.005);
+        // >= 3x fewer integration steps; without governor ticks the
+        // event-driven stepper does far better than that.
+        EXPECT_GE(static_cast<double>(ref.steps), 3.0 * static_cast<double>(dev.thermal_steps()));
+    }
 }
 
 TEST(EdgeDevice, ResetRestoresColdStart) {
@@ -229,97 +297,6 @@ TEST(EdgeDevice, ResetRestoresColdStart) {
     EXPECT_NEAR(dev.cpu_temp(), dev.ambient(), 1e-9);
     // Requested levels survive a reset (reset is thermal, not config).
     EXPECT_EQ(dev.requested_cpu_level(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// sysfs.
-// ---------------------------------------------------------------------------
-
-TEST(Sysfs, RegistrationRules) {
-    SysfsFs fs;
-    fs.add_file("/a/b", [] { return "1"; });
-    EXPECT_THROW(fs.add_file("/a/b", [] { return "2"; }), std::invalid_argument);
-    EXPECT_THROW(fs.add_file("relative/path", [] { return "x"; }), std::invalid_argument);
-    EXPECT_THROW(fs.add_file("/a/c", SysfsFs::ReadFn{}), std::invalid_argument);
-}
-
-TEST(Sysfs, ReadWriteSemantics) {
-    SysfsFs fs;
-    int value = 5;
-    fs.add_file(
-        "/rw", [&] { return std::to_string(value); },
-        [&](const std::string& v) { value = std::stoi(v); });
-    fs.add_file("/ro", [] { return "7"; });
-
-    EXPECT_EQ(fs.read("/rw"), "5");
-    fs.write("/rw", "9");
-    EXPECT_EQ(value, 9);
-    EXPECT_EQ(fs.read_ll("/rw"), 9);
-    EXPECT_THROW(fs.write("/ro", "1"), std::runtime_error);
-    EXPECT_THROW((void)fs.read("/missing"), std::out_of_range);
-    EXPECT_THROW(fs.write("/missing", "1"), std::out_of_range);
-}
-
-TEST(Sysfs, ListByPrefix) {
-    SysfsFs fs;
-    fs.add_file("/sys/a", [] { return ""; });
-    fs.add_file("/sys/b", [] { return ""; });
-    fs.add_file("/proc/c", [] { return ""; });
-    EXPECT_EQ(fs.list("/sys").size(), 2u);
-    EXPECT_EQ(fs.list("/").size(), 3u);
-}
-
-class MountedSysfs : public ::testing::Test {
-protected:
-    MountedSysfs() : dev_(orin_nano_spec()) {
-        dev_.mount_sysfs(fs_);
-    }
-    EdgeDevice dev_;
-    SysfsFs fs_;
-};
-
-TEST_F(MountedSysfs, ExposesKernelLikeNodes) {
-    EXPECT_TRUE(fs_.exists("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq"));
-    EXPECT_TRUE(fs_.exists("/sys/class/devfreq/gpu/cur_freq"));
-    EXPECT_TRUE(fs_.exists("/sys/class/thermal/thermal_zone0/temp"));
-    EXPECT_TRUE(fs_.exists("/sys/class/thermal/thermal_zone1/temp"));
-}
-
-TEST_F(MountedSysfs, CpufreqReportsKhz) {
-    const auto khz =
-        fs_.read_ll("/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq");
-    EXPECT_EQ(khz, static_cast<long long>(dev_.cpu_freq() / 1000.0));
-}
-
-TEST_F(MountedSysfs, ThermalZoneReportsMilliCelsius) {
-    dev_.advance(20.0, 1.0, 1.0);
-    const auto milli = fs_.read_ll("/sys/class/thermal/thermal_zone1/temp");
-    EXPECT_NEAR(static_cast<double>(milli) / 1000.0, dev_.gpu_temp(), 0.01);
-}
-
-TEST_F(MountedSysfs, SetspeedWriteChangesFrequency) {
-    const auto target_khz = static_cast<long long>(dev_.spec().cpu.opp.freq(2) / 1000.0);
-    fs_.write("/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed",
-              std::to_string(target_khz));
-    EXPECT_EQ(dev_.cpu_level(), 2u);
-    fs_.write("/sys/class/devfreq/gpu/userspace/set_freq",
-              std::to_string(static_cast<long long>(dev_.spec().gpu.opp.freq(1))));
-    EXPECT_EQ(dev_.gpu_level(), 1u);
-}
-
-TEST_F(MountedSysfs, MaxFreqReflectsThrottleCap) {
-    // Heat until the GPU throttles and confirm the advertised max drops.
-    for (int i = 0; i < 400; ++i) dev_.advance(1.0, 0.3, 1.0);
-    ASSERT_TRUE(dev_.gpu_throttled());
-    const auto capped = fs_.read_ll("/sys/class/devfreq/gpu/max_freq");
-    EXPECT_LT(capped, static_cast<long long>(dev_.spec().gpu.opp.max_freq()));
-}
-
-TEST_F(MountedSysfs, AvailableFrequenciesListsLadder) {
-    const auto s = fs_.read("/sys/class/devfreq/gpu/available_frequencies");
-    // All six ladder entries, space separated.
-    EXPECT_EQ(std::count(s.begin(), s.end(), ' '), 5);
-    EXPECT_NE(s.find("624750000"), std::string::npos);
 }
 
 } // namespace

@@ -34,17 +34,6 @@ TEST(OppTable, LevelAccess) {
     EXPECT_THROW((void)t.level(3), std::out_of_range);
 }
 
-TEST(OppTable, LevelForFreqResolution) {
-    OppTable t("cpu", {{1e8, 0.6}, {2e8, 0.7}, {3e8, 0.8}});
-    EXPECT_EQ(t.level_for_freq(0.5e8), 0u); // below min clamps to 0
-    EXPECT_EQ(t.level_for_freq(1e8), 0u);
-    EXPECT_EQ(t.level_for_freq(1.5e8), 0u); // highest level <= f
-    EXPECT_EQ(t.level_for_freq(2e8), 1u);
-    EXPECT_EQ(t.level_for_freq(2.99e8), 1u);
-    EXPECT_EQ(t.level_for_freq(3e8), 2u);
-    EXPECT_EQ(t.level_for_freq(9e8), 2u); // above max clamps to top
-}
-
 TEST(PowerModel, Validation) {
     PowerParams p;
     p.c_eff = -1.0;

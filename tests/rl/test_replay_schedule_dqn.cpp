@@ -74,14 +74,6 @@ TEST(ReplayBuffer, ClearEmpties) {
     EXPECT_TRUE(buf.empty());
 }
 
-TEST(LinearDecay, InterpolatesAndClamps) {
-    LinearDecay d(1.0, 0.1, 100);
-    EXPECT_DOUBLE_EQ(d.at(0), 1.0);
-    EXPECT_NEAR(d.at(50), 0.55, 1e-12);
-    EXPECT_DOUBLE_EQ(d.at(100), 0.1);
-    EXPECT_DOUBLE_EQ(d.at(500), 0.1);
-}
-
 TEST(ExponentialDecay, DecaysTowardFloor) {
     ExponentialDecay d(1.0, 0.05, 0.99);
     EXPECT_DOUBLE_EQ(d.at(0), 1.0);
@@ -91,8 +83,6 @@ TEST(ExponentialDecay, DecaysTowardFloor) {
 }
 
 TEST(ScheduleValidation, BadArgsThrow) {
-    EXPECT_THROW(LinearDecay(0.1, 0.5, 10), std::invalid_argument);
-    EXPECT_THROW(LinearDecay(1.0, 0.1, 0), std::invalid_argument);
     EXPECT_THROW(ExponentialDecay(0.1, 0.5, 0.9), std::invalid_argument);
     EXPECT_THROW(ExponentialDecay(1.0, 0.1, 1.5), std::invalid_argument);
 }

@@ -236,35 +236,5 @@ TEST(UnifiedTimeline, TickCountInvariantToWorkSlicing) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The closed-form stepper must agree with the legacy Euler slicing while
-// spending far fewer integration steps.
-// ---------------------------------------------------------------------------
-
-TEST(UnifiedTimeline, ClosedFormStepperMatchesEulerSlicing) {
-    auto closed_spec = platform::orin_nano_spec();
-    closed_spec.thermal_stepping = platform::ThermalStepping::closed_form;
-    auto euler_spec = platform::orin_nano_spec();
-    euler_spec.thermal_stepping = platform::ThermalStepping::euler_slice;
-
-    platform::EdgeDevice closed(closed_spec);
-    platform::EdgeDevice euler(euler_spec);
-    // A heat-up / cool-down excursion without throttle interference (stays
-    // below trip): pure integrator comparison.
-    for (auto* dev : {&closed, &euler}) {
-        dev->request_levels(5, 3);
-        dev->advance(20.0, 0.4, 0.8);
-        dev->advance(10.0, 0.05, 0.0);
-    }
-    EXPECT_NEAR(closed.cpu_temp(), euler.cpu_temp(), 0.05);
-    EXPECT_NEAR(closed.gpu_temp(), euler.gpu_temp(), 0.05);
-    EXPECT_NEAR(closed.board_temp(), euler.board_temp(), 0.05);
-    EXPECT_NEAR(closed.energy_joules() / euler.energy_joules(), 1.0, 0.005);
-    // >= 3x fewer integration steps is the PR's acceptance bar; without
-    // governor ticks the event-driven stepper does far better than that.
-    EXPECT_GE(static_cast<double>(euler.thermal_steps()),
-              3.0 * static_cast<double>(closed.thermal_steps()));
-}
-
 } // namespace
 } // namespace lotus::runtime
