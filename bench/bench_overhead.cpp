@@ -43,11 +43,9 @@
 //    <= 2% of the run's CPU time (the median of interleaved on/off pair
 //    ratios is reported alongside);
 //  * the sim-time telemetry recorder's overhead on serve_saturation
-//    (PR 7), gated hard on byte-identical scenario JSON with recording on
-//    vs off, softly on wall-clock;
-//  * the streaming rollup aggregation's incremental overhead on top of
-//    recording (PR 9), gated hard on byte-identical scenario JSON with
-//    rollups on vs off, softly on wall-clock;
+//    (PR 7; recording includes the windowed rollups), gated hard on
+//    byte-identical scenario JSON with recording on vs off, softly on
+//    wall-clock;
 //  * the queue gate: 8 streams x 5,000 requests (20,000 in full mode)
 //    under edf at 0.3 Hz per stream, where the queue grows to thousands,
 //    must finish within 1.5x the wall-clock of the same load at 0.2 Hz,
@@ -628,7 +626,7 @@ bool perf_trajectory() {
 
     // --- cell 2: serve_saturation end to end ---------------------------------
     // Timed in interleaved pairs with the queue gate's under-capacity load
-    // (cell 8): the performance governor, no RL work, so its wall tracks the
+    // (cell 7): the performance governor, no RL work, so its wall tracks the
     // host's speed and not the code under test. CI's regression check
     // normalizes serve_saturation's requests/sec by it.
     const std::size_t gate_requests = fast ? 5'000 : 20'000;
@@ -762,56 +760,11 @@ bool perf_trajectory() {
                 static_cast<unsigned long long>(tel_breaches),
                 tel_identical ? "byte-identical" : "DIFFERS");
 
-    // --- cell 6: streaming rollup aggregation overhead ----------------------
-    // PR 9's aggregation layer (HistSketch + windowed rollups) folds every
-    // request outcome, device span and temperature sample into O(windows)
-    // state whenever telemetry is on. The hard gate is again correctness:
-    // scenario JSON must be byte-identical with rollups on vs off. The
-    // wall-clock bar mirrors cell 5's loose shape (fail only past 50% AND a
-    // 100 ms absolute excess) -- the cell documents the incremental cost of
-    // aggregation on top of recording.
-    auto roll_cfg_off = tel_cfg_on;
-    roll_cfg_off.telemetry_options.rollups = false;
-    const harness::ExperimentHarness roll_h_off(roll_cfg_off);
-    bool roll_identical = false;
-    {
-        // Correctness pass (warm-up for the timed pairs); tel_h_on has
-        // rollups on by default.
-        const auto r_off = roll_h_off.run(sc);
-        const auto r_on = tel_h_on.run(sc);
-        roll_identical =
-            harness::scenario_json(sc, r_off) == harness::scenario_json(sc, r_on);
-    }
-    if (!roll_identical) {
-        std::printf("FAIL: scenario JSON differs with rollup aggregation on\n");
-        ok = false;
-    }
-    double roll_off_s = 0.0;
-    double roll_on_s = 0.0;
-    for (int rep = 0; rep < fleet_pairs; ++rep) {
-        const double off = wall_of_run(sc, roll_h_off);
-        const double on = wall_of_run(sc, tel_h_on);
-        roll_off_s = rep == 0 ? off : std::min(roll_off_s, off);
-        roll_on_s = rep == 0 ? on : std::min(roll_on_s, on);
-    }
-    const double roll_overhead_pct =
-        (roll_on_s - roll_off_s) / std::max(roll_off_s, 1e-9) * 100.0;
-    if (roll_overhead_pct > 50.0 && (roll_on_s - roll_off_s) > 0.1) {
-        std::printf("FAIL: rollup aggregation costs %.2f%% on top of recording "
-                    "(>= 50%%)\n",
-                    roll_overhead_pct);
-        ok = false;
-    }
-    std::printf("rollup aggregation on serve_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead, JSON %s)\n\n",
-                roll_off_s, roll_on_s, roll_overhead_pct,
-                roll_identical ? "byte-identical" : "DIFFERS");
-
-    // --- cell 7: trace capture + replay -------------------------------------
+    // --- cell 6: trace capture + replay -------------------------------------
     // The trace subsystem's whole value rests on replay being *the same
     // episode*: record serve_saturation's request timelines during one run,
     // replay the scenario from the recorded .ltrc files, and hard-gate
-    // byte-identity of the scenario JSON. The wall bar mirrors cells 5/6
+    // byte-identity of the scenario JSON. The wall bar mirrors cell 5
     // (fail only past 50% AND a 100 ms absolute excess): replay skips the
     // arrival/frame RNG work but pays file I/O, so the cell documents the
     // trade rather than policing noise.
@@ -866,7 +819,7 @@ bool perf_trajectory() {
                 replay_identical ? "byte-identical" : "DIFFERS");
     std::filesystem::remove_all(trace_dir);
 
-    // --- cell 8: queue gate -------------------------------------------------
+    // --- cell 7: queue gate -------------------------------------------------
     // The same request count at an overloaded and an under-capacity rate:
     // simulated work is about equal, so a queue whose pick cost grows with
     // its depth shows up as the overloaded run's extra wall time.
@@ -934,13 +887,6 @@ bool perf_trajectory() {
        << "      \"events\": " << tel_events << ",\n"
        << "      \"breaches\": " << tel_breaches << ",\n"
        << "      \"json_bit_identical\": " << (tel_identical ? "true" : "false") << "\n"
-       << "    },\n"
-       << "    \"rollup_overhead\": {\n"
-       << "      \"scenario\": \"serve_saturation\",\n"
-       << "      \"rollups_off_wall_s\": " << json_num(roll_off_s) << ",\n"
-       << "      \"rollups_on_wall_s\": " << json_num(roll_on_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(roll_overhead_pct) << ",\n"
-       << "      \"json_bit_identical\": " << (roll_identical ? "true" : "false") << "\n"
        << "    },\n"
        << "    \"trace_replay\": {\n"
        << "      \"scenario\": \"serve_saturation\",\n"

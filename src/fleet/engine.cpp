@@ -202,7 +202,6 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     // their stream tracks; per-device breaches against the device so the
     // flight recorder snapshots what that device was doing.
     auto* tel = telemetry::current();
-    auto* rollup = tel ? tel->rollup() : nullptr;
     int tel_router = -1;
     std::vector<int> tel_streams;
     std::vector<std::size_t> tel_depths(workers.size(),
@@ -225,17 +224,15 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
 
     const auto record_shed = [&](const serving::Request& r, double now,
                                  std::size_t device_index) {
-        if (rollup) {
+        if (tel) {
             // Router-level sheds (no live device) roll up under the
             // "fleet" pseudo-device, matching their breach track.
-            rollup->record_request(device_index != FleetRecord::kNoDevice
-                                       ? workers[device_index]->spec->id
-                                       : std::string("fleet"),
-                                   config_.streams[r.stream].name, now,
-                                   telemetry::Rollup::Outcome::shed, 0.0,
-                                   std::max(0.0, now - r.arrival_s) * 1e3);
-        }
-        if (tel) {
+            tel->rollup().record_request(device_index != FleetRecord::kNoDevice
+                                             ? workers[device_index]->spec->id
+                                             : std::string("fleet"),
+                                         config_.streams[r.stream].name, now,
+                                         telemetry::Rollup::Outcome::shed, 0.0,
+                                         std::max(0.0, now - r.arrival_s) * 1e3);
             tel->async_end(tel_streams[r.stream], "request", r.id, now,
                            "\"outcome\":\"shed\",\"queued_ms\":" +
                                telemetry::jnum(std::max(0.0, now - r.arrival_s) * 1e3));
@@ -389,15 +386,12 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         w.observe_peak();
 
         auto row = serving::served_record(req, wait, result);
-        if (rollup) {
-            rollup->record_request(w.spec->id, config_.streams[req.stream].name,
-                                   w.device.now(),
-                                   row.missed ? telemetry::Rollup::Outcome::late
-                                              : telemetry::Rollup::Outcome::ok,
-                                   row.e2e_s * 1e3, wait * 1e3);
-        }
         if (tel) {
             const double done = w.device.now();
+            tel->rollup().record_request(w.spec->id, config_.streams[req.stream].name, done,
+                                         row.missed ? telemetry::Rollup::Outcome::late
+                                                    : telemetry::Rollup::Outcome::ok,
+                                         row.e2e_s * 1e3, wait * 1e3);
             tel->async_end(tel_streams[req.stream], "request", req.id, done,
                            std::string("\"outcome\":\"") +
                                (row.missed ? "missed" : "served") +

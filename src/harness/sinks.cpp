@@ -9,6 +9,7 @@
 
 #include "platform/presets.hpp"
 #include "prof/profiler.hpp"
+#include "telemetry/recorder.hpp"
 #include "util/ascii.hpp"
 #include "util/build_info.hpp"
 #include "util/csv.hpp"
@@ -55,42 +56,12 @@ double max_slo_ms(const EpisodeResult& r) {
 }
 
 // --- JSON helpers ------------------------------------------------------------
-// Hand-rolled emission: the documents are flat and small, and the repo takes
-// no dependencies. Strings get RFC 8259 escaping; non-finite numbers (which
-// JSON cannot represent) degrade to null.
+// Hand-rolled emission with the telemetry layer's helpers: strings get RFC
+// 8259 escaping; non-finite numbers (which JSON cannot represent) degrade to
+// null.
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    return out;
-}
-
-std::string jstr(const std::string& s) { return "\"" + json_escape(s) + "\""; }
-
-std::string jnum(double v) {
-    const auto s = util::format_double(v, 6);
-    if (s == "nan" || s == "inf" || s == "-inf") return "null";
-    return s;
-}
+using telemetry::jnum;
+using telemetry::jstr;
 
 std::string experiment_summary_json(const runtime::Summary& s) {
     std::string o = "{";

@@ -199,19 +199,16 @@ void EdgeDevice::publish_telemetry() {
     }
     const int track = tel_track_;
 
-    if (auto* rollup = tel->rollup()) {
-        // Fold the span since the last publication in under the OPP level
-        // and throttle state that held across it; the energy delta is the
-        // device's own integrator, so window sums reconcile exactly with
-        // energy_joules().
-        rollup->record_device_span(tel_label_, tel_rollup_t_, now_,
-                                   tel_rollup_level_, tel_rollup_throttled_,
-                                   energy_j_ - tel_rollup_energy_j_);
-        tel_rollup_t_ = now_;
-        tel_rollup_energy_j_ = energy_j_;
-        tel_rollup_level_ = cpu_level();
-        tel_rollup_throttled_ = cpu_throttle_.engaged() || gpu_throttle_.engaged();
-    }
+    // Fold the span since the last publication in under the OPP level and
+    // throttle state that held across it; the energy delta is the device's
+    // own integrator, so window sums reconcile exactly with energy_joules().
+    tel->rollup().record_device_span(tel_label_, tel_rollup_t_, now_, tel_rollup_level_,
+                                     tel_rollup_throttled_,
+                                     energy_j_ - tel_rollup_energy_j_);
+    tel_rollup_t_ = now_;
+    tel_rollup_energy_j_ = energy_j_;
+    tel_rollup_level_ = cpu_level();
+    tel_rollup_throttled_ = cpu_throttle_.engaged() || gpu_throttle_.engaged();
 
     if (cpu_level() != tel_cpu_level_ || gpu_level() != tel_gpu_level_) {
         tel_cpu_level_ = cpu_level();
@@ -241,13 +238,11 @@ void EdgeDevice::publish_telemetry() {
         tel->counter(track, "cpu_freq_mhz", now_, cpu_freq() / 1e6);
         tel->counter(track, "gpu_freq_mhz", now_, gpu_freq() / 1e6);
         tel->counter(track, "power_w", now_, last_power_.total());
-        if (auto* rollup = tel->rollup()) {
-            rollup->record_temp_sample(
-                tel_label_, now_, std::max(cpu_temp(), gpu_temp()),
-                std::min(spec_.cpu_throttle.trip_celsius - cpu_temp(),
-                         spec_.gpu_throttle.trip_celsius - gpu_temp()));
-        }
-        tel_next_sample_ = now_ + tel->sample_period_s();
+        tel->rollup().record_temp_sample(
+            tel_label_, now_, std::max(cpu_temp(), gpu_temp()),
+            std::min(spec_.cpu_throttle.trip_celsius - cpu_temp(),
+                     spec_.gpu_throttle.trip_celsius - gpu_temp()));
+        tel_next_sample_ = now_ + telemetry::kSamplePeriodS;
     }
 }
 

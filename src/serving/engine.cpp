@@ -178,7 +178,6 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
     // track ("streams" pseudo-process), breaches recorded against the
     // device so the flight recorder snapshots what the device was doing.
     auto* tel = telemetry::current();
-    auto* rollup = tel ? tel->rollup() : nullptr;
     int tel_dev = -1;
     int tel_queue = -1;
     std::vector<int> tel_streams;
@@ -199,13 +198,11 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
     };
 
     const auto record_shed = [&](Request&& r, double now) {
-        if (rollup) {
-            rollup->record_request(device.telemetry_label(),
-                                   config_.streams[r.stream].name, now,
-                                   telemetry::Rollup::Outcome::shed, 0.0,
-                                   std::max(0.0, now - r.arrival_s) * 1e3);
-        }
         if (tel) {
+            tel->rollup().record_request(device.telemetry_label(),
+                                         config_.streams[r.stream].name, now,
+                                         telemetry::Rollup::Outcome::shed, 0.0,
+                                         std::max(0.0, now - r.arrival_s) * 1e3);
             tel->async_end(tel_streams[r.stream], "request", r.id, now,
                            "\"outcome\":\"shed\",\"queued_ms\":" +
                                telemetry::jnum(std::max(0.0, now - r.arrival_s) * 1e3));
@@ -261,15 +258,13 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
             engine.run_frame(model, req.frame, governor, req.slo_s, iteration++, wait);
 
         auto row = served_record(req, wait, result);
-        if (rollup) {
-            rollup->record_request(device.telemetry_label(),
-                                   config_.streams[req.stream].name, device.now(),
-                                   row.missed ? telemetry::Rollup::Outcome::late
-                                              : telemetry::Rollup::Outcome::ok,
-                                   row.e2e_s * 1e3, wait * 1e3);
-        }
         if (tel) {
             const double done = device.now();
+            tel->rollup().record_request(device.telemetry_label(),
+                                         config_.streams[req.stream].name, done,
+                                         row.missed ? telemetry::Rollup::Outcome::late
+                                                    : telemetry::Rollup::Outcome::ok,
+                                         row.e2e_s * 1e3, wait * 1e3);
             tel->async_end(tel_streams[req.stream], "request", req.id, done,
                            std::string("\"outcome\":\"") +
                                (row.missed ? "missed" : "served") +

@@ -80,16 +80,9 @@ SuspendScope::~SuspendScope() { t_current = previous_; }
 // --- Recorder ----------------------------------------------------------------
 
 Recorder::Recorder(RecorderOptions opt) : opt_(opt) {
-    if (opt_.sample_period_s <= 0.0) {
-        throw std::invalid_argument("Recorder: sample_period_s must be > 0");
-    }
     if (opt_.ring_capacity == 0) {
         throw std::invalid_argument("Recorder: ring_capacity must be > 0");
     }
-    if (opt_.rollup_window_s <= 0.0) {
-        throw std::invalid_argument("Recorder: rollup_window_s must be > 0");
-    }
-    if (opt_.rollups) rollup_ = std::make_unique<Rollup>(opt_.rollup_window_s);
 }
 
 int Recorder::track(const std::string& process, const std::string& thread) {
@@ -358,10 +351,9 @@ std::string Recorder::manifest_json() const {
     o += util::build_info_json_fields();
     o += ",\"events\":" + std::to_string(log_.size());
     o += ",\"breaches\":" + std::to_string(breaches_.size());
-    o += ",\"sample_period_s\":" + jnum(opt_.sample_period_s);
+    o += ",\"sample_period_s\":" + jnum(kSamplePeriodS);
     o += ",\"ring_capacity\":" + std::to_string(opt_.ring_capacity);
-    o += ",\"rollups\":" + std::string(opt_.rollups ? "true" : "false");
-    o += ",\"rollup_window_s\":" + jnum(opt_.rollup_window_s);
+    o += ",\"rollup_window_s\":" + jnum(kRollupWindowS);
     o += ",\"tracks\":[";
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
         if (i != 0) o += ",";
@@ -374,16 +366,12 @@ std::string Recorder::manifest_json() const {
     return o;
 }
 
-std::string Recorder::rollup_json() const {
-    if (!rollup_) throw std::logic_error("Recorder::rollup_json: rollups are off");
-    return rollup_->rollup_json();
-}
+std::string Recorder::rollup_json() const { return rollup_.rollup_json(); }
 
 std::string Recorder::health_json() const {
-    if (!rollup_) throw std::logic_error("Recorder::health_json: rollups are off");
     std::map<std::string, std::uint64_t> breaches_by_process;
     for (const auto& b : breaches_) ++breaches_by_process[b.process];
-    return rollup_->health_json(breaches_by_process);
+    return rollup_.health_json(breaches_by_process);
 }
 
 void Recorder::write(const std::string& dir) const {
@@ -400,10 +388,8 @@ void Recorder::write(const std::string& dir) const {
     dump("metrics.csv", metrics_csv());
     dump("breaches.jsonl", breaches_jsonl());
     dump("manifest.json", manifest_json());
-    if (rollup_) {
-        dump("rollup.json", rollup_json());
-        dump("health.json", health_json());
-    }
+    dump("rollup.json", rollup_json());
+    dump("health.json", health_json());
 }
 
 } // namespace lotus::telemetry

@@ -30,7 +30,8 @@
 // Exporters (write(dir)): trace.json (Chrome trace-event JSON, loadable in
 // Perfetto / chrome://tracing), events.jsonl (one event per line),
 // metrics.csv (long-format counter time-series), breaches.jsonl (flight
-// recorder), manifest.json. All timestamps are simulated seconds; exports
+// recorder), manifest.json, plus the rollup's rollup.json and health.json
+// (rollup.hpp). All timestamps are simulated seconds; exports
 // are stable-sorted by time so files are monotonic even when an event is
 // recorded late (e.g. an arrival noticed after the clock passed it).
 
@@ -38,7 +39,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,18 +47,15 @@
 
 namespace lotus::telemetry {
 
+/// Cadence of the periodic device samples (temperatures, frequencies,
+/// power) [simulated seconds].
+inline constexpr double kSamplePeriodS = 0.25;
+/// Rollup window length [simulated seconds].
+inline constexpr double kRollupWindowS = 1.0;
+
 struct RecorderOptions {
-    /// Cadence of the periodic device samples (temperatures, frequencies,
-    /// power) [simulated seconds].
-    double sample_period_s = 0.25;
     /// Flight-recorder depth: events per process kept for breach snapshots.
     std::size_t ring_capacity = 32;
-    /// Streaming aggregation: fold request outcomes, device spans and
-    /// temperature samples into fixed-window rollups (rollup.json) and the
-    /// fleet health scoreboard (health.json). O(windows) memory.
-    bool rollups = true;
-    /// Rollup window length [simulated seconds].
-    double rollup_window_s = 1.0;
 };
 
 /// One recorded event. `phase` follows the Chrome trace-event letters:
@@ -114,13 +111,11 @@ public:
 
     [[nodiscard]] std::size_t event_count() const noexcept { return log_.size(); }
     [[nodiscard]] std::size_t breach_count() const noexcept { return breaches_.size(); }
-    [[nodiscard]] double sample_period_s() const noexcept { return opt_.sample_period_s; }
 
-    /// The streaming rollup accumulator, or nullptr when rollups are off.
-    /// Instrumentation sites feed it directly (same null-check discipline
-    /// as current()).
-    [[nodiscard]] Rollup* rollup() noexcept { return rollup_.get(); }
-    [[nodiscard]] const Rollup* rollup() const noexcept { return rollup_.get(); }
+    /// The streaming rollup accumulator (kRollupWindowS windows), fed
+    /// directly by the instrumentation sites.
+    [[nodiscard]] Rollup& rollup() noexcept { return rollup_; }
+    [[nodiscard]] const Rollup& rollup() const noexcept { return rollup_; }
 
     // --- exporters ----------------------------------------------------------
     /// Chrome trace-event JSON (object form with traceEvents + metadata);
@@ -134,14 +129,14 @@ public:
     /// One breach report per line, each with its event-ring snapshot.
     [[nodiscard]] std::string breaches_jsonl() const;
     [[nodiscard]] std::string manifest_json() const;
-    /// Windowed rollup time series (requires rollups on; throws otherwise).
+    /// Windowed rollup time series.
     [[nodiscard]] std::string rollup_json() const;
     /// Fleet health scoreboard, joining the rollup aggregates with the
-    /// flight recorder's per-process breach counts (requires rollups on).
+    /// flight recorder's per-process breach counts.
     [[nodiscard]] std::string health_json() const;
 
     /// Write all artifacts into `dir` (created if missing): the five raw
-    /// files, plus rollup.json and health.json when rollups are on.
+    /// files plus rollup.json and health.json.
     void write(const std::string& dir) const;
 
 private:
@@ -168,7 +163,7 @@ private:
     [[nodiscard]] std::vector<std::size_t> time_order() const;
 
     RecorderOptions opt_;
-    std::unique_ptr<Rollup> rollup_;
+    Rollup rollup_{kRollupWindowS};
     std::vector<Event> log_;
     std::vector<TrackInfo> tracks_;
     std::map<std::pair<std::string, std::string>, int> track_ids_;

@@ -13,17 +13,45 @@ namespace lotus::telemetry {
 
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// util::percentiles over `values`, or NaN (emitted as null) for every
+/// requested percentile when there are no samples.
+std::vector<double> quantiles(const std::vector<double>& values,
+                              const std::vector<double>& ps) {
+    if (values.empty()) return std::vector<double>(ps.size(), kNaN);
+    return util::percentiles(values, ps);
+}
+
+/// One per-window quantile object: sample count, exact extrema (p0/p100)
+/// and p50/p95/p99, all from one sort; null fields when empty.
+std::string quantile_json(const std::vector<double>& values) {
+    const auto q = quantiles(values, {0.0, 50.0, 95.0, 99.0, 100.0});
+    std::string o = "{\"count\":" + std::to_string(values.size());
+    o += ",\"min\":" + jnum(q[0]);
+    o += ",\"max\":" + jnum(q[4]);
+    o += ",\"p50\":" + jnum(q[1]);
+    o += ",\"p95\":" + jnum(q[2]);
+    o += ",\"p99\":" + jnum(q[3]);
+    o += "}";
+    return o;
+}
+
+void append(std::vector<double>& to, const std::vector<double>& from) {
+    to.insert(to.end(), from.begin(), from.end());
+}
+
 /// One scoreboard row being accumulated: the merge target for any subset
 /// of windows (a device, a stream, or the whole fleet).
 struct Agg {
     std::uint64_t ok = 0;
     std::uint64_t late = 0;
     std::uint64_t shed = 0;
-    HistSketch e2e_ms;
-    HistSketch queue_wait_ms;
+    std::vector<double> e2e_ms;
+    std::vector<double> queue_wait_ms;
     double energy_j = 0.0;
     double throttle_s = 0.0;
-    HistSketch temp_c;
+    std::vector<double> temp_c;
     double headroom_min_c = std::numeric_limits<double>::infinity();
     std::uint64_t breaches = 0;
 
@@ -35,30 +63,31 @@ struct Agg {
         ok += w.ok;
         late += w.late;
         shed += w.shed;
-        e2e_ms.merge(w.e2e_ms);
-        queue_wait_ms.merge(w.queue_wait_ms);
+        append(e2e_ms, w.e2e_ms);
+        append(queue_wait_ms, w.queue_wait_ms);
     }
     void add(const Rollup::DeviceWindow& w) {
         energy_j += w.energy_j;
         throttle_s += w.throttle_s;
-        temp_c.merge(w.temp_c);
+        append(temp_c, w.temp_c);
         headroom_min_c = std::min(headroom_min_c, w.headroom_min_c);
     }
     void add(const Agg& a) {
         ok += a.ok;
         late += a.late;
         shed += a.shed;
-        e2e_ms.merge(a.e2e_ms);
-        queue_wait_ms.merge(a.queue_wait_ms);
+        append(e2e_ms, a.e2e_ms);
+        append(queue_wait_ms, a.queue_wait_ms);
         energy_j += a.energy_j;
         throttle_s += a.throttle_s;
-        temp_c.merge(a.temp_c);
+        append(temp_c, a.temp_c);
         headroom_min_c = std::min(headroom_min_c, a.headroom_min_c);
         breaches += a.breaches;
     }
 
-    /// The shared scoreboard fields (no leading comma). Rates are null
-    /// when undefined (no requests / no samples) rather than fabricated.
+    /// The shared scoreboard fields (no leading comma). Rates and
+    /// quantiles are null when undefined (no requests / no samples) rather
+    /// than fabricated.
     [[nodiscard]] std::string fields() const {
         const auto n = requests();
         const double dn = static_cast<double>(n);
@@ -66,21 +95,21 @@ struct Agg {
         o += ",\"served\":" + std::to_string(served());
         o += ",\"shed\":" + std::to_string(shed);
         o += ",\"missed\":" + std::to_string(missed());
-        const double nan = std::numeric_limits<double>::quiet_NaN();
         o += ",\"attainment\":" +
-             jnum(n > 0 ? static_cast<double>(n - missed()) / dn : nan);
+             jnum(n > 0 ? static_cast<double>(n - missed()) / dn : kNaN);
         o += ",\"miss_rate\":" +
-             jnum(n > 0 ? static_cast<double>(missed()) / dn : nan);
+             jnum(n > 0 ? static_cast<double>(missed()) / dn : kNaN);
         o += ",\"shed_rate\":" +
-             jnum(n > 0 ? static_cast<double>(shed) / dn : nan);
-        o += ",\"e2e_p50_ms\":" + jnum(e2e_ms.empty() ? nan : e2e_ms.quantile(0.50));
-        o += ",\"e2e_p95_ms\":" + jnum(e2e_ms.empty() ? nan : e2e_ms.quantile(0.95));
-        o += ",\"e2e_p99_ms\":" + jnum(e2e_ms.empty() ? nan : e2e_ms.quantile(0.99));
-        o += ",\"queue_wait_p95_ms\":" +
-             jnum(queue_wait_ms.empty() ? nan : queue_wait_ms.quantile(0.95));
+             jnum(n > 0 ? static_cast<double>(shed) / dn : kNaN);
+        const auto e2e = quantiles(e2e_ms, {50.0, 95.0, 99.0});
+        o += ",\"e2e_p50_ms\":" + jnum(e2e[0]);
+        o += ",\"e2e_p95_ms\":" + jnum(e2e[1]);
+        o += ",\"e2e_p99_ms\":" + jnum(e2e[2]);
+        o += ",\"queue_wait_p95_ms\":" + jnum(quantiles(queue_wait_ms, {95.0})[0]);
         o += ",\"energy_j\":" + jnum(energy_j);
         o += ",\"throttle_s\":" + jnum(throttle_s);
-        o += ",\"peak_temp_c\":" + jnum(temp_c.empty() ? nan : temp_c.max());
+        o += ",\"peak_temp_c\":" +
+             jnum(temp_c.empty() ? kNaN : *std::max_element(temp_c.begin(), temp_c.end()));
         o += ",\"headroom_min_c\":" + jnum(headroom_min_c); // inf -> null
         o += ",\"breaches\":" + std::to_string(breaches);
         return o;
@@ -106,17 +135,17 @@ void Rollup::record_request(const std::string& device, const std::string& stream
     switch (outcome) {
         case Outcome::ok:
             ++win.ok;
-            win.e2e_ms.add(e2e_ms);
+            win.e2e_ms.push_back(e2e_ms);
             break;
         case Outcome::late:
             ++win.late;
-            win.e2e_ms.add(e2e_ms);
+            win.e2e_ms.push_back(e2e_ms);
             break;
         case Outcome::shed:
             ++win.shed;
             break;
     }
-    win.queue_wait_ms.add(wait_ms);
+    win.queue_wait_ms.push_back(wait_ms);
 }
 
 void Rollup::record_device_span(const std::string& device, double from_s,
@@ -145,7 +174,7 @@ void Rollup::record_device_span(const std::string& device, double from_s,
 void Rollup::record_temp_sample(const std::string& device, double t_s,
                                 double temp_c, double headroom_c) {
     auto& win = devices_[device][window_of(t_s)];
-    win.temp_c.add(temp_c);
+    win.temp_c.push_back(temp_c);
     win.headroom_min_c = std::min(win.headroom_min_c, headroom_c);
 }
 
@@ -174,7 +203,7 @@ std::string Rollup::rollup_json() const {
                 o += "[" + std::to_string(level) + "," + jnum(secs) + "]";
             }
             o += "],\"headroom_min_c\":" + jnum(win.headroom_min_c);
-            o += ",\"temp_c\":" + win.temp_c.json();
+            o += ",\"temp_c\":" + quantile_json(win.temp_c);
             o += "}";
         }
         o += "]}";
@@ -199,8 +228,8 @@ std::string Rollup::rollup_json() const {
                 o += ",\"served\":" + std::to_string(win.ok + win.late);
                 o += ",\"missed\":" + std::to_string(win.late + win.shed);
                 o += ",\"requests\":" + std::to_string(win.ok + win.late + win.shed);
-                o += ",\"e2e_ms\":" + win.e2e_ms.json();
-                o += ",\"queue_wait_ms\":" + win.queue_wait_ms.json();
+                o += ",\"e2e_ms\":" + quantile_json(win.e2e_ms);
+                o += ",\"queue_wait_ms\":" + quantile_json(win.queue_wait_ms);
                 o += "}";
             }
             o += "]}";

@@ -1,10 +1,11 @@
 #pragma once
 // Streaming fixed-window rollups: the aggregation layer between the raw
-// telemetry recorder and fleet-scale analysis. Where events.jsonl grows
-// with request count, the rollup keeps O(windows) state: every request
-// outcome, device power/OPP span and temperature sample is folded online
-// into per-(sim-time window x device x stream) accumulators built from
-// integer counters and mergeable HistSketch instances.
+// telemetry recorder and fleet-scale analysis. Every request outcome,
+// device power/OPP span and temperature sample is folded online into
+// per-(sim-time window x device x stream) accumulators: integer counters,
+// pro-rata energy/residency sums, and the exact samples behind each
+// quantile (one double per request or temperature sample, far less than
+// the event log the same recorder keeps).
 //
 // Window w covers sim time [w * window_s, (w + 1) * window_s); ids are
 // floor(t / window_s). All keys live in std::map so every export walks in
@@ -12,17 +13,18 @@
 // health.json are byte-identical across --jobs counts for the same
 // episode, like every other telemetry artifact.
 //
-// health.json is computed by MERGING the per-window sketches (the same
-// merge a future cross-shard reducer would run), so by HistSketch's exact
-// associativity the scoreboard quantiles are identical to a single sketch
-// fed every sample of the run.
+// Every quantile -- per window in rollup.json and per scoreboard row in
+// health.json -- comes from util::percentiles, the function and rank
+// convention the serving summaries use. health.json merges windows by
+// concatenating their samples; sorting makes the merge order irrelevant,
+// so a row's e2e p50/p95/p99 equal the matching episode summary's bit for
+// bit.
 
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
-
-#include "telemetry/sketch.hpp"
+#include <vector>
 
 namespace lotus::telemetry {
 
@@ -41,8 +43,8 @@ public:
         std::uint64_t ok = 0;
         std::uint64_t late = 0;
         std::uint64_t shed = 0;
-        HistSketch e2e_ms;        ///< completions only (ok + late)
-        HistSketch queue_wait_ms; ///< every outcome, sheds included
+        std::vector<double> e2e_ms;        ///< completions only (ok + late)
+        std::vector<double> queue_wait_ms; ///< every outcome, sheds included
     };
 
     /// Per-window physical accounting for one device.
@@ -51,11 +53,10 @@ public:
         double throttle_s = 0.0;
         /// Sim seconds spent at each OPP ladder level.
         std::map<std::size_t, double> opp_residency_s;
-        HistSketch temp_c;
+        std::vector<double> temp_c;
         /// Exact minimum thermal headroom (trip - temp) seen in-window;
         /// +inf (emitted as null) until the first sample lands.
         double headroom_min_c = std::numeric_limits<double>::infinity();
-        [[nodiscard]] bool has_temp() const { return !temp_c.empty(); }
     };
 
     explicit Rollup(double window_s);
@@ -91,12 +92,13 @@ public:
     }
 
     /// rollup.json: the full windowed time series (counters, residency and
-    /// sketch snapshots per window), schema-stamped via util::build_info.
+    /// count/min/max/p50/p95/p99 quantile objects per window),
+    /// schema-stamped via util::build_info.
     [[nodiscard]] std::string rollup_json() const;
 
     /// health.json: the fleet health scoreboard -- per-device, per-stream
-    /// and fleet-wide SLO attainment, latency quantiles from merged
-    /// sketches, thermal headroom minima, energy/throttle totals, breach
+    /// and fleet-wide SLO attainment, latency quantiles over the merged
+    /// window samples, thermal headroom minima, energy/throttle totals, breach
     /// counts (keyed by the recorder's per-process breach ledger) and
     /// load-balance skew (stddev/mean of per-device served, the
     /// FleetTrace::load_skew convention).

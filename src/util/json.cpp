@@ -110,8 +110,17 @@ private:
     JsonValue parse_value() {
         skip_ws();
         switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                // Bound the recursion before it can exhaust the stack.
+                if (++depth_ > kJsonMaxDepth) {
+                    fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+                         " levels");
+                }
+                auto v = peek() == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': {
                 JsonValue v;
                 v.type_ = JsonValue::Type::string;
@@ -297,6 +306,7 @@ private:
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< open arrays/objects around pos_
 };
 
 JsonValue json_parse(const std::string& text) {

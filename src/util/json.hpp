@@ -9,7 +9,9 @@
 // write fits), objects as insertion-ordered key/value vectors (iteration
 // order is the document order, deterministic by construction), errors as
 // std::runtime_error with a byte offset. Not a general-purpose validator
-// -- it accepts exactly RFC 8259 JSON and nothing more.
+// -- it accepts exactly RFC 8259 JSON and nothing more, nested at most
+// kJsonMaxDepth arrays/objects deep (the repo's artifacts nest <= 6), so a
+// hostile file cannot overflow the parser's stack.
 
 #include <cstddef>
 #include <stdexcept>
@@ -18,6 +20,9 @@
 #include <vector>
 
 namespace lotus::util {
+
+/// Deepest array/object nesting json_parse accepts.
+inline constexpr std::size_t kJsonMaxDepth = 256;
 
 class JsonValue {
 public:
@@ -61,7 +66,8 @@ private:
 };
 
 /// Parse one JSON document (throws std::runtime_error with a byte offset
-/// on malformed input, including trailing garbage).
+/// on malformed input, including trailing garbage and nesting deeper than
+/// kJsonMaxDepth).
 [[nodiscard]] JsonValue json_parse(const std::string& text);
 
 /// json_parse over a whole file (throws on unreadable path).

@@ -112,7 +112,6 @@ void expect_jobs_invariant_exports(const Scenario& scenario) {
             << serial[i].arm;
         // The aggregation layer rides along whenever telemetry is on, and
         // its artifacts obey the same jobs-invariance contract.
-        ASSERT_NE(serial[i].telemetry->rollup(), nullptr);
         EXPECT_EQ(serial[i].telemetry->rollup_json(), parallel[i].telemetry->rollup_json())
             << serial[i].arm;
         EXPECT_EQ(serial[i].telemetry->health_json(), parallel[i].telemetry->health_json())

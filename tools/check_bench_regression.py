@@ -22,7 +22,7 @@ than --threshold (10%) below the baseline's. It also fails when
 serve_saturation.matvec_calls (a deterministic count of single-sample
 Q-network forwards) exceeds the baseline's, re-asserts the correctness
 flags the bench already gated on (byte-identical JSON across ledger modes,
-telemetry, rollups and trace replay) and the queue gate (serve_overload
+telemetry recording and trace replay) and the queue gate (serve_overload
 wall_ratio <= 1.5: the overloaded run within 1.5x of the under-capacity
 one), so a stale or hand-edited trajectory file cannot slip through.
 
@@ -142,7 +142,6 @@ def main():
     flags = [
         ("summary_only_ledgers", "json_bit_identical"),
         ("telemetry_overhead", "json_bit_identical"),
-        ("rollup_overhead", "json_bit_identical"),
         ("trace_replay", "json_bit_identical"),
     ]
     for cell, flag in flags:

@@ -34,8 +34,10 @@ rollup.json (windowed rollups):
   * schema_version present, window_s > 0;
   * window ids strictly increasing per series, start_s == window * window_s;
   * per stream window: requests == ok + late + shed, served == ok + late,
-    missed == late + shed, e2e sketch count == served, queue-wait sketch
-    count == requests, sketch bucket counts sum to the sketch count;
+    missed == late + shed, e2e quantile count == served, queue-wait
+    quantile count == requests;
+  * every quantile object has a non-negative integer count and, when
+    count > 0, min <= p50 <= p95 <= p99 <= max;
   * per device window: throttle time and total OPP residency fit in the
     window;
   * totals reconcile with the sibling health.json's fleet row (counts
@@ -43,8 +45,13 @@ rollup.json (windowed rollups):
 
 --reconcile SUMMARY.csv additionally matches every health.json against the
 harness CSV sink's episode summary: the artifact path's <scenario>/<arm>
-directories identify the row (same sanitization rule as the sinks), and
-the fleet/aggregate request counts must agree exactly.
+directories identify the rows (same sanitization rule as the sinks). The
+fleet row must agree with the fleet/aggregate row, each stream row with the
+CSV row of that stream, and (fleet runs) each device row with the CSV row
+of that device: request counts exactly, and -- when anything was served --
+e2e p50/p95/p99 equal after rounding to the CSV's 3 decimals. Both files
+take their quantiles from the same samples and function, so any larger gap
+means the telemetry and the summaries disagree.
 
 Stdlib only; exit 0 when every file passes, 1 on validation failure,
 2 on unreadable/malformed input. Run by CI on the telemetry smoke step.
@@ -242,19 +249,24 @@ def check_health(path, errors):
 EPS = 1e-6
 
 
-def check_sketch(path, where, sketch, errors):
-    if not isinstance(sketch, dict):
-        fail(path, f"{where} is not a sketch object", errors)
+def check_quantiles(path, where, q, errors):
+    """A rollup quantile object; returns its count (0 when malformed)."""
+    if not isinstance(q, dict):
+        fail(path, f"{where} is not a quantile object", errors)
         return 0
-    count = sketch.get("count")
-    low = sketch.get("low", 0)
-    buckets = sketch.get("buckets")
-    if not isinstance(count, int) or not isinstance(buckets, list):
-        fail(path, f"{where} lacks count/buckets", errors)
+    count = q.get("count")
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        fail(path, f"{where} count is {count!r}, want a non-negative integer", errors)
         return 0
-    total = low + sum(b[1] for b in buckets if isinstance(b, list) and len(b) == 2)
-    if total != count:
-        fail(path, f"{where}: bucket counts {total} != count {count}", errors)
+    if count > 0:
+        chain = [q.get(k) for k in ("min", "p50", "p95", "p99", "max")]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in chain):
+            fail(path, f"{where}: count {count} but min/p50/p95/p99/max are {chain}",
+                 errors)
+        elif not chain[0] <= chain[1] <= chain[2] <= chain[3] <= chain[4]:
+            fail(path, f"{where}: expected min <= p50 <= p95 <= p99 <= max, got {chain}",
+                 errors)
     return count
 
 
@@ -302,7 +314,7 @@ def check_rollup(path, errors):
             residency = sum(r[1] for r in levels)
             if residency > window_s + EPS * (1 + len(levels)):
                 fail(path, f"{where}: OPP residency {residency} exceeds window", errors)
-            check_sketch(path, f"{where} temp_c", win.get("temp_c"), errors)
+            check_quantiles(path, f"{where} temp_c", win.get("temp_c"), errors)
     for st in doc.get("streams", []):
         name = f"{st.get('device', '?')}/{st.get('stream', '?')}"
         series = st.get("windows", [])
@@ -317,14 +329,15 @@ def check_rollup(path, errors):
                 fail(path, f"{where}: served != ok + late", errors)
             if win.get("missed") != late + shed:
                 fail(path, f"{where}: missed != late + shed", errors)
-            e2e_count = check_sketch(path, f"{where} e2e_ms", win.get("e2e_ms"), errors)
-            wait_count = check_sketch(path, f"{where} queue_wait_ms",
-                                      win.get("queue_wait_ms"), errors)
+            e2e_count = check_quantiles(path, f"{where} e2e_ms", win.get("e2e_ms"),
+                                        errors)
+            wait_count = check_quantiles(path, f"{where} queue_wait_ms",
+                                         win.get("queue_wait_ms"), errors)
             if e2e_count != win.get("served"):
-                fail(path, f"{where}: e2e sketch count {e2e_count} != served "
+                fail(path, f"{where}: e2e count {e2e_count} != served "
                            f"{win.get('served')}", errors)
             if wait_count != win.get("requests"):
-                fail(path, f"{where}: queue-wait sketch count {wait_count} != "
+                fail(path, f"{where}: queue-wait count {wait_count} != "
                            f"requests {win.get('requests')}", errors)
             for key in COUNT_KEYS:
                 totals[key] += win.get(key, 0)
@@ -464,37 +477,76 @@ def sanitize(name):
                    for c in name)
 
 
+# health.json quantile key -> summary.csv column.
+QUANTILE_COLUMNS = (("e2e_p50_ms", "p50_ms"), ("e2e_p95_ms", "p95_ms"),
+                    ("e2e_p99_ms", "p99_ms"))
+# summary.csv prints quantiles to 3 decimals; health.json to 6. A health
+# value within half a CSV unit (plus float slack for the 6-decimal
+# rendering sitting on a rounding boundary) rounds to the CSV's value.
+CSV_HALF_UNIT = 0.0005 + 1e-9
+
+
 def load_summary_rows(path):
-    """(sanitized scenario, sanitized arm) -> aggregate-count row."""
-    rows = {}
+    """(sanitized scenario, sanitized arm) -> {"fleet": row, "devices":
+    {label: row}, "streams": {label: row}} of count and quantile fields."""
+    episodes = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for row in csv.DictReader(fh):
-                if "scope" in row:
-                    if row["scope"] != "fleet":
-                        continue
-                elif row.get("stream") != "all":
-                    continue
+                if "scope" in row:  # fleet summary: scope fleet/device/stream
+                    scope, label = row["scope"], row["label"]
+                else:  # serving summary: the aggregate is stream "all"
+                    label = row["stream"]
+                    scope = "fleet" if label == "all" else "stream"
+                fields = {k: int(row[k]) for k in COUNT_KEYS}
+                fields.update({c: float(row[c]) for _, c in QUANTILE_COLUMNS})
                 key = (sanitize(row["scenario"]), sanitize(row["arm"]))
-                rows[key] = {k: int(row[k]) for k in COUNT_KEYS}
+                ep = episodes.setdefault(key, {"fleet": None, "devices": {},
+                                               "streams": {}})
+                if scope == "fleet":
+                    ep["fleet"] = fields
+                else:
+                    ep[scope + "s"][label] = fields
     except (OSError, ValueError, KeyError) as exc:
         print(f"check_trace_json: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(2)
-    return rows
+    return episodes
+
+
+def reconcile_row(path, where, row, expected, errors):
+    for k in COUNT_KEYS:
+        if row.get(k) != expected[k]:
+            fail(path, f"{where} {k} {row.get(k)} != summary.csv {expected[k]}", errors)
+    if expected["served"] == 0:
+        return  # the CSV prints 0 where health.json has no quantile (null)
+    for hkey, ckey in QUANTILE_COLUMNS:
+        h = row.get(hkey)
+        if not isinstance(h, (int, float)) or abs(h - expected[ckey]) > CSV_HALF_UNIT:
+            fail(path, f"{where} {hkey} {h!r} != summary.csv {ckey} {expected[ckey]}",
+                 errors)
 
 
 def reconcile_health(path, summary_rows, csv_path, errors):
     parts = os.path.normpath(os.path.abspath(path)).split(os.sep)
     key = tuple(parts[-3:-1])  # .../<scenario>/<arm>/health.json
     expected = summary_rows.get(key)
-    if expected is None:
+    if expected is None or expected["fleet"] is None:
         fail(path, f"no {csv_path} aggregate row for {key[0]}/{key[1]}", errors)
         return
-    fleet = load_json(path).get("fleet", {})
-    for k in COUNT_KEYS:
-        if fleet.get(k) != expected[k]:
-            fail(path, f"fleet {k} {fleet.get(k)} != summary.csv {expected[k]}",
-                 errors)
+    doc = load_json(path)
+    reconcile_row(path, "fleet", doc.get("fleet", {}), expected["fleet"], errors)
+    for row in doc.get("streams", []):
+        name = row.get("stream")
+        if name not in expected["streams"]:
+            fail(path, f"stream {name!r} has no summary.csv row", errors)
+            continue
+        reconcile_row(path, f"stream {name}", row, expected["streams"][name], errors)
+    # Device rows exist in fleet summaries only; health.json's router
+    # pseudo-device (dispatcher-level sheds) has no CSV row.
+    for row in doc.get("devices", []):
+        name = row.get("device")
+        if name in expected["devices"]:
+            reconcile_row(path, f"device {name}", row, expected["devices"][name], errors)
 
 
 # --- driver ------------------------------------------------------------------

@@ -96,8 +96,7 @@ std::vector<Episode> load_tree(const std::string& root) {
         episodes.push_back(std::move(ep));
     }
     if (episodes.empty()) {
-        usage_error("no health.json under '" + root +
-                    "' (was the run made with --telemetry and rollups on?)");
+        usage_error("no health.json under '" + root + "' (was the run made with --telemetry?)");
     }
     return episodes;
 }
@@ -215,10 +214,10 @@ int cmd_top(const std::vector<Episode>& episodes, const std::string& metric,
 
 // --- timeseries --------------------------------------------------------------
 
-/// Pull `metric` out of one rollup window object, resolving sketch-derived
-/// names (e2e_p95_ms -> windows[i].e2e_ms.p95) to their precomputed scalars.
+/// Pull `metric` out of one rollup window object, resolving quantile names
+/// (e2e_p95_ms -> windows[i].e2e_ms.p95) into the window's quantile objects.
 std::optional<double> window_metric(const JsonValue& win, const std::string& metric) {
-    static const std::map<std::string, std::pair<std::string, std::string>> sketched = {
+    static const std::map<std::string, std::pair<std::string, std::string>> quantiles = {
         {"e2e_p50_ms", {"e2e_ms", "p50"}},
         {"e2e_p95_ms", {"e2e_ms", "p95"}},
         {"e2e_p99_ms", {"e2e_ms", "p99"}},
@@ -230,13 +229,13 @@ std::optional<double> window_metric(const JsonValue& win, const std::string& met
         {"temp_p99_c", {"temp_c", "p99"}},
         {"temp_max_c", {"temp_c", "max"}},
     };
-    const auto it = sketched.find(metric);
-    if (it != sketched.end()) {
-        const auto* sketch = win.find(it->second.first);
-        if (!sketch) return std::nullopt;
-        // An empty sketch (e.g. a shed-only window's e2e) has no quantiles.
-        if (sketch->number_or("count", 0.0) == 0.0) return std::nullopt;
-        const double v = sketch->number_or(it->second.second, kNaN);
+    const auto it = quantiles.find(metric);
+    if (it != quantiles.end()) {
+        const auto* q = win.find(it->second.first);
+        if (!q) return std::nullopt;
+        // An empty sample (e.g. a shed-only window's e2e) has no quantiles.
+        if (q->number_or("count", 0.0) == 0.0) return std::nullopt;
+        const double v = q->number_or(it->second.second, kNaN);
         if (std::isnan(v)) return std::nullopt;
         return v;
     }

@@ -198,8 +198,6 @@ struct Cell {
     std::unique_ptr<harness::Scenario> scenario;
 };
 
-std::string json_escape(const std::string& s) { return telemetry::jstr(s); }
-
 std::vector<Cell> build_cells(const Options& opt) {
     const auto spec = cli::parse_device(kTool, opt.device);
     const auto kind = cli::parse_detector(kTool, opt.detector);
@@ -384,7 +382,7 @@ int main(int argc, char** argv) {
                 join(opt.traces.empty() ? opt.rates : opt.traces) + "]}";
         json << "{" << util::build_info_json_fields()
              << ",\"generator\":\"lotus_sweep\",\"cells\":" << total
-             << ",\"seed\":" << json_escape(std::to_string(opt.seed.value))
+             << ",\"seed\":" << telemetry::jstr(std::to_string(opt.seed.value))
              << ",\"axes\":" << axes << "}\n";
     }
 
@@ -414,13 +412,13 @@ int main(int argc, char** argv) {
                   std::to_string(t.migrations()),
                   util::format_double(t.load_skew(), 4)});
 
-        json << "{\"cell\":" << cell.index << ",\"name\":" << json_escape(cell.name)
+        json << "{\"cell\":" << cell.index << ",\"name\":" << telemetry::jstr(cell.name)
              << ",\"devices\":" << cell.devices
-             << ",\"router\":" << json_escape(cell.router)
-             << ",\"scheduler\":" << json_escape(cell.scheduler)
-             << ",\"governor\":" << json_escape(cell.governor)
-             << ",\"arrival\":" << json_escape(cell.arrival)
-             << ",\"episode_seed\":" << json_escape(seed_str) << ",\"summary\":{"
+             << ",\"router\":" << telemetry::jstr(cell.router)
+             << ",\"scheduler\":" << telemetry::jstr(cell.scheduler)
+             << ",\"governor\":" << telemetry::jstr(cell.governor)
+             << ",\"arrival\":" << telemetry::jstr(cell.arrival)
+             << ",\"episode_seed\":" << telemetry::jstr(seed_str) << ",\"summary\":{"
              << "\"requests\":" << agg.requests << ",\"served\":" << agg.served
              << ",\"shed\":" << agg.shed << ",\"missed\":" << agg.missed
              << ",\"miss_rate\":" << telemetry::jnum(agg.miss_rate)
