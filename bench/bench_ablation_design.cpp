@@ -27,7 +27,7 @@ int main() {
                 sc.config.iterations);
 
     const auto results = bench::run(sc);
-    bench::print_table_block("ablation arms", results);
+    harness::print_summary_table("ablation arms", results);
     bench::maybe_dump_csv(sc.name, results);
 
     std::printf("\nExpected shape: the full design attains the lowest sigma_l at\n"

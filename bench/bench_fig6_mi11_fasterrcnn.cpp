@@ -15,8 +15,8 @@ int main() {
     for (const char* name : {"fig6_visdrone", "fig6_kitti"}) {
         const auto& sc = bench::scenario(name);
         const auto results = bench::run(sc);
-        bench::print_figure(sc.title, results);
-        bench::print_table_block("summary", results);
+        harness::print_figure(sc.title, results);
+        harness::print_summary_table("summary", results);
         bench::maybe_dump_csv(sc.name, results);
         std::printf("\n");
     }

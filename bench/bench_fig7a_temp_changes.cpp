@@ -18,7 +18,7 @@ int main() {
                 iterations);
 
     const auto results = bench::run(sc);
-    bench::print_figure("Fig. 7a traces", results);
+    harness::print_figure("Fig. 7a traces", results);
 
     // Per-zone summaries: the paper's claim is fast, smooth adaptation at
     // each boundary.

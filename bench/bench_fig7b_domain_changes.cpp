@@ -21,7 +21,7 @@ int main() {
                 segments.at(1).latency_constraint_s * 1e3);
 
     const auto results = bench::run(sc);
-    bench::print_figure("Fig. 7b traces", results);
+    harness::print_figure("Fig. 7b traces", results);
 
     for (const auto& r : results) {
         const auto kitti = r.trace.summary(0, half);

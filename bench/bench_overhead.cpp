@@ -688,20 +688,19 @@ bool perf_trajectory() {
     const harness::ExperimentHarness fleet_h(perf_harness_config(/*summary_only=*/true));
     const auto prof_ab = profiler_ab_cpu_s(fleet_sc, fleet_h, profiler_pairs);
     const double overhead_pct = (prof_ab.on_off_ratio - 1.0) * 100.0;
-    const double scope_ns = prof::kCompiled ? scope_cost_s() * 1e9 : 0.0;
+    const double scope_ns = scope_cost_s() * 1e9;
     const double timer_cost_pct = static_cast<double>(prof_ab.scopes) * scope_ns * 1e-9 /
                                   std::max(prof_ab.off_cpu_s, 1e-9) * 100.0;
-    if (prof::kCompiled && timer_cost_pct > 2.0) {
+    if (timer_cost_pct > 2.0) {
         std::printf("FAIL: profiler timers cost %.2f%% of serve_fleet_saturation (> 2%%)\n",
                     timer_cost_pct);
         ok = false;
     }
     std::printf("profiler timers on serve_fleet_saturation: %llu scopes x %.1f ns = %.3f%% "
                 "of %.3fs CPU (A/B, not gated: %.3fs on, median of %d pair ratios "
-                "%.2f%%%s)\n\n",
+                "%.2f%%)\n\n",
                 static_cast<unsigned long long>(prof_ab.scopes), scope_ns, timer_cost_pct,
-                prof_ab.off_cpu_s, prof_ab.on_cpu_s, profiler_pairs, overhead_pct,
-                prof::kCompiled ? "" : "; profiler compiled out");
+                prof_ab.off_cpu_s, prof_ab.on_cpu_s, profiler_pairs, overhead_pct);
 
     // --- cell 5: sim-time telemetry recording overhead ----------------------
     // The hard gate is correctness: scenario JSON must be byte-identical with
@@ -857,7 +856,6 @@ bool perf_trajectory() {
        << "  \"build\": \"" << util::build_id() << "\",\n"
        << "  \"bench\": \"bench_overhead\",\n"
        << "  \"fast_mode\": " << (fast ? "true" : "false") << ",\n"
-       << "  \"profiling_compiled\": " << (prof::kCompiled ? "true" : "false") << ",\n"
        << "  \"cells\": {\n"
        << "    \"train_step\": {\"us_per_step\": " << json_num(train.us_per_step)
        << ", \"matvec_calls\": " << train.matvec_calls << ", \"allocs\": " << train.allocs

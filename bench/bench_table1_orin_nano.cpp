@@ -19,7 +19,7 @@ int main() {
                              "table1_mrcnn_kitti", "table1_mrcnn_visdrone"}) {
         const auto& sc = bench::scenario(name);
         const auto results = bench::run(sc);
-        bench::print_table_block(sc.title, results);
+        harness::print_summary_table(sc.title, results);
         bench::maybe_dump_csv(sc.name, results);
         std::printf("\n");
     }

@@ -18,7 +18,7 @@ int main() {
                              "table2_mrcnn_kitti", "table2_mrcnn_visdrone"}) {
         const auto& sc = bench::scenario(name);
         const auto results = bench::run(sc);
-        bench::print_table_block(sc.title, results);
+        harness::print_summary_table(sc.title, results);
         bench::maybe_dump_csv(sc.name, results);
         std::printf("\n");
     }

@@ -33,15 +33,6 @@ std::vector<EpisodeResult> run(const Scenario& s) { return shared_harness().run(
 
 std::vector<EpisodeResult> run(const std::string& name) { return run(scenario(name)); }
 
-void print_figure(const std::string& title, const std::vector<EpisodeResult>& results) {
-    harness::print_figure(title, results);
-}
-
-void print_table_block(const std::string& heading,
-                       const std::vector<EpisodeResult>& results) {
-    harness::print_summary_table(heading, results);
-}
-
 void maybe_dump_csv(const std::string& stem, const std::vector<EpisodeResult>& results) {
     if (!env_flag("LOTUS_BENCH_CSV")) return;
     harness::write_csv_traces("bench_out", stem, results);

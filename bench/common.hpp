@@ -26,11 +26,6 @@ using harness::Scenario;
 [[nodiscard]] std::vector<EpisodeResult> run(const Scenario& s);
 [[nodiscard]] std::vector<EpisodeResult> run(const std::string& name);
 
-/// Paper-style renderers (wrappers over the harness sinks).
-void print_figure(const std::string& title, const std::vector<EpisodeResult>& results);
-void print_table_block(const std::string& heading,
-                       const std::vector<EpisodeResult>& results);
-
 /// Dump raw traces to ./bench_out/<stem>_<arm>.csv when LOTUS_BENCH_CSV=1.
 void maybe_dump_csv(const std::string& stem, const std::vector<EpisodeResult>& results);
 

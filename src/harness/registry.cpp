@@ -847,13 +847,4 @@ std::vector<const Scenario*> ScenarioRegistry::with_tag(const std::string& tag) 
     return out;
 }
 
-std::vector<const Scenario*> ScenarioRegistry::with_prefix(const std::string& prefix) const {
-    std::vector<const Scenario*> out;
-    out.reserve(scenarios_.size());
-    for (const auto& s : scenarios_) {
-        if (s.name.rfind(prefix, 0) == 0) out.push_back(&s);
-    }
-    return out;
-}
-
 } // namespace lotus::harness

@@ -52,7 +52,6 @@ public:
     [[nodiscard]] const Scenario& at(const std::string& name) const;
 
     [[nodiscard]] std::vector<const Scenario*> with_tag(const std::string& tag) const;
-    [[nodiscard]] std::vector<const Scenario*> with_prefix(const std::string& prefix) const;
 
 private:
     std::vector<Scenario> scenarios_;

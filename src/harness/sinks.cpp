@@ -99,6 +99,53 @@ std::string serving_summary_json(const serving::ServingSummary& s) {
     return o;
 }
 
+/// One row of the printed serving/fleet table: `head`, the summary's cells
+/// from "req" to "E/req (J)", then `tail`.
+std::vector<std::string> table_row(std::vector<std::string> head,
+                                   const serving::ServingSummary& s,
+                                   std::initializer_list<std::string> tail = {}) {
+    head.insert(head.end(), {
+        std::to_string(s.requests),
+        std::to_string(s.served),
+        std::to_string(s.shed),
+        util::format_double(s.miss_rate * 100.0, 1),
+        util::format_double(s.shed_rate * 100.0, 1),
+        util::format_double(s.p50_ms, 1),
+        util::format_double(s.p95_ms, 1),
+        util::format_double(s.p99_ms, 1),
+        util::format_double(s.mean_wait_ms, 1),
+        util::format_double(s.throughput_rps, 2),
+        util::format_double(s.peak_device_temp_c, 1),
+        util::format_double(s.energy_per_req_j, 1),
+    });
+    head.insert(head.end(), tail);
+    return head;
+}
+
+/// One row of the serving/fleet `_summary.csv`: `head`, the summary's cells
+/// from "requests" to "peak_temp_c", then `tail`.
+std::vector<std::string> csv_row(std::vector<std::string> head,
+                                 const serving::ServingSummary& s,
+                                 std::initializer_list<std::string> tail = {}) {
+    head.insert(head.end(), {
+        std::to_string(s.requests),
+        std::to_string(s.served),
+        std::to_string(s.shed),
+        std::to_string(s.missed),
+        util::format_double(s.p50_ms, 3),
+        util::format_double(s.p95_ms, 3),
+        util::format_double(s.p99_ms, 3),
+        util::format_double(s.mean_wait_ms, 3),
+        util::format_double(s.miss_rate, 4),
+        util::format_double(s.shed_rate, 4),
+        util::format_double(s.throughput_rps, 4),
+        util::format_double(s.energy_per_req_j, 3),
+        util::format_double(s.peak_device_temp_c, 2),
+    });
+    head.insert(head.end(), tail);
+    return head;
+}
+
 } // namespace
 
 void print_summary_table(const std::string& heading,
@@ -137,22 +184,7 @@ void print_serving_table(const std::string& heading,
     for (const auto& r : results) {
         if (!r.serving_trace) continue;
         for (const auto& s : r.serving_trace->all_summaries()) {
-            table.add_row({
-                r.arm,
-                s.stream,
-                std::to_string(s.requests),
-                std::to_string(s.served),
-                std::to_string(s.shed),
-                util::format_double(s.miss_rate * 100.0, 1),
-                util::format_double(s.shed_rate * 100.0, 1),
-                util::format_double(s.p50_ms, 1),
-                util::format_double(s.p95_ms, 1),
-                util::format_double(s.p99_ms, 1),
-                util::format_double(s.mean_wait_ms, 1),
-                util::format_double(s.throughput_rps, 2),
-                util::format_double(s.peak_device_temp_c, 1),
-                util::format_double(s.energy_per_req_j, 1),
-            });
+            table.add_row(table_row({r.arm, s.stream}, s));
         }
     }
     std::printf("%s", table.render(heading).c_str());
@@ -172,26 +204,12 @@ void print_fleet_table(const std::string& heading,
             const auto& s = rows[i];
             const bool fleet_row = i == 0;
             const bool device_row = !fleet_row && i <= devices;
-            table.add_row({
-                r.arm,
-                device_row ? "dev:" + s.stream : s.stream,
-                std::to_string(s.requests),
-                std::to_string(s.served),
-                std::to_string(s.shed),
-                util::format_double(s.miss_rate * 100.0, 1),
-                util::format_double(s.shed_rate * 100.0, 1),
-                util::format_double(s.p50_ms, 1),
-                util::format_double(s.p95_ms, 1),
-                util::format_double(s.p99_ms, 1),
-                util::format_double(s.mean_wait_ms, 1),
-                util::format_double(s.throughput_rps, 2),
-                util::format_double(s.peak_device_temp_c, 1),
-                util::format_double(s.energy_per_req_j, 1),
-                fleet_row ? std::to_string(t.migrations())
-                          : (device_row ? std::to_string(t.device_stats(i - 1).migrations_out)
-                                        : "-"),
-                fleet_row ? util::format_double(t.load_skew(), 3) : "-",
-            });
+            table.add_row(table_row(
+                {r.arm, device_row ? "dev:" + s.stream : s.stream}, s,
+                {fleet_row ? std::to_string(t.migrations())
+                           : (device_row ? std::to_string(t.device_stats(i - 1).migrations_out)
+                                         : "-"),
+                 fleet_row ? util::format_double(t.load_skew(), 3) : "-"}));
         }
     }
     std::printf("%s", table.render(heading).c_str());
@@ -293,30 +311,15 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
                 const auto& s = rows[i];
                 const bool fleet_row = i == 0;
                 const bool device_row = !fleet_row && i <= devices;
-                csv.row(std::vector<std::string>{
-                    r.scenario,
-                    r.arm,
-                    fleet_row ? "fleet" : (device_row ? "device" : "stream"),
-                    s.stream,
-                    std::to_string(s.requests),
-                    std::to_string(s.served),
-                    std::to_string(s.shed),
-                    std::to_string(s.missed),
-                    util::format_double(s.p50_ms, 3),
-                    util::format_double(s.p95_ms, 3),
-                    util::format_double(s.p99_ms, 3),
-                    util::format_double(s.mean_wait_ms, 3),
-                    util::format_double(s.miss_rate, 4),
-                    util::format_double(s.shed_rate, 4),
-                    util::format_double(s.throughput_rps, 4),
-                    util::format_double(s.energy_per_req_j, 3),
-                    util::format_double(s.peak_device_temp_c, 2),
-                    fleet_row
-                        ? std::to_string(t.migrations())
-                        : (device_row ? std::to_string(t.device_stats(i - 1).migrations_out)
-                                      : ""),
-                    fleet_row ? util::format_double(t.load_skew(), 4) : "",
-                });
+                csv.row(csv_row(
+                    {r.scenario, r.arm,
+                     fleet_row ? "fleet" : (device_row ? "device" : "stream"), s.stream},
+                    s,
+                    {fleet_row
+                         ? std::to_string(t.migrations())
+                         : (device_row ? std::to_string(t.device_stats(i - 1).migrations_out)
+                                       : ""),
+                     fleet_row ? util::format_double(t.load_skew(), 4) : ""}));
             }
         }
     } else if (serving) {
@@ -328,24 +331,7 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
         for (const auto& r : results) {
             if (!r.serving_trace) continue;
             for (const auto& s : r.serving_trace->all_summaries()) {
-                csv.row(std::vector<std::string>{
-                    r.scenario,
-                    r.arm,
-                    s.stream,
-                    std::to_string(s.requests),
-                    std::to_string(s.served),
-                    std::to_string(s.shed),
-                    std::to_string(s.missed),
-                    util::format_double(s.p50_ms, 3),
-                    util::format_double(s.p95_ms, 3),
-                    util::format_double(s.p99_ms, 3),
-                    util::format_double(s.mean_wait_ms, 3),
-                    util::format_double(s.miss_rate, 4),
-                    util::format_double(s.shed_rate, 4),
-                    util::format_double(s.throughput_rps, 4),
-                    util::format_double(s.energy_per_req_j, 3),
-                    util::format_double(s.peak_device_temp_c, 2),
-                });
+                csv.row(csv_row({r.scenario, r.arm, s.stream}, s));
             }
         }
     } else {

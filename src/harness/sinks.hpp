@@ -112,8 +112,7 @@ public:
 /// Prints the internal profiler's report (hierarchical region timings +
 /// counters, see src/prof/) to stderr after each scenario, then resets the
 /// profiler so successive scenarios do not blend into one report. stderr
-/// keeps stdout byte-identical for table/JSON consumers. Prints a one-line
-/// notice when the profiler is compiled out (-DLOTUS_PROFILING=OFF).
+/// keeps stdout byte-identical for table/JSON consumers.
 /// Thread-safe: the report+reset pair is serialized, so concurrent
 /// scenarios cannot interleave their reports on stderr.
 class ProfileSink final : public ResultSink {

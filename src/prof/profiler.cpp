@@ -1,11 +1,8 @@
 // Profiler internals: thread-local accumulation logs, a process-global
 // registry that interns names and folds the logs of exited threads, and the
-// report renderer. Everything here compiles away when LOTUS_PROFILING=OFF
-// (the header's macros expand to no-ops, so nothing references this TU).
+// report renderer.
 
 #include "prof/profiler.hpp"
-
-#if defined(LOTUS_PROFILING_ENABLED) && LOTUS_PROFILING_ENABLED
 
 #include <algorithm>
 #include <atomic>
@@ -305,5 +302,3 @@ std::string report_text() {
 }
 
 } // namespace lotus::prof
-
-#endif // LOTUS_PROFILING_ENABLED

@@ -7,19 +7,12 @@
 // parent under which they were first entered, so the report renders as a
 // call tree with self-time (total minus time attributed to child regions).
 //
-// Two gates, one compile-time and one runtime:
-//
-//  * `LOTUS_PROFILING` (CMake option, default ON) defines
-//    LOTUS_PROFILING_ENABLED for the whole build. When OFF, every
-//    LOTUS_PROF_* macro expands to `((void)0)` and this header provides
-//    inline no-op stubs for the query API -- liblotus carries **zero**
-//    profiler symbols (CI verifies with `nm`).
-//
-//  * `prof::set_enabled(bool)` gates the *timers* at runtime (scoped-timer
-//    construction reads one relaxed atomic and takes no clock samples when
-//    disabled). Counters always count when compiled in: they are one
-//    thread-local integer add, and the bench gates (e.g. "batched RL math
-//    issues >= 2x fewer scalar matvecs") need them without timer noise.
+// The profiler is always compiled in. `prof::set_enabled(bool)` is the one
+// gate: it switches the *timers* at runtime (scoped-timer construction reads
+// one relaxed atomic and takes no clock samples when disabled). Counters
+// always count: they are one thread-local integer add, and the bench gates
+// (e.g. "batched RL math issues >= 2x fewer scalar matvecs") need them
+// without timer noise.
 //
 // Threading contract: timers and counters are safe from any thread at any
 // time. `capture()` / `report_text()` / `reset()` merge the thread-local
@@ -69,14 +62,6 @@ struct Report {
     std::vector<RegionReport> regions;
     std::vector<CounterReport> counters;
 };
-
-} // namespace lotus::prof
-
-#if defined(LOTUS_PROFILING_ENABLED) && LOTUS_PROFILING_ENABLED
-
-namespace lotus::prof {
-
-inline constexpr bool kCompiled = true;
 
 /// Index into the global region registry (stable for process lifetime).
 using RegionId = std::size_t;
@@ -136,28 +121,3 @@ void reset();
             ::lotus::prof::register_counter(name_literal);                               \
         ::lotus::prof::count(lotus_prof_cid_, static_cast<std::uint64_t>(delta));        \
     } while (false)
-
-#else // !LOTUS_PROFILING_ENABLED
-
-namespace lotus::prof {
-
-inline constexpr bool kCompiled = false;
-
-// Inline stubs keep callers (tools, bench, sinks) compiling unchanged; they
-// emit no symbols into liblotus because the library itself only uses the
-// macros below, which vanish.
-inline void set_enabled(bool) noexcept {}
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-[[nodiscard]] inline Report capture() { return {}; }
-[[nodiscard]] inline std::uint64_t counter_total(std::string_view) { return 0; }
-inline void reset() {}
-[[nodiscard]] inline std::string report_text() {
-    return "profiler compiled out (rebuild with -DLOTUS_PROFILING=ON)\n";
-}
-
-} // namespace lotus::prof
-
-#define LOTUS_PROF_SCOPE(name_literal) ((void)0)
-#define LOTUS_PROF_COUNT(name_literal, delta) ((void)0)
-
-#endif // LOTUS_PROFILING_ENABLED

@@ -161,14 +161,6 @@ void SlimmableMlp::zero_grad() noexcept {
     for (auto& layer : layers_) layer.zero_grad();
 }
 
-std::size_t SlimmableMlp::parameter_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& layer : layers_) {
-        n += layer.weights().size() + layer.bias().size();
-    }
-    return n;
-}
-
 void SlimmableMlp::copy_parameters_from(const SlimmableMlp& src) {
     if (src.layers_.size() != layers_.size()) {
         throw std::invalid_argument("copy_parameters_from: topology mismatch");

@@ -111,9 +111,6 @@ public:
     [[nodiscard]] std::vector<SlimmableLinear>& layers() noexcept { return layers_; }
     [[nodiscard]] const std::vector<SlimmableLinear>& layers() const noexcept { return layers_; }
 
-    /// Total parameter count (weights + biases), for overhead reporting.
-    [[nodiscard]] std::size_t parameter_count() const noexcept;
-
     /// Hard-copy the parameters of `src` (used for target-network sync).
     void copy_parameters_from(const SlimmableMlp& src);
 

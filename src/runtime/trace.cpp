@@ -26,31 +26,10 @@ std::vector<double> Trace::device_temps() const {
     return out;
 }
 
-std::vector<double> Trace::cpu_temps() const {
-    std::vector<double> out;
-    out.reserve(rows_.size());
-    for (const auto& r : rows_) out.push_back(r.cpu_temp);
-    return out;
-}
-
-std::vector<double> Trace::gpu_temps() const {
-    std::vector<double> out;
-    out.reserve(rows_.size());
-    for (const auto& r : rows_) out.push_back(r.gpu_temp);
-    return out;
-}
-
 std::vector<double> Trace::proposals() const {
     std::vector<double> out;
     out.reserve(rows_.size());
     for (const auto& r : rows_) out.push_back(static_cast<double>(r.proposals));
-    return out;
-}
-
-std::vector<double> Trace::stage2_ms() const {
-    std::vector<double> out;
-    out.reserve(rows_.size());
-    for (const auto& r : rows_) out.push_back(r.stage2_s * 1e3);
     return out;
 }
 

@@ -63,10 +63,7 @@ public:
     // Column extraction (for charts and stats).
     [[nodiscard]] std::vector<double> latencies_ms() const;
     [[nodiscard]] std::vector<double> device_temps() const;
-    [[nodiscard]] std::vector<double> cpu_temps() const;
-    [[nodiscard]] std::vector<double> gpu_temps() const;
     [[nodiscard]] std::vector<double> proposals() const;
-    [[nodiscard]] std::vector<double> stage2_ms() const;
 
     /// Summary over all rows (satisfaction uses each row's own constraint).
     [[nodiscard]] Summary summary() const;

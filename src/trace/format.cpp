@@ -15,6 +15,9 @@ namespace {
 /// this, so a larger length means the table bytes are garbage.
 constexpr std::uint32_t kMaxTableString = 1u << 16;
 
+/// Smallest stream-table entry: two u32 lengths plus slo_s and requests.
+constexpr std::uint64_t kMinStreamEntryBytes = 24;
+
 void put_u32(std::string& buf, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
@@ -168,6 +171,14 @@ Reader::Reader(const std::string& path) : path_(path) {
     info_.record_count = get_u64(h + 56);
     const std::uint32_t stream_count = get_u32(h + 64);
 
+    std::error_code ec;
+    const std::uint64_t size = std::filesystem::file_size(path, ec);
+    if (ec) fail(path_, "cannot stat file");
+    if (stream_count > (size - kHeaderBytes) / kMinStreamEntryBytes) {
+        fail(path_, "corrupt stream table (" + std::to_string(stream_count) +
+                        " streams declared, " + std::to_string(size - kHeaderBytes) +
+                        " bytes follow the header)");
+    }
     info_.streams.reserve(stream_count);
     for (std::uint32_t s = 0; s < stream_count; ++s) {
         StreamInfo si;
@@ -190,15 +201,13 @@ Reader::Reader(const std::string& path) : path_(path) {
     }
 
     data_offset_ = static_cast<std::uint64_t>(in_.tellg());
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    if (ec) fail(path_, "cannot stat file");
-    const auto expected = data_offset_ + info_.record_count * kRecordBytes;
-    if (size != expected) {
+    // Divide, never multiply: a corrupt record_count must not wrap in u64.
+    const std::uint64_t data_bytes = size - data_offset_;
+    if (data_bytes % kRecordBytes != 0 || data_bytes / kRecordBytes != info_.record_count) {
         fail(path_, "truncated or padded: header declares " +
-                        std::to_string(info_.record_count) + " records (" +
-                        std::to_string(expected) + " bytes), file has " +
-                        std::to_string(size) + " bytes");
+                        std::to_string(info_.record_count) + " records of " +
+                        std::to_string(kRecordBytes) + " bytes, file has " +
+                        std::to_string(data_bytes) + " bytes after the stream table");
     }
 }
 

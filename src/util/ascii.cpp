@@ -70,36 +70,25 @@ void AsciiChart::add_reference_line(double y, std::string label) {
     refs_.emplace_back(y, std::move(label));
 }
 
-void AsciiChart::set_y_range(double lo, double hi) {
-    if (!(lo < hi)) throw std::invalid_argument("AsciiChart: invalid y range");
-    y_lo_ = lo;
-    y_hi_ = hi;
-    explicit_range_ = true;
-}
-
 std::string AsciiChart::render(const std::string& title, const std::string& y_label) const {
     static constexpr char kGlyphs[] = {'*', 'o', '#', '%', '@', '+'};
 
-    double lo = y_lo_;
-    double hi = y_hi_;
-    if (!explicit_range_) {
-        lo = 1e300;
-        hi = -1e300;
-        for (const auto& s : series_) {
-            for (const double v : s.values) {
-                lo = std::min(lo, v);
-                hi = std::max(hi, v);
-            }
+    double lo = 1e300;
+    double hi = -1e300;
+    for (const auto& s : series_) {
+        for (const double v : s.values) {
+            lo = std::min(lo, v);
+            hi = std::max(hi, v);
         }
-        for (const auto& [y, name] : refs_) {
-            lo = std::min(lo, y);
-            hi = std::max(hi, y);
-        }
-        if (lo > hi) { lo = 0.0; hi = 1.0; }
-        const double pad = (hi - lo) * 0.05 + 1e-9;
-        lo -= pad;
-        hi += pad;
     }
+    for (const auto& [y, name] : refs_) {
+        lo = std::min(lo, y);
+        hi = std::max(hi, y);
+    }
+    if (lo > hi) { lo = 0.0; hi = 1.0; }
+    const double pad = (hi - lo) * 0.05 + 1e-9;
+    lo -= pad;
+    hi += pad;
 
     std::vector<std::string> grid(static_cast<std::size_t>(height_),
                                   std::string(static_cast<std::size_t>(width_), ' '));

@@ -45,18 +45,12 @@ public:
     /// paper's figures).
     void add_reference_line(double y, std::string label);
 
-    /// Explicit y-range; otherwise auto-fit to data and reference lines.
-    void set_y_range(double lo, double hi);
-
     [[nodiscard]] std::string render(const std::string& title = "",
                                      const std::string& y_label = "") const;
 
 private:
     int width_;
     int height_;
-    bool explicit_range_ = false;
-    double y_lo_ = 0.0;
-    double y_hi_ = 1.0;
     std::vector<Series> series_;
     std::vector<std::pair<double, std::string>> refs_;
 };

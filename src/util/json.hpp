@@ -34,10 +34,6 @@ public:
 
     [[nodiscard]] Type type() const noexcept { return type_; }
     [[nodiscard]] bool is_null() const noexcept { return type_ == Type::null; }
-    [[nodiscard]] bool is_number() const noexcept { return type_ == Type::number; }
-    [[nodiscard]] bool is_string() const noexcept { return type_ == Type::string; }
-    [[nodiscard]] bool is_array() const noexcept { return type_ == Type::array; }
-    [[nodiscard]] bool is_object() const noexcept { return type_ == Type::object; }
 
     /// Typed accessors throw std::runtime_error on a type mismatch.
     [[nodiscard]] bool as_bool() const;

@@ -91,10 +91,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
     return std::exp(normal(mu, sigma));
 }
 
-Rng Rng::fork() noexcept {
-    return Rng(next_u64());
-}
-
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
     if (k > n) throw std::invalid_argument("sample_indices: k > n");
     // Floyd's algorithm: O(k) expected, no O(n) scratch.

@@ -5,8 +5,8 @@
 // exploration, replay sampling, weight init) draw from a lotus::util::Rng so
 // that every experiment is exactly reproducible from a single seed. The
 // engine is SplitMix64 feeding xoshiro256++, which is fast, high quality and
-// trivially seedable -- we deliberately avoid std::mt19937 so that streams
-// can be forked cheaply (`fork()` derives an independent child stream).
+// trivially seedable -- we deliberately avoid std::mt19937 so that
+// independent streams are cheap to seed (`derive_seed` names each one).
 
 #include <array>
 #include <cstdint>
@@ -80,9 +80,6 @@ public:
 
     /// Log-normal: exp(N(mu, sigma)). Parameters are of the underlying normal.
     double lognormal(double mu, double sigma) noexcept;
-
-    /// Derive an independent child stream (stable given call order).
-    Rng fork() noexcept;
 
     /// Sample k distinct indices from [0, n) (k <= n), for replay sampling.
     std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);

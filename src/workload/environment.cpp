@@ -79,12 +79,4 @@ const DomainSegment& DomainSchedule::at(std::size_t iteration) const {
     return *seg;
 }
 
-bool DomainSchedule::is_switch_point(std::size_t iteration) const noexcept {
-    if (iteration == 0) return false;
-    for (const auto& s : segments_) {
-        if (s.first_iteration == iteration) return true;
-    }
-    return false;
-}
-
 } // namespace lotus::workload

@@ -60,9 +60,6 @@ public:
     [[nodiscard]] const DomainSegment& at(std::size_t iteration) const;
     [[nodiscard]] const std::vector<DomainSegment>& all() const noexcept { return segments_; }
 
-    /// True when `iteration` is the first iteration of a new segment (> 0).
-    [[nodiscard]] bool is_switch_point(std::size_t iteration) const noexcept;
-
 private:
     explicit DomainSchedule(std::vector<DomainSegment> segs);
 

@@ -9,7 +9,8 @@
 //  * Request lifecycle: every serving scenario, the heterogeneous fleet
 //    (per-device pretrain constraints), the fleet failure drain and a paper
 //    table cell (runner pretrain), in full-ledger mode, plus the per-request
-//    CSV ledgers of one serving and one fleet scenario.
+//    CSV ledgers, the `_summary.csv` and the printed summary table of one
+//    serving and one fleet scenario.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -60,6 +61,13 @@ std::string scenario_digest(const harness::Scenario& sc) {
     return json_digest(sc, run_scenario(sc, true));
 }
 
+std::string read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 /// Digest of every episode's write_csv ledger, concatenated in arm order.
 std::string ledger_digest(const std::vector<harness::EpisodeResult>& results) {
     const auto path = std::filesystem::temp_directory_path() /
@@ -71,13 +79,33 @@ std::string ledger_digest(const std::vector<harness::EpisodeResult>& results) {
         } else {
             r.serving_trace->write_csv(path.string());
         }
-        std::ifstream in(path, std::ios::binary);
-        std::ostringstream text;
-        text << in.rdbuf();
-        bytes += text.str();
+        bytes += read_file(path);
     }
     std::filesystem::remove(path);
     return util::fnv1a_hex(bytes);
+}
+
+/// Digest of the `<stem>_summary.csv` that write_csv_traces emits.
+std::string summary_csv_digest(const std::string& stem,
+                               const std::vector<harness::EpisodeResult>& results) {
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("lotus_golden_summary_" + std::to_string(::getpid()));
+    harness::write_csv_traces(dir.string(), stem, results, /*announce=*/false);
+    const auto bytes = read_file(dir / (stem + "_summary.csv"));
+    std::filesystem::remove_all(dir);
+    return util::fnv1a_hex(bytes);
+}
+
+/// Digest of the serving or fleet summary table as printed to stdout.
+std::string table_digest(const harness::Scenario& sc,
+                         const std::vector<harness::EpisodeResult>& results) {
+    ::testing::internal::CaptureStdout();
+    if (sc.is_fleet()) {
+        harness::print_fleet_table(sc.title, results);
+    } else {
+        harness::print_serving_table(sc.title, results);
+    }
+    return util::fnv1a_hex(::testing::internal::GetCapturedStdout());
 }
 
 const harness::ScenarioRegistry& fast_registry() {
@@ -134,16 +162,20 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
     struct Pin {
         const char* scenario;
         const char* json;
-        const char* ledger; // "" = CSV ledger not pinned
+        const char* ledger; // "" = CSV ledger, summary CSV and table not pinned
+        const char* summary_csv = "";
+        const char* table = "";
     };
     const Pin pinned[] = {
         {"serve_light", "a4e31a9203d8cad8", ""},
-        {"serve_saturation", "c3495244850f506e", "293a137bf0addaee"},
+        {"serve_saturation", "c3495244850f506e", "293a137bf0addaee", "18833f4f62250656",
+         "1183d7cb393f244b"},
         {"serve_burst_storm", "7fd4cb743dd8ef6c", ""},
         {"serve_mixed_slo", "7f203dd72fb574ea", ""},
         {"serve_diurnal", "79c2f7ea77315435", ""},
         {"serve_latency_attack", "3ea010a9369624b7", ""},
-        {"serve_fleet_hetero", "80213b67f3eb2697", "852c5f70c98febf1"},
+        {"serve_fleet_hetero", "80213b67f3eb2697", "852c5f70c98febf1", "7aaf01102b181ae9",
+         "40dd8ac94985dc2b"},
         {"serve_fleet_diurnal_holdout", "30a3035157548b10", ""},
         {"table1_frcnn_kitti", "1208fa59c5fa4e13", ""},
     };
@@ -153,6 +185,9 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
         EXPECT_EQ(json_digest(sc, results), pin.json) << pin.scenario;
         if (*pin.ledger != '\0') {
             EXPECT_EQ(ledger_digest(results), pin.ledger) << pin.scenario;
+            EXPECT_EQ(summary_csv_digest(pin.scenario, results), pin.summary_csv)
+                << pin.scenario;
+            EXPECT_EQ(table_digest(sc, results), pin.table) << pin.scenario;
         }
     }
 }

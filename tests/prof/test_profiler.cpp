@@ -1,11 +1,6 @@
 // Internal profiler contract (src/prof/): RAII region timers, monotonic
 // counters, per-thread accumulation merged at capture, first-seen parent
 // hierarchy, runtime timer gate, reset semantics and the text report.
-//
-// The whole suite is compiled against whatever LOTUS_PROFILING the build
-// chose: with profiling ON it exercises the real implementation; with
-// profiling OFF it pins down the header-only stub contract (everything
-// no-ops, report_text says so) -- the same binary API either way.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +11,6 @@
 
 namespace lotus::prof {
 namespace {
-
-#if defined(LOTUS_PROFILING_ENABLED) && LOTUS_PROFILING_ENABLED
 
 /// Every test starts from zeroed state with timers off and leaves the
 /// process the same way (the registry is process-global).
@@ -181,28 +174,6 @@ TEST_F(ProfilerTest, ReportTextRendersRegionsAndCounters) {
     reset();
     EXPECT_NE(report_text().find("no profile samples recorded"), std::string::npos);
 }
-
-TEST_F(ProfilerTest, CompileGateIsOn) {
-    EXPECT_TRUE(kCompiled);
-}
-
-#else // !LOTUS_PROFILING_ENABLED
-
-TEST(ProfilerStubTest, EverythingNoOpsWhenCompiledOut) {
-    EXPECT_FALSE(kCompiled);
-    set_enabled(true);
-    EXPECT_FALSE(enabled()); // the stub never turns on
-    LOTUS_PROF_SCOPE("test.stub");
-    LOTUS_PROF_COUNT("test.stub_counter", 5);
-    EXPECT_EQ(counter_total("test.stub_counter"), 0u);
-    const auto report = capture();
-    EXPECT_TRUE(report.regions.empty());
-    EXPECT_TRUE(report.counters.empty());
-    EXPECT_NE(report_text().find("compiled out"), std::string::npos);
-    reset();
-}
-
-#endif // LOTUS_PROFILING_ENABLED
 
 } // namespace
 } // namespace lotus::prof

@@ -512,7 +512,6 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(c.batch_size);
     });
 
-#if defined(LOTUS_PROFILING_ENABLED) && LOTUS_PROFILING_ENABLED
 // rl.train_batch splits into four phase regions, each entered once per
 // batched step under it, and the phases' totals never exceed the parent's.
 TEST(DqnProfilerRegions, TrainBatchPhasesNestUnderTrainBatch) {
@@ -562,7 +561,6 @@ TEST(DqnProfilerRegions, TrainBatchPhasesNestUnderTrainBatch) {
     EXPECT_LE(children_ns, report.regions[parent].total_ns);
     EXPECT_EQ(children_ns, report.regions[parent].child_ns);
 }
-#endif
 
 } // namespace
 } // namespace lotus::rl

@@ -130,14 +130,6 @@ TEST(SlimmableMlp, CopyParametersMakesNetsAgree) {
     EXPECT_EQ(a.forward(x, 1.0), b.forward(x, 1.0));
 }
 
-TEST(SlimmableMlp, ParameterCount) {
-    MlpConfig cfg;
-    cfg.dims = {3, 5, 2};
-    SlimmableMlp net(cfg);
-    // (3*5 + 5) + (5*2 + 2) = 20 + 12
-    EXPECT_EQ(net.parameter_count(), 32u);
-}
-
 /// End-to-end finite-difference gradient check through the whole MLP.
 void gradcheck_mlp(double width, std::uint64_t seed) {
     MlpConfig cfg;

@@ -79,7 +79,7 @@ TEST(Trace, ColumnExtraction) {
     EXPECT_EQ(t.latencies_ms(), (std::vector<double>{400, 500}));
     EXPECT_EQ(t.device_temps(), (std::vector<double>{65, 65}));
     EXPECT_EQ(t.proposals(), (std::vector<double>{100, 101}));
-    EXPECT_NEAR(t.stage2_ms()[0], 80.0, 1e-9);
+    EXPECT_NEAR(t[0].stage2_s * 1e3, 80.0, 1e-9);
 }
 
 TEST(Trace, ThrottledFraction) {

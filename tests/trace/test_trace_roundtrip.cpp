@@ -330,6 +330,48 @@ TEST(TraceFormat, ReaderRejectsGarbageStreamTable) {
     EXPECT_THROW(Reader reader(path), std::runtime_error);
 }
 
+/// Overwrite `n` little-endian bytes of `path` at `offset` with `value`.
+void patch_le(const std::string& path, std::streamoff offset, std::uint64_t value, int n) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(offset);
+    for (int i = 0; i < n; ++i) f.put(static_cast<char>((value >> (8 * i)) & 0xff));
+}
+
+/// Reading `path` must throw a std::runtime_error whose message names the
+/// file and contains `what`.
+void expect_reader_error(const std::string& path, const std::string& what) {
+    try {
+        Reader reader(path);
+        FAIL() << "corrupt trace accepted: " << reader.info().record_count << " records";
+    } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(path), std::string::npos) << msg;
+        EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    }
+}
+
+TEST(TraceFormat, ReaderRejectsOverflowingRecordCount) {
+    // count + 2^58 records of 64 bytes wraps back to the true byte count in
+    // u64 arithmetic, so a size check that multiplies passes it.
+    const TempDir dir("countwrap");
+    const auto path = dir.file("t.ltrc");
+    synth_trace(path, serving_streams(4), 1);
+    const std::uint64_t count = Reader(path).info().record_count;
+    ASSERT_GT(count, 0u);
+    patch_le(path, 56, count + (std::uint64_t{1} << 58), 8);
+    expect_reader_error(path, "records");
+}
+
+TEST(TraceFormat, ReaderRejectsStreamCountBeyondFile) {
+    // Every stream-table entry takes at least 24 bytes, so a count the file
+    // cannot hold is rejected before anything is allocated for it.
+    const TempDir dir("streamcount");
+    const auto path = dir.file("t.ltrc");
+    synth_trace(path, serving_streams(4), 1);
+    patch_le(path, 64, 0xFFFFFFF0u, 4);
+    expect_reader_error(path, "corrupt stream table");
+}
+
 TEST(TraceFormat, WriterRejectsOutOfRangeStreamId) {
     const TempDir dir("badstream");
     Writer writer(dir.file("t.ltrc"), two_streams());

@@ -125,12 +125,6 @@ TEST(AsciiChart, RejectsTinyGrid) {
     EXPECT_THROW(AsciiChart(4, 2), std::invalid_argument);
 }
 
-TEST(AsciiChart, ExplicitRangeValidated) {
-    AsciiChart chart(40, 8);
-    EXPECT_THROW(chart.set_y_range(5.0, 5.0), std::invalid_argument);
-    EXPECT_NO_THROW(chart.set_y_range(0.0, 10.0));
-}
-
 TEST(AsciiChart, MultipleSeriesDistinctGlyphs) {
     AsciiChart chart(40, 8);
     chart.add_series({"a", {1, 1, 1}});

@@ -166,8 +166,6 @@ TEST(DomainSchedule, ConstantSchedule) {
     EXPECT_EQ(s.at(0).dataset, "KITTI");
     EXPECT_EQ(s.at(12345).dataset, "KITTI");
     EXPECT_DOUBLE_EQ(s.at(0).latency_constraint_s, 0.45);
-    EXPECT_FALSE(s.is_switch_point(0));
-    EXPECT_FALSE(s.is_switch_point(100));
 }
 
 TEST(DomainSchedule, SegmentsSwitch) {
@@ -179,8 +177,6 @@ TEST(DomainSchedule, SegmentsSwitch) {
     EXPECT_EQ(s.at(1499).dataset, "KITTI");
     EXPECT_EQ(s.at(1500).dataset, "VisDrone2019");
     EXPECT_DOUBLE_EQ(s.at(2000).latency_constraint_s, 0.56);
-    EXPECT_TRUE(s.is_switch_point(1500));
-    EXPECT_FALSE(s.is_switch_point(1499));
 }
 
 TEST(DomainSchedule, Validation) {

@@ -154,9 +154,7 @@ inline void reject_chart_with_json(const std::string& tool, const RenderOptions&
 }
 
 /// Turn the profiler's runtime timer gate on when --profile was passed
-/// (call before the run so episodes are sampled). Harmless no-op in
-/// profiling-OFF builds; the ProfileSink then prints the compiled-out
-/// notice.
+/// (call before the run so episodes are sampled).
 inline void apply_profile_flag(const RenderOptions& opt) {
     if (opt.profile) prof::set_enabled(true);
 }
