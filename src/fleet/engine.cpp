@@ -192,61 +192,24 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     for (const auto& d : config_.devices) device_names.push_back(d.id);
     std::vector<std::string> stream_names;
     for (const auto& s : config_.streams) stream_names.push_back(s.name);
-    FleetTrace trace(std::move(device_names), std::move(stream_names),
-                     config_.capture_rows);
+    FleetTrace trace(device_names, std::move(stream_names), config_.capture_rows);
     trace.reserve(requests.size());
 
     auto router = make_router(config_.router);
 
-    // Routing decisions live on the "fleet"/"router" track; request spans on
-    // their stream tracks; per-device breaches against the device so the
-    // flight recorder snapshots what that device was doing.
+    // Routing, migration and failure instants live on the "fleet"/"router"
+    // track; the request lifecycle is the serving layer's emitter.
     auto* tel = telemetry::current();
-    int tel_router = -1;
-    std::vector<int> tel_streams;
-    std::vector<std::size_t> tel_depths(workers.size(),
-                                        static_cast<std::size_t>(-1));
-    if (tel) {
-        tel_router = tel->track("fleet", "router");
-        tel_streams.reserve(config_.streams.size());
-        for (const auto& s : config_.streams) {
-            tel_streams.push_back(tel->track("streams", s.name));
-        }
-    }
+    const int tel_router = tel ? tel->track("fleet", "router") : -1;
+    serving::RequestTelemetry req_tel(config_.streams, std::move(device_names));
+    static_assert(FleetRecord::kNoDevice == serving::RequestTelemetry::kNoDevice);
     const auto tel_queue_depth = [&](std::size_t index, double t) {
-        if (!tel) return;
-        auto& w = *workers[index];
-        if (w.pending() == tel_depths[index]) return;
-        tel_depths[index] = w.pending();
-        tel->counter(tel->track(w.spec->id, "queue"), "queue_depth", t,
-                     static_cast<double>(w.pending()));
+        req_tel.queue_depth(index, t, workers[index]->pending());
     };
 
     const auto record_shed = [&](const serving::Request& r, double now,
                                  std::size_t device_index) {
-        if (tel) {
-            // Router-level sheds (no live device) roll up under the
-            // "fleet" pseudo-device, matching their breach track.
-            tel->rollup().record_request(device_index != FleetRecord::kNoDevice
-                                             ? workers[device_index]->spec->id
-                                             : std::string("fleet"),
-                                         config_.streams[r.stream].name, now,
-                                         telemetry::Rollup::Outcome::shed, 0.0,
-                                         std::max(0.0, now - r.arrival_s) * 1e3);
-            tel->async_end(tel_streams[r.stream], "request", r.id, now,
-                           "\"outcome\":\"shed\",\"queued_ms\":" +
-                               telemetry::jnum(std::max(0.0, now - r.arrival_s) * 1e3));
-            const bool on_device = device_index != FleetRecord::kNoDevice;
-            const int breach_track =
-                on_device ? tel->track(workers[device_index]->spec->id, "platform")
-                          : tel_router;
-            tel->breach(breach_track, "shed", r.id, now,
-                        "\"stream\":" + telemetry::jstr(config_.streams[r.stream].name) +
-                            ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3) +
-                            ",\"device\":" +
-                            (on_device ? telemetry::jstr(workers[device_index]->spec->id)
-                                       : std::string("null")));
-        }
+        req_tel.shed(device_index, r, now);
         double cpu_temp = 0.0;
         double gpu_temp = 0.0;
         if (device_index != FleetRecord::kNoDevice) {
@@ -374,38 +337,13 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
 
         serving::Request req = std::move(*decision.next);
         const double wait = std::max(0.0, now - req.arrival_s);
-        if (tel) {
-            tel->instant(tel->track(w.spec->id, "queue"), "dispatch", now,
-                         "\"request_id\":" + std::to_string(req.id) +
-                             ",\"stream\":" +
-                             telemetry::jstr(config_.streams[req.stream].name) +
-                             ",\"queue_wait_ms\":" + telemetry::jnum(wait * 1e3));
-        }
+        req_tel.dispatch(index, req, now, wait);
         const auto result = w.engine.run_frame(model, req.frame, *w.governor, req.slo_s,
                                                w.iteration++, wait);
         w.observe_peak();
 
         auto row = serving::served_record(req, wait, result);
-        if (tel) {
-            const double done = w.device.now();
-            tel->rollup().record_request(w.spec->id, config_.streams[req.stream].name, done,
-                                         row.missed ? telemetry::Rollup::Outcome::late
-                                                    : telemetry::Rollup::Outcome::ok,
-                                         row.e2e_s * 1e3, wait * 1e3);
-            tel->async_end(tel_streams[req.stream], "request", req.id, done,
-                           std::string("\"outcome\":\"") +
-                               (row.missed ? "missed" : "served") +
-                               "\",\"device\":" + telemetry::jstr(w.spec->id) +
-                               ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
-            if (row.missed) {
-                tel->breach(tel->track(w.spec->id, "platform"), "slo_miss", req.id, done,
-                            "\"stream\":" +
-                                telemetry::jstr(config_.streams[req.stream].name) +
-                                ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
-                                ",\"slo_ms\":" + telemetry::jnum(req.slo_s * 1e3) +
-                                ",\"device\":" + telemetry::jstr(w.spec->id));
-            }
-        }
+        req_tel.served(index, row, w.device.now());
         trace.add(FleetRecord{std::move(row), index, migrated[req.id] != 0});
         w.expected_service_s = serving::update_expected_service(w.expected_service_s,
                                                                 result.latency_s);
@@ -467,10 +405,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             // the moment the dispatcher acts at or after that instant.
             if (!w.drained && !w.alive(t_arr) && w.pending() > 0) withdraw(i);
         }
-        if (tel) {
-            tel->async_begin(tel_streams[req.stream], "request", req.id, req.arrival_s,
-                             "\"slo_ms\":" + telemetry::jnum(req.slo_s * 1e3));
-        }
+        req_tel.arrival(req);
         route_request(std::move(req), t_arr, Router::npos);
     }
 

@@ -33,9 +33,10 @@
 // The per-request lifecycle is the serving layer's (serving/engine.hpp):
 // stream validation, the replayed-or-generated timeline, the served and shed
 // ledger rows, the expected-service EWMA, and runtime::pretrain for the
-// per-device warm-up. What stays fleet-only: routing, migration, failure
-// drains, the expected-service prior seeded from the pretrain constraint,
-// the `device` field on telemetry events and the `<id>/pretrain/<dataset>`
+// per-device warm-up, and its RequestTelemetry for the request spans,
+// breaches and queue depths. What stays fleet-only: routing, migration,
+// failure drains (and their router instants), the expected-service prior
+// seeded from the pretrain constraint and the `<id>/pretrain/<dataset>`
 // seed namespace.
 //
 // run() is const and reentrant: every call builds its own devices,

@@ -190,6 +190,7 @@ void FleetTrace::write_csv(const std::string& path) const {
             util::format_double(r.row.energy_j, 4),
         });
     }
+    csv.close();
 }
 
 } // namespace lotus::fleet

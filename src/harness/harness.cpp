@@ -46,9 +46,7 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
     // so the recorder needs no locks, and its content is a pure function of
     // the episode identity (byte-identical across --jobs counts).
     std::shared_ptr<telemetry::Recorder> recorder;
-    if (config_.telemetry) {
-        recorder = std::make_shared<telemetry::Recorder>(config_.telemetry_options);
-    }
+    if (config_.telemetry) recorder = std::make_shared<telemetry::Recorder>();
     telemetry::BindScope bind(recorder.get());
 
     // Trace capture/replay applies to episodes with a request timeline

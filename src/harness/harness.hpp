@@ -46,9 +46,6 @@ struct HarnessConfig {
     /// function of the episode's identity -- byte-identical across --jobs
     /// counts. Off by default: disabled runs carry no recorder at all.
     bool telemetry = false;
-    /// Tuning for per-episode recorders (sample cadence, ring capacity);
-    /// only consulted when `telemetry` is on.
-    telemetry::RecorderOptions telemetry_options = {};
     /// Record every serving/fleet episode's request timeline as a compact
     /// binary trace at <trace_dir>/<scenario>/<NN>_<arm>.ltrc (NN = arm
     /// index; names sanitized like every other artifact). Empty disables

@@ -322,6 +322,7 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
                      fleet_row ? util::format_double(t.load_skew(), 4) : ""}));
             }
         }
+        csv.close();
     } else if (serving) {
         util::CsvWriter csv(summary_path,
                             {"scenario", "arm", "stream", "requests", "served", "shed",
@@ -334,6 +335,7 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
                 csv.row(csv_row({r.scenario, r.arm, s.stream}, s));
             }
         }
+        csv.close();
     } else {
         util::CsvWriter csv(summary_path,
                             {"scenario", "arm", "frames", "mean_latency_ms",
@@ -354,6 +356,7 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
                 util::format_double(s.throttled_fraction, 4),
             });
         }
+        csv.close();
     }
     if (announce) std::fprintf(stderr, "[csv] wrote %s\n", summary_path.c_str());
 }

@@ -123,7 +123,7 @@ public:
 
 /// Writes each episode's captured sim-time telemetry (see src/telemetry/)
 /// under <dir>/<scenario>/<arm>/: trace.json (Perfetto / chrome://tracing),
-/// events.jsonl, metrics.csv, breaches.jsonl and manifest.json. Arm names
+/// breaches.jsonl, manifest.json, rollup.json and health.json. Arm names
 /// that sanitize to the same directory are suffixed in declaration order
 /// (same rule as write_csv_traces). Episodes carrying no recorder --
 /// HarnessConfig::telemetry off -- are skipped silently.

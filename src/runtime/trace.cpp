@@ -109,6 +109,7 @@ void Trace::write_csv(const std::string& path) const {
             r.dataset,
         });
     }
+    csv.close();
 }
 
 } // namespace lotus::runtime

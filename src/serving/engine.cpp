@@ -85,6 +85,78 @@ double update_expected_service(double expected_s, double latency_s) {
                              : (1.0 - kServiceEwma) * expected_s + kServiceEwma * latency_s;
 }
 
+RequestTelemetry::RequestTelemetry(const std::vector<StreamSpec>& streams,
+                                   std::vector<std::string> devices)
+    : tel_(telemetry::current()), streams_(streams), devices_(std::move(devices)),
+      depths_(devices_.size(), static_cast<std::size_t>(-1)) {
+    if (!tel_) return;
+    stream_tracks_.reserve(streams.size());
+    for (const auto& s : streams) stream_tracks_.push_back(tel_->track("streams", s.name));
+}
+
+void RequestTelemetry::arrival(const Request& r) {
+    if (!tel_) return;
+    // The span opens at the true arrival instant, possibly a hair before the
+    // clock that noticed it; the trace is time-sorted, so it stays monotonic.
+    tel_->async_begin(stream_tracks_[r.stream], "request", r.id, r.arrival_s,
+                      "\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
+}
+
+void RequestTelemetry::dispatch(std::size_t device, const Request& r, double now_s,
+                                double wait_s) {
+    if (!tel_) return;
+    tel_->instant(tel_->track(devices_[device], "queue"), "dispatch", now_s,
+                  "\"request_id\":" + std::to_string(r.id) +
+                      ",\"stream\":" + telemetry::jstr(streams_[r.stream].name) +
+                      ",\"queue_wait_ms\":" + telemetry::jnum(wait_s * 1e3));
+}
+
+void RequestTelemetry::served(std::size_t device, const ServingRecord& row, double done_s) {
+    if (!tel_) return;
+    const auto& label = devices_[device];
+    const auto& stream = streams_[row.stream].name;
+    const auto device_arg = ",\"device\":" + telemetry::jstr(label);
+    tel_->rollup().record_request(label, stream, done_s,
+                                  row.missed ? telemetry::Rollup::Outcome::late
+                                             : telemetry::Rollup::Outcome::ok,
+                                  row.e2e_s * 1e3, row.queue_wait_s * 1e3);
+    tel_->async_end(stream_tracks_[row.stream], "request", row.request_id, done_s,
+                    std::string("\"outcome\":\"") + (row.missed ? "missed" : "served") +
+                        "\"" + device_arg + ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
+    if (row.missed) {
+        tel_->breach(tel_->track(label, "platform"), "slo_miss", row.request_id, done_s,
+                     "\"stream\":" + telemetry::jstr(stream) +
+                         ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
+                         ",\"slo_ms\":" + telemetry::jnum(row.slo_s * 1e3) + device_arg);
+    }
+}
+
+void RequestTelemetry::shed(std::size_t device, const Request& r, double now_s) {
+    if (!tel_) return;
+    const bool on_device = device != kNoDevice;
+    const auto& stream = streams_[r.stream].name;
+    const double queued_ms = std::max(0.0, now_s - r.arrival_s) * 1e3;
+    // A router-level shed is charged to the "fleet" pseudo-device: its
+    // rollup row, and its breach on the "fleet"/"router" track.
+    const std::string process = on_device ? devices_[device] : "fleet";
+    tel_->rollup().record_request(process, stream, now_s, telemetry::Rollup::Outcome::shed,
+                                  0.0, queued_ms);
+    tel_->async_end(stream_tracks_[r.stream], "request", r.id, now_s,
+                    "\"outcome\":\"shed\",\"queued_ms\":" + telemetry::jnum(queued_ms));
+    tel_->breach(tel_->track(process, on_device ? "platform" : "router"), "shed", r.id, now_s,
+                 "\"stream\":" + telemetry::jstr(stream) +
+                     ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3) +
+                     ",\"device\":" + (on_device ? telemetry::jstr(process) : "null"));
+}
+
+void RequestTelemetry::queue_depth(std::size_t device, double t_s, std::size_t depth) {
+    if (!tel_) return;
+    if (depth == depths_[device]) return;
+    depths_[device] = depth;
+    tel_->counter(tel_->track(devices_[device], "queue"), "queue_depth", t_s,
+                  static_cast<double>(depth));
+}
+
 ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) {
     validate_streams(config_.streams, "ServingEngine");
     (void)make_scheduler(config_.scheduler); // throws on unknown policy
@@ -174,60 +246,23 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
     std::size_t iteration = 0;
     double expected_service = 0.0;
 
-    // Request-lifecycle spans: one async span per request on its stream's
-    // track ("streams" pseudo-process), breaches recorded against the
-    // device so the flight recorder snapshots what the device was doing.
-    auto* tel = telemetry::current();
-    int tel_dev = -1;
-    int tel_queue = -1;
-    std::vector<int> tel_streams;
-    std::size_t tel_last_depth = static_cast<std::size_t>(-1);
-    if (tel) {
-        tel->set_context(device.telemetry_label());
-        tel_dev = tel->track(device.telemetry_label(), "platform");
-        tel_queue = tel->track(device.telemetry_label(), "queue");
-        tel_streams.reserve(config_.streams.size());
-        for (const auto& s : config_.streams) {
-            tel_streams.push_back(tel->track("streams", s.name));
-        }
+    // The device's tracks take their ids before the emitter's stream tracks:
+    // trace.json numbers processes and threads in track-creation order.
+    if (auto* rec = telemetry::current()) {
+        rec->set_context(device.telemetry_label());
+        rec->track(device.telemetry_label(), "platform");
+        rec->track(device.telemetry_label(), "queue");
     }
-    const auto tel_queue_depth = [&](double t) {
-        if (!tel || queue.size() == tel_last_depth) return;
-        tel_last_depth = queue.size();
-        tel->counter(tel_queue, "queue_depth", t, static_cast<double>(queue.size()));
-    };
-
-    const auto record_shed = [&](Request&& r, double now) {
-        if (tel) {
-            tel->rollup().record_request(device.telemetry_label(),
-                                         config_.streams[r.stream].name, now,
-                                         telemetry::Rollup::Outcome::shed, 0.0,
-                                         std::max(0.0, now - r.arrival_s) * 1e3);
-            tel->async_end(tel_streams[r.stream], "request", r.id, now,
-                           "\"outcome\":\"shed\",\"queued_ms\":" +
-                               telemetry::jnum(std::max(0.0, now - r.arrival_s) * 1e3));
-            tel->breach(tel_dev, "shed", r.id, now,
-                        "\"stream\":" + telemetry::jstr(config_.streams[r.stream].name) +
-                            ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
-        }
-        trace.add(shed_record(r, now, device.cpu_temp(), device.gpu_temp()));
-    };
+    RequestTelemetry tel(config_.streams, {device.telemetry_label()});
 
     while (next_arrival < requests.size() || !queue.empty()) {
         const double now = device.now();
         while (next_arrival < requests.size() &&
                requests[next_arrival].arrival_s <= now + kTimeEps) {
-            const Request& r = requests[next_arrival];
-            if (tel) {
-                // Span opens at the true arrival instant (possibly a hair
-                // before `now`); exporters order by timestamp, not append
-                // order, so the trace stays monotonic.
-                tel->async_begin(tel_streams[r.stream], "request", r.id, r.arrival_s,
-                                 "\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
-            }
+            tel.arrival(requests[next_arrival]);
             queue.push(requests[next_arrival++]);
         }
-        tel_queue_depth(now);
+        tel.queue_depth(0, now, queue.size());
         if (queue.empty()) {
             // Device is free but no request is pending: idle (and cool)
             // until the next arrival.
@@ -237,8 +272,11 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
         }
 
         auto decision = scheduler->pick(queue, now, expected_service);
-        for (auto& r : decision.shed) record_shed(std::move(r), now);
-        tel_queue_depth(now);
+        for (const auto& r : decision.shed) {
+            tel.shed(0, r, now);
+            trace.add(shed_record(r, now, device.cpu_temp(), device.gpu_temp()));
+        }
+        tel.queue_depth(0, now, queue.size());
         if (!decision.next) continue;
         LOTUS_PROF_SCOPE("serving.dispatch");
         LOTUS_PROF_COUNT("serving.requests", 1);
@@ -247,36 +285,12 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
         // Admission tolerates kTimeEps of clock shortfall; never report a
         // negative wait for a request taken the instant it arrived.
         const double wait = std::max(0.0, now - req.arrival_s);
-        if (tel) {
-            tel->instant(tel_queue, "dispatch", now,
-                         "\"request_id\":" + std::to_string(req.id) +
-                             ",\"stream\":" +
-                             telemetry::jstr(config_.streams[req.stream].name) +
-                             ",\"queue_wait_ms\":" + telemetry::jnum(wait * 1e3));
-        }
+        tel.dispatch(0, req, now, wait);
         const auto result =
             engine.run_frame(model, req.frame, governor, req.slo_s, iteration++, wait);
 
         auto row = served_record(req, wait, result);
-        if (tel) {
-            const double done = device.now();
-            tel->rollup().record_request(device.telemetry_label(),
-                                         config_.streams[req.stream].name, done,
-                                         row.missed ? telemetry::Rollup::Outcome::late
-                                                    : telemetry::Rollup::Outcome::ok,
-                                         row.e2e_s * 1e3, wait * 1e3);
-            tel->async_end(tel_streams[req.stream], "request", req.id, done,
-                           std::string("\"outcome\":\"") +
-                               (row.missed ? "missed" : "served") +
-                               "\",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
-            if (row.missed) {
-                tel->breach(tel_dev, "slo_miss", req.id, done,
-                            "\"stream\":" +
-                                telemetry::jstr(config_.streams[req.stream].name) +
-                                ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
-                                ",\"slo_ms\":" + telemetry::jnum(req.slo_s * 1e3));
-            }
-        }
+        tel.served(0, row, device.now());
         trace.add(std::move(row));
         expected_service = update_expected_service(expected_service, result.latency_s);
     }

@@ -22,16 +22,20 @@
 // threads, one governor per thread, byte-identically to a serial run.
 //
 // The request lifecycle both this engine and fleet::FleetEngine run lives
-// here once, as free functions: stream validation, the replayed-or-generated
-// timeline, the served and shed ledger rows, the expected-service EWMA and
-// the clock tolerance. Telemetry spans and breaches stay per engine. The
-// warm-up is runtime::pretrain, drawn from the `pretrain/<dataset>` seed
-// namespace; the expected-service estimate starts at 0.
+// here once: stream validation, the replayed-or-generated timeline, the
+// served and shed ledger rows, the expected-service EWMA, the clock
+// tolerance and the request telemetry (RequestTelemetry). The warm-up is
+// runtime::pretrain, drawn from the `pretrain/<dataset>` seed namespace;
+// the expected-service estimate starts at 0.
 
 #include "governors/governor.hpp"
 #include "runtime/engine.hpp"
 #include "serving/request.hpp"
 #include "serving/trace.hpp"
+
+namespace lotus::telemetry {
+class Recorder;
+}
 
 namespace lotus::serving {
 
@@ -81,6 +85,40 @@ void validate_streams(const std::vector<StreamSpec>& streams, const std::string&
 /// (the scheduler's and router's pace prior); a non-positive estimate is
 /// replaced by the sample.
 [[nodiscard]] double update_expected_service(double expected_s, double latency_s);
+
+/// The request-lifecycle telemetry both engines emit into the thread's
+/// telemetry::current() recorder; every call is a no-op when recording is
+/// off. A request is one async span on its stream's track ("streams"
+/// process) from arrival to served/missed/shed, each outcome also lands in
+/// the rollup, and every miss or shed is a breach on the device's
+/// "platform" track, so the flight recorder snapshots what that device was
+/// doing. Device-level events go to the device's "queue" track. Devices are
+/// addressed by index into the labels given at construction; kNoDevice is
+/// the fleet router, which sheds on "fleet"/"router" when no device is
+/// left. Device tracks are created on first use.
+class RequestTelemetry {
+public:
+    static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
+
+    /// Creates the stream tracks, in stream order. `streams` must outlive
+    /// the emitter.
+    RequestTelemetry(const std::vector<StreamSpec>& streams, std::vector<std::string> devices);
+
+    void arrival(const Request& r);
+    void dispatch(std::size_t device, const Request& r, double now_s, double wait_s);
+    /// `row` is served_record's ledger row, completed at `done_s`.
+    void served(std::size_t device, const ServingRecord& row, double done_s);
+    void shed(std::size_t device, const Request& r, double now_s);
+    /// Counter sample, recorded only when `depth` changed since the last one.
+    void queue_depth(std::size_t device, double t_s, std::size_t depth);
+
+private:
+    telemetry::Recorder* tel_;
+    const std::vector<StreamSpec>& streams_;
+    std::vector<int> stream_tracks_;
+    std::vector<std::string> devices_;
+    std::vector<std::size_t> depths_; // last recorded queue depth per device
+};
 
 class ServingEngine {
 public:

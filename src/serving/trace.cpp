@@ -148,6 +148,7 @@ void ServingTrace::write_csv(const std::string& path) const {
             util::format_double(r.energy_j, 4),
         });
     }
+    csv.close();
 }
 
 } // namespace lotus::serving

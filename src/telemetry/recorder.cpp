@@ -79,12 +79,6 @@ SuspendScope::~SuspendScope() { t_current = previous_; }
 
 // --- Recorder ----------------------------------------------------------------
 
-Recorder::Recorder(RecorderOptions opt) : opt_(opt) {
-    if (opt_.ring_capacity == 0) {
-        throw std::invalid_argument("Recorder: ring_capacity must be > 0");
-    }
-}
-
 int Recorder::track(const std::string& process, const std::string& thread) {
     const auto key = std::make_pair(process, thread);
     const auto it = track_ids_.find(key);
@@ -109,7 +103,7 @@ void Recorder::emit(Event e) {
     }
     auto& ring = rings_[tracks_[static_cast<std::size_t>(e.track)].pid];
     ring.push_back(e);
-    if (ring.size() > opt_.ring_capacity) ring.pop_front();
+    if (ring.size() > kRingCapacity) ring.pop_front();
     log_.push_back(std::move(e));
 }
 
@@ -217,7 +211,7 @@ std::vector<std::size_t> Recorder::time_order() const {
 
 namespace {
 
-/// One events.jsonl object (shared with the breach-context rendering).
+/// One breach-context event as a JSON object.
 std::string event_jsonl_object(const Event& e, const std::string& process,
                                const std::string& thread) {
     std::string o = "{\"t_s\":" + fmt_time(e.t_s);
@@ -246,27 +240,16 @@ std::string Recorder::chrome_trace_json() const {
     };
 
     // Metadata: name every process and thread so Perfetto renders devices
-    // and streams by name instead of by pid/tid number.
-    int last_pid = 0;
+    // and streams by name instead of by pid/tid number. A process is named
+    // at its first track (pids number from 1 in first-seen order).
+    std::vector<bool> named(pids_.size() + 1, false);
     for (const auto& t : tracks_) {
-        if (t.pid != last_pid) {
-            // pids_ is sorted by name but numbered in first-seen order;
-            // emit the process_name record on the first track of each pid.
-            bool seen = false;
-            for (const auto& prev : tracks_) {
-                if (&prev == &t) break;
-                if (prev.pid == t.pid) {
-                    seen = true;
-                    break;
-                }
-            }
-            if (!seen) {
-                append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-                       std::to_string(t.pid) + ",\"tid\":0,\"args\":{\"name\":" +
-                       jstr(t.process) + "}}");
-            }
+        if (!named[static_cast<std::size_t>(t.pid)]) {
+            named[static_cast<std::size_t>(t.pid)] = true;
+            append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
+                   std::to_string(t.pid) + ",\"tid\":0,\"args\":{\"name\":" +
+                   jstr(t.process) + "}}");
         }
-        last_pid = t.pid;
         append("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(t.pid) +
                ",\"tid\":" + std::to_string(t.tid) + ",\"args\":{\"name\":" +
                jstr(t.thread) + "}}");
@@ -302,29 +285,6 @@ std::string Recorder::chrome_trace_json() const {
     return o;
 }
 
-std::string Recorder::events_jsonl() const {
-    std::string o;
-    for (const auto idx : time_order()) {
-        const auto& e = log_[idx];
-        const auto& t = tracks_[static_cast<std::size_t>(e.track)];
-        o += event_jsonl_object(e, t.process, t.thread);
-        o += "\n";
-    }
-    return o;
-}
-
-std::string Recorder::metrics_csv() const {
-    std::string o = "t_s,process,thread,metric,value\n";
-    for (const auto idx : time_order()) {
-        const auto& e = log_[idx];
-        if (e.phase != 'C') continue;
-        const auto& t = tracks_[static_cast<std::size_t>(e.track)];
-        o += fmt_time(e.t_s) + "," + t.process + "," + t.thread + "," + e.name + "," +
-             util::format_double(e.value, 6) + "\n";
-    }
-    return o;
-}
-
 std::string Recorder::breaches_jsonl() const {
     std::string o;
     for (const auto& b : breaches_) {
@@ -352,7 +312,7 @@ std::string Recorder::manifest_json() const {
     o += ",\"events\":" + std::to_string(log_.size());
     o += ",\"breaches\":" + std::to_string(breaches_.size());
     o += ",\"sample_period_s\":" + jnum(kSamplePeriodS);
-    o += ",\"ring_capacity\":" + std::to_string(opt_.ring_capacity);
+    o += ",\"ring_capacity\":" + std::to_string(kRingCapacity);
     o += ",\"rollup_window_s\":" + jnum(kRollupWindowS);
     o += ",\"tracks\":[";
     for (std::size_t i = 0; i < tracks_.size(); ++i) {
@@ -377,15 +337,13 @@ std::string Recorder::health_json() const {
 void Recorder::write(const std::string& dir) const {
     std::filesystem::create_directories(dir);
     const auto dump = [&](const std::string& name, const std::string& content) {
-        std::ofstream out(dir + "/" + name, std::ios::binary);
-        if (!out) {
-            throw std::runtime_error("Recorder::write: cannot open " + dir + "/" + name);
-        }
+        const auto path = dir + "/" + name;
+        std::ofstream out(path, std::ios::binary);
+        if (!out) throw std::runtime_error("Recorder::write: cannot open " + path);
         out << content;
+        util::close_checked(out, path);
     };
     dump("trace.json", chrome_trace_json());
-    dump("events.jsonl", events_jsonl());
-    dump("metrics.csv", metrics_csv());
     dump("breaches.jsonl", breaches_jsonl());
     dump("manifest.json", manifest_json());
     dump("rollup.json", rollup_json());

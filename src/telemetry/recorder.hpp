@@ -28,12 +28,12 @@
 // same stdout-byte-identity contract the profiler honors).
 //
 // Exporters (write(dir)): trace.json (Chrome trace-event JSON, loadable in
-// Perfetto / chrome://tracing), events.jsonl (one event per line),
-// metrics.csv (long-format counter time-series), breaches.jsonl (flight
-// recorder), manifest.json, plus the rollup's rollup.json and health.json
-// (rollup.hpp). All timestamps are simulated seconds; exports
-// are stable-sorted by time so files are monotonic even when an event is
-// recorded late (e.g. an arrival noticed after the clock passed it).
+// Perfetto / chrome://tracing -- the one copy of the event log),
+// breaches.jsonl (flight recorder), manifest.json, plus the rollup's
+// rollup.json and health.json (rollup.hpp). All timestamps are simulated
+// seconds; the event log is stable-sorted by time so the trace is
+// monotonic even when an event is recorded late (e.g. an arrival noticed
+// after the clock passed it).
 
 #include <cstddef>
 #include <cstdint>
@@ -53,10 +53,8 @@ inline constexpr double kSamplePeriodS = 0.25;
 /// Rollup window length [simulated seconds].
 inline constexpr double kRollupWindowS = 1.0;
 
-struct RecorderOptions {
-    /// Flight-recorder depth: events per process kept for breach snapshots.
-    std::size_t ring_capacity = 32;
-};
+/// Flight-recorder depth: events per process kept for breach snapshots.
+inline constexpr std::size_t kRingCapacity = 32;
 
 /// One recorded event. `phase` follows the Chrome trace-event letters:
 /// 'B'/'E' duration, 'b'/'e' async (matched by id), 'i' instant,
@@ -75,8 +73,6 @@ struct Event {
 
 class Recorder {
 public:
-    explicit Recorder(RecorderOptions opt = {});
-
     // --- tracks -------------------------------------------------------------
     /// Id of the (process, thread) track, creating it on first use.
     /// Processes and threads are numbered in first-seen order, so ids are a
@@ -104,7 +100,7 @@ public:
                    std::string args = {});
 
     /// Flight recorder: report an SLO breach (miss/shed) on `track`'s
-    /// process, snapshotting the last ring_capacity events of that process
+    /// process, snapshotting the last kRingCapacity events of that process
     /// as causal context.
     void breach(int track, std::string reason, std::uint64_t request_id, double t_s,
                 std::string args = {});
@@ -122,10 +118,6 @@ public:
     /// timestamps in microseconds, devices as processes, streams/governor
     /// as threads.
     [[nodiscard]] std::string chrome_trace_json() const;
-    /// One JSON object per line, time-sorted.
-    [[nodiscard]] std::string events_jsonl() const;
-    /// Long-format counter time-series: t_s,process,thread,metric,value.
-    [[nodiscard]] std::string metrics_csv() const;
     /// One breach report per line, each with its event-ring snapshot.
     [[nodiscard]] std::string breaches_jsonl() const;
     [[nodiscard]] std::string manifest_json() const;
@@ -135,8 +127,9 @@ public:
     /// flight recorder's per-process breach counts.
     [[nodiscard]] std::string health_json() const;
 
-    /// Write all artifacts into `dir` (created if missing): the five raw
-    /// files plus rollup.json and health.json.
+    /// Write all artifacts into `dir` (created if missing): trace.json,
+    /// breaches.jsonl, manifest.json, rollup.json and health.json. Throws
+    /// std::runtime_error naming the file when one cannot be written.
     void write(const std::string& dir) const;
 
 private:
@@ -162,7 +155,6 @@ private:
     /// the result is deterministic and monotonic).
     [[nodiscard]] std::vector<std::size_t> time_order() const;
 
-    RecorderOptions opt_;
     Rollup rollup_{kRollupWindowS};
     std::vector<Event> log_;
     std::vector<TrackInfo> tracks_;

@@ -37,8 +37,14 @@ std::string format_double(double v, int precision) {
     return s;
 }
 
+void close_checked(std::ofstream& out, const std::string& path) {
+    out.flush();
+    if (out) out.close();
+    if (!out) throw std::runtime_error("write failed: " + path);
+}
+
 CsvWriter::CsvWriter(const std::string& path, std::vector<std::string> header)
-    : out_(path), arity_(header.size()) {
+    : path_(path), out_(path), arity_(header.size()) {
     if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
     if (arity_ == 0) throw std::invalid_argument("CsvWriter: empty header");
     write_fields(header);
@@ -58,6 +64,8 @@ void CsvWriter::row(const std::vector<double>& fields) {
     for (const double v : fields) text.push_back(format_double(v, 6));
     row(text);
 }
+
+void CsvWriter::close() { close_checked(out_, path_); }
 
 void CsvWriter::write_fields(const std::vector<std::string>& fields) {
     for (std::size_t i = 0; i < fields.size(); ++i) {

@@ -28,16 +28,22 @@ public:
 
     [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 
-    /// True when the underlying stream is healthy.
-    [[nodiscard]] bool good() const { return out_.good(); }
+    /// Flush and close the file after the last row; throws
+    /// std::runtime_error naming it when any write failed.
+    void close();
 
 private:
     void write_fields(const std::vector<std::string>& fields);
 
+    std::string path_;
     std::ofstream out_;
     std::size_t arity_;
     std::size_t rows_ = 0;
 };
+
+/// Flush and close `out`, throwing std::runtime_error naming `path` when
+/// any write to it failed (a full disk must not pass for success).
+void close_checked(std::ofstream& out, const std::string& path);
 
 /// Escape a single CSV field per RFC 4180 (quote iff necessary).
 [[nodiscard]] std::string csv_escape(const std::string& field);

@@ -9,8 +9,10 @@
 //  * Request lifecycle: every serving scenario, the heterogeneous fleet
 //    (per-device pretrain constraints), the fleet failure drain and a paper
 //    table cell (runner pretrain), in full-ledger mode, plus the per-request
-//    CSV ledgers, the `_summary.csv` and the printed summary table of one
-//    serving and one fleet scenario.
+//    CSV ledgers, the `_summary.csv`, the printed summary table and the
+//    telemetry artifacts (health.json, trace.json, breaches.jsonl) of one
+//    serving and one fleet scenario. Those two run with telemetry on, which
+//    must not move their scenario JSON.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -43,10 +45,11 @@ std::string without_build_id(std::string json) {
 }
 
 std::vector<harness::EpisodeResult> run_scenario(const harness::Scenario& sc,
-                                                 bool summary_only) {
+                                                 bool summary_only, bool telemetry = false) {
     harness::HarnessConfig cfg;
     cfg.jobs = 2;
     cfg.summary_only = summary_only;
+    cfg.telemetry = telemetry;
     const harness::ExperimentHarness h(cfg);
     return h.run(sc);
 }
@@ -93,6 +96,15 @@ std::string summary_csv_digest(const std::string& stem,
     harness::write_csv_traces(dir.string(), stem, results, /*announce=*/false);
     const auto bytes = read_file(dir / (stem + "_summary.csv"));
     std::filesystem::remove_all(dir);
+    return util::fnv1a_hex(bytes);
+}
+
+/// Digest of one telemetry artifact of every episode, concatenated in arm
+/// order, with the build id blanked.
+std::string telemetry_digest(const std::vector<harness::EpisodeResult>& results,
+                             std::string (telemetry::Recorder::*artifact)() const) {
+    std::string bytes;
+    for (const auto& r : results) bytes += without_build_id(((*r.telemetry).*artifact)());
     return util::fnv1a_hex(bytes);
 }
 
@@ -162,32 +174,45 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
     struct Pin {
         const char* scenario;
         const char* json;
-        const char* ledger; // "" = CSV ledger, summary CSV and table not pinned
+        const char* ledger; // "" = CSV ledger, summary CSV, table, telemetry not pinned
         const char* summary_csv = "";
         const char* table = "";
+        const char* health = "";
+        const char* trace = "";
+        const char* breaches = "";
     };
     const Pin pinned[] = {
         {"serve_light", "a4e31a9203d8cad8", ""},
         {"serve_saturation", "c3495244850f506e", "293a137bf0addaee", "18833f4f62250656",
-         "1183d7cb393f244b"},
+         "1183d7cb393f244b", "03eb3404041c81d3", "f276b6ab7ae7c11e", "23a83b558f9f28f7"},
         {"serve_burst_storm", "7fd4cb743dd8ef6c", ""},
         {"serve_mixed_slo", "7f203dd72fb574ea", ""},
         {"serve_diurnal", "79c2f7ea77315435", ""},
         {"serve_latency_attack", "3ea010a9369624b7", ""},
         {"serve_fleet_hetero", "80213b67f3eb2697", "852c5f70c98febf1", "7aaf01102b181ae9",
-         "40dd8ac94985dc2b"},
+         "40dd8ac94985dc2b", "08f4ae8a9e922161", "b391c32d55129092", "4b13995c5c7c10e0"},
         {"serve_fleet_diurnal_holdout", "30a3035157548b10", ""},
         {"table1_frcnn_kitti", "1208fa59c5fa4e13", ""},
     };
     for (const auto& pin : pinned) {
         const auto& sc = fast_registry().at(pin.scenario);
-        const auto results = run_scenario(sc, false);
+        const bool pinned_telemetry = *pin.health != '\0';
+        const auto results = run_scenario(sc, false, pinned_telemetry);
         EXPECT_EQ(json_digest(sc, results), pin.json) << pin.scenario;
         if (*pin.ledger != '\0') {
             EXPECT_EQ(ledger_digest(results), pin.ledger) << pin.scenario;
             EXPECT_EQ(summary_csv_digest(pin.scenario, results), pin.summary_csv)
                 << pin.scenario;
             EXPECT_EQ(table_digest(sc, results), pin.table) << pin.scenario;
+        }
+        if (pinned_telemetry) {
+            using telemetry::Recorder;
+            EXPECT_EQ(telemetry_digest(results, &Recorder::health_json), pin.health)
+                << pin.scenario;
+            EXPECT_EQ(telemetry_digest(results, &Recorder::chrome_trace_json), pin.trace)
+                << pin.scenario;
+            EXPECT_EQ(telemetry_digest(results, &Recorder::breaches_jsonl), pin.breaches)
+                << pin.scenario;
         }
     }
 }

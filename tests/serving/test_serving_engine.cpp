@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 #include "governors/linux_governors.hpp"
 #include "platform/presets.hpp"
 #include "serving/engine.hpp"
 #include "serving/scheduler.hpp"
+#include "telemetry/recorder.hpp"
 #include "util/stats.hpp"
 
 namespace lotus::serving {
@@ -203,6 +205,34 @@ TEST(ServingEngine, AdmissionControlShedsUnderOverloadFifoDoesNot) {
     EXPECT_GT(admit_trace.aggregate().shed, 0u);
     // Shedding must not lose requests: ledger still covers the full load.
     EXPECT_EQ(admit_trace.size(), 30u);
+}
+
+TEST(ServingEngine, RequestTelemetryNamesTheDevice) {
+    // Overloaded enough to shed, with a few requests still served late.
+    auto cfg = base_config(3, 10, 1.2, ArrivalKind::periodic, /*slo=*/0.8);
+    cfg.scheduler = "edf_admit";
+    telemetry::Recorder rec;
+    {
+        const telemetry::BindScope bind(&rec);
+        governors::FixedGovernor governor(5, 3);
+        (void)ServingEngine(cfg).run(governor);
+    }
+    const auto device = ",\"device\":" + telemetry::jstr(cfg.device_spec.name);
+    const auto trace = rec.chrome_trace_json();
+    EXPECT_NE(trace.find("\"outcome\":\"served\"" + device), std::string::npos);
+    EXPECT_NE(trace.find("\"outcome\":\"missed\"" + device), std::string::npos);
+
+    std::size_t sheds = 0;
+    std::size_t misses = 0;
+    std::istringstream breaches(rec.breaches_jsonl());
+    for (std::string line; std::getline(breaches, line);) {
+        sheds += line.find("\"reason\":\"shed\"") != std::string::npos;
+        misses += line.find("\"reason\":\"slo_miss\"") != std::string::npos;
+        const auto args = line.substr(0, line.find(",\"events\":"));
+        EXPECT_NE(args.find(device), std::string::npos) << args;
+    }
+    EXPECT_GT(sheds, 0u);
+    EXPECT_GT(misses, 0u);
 }
 
 TEST(SloBoundary, ExactlyOnSloIsSatisfied) {

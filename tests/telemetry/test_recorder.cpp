@@ -1,11 +1,13 @@
 // Unit contract of the sim-time telemetry Recorder (PR 7): deterministic
 // track numbering, strict duration-span pairing, the per-process breach
 // flight recorder, byte-identical exports for identical event sequences,
-// and the thread-local BindScope/SuspendScope plumbing every
-// instrumentation site branches on.
+// failed artifact writes surfacing as errors, and the thread-local
+// BindScope/SuspendScope plumbing every instrumentation site branches on.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -52,10 +54,6 @@ TEST(Recorder, EventsOnUnknownTrackThrow) {
     EXPECT_THROW(rec.counter(42, "temp", 0.0, 1.0), std::out_of_range);
 }
 
-TEST(Recorder, RejectsDegenerateOptions) {
-    EXPECT_THROW(Recorder(RecorderOptions{.ring_capacity = 0}), std::invalid_argument);
-}
-
 // Drive one plausible mini-episode through a recorder.
 void record_episode(Recorder& rec) {
     const int eng = rec.track("dev", "engine");
@@ -78,25 +76,21 @@ TEST(Recorder, IdenticalEpisodesExportByteIdentically) {
     record_episode(a);
     record_episode(b);
     EXPECT_EQ(a.chrome_trace_json(), b.chrome_trace_json());
-    EXPECT_EQ(a.events_jsonl(), b.events_jsonl());
-    EXPECT_EQ(a.metrics_csv(), b.metrics_csv());
     EXPECT_EQ(a.manifest_json(), b.manifest_json());
 }
 
 TEST(Recorder, ExportsAreTimeSortedDespiteLateEvents) {
     Recorder rec;
     record_episode(rec);
-    // events.jsonl is one object per line with a leading "t_s" field; the
-    // gpu_temp_c sample recorded last (t=0.2) must sort before the t=0.3
-    // completions.
-    const auto jsonl = rec.events_jsonl();
-    const auto gpu = jsonl.find("gpu_temp_c");
-    const auto done = jsonl.find("\"outcome\"");
+    // The gpu_temp_c sample recorded last (t=0.2) must sort before the
+    // t=0.3 completions.
+    const auto trace = rec.chrome_trace_json();
+    const auto gpu = trace.find("gpu_temp_c");
+    const auto done = trace.find("\"outcome\"");
     ASSERT_NE(gpu, std::string::npos);
     ASSERT_NE(done, std::string::npos);
     EXPECT_LT(gpu, done);
 
-    const auto trace = rec.chrome_trace_json();
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("\"process_name\""), std::string::npos);
     EXPECT_NE(trace.find("\"thread_name\""), std::string::npos);
@@ -104,12 +98,13 @@ TEST(Recorder, ExportsAreTimeSortedDespiteLateEvents) {
 }
 
 TEST(Recorder, BreachSnapshotsCapBoundedPerProcessRing) {
-    Recorder rec(RecorderOptions{.ring_capacity = 3});
+    Recorder rec;
     const int plat = rec.track("dev", "platform");
     const int queue = rec.track("dev", "queue");
     const int other = rec.track("elsewhere", "platform");
-    for (int i = 0; i < 8; ++i) {
-        rec.instant(plat, "tick" + std::to_string(i), 0.1 * i);
+    const int ticks = static_cast<int>(kRingCapacity) + 5;
+    for (int i = 0; i < ticks; ++i) {
+        rec.instant(plat, "tick" + std::to_string(i), 0.01 * i);
     }
     rec.counter(queue, "queue_depth", 0.85, 5.0); // same pid, other thread
     rec.instant(other, "unrelated", 0.9);         // different process
@@ -119,12 +114,43 @@ TEST(Recorder, BreachSnapshotsCapBoundedPerProcessRing) {
     const auto report = rec.breaches_jsonl();
     EXPECT_NE(report.find("\"reason\":\"slo_miss\""), std::string::npos);
     EXPECT_NE(report.find("\"request\":12"), std::string::npos);
-    // Ring depth 3: the two newest device events survive plus the queue
-    // sample; everything older and every other-process event is gone.
-    EXPECT_NE(report.find("tick7"), std::string::npos);
+    // The snapshot holds exactly kRingCapacity events: the queue sample
+    // plus the newest device ticks; older ticks and every other-process
+    // event are gone.
+    std::size_t events = 0;
+    for (auto pos = report.find("\"ph\":"); pos != std::string::npos;
+         pos = report.find("\"ph\":", pos + 1)) {
+        ++events;
+    }
+    EXPECT_EQ(events, kRingCapacity);
+    const auto tick = [&](int i) {
+        return report.find("\"tick" + std::to_string(i) + "\"") != std::string::npos;
+    };
+    EXPECT_TRUE(tick(ticks - 1));
+    EXPECT_TRUE(tick(ticks - static_cast<int>(kRingCapacity) + 1));
+    EXPECT_FALSE(tick(ticks - static_cast<int>(kRingCapacity)));
+    EXPECT_FALSE(tick(0));
     EXPECT_NE(report.find("queue_depth"), std::string::npos);
-    EXPECT_EQ(report.find("tick0"), std::string::npos);
     EXPECT_EQ(report.find("unrelated"), std::string::npos);
+}
+
+TEST(Recorder, WriteThrowsNamingTheFileOnAFullDisk) {
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("lotus_recorder_full_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto health = (dir / "health.json").string();
+    std::filesystem::create_symlink("/dev/full", health);
+    Recorder rec;
+    record_episode(rec);
+    try {
+        rec.write(dir.string());
+        ADD_FAILURE() << "a failed write was reported as success";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(health), std::string::npos) << e.what();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Recorder, ThreadLocalBindingNestsAndSuspends) {

@@ -88,6 +88,21 @@ TEST_F(CsvWriterTest, RejectsEmptyHeader) {
     EXPECT_THROW(CsvWriter(path, {}), std::invalid_argument);
 }
 
+TEST_F(CsvWriterTest, CloseThrowsNamingTheFileOnAFullDisk) {
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    const auto path = temp_path("lotus_csv_test_full.csv");
+    std::filesystem::remove(path);
+    std::filesystem::create_symlink("/dev/full", path);
+    CsvWriter csv(path, {"a", "b"});
+    csv.row(std::vector<std::string>{"1", "x"});
+    try {
+        csv.close();
+        ADD_FAILURE() << "a failed write was reported as success";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+}
+
 TEST(TextTable, RendersAlignedColumns) {
     TextTable t({"name", "value"});
     t.add_row({"x", "1"});

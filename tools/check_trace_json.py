@@ -43,6 +43,11 @@ rollup.json (windowed rollups):
   * totals reconcile with the sibling health.json's fleet row (counts
     exactly, energy to float tolerance).
 
+breaches.jsonl (SLO-breach flight recorder, one report per line):
+  * every line parses as a JSON object whose reason is shed or slo_miss;
+  * every snapshot event belongs to the breach's process, and a snapshot
+    holds at most the sibling manifest.json's ring_capacity events.
+
 --reconcile SUMMARY.csv additionally matches every health.json against the
 harness CSV sink's episode summary: the artifact path's <scenario>/<arm>
 directories identify the rows (same sanitization rule as the sinks). The
@@ -76,6 +81,21 @@ def load_json(path):
     except (OSError, ValueError) as exc:
         print(f"check_trace_json: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(2)
+
+
+def load_jsonl(path):
+    """One JSON object per non-blank line; exit 2 when any line is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        print(f"check_trace_json: cannot read {path}: {exc}", file=sys.stderr)
+        sys.exit(2)
+    if not all(isinstance(line, dict) for line in lines):
+        print(f"check_trace_json: {path} has a line that is not a JSON object",
+              file=sys.stderr)
+        sys.exit(2)
+    return lines
 
 
 # --- trace.json --------------------------------------------------------------
@@ -358,6 +378,32 @@ def check_rollup(path, errors):
     return f"{n_windows} windows, {totals['requests']} requests"
 
 
+# --- breaches.jsonl ----------------------------------------------------------
+
+
+def check_breaches(path, errors):
+    ring = load_json(os.path.join(os.path.dirname(path), "manifest.json")).get(
+        "ring_capacity")
+    if not isinstance(ring, int) or ring < 1:
+        fail(path, f"sibling manifest.json ring_capacity is {ring!r}", errors)
+        return "invalid"
+    reports = load_jsonl(path)
+    for n, report in enumerate(reports, 1):
+        if report.get("reason") not in ("shed", "slo_miss"):
+            fail(path, f"line {n}: reason is {report.get('reason')!r}", errors)
+        events = report.get("events")
+        if not isinstance(events, list) or len(events) > ring:
+            fail(path, f"line {n}: snapshot is not a list of at most {ring} events",
+                 errors)
+            continue
+        foreign = [ev.get("process") for ev in events
+                   if ev.get("process") != report.get("process")]
+        if foreign:
+            fail(path, f"line {n}: snapshot events of {foreign} in a breach of "
+                       f"{report.get('process')!r}", errors)
+    return f"{len(reports)} breach reports"
+
+
 # --- sweep.json --------------------------------------------------------------
 
 
@@ -370,12 +416,7 @@ def check_sweep(path, errors):
     shed, rates in [0, 1], monotone latency quantiles, CSV-row agreement
     when a sibling sweep.csv exists).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, ValueError) as exc:
-        print(f"check_trace_json: cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(2)
+    lines = load_jsonl(path)
     if not lines:
         fail(path, "empty sweep file", errors)
         return "invalid"
@@ -555,6 +596,7 @@ CHECKERS = {
     "trace.json": check_trace,
     "health.json": check_health,
     "rollup.json": check_rollup,
+    "breaches.jsonl": check_breaches,
     "sweep.json": check_sweep,
 }
 

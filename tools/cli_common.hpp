@@ -24,6 +24,13 @@ namespace lotus::cli {
     std::exit(2);
 }
 
+/// The value after the flag at argv[i], advancing i past it; a missing value
+/// exits 2.
+inline std::string flag_value(const std::string& tool, int argc, char** argv, int& i) {
+    if (i + 1 >= argc) usage_error(tool, std::string("missing value for ") + argv[i]);
+    return argv[++i];
+}
+
 inline std::uint64_t parse_u64(const std::string& tool, const std::string& flag,
                                const std::string& value) {
     std::uint64_t out = 0;
@@ -113,14 +120,10 @@ struct RenderOptions {
     /// Enable the internal profiler and print its per-scenario report to
     /// stderr (see src/prof/).
     bool profile = false;
-    /// Sim-time telemetry output directory (trace.json / events.jsonl /
-    /// metrics.csv / breaches.jsonl per episode, see src/telemetry/); empty
-    /// disables recording entirely.
+    /// Sim-time telemetry output directory (trace.json / breaches.jsonl /
+    /// manifest.json / rollup.json / health.json per episode, see
+    /// src/telemetry/); empty disables recording entirely.
     std::string telemetry_dir;
-    /// breaches.jsonl flight-recorder depth (events per process kept for
-    /// breach snapshots); 0 keeps the RecorderOptions default. Only
-    /// consulted when telemetry is on.
-    std::size_t telemetry_ring = 0;
 
     /// Serving/fleet episodes can skip materialising per-request ledger rows
     /// (bit-identical summaries, less allocation) exactly when no sink needs
@@ -140,7 +143,6 @@ inline harness::HarnessConfig harness_config(const RenderOptions& opt, std::size
     cfg.seed = seed;
     cfg.summary_only = opt.summary_only();
     cfg.telemetry = !opt.telemetry_dir.empty();
-    if (opt.telemetry_ring > 0) cfg.telemetry_options.ring_capacity = opt.telemetry_ring;
     return cfg;
 }
 
@@ -152,6 +154,67 @@ inline void reject_chart_with_json(const std::string& tool, const RenderOptions&
                           "with --format json");
     }
 }
+
+/// The flags lotus_run and lotus_serve share: scenario selection, jobs,
+/// seed, the output sinks and --help.
+struct CommonOptions {
+    SeedFlag seed;
+    OutputFormat format = OutputFormat::table;
+    /// --csv: the output directory (lotus_run single-run mode: a file path).
+    std::string csv;
+    std::string telemetry_dir;
+    bool chart = false;
+    bool profile = false;
+    bool list_scenarios = false;
+    std::vector<std::string> scenarios;
+    std::size_t jobs = 0; // 0 -> hardware concurrency
+
+    /// Consume argv[i] (and its value) when it is a shared flag; false
+    /// leaves it to the tool.
+    bool parse_flag(const std::string& tool, int argc, char** argv, int& i) {
+        const std::string flag = argv[i];
+        const auto value = [&] { return flag_value(tool, argc, argv, i); };
+        if (flag == "--seed") {
+            parse_seed(tool, value(), seed);
+        } else if (flag == "--format") {
+            format = parse_format(tool, value());
+        } else if (flag == "--csv") {
+            csv = value();
+        } else if (flag == "--telemetry") {
+            telemetry_dir = value();
+            if (telemetry_dir.empty()) usage_error(tool, "--telemetry wants a directory");
+        } else if (flag == "--chart") {
+            chart = true;
+        } else if (flag == "--profile") {
+            profile = true;
+        } else if (flag == "--list-scenarios") {
+            list_scenarios = true;
+        } else if (flag == "--scenario") {
+            scenarios.push_back(value());
+        } else if (flag == "--jobs") {
+            jobs = static_cast<std::size_t>(parse_u64(tool, flag, value()));
+            if (jobs == 0) usage_error(tool, "--jobs must be >= 1");
+        } else if (flag == "--help" || flag == "-h") {
+            std::printf("see the header comment of tools/%s.cpp for usage\n", tool.c_str());
+            std::exit(0);
+        } else {
+            return false;
+        }
+        return true;
+    }
+
+    /// The sinks these flags select; rejects --chart with --format json.
+    [[nodiscard]] RenderOptions render_options(const std::string& tool) const {
+        RenderOptions r;
+        r.format = format;
+        r.chart = chart;
+        r.csv_dir = csv;
+        r.profile = profile;
+        r.telemetry_dir = telemetry_dir;
+        reject_chart_with_json(tool, r);
+        return r;
+    }
+};
 
 /// Turn the profiler's runtime timer gate on when --profile was passed
 /// (call before the run so episodes are sampled).

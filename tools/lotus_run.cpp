@@ -41,12 +41,8 @@
 //                    (per-scenario in scenario mode; see src/prof/)
 //   --telemetry DIR  record sim-time telemetry per episode and write it
 //                    under DIR/<scenario>/<arm>/: trace.json (Perfetto /
-//                    chrome://tracing), events.jsonl, metrics.csv,
-//                    breaches.jsonl, manifest.json, rollup.json,
-//                    health.json (see src/telemetry/)
-//   --telemetry-ring N  breaches.jsonl flight-recorder depth: last-N events
-//                    per process snapshotted into each breach report
-//                    (default 32; requires --telemetry, N >= 1)
+//                    chrome://tracing), breaches.jsonl, manifest.json,
+//                    rollup.json, health.json (see src/telemetry/)
 //
 // Unknown flags, unknown enum values and malformed numbers are rejected
 // with a nonzero exit -- no silent fallbacks.
@@ -64,24 +60,14 @@ namespace {
 
 const std::string kTool = "lotus_run";
 
-struct Options {
+struct Options : cli::CommonOptions {
     std::string device = "orin";
     std::string detector = "frcnn";
     std::string dataset = "kitti";
     std::string governor = "lotus";
     std::size_t iterations = 0; // 0 -> device default
     std::size_t pretrain = 2500;
-    cli::SeedFlag seed;
     double constraint_ms = 0.0; // 0 -> preset
-    std::string csv_path;
-    std::string telemetry_dir;
-    std::size_t telemetry_ring = 0; // 0 -> recorder default
-    cli::OutputFormat format = cli::OutputFormat::table;
-    bool chart = false;
-    bool profile = false;
-    bool list_scenarios = false;
-    std::vector<std::string> scenarios;
-    std::size_t jobs = 0; // 0 -> hardware concurrency
     /// Single-run-only flags the user explicitly passed, so scenario mode
     /// can reject them instead of silently ignoring an override.
     std::vector<std::string> single_run_flags;
@@ -89,10 +75,7 @@ struct Options {
 
 Options parse(int argc, char** argv) {
     Options opt;
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
+    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
     const auto u64 = [&](const std::string& flag, const std::string& v) {
         return cli::parse_u64(kTool, flag, v);
     };
@@ -103,6 +86,7 @@ Options parse(int argc, char** argv) {
             flag == "--governor" || flag == "--iterations" || flag == "--pretrain" ||
             flag == "--constraint";
         if (single_run_only) opt.single_run_flags.push_back(flag);
+        if (opt.parse_flag(kTool, argc, argv, i)) continue;
         if (flag == "--device") {
             opt.device = need_value(i);
         } else if (flag == "--detector") {
@@ -116,44 +100,11 @@ Options parse(int argc, char** argv) {
             if (opt.iterations == 0) cli::usage_error(kTool, "--iterations must be > 0");
         } else if (flag == "--pretrain") {
             opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), opt.seed);
         } else if (flag == "--constraint") {
             opt.constraint_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--format") {
-            opt.format = cli::parse_format(kTool, need_value(i));
-        } else if (flag == "--csv") {
-            opt.csv_path = need_value(i);
-        } else if (flag == "--telemetry") {
-            opt.telemetry_dir = need_value(i);
-            if (opt.telemetry_dir.empty()) {
-                cli::usage_error(kTool, "--telemetry wants a directory");
-            }
-        } else if (flag == "--telemetry-ring") {
-            opt.telemetry_ring = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.telemetry_ring == 0) {
-                cli::usage_error(kTool, "--telemetry-ring must be >= 1");
-            }
-        } else if (flag == "--chart") {
-            opt.chart = true;
-        } else if (flag == "--profile") {
-            opt.profile = true;
-        } else if (flag == "--list-scenarios") {
-            opt.list_scenarios = true;
-        } else if (flag == "--scenario") {
-            opt.scenarios.push_back(need_value(i));
-        } else if (flag == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_run.cpp for usage\n");
-            std::exit(0);
         } else {
             cli::usage_error(kTool, "unknown flag " + flag);
         }
-    }
-    if (opt.telemetry_ring > 0 && opt.telemetry_dir.empty()) {
-        cli::usage_error(kTool, "--telemetry-ring requires --telemetry");
     }
     return opt;
 }
@@ -192,14 +143,7 @@ int run_scenarios(const Options& opt) {
         batch.push_back(s);
     }
 
-    cli::RenderOptions render;
-    render.format = opt.format;
-    render.chart = opt.chart;
-    render.csv_dir = opt.csv_path;
-    render.profile = opt.profile;
-    render.telemetry_dir = opt.telemetry_dir;
-    render.telemetry_ring = opt.telemetry_ring;
-    cli::reject_chart_with_json(kTool, render);
+    const auto render = opt.render_options(kTool);
     cli::apply_profile_flag(render);
 
     const harness::ExperimentHarness harness(
@@ -213,10 +157,7 @@ int run_scenarios(const Options& opt) {
 }
 
 int run_single(const Options& opt) {
-    if (opt.chart && opt.format == cli::OutputFormat::json) {
-        cli::usage_error(kTool, "--chart writes ASCII to stdout and cannot be combined "
-                                "with --format json");
-    }
+    (void)opt.render_options(kTool); // validate before the long run
     const auto spec = cli::parse_device(kTool, opt.device);
     const bool orin = spec.name.find("orin") != std::string::npos;
     const auto kind = cli::parse_detector(kTool, opt.detector);
@@ -246,7 +187,6 @@ int run_single(const Options& opt) {
     if (opt.profile) prof::set_enabled(true);
     harness::HarnessConfig cfg{
         .jobs = 1, .seed = opt.seed.value, .telemetry = !opt.telemetry_dir.empty()};
-    if (opt.telemetry_ring > 0) cfg.telemetry_options.ring_capacity = opt.telemetry_ring;
     const harness::ExperimentHarness harness(cfg);
     const auto results = harness.run(scenario);
     const auto& trace = results[0].trace;
@@ -280,11 +220,11 @@ int run_single(const Options& opt) {
             scenario.config.schedule.at(0).latency_constraint_s * 1e3, "L");
         std::printf("%s\n", lat_chart.render("latency", "ms").c_str());
     }
-    if (!opt.csv_path.empty()) {
-        trace.write_csv(opt.csv_path);
+    if (!opt.csv.empty()) {
+        trace.write_csv(opt.csv);
         // Status line: keep stdout machine-readable under --format json.
         std::fprintf(opt.format == cli::OutputFormat::json ? stderr : stdout,
-                     "trace written to %s (%zu rows)\n", opt.csv_path.c_str(),
+                     "trace written to %s (%zu rows)\n", opt.csv.c_str(),
                      trace.size());
     }
     if (!opt.telemetry_dir.empty()) {
@@ -303,7 +243,12 @@ int run_single(const Options& opt) {
 
 int main(int argc, char** argv) {
     const auto opt = parse(argc, argv);
-    if (opt.list_scenarios) return list_scenarios();
-    if (!opt.scenarios.empty()) return run_scenarios(opt);
-    return run_single(opt);
+    try {
+        if (opt.list_scenarios) return list_scenarios();
+        if (!opt.scenarios.empty()) return run_scenarios(opt);
+        return run_single(opt);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
+        return 1;
+    }
 }

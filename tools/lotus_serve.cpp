@@ -55,12 +55,8 @@
 //                     stderr (regions + counters; see src/prof/)
 //   --telemetry DIR   record sim-time telemetry per episode and write it
 //                     under DIR/<scenario>/<arm>/: trace.json (Perfetto /
-//                     chrome://tracing), events.jsonl, metrics.csv,
-//                     breaches.jsonl, manifest.json, rollup.json,
-//                     health.json (see src/telemetry/)
-//   --telemetry-ring N  breaches.jsonl flight-recorder depth: last-N events
-//                     per process snapshotted into each breach report
-//                     (default 32; requires --telemetry, N >= 1)
+//                     chrome://tracing), breaches.jsonl, manifest.json,
+//                     rollup.json, health.json (see src/telemetry/)
 //   --record-trace DIR  dump every episode's request timeline as a compact
 //                     binary trace: DIR/<scenario>/<NN>_<arm>.ltrc
 //                     (inspect with lotus_trace info/cat)
@@ -88,7 +84,7 @@ namespace {
 
 const std::string kTool = "lotus_serve";
 
-struct Options {
+struct Options : cli::CommonOptions {
     std::string device = "orin";
     std::string detector = "frcnn";
     std::string dataset = "kitti";
@@ -101,16 +97,6 @@ struct Options {
     std::size_t requests = 0; // 0 -> fast-mode-aware default
     std::size_t burst = 8;
     std::size_t pretrain = 2500;
-    cli::SeedFlag seed;
-    cli::OutputFormat format = cli::OutputFormat::table;
-    std::string csv_dir;
-    std::string telemetry_dir;
-    std::size_t telemetry_ring = 0; // 0 -> recorder default
-    bool chart = false;
-    bool profile = false;
-    bool list_scenarios = false;
-    std::vector<std::string> scenarios;
-    std::size_t jobs = 0;
     /// Fleet knobs: valid in ad-hoc mode (build a fleet of N preset copies)
     /// and in scenario mode (override a fleet scenario's pool size/router).
     std::size_t devices = 0; // 0 = not passed
@@ -126,10 +112,7 @@ struct Options {
 
 Options parse(int argc, char** argv) {
     Options opt;
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
+    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
     const auto u64 = [&](const std::string& flag, const std::string& v) {
         return cli::parse_u64(kTool, flag, v);
     };
@@ -141,6 +124,7 @@ Options parse(int argc, char** argv) {
             flag == "--streams" || flag == "--rate" || flag == "--slo" ||
             flag == "--requests" || flag == "--burst" || flag == "--pretrain";
         if (adhoc_only) opt.adhoc_flags.push_back(flag);
+        if (opt.parse_flag(kTool, argc, argv, i)) continue;
         if (flag == "--device") {
             opt.device = need_value(i);
         } else if (flag == "--detector") {
@@ -168,33 +152,6 @@ Options parse(int argc, char** argv) {
             if (opt.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
         } else if (flag == "--pretrain") {
             opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), opt.seed);
-        } else if (flag == "--format") {
-            opt.format = cli::parse_format(kTool, need_value(i));
-        } else if (flag == "--csv") {
-            opt.csv_dir = need_value(i);
-        } else if (flag == "--telemetry") {
-            opt.telemetry_dir = need_value(i);
-            if (opt.telemetry_dir.empty()) {
-                cli::usage_error(kTool, "--telemetry wants a directory");
-            }
-        } else if (flag == "--telemetry-ring") {
-            opt.telemetry_ring = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.telemetry_ring == 0) {
-                cli::usage_error(kTool, "--telemetry-ring must be >= 1");
-            }
-        } else if (flag == "--chart") {
-            opt.chart = true;
-        } else if (flag == "--profile") {
-            opt.profile = true;
-        } else if (flag == "--list-scenarios") {
-            opt.list_scenarios = true;
-        } else if (flag == "--scenario") {
-            opt.scenarios.push_back(need_value(i));
-        } else if (flag == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
         } else if (flag == "--devices") {
             opt.devices = static_cast<std::size_t>(u64(flag, need_value(i)));
             if (opt.devices == 0) cli::usage_error(kTool, "--devices must be >= 1");
@@ -210,15 +167,9 @@ Options parse(int argc, char** argv) {
             if (opt.replay_trace_dir.empty()) {
                 cli::usage_error(kTool, "--replay-trace wants a directory");
             }
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_serve.cpp for usage\n");
-            std::exit(0);
         } else {
             cli::usage_error(kTool, "unknown flag " + flag);
         }
-    }
-    if (opt.telemetry_ring > 0 && opt.telemetry_dir.empty()) {
-        cli::usage_error(kTool, "--telemetry-ring requires --telemetry");
     }
     if (!opt.record_trace_dir.empty() && !opt.replay_trace_dir.empty() &&
         opt.record_trace_dir == opt.replay_trace_dir) {
@@ -227,18 +178,6 @@ Options parse(int argc, char** argv) {
                                 "traces being replayed)");
     }
     return opt;
-}
-
-cli::RenderOptions render_options(const Options& opt) {
-    cli::RenderOptions r;
-    r.format = opt.format;
-    r.chart = opt.chart;
-    r.csv_dir = opt.csv_dir;
-    r.profile = opt.profile;
-    r.telemetry_dir = opt.telemetry_dir;
-    r.telemetry_ring = opt.telemetry_ring;
-    cli::reject_chart_with_json(kTool, r);
-    return r;
 }
 
 int list_scenarios() {
@@ -304,7 +243,7 @@ int run_scenarios(const Options& opt) {
         }
     }
 
-    const auto render = render_options(opt); // validate before the long run
+    const auto render = opt.render_options(kTool); // validate before the long run
     cli::apply_profile_flag(render);
     auto harness_cfg = cli::harness_config(render, opt.jobs, opt.seed.value);
     harness_cfg.trace_dir = opt.record_trace_dir;
@@ -323,7 +262,7 @@ int run_adhoc(const Options& opt) {
         cli::usage_error(kTool, "--router picks the fleet routing policy and requires "
                                 "--devices N (a single device has nothing to route)");
     }
-    const auto render = render_options(opt); // validate before the long run
+    const auto render = opt.render_options(kTool); // validate before the long run
     const auto spec = cli::parse_device(kTool, opt.device);
     const auto kind = cli::parse_detector(kTool, opt.detector);
     const auto dataset = cli::parse_dataset(kTool, opt.dataset);
@@ -421,7 +360,12 @@ int run_adhoc(const Options& opt) {
 
 int main(int argc, char** argv) {
     const auto opt = parse(argc, argv);
-    if (opt.list_scenarios) return list_scenarios();
-    if (!opt.scenarios.empty()) return run_scenarios(opt);
-    return run_adhoc(opt);
+    try {
+        if (opt.list_scenarios) return list_scenarios();
+        if (!opt.scenarios.empty()) return run_scenarios(opt);
+        return run_adhoc(opt);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
+        return 1;
+    }
 }

@@ -107,10 +107,7 @@ std::vector<std::string> split_list(const std::string& flag, const std::string& 
 Options parse(int argc, char** argv) {
     Options opt;
     bool rates_given = false;
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
+    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
     const auto u64 = [&](const std::string& flag, const std::string& v) {
         return cli::parse_u64(kTool, flag, v);
     };
@@ -435,11 +432,11 @@ int main(int argc, char** argv) {
              << ",\"migrations\":" << t.migrations()
              << ",\"load_skew\":" << telemetry::jnum(t.load_skew()) << "}}\n";
     }
-    csv.flush();
-    json.flush();
-    if (!csv || !json) {
-        std::fprintf(stderr, "%s: write failed in %s\n", kTool.c_str(),
-                     opt.out_dir.c_str());
+    try {
+        util::close_checked(csv, opt.out_dir + "/sweep.csv");
+        util::close_checked(json, opt.out_dir + "/sweep.json");
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
         return 1;
     }
     std::fprintf(stderr, "%s: wrote %s/sweep.csv and %s/sweep.json\n", kTool.c_str(),

@@ -72,10 +72,7 @@ Args parse(int argc, char** argv) {
     Args a;
     if (argc < 2) cli::usage_error(kTool, "missing verb (record|info|cat|slice|merge|synth)");
     a.verb = argv[1];
-    const auto need_value = [&](int& i) -> std::string {
-        if (i + 1 >= argc) cli::usage_error(kTool, std::string("missing value for ") + argv[i]);
-        return argv[++i];
-    };
+    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
     for (int i = 2; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--seed") {
