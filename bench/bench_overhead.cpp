@@ -342,8 +342,9 @@ bool stepper_comparison() {
 /// Version of BENCH_overhead.json's cell layout, checked by
 /// tools/check_bench_regression.py; bumped whenever a cell changes shape
 /// (3: train_step and serve_saturation are single flat cells, and
-/// serve_saturation carries the reference_wall_s it is normalized by).
-constexpr int kBenchSchemaVersion = 3;
+/// serve_saturation carries the reference_wall_s it is normalized by; 4:
+/// train_step carries bootstrap_rows and bootstrap_memo_hits).
+constexpr int kBenchSchemaVersion = 4;
 
 /// %.6g rendering for the JSON document (full precision is timer noise).
 std::string json_num(double v) {
@@ -369,6 +370,10 @@ struct TrainCell {
     std::uint64_t matvec_calls = 0;
     std::uint64_t allocs = 0;
     std::uint64_t alloc_bytes = 0;
+    /// Non-terminal minibatch rows, and those whose bootstrap value came
+    /// from the memo instead of a target forward.
+    std::uint64_t bootstrap_rows = 0;
+    std::uint64_t bootstrap_memo_hits = 0;
 };
 
 /// Time `steps` DQN updates on a replay buffer of LOTUS-style alternating
@@ -401,6 +406,8 @@ TrainCell run_train_cell(int steps) {
     cell.allocs = alloc_count() - a0;
     cell.alloc_bytes = alloc_bytes() - b0;
     cell.matvec_calls = prof::counter_total("rl.matvec_calls");
+    cell.bootstrap_rows = prof::counter_total("rl.bootstrap_rows");
+    cell.bootstrap_memo_hits = prof::counter_total("rl.bootstrap_memo_hits");
     return cell;
 }
 
@@ -617,9 +624,12 @@ bool perf_trajectory() {
 
     // --- cell 1: DQN train step ---------------------------------------------
     const auto train = run_train_cell(train_steps);
-    util::TextTable train_table({"train step (batch 32)", "us/step", "matvec calls", "allocs"});
+    util::TextTable train_table({"train step (batch 32)", "us/step", "matvec calls", "allocs",
+                                 "bootstrap rows", "memo hits"});
     train_table.add_row({"train_batch", util::format_double(train.us_per_step, 2),
-                         std::to_string(train.matvec_calls), std::to_string(train.allocs)});
+                         std::to_string(train.matvec_calls), std::to_string(train.allocs),
+                         std::to_string(train.bootstrap_rows),
+                         std::to_string(train.bootstrap_memo_hits)});
     std::printf("%s", train_table.render("DQN train step on the paper's Q-network (" +
                                          std::to_string(train_steps) + " steps)")
                           .c_str());
@@ -859,7 +869,9 @@ bool perf_trajectory() {
        << "  \"cells\": {\n"
        << "    \"train_step\": {\"us_per_step\": " << json_num(train.us_per_step)
        << ", \"matvec_calls\": " << train.matvec_calls << ", \"allocs\": " << train.allocs
-       << ", \"alloc_bytes\": " << train.alloc_bytes << "},\n"
+       << ", \"alloc_bytes\": " << train.alloc_bytes
+       << ", \"bootstrap_rows\": " << train.bootstrap_rows
+       << ", \"bootstrap_memo_hits\": " << train.bootstrap_memo_hits << "},\n"
        << "    \"serve_saturation\": " << serve_cell_json(serve) << ",\n"
        << "    \"summary_only_ledgers\": {\n"
        << "      \"full\": " << serve_cell_json(serve) << ",\n"

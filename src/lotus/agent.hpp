@@ -109,8 +109,8 @@ public:
     [[nodiscard]] std::size_t frames_seen() const noexcept { return frames_; }
     [[nodiscard]] std::size_t decisions_made() const noexcept { return decisions_; }
     [[nodiscard]] double last_reward() const noexcept { return last_reward_; }
-    /// Mean TD loss of the most recent train() call; empty before the replay
-    /// buffers first reach min_replay.
+    /// Mean TD loss over the updates of the most recent train() call that
+    /// ran one; empty before a replay buffer first reaches min_replay.
     [[nodiscard]] std::optional<double> last_loss() const noexcept { return last_loss_; }
 
 private:
@@ -155,6 +155,7 @@ private:
     std::unique_ptr<rl::DqnCore> dqn_second_; // odd net in 2-net mode only
     rl::ReplayBuffer even_buffer_;
     rl::ReplayBuffer odd_buffer_;
+    rl::ReplayBuffer::SampleScratch sample_scratch_;
 
     rl::ExponentialDecay eps_;
     rl::SinusoidalTriggerDecay eps_t_;

@@ -1,6 +1,7 @@
 #include "rl/dqn.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -24,6 +25,14 @@ Huber huber(double residual, double delta) noexcept {
     return {delta * (a - 0.5 * delta), residual > 0 ? delta : -delta};
 }
 
+/// A fresh target-network version, unique across every DqnCore in the
+/// process. Only compared for equality, so thread interleaving cannot change
+/// any result.
+std::uint64_t next_target_version() noexcept {
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 } // namespace
 
 DqnCore::DqnCore(MlpConfig net_config, DqnConfig config)
@@ -31,7 +40,8 @@ DqnCore::DqnCore(MlpConfig net_config, DqnConfig config)
       online_(net_config),
       target_(std::move(net_config)),
       optimizer_(online_, config.adam) {
-    target_.copy_parameters_from(online_);
+    if (config_.batch_size == 0) throw std::invalid_argument("DqnCore: zero batch_size");
+    sync_target();
 }
 
 int DqnCore::greedy_action(std::span<const double> state, double width) const {
@@ -65,8 +75,7 @@ void DqnCore::q_values(std::span<const double> state, double width,
 double DqnCore::train_step(const ReplayBuffer& buffer, util::Rng& rng,
                            std::size_t min_buffer) {
     if (buffer.size() < std::max<std::size_t>(min_buffer, 1)) return -1.0;
-    const auto batch = buffer.sample(rng, config_.batch_size);
-    return train_batch(batch);
+    return train_batch(buffer.sample(rng, config_.batch_size, train_.sample));
 }
 
 double DqnCore::train_batch(std::span<const Transition* const> batch) {
@@ -97,23 +106,39 @@ double DqnCore::accumulate_grads(std::span<const Transition* const> batch) {
     const double inv_n = 1.0 / static_cast<double>(n);
     auto& ts = train_;
 
-    // Bootstrap values: one batched target (and, for double DQN, online
-    // selection) pass per distinct width_next over non-terminal transitions.
+    // Bootstrap values: memo hits are read back; the misses run one batched
+    // target (and, for double DQN, online selection) pass per distinct
+    // width_next over non-terminal transitions. Double DQN never memoizes:
+    // its a* comes from the online network, which changes every step.
     {
         LOTUS_PROF_SCOPE("rl.train.bootstrap_fwd");
+        const auto memoized = [&](const Transition& t) {
+            return !config_.double_dqn && t.bootstrap_version == target_version_;
+        };
+        std::uint64_t rows = 0;
+        std::uint64_t hits = 0;
         ts.bootstrap.assign(n, 0.0);
         ts.widths.clear();
         for (std::size_t i = 0; i < n; ++i) {
-            if (batch[i]->terminal) continue;
-            const double w = batch[i]->width_next;
-            if (std::find(ts.widths.begin(), ts.widths.end(), w) == ts.widths.end()) {
-                ts.widths.push_back(w);
+            const Transition& t = *batch[i];
+            if (t.terminal) continue;
+            ++rows;
+            if (memoized(t)) {
+                ts.bootstrap[i] = t.bootstrap;
+                ++hits;
+                continue;
+            }
+            if (std::find(ts.widths.begin(), ts.widths.end(), t.width_next) == ts.widths.end()) {
+                ts.widths.push_back(t.width_next);
             }
         }
+        LOTUS_PROF_COUNT("rl.bootstrap_rows", rows);
+        LOTUS_PROF_COUNT("rl.bootstrap_memo_hits", hits);
         for (const double w : ts.widths) {
             ts.members.clear();
             for (std::size_t i = 0; i < n; ++i) {
-                if (!batch[i]->terminal && batch[i]->width_next == w) ts.members.push_back(i);
+                const Transition& t = *batch[i];
+                if (!t.terminal && t.width_next == w && !memoized(t)) ts.members.push_back(i);
             }
             const std::size_t m = ts.members.size();
             const std::size_t in0 = target_.active_units(0, w);
@@ -138,7 +163,10 @@ double DqnCore::accumulate_grads(std::span<const Transition* const> batch) {
             } else {
                 for (std::size_t row = 0; row < m; ++row) {
                     const auto qn = ts.net_cache.output.row(row);
-                    ts.bootstrap[ts.members[row]] = *std::max_element(qn.begin(), qn.end());
+                    const Transition& t = *batch[ts.members[row]];
+                    t.bootstrap = *std::max_element(qn.begin(), qn.end());
+                    t.bootstrap_version = target_version_;
+                    ts.bootstrap[ts.members[row]] = t.bootstrap;
                 }
             }
         }
@@ -214,6 +242,7 @@ double DqnCore::accumulate_grads(std::span<const Transition* const> batch) {
 
 void DqnCore::sync_target() {
     target_.copy_parameters_from(online_);
+    target_version_ = next_target_version();
 }
 
 } // namespace lotus::rl

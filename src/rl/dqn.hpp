@@ -7,8 +7,18 @@
 // synchronised target network; transitions carry the widths to use for the
 // online evaluation and the bootstrap, implementing the paper's cross-width
 // targets (even step bootstraps at 1.0x, odd step at 0.75x).
+//
+// Between two target syncs max_a Q_target(s', a) at width_next is a pure
+// function of the transition, so vanilla DQN memoizes it in the Transition
+// (see Transition::bootstrap) tagged with the target network's version. A
+// version is drawn from a process-wide counter at construction and at every
+// sync_target(), so it names one target-network state across all cores: a
+// transition sampled by another core, or by a core rebuilt at the same
+// address, never matches. Reuse is bit-identical to recomputing, because each
+// forward_batch row is its own reduction chain whatever the batch holds.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -36,6 +46,7 @@ struct DqnConfig {
 
 class DqnCore {
 public:
+    /// Throws std::invalid_argument when config.batch_size is 0.
     DqnCore(MlpConfig net_config, DqnConfig config);
 
     /// Greedy action at the given width: argmax_a Q(s, a).
@@ -55,11 +66,13 @@ public:
 
     /// One batched TD update from the given buffer. Returns the mean Huber
     /// loss, or a negative value when the buffer held fewer than
-    /// `min_buffer` transitions (no update performed).
+    /// max(min_buffer, 1) transitions (no update performed).
     double train_step(const ReplayBuffer& buffer, util::Rng& rng,
                       std::size_t min_buffer = 1);
 
     /// TD update over an explicit batch (used by LOTUS to alternate buffers).
+    /// Returns -1 for an empty batch (no update performed). The transitions'
+    /// bootstrap memos are read and written.
     double train_batch(std::span<const Transition* const> batch);
 
     void sync_target();
@@ -80,6 +93,9 @@ private:
     SlimmableMlp target_;
     Adam optimizer_;
     std::size_t updates_ = 0;
+    /// Version of target_'s current parameters (never 0; see the header
+    /// comment).
+    std::uint64_t target_version_ = 0;
 
     // Scratch reused across calls to keep the hot path allocation-free once
     // warm. A DqnCore is owned by one governor and each harness episode owns
@@ -88,6 +104,7 @@ private:
     mutable MlpScratch act_scratch_;
     mutable std::vector<double> act_q_;
     struct TrainScratch {
+        ReplayBuffer::SampleScratch sample; ///< train_step's minibatch
         Matrix x;                           ///< packed states of one width group
         BatchCache net_cache;               ///< target / double-DQN bootstrap pass
         BatchCache select_cache;            ///< online a*-selection pass (double DQN)

@@ -1,5 +1,6 @@
 #include "rl/replay.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace lotus::rl {
@@ -19,14 +20,13 @@ void ReplayBuffer::push(Transition t) {
     ++pushed_;
 }
 
-std::vector<const Transition*> ReplayBuffer::sample(util::Rng& rng, std::size_t k) const {
+std::span<const Transition* const> ReplayBuffer::sample(util::Rng& rng, std::size_t k,
+                                                        SampleScratch& scratch) const {
+    scratch.batch.clear();
     if (store_.empty()) return {};
-    k = std::min(k, store_.size());
-    const auto idx = rng.sample_indices(store_.size(), k);
-    std::vector<const Transition*> out;
-    out.reserve(k);
-    for (const auto i : idx) out.push_back(&store_[i]);
-    return out;
+    rng.sample_indices(store_.size(), std::min(k, store_.size()), scratch.indices);
+    for (const auto i : scratch.indices) scratch.batch.push_back(&store_[i]);
+    return scratch.batch;
 }
 
 void ReplayBuffer::clear() noexcept {

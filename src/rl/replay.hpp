@@ -5,6 +5,7 @@
 // <s_2i+1, a_2i+1, r_2i+1, s_2i+2>).
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -24,6 +25,14 @@ struct Transition {
     bool terminal = false;
     double width_state = 1.0;
     double width_next = 1.0;
+
+    /// Bootstrap memo, owned by DqnCore: max_a Q_target(next_state, a) at
+    /// width_next, valid while `bootstrap_version` equals the version of the
+    /// target network that computed it (0 = never computed). It lives in the
+    /// transition so a ring overwrite replaces it together with the fields it
+    /// was computed from; fields must not change once it is set.
+    mutable double bootstrap = 0.0;
+    mutable std::uint64_t bootstrap_version = 0;
 };
 
 /// Fixed-capacity uniform-sampling ring buffer.
@@ -33,9 +42,18 @@ public:
 
     void push(Transition t);
 
+    /// Caller-owned scratch for sample(); reusing it across calls keeps a
+    /// warm train step allocation-free.
+    struct SampleScratch {
+        std::vector<std::size_t> indices;
+        std::vector<const Transition*> batch;
+    };
+
     /// Sample `k` transitions uniformly without replacement (k is clamped to
-    /// size()). Returned pointers remain valid until the next push().
-    [[nodiscard]] std::vector<const Transition*> sample(util::Rng& rng, std::size_t k) const;
+    /// size()) into `scratch.batch` and return it. The pointers remain valid
+    /// until the next push().
+    std::span<const Transition* const> sample(util::Rng& rng, std::size_t k,
+                                              SampleScratch& scratch) const;
 
     [[nodiscard]] std::size_t size() const noexcept { return store_.size(); }
     [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }

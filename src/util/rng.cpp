@@ -91,11 +91,10 @@ double Rng::lognormal(double mu, double sigma) noexcept {
     return std::exp(normal(mu, sigma));
 }
 
-std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
+void Rng::sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& out) {
     if (k > n) throw std::invalid_argument("sample_indices: k > n");
     // Floyd's algorithm: O(k) expected, no O(n) scratch.
-    std::vector<std::size_t> out;
-    out.reserve(k);
+    out.clear();
     for (std::size_t j = n - k; j < n; ++j) {
         const auto t = static_cast<std::size_t>(
             uniform_int(0, static_cast<std::int64_t>(j)));
@@ -105,7 +104,6 @@ std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
         }
         out.push_back(seen ? j : t);
     }
-    return out;
 }
 
 } // namespace lotus::util

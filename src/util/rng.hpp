@@ -81,8 +81,9 @@ public:
     /// Log-normal: exp(N(mu, sigma)). Parameters are of the underlying normal.
     double lognormal(double mu, double sigma) noexcept;
 
-    /// Sample k distinct indices from [0, n) (k <= n), for replay sampling.
-    std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
+    /// Sample k distinct indices from [0, n) (k <= n) into `out`, for replay
+    /// sampling. `out` is overwritten; its capacity is reused.
+    void sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& out);
 
 private:
     std::array<std::uint64_t, 4> s_{};

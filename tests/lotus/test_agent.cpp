@@ -147,6 +147,27 @@ TEST(LotusAgent, TrainsOnlineOncePerFrame) {
     EXPECT_GT(agent.even_net().updates(), 0u);
 }
 
+// A buffer needs one transition to train, so min_replay 0 and 1 run the same
+// updates and must report the same loss. On frame 0 only the even buffer
+// holds a transition; an empty odd buffer must not enter the mean.
+TEST(LotusAgent, LossAveragesOnlyUpdatesThatRan) {
+    auto zero = test_config();
+    zero.min_replay = 0;
+    auto one = test_config();
+    one.min_replay = 1;
+    LotusAgent a(8, 6, zero);
+    LotusAgent b(8, 6, one);
+    for (int frame = 0; frame < 6; ++frame) {
+        run_frames(a, 1);
+        run_frames(b, 1);
+        ASSERT_TRUE(a.last_loss().has_value());
+        ASSERT_TRUE(b.last_loss().has_value());
+        EXPECT_EQ(*a.last_loss(), *b.last_loss()) << "frame " << frame;
+        EXPECT_GE(*a.last_loss(), 0.0) << "frame " << frame;
+    }
+    EXPECT_EQ(a.even_net().updates(), b.even_net().updates());
+}
+
 TEST(LotusAgent, CooldownFiresOnlyWhenHot) {
     LotusAgent agent(8, 6, test_config());
     run_frames(agent, 5);
@@ -318,6 +339,9 @@ TEST(LotusAgent, ConfigValidation) {
     EXPECT_THROW(LotusAgent(8, 6, cfg), std::invalid_argument);
     cfg = test_config();
     cfg.reduced_width = 1.5;
+    EXPECT_THROW(LotusAgent(8, 6, cfg), std::invalid_argument);
+    cfg = test_config();
+    cfg.batch_size = 0; // would never update
     EXPECT_THROW(LotusAgent(8, 6, cfg), std::invalid_argument);
 }
 

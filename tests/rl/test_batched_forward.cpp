@@ -7,7 +7,8 @@
 // train_batch against pinned FNV-1a digests of its losses, parameters and
 // Q-values across widths, batch sizes and slimmable active dims (including
 // ragged out_active < out_ via slim_output, and the paper's
-// {7,128,128,128,48} net on LOTUS-style batches). "Identical" here means
+// {7,128,128,128,48} net on LOTUS-style batches); the bootstrap memo against
+// a reference that never hits it. "Identical" here means
 // bitwise: the batched kernels restructure the loops but never the
 // per-element reduction order, so every double must match exactly, not
 // approximately.
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -511,6 +513,196 @@ INSTANTIATE_TEST_SUITE_P(
                (c.slim_output ? "_ragged" : "_fullout") + "_b" +
                std::to_string(c.batch_size);
     });
+
+// ---------------------------------------------------------------------------
+// Bootstrap memo: a vanilla-DQN transition keeps max_a Q_target(s', a) until
+// the target network or the transition changes.
+
+[[nodiscard]] std::uint64_t memo_hits() {
+    return prof::counter_total("rl.bootstrap_memo_hits");
+}
+
+/// A copy of `t`'s fields with a fresh (empty) memo.
+[[nodiscard]] Transition rebuilt(const Transition& t) {
+    Transition fresh;
+    fresh.state = t.state;
+    fresh.action = t.action;
+    fresh.reward = t.reward;
+    fresh.next_state = t.next_state;
+    fresh.terminal = t.terminal;
+    fresh.width_state = t.width_state;
+    fresh.width_next = t.width_next;
+    return fresh;
+}
+
+[[nodiscard]] MlpConfig memo_net(std::uint64_t seed) {
+    MlpConfig net;
+    net.dims = {7, 24, 16, 48};
+    net.seed = seed;
+    return net;
+}
+
+[[nodiscard]] DqnConfig memo_config() {
+    DqnConfig cfg;
+    cfg.batch_size = 16;
+    cfg.target_sync_every = 10;
+    return cfg;
+}
+
+/// Train `core` for 120 steps on a fixed stream: one LOTUS-style transition
+/// (alternating widths, some terminal) pushed per step into a 48-slot ring,
+/// so slots are overwritten and the target syncs 12 times. With `rebuild`,
+/// every sampled transition is rebuilt from its fields before the step, so
+/// the memo is never hit. Returns the bytes of the per-step losses.
+std::string train_on_stream(DqnCore& core, bool rebuild) {
+    util::Rng gen(71);
+    util::Rng sampler(73);
+    ReplayBuffer buffer(48);
+    ReplayBuffer::SampleScratch scratch;
+    std::vector<Transition> copies;
+    std::vector<const Transition*> batch;
+    std::string bytes;
+    for (int step = 0; step < 120; ++step) {
+        const bool even = step % 2 == 0;
+        buffer.push(make_transition(gen, 7, 48, even ? 0.75 : 1.0, even ? 1.0 : 0.75,
+                                    step % 9 == 4));
+        const auto sampled = buffer.sample(sampler, core.config().batch_size, scratch);
+        batch.assign(sampled.begin(), sampled.end());
+        if (rebuild) {
+            copies.clear();
+            for (const auto* t : sampled) copies.push_back(rebuilt(*t));
+            for (std::size_t i = 0; i < copies.size(); ++i) batch[i] = &copies[i];
+        }
+        const double loss = core.train_batch(batch);
+        append_bytes(bytes, {&loss, 1});
+    }
+    return bytes;
+}
+
+void expect_same_parameters(const DqnCore& a, const DqnCore& b) {
+    for (std::size_t l = 0; l < a.online().num_layers(); ++l) {
+        expect_bitwise_eq(a.online().layers()[l].weights().flat(),
+                          b.online().layers()[l].weights().flat());
+        expect_bitwise_eq(a.online().layers()[l].bias(), b.online().layers()[l].bias());
+        expect_bitwise_eq(a.target().layers()[l].weights().flat(),
+                          b.target().layers()[l].weights().flat());
+        expect_bitwise_eq(a.target().layers()[l].bias(), b.target().layers()[l].bias());
+    }
+}
+
+TEST(DqnBootstrapMemo, MatchesReferenceThatNeverHits) {
+    prof::reset();
+    DqnCore reference(memo_net(43), memo_config());
+    const auto reference_losses = train_on_stream(reference, /*rebuild=*/true);
+    ASSERT_EQ(memo_hits(), 0u);
+
+    DqnCore memoized(memo_net(43), memo_config());
+    const auto losses = train_on_stream(memoized, /*rebuild=*/false);
+    EXPECT_GT(memo_hits(), 0u);
+    EXPECT_EQ(losses, reference_losses);
+    expect_same_parameters(memoized, reference);
+}
+
+// The hit count on the fixed stream above, against the non-terminal rows it
+// bootstraps (a change here is a change to when the memo is reused).
+TEST(DqnBootstrapMemo, HitCountOnFixedStreamMatchesPin) {
+    prof::reset();
+    DqnCore core(memo_net(43), memo_config());
+    (void)train_on_stream(core, /*rebuild=*/false);
+    EXPECT_EQ(prof::counter_total("rl.bootstrap_rows"), 1596u);
+    EXPECT_EQ(memo_hits(), 1129u);
+}
+
+/// One-slot buffer: every step samples the slot's current transition.
+struct OneSlot {
+    ReplayBuffer buffer{1};
+    util::Rng rng{5};
+    util::Rng gen{6};
+
+    void push() { buffer.push(make_transition(gen, 7, 48, 1.0, 0.75, false)); }
+    /// One train_step; returns whether its bootstrap row hit the memo.
+    bool step_hits(DqnCore& core) {
+        const auto before = memo_hits();
+        EXPECT_GE(core.train_step(buffer, rng), 0.0);
+        return memo_hits() > before;
+    }
+};
+
+[[nodiscard]] double target_max(const DqnCore& core, const Transition& t) {
+    const auto q = core.target().forward(t.next_state, t.width_next);
+    return *std::max_element(q.begin(), q.end());
+}
+
+TEST(DqnBootstrapMemo, OverwrittenSlotMisses) {
+    prof::reset();
+    DqnConfig cfg = memo_config();
+    cfg.target_sync_every = 1000;
+    DqnCore core(memo_net(47), cfg);
+    OneSlot slot;
+    slot.push();
+    EXPECT_FALSE(slot.step_hits(core));
+    EXPECT_TRUE(slot.step_hits(core));
+    slot.push(); // same ring slot, new next_state
+    EXPECT_FALSE(slot.step_hits(core));
+    EXPECT_EQ(slot.buffer[0].bootstrap, target_max(core, slot.buffer[0]));
+    EXPECT_TRUE(slot.step_hits(core));
+}
+
+TEST(DqnBootstrapMemo, TargetSyncMisses) {
+    prof::reset();
+    DqnConfig cfg = memo_config();
+    cfg.target_sync_every = 3;
+    DqnCore core(memo_net(53), cfg);
+    OneSlot slot;
+    slot.push();
+    EXPECT_FALSE(slot.step_hits(core));
+    EXPECT_TRUE(slot.step_hits(core));
+    EXPECT_TRUE(slot.step_hits(core)); // the target syncs after this update
+    EXPECT_FALSE(slot.step_hits(core));
+    EXPECT_EQ(slot.buffer[0].bootstrap, target_max(core, slot.buffer[0]));
+    core.sync_target();
+    EXPECT_FALSE(slot.step_hits(core));
+    EXPECT_TRUE(slot.step_hits(core));
+}
+
+TEST(DqnBootstrapMemo, CoresNeverShareValues) {
+    prof::reset();
+    DqnConfig cfg = memo_config();
+    cfg.target_sync_every = 1000;
+    DqnCore a(memo_net(59), cfg);
+    DqnCore b(memo_net(61), cfg);
+    OneSlot slot;
+    slot.push();
+    for (int round = 0; round < 3; ++round) {
+        EXPECT_FALSE(slot.step_hits(a)) << "round " << round;
+        EXPECT_EQ(slot.buffer[0].bootstrap, target_max(a, slot.buffer[0]));
+        EXPECT_FALSE(slot.step_hits(b)) << "round " << round;
+        EXPECT_EQ(slot.buffer[0].bootstrap, target_max(b, slot.buffer[0]));
+    }
+    EXPECT_NE(target_max(a, slot.buffer[0]), target_max(b, slot.buffer[0]));
+
+    // A core rebuilt in place (same address, new target network) misses too.
+    std::optional<DqnCore> rebuilt_core(std::in_place, memo_net(67), cfg);
+    const DqnCore* address = &*rebuilt_core;
+    EXPECT_FALSE(slot.step_hits(*rebuilt_core));
+    EXPECT_TRUE(slot.step_hits(*rebuilt_core));
+    rebuilt_core.emplace(memo_net(71), cfg);
+    ASSERT_EQ(&*rebuilt_core, address);
+    EXPECT_FALSE(slot.step_hits(*rebuilt_core));
+    EXPECT_EQ(slot.buffer[0].bootstrap, target_max(*rebuilt_core, slot.buffer[0]));
+}
+
+TEST(DqnBootstrapMemo, DoubleDqnNeverMemoizes) {
+    prof::reset();
+    DqnConfig cfg = memo_config();
+    cfg.double_dqn = true;
+    DqnCore core(memo_net(73), cfg);
+    OneSlot slot;
+    slot.push();
+    for (int i = 0; i < 4; ++i) EXPECT_FALSE(slot.step_hits(core));
+    EXPECT_EQ(prof::counter_total("rl.bootstrap_rows"), 4u);
+    EXPECT_EQ(slot.buffer[0].bootstrap_version, 0u);
+}
 
 // rl.train_batch splits into four phase regions, each entered once per
 // batched step under it, and the phases' totals never exceed the parent's.

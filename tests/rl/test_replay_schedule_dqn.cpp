@@ -45,23 +45,29 @@ TEST(ReplayBuffer, SampleSizeClamped) {
     buf.push(make_transition(1));
     buf.push(make_transition(2));
     util::Rng rng(1);
-    EXPECT_EQ(buf.sample(rng, 5).size(), 2u);
-    EXPECT_TRUE(buf.sample(rng, 0).empty());
+    ReplayBuffer::SampleScratch scratch;
+    EXPECT_EQ(buf.sample(rng, 5, scratch).size(), 2u);
+    EXPECT_TRUE(buf.sample(rng, 0, scratch).empty());
 }
 
 TEST(ReplayBuffer, SampleFromEmpty) {
     ReplayBuffer buf(4);
     util::Rng rng(2);
-    EXPECT_TRUE(buf.sample(rng, 3).empty());
+    ReplayBuffer::SampleScratch scratch;
+    scratch.batch.push_back(nullptr); // stale contents are cleared
+    EXPECT_TRUE(buf.sample(rng, 3, scratch).empty());
+    EXPECT_TRUE(scratch.batch.empty());
 }
 
 TEST(ReplayBuffer, SampleWithoutReplacement) {
     ReplayBuffer buf(20);
     for (int i = 0; i < 20; ++i) buf.push(make_transition(i));
     util::Rng rng(3);
+    ReplayBuffer::SampleScratch scratch;
     for (int trial = 0; trial < 50; ++trial) {
-        const auto batch = buf.sample(rng, 10);
-        std::vector<const Transition*> unique(batch);
+        const auto batch = buf.sample(rng, 10, scratch);
+        ASSERT_EQ(batch.size(), 10u);
+        std::vector<const Transition*> unique(batch.begin(), batch.end());
         std::sort(unique.begin(), unique.end());
         ASSERT_EQ(std::unique(unique.begin(), unique.end()), unique.end());
     }
@@ -171,6 +177,12 @@ TEST(DqnCore, EpsilonZeroIsGreedy) {
     const std::vector<double> s{0.3, 0.4};
     const int g = dqn.greedy_action(s, 1.0);
     for (int i = 0; i < 100; ++i) ASSERT_EQ(dqn.act(s, 1.0, 0.0, rng), g);
+}
+
+TEST(DqnCore, RejectsZeroBatchSize) {
+    DqnConfig cfg;
+    cfg.batch_size = 0;
+    EXPECT_THROW(DqnCore(toy_net(2, 2, 6), cfg), std::invalid_argument);
 }
 
 TEST(DqnCore, TrainStepRequiresMinBuffer) {

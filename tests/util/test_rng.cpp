@@ -144,8 +144,9 @@ TEST(Rng, LognormalPositiveAndMedian) {
 
 TEST(Rng, SampleIndicesDistinctAndInRange) {
     Rng rng(53);
+    std::vector<std::size_t> idx;
     for (int trial = 0; trial < 100; ++trial) {
-        const auto idx = rng.sample_indices(50, 10);
+        rng.sample_indices(50, 10, idx);
         ASSERT_EQ(idx.size(), 10u);
         std::set<std::size_t> unique(idx.begin(), idx.end());
         ASSERT_EQ(unique.size(), 10u) << "duplicates drawn";
@@ -155,22 +156,27 @@ TEST(Rng, SampleIndicesDistinctAndInRange) {
 
 TEST(Rng, SampleIndicesFullSet) {
     Rng rng(59);
-    const auto idx = rng.sample_indices(8, 8);
+    std::vector<std::size_t> idx{99, 98}; // stale contents are overwritten
+    rng.sample_indices(8, 8, idx);
+    ASSERT_EQ(idx.size(), 8u);
     std::set<std::size_t> unique(idx.begin(), idx.end());
     EXPECT_EQ(unique.size(), 8u);
 }
 
 TEST(Rng, SampleIndicesRejectsOversample) {
     Rng rng(61);
-    EXPECT_THROW((void)rng.sample_indices(3, 4), std::invalid_argument);
+    std::vector<std::size_t> idx;
+    EXPECT_THROW(rng.sample_indices(3, 4, idx), std::invalid_argument);
 }
 
 TEST(Rng, SampleIndicesUniformCoverage) {
     Rng rng(67);
     std::vector<int> counts(20, 0);
     constexpr int kTrials = 20000;
+    std::vector<std::size_t> idx;
     for (int t = 0; t < kTrials; ++t) {
-        for (const auto i : rng.sample_indices(20, 5)) counts[i]++;
+        rng.sample_indices(20, 5, idx);
+        for (const auto i : idx) counts[i]++;
     }
     // Each index expected kTrials * 5/20 times.
     for (const int c : counts) {
