@@ -6,7 +6,7 @@
 // lotus::harness: a bench looks its scenarios up in the ScenarioRegistry,
 // runs them on the shared ExperimentHarness (episodes execute in parallel;
 // LOTUS_BENCH_JOBS overrides the pool size), and renders via the harness
-// sinks. Optional raw-trace CSV dumps: set LOTUS_BENCH_CSV=1; files land in
+// renderers (harness/sinks.hpp). Optional raw-trace CSV dumps: set LOTUS_BENCH_CSV=1; files land in
 // ./bench_out/.
 
 #include <string>

@@ -31,8 +31,11 @@ ExperimentHarness::ExperimentHarness(HarnessConfig config) : config_(config) {
 EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
                                              std::size_t arm_index) const {
     const auto& arm = scenario.arms.at(arm_index);
+    const auto& over = arm.overrides;
     auto cfg = scenario.config;
-    if (arm.tweak) arm.tweak(cfg);
+    if (over.detector) cfg.detector = *over.detector;
+    if (over.schedule) cfg.schedule = *over.schedule;
+    if (over.pinned_proposals) cfg.pinned_proposals = over.pinned_proposals;
 
     // Episode seed: a pure function of (harness seed, scenario, arm index).
     // One splitmix draw seeds the workload streams, a second seeds the
@@ -67,7 +70,8 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
 
     if (scenario.fleet) {
         auto fleet_cfg = *scenario.fleet;
-        if (arm.fleet_tweak) arm.fleet_tweak(fleet_cfg);
+        if (over.router) fleet_cfg.router = *over.router;
+        if (over.migrate_on_throttle) fleet_cfg.migrate_on_throttle = *over.migrate_on_throttle;
         fleet_cfg.seed = cfg.seed;
         if (!replay_from.empty()) fleet_cfg.replay_trace = replay_from;
         if (config_.summary_only) fleet_cfg.capture_rows = false;

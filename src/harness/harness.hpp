@@ -73,7 +73,8 @@ struct EpisodeResult {
     std::string scenario;
     std::string arm;
     std::uint64_t episode_seed = 0;
-    /// The resolved per-episode config (tweaks applied, seed substituted).
+    /// The resolved per-episode config (arm overrides applied, seed
+    /// substituted).
     runtime::ExperimentConfig config;
     /// Per-iteration trace (classic experiment episodes; empty for serving).
     runtime::Trace trace;

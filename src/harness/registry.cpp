@@ -42,29 +42,19 @@ ArmSpec detector_arm(const platform::DeviceSpec& spec, DetectorKind kind,
                      const std::string& dataset) {
     auto arm = default_arm(spec);
     arm.name = detector::to_string(kind);
-    arm.tweak = [device = spec.name, kind, dataset](runtime::ExperimentConfig& cfg) {
-        cfg.detector = kind;
-        cfg.schedule = workload::DomainSchedule::constant(
-            dataset, workload::latency_constraint_s(device, kind, dataset));
-    };
+    arm.overrides.detector = kind;
+    arm.overrides.schedule = workload::DomainSchedule::constant(
+        dataset, workload::latency_constraint_s(spec.name, kind, dataset));
     return arm;
 }
 
 /// Fig. 2 arm: one frame with a pinned proposal count at a pinned frequency,
-/// executed from a cold device (each arm is its own episode).
+/// executed from a cold device (each arm is its own episode; the scenario
+/// config runs one frame with no warm-up).
 ArmSpec proposal_probe_arm(int proposals) {
     auto arm = fixed_arm(5, 3);
     arm.name = "p=" + std::to_string(proposals);
-    arm.tweak = [proposals](runtime::ExperimentConfig& cfg) {
-        cfg.iterations = 1;
-        cfg.pretrain_iterations = 0;
-        cfg.frame_hook = [proposals](workload::FrameSample& frame, std::size_t) {
-            frame.proposals = proposals;
-            frame.resolution_scale = 1.0;
-            frame.complexity = 1.0;
-            frame.jitter = 1.0;
-        };
-    };
+    arm.overrides.pinned_proposals = proposals;
     return arm;
 }
 
@@ -73,10 +63,8 @@ ArmSpec constraint_arm(const platform::DeviceSpec& spec, const std::string& data
                        DetectorKind kind, double scale) {
     auto arm = lotus_arm(spec);
     arm.name = "Lotus@" + util::format_double(scale, 2) + "L";
-    arm.tweak = [device = spec.name, dataset, kind, scale](runtime::ExperimentConfig& cfg) {
-        const double base = workload::latency_constraint_s(device, kind, dataset);
-        cfg.schedule = workload::DomainSchedule::constant(dataset, base * scale);
-    };
+    arm.overrides.schedule = workload::DomainSchedule::constant(
+        dataset, workload::latency_constraint_s(spec.name, kind, dataset) * scale);
     return arm;
 }
 
@@ -318,7 +306,7 @@ ScenarioRegistry::ScenarioRegistry() {
             .iterations = orin_iters,
             .pretrain_iterations = orin_pre,
             .seed = 42,
-            .frame_hook = nullptr,
+            .pinned_proposals = std::nullopt,
         });
         s.name = "fig7b_domain_changes";
         s.title = "Fig. 7b (domain changes)";

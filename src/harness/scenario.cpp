@@ -14,10 +14,8 @@ bool Scenario::has_tag(const std::string& tag) const {
 
 ArmSpec fleet_arm(ArmSpec base, const std::string& router, bool migrate) {
     base.name += "+" + router + (migrate ? "+migrate" : "");
-    base.fleet_tweak = [router, migrate](fleet::FleetConfig& cfg) {
-        cfg.router = router;
-        cfg.migrate_on_throttle = migrate;
-    };
+    base.overrides.router = router;
+    base.overrides.migrate_on_throttle = migrate;
     return base;
 }
 

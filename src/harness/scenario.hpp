@@ -8,10 +8,12 @@
 // ScenarioRegistry) and every front end -- bench binaries, examples,
 // lotus_run -- drives experiments through the same ExperimentHarness.
 //
-// Arms may carry a config tweak: a per-arm adjustment applied to a copy of
-// the scenario config before the episode runs. This is how a single
-// scenario expresses detector sweeps (Fig. 1), proposal probes (Fig. 2) and
-// latency-constraint sweeps (stress scenarios) without bespoke drivers.
+// Arms may carry overrides: plain values that replace fields of the
+// scenario config in the episode's copy of it. This is how a single
+// scenario expresses detector sweeps (Fig. 1), proposal probes (Fig. 2),
+// latency-constraint sweeps (stress scenarios) and router shoot-outs
+// (fleet scenarios) without bespoke drivers. An override can only select a
+// config the scenario config could already express.
 
 #include <cstdint>
 #include <functional>
@@ -36,10 +38,24 @@ struct PaperRow {
     double satisfaction = 0.0; // fraction
 };
 
-/// One experiment arm: a named, seed-parameterised governor factory plus an
-/// optional config tweak. The factory receives a seed derived from
-/// (harness seed, scenario name, arm index) -- arms must not bake in their
-/// own entropy, or parallel runs would stop being reproducible.
+/// Per-arm replacements for scenario config fields. Each field mirrors the
+/// config field of the same name; the harness copies every set field onto
+/// the episode's copy of the config. `detector`, `schedule` and
+/// `pinned_proposals` belong to runtime::ExperimentConfig (experiment-mode
+/// scenarios); `router` and `migrate_on_throttle` to fleet::FleetConfig
+/// (fleet scenarios).
+struct ArmOverrides {
+    std::optional<detector::DetectorKind> detector;
+    std::optional<workload::DomainSchedule> schedule;
+    std::optional<int> pinned_proposals;
+    std::optional<std::string> router;
+    std::optional<bool> migrate_on_throttle;
+};
+
+/// One experiment arm: a named, seed-parameterised governor factory plus
+/// config overrides. The factory receives a seed derived from (harness
+/// seed, scenario name, arm index) -- arms must not bake in their own
+/// entropy, or parallel runs would stop being reproducible.
 struct ArmSpec {
     std::string name;
     std::function<std::unique_ptr<governors::Governor>(std::uint64_t seed)> make;
@@ -53,10 +69,7 @@ struct ArmSpec {
                                                        std::uint64_t seed)>
         make_for;
     std::optional<PaperRow> paper;
-    std::function<void(runtime::ExperimentConfig&)> tweak;
-    /// Per-arm adjustment of a fleet scenario's config (router shootouts,
-    /// migration on/off); ignored for non-fleet scenarios.
-    std::function<void(fleet::FleetConfig&)> fleet_tweak;
+    ArmOverrides overrides;
 };
 
 /// A named, tagged experiment: config + arms. (Constructed from its config
@@ -111,8 +124,8 @@ struct Scenario {
 [[nodiscard]] ArmSpec powersave_arm();
 
 /// Retarget any governor arm at one fleet routing policy: the arm name
-/// becomes "<base>+<router>[+migrate]" and its fleet_tweak pins the router
-/// and migration switch (router shoot-outs express each policy as an arm).
+/// becomes "<base>+<router>[+migrate]" and its overrides set the router and
+/// the migration switch (router shoot-outs express each policy as an arm).
 [[nodiscard]] ArmSpec fleet_arm(ArmSpec base, const std::string& router,
                                 bool migrate = false);
 

@@ -27,8 +27,6 @@ std::string artifact_name(std::string s) {
 
 namespace {
 
-std::string sanitize(std::string s) { return artifact_name(std::move(s)); }
-
 /// Largest latency constraint across an episode's schedule segments (the
 /// reference line drawn in multi-domain figures).
 double max_constraint_ms(const EpisodeResult& r) {
@@ -275,7 +273,7 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
     const bool fleet = !results.empty() && results.front().is_fleet();
     const bool serving = !results.empty() && results.front().is_serving();
     for (const auto& r : results) {
-        const auto path = unique_path(sanitize(stem) + "_" + sanitize(r.arm));
+        const auto path = unique_path(artifact_name(stem) + "_" + artifact_name(r.arm));
         std::size_t rows = 0;
         if (r.fleet_trace) {
             r.fleet_trace->write_csv(path);
@@ -294,7 +292,7 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
 
     // Episode-summary table: the one place scenario and arm names land
     // *inside* a CSV, so quoting matters (CsvWriter applies RFC 4180).
-    const auto summary_path = dir + "/" + sanitize(stem) + "_summary.csv";
+    const auto summary_path = dir + "/" + artifact_name(stem) + "_summary.csv";
     if (fleet) {
         util::CsvWriter csv(summary_path,
                             {"scenario", "arm", "scope", "label", "requests", "served",
@@ -445,32 +443,26 @@ std::string scenario_json(const Scenario& scenario,
     return o;
 }
 
-void JsonSink::consume(const Scenario& scenario,
-                       const std::vector<EpisodeResult>& results) {
-    std::printf("%s\n", scenario_json(scenario, results).c_str());
-}
-
-void ProfileSink::consume(const Scenario& scenario,
-                          const std::vector<EpisodeResult>&) {
+void print_profile_report(const std::string& scenario_name) {
     // Front ends may render scenarios from pool threads; serialize the
     // report+reset pair so two scenarios' reports cannot interleave on
     // stderr (or blend counters by resetting mid-report).
     static std::mutex mutex;
     const std::lock_guard<std::mutex> lock(mutex);
-    std::fprintf(stderr, "[profile] %s\n%s", scenario.name.c_str(),
+    std::fprintf(stderr, "[profile] %s\n%s", scenario_name.c_str(),
                  prof::report_text().c_str());
     prof::reset();
 }
 
 void TelemetrySink::consume(const Scenario& scenario,
                             const std::vector<EpisodeResult>& results) {
-    const std::string base = dir_ + "/" + sanitize(scenario.name);
+    const std::string base = dir_ + "/" + artifact_name(scenario.name);
     // Arm names are sanitized like CSV trace files; suffix repeats in
     // declaration order so every episode keeps its own directory.
     std::set<std::string> used;
     for (const auto& r : results) {
         if (!r.telemetry) continue;
-        const std::string stem = sanitize(r.arm);
+        const std::string stem = artifact_name(r.arm);
         std::string name = stem;
         for (std::size_t n = 2; !used.insert(name).second; ++n) {
             name = stem + "_" + std::to_string(n);

@@ -1,15 +1,14 @@
 #pragma once
-// Pluggable result sinks for harness episodes.
+// Renderers for harness episodes.
 //
-// A ResultSink consumes the ordered EpisodeResults of one scenario and
+// Each function takes the ordered EpisodeResults of one scenario and
 // renders them somewhere: the paper-style summary table, the paper-style
 // ASCII figure (temperature + latency traces with the throttling bound /
-// latency constraint reference lines), raw per-episode CSV files, or
-// machine-readable JSON (one document per scenario). Every sink understands
-// both episode kinds -- classic experiment traces and serving ledgers -- so
-// front ends compose sinks without caring which registry half a scenario
-// came from; the free functions underneath are available for custom
-// headings.
+// latency constraint reference lines), raw per-episode CSV files,
+// machine-readable JSON (one document per scenario), the profiler report or
+// the telemetry artifacts. Every renderer understands every episode kind --
+// classic experiment traces, serving and fleet ledgers -- so front ends
+// pick renderers without caring which registry half a scenario came from.
 
 #include <string>
 #include <vector>
@@ -17,13 +16,6 @@
 #include "harness/harness.hpp"
 
 namespace lotus::harness {
-
-class ResultSink {
-public:
-    virtual ~ResultSink() = default;
-    virtual void consume(const Scenario& scenario,
-                         const std::vector<EpisodeResult>& results) = 0;
-};
 
 /// Paper-style quantitative table: l-bar / sigma_l / R_L / T_dev / P /
 /// throttled%, with the paper's reference numbers when the arm has them.
@@ -67,59 +59,13 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
 [[nodiscard]] std::string scenario_json(const Scenario& scenario,
                                         const std::vector<EpisodeResult>& results);
 
-class SummaryTableSink final : public ResultSink {
-public:
-    void consume(const Scenario& scenario,
-                 const std::vector<EpisodeResult>& results) override {
-        if (scenario.is_fleet()) {
-            print_fleet_table(scenario.title, results);
-        } else if (scenario.is_serving()) {
-            print_serving_table(scenario.title, results);
-        } else {
-            print_summary_table(scenario.title, results);
-        }
-    }
-};
-
-class AsciiFigureSink final : public ResultSink {
-public:
-    void consume(const Scenario& scenario,
-                 const std::vector<EpisodeResult>& results) override {
-        print_figure(scenario.title, results);
-    }
-};
-
-class CsvSink final : public ResultSink {
-public:
-    explicit CsvSink(std::string dir) : dir_(std::move(dir)) {}
-
-    void consume(const Scenario& scenario,
-                 const std::vector<EpisodeResult>& results) override {
-        write_csv_traces(dir_, scenario.name, results);
-    }
-
-private:
-    std::string dir_;
-};
-
-/// Prints one JSON document per consumed scenario to stdout.
-class JsonSink final : public ResultSink {
-public:
-    void consume(const Scenario& scenario,
-                 const std::vector<EpisodeResult>& results) override;
-};
-
-/// Prints the internal profiler's report (hierarchical region timings +
-/// counters, see src/prof/) to stderr after each scenario, then resets the
-/// profiler so successive scenarios do not blend into one report. stderr
-/// keeps stdout byte-identical for table/JSON consumers.
-/// Thread-safe: the report+reset pair is serialized, so concurrent
-/// scenarios cannot interleave their reports on stderr.
-class ProfileSink final : public ResultSink {
-public:
-    void consume(const Scenario& scenario,
-                 const std::vector<EpisodeResult>& results) override;
-};
+/// Print the internal profiler's report (hierarchical region timings +
+/// counters, see src/prof/) to stderr under a "[profile] <scenario>"
+/// heading, then reset the profiler so successive scenarios do not blend
+/// into one report. stderr keeps stdout byte-identical for table/JSON
+/// consumers. Thread-safe: the report+reset pair is serialized, so
+/// concurrent scenarios cannot interleave their reports on stderr.
+void print_profile_report(const std::string& scenario_name);
 
 /// Writes each episode's captured sim-time telemetry (see src/telemetry/)
 /// under <dir>/<scenario>/<arm>/: trace.json (Perfetto / chrome://tracing),
@@ -127,13 +73,12 @@ public:
 /// that sanitize to the same directory are suffixed in declaration order
 /// (same rule as write_csv_traces). Episodes carrying no recorder --
 /// HarnessConfig::telemetry off -- are skipped silently.
-class TelemetrySink final : public ResultSink {
+class TelemetrySink {
 public:
     explicit TelemetrySink(std::string dir, bool announce = true)
         : dir_(std::move(dir)), announce_(announce) {}
 
-    void consume(const Scenario& scenario,
-                 const std::vector<EpisodeResult>& results) override;
+    void consume(const Scenario& scenario, const std::vector<EpisodeResult>& results);
 
 private:
     std::string dir_;

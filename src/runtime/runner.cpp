@@ -20,16 +20,13 @@ std::uint64_t stream_seed(std::uint64_t base, const std::string& dataset) {
 
 void pretrain(platform::EdgeDevice& device, InferenceEngine& engine,
               const detector::DetectorModel& model, governors::Governor& governor,
-              workload::FrameStream& frames, double constraint_s, std::size_t iterations,
-              const FrameHook& hook) {
+              workload::FrameStream& frames, double constraint_s, std::size_t iterations) {
     if (iterations == 0) return;
     // Pretrain advances the clock and then rewinds it via reset();
     // recording it would break the trace's monotonic timeline.
     telemetry::SuspendScope no_telemetry;
     for (std::size_t i = 0; i < iterations; ++i) {
-        auto frame = frames.next();
-        if (hook) hook(frame, i);
-        engine.run_frame(model, frame, governor, constraint_s, i);
+        engine.run_frame(model, frames.next(), governor, constraint_s, i);
     }
     // Cold restart for the measured phase: the device cools down and the
     // clock resets, but the governor keeps its learned state.
@@ -67,7 +64,7 @@ Trace ExperimentRunner::run(governors::Governor& governor) const {
     const auto& seg0 = config_.schedule.at(0);
     device.set_ambient(config_.ambient.at(0));
     pretrain(device, engine, model, governor, stream_for(seg0.dataset),
-             seg0.latency_constraint_s, config_.pretrain_iterations, config_.frame_hook);
+             seg0.latency_constraint_s, config_.pretrain_iterations);
 
     // --- measured phase ------------------------------------------------------
     Trace trace;
@@ -78,7 +75,12 @@ Trace ExperimentRunner::run(governors::Governor& governor) const {
         device.set_ambient(ambient);
         auto& stream = stream_for(seg.dataset);
         auto frame = stream.next();
-        if (config_.frame_hook) config_.frame_hook(frame, i);
+        if (const auto& pin = config_.pinned_proposals) {
+            frame.proposals = *pin;
+            frame.resolution_scale = 1.0;
+            frame.complexity = 1.0;
+            frame.jitter = 1.0;
+        }
         const auto result =
             engine.run_frame(model, frame, governor, seg.latency_constraint_s, i);
 
@@ -117,7 +119,7 @@ ExperimentConfig static_experiment(platform::DeviceSpec device_spec,
         .iterations = iterations,
         .pretrain_iterations = pretrain_iterations,
         .seed = seed,
-        .frame_hook = nullptr,
+        .pinned_proposals = std::nullopt,
     };
     return cfg;
 }

@@ -11,8 +11,8 @@
 // with the serving and fleet engines.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 
 #include "detector/model.hpp"
 #include "platform/device.hpp"
@@ -23,17 +23,13 @@
 
 namespace lotus::runtime {
 
-/// Transform applied to a sampled frame before execution.
-using FrameHook = std::function<void(workload::FrameSample&, std::size_t iteration)>;
-
 /// Warm a governor up: run `iterations` unrecorded frames from `frames`
-/// against `constraint_s` (each passed through `hook` when set), with
-/// telemetry suspended, then cold-restart the device and the engine. The
-/// governor keeps its learned state. A no-op for zero iterations.
+/// against `constraint_s`, with telemetry suspended, then cold-restart the
+/// device and the engine. The governor keeps its learned state. A no-op for
+/// zero iterations.
 void pretrain(platform::EdgeDevice& device, InferenceEngine& engine,
               const detector::DetectorModel& model, governors::Governor& governor,
-              workload::FrameStream& frames, double constraint_s, std::size_t iterations,
-              const FrameHook& hook = nullptr);
+              workload::FrameStream& frames, double constraint_s, std::size_t iterations);
 
 struct ExperimentConfig {
     platform::DeviceSpec device_spec;
@@ -43,10 +39,11 @@ struct ExperimentConfig {
     std::size_t iterations = 3000;
     std::size_t pretrain_iterations = 0;
     std::uint64_t seed = 42;
-    /// Optional transform applied to every sampled frame before execution.
-    /// Probe scenarios (e.g. the Fig. 2 proposal sweep) use it to pin frame
-    /// properties that are normally drawn from the dataset stream.
-    FrameHook frame_hook;
+    /// When set, every measured frame runs with this RPN proposal count and
+    /// nominal resolution, complexity and jitter (1.0) instead of the values
+    /// drawn from the dataset stream: the Fig. 2 proposal probe. Warm-up
+    /// frames are not pinned.
+    std::optional<int> pinned_proposals;
 };
 
 class ExperimentRunner {

@@ -310,11 +310,11 @@ TEST(FleetEngine, ParallelHarnessEqualsSerial) {
               harness::scenario_json(scenario, parallel));
 }
 
-TEST(FleetEngine, FleetTweakAppliesPerArm) {
+TEST(FleetEngine, ArmOverridesApplyPerArm) {
     const auto spec = platform::orin_nano_spec();
     harness::Scenario scenario(runtime::static_experiment(
         spec, detector::DetectorKind::faster_rcnn, "KITTI", 1, 0));
-    scenario.name = "fleet_tweak";
+    scenario.name = "fleet_overrides";
     scenario.title = scenario.name;
     scenario.fleet = small_config();
     scenario.arms.push_back(harness::fleet_arm(harness::fixed_arm(5, 3), "round_robin"));
@@ -327,7 +327,7 @@ TEST(FleetEngine, FleetTweakAppliesPerArm) {
     EXPECT_FALSE(results[0].fleet_config->migrate_on_throttle);
     EXPECT_EQ(results[1].fleet_config->router, "thermal_aware");
     EXPECT_TRUE(results[1].fleet_config->migrate_on_throttle);
-    // The tweak applied to a copy: the shared scenario config is intact.
+    // The overrides land on a copy: the shared scenario config is intact.
     EXPECT_EQ(scenario.fleet->router, "least_queue");
 }
 

@@ -131,7 +131,7 @@ TEST(DefaultGovernor, TicksDriveBothDomains) {
     EXPECT_LE(cpu, 3u);
 }
 
-TEST(DefaultGovernor, FrameHooksAreNoOps) {
+TEST(DefaultGovernor, FrameCallbacksAreNoOps) {
     auto gov = DefaultGovernor::mi11_lite();
     EXPECT_FALSE(gov.on_frame_start(make_obs()).has_request);
     EXPECT_FALSE(gov.on_post_rpn(make_obs()).has_request);

@@ -13,6 +13,8 @@
 //    telemetry artifacts (health.json, trace.json, breaches.jsonl) of one
 //    serving and one fleet scenario. Those two run with telemetry on, which
 //    must not move their scenario JSON.
+//  * Arm overrides: one scenario per kind of per-arm variation (detector,
+//    pinned proposal count, rescaled constraint), in full-ledger mode.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -214,6 +216,20 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
             EXPECT_EQ(telemetry_digest(results, &Recorder::breaches_jsonl), pin.breaches)
                 << pin.scenario;
         }
+    }
+}
+
+TEST(ArmVariationGoldenDigests, DetectorProbeAndConstraintArmsMatchPinnedDigests) {
+    // Fig. 1 varies the detector per arm, Fig. 2 pins the proposal count
+    // and the constraint sweep rescales L: one pin per kind of variation.
+    const std::pair<const char*, const char*> pinned[] = {
+        {"fig1_kitti", "826ac1888fe1a8cd"},
+        {"fig2_frcnn_sweep", "178234bee9fe1173"},
+        {"stress_constraint_sweep", "ba5e69003624b049"},
+    };
+    for (const auto& [scenario, digest] : pinned) {
+        const auto& sc = fast_registry().at(scenario);
+        EXPECT_EQ(json_digest(sc, run_scenario(sc, false)), digest) << scenario;
     }
 }
 

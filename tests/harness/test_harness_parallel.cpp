@@ -105,16 +105,14 @@ TEST(ExperimentHarness, RootSeedChangesEveryEpisode) {
     }
 }
 
-TEST(ExperimentHarness, ArmTweaksApplyPerEpisode) {
+TEST(ExperimentHarness, ArmOverridesApplyPerEpisode) {
     const auto spec = platform::orin_nano_spec();
     Scenario s(runtime::static_experiment(spec, detector::DetectorKind::faster_rcnn,
                                           "KITTI", 20, 0));
     auto tight = fixed_arm(5, 3);
     tight.name = "tight";
-    tight.tweak = [](runtime::ExperimentConfig& cfg) {
-        cfg.schedule = workload::DomainSchedule::constant("KITTI", 0.1);
-    };
-    s.name = "tweaks";
+    tight.overrides.schedule = workload::DomainSchedule::constant("KITTI", 0.1);
+    s.name = "overrides";
     s.arms.push_back(fixed_arm(5, 3));
     s.arms.push_back(std::move(tight));
 
@@ -122,7 +120,7 @@ TEST(ExperimentHarness, ArmTweaksApplyPerEpisode) {
     ASSERT_EQ(results.size(), 2u);
     EXPECT_NE(results[0].trace[0].constraint_s, 0.1);
     EXPECT_EQ(results[1].trace[0].constraint_s, 0.1);
-    // The tweak is applied to a copy: the shared scenario config is intact.
+    // The override lands on a copy: the shared scenario config is intact.
     EXPECT_NE(s.config.schedule.at(0).latency_constraint_s, 0.1);
 }
 
@@ -133,7 +131,9 @@ TEST(ExperimentHarness, EpisodeFailuresPropagate) {
     s.name = "failing";
     auto bad = fixed_arm(5, 3);
     bad.name = "bad";
-    bad.tweak = [](runtime::ExperimentConfig& cfg) { cfg.iterations = 0; };
+    bad.make = [](std::uint64_t) -> std::unique_ptr<governors::Governor> {
+        throw std::invalid_argument("bad arm");
+    };
     s.arms.push_back(fixed_arm(5, 3));
     s.arms.push_back(std::move(bad));
 
@@ -141,18 +141,15 @@ TEST(ExperimentHarness, EpisodeFailuresPropagate) {
                  std::invalid_argument);
 }
 
-TEST(ExperimentHarness, FrameHookPinsFrames) {
+TEST(ExperimentHarness, PinnedProposalsPinEveryMeasuredFrame) {
     const auto spec = platform::orin_nano_spec();
     Scenario s(runtime::static_experiment(spec, detector::DetectorKind::faster_rcnn,
                                           "KITTI", 5, 0));
-    s.name = "hooked";
-    s.config.frame_hook = [](workload::FrameSample& frame, std::size_t) {
-        frame.proposals = 123;
-        frame.jitter = 1.0;
-        frame.complexity = 1.0;
-    };
+    s.name = "pinned";
+    s.config.pinned_proposals = 123;
     s.arms.push_back(fixed_arm(5, 3));
     const auto results = ExperimentHarness({.jobs = 1, .seed = 9}).run(s);
+    ASSERT_EQ(results[0].trace.size(), 5u);
     for (const auto& row : results[0].trace.rows()) {
         EXPECT_EQ(row.proposals, 123);
     }

@@ -91,10 +91,9 @@ TEST(ScenarioRegistry, Fig1ArmsSweepTheDetector) {
     ASSERT_EQ(s.arms.size(), 3u);
     std::set<detector::DetectorKind> kinds;
     for (const auto& arm : s.arms) {
-        ASSERT_TRUE(arm.tweak != nullptr);
-        auto cfg = s.config;
-        arm.tweak(cfg);
-        kinds.insert(cfg.detector);
+        ASSERT_TRUE(arm.overrides.detector.has_value()) << arm.name;
+        ASSERT_TRUE(arm.overrides.schedule.has_value()) << arm.name;
+        kinds.insert(*arm.overrides.detector);
     }
     EXPECT_EQ(kinds.size(), 3u) << "each Fig. 1 arm must select a distinct detector";
 }
@@ -104,12 +103,37 @@ TEST(ScenarioRegistry, ConstraintSweepArmsRescaleTheConstraint) {
     ASSERT_GE(s.arms.size(), 2u);
     std::set<double> constraints;
     for (const auto& arm : s.arms) {
-        ASSERT_TRUE(arm.tweak != nullptr);
-        auto cfg = s.config;
-        arm.tweak(cfg);
-        constraints.insert(cfg.schedule.at(0).latency_constraint_s);
+        ASSERT_TRUE(arm.overrides.schedule.has_value()) << arm.name;
+        constraints.insert(arm.overrides.schedule->at(0).latency_constraint_s);
     }
     EXPECT_EQ(constraints.size(), s.arms.size());
+}
+
+TEST(ScenarioRegistry, ArmOverridesMatchScenarioMode) {
+    // An override only means something to the engine that reads its config
+    // field: routing to fleet episodes, detector/schedule/proposal pins to
+    // the experiment runner.
+    std::size_t routed = 0;
+    std::size_t pinned = 0;
+    for (const auto& s : registry().all()) {
+        const bool experiment = !s.is_fleet() && !s.is_serving();
+        for (const auto& arm : s.arms) {
+            const auto& o = arm.overrides;
+            routed += o.router.has_value() ? 1 : 0;
+            pinned += o.pinned_proposals.has_value() ? 1 : 0;
+            if (!s.is_fleet()) {
+                EXPECT_FALSE(o.router.has_value()) << s.name << "/" << arm.name;
+                EXPECT_FALSE(o.migrate_on_throttle.has_value()) << s.name << "/" << arm.name;
+            }
+            if (!experiment) {
+                EXPECT_FALSE(o.detector.has_value()) << s.name << "/" << arm.name;
+                EXPECT_FALSE(o.schedule.has_value()) << s.name << "/" << arm.name;
+                EXPECT_FALSE(o.pinned_proposals.has_value()) << s.name << "/" << arm.name;
+            }
+        }
+    }
+    EXPECT_GT(routed, 0u) << "the router shoot-outs carry router overrides";
+    EXPECT_GT(pinned, 0u) << "the Fig. 2 probes carry proposal pins";
 }
 
 TEST(ScenarioRegistry, TagQueriesMatchTagMembership) {

@@ -1,6 +1,7 @@
-// Tests for the result sinks: the JSON document writer (escaping, structure,
-// serving vs experiment shapes) and the CSV sink's quoting/collision
-// behaviour for scenario and arm names containing commas and quotes.
+// Tests for the result renderers: the JSON document writer (escaping,
+// structure, serving vs experiment shapes) and the CSV writer's
+// quoting/collision behaviour for scenario and arm names containing commas
+// and quotes.
 
 #include <gtest/gtest.h>
 
@@ -80,7 +81,7 @@ Scenario nasty_scenario() {
     return s;
 }
 
-TEST(CsvSink, QuotesScenarioAndArmNamesInSummary) {
+TEST(WriteCsvTraces, QuotesScenarioAndArmNamesInSummary) {
     const auto scenario = nasty_scenario();
     const auto results = ExperimentHarness({.jobs = 1, .seed = 3}).run(scenario);
 
@@ -102,7 +103,7 @@ TEST(CsvSink, QuotesScenarioAndArmNamesInSummary) {
     fs::remove_all(dir);
 }
 
-TEST(CsvSink, CollidingSanitizedArmNamesGetDistinctFiles) {
+TEST(WriteCsvTraces, CollidingSanitizedArmNamesGetDistinctFiles) {
     const auto scenario = nasty_scenario();
     const auto results = ExperimentHarness({.jobs = 1, .seed = 3}).run(scenario);
 
@@ -115,13 +116,13 @@ TEST(CsvSink, CollidingSanitizedArmNamesGetDistinctFiles) {
         const auto name = entry.path().filename().string();
         if (name.find("_summary") == std::string::npos) ++trace_files;
     }
-    // Both arms sanitize to the same stem; the sink must still write two
+    // Both arms sanitize to the same stem; the writer must still emit two
     // distinct per-episode trace files.
     EXPECT_EQ(trace_files, 2u);
     fs::remove_all(dir);
 }
 
-TEST(JsonSink, ExperimentDocumentStructureAndEscaping) {
+TEST(ScenarioJson, ExperimentDocumentStructureAndEscaping) {
     const auto scenario = nasty_scenario();
     const auto results = ExperimentHarness({.jobs = 1, .seed = 3}).run(scenario);
     const auto doc = scenario_json(scenario, results);
@@ -158,7 +159,7 @@ TEST(JsonSink, ExperimentDocumentStructureAndEscaping) {
     EXPECT_FALSE(in_string);
 }
 
-TEST(JsonSink, ServingDocumentCarriesPerStreamSummaries) {
+TEST(ScenarioJson, ServingDocumentCarriesPerStreamSummaries) {
     const auto spec = platform::orin_nano_spec();
     Scenario s(runtime::static_experiment(spec, detector::DetectorKind::faster_rcnn,
                                           "KITTI", 1, 0));

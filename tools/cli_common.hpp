@@ -115,7 +115,7 @@ inline OutputFormat parse_format(const std::string& tool, const std::string& s) 
 struct RenderOptions {
     OutputFormat format = OutputFormat::table;
     bool chart = false;
-    /// CSV output directory; empty disables the CSV sink.
+    /// CSV output directory; empty disables CSV output.
     std::string csv_dir;
     /// Enable the internal profiler and print its per-scenario report to
     /// stderr (see src/prof/).
@@ -126,7 +126,7 @@ struct RenderOptions {
     std::string telemetry_dir;
 
     /// Serving/fleet episodes can skip materialising per-request ledger rows
-    /// (bit-identical summaries, less allocation) exactly when no sink needs
+    /// (bit-identical summaries, less allocation) exactly when no renderer needs
     /// the rows: charts read per-request columns, CSV dumps the ledger.
     [[nodiscard]] bool summary_only() const noexcept {
         return !chart && csv_dir.empty();
@@ -134,8 +134,8 @@ struct RenderOptions {
 };
 
 /// Harness config for scenario execution under these render options: the
-/// summary-only fast path engages automatically when no row-consuming sink
-/// is attached.
+/// summary-only fast path engages automatically when no row-consuming
+/// output is selected.
 inline harness::HarnessConfig harness_config(const RenderOptions& opt, std::size_t jobs,
                                              std::uint64_t seed) {
     harness::HarnessConfig cfg;
@@ -156,7 +156,7 @@ inline void reject_chart_with_json(const std::string& tool, const RenderOptions&
 }
 
 /// The flags lotus_run and lotus_serve share: scenario selection, jobs,
-/// seed, the output sinks and --help.
+/// seed, the output renderers and --help.
 struct CommonOptions {
     SeedFlag seed;
     OutputFormat format = OutputFormat::table;
@@ -203,7 +203,7 @@ struct CommonOptions {
         return true;
     }
 
-    /// The sinks these flags select; rejects --chart with --format json.
+    /// The renderers these flags select; rejects --chart with --format json.
     [[nodiscard]] RenderOptions render_options(const std::string& tool) const {
         RenderOptions r;
         r.format = format;
@@ -222,26 +222,12 @@ inline void apply_profile_flag(const RenderOptions& opt) {
     if (opt.profile) prof::set_enabled(true);
 }
 
-/// Slice a harness batch result back per scenario and feed each slice
-/// through the sinks the options select (chart, table-or-json, CSV).
+/// Slice a harness batch result back per scenario and render each slice
+/// the way the options select (chart, table-or-json, CSV, telemetry,
+/// profile).
 inline void render_results(const RenderOptions& opt,
                            const std::vector<const harness::Scenario*>& batch,
                            std::vector<harness::EpisodeResult> results) {
-    std::vector<std::unique_ptr<harness::ResultSink>> sinks;
-    if (opt.chart) sinks.push_back(std::make_unique<harness::AsciiFigureSink>());
-    if (opt.format == OutputFormat::json) {
-        sinks.push_back(std::make_unique<harness::JsonSink>());
-    } else {
-        sinks.push_back(std::make_unique<harness::SummaryTableSink>());
-    }
-    if (!opt.csv_dir.empty()) {
-        sinks.push_back(std::make_unique<harness::CsvSink>(opt.csv_dir));
-    }
-    if (!opt.telemetry_dir.empty()) {
-        sinks.push_back(std::make_unique<harness::TelemetrySink>(opt.telemetry_dir));
-    }
-    if (opt.profile) sinks.push_back(std::make_unique<harness::ProfileSink>());
-
     std::size_t cursor = 0;
     for (const auto* s : batch) {
         const std::vector<harness::EpisodeResult> slice(
@@ -249,7 +235,21 @@ inline void render_results(const RenderOptions& opt,
             std::make_move_iterator(results.begin() +
                                     static_cast<std::ptrdiff_t>(cursor + s->arms.size())));
         cursor += s->arms.size();
-        for (const auto& sink : sinks) sink->consume(*s, slice);
+        if (opt.chart) harness::print_figure(s->title, slice);
+        if (opt.format == OutputFormat::json) {
+            std::printf("%s\n", harness::scenario_json(*s, slice).c_str());
+        } else if (s->is_fleet()) {
+            harness::print_fleet_table(s->title, slice);
+        } else if (s->is_serving()) {
+            harness::print_serving_table(s->title, slice);
+        } else {
+            harness::print_summary_table(s->title, slice);
+        }
+        if (!opt.csv_dir.empty()) harness::write_csv_traces(opt.csv_dir, s->name, slice);
+        if (!opt.telemetry_dir.empty()) {
+            harness::TelemetrySink(opt.telemetry_dir).consume(*s, slice);
+        }
+        if (opt.profile) harness::print_profile_report(s->name);
         if (opt.format == OutputFormat::table) std::printf("\n");
     }
 }

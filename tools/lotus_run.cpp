@@ -228,14 +228,10 @@ int run_single(const Options& opt) {
                      trace.size());
     }
     if (!opt.telemetry_dir.empty()) {
-        // Single-run mode bypasses render_results, so attach the sink by hand.
+        // Single-run mode bypasses render_results, so write telemetry by hand.
         harness::TelemetrySink(opt.telemetry_dir).consume(scenario, results);
     }
-    if (opt.profile) {
-        std::fprintf(stderr, "[profile] %s\n%s", scenario.name.c_str(),
-                     prof::report_text().c_str());
-        prof::reset();
-    }
+    if (opt.profile) harness::print_profile_report(scenario.name);
     return 0;
 }
 
