@@ -31,8 +31,6 @@ const Scenario& scenario(const std::string& name) {
 
 std::vector<EpisodeResult> run(const Scenario& s) { return shared_harness().run(s); }
 
-std::vector<EpisodeResult> run(const std::string& name) { return run(scenario(name)); }
-
 void maybe_dump_csv(const std::string& stem, const std::vector<EpisodeResult>& results) {
     if (!env_flag("LOTUS_BENCH_CSV")) return;
     harness::write_csv_traces("bench_out", stem, results);

@@ -98,23 +98,6 @@ FleetDevice make_device(std::string id, platform::DeviceSpec spec) {
     return FleetDevice(std::move(id), std::move(spec));
 }
 
-void resize_pool(FleetConfig& config, std::size_t n) {
-    if (config.devices.empty()) {
-        throw std::invalid_argument("resize_pool: the pool has no template devices");
-    }
-    if (n == 0) throw std::invalid_argument("resize_pool: a fleet needs >= 1 device");
-    const auto base = config.devices;
-    if (config.devices.size() > n) {
-        config.devices.erase(config.devices.begin() + static_cast<std::ptrdiff_t>(n),
-                             config.devices.end());
-    }
-    for (std::size_t i = config.devices.size(); i < n; ++i) {
-        auto clone = base[i % base.size()];
-        clone.id = clone.id + "x" + std::to_string(i);
-        config.devices.push_back(std::move(clone));
-    }
-}
-
 FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
     if (config_.devices.empty()) {
         throw std::invalid_argument("FleetEngine: no devices configured");

@@ -88,9 +88,4 @@ struct FleetConfig {
 /// Convenience builder for a pool slot.
 [[nodiscard]] FleetDevice make_device(std::string id, platform::DeviceSpec spec);
 
-/// Resize the pool to n devices: truncates, or grows by cycling the
-/// existing slots (clones get fresh unique ids, so seed namespaces stay
-/// distinct). Throws std::invalid_argument on an empty pool or n == 0.
-void resize_pool(FleetConfig& config, std::size_t n);
-
 } // namespace lotus::fleet

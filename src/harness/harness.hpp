@@ -51,13 +51,13 @@ struct HarnessConfig {
     /// index; names sanitized like every other artifact). Empty disables
     /// capture. Classic experiment episodes have no request timeline and
     /// are skipped.
-    std::string trace_dir;
+    std::string trace_dir{};
     /// Replay serving/fleet episodes from traces previously recorded under
     /// the same layout (episode paths must exist; a missing or mismatched
     /// trace fails the run). Seeds still derive identically, so governor
     /// behaviour -- and therefore every output -- is byte-identical to the
     /// generating run.
-    std::string replay_dir;
+    std::string replay_dir{};
 };
 
 /// The on-disk location of one episode's recorded trace under `dir` --

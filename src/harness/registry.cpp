@@ -564,7 +564,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "8 Poisson KITTI streams at ~3.4 req/s total, ~30% above device "
                 "capacity: the queue never drains, so admission control and "
                 "thermal headroom decide the deadline-miss rate. The headline "
-                "LOTUS-vs-Linux-governors serving comparison (bench_serving).",
+                "LOTUS-vs-Linux-governors serving comparison.",
                 "edf_admit");
             for (int i = 0; i < 8; ++i) {
                 s.serving->streams.push_back(cam_stream(

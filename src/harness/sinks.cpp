@@ -443,13 +443,12 @@ std::string scenario_json(const Scenario& scenario,
     return o;
 }
 
-void print_profile_report(const std::string& scenario_name) {
-    // Front ends may render scenarios from pool threads; serialize the
-    // report+reset pair so two scenarios' reports cannot interleave on
+void print_profile_report(const std::string& heading) {
+    // Serialize the report+reset pair so two reports cannot interleave on
     // stderr (or blend counters by resetting mid-report).
     static std::mutex mutex;
     const std::lock_guard<std::mutex> lock(mutex);
-    std::fprintf(stderr, "[profile] %s\n%s", scenario_name.c_str(),
+    std::fprintf(stderr, "[profile] %s\n%s", heading.c_str(),
                  prof::report_text().c_str());
     prof::reset();
 }

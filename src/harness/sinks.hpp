@@ -60,12 +60,12 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
                                         const std::vector<EpisodeResult>& results);
 
 /// Print the internal profiler's report (hierarchical region timings +
-/// counters, see src/prof/) to stderr under a "[profile] <scenario>"
-/// heading, then reset the profiler so successive scenarios do not blend
-/// into one report. stderr keeps stdout byte-identical for table/JSON
-/// consumers. Thread-safe: the report+reset pair is serialized, so
-/// concurrent scenarios cannot interleave their reports on stderr.
-void print_profile_report(const std::string& scenario_name);
+/// counters, see src/prof/) to stderr under a "[profile] <heading>" line
+/// (the front ends name the run's scenarios), then reset the profiler so
+/// successive reports do not blend. stderr keeps stdout byte-identical for
+/// table/JSON consumers. Thread-safe: the report+reset pair is serialized,
+/// so concurrent callers cannot interleave their reports on stderr.
+void print_profile_report(const std::string& heading);
 
 /// Writes each episode's captured sim-time telemetry (see src/telemetry/)
 /// under <dir>/<scenario>/<arm>/: trace.json (Perfetto / chrome://tracing),

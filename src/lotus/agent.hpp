@@ -15,7 +15,7 @@
 //    decays sinusoidally per trigger -- early training is protected from
 //    thermal runaway, while the converged agent handles hot states itself.
 //
-// Ablation switches (bench_ablation_design) expose the design space the
+// Ablation switches (the ablation_design scenario) expose the design space the
 // paper argues about: one decision per frame, two separate Q-networks, and
 // zTT's non-decaying cool-down.
 

@@ -39,7 +39,7 @@ struct DqnConfig {
     /// Double DQN (van Hasselt et al. 2016): the online network selects the
     /// bootstrap action, the target network evaluates it. Off by default --
     /// the paper uses the vanilla DQN of Mnih et al. 2015 -- but exposed as
-    /// an extension (see bench_ablation_design).
+    /// an extension (see the ablation_design scenario).
     bool double_dqn = false;
     AdamConfig adam;
 };

@@ -1,10 +1,14 @@
 #pragma once
-// Shared front-end glue for the CLI tools (lotus_run, lotus_serve).
+// Shared front-end glue for the CLI tools (lotus_run, lotus_serve,
+// lotus_sweep, lotus_trace).
 //
-// Both tools speak the same dialect -- strict flag validation (unknown
+// The tools speak the same dialect -- strict flag validation (unknown
 // flags, enum values and malformed numbers exit 2, no silent fallbacks),
-// the same device/detector/dataset/governor vocabularies -- so the parsing
-// and arm construction live here once.
+// the same device/detector/dataset/governor vocabularies -- and each
+// front-end job has one code path here: list_scenarios / run_scenarios run
+// registry scenarios for lotus_run and lotus_serve, run_batch runs and
+// renders any batch, StreamFlags + identical_streams build the ad-hoc load
+// of N phase-staggered streams, preset_pool builds a fleet of preset copies.
 
 #include <charconv>
 #include <cstdio>
@@ -102,6 +106,89 @@ inline std::string parse_router(const std::string& tool, const std::string& s) {
     return s;
 }
 
+/// The ad-hoc load flags lotus_serve, lotus_sweep and lotus_trace synth
+/// share: --streams/--requests/--arrival/--rate/--burst/--slo/--dataset.
+/// Unset requests/SLO read 0; each tool fills in its own default before
+/// building the streams.
+struct StreamFlags {
+    std::size_t streams = 4;
+    std::size_t requests = 0;
+    serving::ArrivalKind arrival = serving::ArrivalKind::poisson;
+    double rate_hz = 0.25;
+    std::size_t burst = 8;
+    /// Seconds; --slo takes milliseconds.
+    double slo_s = 0.0;
+    /// Canonical dataset name (parse_dataset).
+    std::string dataset = "KITTI";
+
+    /// Consume argv[i] (and its value) when it is a load flag; false leaves
+    /// it to the tool.
+    bool parse_flag(const std::string& tool, int argc, char** argv, int& i) {
+        const std::string flag = argv[i];
+        const auto value = [&] { return flag_value(tool, argc, argv, i); };
+        const auto count = [&] {
+            const auto n = static_cast<std::size_t>(parse_u64(tool, flag, value()));
+            if (n == 0) usage_error(tool, flag + " must be >= 1");
+            return n;
+        };
+        if (flag == "--streams") {
+            streams = count();
+        } else if (flag == "--requests") {
+            requests = count();
+        } else if (flag == "--arrival") {
+            try {
+                arrival = serving::arrival_kind_from(value());
+            } catch (const std::invalid_argument& e) {
+                usage_error(tool, e.what());
+            }
+        } else if (flag == "--rate") {
+            rate_hz = parse_positive_double(tool, flag, value());
+        } else if (flag == "--burst") {
+            burst = count();
+        } else if (flag == "--slo") {
+            slo_s = parse_positive_double(tool, flag, value()) / 1e3;
+        } else if (flag == "--dataset") {
+            dataset = parse_dataset(tool, value());
+        } else {
+            return false;
+        }
+        return true;
+    }
+};
+
+/// The flags' N identical streams, phases staggered across one mean
+/// inter-arrival so they do not fire in lockstep.
+inline std::vector<serving::StreamSpec> identical_streams(const StreamFlags& load) {
+    serving::ArrivalSpec arrival;
+    arrival.kind = load.arrival;
+    arrival.rate_hz = load.rate_hz;
+    arrival.burst = load.burst;
+    std::vector<serving::StreamSpec> streams;
+    for (std::size_t i = 0; i < load.streams; ++i) {
+        serving::StreamSpec stream;
+        stream.name = "stream" + std::to_string(i);
+        stream.dataset = load.dataset;
+        stream.slo_s = load.slo_s;
+        stream.requests = load.requests;
+        stream.arrival = arrival;
+        stream.arrival.phase_s =
+            static_cast<double>(i) / (arrival.rate_hz * static_cast<double>(load.streams));
+        streams.push_back(std::move(stream));
+    }
+    return streams;
+}
+
+/// A fleet pool of n copies of one device preset, ids <preset>0..<preset>n-1.
+inline std::vector<fleet::FleetDevice> preset_pool(const std::string& preset,
+                                                   const platform::DeviceSpec& spec,
+                                                   std::size_t n) {
+    std::vector<fleet::FleetDevice> pool;
+    for (std::size_t d = 0; d < n; ++d) {
+        pool.push_back(fleet::make_device(preset + std::to_string(d), spec));
+    }
+    return pool;
+}
+
 /// Output format for result rendering.
 enum class OutputFormat { table, json };
 
@@ -117,7 +204,7 @@ struct RenderOptions {
     bool chart = false;
     /// CSV output directory; empty disables CSV output.
     std::string csv_dir;
-    /// Enable the internal profiler and print its per-scenario report to
+    /// Enable the internal profiler and print its report for the batch to
     /// stderr (see src/prof/).
     bool profile = false;
     /// Sim-time telemetry output directory (trace.json / breaches.jsonl /
@@ -133,19 +220,6 @@ struct RenderOptions {
     }
 };
 
-/// Harness config for scenario execution under these render options: the
-/// summary-only fast path engages automatically when no row-consuming
-/// output is selected.
-inline harness::HarnessConfig harness_config(const RenderOptions& opt, std::size_t jobs,
-                                             std::uint64_t seed) {
-    harness::HarnessConfig cfg;
-    cfg.jobs = jobs;
-    cfg.seed = seed;
-    cfg.summary_only = opt.summary_only();
-    cfg.telemetry = !opt.telemetry_dir.empty();
-    return cfg;
-}
-
 /// `--format json` promises machine-readable stdout; ASCII charts would
 /// corrupt it (CSV announcements already go to stderr).
 inline void reject_chart_with_json(const std::string& tool, const RenderOptions& opt) {
@@ -160,7 +234,7 @@ inline void reject_chart_with_json(const std::string& tool, const RenderOptions&
 struct CommonOptions {
     SeedFlag seed;
     OutputFormat format = OutputFormat::table;
-    /// --csv: the output directory (lotus_run single-run mode: a file path).
+    /// --csv: the output directory.
     std::string csv;
     std::string telemetry_dir;
     bool chart = false;
@@ -216,15 +290,10 @@ struct CommonOptions {
     }
 };
 
-/// Turn the profiler's runtime timer gate on when --profile was passed
-/// (call before the run so episodes are sampled).
-inline void apply_profile_flag(const RenderOptions& opt) {
-    if (opt.profile) prof::set_enabled(true);
-}
-
 /// Slice a harness batch result back per scenario and render each slice
-/// the way the options select (chart, table-or-json, CSV, telemetry,
-/// profile).
+/// the way the options select (chart, table-or-json, CSV, telemetry), then
+/// print one profile report for the whole batch: its episodes run
+/// concurrently, so the samples cannot be split per scenario.
 inline void render_results(const RenderOptions& opt,
                            const std::vector<const harness::Scenario*>& batch,
                            std::vector<harness::EpisodeResult> results) {
@@ -249,9 +318,80 @@ inline void render_results(const RenderOptions& opt,
         if (!opt.telemetry_dir.empty()) {
             harness::TelemetrySink(opt.telemetry_dir).consume(*s, slice);
         }
-        if (opt.profile) harness::print_profile_report(s->name);
         if (opt.format == OutputFormat::table) std::printf("\n");
     }
+    if (opt.profile) {
+        std::string heading;
+        for (const auto* s : batch) heading += (heading.empty() ? "" : ", ") + s->name;
+        harness::print_profile_report(heading);
+    }
+}
+
+/// Run a batch on the harness the shared flags configure and render it.
+/// lotus_serve passes its --record-trace / --replay-trace directories.
+/// Without --csv/--chart serving and fleet episodes run summary-only (no
+/// per-request ledger rows; every table and JSON byte is the same).
+inline void run_batch(const std::string& tool, const CommonOptions& opt,
+                      const std::vector<const harness::Scenario*>& batch,
+                      const std::string& trace_dir = {}, const std::string& replay_dir = {}) {
+    const auto render = opt.render_options(tool);
+    if (render.profile) prof::set_enabled(true);
+    const harness::ExperimentHarness harness({.jobs = opt.jobs,
+                                              .seed = opt.seed.value,
+                                              .summary_only = render.summary_only(),
+                                              .telemetry = !render.telemetry_dir.empty(),
+                                              .trace_dir = trace_dir,
+                                              .replay_dir = replay_dir});
+    // Status goes to stderr so stdout is byte-identical at any --jobs count.
+    std::fprintf(stderr, "%s: %zu scenario(s), %zu jobs, seed %llu\n", tool.c_str(),
+                 batch.size(), harness.config().jobs,
+                 static_cast<unsigned long long>(harness.config().seed));
+    render_results(render, batch, harness.run(batch));
+}
+
+/// Print the scenario registry as one table.
+inline int list_scenarios() {
+    const auto& registry = harness::ScenarioRegistry::instance();
+    util::TextTable table({"scenario", "arms", "tags", "title"});
+    for (const auto& s : registry.all()) {
+        std::string tags;
+        for (const auto& t : s.tags) tags += tags.empty() ? t : "," + t;
+        table.add_row({s.name, std::to_string(s.arms.size()), tags, s.title});
+    }
+    std::printf("%s", table.render("scenario registry (" +
+                                   std::to_string(registry.all().size()) + " scenarios)")
+                          .c_str());
+    return 0;
+}
+
+/// Registry scenarios are fixed: scenario mode rejects the flags of the
+/// tool's other mode (`mode`: "single-run", "ad-hoc") the user passed,
+/// instead of silently ignoring an override.
+inline void reject_mode_flags(const std::string& tool, const std::vector<std::string>& flags,
+                              const std::string& mode) {
+    if (flags.empty()) return;
+    usage_error(tool, flags.front() + " only applies to " + mode +
+                          " mode; scenario definitions are fixed by the registry (tune "
+                          "--seed/--jobs/--format/--chart/--csv instead)");
+}
+
+/// Scenario mode: look every --scenario name up in the registry and run
+/// them as one batch. An unknown name exits 2.
+inline int run_scenarios(const std::string& tool, const CommonOptions& opt,
+                         const std::string& trace_dir = {}, const std::string& replay_dir = {}) {
+    const auto& registry = harness::ScenarioRegistry::instance();
+    std::vector<const harness::Scenario*> batch;
+    for (const auto& name : opt.scenarios) {
+        const auto* s = registry.find(name);
+        if (s == nullptr) {
+            std::fprintf(stderr, "%s: unknown scenario '%s' (try --list-scenarios)\n",
+                         tool.c_str(), name.c_str());
+            return 2;
+        }
+        batch.push_back(s);
+    }
+    run_batch(tool, opt, batch, trace_dir, replay_dir);
+    return 0;
 }
 
 /// The full governor vocabulary both tools accept:

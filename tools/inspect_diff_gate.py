@@ -12,7 +12,7 @@ from the environment), then asserts:
 
 Usage:
     inspect_diff_gate.py --serve PATH/TO/lotus_serve --inspect PATH/TO/lotus_inspect
-        [--scenario serve_fleet_saturation] [--devices 4] [--workdir DIR]
+        [--scenario serve_fleet_saturation] [--workdir DIR]
 
 Exit 0 when both properties hold, 1 otherwise, 2 on setup failure.
 """
@@ -31,9 +31,8 @@ def run(cmd, **kwargs):
     return proc
 
 
-def serve_tree(serve, scenario, devices, out_dir):
-    proc = run([serve, "--scenario", scenario, "--devices", str(devices),
-                "--format", "json", "--telemetry", out_dir])
+def serve_tree(serve, scenario, out_dir):
+    proc = run([serve, "--scenario", scenario, "--format", "json", "--telemetry", out_dir])
     if proc.returncode != 0:
         print(f"inspect_diff_gate: {serve} failed:\n{proc.stderr}", file=sys.stderr)
         sys.exit(2)
@@ -44,7 +43,6 @@ def main():
     ap.add_argument("--serve", required=True)
     ap.add_argument("--inspect", required=True)
     ap.add_argument("--scenario", default="serve_fleet_saturation")
-    ap.add_argument("--devices", type=int, default=4)
     ap.add_argument("--workdir")
     args = ap.parse_args()
 
@@ -53,7 +51,7 @@ def main():
     tree_b = os.path.join(workdir, "run_b")
     for tree in (tree_a, tree_b):
         shutil.rmtree(tree, ignore_errors=True)
-        serve_tree(args.serve, args.scenario, args.devices, tree)
+        serve_tree(args.serve, args.scenario, tree)
 
     failures = []
 

@@ -1,11 +1,13 @@
 // lotus_run: command-line experiment runner.
 //
-// Two modes, both driven by the ExperimentHarness:
+// Two modes, both driven by the ExperimentHarness and rendered by the same
+// renderers (tools/cli_common.hpp; lotus_serve runs scenarios the same way):
 //
 //  * Scenario mode -- run named scenarios from the ScenarioRegistry, all
 //    episodes scheduled concurrently on a fixed thread pool. Parallel runs
 //    are byte-identical to serial runs for the same seed (per-episode seed
-//    derivation), so `--jobs` is purely a throughput knob.
+//    derivation), so `--jobs` is purely a throughput knob. Registry
+//    scenarios are fixed: the single-run flags are rejected here.
 //
 //      lotus_run --list-scenarios
 //      lotus_run --scenario fig4_kitti --jobs 8
@@ -14,16 +16,17 @@
 //
 //  * Single-run mode -- one ad-hoc (device, detector, dataset, governor)
 //    experiment, the "do one run" front end a downstream user reaches for
-//    before scripting the bench harnesses.
+//    before scripting the bench harnesses. It builds a one-arm scenario
+//    named "cli" and renders it like any other scenario.
 //
 //      lotus_run --device orin --detector frcnn --dataset kitti --governor lotus
 //      lotus_run --governor fixed:7,5 --iterations 500 --chart
-//      lotus_run --device mi11 --governor ztt --pretrain 2000 --csv out.csv
+//      lotus_run --device mi11 --governor ztt --pretrain 2000 --csv out/
 //
 // Flags (all optional):
 //   --list-scenarios enumerate the registry and exit
 //   --scenario NAME  run a registry scenario (repeatable)
-//   --jobs N         worker threads for scenario mode   (default: all cores)
+//   --jobs N         worker threads                    (default: all cores)
 //   --device     orin | mi11                        (default orin)
 //   --detector   frcnn | mrcnn | yolo               (default frcnn)
 //   --dataset    kitti | visdrone                   (default kitti)
@@ -35,10 +38,11 @@
 //   --constraint MS  latency constraint override in milliseconds
 //   --format     table | json                       (default table; json emits
 //                    one machine-readable document per scenario / run)
-//   --csv PATH       single run: trace CSV path; scenario mode: output dir
+//   --csv DIR        write per-episode trace CSVs + <scenario>_summary.csv
+//                    into DIR (the single run's scenario is "cli")
 //   --chart          render temperature/latency ASCII charts
-//   --profile        print the internal profiler's report to stderr
-//                    (per-scenario in scenario mode; see src/prof/)
+//   --profile        print the internal profiler's report to stderr, one
+//                    per run naming its scenarios (see src/prof/)
 //   --telemetry DIR  record sim-time telemetry per episode and write it
 //                    under DIR/<scenario>/<arm>/: trace.json (Perfetto /
 //                    chrome://tracing), breaches.jsonl, manifest.json,
@@ -48,7 +52,6 @@
 // with a nonzero exit -- no silent fallbacks.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,55 +112,8 @@ Options parse(int argc, char** argv) {
     return opt;
 }
 
-int list_scenarios() {
-    const auto& registry = harness::ScenarioRegistry::instance();
-    util::TextTable table({"scenario", "arms", "tags", "title"});
-    for (const auto& s : registry.all()) {
-        std::string tags;
-        for (const auto& t : s.tags) tags += tags.empty() ? t : "," + t;
-        table.add_row({s.name, std::to_string(s.arms.size()), tags, s.title});
-    }
-    std::printf("%s", table.render("scenario registry (" +
-                                   std::to_string(registry.all().size()) + " scenarios)")
-                          .c_str());
-    return 0;
-}
-
-int run_scenarios(const Options& opt) {
-    if (!opt.single_run_flags.empty()) {
-        cli::usage_error(kTool, opt.single_run_flags.front() +
-                                    " only applies to single-run mode; scenario "
-                                    "definitions are fixed by the registry (tune "
-                                    "--seed/--jobs/--format/--chart/--csv instead)");
-    }
-    const auto& registry = harness::ScenarioRegistry::instance();
-    std::vector<const harness::Scenario*> batch;
-    for (const auto& name : opt.scenarios) {
-        const auto* s = registry.find(name);
-        if (s == nullptr) {
-            std::fprintf(stderr,
-                         "lotus_run: unknown scenario '%s' (try --list-scenarios)\n",
-                         name.c_str());
-            return 2;
-        }
-        batch.push_back(s);
-    }
-
-    const auto render = opt.render_options(kTool);
-    cli::apply_profile_flag(render);
-
-    const harness::ExperimentHarness harness(
-        cli::harness_config(render, opt.jobs, opt.seed.value));
-    // Status goes to stderr so stdout is byte-identical at any --jobs count.
-    std::fprintf(stderr, "lotus_run: %zu scenario(s), %zu jobs, seed %llu\n", batch.size(),
-                 harness.config().jobs,
-                 static_cast<unsigned long long>(harness.config().seed));
-    cli::render_results(render, batch, harness.run(batch));
-    return 0;
-}
-
 int run_single(const Options& opt) {
-    (void)opt.render_options(kTool); // validate before the long run
+    (void)opt.render_options(kTool); // reject bad flag combinations before the banner
     const auto spec = cli::parse_device(kTool, opt.device);
     const bool orin = spec.name.find("orin") != std::string::npos;
     const auto kind = cli::parse_detector(kTool, opt.detector);
@@ -184,54 +140,7 @@ int run_single(const Options& opt) {
                  static_cast<unsigned long long>(opt.seed.value),
                  scenario.config.schedule.at(0).latency_constraint_s * 1e3);
 
-    if (opt.profile) prof::set_enabled(true);
-    harness::HarnessConfig cfg{
-        .jobs = 1, .seed = opt.seed.value, .telemetry = !opt.telemetry_dir.empty()};
-    const harness::ExperimentHarness harness(cfg);
-    const auto results = harness.run(scenario);
-    const auto& trace = results[0].trace;
-
-    if (opt.format == cli::OutputFormat::json) {
-        std::printf("%s\n", harness::scenario_json(scenario, results).c_str());
-    } else {
-        const auto s = trace.summary();
-        util::TextTable table({"metric", "value"});
-        table.add_row({"mean latency (ms)", util::format_double(s.mean_latency_s * 1e3, 1)});
-        table.add_row({"latency std (ms)", util::format_double(s.std_latency_s * 1e3, 1)});
-        table.add_row({"satisfaction rate R_L (%)",
-                       util::format_double(s.satisfaction_rate * 100.0, 1)});
-        table.add_row({"mean device temp (C)", util::format_double(s.mean_device_temp, 1)});
-        table.add_row({"max device temp (C)", util::format_double(s.max_device_temp, 1)});
-        table.add_row({"mean power (W)", util::format_double(s.mean_power_w, 1)});
-        table.add_row({"throttled frames (%)",
-                       util::format_double(s.throttled_fraction * 100.0, 1)});
-        table.add_row({"mean proposals", util::format_double(s.mean_proposals, 1)});
-        std::printf("%s", table.render("summary").c_str());
-    }
-
-    if (opt.chart) {
-        util::AsciiChart temp_chart(100, 12);
-        temp_chart.add_series({"T_dev", util::downsample(trace.device_temps(), 100)});
-        temp_chart.add_reference_line(platform::throttle_bound_celsius(spec), "trip");
-        std::printf("%s\n", temp_chart.render("device temperature", "C").c_str());
-        util::AsciiChart lat_chart(100, 12);
-        lat_chart.add_series({"latency", util::downsample(trace.latencies_ms(), 100)});
-        lat_chart.add_reference_line(
-            scenario.config.schedule.at(0).latency_constraint_s * 1e3, "L");
-        std::printf("%s\n", lat_chart.render("latency", "ms").c_str());
-    }
-    if (!opt.csv.empty()) {
-        trace.write_csv(opt.csv);
-        // Status line: keep stdout machine-readable under --format json.
-        std::fprintf(opt.format == cli::OutputFormat::json ? stderr : stdout,
-                     "trace written to %s (%zu rows)\n", opt.csv.c_str(),
-                     trace.size());
-    }
-    if (!opt.telemetry_dir.empty()) {
-        // Single-run mode bypasses render_results, so write telemetry by hand.
-        harness::TelemetrySink(opt.telemetry_dir).consume(scenario, results);
-    }
-    if (opt.profile) harness::print_profile_report(scenario.name);
+    cli::run_batch(kTool, opt, {&scenario});
     return 0;
 }
 
@@ -240,8 +149,11 @@ int run_single(const Options& opt) {
 int main(int argc, char** argv) {
     const auto opt = parse(argc, argv);
     try {
-        if (opt.list_scenarios) return list_scenarios();
-        if (!opt.scenarios.empty()) return run_scenarios(opt);
+        if (opt.list_scenarios) return cli::list_scenarios();
+        if (!opt.scenarios.empty()) {
+            cli::reject_mode_flags(kTool, opt.single_run_flags, "single-run");
+            return cli::run_scenarios(kTool, opt);
+        }
         return run_single(opt);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());

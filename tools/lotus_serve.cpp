@@ -1,10 +1,13 @@
 // lotus_serve: multi-stream serving front end.
 //
-// Two modes, both driven by the ExperimentHarness over serving scenarios:
+// Two modes, both driven by the ExperimentHarness:
 //
-//  * Scenario mode -- run named serving scenarios from the ScenarioRegistry
-//    (the serve_* catalog half). Parallel runs are byte-identical to serial
-//    runs for the same seed, so `--jobs` is purely a throughput knob.
+//  * Scenario mode -- run named registry scenarios exactly as lotus_run
+//    does (same runner and renderers, tools/cli_common.hpp), plus request
+//    trace capture/replay. Registry scenarios are fixed: every ad-hoc flag,
+//    --devices and --router included, is rejected here. Parallel runs are
+//    byte-identical to serial runs for the same seed, so `--jobs` is purely
+//    a throughput knob.
 //
 //      lotus_serve --list-scenarios
 //      lotus_serve --scenario serve_saturation --jobs 4
@@ -15,25 +18,20 @@
 //    given dataset/arrival process, one governor, one scheduler. With
 //    --devices N the streams are served by a FLEET of N copies of the
 //    device preset behind the chosen --router (one governor instance per
-//    device) instead of a single device.
+//    device) instead of a single device. Custom pools for a registry
+//    scenario's load are what lotus_sweep is for.
 //
 //      lotus_serve --streams 8 --arrival burst --scheduler edf --governor lotus
 //      lotus_serve --streams 4 --arrival poisson --rate 0.5 --slo 800 --csv out/
 //      lotus_serve --streams 12 --rate 1.2 --devices 4 --router thermal_aware
 //
 // Flags (all optional):
-//   --list-scenarios  enumerate serving + fleet scenarios and exit
-//   --scenario NAME   run a registry serving/fleet scenario (repeatable)
-//   --jobs N          worker threads for scenario mode  (default: all cores)
-//   --devices N       fleet size. Ad-hoc mode: serve on N copies of the
-//                     device preset. Scenario mode: resize a FLEET
-//                     scenario's pool (cycling its defined devices);
-//                     rejected for non-fleet scenarios.
+//   --list-scenarios  enumerate the scenario registry and exit
+//   --scenario NAME   run a registry scenario (repeatable)
+//   --jobs N          worker threads                    (default: all cores)
+//   --devices N       serve on a fleet of N copies of the device preset
 //   --router R        round_robin | least_queue | thermal_aware | lotus_fleet
-//                     Ad-hoc mode: requires --devices. Scenario mode:
-//                     overrides a fleet scenario's default routing policy
-//                     (arms that pin their own router -- the router
-//                     shoot-out scenarios -- keep their pin).
+//                     (requires --devices; default round_robin)
 //   --device     orin | mi11                            (default orin)
 //   --detector   frcnn | mrcnn | yolo                   (default frcnn)
 //   --dataset    kitti | visdrone                       (default kitti)
@@ -51,14 +49,14 @@
 //   --format table | json                               (default table)
 //   --csv DIR         write per-request ledgers + summary CSV into DIR
 //   --chart           render temperature / end-to-end latency ASCII charts
-//   --profile         print the internal profiler's per-scenario report to
-//                     stderr (regions + counters; see src/prof/)
+//   --profile         print the internal profiler's report to stderr, one
+//                     per run naming its scenarios (see src/prof/)
 //   --telemetry DIR   record sim-time telemetry per episode and write it
 //                     under DIR/<scenario>/<arm>/: trace.json (Perfetto /
 //                     chrome://tracing), breaches.jsonl, manifest.json,
 //                     rollup.json, health.json (see src/telemetry/)
-//   --record-trace DIR  dump every episode's request timeline as a compact
-//                     binary trace: DIR/<scenario>/<NN>_<arm>.ltrc
+//   --record-trace DIR  dump every serving/fleet episode's request timeline
+//                     as a compact binary trace: DIR/<scenario>/<NN>_<arm>.ltrc
 //                     (inspect with lotus_trace info/cat)
 //   --replay-trace DIR  replay episodes from traces recorded under DIR
 //                     (same layout); outputs are byte-identical to the
@@ -69,8 +67,8 @@
 // byte-identical either way).
 //
 // Unknown flags, unknown enum values, malformed numbers and contradictory
-// invocations (scenario mode combined with ad-hoc stream flags, --router
-// without a fleet) are rejected with a nonzero exit -- no silent fallbacks.
+// invocations (scenario mode combined with ad-hoc flags, --router without
+// a fleet) are rejected with a nonzero exit -- no silent fallbacks.
 
 #include <cstdio>
 #include <string>
@@ -87,18 +85,11 @@ const std::string kTool = "lotus_serve";
 struct Options : cli::CommonOptions {
     std::string device = "orin";
     std::string detector = "frcnn";
-    std::string dataset = "kitti";
     std::string governor = "lotus";
     std::string scheduler = "edf";
-    std::string arrival = "poisson";
-    std::size_t streams = 4;
-    double rate_hz = 0.25;
-    double slo_ms = 0.0; // 0 -> 2x calibrated constraint
-    std::size_t requests = 0; // 0 -> fast-mode-aware default
-    std::size_t burst = 8;
+    cli::StreamFlags load;
     std::size_t pretrain = 2500;
-    /// Fleet knobs: valid in ad-hoc mode (build a fleet of N preset copies)
-    /// and in scenario mode (override a fleet scenario's pool size/router).
+    /// Ad-hoc fleet: a pool of N preset copies behind the router.
     std::size_t devices = 0; // 0 = not passed
     std::string router;      // "" = not passed
     /// Trace capture/replay directories (see HarnessConfig::trace_dir /
@@ -122,34 +113,19 @@ Options parse(int argc, char** argv) {
             flag == "--device" || flag == "--detector" || flag == "--dataset" ||
             flag == "--governor" || flag == "--scheduler" || flag == "--arrival" ||
             flag == "--streams" || flag == "--rate" || flag == "--slo" ||
-            flag == "--requests" || flag == "--burst" || flag == "--pretrain";
+            flag == "--requests" || flag == "--burst" || flag == "--pretrain" ||
+            flag == "--devices" || flag == "--router";
         if (adhoc_only) opt.adhoc_flags.push_back(flag);
         if (opt.parse_flag(kTool, argc, argv, i)) continue;
+        if (opt.load.parse_flag(kTool, argc, argv, i)) continue;
         if (flag == "--device") {
             opt.device = need_value(i);
         } else if (flag == "--detector") {
             opt.detector = need_value(i);
-        } else if (flag == "--dataset") {
-            opt.dataset = need_value(i);
         } else if (flag == "--governor") {
             opt.governor = need_value(i);
         } else if (flag == "--scheduler") {
             opt.scheduler = need_value(i);
-        } else if (flag == "--arrival") {
-            opt.arrival = need_value(i);
-        } else if (flag == "--streams") {
-            opt.streams = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.streams == 0) cli::usage_error(kTool, "--streams must be >= 1");
-        } else if (flag == "--rate") {
-            opt.rate_hz = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--slo") {
-            opt.slo_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--requests") {
-            opt.requests = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.requests == 0) cli::usage_error(kTool, "--requests must be >= 1");
-        } else if (flag == "--burst") {
-            opt.burst = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
         } else if (flag == "--pretrain") {
             opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
         } else if (flag == "--devices") {
@@ -180,141 +156,35 @@ Options parse(int argc, char** argv) {
     return opt;
 }
 
-int list_scenarios() {
-    const auto& registry = harness::ScenarioRegistry::instance();
-    const auto serving = registry.with_tag("serving");
-    util::TextTable table({"scenario", "arms", "devices", "scheduler", "streams", "title"});
-    for (const auto* s : serving) {
-        const bool fleet = s->is_fleet();
-        table.add_row({s->name, std::to_string(s->arms.size()),
-                       fleet ? std::to_string(s->fleet->devices.size()) : "1",
-                       fleet ? s->fleet->scheduler : s->serving->scheduler,
-                       std::to_string(fleet ? s->fleet->streams.size()
-                                            : s->serving->streams.size()),
-                       s->title});
-    }
-    std::printf("%s", table.render("serving + fleet scenarios (" +
-                                   std::to_string(serving.size()) + " of " +
-                                   std::to_string(registry.all().size()) +
-                                   " registry entries)")
-                          .c_str());
-    return 0;
-}
-
-int run_scenarios(const Options& opt) {
-    if (!opt.adhoc_flags.empty()) {
-        cli::usage_error(kTool, opt.adhoc_flags.front() +
-                                    " only applies to ad-hoc mode; scenario definitions "
-                                    "are fixed by the registry (tune "
-                                    "--seed/--jobs/--format/--chart/--csv instead)");
-    }
-    const auto& registry = harness::ScenarioRegistry::instance();
-    // --devices/--router act as fleet overrides: modified copies live here,
-    // the batch points at either the registry entry or its override.
-    std::vector<std::unique_ptr<harness::Scenario>> overridden;
-    std::vector<const harness::Scenario*> batch;
-    const bool fleet_override = opt.devices > 0 || !opt.router.empty();
-    for (const auto& name : opt.scenarios) {
-        const auto* s = registry.find(name);
-        if (s == nullptr) {
-            std::fprintf(stderr, "%s: unknown scenario '%s' (try --list-scenarios)\n",
-                         kTool.c_str(), name.c_str());
-            return 2;
-        }
-        if (!s->is_serving() && !s->is_fleet()) {
-            std::fprintf(stderr,
-                         "%s: scenario '%s' is a classic experiment, not a serving "
-                         "scenario (run it with lotus_run)\n",
-                         kTool.c_str(), name.c_str());
-            return 2;
-        }
-        if (fleet_override && !s->is_fleet()) {
-            cli::usage_error(kTool, "--devices/--router override a FLEET scenario's pool; '" +
-                                        name + "' serves a single device");
-        }
-        if (fleet_override) {
-            auto copy = std::make_unique<harness::Scenario>(*s);
-            if (opt.devices > 0) fleet::resize_pool(*copy->fleet, opt.devices);
-            if (!opt.router.empty()) copy->fleet->router = opt.router;
-            batch.push_back(copy.get());
-            overridden.push_back(std::move(copy));
-        } else {
-            batch.push_back(s);
-        }
-    }
-
-    const auto render = opt.render_options(kTool); // validate before the long run
-    cli::apply_profile_flag(render);
-    auto harness_cfg = cli::harness_config(render, opt.jobs, opt.seed.value);
-    harness_cfg.trace_dir = opt.record_trace_dir;
-    harness_cfg.replay_dir = opt.replay_trace_dir;
-    const harness::ExperimentHarness harness(harness_cfg);
-    // Status goes to stderr so stdout is byte-identical at any --jobs count.
-    std::fprintf(stderr, "%s: %zu scenario(s), %zu jobs, seed %llu\n", kTool.c_str(),
-                 batch.size(), harness.config().jobs,
-                 static_cast<unsigned long long>(harness.config().seed));
-    cli::render_results(render, batch, harness.run(batch));
-    return 0;
-}
-
 int run_adhoc(const Options& opt) {
     if (opt.devices == 0 && !opt.router.empty()) {
         cli::usage_error(kTool, "--router picks the fleet routing policy and requires "
                                 "--devices N (a single device has nothing to route)");
     }
-    const auto render = opt.render_options(kTool); // validate before the long run
+    (void)opt.render_options(kTool); // reject bad flag combinations before the banner
     const auto spec = cli::parse_device(kTool, opt.device);
     const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto dataset = cli::parse_dataset(kTool, opt.dataset);
-
-    serving::ArrivalSpec arrival;
-    try {
-        arrival.kind = serving::arrival_kind_from(opt.arrival);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-    arrival.rate_hz = opt.rate_hz;
-    arrival.burst = opt.burst;
-
-    const double constraint =
-        workload::latency_constraint_s(spec.name, kind, dataset);
-    const double slo_s = opt.slo_ms > 0.0 ? opt.slo_ms / 1e3 : 2.0 * constraint;
-    const std::size_t requests =
-        opt.requests > 0 ? opt.requests : (harness::fast_mode() ? 25 : 150);
-
-    harness::Scenario scenario(
-        runtime::static_experiment(spec, kind, dataset, 1, 0, opt.seed.value));
-    scenario.name = opt.devices > 0 ? "cli_fleet" : "cli_serve";
-    scenario.title = opt.devices > 0 ? "lotus_serve ad-hoc fleet experiment"
-                                     : "lotus_serve ad-hoc serving experiment";
-
+    const auto& dataset = opt.load.dataset;
     try {
         (void)serving::make_scheduler(opt.scheduler);
     } catch (const std::invalid_argument& e) {
         cli::usage_error(kTool, e.what());
     }
 
-    // Stagger stream phases across one mean inter-arrival so N identical
-    // streams do not fire in lockstep.
-    std::vector<serving::StreamSpec> streams;
-    for (std::size_t i = 0; i < opt.streams; ++i) {
-        serving::StreamSpec stream;
-        stream.name = "stream" + std::to_string(i);
-        stream.dataset = dataset;
-        stream.slo_s = slo_s;
-        stream.requests = requests;
-        stream.arrival = arrival;
-        stream.arrival.phase_s =
-            static_cast<double>(i) / (arrival.rate_hz * static_cast<double>(opt.streams));
-        streams.push_back(std::move(stream));
-    }
+    const double constraint = workload::latency_constraint_s(spec.name, kind, dataset);
+    auto load = opt.load;
+    if (load.slo_s == 0.0) load.slo_s = 2.0 * constraint;
+    if (load.requests == 0) load.requests = harness::fast_mode() ? 25 : 150;
+    auto streams = cli::identical_streams(load);
 
+    harness::Scenario scenario(
+        runtime::static_experiment(spec, kind, dataset, 1, 0, opt.seed.value));
+    scenario.name = opt.devices > 0 ? "cli_fleet" : "cli_serve";
+    scenario.title = opt.devices > 0 ? "lotus_serve ad-hoc fleet experiment"
+                                     : "lotus_serve ad-hoc serving experiment";
     if (opt.devices > 0) {
         fleet::FleetConfig cfg;
-        for (std::size_t d = 0; d < opt.devices; ++d) {
-            cfg.devices.push_back(
-                fleet::make_device(opt.device + std::to_string(d), spec));
-        }
+        cfg.devices = cli::preset_pool(opt.device, spec, opt.devices);
         cfg.detector = kind;
         cfg.scheduler = opt.scheduler;
         cfg.router = opt.router.empty() ? "round_robin" : opt.router;
@@ -337,8 +207,8 @@ int run_adhoc(const Options& opt) {
                  "%s: %s + %s + %s | %zu streams x %zu req @ %.2f Hz (%s), SLO %.0f ms, "
                  "scheduler %s, governor %s, seed %llu",
                  kTool.c_str(), spec.name.c_str(), detector::to_string(kind),
-                 dataset.c_str(), opt.streams, requests, opt.rate_hz,
-                 serving::to_string(arrival.kind), slo_s * 1e3, opt.scheduler.c_str(),
+                 dataset.c_str(), load.streams, load.requests, load.rate_hz,
+                 serving::to_string(load.arrival), load.slo_s * 1e3, opt.scheduler.c_str(),
                  scenario.arms[0].name.c_str(),
                  static_cast<unsigned long long>(opt.seed.value));
     if (opt.devices > 0) {
@@ -347,12 +217,7 @@ int run_adhoc(const Options& opt) {
     }
     std::fprintf(stderr, "\n");
 
-    cli::apply_profile_flag(render);
-    auto harness_cfg = cli::harness_config(render, opt.jobs, opt.seed.value);
-    harness_cfg.trace_dir = opt.record_trace_dir;
-    harness_cfg.replay_dir = opt.replay_trace_dir;
-    const harness::ExperimentHarness harness(harness_cfg);
-    cli::render_results(render, {&scenario}, harness.run(scenario));
+    cli::run_batch(kTool, opt, {&scenario}, opt.record_trace_dir, opt.replay_trace_dir);
     return 0;
 }
 
@@ -361,8 +226,11 @@ int run_adhoc(const Options& opt) {
 int main(int argc, char** argv) {
     const auto opt = parse(argc, argv);
     try {
-        if (opt.list_scenarios) return list_scenarios();
-        if (!opt.scenarios.empty()) return run_scenarios(opt);
+        if (opt.list_scenarios) return cli::list_scenarios();
+        if (!opt.scenarios.empty()) {
+            cli::reject_mode_flags(kTool, opt.adhoc_flags, "ad-hoc");
+            return cli::run_scenarios(kTool, opt, opt.record_trace_dir, opt.replay_trace_dir);
+        }
         return run_adhoc(opt);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());

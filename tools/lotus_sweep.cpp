@@ -2,7 +2,10 @@
 //
 // Expands pool size x router x scheduler x governor x arrival rate (or x
 // trace file) into one harness episode per cell, runs every cell on the
-// existing parallel worker pool, and writes one row per cell:
+// existing parallel worker pool, and writes one row per cell. A cell is
+// lotus_serve's ad-hoc fleet at the cell's axis values: the same preset
+// pool and the same N phase-staggered streams (tools/cli_common.hpp).
+// Outputs:
 //
 //   DIR/sweep.csv   -- flat table for spreadsheets / plotting
 //   DIR/sweep.json  -- JSON Lines: one meta line, then one cell object per
@@ -75,12 +78,8 @@ struct Options {
     std::vector<std::string> traces;
     std::string device = "orin";
     std::string detector = "frcnn";
-    std::string dataset = "kitti";
-    std::string arrival = "poisson";
-    std::size_t streams = 4;
-    std::size_t requests = 0; // 0 -> fast-mode-aware default
-    double slo_ms = 0.0;      // 0 -> 2x calibrated constraint
-    std::size_t burst = 8;
+    /// Per-cell load; its rate is the --rate axis value of each cell.
+    cli::StreamFlags load;
     std::size_t pretrain = 2500;
     cli::SeedFlag seed;
     std::size_t jobs = 0;
@@ -113,6 +112,8 @@ Options parse(int argc, char** argv) {
     };
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
+        // --rate is a list axis here, so it is read before the load flags.
+        if (flag != "--rate" && opt.load.parse_flag(kTool, argc, argv, i)) continue;
         if (flag == "--out") {
             opt.out_dir = need_value(i);
         } else if (flag == "--devices") {
@@ -132,21 +133,6 @@ Options parse(int argc, char** argv) {
             opt.device = need_value(i);
         } else if (flag == "--detector") {
             opt.detector = need_value(i);
-        } else if (flag == "--dataset") {
-            opt.dataset = need_value(i);
-        } else if (flag == "--arrival") {
-            opt.arrival = need_value(i);
-        } else if (flag == "--streams") {
-            opt.streams = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.streams == 0) cli::usage_error(kTool, "--streams must be >= 1");
-        } else if (flag == "--requests") {
-            opt.requests = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.requests == 0) cli::usage_error(kTool, "--requests must be >= 1");
-        } else if (flag == "--slo") {
-            opt.slo_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--burst") {
-            opt.burst = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
         } else if (flag == "--pretrain") {
             opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
         } else if (flag == "--seed") {
@@ -198,18 +184,11 @@ struct Cell {
 std::vector<Cell> build_cells(const Options& opt) {
     const auto spec = cli::parse_device(kTool, opt.device);
     const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto dataset = cli::parse_dataset(kTool, opt.dataset);
-    serving::ArrivalSpec arrival;
-    try {
-        arrival.kind = serving::arrival_kind_from(opt.arrival);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-    arrival.burst = opt.burst;
+    const auto& dataset = opt.load.dataset;
     const double constraint = workload::latency_constraint_s(spec.name, kind, dataset);
-    const double slo_s = opt.slo_ms > 0.0 ? opt.slo_ms / 1e3 : 2.0 * constraint;
-    const std::size_t requests =
-        opt.requests > 0 ? opt.requests : (harness::fast_mode() ? 25 : 150);
+    auto load = opt.load;
+    if (load.slo_s == 0.0) load.slo_s = 2.0 * constraint;
+    if (load.requests == 0) load.requests = harness::fast_mode() ? 25 : 150;
 
     // Validate schedulers/routers once, up front, so a typo fails before
     // any cell runs.
@@ -249,10 +228,7 @@ std::vector<Cell> build_cells(const Options& opt) {
                                     scheduler + "/" + governor + "/" + cell.arrival;
 
                         fleet::FleetConfig cfg;
-                        for (std::size_t d = 0; d < pool; ++d) {
-                            cfg.devices.push_back(
-                                fleet::make_device(opt.device + std::to_string(d), spec));
-                        }
+                        cfg.devices = cli::preset_pool(opt.device, spec, pool);
                         cfg.detector = kind;
                         cfg.scheduler = scheduler;
                         cfg.router = router;
@@ -265,22 +241,9 @@ std::vector<Cell> build_cells(const Options& opt) {
                                 trace::TraceArrivalSource(arrival_token).stream_specs();
                             cfg.replay_trace = arrival_token;
                         } else {
-                            auto cell_arrival = arrival;
-                            cell_arrival.rate_hz = cli::parse_positive_double(
-                                kTool, "--rate", arrival_token);
-                            for (std::size_t i = 0; i < opt.streams; ++i) {
-                                serving::StreamSpec stream;
-                                stream.name = "stream" + std::to_string(i);
-                                stream.dataset = dataset;
-                                stream.slo_s = slo_s;
-                                stream.requests = requests;
-                                stream.arrival = cell_arrival;
-                                stream.arrival.phase_s =
-                                    static_cast<double>(i) /
-                                    (cell_arrival.rate_hz *
-                                     static_cast<double>(opt.streams));
-                                cfg.streams.push_back(std::move(stream));
-                            }
+                            load.rate_hz = cli::parse_positive_double(kTool, "--rate",
+                                                                      arrival_token);
+                            cfg.streams = cli::identical_streams(load);
                         }
 
                         auto scenario = std::make_unique<harness::Scenario>(

@@ -1,17 +1,18 @@
-// lotus_trace: record, inspect and transform .ltrc request traces.
+// lotus_trace: inspect, transform and synthesise .ltrc request traces.
 //
 // A .ltrc trace freezes a serving/fleet request timeline on disk (see
-// src/trace/format.hpp for the layout). This tool is the trace-level
-// counterpart of lotus_serve: it records traces from registry scenarios,
-// prints and slices them, merges shards back together and synthesises
-// arbitrarily long timelines directly from arrival specs -- without ever
-// running the simulator.
+// src/trace/format.hpp for the layout). Traces of registry scenarios are
+// recorded by the scenario runner itself:
+//
+//   lotus_serve --scenario NAME --record-trace DIR
+//
+// writes every episode's timeline to DIR/<scenario>/<NN>_<arm>.ltrc, the
+// layout lotus_serve --replay-trace DIR replays from. This tool prints and
+// slices traces, merges shards back together and synthesises arbitrarily
+// long timelines directly from arrival specs -- without ever running the
+// simulator.
 //
 // Verbs:
-//   record --scenario NAME [--scenario ...] --out DIR [--seed S] [--jobs N]
-//       Run the named serving/fleet scenarios (summary output suppressed)
-//       and dump every episode's timeline to DIR/<scenario>/<NN>_<arm>.ltrc
-//       -- the layout lotus_serve --replay-trace DIR replays from.
 //   info FILE
 //       Print header, stream table and time span.
 //   cat FILE [--limit N]
@@ -28,10 +29,11 @@
 //   synth OUT --requests N [--streams K] [--arrival KIND] [--rate HZ]
 //             [--burst N] [--slo MS] [--dataset D] [--seed S]
 //       Stream the exact timeline a serving run over K phase-staggered
-//       streams of N requests each would generate, straight to disk in
-//       O(K) memory -- million-request traces in seconds.
+//       streams of N requests each would generate (the streams of
+//       lotus_serve's ad-hoc mode; --slo defaults to 500 ms), straight to
+//       disk in O(K) memory -- million-request traces in seconds.
 //
-// --seed applies only where a timeline is generated (record, synth); the
+// --seed applies only where a timeline is generated (synth); the
 // file-transforming verbs reject it instead of silently ignoring it.
 // Unknown flags/verbs and malformed values exit 2; I/O and format errors
 // exit 1 with a message naming the file and the defect.
@@ -53,60 +55,32 @@ struct Args {
     std::string verb;
     std::vector<std::string> positional;
     cli::SeedFlag seed;
-    std::size_t jobs = 0;
-    std::string out_dir;
-    std::vector<std::string> scenarios;
     std::string ids_range;
     std::string time_range;
     std::uint64_t limit = 0; // 0 = unlimited
-    std::size_t streams = 4;
-    std::uint64_t requests = 0;
-    std::string arrival = "poisson";
-    double rate_hz = 0.25;
-    std::size_t burst = 8;
-    double slo_ms = 500.0;
-    std::string dataset = "kitti";
+    cli::StreamFlags load;
 };
 
 Args parse(int argc, char** argv) {
     Args a;
-    if (argc < 2) cli::usage_error(kTool, "missing verb (record|info|cat|slice|merge|synth)");
+    if (argc < 2) cli::usage_error(kTool, "missing verb (info|cat|slice|merge|synth)");
     a.verb = argv[1];
+    if (a.verb != "info" && a.verb != "cat" && a.verb != "slice" && a.verb != "merge" &&
+        a.verb != "synth") {
+        cli::usage_error(kTool, "unknown verb '" + a.verb + "' (info|cat|slice|merge|synth)");
+    }
     const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
     for (int i = 2; i < argc; ++i) {
         const std::string flag = argv[i];
+        if (a.load.parse_flag(kTool, argc, argv, i)) continue;
         if (flag == "--seed") {
             cli::parse_seed(kTool, need_value(i), a.seed);
-        } else if (flag == "--jobs") {
-            a.jobs = static_cast<std::size_t>(cli::parse_u64(kTool, flag, need_value(i)));
-            if (a.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
-        } else if (flag == "--out") {
-            a.out_dir = need_value(i);
-        } else if (flag == "--scenario") {
-            a.scenarios.push_back(need_value(i));
         } else if (flag == "--ids") {
             a.ids_range = need_value(i);
         } else if (flag == "--time") {
             a.time_range = need_value(i);
         } else if (flag == "--limit") {
             a.limit = cli::parse_u64(kTool, flag, need_value(i));
-        } else if (flag == "--streams") {
-            a.streams = static_cast<std::size_t>(cli::parse_u64(kTool, flag, need_value(i)));
-            if (a.streams == 0) cli::usage_error(kTool, "--streams must be >= 1");
-        } else if (flag == "--requests") {
-            a.requests = cli::parse_u64(kTool, flag, need_value(i));
-            if (a.requests == 0) cli::usage_error(kTool, "--requests must be >= 1");
-        } else if (flag == "--arrival") {
-            a.arrival = need_value(i);
-        } else if (flag == "--rate") {
-            a.rate_hz = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--burst") {
-            a.burst = static_cast<std::size_t>(cli::parse_u64(kTool, flag, need_value(i)));
-            if (a.burst == 0) cli::usage_error(kTool, "--burst must be >= 1");
-        } else if (flag == "--slo") {
-            a.slo_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else if (flag == "--dataset") {
-            a.dataset = cli::parse_dataset(kTool, need_value(i));
         } else if (flag == "--help" || flag == "-h") {
             std::printf("see the header comment of tools/lotus_trace.cpp for usage\n");
             std::exit(0);
@@ -118,9 +92,9 @@ Args parse(int argc, char** argv) {
     }
     // Seed-conflict rule: verbs that only transform existing files have no
     // randomness for a seed to steer.
-    if (a.seed.set && a.verb != "record" && a.verb != "synth") {
-        cli::usage_error(kTool, "--seed only applies to the generating verbs "
-                                "(record, synth); '" + a.verb +
+    if (a.seed.set && a.verb != "synth") {
+        cli::usage_error(kTool, "--seed only applies to the generating verb "
+                                "(synth); '" + a.verb +
                                 "' is fully determined by its input trace");
     }
     return a;
@@ -134,47 +108,6 @@ std::pair<T, T> parse_range(const std::string& flag, const std::string& raw, Par
         cli::usage_error(kTool, flag + " wants A:B, got '" + raw + "'");
     }
     return {parse(raw.substr(0, colon)), parse(raw.substr(colon + 1))};
-}
-
-int cmd_record(const Args& a) {
-    if (a.scenarios.empty()) cli::usage_error(kTool, "record wants --scenario NAME");
-    if (a.out_dir.empty()) cli::usage_error(kTool, "record wants --out DIR");
-    const auto& registry = harness::ScenarioRegistry::instance();
-    std::vector<const harness::Scenario*> batch;
-    for (const auto& name : a.scenarios) {
-        const auto* s = registry.find(name);
-        if (s == nullptr) {
-            std::fprintf(stderr, "%s: unknown scenario '%s'\n", kTool.c_str(),
-                         name.c_str());
-            return 2;
-        }
-        if (!s->is_serving() && !s->is_fleet()) {
-            std::fprintf(stderr,
-                         "%s: scenario '%s' is a classic experiment and has no request "
-                         "timeline to record\n",
-                         kTool.c_str(), name.c_str());
-            return 2;
-        }
-        batch.push_back(s);
-    }
-
-    harness::HarnessConfig cfg;
-    cfg.jobs = a.jobs;
-    cfg.seed = a.seed.value;
-    cfg.summary_only = true;
-    cfg.trace_dir = a.out_dir;
-    const harness::ExperimentHarness harness(cfg);
-    (void)harness.run(batch);
-    for (const auto* s : batch) {
-        for (std::size_t arm = 0; arm < s->arms.size(); ++arm) {
-            const auto path =
-                harness::episode_trace_path(a.out_dir, s->name, arm, s->arms[arm].name);
-            const trace::Reader reader(path);
-            std::printf("%s: %llu records\n", path.c_str(),
-                        static_cast<unsigned long long>(reader.info().record_count));
-        }
-    }
-    return 0;
 }
 
 int cmd_info(const Args& a) {
@@ -263,36 +196,14 @@ int cmd_merge(const Args& a) {
 
 int cmd_synth(const Args& a) {
     if (a.positional.size() != 1) cli::usage_error(kTool, "synth wants exactly one OUT file");
-    if (a.requests == 0) cli::usage_error(kTool, "synth wants --requests N");
-    serving::ArrivalSpec arrival;
-    try {
-        arrival.kind = serving::arrival_kind_from(a.arrival);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-    arrival.rate_hz = a.rate_hz;
-    arrival.burst = a.burst;
-
-    // Same stream construction as lotus_serve's ad-hoc mode: N identical
-    // streams, phases staggered across one mean inter-arrival.
-    std::vector<serving::StreamSpec> streams;
-    for (std::size_t i = 0; i < a.streams; ++i) {
-        serving::StreamSpec stream;
-        stream.name = "stream" + std::to_string(i);
-        stream.dataset = a.dataset == "kitti" ? "KITTI" : a.dataset;
-        stream.slo_s = a.slo_ms / 1e3;
-        stream.requests = static_cast<std::size_t>(a.requests);
-        stream.arrival = arrival;
-        stream.arrival.phase_s =
-            static_cast<double>(i) / (arrival.rate_hz * static_cast<double>(a.streams));
-        streams.push_back(std::move(stream));
-    }
-    trace::synth_trace(a.positional[0], streams, a.seed.value);
+    if (a.load.requests == 0) cli::usage_error(kTool, "synth wants --requests N");
+    auto load = a.load;
+    if (load.slo_s == 0.0) load.slo_s = 0.5;
+    trace::synth_trace(a.positional[0], cli::identical_streams(load), a.seed.value);
     const trace::Reader out(a.positional[0]);
-    std::printf("%s: %llu records (%zu streams x %llu requests)\n",
-                a.positional[0].c_str(),
-                static_cast<unsigned long long>(out.info().record_count), a.streams,
-                static_cast<unsigned long long>(a.requests));
+    std::printf("%s: %llu records (%zu streams x %zu requests)\n", a.positional[0].c_str(),
+                static_cast<unsigned long long>(out.info().record_count), load.streams,
+                load.requests);
     return 0;
 }
 
@@ -301,16 +212,13 @@ int cmd_synth(const Args& a) {
 int main(int argc, char** argv) {
     const auto args = parse(argc, argv);
     try {
-        if (args.verb == "record") return cmd_record(args);
         if (args.verb == "info") return cmd_info(args);
         if (args.verb == "cat") return cmd_cat(args);
         if (args.verb == "slice") return cmd_slice(args);
         if (args.verb == "merge") return cmd_merge(args);
-        if (args.verb == "synth") return cmd_synth(args);
+        return cmd_synth(args);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
         return 1;
     }
-    cli::usage_error(kTool, "unknown verb '" + args.verb +
-                                "' (record|info|cat|slice|merge|synth)");
 }
