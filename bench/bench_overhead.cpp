@@ -343,7 +343,9 @@ bool stepper_comparison() {
 /// tools/check_bench_regression.py; bumped whenever a cell changes shape
 /// (3: train_step and serve_saturation are single flat cells, and
 /// serve_saturation carries the reference_wall_s it is normalized by; 4:
-/// train_step carries bootstrap_rows and bootstrap_memo_hits).
+/// train_step carries bootstrap_rows and bootstrap_memo_hits). The string
+/// train_step.kernels (the RL kernel set, rl::kernel_set()) came without a
+/// bump: the check reads a missing one as "unknown" and only prints it.
 constexpr int kBenchSchemaVersion = 4;
 
 /// %.6g rendering for the JSON document (full precision is timer noise).
@@ -631,7 +633,8 @@ bool perf_trajectory() {
                          std::to_string(train.bootstrap_rows),
                          std::to_string(train.bootstrap_memo_hits)});
     std::printf("%s", train_table.render("DQN train step on the paper's Q-network (" +
-                                         std::to_string(train_steps) + " steps)")
+                                         std::to_string(train_steps) + " steps, " +
+                                         rl::kernel_set().name + " kernels)")
                           .c_str());
 
     // --- cell 2: serve_saturation end to end ---------------------------------
@@ -871,7 +874,8 @@ bool perf_trajectory() {
        << ", \"matvec_calls\": " << train.matvec_calls << ", \"allocs\": " << train.allocs
        << ", \"alloc_bytes\": " << train.alloc_bytes
        << ", \"bootstrap_rows\": " << train.bootstrap_rows
-       << ", \"bootstrap_memo_hits\": " << train.bootstrap_memo_hits << "},\n"
+       << ", \"bootstrap_memo_hits\": " << train.bootstrap_memo_hits
+       << ", \"kernels\": \"" << rl::kernel_set().name << "\"},\n"
        << "    \"serve_saturation\": " << serve_cell_json(serve) << ",\n"
        << "    \"summary_only_ledgers\": {\n"
        << "      \"full\": " << serve_cell_json(serve) << ",\n"

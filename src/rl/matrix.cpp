@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -72,82 +73,117 @@ void Matrix::slice_matvec(const Matrix& a, std::span<const double> x,
 
 namespace {
 
-// Two doubles in one SSE2/NEON register (GCC/Clang vector extension). Lane
-// arithmetic is plain IEEE double arithmetic, so a vector of per-sample
-// chains rounds exactly like the scalar chains it replaces.
+// Vectors of doubles (GCC/Clang vector extension): two per SSE2/NEON
+// register, four per AVX2 register. Lane arithmetic is plain IEEE double
+// arithmetic at any width, so a vector of per-sample (or per-column) chains
+// rounds exactly like the scalar chains it replaces, and every kernel set
+// below gives the same bits.
 using V2 = double __attribute__((vector_size(16)));
+#if defined(__x86_64__) || defined(__i386__)
+#define LOTUS_RL_KERNELS_X86 1
+using V4 = double __attribute__((vector_size(32)));
+#endif
 
-inline V2 load2(const double* p) noexcept {
-    V2 v;
+template <class V>
+inline constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+// Every helper that touches a vector is always_inline and takes vectors by
+// reference, so a vector never crosses a call: the helpers compile for the
+// ISA of the kernel set that instantiates them (a 32-byte V4 passed by
+// value outside an AVX function would also change the ABI). The tiles'
+// fixed-trip loops carry `#pragma GCC unroll`: fully unrolled, their
+// accumulator arrays live in registers instead of on the stack.
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) noexcept {
     std::memcpy(&v, p, sizeof v);
-    return v;
 }
 
-inline void store2(double* p, V2 v) noexcept { std::memcpy(p, &v, sizeof v); }
+template <class V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) noexcept {
+    std::memcpy(p, &v, sizeof v);
+}
 
-// R output rows x 2V sample columns of slice_matmul, starting at output row
-// r and sample column k. Accumulators start at b[r] and take one term per c
-// in ascending order.
-template <std::size_t R, std::size_t V>
-inline void matmul_tile(const double* w, std::size_t ldw, const double* b, const double* x,
-                        std::size_t ldx, double* y, std::size_t ldy,
-                        std::size_t in) noexcept {
-    V2 acc[R][V];
+// Through memory rather than a vector literal: GCC 12 reports a false
+// -Wmaybe-uninitialized for a 4-lane literal stored into a tile's array.
+template <class V>
+[[gnu::always_inline]] inline void splat(V& v, double s) noexcept {
+    double lanes[kLanes<V>];
+    std::fill_n(lanes, kLanes<V>, s);
+    load(v, lanes);
+}
+
+// R output rows x N vectors of sample columns of slice_matmul. Accumulators
+// start at b[i] and take one term per c in ascending order.
+template <class V, std::size_t R, std::size_t N>
+[[gnu::always_inline]] inline void matmul_tile(const double* w, std::size_t ldw,
+                                               const double* b, const double* x,
+                                               std::size_t ldx, double* y, std::size_t ldy,
+                                               std::size_t in) noexcept {
+    constexpr std::size_t L = kLanes<V>;
+    V acc[R][N];
+    #pragma GCC unroll 8
     for (std::size_t i = 0; i < R; ++i) {
-        for (std::size_t j = 0; j < V; ++j) acc[i][j] = V2{b[i], b[i]};
+        #pragma GCC unroll 8
+        for (std::size_t j = 0; j < N; ++j) splat(acc[i][j], b[i]);
     }
     for (std::size_t c = 0; c < in; ++c, x += ldx) {
-        V2 xv[V];
-        for (std::size_t j = 0; j < V; ++j) xv[j] = load2(x + 2 * j);
+        V xv[N];
+        #pragma GCC unroll 8
+        for (std::size_t j = 0; j < N; ++j) load(xv[j], x + L * j);
+        #pragma GCC unroll 8
         for (std::size_t i = 0; i < R; ++i) {
-            const double wic = w[i * ldw + c];
-            const V2 wv{wic, wic};
-            for (std::size_t j = 0; j < V; ++j) acc[i][j] += wv * xv[j];
+            V wv;
+            splat(wv, w[i * ldw + c]);
+            #pragma GCC unroll 8
+            for (std::size_t j = 0; j < N; ++j) acc[i][j] += wv * xv[j];
         }
     }
+    #pragma GCC unroll 8
     for (std::size_t i = 0; i < R; ++i) {
-        for (std::size_t j = 0; j < V; ++j) store2(y + i * ldy + 2 * j, acc[i][j]);
+        #pragma GCC unroll 8
+        for (std::size_t j = 0; j < N; ++j) store(y + i * ldy + L * j, acc[i][j]);
     }
 }
 
-// Every output row for the 2V sample columns starting at k.
-template <std::size_t V>
-inline void matmul_columns(const Matrix& a, const Matrix& x, std::span<const double> b,
-                           Matrix& y, std::size_t out, std::size_t in,
-                           std::size_t k) noexcept {
+// Every output row for the N vectors of sample columns starting at k: tiles
+// of R rows, then single rows.
+template <class V, std::size_t R, std::size_t N>
+[[gnu::always_inline]] inline void matmul_columns(const Matrix& a, const Matrix& x,
+                                                  std::span<const double> b, Matrix& y,
+                                                  std::size_t out, std::size_t in,
+                                                  std::size_t k) noexcept {
     const double* xk = x.flat().data() + k;
     std::size_t r = 0;
-    for (; r + 2 <= out; r += 2) {
-        matmul_tile<2, V>(a.row(r).data(), a.cols(), &b[r], xk, x.cols(), &y(r, k), y.cols(),
-                          in);
+    for (; r + R <= out; r += R) {
+        matmul_tile<V, R, N>(a.row(r).data(), a.cols(), &b[r], xk, x.cols(), &y(r, k),
+                             y.cols(), in);
     }
-    if (r < out) {
-        matmul_tile<1, V>(a.row(r).data(), a.cols(), &b[r], xk, x.cols(), &y(r, k), y.cols(),
-                          in);
+    for (; r < out; ++r) {
+        matmul_tile<V, 1, N>(a.row(r).data(), a.cols(), &b[r], xk, x.cols(), &y(r, k),
+                             y.cols(), in);
     }
 }
 
-} // namespace
-
-void Matrix::slice_matmul(const Matrix& a, const Matrix& x, std::span<const double> b,
-                          Matrix& y, std::size_t out, std::size_t in,
-                          std::size_t batch) noexcept {
-    LOTUS_PROF_COUNT("rl.matmul_calls", 1);
-    LOTUS_PROF_COUNT("rl.matmul_rows", batch);
+// slice_matmul: R-row x 8-sample tiles, then one vector of samples at a
+// time, then scalar samples.
+template <class V, std::size_t R>
+[[gnu::always_inline]] inline void matmul(const Matrix& a, const Matrix& x,
+                                          std::span<const double> b, Matrix& y,
+                                          std::size_t out, std::size_t in,
+                                          std::size_t batch) noexcept {
+    constexpr std::size_t L = kLanes<V>;
     std::size_t k = 0;
-    for (; k + 8 <= batch; k += 8) matmul_columns<4>(a, x, b, y, out, in, k);
-    for (; k + 2 <= batch; k += 2) matmul_columns<1>(a, x, b, y, out, in, k);
+    for (; k + 8 <= batch; k += 8) matmul_columns<V, R, 8 / L>(a, x, b, y, out, in, k);
+    for (; k + L <= batch; k += L) matmul_columns<V, R, 1>(a, x, b, y, out, in, k);
     for (; k < batch; ++k) {
         for (std::size_t r = 0; r < out; ++r) {
-            const double* wrow = a.data_.data() + r * a.cols_;
+            const double* wrow = a.row(r).data();
             double acc = b[r];
             for (std::size_t c = 0; c < in; ++c) acc += wrow[c] * x(c, k);
             y(r, k) = acc;
         }
     }
 }
-
-namespace {
 
 // Terms one batched-backward pass adds to one destination row, in order:
 // term e adds g[e] * src[e][c] to columns c < in[e]. Built branch-free
@@ -170,28 +206,41 @@ struct Terms {
     [[nodiscard]] bool full() const noexcept { return m == kCap; }
 };
 
-// Columns [c, c + 2V) of accumulate_terms, held in V registers across all
-// terms instead of loaded and stored once per term.
-template <std::size_t V>
-inline void accumulate_tile(double* acc, const Terms& t, std::size_t c) noexcept {
-    V2 a[V];
-    for (std::size_t j = 0; j < V; ++j) a[j] = load2(acc + c + 2 * j);
+// Columns [c, c + N * lanes) of accumulate_terms, held in N registers
+// across all terms instead of loaded and stored once per term.
+template <class V, std::size_t N>
+[[gnu::always_inline]] inline void accumulate_tile(double* acc, const Terms& t,
+                                                   std::size_t c) noexcept {
+    constexpr std::size_t L = kLanes<V>;
+    V a[N];
+    #pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j) load(a[j], acc + c + L * j);
     for (std::size_t e = 0; e < t.m; ++e) {
-        const V2 gv{t.g[e], t.g[e]};
+        V gv;
+        splat(gv, t.g[e]);
         const double* s = t.src[e] + c;
-        for (std::size_t j = 0; j < V; ++j) a[j] += gv * load2(s + 2 * j);
+        #pragma GCC unroll 8
+        for (std::size_t j = 0; j < N; ++j) {
+            V sv;
+            load(sv, s + L * j);
+            a[j] += gv * sv;
+        }
     }
-    for (std::size_t j = 0; j < V; ++j) store2(acc + c + 2 * j, a[j]);
+    #pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j) store(acc + c + L * j, a[j]);
 }
 
 // acc[c] += g[0] * src[0][c] + g[1] * src[1][c] + ... for lo <= c < hi, one
 // chain per element in term order: exactly the per-element sums of m
-// successive axpys.
-void accumulate_terms(double* acc, const Terms& t, std::size_t lo, std::size_t hi) noexcept {
+// successive axpys. Tiles of 8, 4 and 1 vectors, then scalar columns.
+template <class V>
+[[gnu::always_inline]] inline void accumulate_terms(double* acc, const Terms& t,
+                                                    std::size_t lo, std::size_t hi) noexcept {
+    constexpr std::size_t L = kLanes<V>;
     std::size_t c = lo;
-    for (; c + 16 <= hi; c += 16) accumulate_tile<8>(acc, t, c);
-    for (; c + 8 <= hi; c += 8) accumulate_tile<4>(acc, t, c);
-    for (; c + 2 <= hi; c += 2) accumulate_tile<1>(acc, t, c);
+    for (; c + 8 * L <= hi; c += 8 * L) accumulate_tile<V, 8>(acc, t, c);
+    for (; c + 4 * L <= hi; c += 4 * L) accumulate_tile<V, 4>(acc, t, c);
+    for (; c + L <= hi; c += L) accumulate_tile<V, 1>(acc, t, c);
     for (; c < hi; ++c) {
         double a = acc[c];
         for (std::size_t e = 0; e < t.m; ++e) a += t.g[e] * t.src[e][c];
@@ -202,12 +251,13 @@ void accumulate_terms(double* acc, const Terms& t, std::size_t lo, std::size_t h
 // accumulate_terms for terms of differing lengths: columns are split at
 // each distinct in[e], and a column range only sees (in order) the terms
 // that cover it. Consumes the terms.
-void accumulate_ragged_terms(double* acc, Terms& t) noexcept {
+template <class V>
+[[gnu::always_inline]] inline void accumulate_ragged_terms(double* acc, Terms& t) noexcept {
     std::size_t lo = 0;
     while (t.m > 0) {
         std::size_t hi = t.in[0];
         for (std::size_t e = 1; e < t.m; ++e) hi = std::min(hi, t.in[e]);
-        accumulate_terms(acc, t, lo, hi);
+        accumulate_terms<V>(acc, t, lo, hi);
         std::size_t kept = 0;
         for (std::size_t e = 0; e < t.m; ++e) {
             if (t.in[e] == hi) continue;
@@ -221,43 +271,126 @@ void accumulate_ragged_terms(double* acc, Terms& t) noexcept {
     }
 }
 
-} // namespace
-
-void Matrix::slice_matmul_transposed(const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
-                                     std::span<const Slice> slices) noexcept {
+template <class V>
+[[gnu::always_inline]] inline void matmul_transposed(const Matrix& a, const Matrix& y_grad,
+                                                     Matrix& x_grad,
+                                                     std::span<const Matrix::Slice> slices) noexcept {
     Terms t;
     for (std::size_t k = 0; k < slices.size(); ++k) {
         const auto [out, in] = slices[k];
-        double* xg = x_grad.data_.data() + k * x_grad.cols_;
+        double* xg = x_grad.row(k).data();
         std::fill(xg, xg + in, 0.0);
-        const double* dyk = y_grad.data_.data() + k * y_grad.cols_;
+        const double* dyk = y_grad.row(k).data();
         for (std::size_t r = 0; r < out;) {
             t.m = 0;
-            for (; r < out && !t.full(); ++r) {
-                t.offer(a.data_.data() + r * a.cols_, dyk[r], in, true);
-            }
-            accumulate_terms(xg, t, 0, in);
+            for (; r < out && !t.full(); ++r) t.offer(a.row(r).data(), dyk[r], in, true);
+            accumulate_terms<V>(xg, t, 0, in);
         }
     }
+}
+
+template <class V>
+[[gnu::always_inline]] inline void outer_accumulate_batch(Matrix& grad, const Matrix& y_grad,
+                                                          const Matrix& x,
+                                                          std::span<const Matrix::Slice> slices) noexcept {
+    std::size_t out_max = 0;
+    for (const auto& s : slices) out_max = std::max(out_max, s.out);
+    Terms t;
+    for (std::size_t r = 0; r < out_max; ++r) {
+        double* grow = grad.row(r).data();
+        for (std::size_t k = 0; k < slices.size();) {
+            t.m = 0;
+            for (; k < slices.size() && !t.full(); ++k) {
+                t.offer(x.row(k).data(), y_grad(k, r), slices[k].in, r < slices[k].out);
+            }
+            accumulate_ragged_terms<V>(grow, t);
+        }
+    }
+}
+
+// The kernel sets: each instantiates the templates above for one vector
+// type, inside a function compiled for that vector's ISA.
+
+void matmul_baseline(const Matrix& a, const Matrix& x, std::span<const double> b, Matrix& y,
+                     std::size_t out, std::size_t in, std::size_t batch) noexcept {
+    matmul<V2, 2>(a, x, b, y, out, in, batch);
+}
+
+void matmul_transposed_baseline(const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
+                                std::span<const Matrix::Slice> slices) noexcept {
+    matmul_transposed<V2>(a, y_grad, x_grad, slices);
+}
+
+void outer_accumulate_batch_baseline(Matrix& grad, const Matrix& y_grad, const Matrix& x,
+                                     std::span<const Matrix::Slice> slices) noexcept {
+    outer_accumulate_batch<V2>(grad, y_grad, x, slices);
+}
+
+#ifdef LOTUS_RL_KERNELS_X86
+__attribute__((target("avx2"))) void matmul_avx2(const Matrix& a, const Matrix& x,
+                                                 std::span<const double> b, Matrix& y,
+                                                 std::size_t out, std::size_t in,
+                                                 std::size_t batch) noexcept {
+    matmul<V4, 4>(a, x, b, y, out, in, batch);
+}
+
+__attribute__((target("avx2"))) void matmul_transposed_avx2(
+    const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
+    std::span<const Matrix::Slice> slices) noexcept {
+    matmul_transposed<V4>(a, y_grad, x_grad, slices);
+}
+
+__attribute__((target("avx2"))) void outer_accumulate_batch_avx2(
+    Matrix& grad, const Matrix& y_grad, const Matrix& x,
+    std::span<const Matrix::Slice> slices) noexcept {
+    outer_accumulate_batch<V4>(grad, y_grad, x, slices);
+}
+#endif
+
+// Narrowest first: kernel_sets() returns a prefix of this table.
+constexpr KernelSet kKernelSets[] = {
+    {"baseline", matmul_baseline, matmul_transposed_baseline, outer_accumulate_batch_baseline},
+#ifdef LOTUS_RL_KERNELS_X86
+    {"avx2", matmul_avx2, matmul_transposed_avx2, outer_accumulate_batch_avx2},
+#endif
+};
+
+bool host_has_avx2() noexcept {
+#ifdef LOTUS_RL_KERNELS_X86
+    __builtin_cpu_init(); // may run before the constructor that sets up the CPU model
+    return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+}
+
+} // namespace
+
+std::span<const KernelSet> kernel_sets() noexcept {
+    static const std::span<const KernelSet> supported{
+        kKernelSets, host_has_avx2() ? std::size(kKernelSets) : 1};
+    return supported;
+}
+
+const KernelSet& kernel_set() noexcept { return kernel_sets().back(); }
+
+void Matrix::slice_matmul(const Matrix& a, const Matrix& x, std::span<const double> b,
+                          Matrix& y, std::size_t out, std::size_t in,
+                          std::size_t batch) noexcept {
+    LOTUS_PROF_COUNT("rl.matmul_calls", 1);
+    LOTUS_PROF_COUNT("rl.matmul_rows", batch);
+    kernel_set().matmul(a, x, b, y, out, in, batch);
+}
+
+void Matrix::slice_matmul_transposed(const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
+                                     std::span<const Slice> slices) noexcept {
+    kernel_set().matmul_transposed(a, y_grad, x_grad, slices);
 }
 
 void Matrix::slice_outer_accumulate_batch(Matrix& grad, const Matrix& y_grad,
                                           const Matrix& x,
                                           std::span<const Slice> slices) noexcept {
-    std::size_t out_max = 0;
-    for (const auto& s : slices) out_max = std::max(out_max, s.out);
-    Terms t;
-    for (std::size_t r = 0; r < out_max; ++r) {
-        double* grow = grad.data_.data() + r * grad.cols_;
-        for (std::size_t k = 0; k < slices.size();) {
-            t.m = 0;
-            for (; k < slices.size() && !t.full(); ++k) {
-                t.offer(x.data_.data() + k * x.cols_, y_grad.data_[k * y_grad.cols_ + r],
-                        slices[k].in, r < slices[k].out);
-            }
-            accumulate_ragged_terms(grow, t);
-        }
-    }
+    kernel_set().outer_accumulate_batch(grad, y_grad, x, slices);
 }
 
 } // namespace lotus::rl

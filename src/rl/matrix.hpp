@@ -61,10 +61,10 @@ public:
     /// Y[0:out, k] = A[0:out, 0:in] * X[0:in, k] + b[0:out] for every column
     /// k < batch. X and Y are feature-major (units x samples: column k is
     /// sample k) and may have more rows/columns than in/out/batch; only the
-    /// leading slices are touched. Vectorized across samples with a register
-    /// tile of 2 outputs x 8 samples, never across the reduction: every
-    /// output element is one chain over c in ascending order starting from
-    /// b[r], so each column is bit-identical to slice_matvec on that sample.
+    /// leading slices are touched. Vectorized across samples (see
+    /// KernelSet), never across the reduction: every output element is one
+    /// chain over c in ascending order starting from b[r], so each column is
+    /// bit-identical to slice_matvec on that sample.
     static void slice_matmul(const Matrix& a, const Matrix& x, std::span<const double> b,
                              Matrix& y, std::size_t out, std::size_t in,
                              std::size_t batch) noexcept;
@@ -101,5 +101,28 @@ private:
     std::size_t cols_ = 0;
     std::vector<double> data_;
 };
+
+/// The three batched kernels behind Matrix::slice_matmul,
+/// slice_matmul_transposed and slice_outer_accumulate_batch, compiled for
+/// one instruction set. Every set keeps the summation orders documented
+/// above, so all sets produce the same bits; they differ only in vector
+/// width and tile shape:
+/// - "baseline" (any target): 2-double vectors; 2 outputs x 8 samples
+///   forward, up to 16 columns per backward tile.
+/// - "avx2" (x86 hosts with AVX2): 4-double vectors; 4 outputs x 8
+///   samples forward, up to 32 columns per backward tile.
+struct KernelSet {
+    const char* name;
+    decltype(&Matrix::slice_matmul) matmul;
+    decltype(&Matrix::slice_matmul_transposed) matmul_transposed;
+    decltype(&Matrix::slice_outer_accumulate_batch) outer_accumulate_batch;
+};
+
+/// The kernel sets this host can run, narrowest ("baseline") first.
+[[nodiscard]] std::span<const KernelSet> kernel_sets() noexcept;
+
+/// The set the Matrix::slice_* kernels run: the widest of kernel_sets(),
+/// chosen once per process.
+[[nodiscard]] const KernelSet& kernel_set() noexcept;
 
 } // namespace lotus::rl

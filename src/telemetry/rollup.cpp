@@ -200,7 +200,11 @@ std::string Rollup::rollup_json() const {
             for (const auto& [level, secs] : win.opp_residency_s) {
                 if (!first_opp) o += ",";
                 first_opp = false;
-                o += "[" + std::to_string(level) + "," + jnum(secs) + "]";
+                o += "[";
+                o += std::to_string(level);
+                o += ",";
+                o += jnum(secs);
+                o += "]";
             }
             o += "],\"headroom_min_c\":" + jnum(win.headroom_min_c);
             o += ",\"temp_c\":" + quantile_json(win.temp_c);

@@ -69,9 +69,11 @@ void expect_bitwise_eq(std::span<const double> a, std::span<const double> b) {
 
 TEST(SliceMatmul, BitIdenticalToMatvecAcrossShapes) {
     util::Rng rng(7);
-    // Shapes chosen to hit every tail path of the 2-output x 8-sample tile
-    // (batch 1/7/33: scalar, 2-sample and 8-sample tails; odd `out`), plus
-    // oversized X/Y.
+    // Runs the kernel set this host selected (rl::kernel_set()): tiles of 2
+    // outputs x 8 samples (baseline) or 4 x 8 (avx2). Shapes hit scalar,
+    // one-vector and 8-sample batch tails and `out` not a multiple of the
+    // tile, plus oversized X/Y; tests/rl/test_kernel_isa.cpp runs every set
+    // over a denser grid of tails.
     const struct {
         std::size_t out, in, batch;
     } shapes[] = {{1, 1, 1},    {3, 5, 2},    {4, 7, 3},    {6, 6, 5},   {48, 7, 8},

@@ -28,7 +28,10 @@ one), so a stale or hand-edited trajectory file cannot slip through.
 
 Even on a pass, every numeric metric of every cell present in both files
 is printed as a current-vs-baseline delta so CI logs show the trend, not
-just the verdict.
+just the verdict. The train_step cell also names the RL kernel set each
+run used (train_step.kernels: "avx2" or "baseline"); when the two differ,
+or the baseline names none, a notice says the host throughputs come from
+different instruction sets. The notice never changes the verdict.
 
 --absolute additionally compares raw serve_saturation requests_per_sec, for
 same-machine trend tracking; do not enable it on shared CI runners.
@@ -112,6 +115,18 @@ def print_cell_deltas(cur, base):
             else:
                 delta = "n/a" if c == 0.0 else "new"
             print(f"  {path}: current {c:g}, baseline {b:g} ({delta})")
+        if cell == "train_step":
+            print_kernel_sets(cur_cells[cell], base_cells[cell])
+
+
+def print_kernel_sets(cur_train, base_train):
+    """Print the RL kernel set of each train_step cell; flag a mismatch."""
+    cur_set = cur_train.get("kernels", "unknown")
+    base_set = base_train.get("kernels", "unknown")
+    print(f"  kernels: current {cur_set}, baseline {base_set}")
+    if cur_set != base_set:
+        print(f"NOTICE: train_step kernel sets differ (current {cur_set}, baseline "
+              f"{base_set}): host throughput is compared across instruction sets")
 
 
 def main():
