@@ -345,7 +345,8 @@ bool stepper_comparison() {
 /// serve_saturation carries the reference_wall_s it is normalized by; 4:
 /// train_step carries bootstrap_rows and bootstrap_memo_hits). The string
 /// train_step.kernels (the RL kernel set, rl::kernel_set()) came without a
-/// bump: the check reads a missing one as "unknown" and only prints it.
+/// bump: the check reads a missing one as "unknown" and only prints it. So
+/// did telemetry_overhead.export_s and export_bytes, which no gate reads.
 constexpr int kBenchSchemaVersion = 4;
 
 /// %.6g rendering for the JSON document (full precision is timer noise).
@@ -715,12 +716,14 @@ bool perf_trajectory() {
                 static_cast<unsigned long long>(prof_ab.scopes), scope_ns, timer_cost_pct,
                 prof_ab.off_cpu_s, prof_ab.on_cpu_s, profiler_pairs, overhead_pct);
 
-    // --- cell 5: sim-time telemetry recording overhead ----------------------
+    // --- cell 5: sim-time telemetry recording and export overhead -----------
     // The hard gate is correctness: scenario JSON must be byte-identical with
     // recording on vs off (instrumentation must not perturb the simulation).
     // The wall-clock bar is deliberately loose -- recording allocates per
     // event, and this cell documents the cost rather than policing scheduler
-    // noise: fail only past 50% AND a 100 ms absolute excess.
+    // noise: fail only past 50% AND a 100 ms absolute excess. Export
+    // (rendering every artifact and Recorder::write into a temp dir) is
+    // timed on the recording-on run's recorders and not gated.
     auto tel_cfg_off = perf_harness_config(/*summary_only=*/true);
     auto tel_cfg_on = tel_cfg_off;
     tel_cfg_on.telemetry = true;
@@ -729,6 +732,8 @@ bool perf_trajectory() {
     std::uint64_t tel_events = 0;
     std::uint64_t tel_breaches = 0;
     bool tel_identical = false;
+    double tel_export_s = 0.0;
+    std::uintmax_t tel_export_bytes = 0;
     {
         // Correctness pass (doubles as warm-up for the timed pairs).
         const auto r_off = tel_h_off.run(sc);
@@ -740,6 +745,24 @@ bool perf_trajectory() {
             tel_events += r.telemetry->event_count();
             tel_breaches += r.telemetry->breach_count();
         }
+        const auto export_dir =
+            std::filesystem::temp_directory_path() / "bench_overhead_telemetry";
+        for (int rep = 0; rep < fleet_pairs; ++rep) {
+            std::filesystem::remove_all(export_dir);
+            const auto t0 = std::chrono::steady_clock::now();
+            for (std::size_t i = 0; i < r_on.size(); ++i) {
+                if (r_on[i].telemetry) {
+                    r_on[i].telemetry->write((export_dir / std::to_string(i)).string());
+                }
+            }
+            const double s =
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+            tel_export_s = rep == 0 ? s : std::min(tel_export_s, s);
+        }
+        for (const auto& f : std::filesystem::recursive_directory_iterator(export_dir)) {
+            if (f.is_regular_file()) tel_export_bytes += f.file_size();
+        }
+        std::filesystem::remove_all(export_dir);
     }
     if (!tel_identical) {
         std::printf("FAIL: scenario JSON differs with telemetry recording on\n");
@@ -766,11 +789,13 @@ bool perf_trajectory() {
         ok = false;
     }
     std::printf("telemetry recording on serve_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead, %llu events, %llu breaches, JSON %s)\n\n",
+                "(%.2f%% overhead, %llu events, %llu breaches, JSON %s); export "
+                "%.3fs for %llu bytes (not gated)\n\n",
                 tel_off_s, tel_on_s, tel_overhead_pct,
                 static_cast<unsigned long long>(tel_events),
                 static_cast<unsigned long long>(tel_breaches),
-                tel_identical ? "byte-identical" : "DIFFERS");
+                tel_identical ? "byte-identical" : "DIFFERS", tel_export_s,
+                static_cast<unsigned long long>(tel_export_bytes));
 
     // --- cell 6: trace capture + replay -------------------------------------
     // The trace subsystem's whole value rests on replay being *the same
@@ -900,7 +925,9 @@ bool perf_trajectory() {
        << "      \"overhead_pct\": " << json_num(tel_overhead_pct) << ",\n"
        << "      \"events\": " << tel_events << ",\n"
        << "      \"breaches\": " << tel_breaches << ",\n"
-       << "      \"json_bit_identical\": " << (tel_identical ? "true" : "false") << "\n"
+       << "      \"json_bit_identical\": " << (tel_identical ? "true" : "false") << ",\n"
+       << "      \"export_s\": " << json_num(tel_export_s) << ",\n"
+       << "      \"export_bytes\": " << tel_export_bytes << "\n"
        << "    },\n"
        << "    \"trace_replay\": {\n"
        << "      \"scenario\": \"serve_saturation\",\n"

@@ -1,10 +1,10 @@
 #include "telemetry/recorder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/build_info.hpp"
@@ -18,30 +18,29 @@ thread_local Recorder* t_current = nullptr;
 
 /// Simulated seconds with nanosecond resolution; fixed width keeps the
 /// output a pure function of the value (locale-free, no precision drift).
-std::string fmt_time(double t_s) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.9f", t_s);
-    return buf;
-}
+void append_time(std::string& out, double t_s) { util::append_fixed(out, t_s, 9); }
 
 /// Chrome trace timestamps are microseconds.
-std::string fmt_ts_us(double t_s) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.3f", t_s * 1e6);
-    return buf;
-}
+void append_ts_us(std::string& out, double t_s) { util::append_fixed(out, t_s * 1e6, 3); }
 
 } // namespace
 
-std::string jnum(double v) {
-    const auto s = util::format_double(v, 6);
-    if (s == "nan" || s == "inf" || s == "-inf") return "null";
-    return s;
+void append_jnum(std::string& out, double v) {
+    if (std::isfinite(v)) {
+        util::append_double(out, v, 6);
+    } else {
+        out += "null";
+    }
 }
 
-std::string jstr(const std::string& s) {
-    std::string out = "\"";
-    out.reserve(s.size() + 2);
+std::string jnum(double v) {
+    std::string out;
+    append_jnum(out, v);
+    return out;
+}
+
+void append_jstr(std::string& out, std::string_view s) {
+    out += '"';
     for (const char c : s) {
         switch (c) {
             case '"': out += "\\\""; break;
@@ -61,7 +60,13 @@ std::string jstr(const std::string& s) {
                 }
         }
     }
-    out += "\"";
+    out += '"';
+}
+
+std::string jstr(const std::string& s) {
+    std::string out;
+    out.reserve(s.size() + 2);
+    append_jstr(out, s);
     return out;
 }
 
@@ -84,8 +89,9 @@ int Recorder::track(const std::string& process, const std::string& thread) {
     const auto it = track_ids_.find(key);
     if (it != track_ids_.end()) return it->second;
 
-    auto [pit, inserted] = pids_.emplace(process, static_cast<int>(pids_.size()) + 1);
-    (void)inserted;
+    const auto [pit, inserted] =
+        pids_.emplace(process, static_cast<int>(pids_.size()) + 1);
+    if (inserted) rings_.emplace_back();
     TrackInfo info;
     info.process = process;
     info.thread = thread;
@@ -101,9 +107,11 @@ void Recorder::emit(Event e) {
     if (e.track < 0 || static_cast<std::size_t>(e.track) >= tracks_.size()) {
         throw std::out_of_range("Recorder: event on unknown track");
     }
-    auto& ring = rings_[tracks_[static_cast<std::size_t>(e.track)].pid];
-    ring.push_back(e);
-    if (ring.size() > kRingCapacity) ring.pop_front();
+    const int pid = tracks_[static_cast<std::size_t>(e.track)].pid;
+    auto& ring = rings_[static_cast<std::size_t>(pid - 1)];
+    ring.index[ring.next] = log_.size();
+    ring.next = (ring.next + 1) % kRingCapacity;
+    ring.size = std::min(ring.size + 1, kRingCapacity);
     log_.push_back(std::move(e));
 }
 
@@ -188,22 +196,24 @@ void Recorder::breach(int track, std::string reason, std::uint64_t request_id, d
     b.reason = std::move(reason);
     b.request_id = request_id;
     b.args = std::move(args);
-    const auto rit = rings_.find(info.pid);
-    if (rit != rings_.end()) {
-        b.context.assign(rit->second.begin(), rit->second.end());
+    const auto& ring = rings_[static_cast<std::size_t>(info.pid - 1)];
+    const std::size_t oldest = ring.next + kRingCapacity - ring.size;
+    for (std::size_t i = 0; i < ring.size; ++i) {
+        b.context.push_back(ring.index[(oldest + i) % kRingCapacity]);
     }
     breaches_.push_back(std::move(b));
 }
 
 std::vector<std::size_t> Recorder::time_order() const {
+    // Ties keep append order, so the export is deterministic AND monotonic
+    // even for events recorded after the clock passed them (arrivals
+    // noticed at the next dispatch instant). Sorting (time, index) pairs is
+    // that stable order, with the keys held next to each other.
+    std::vector<std::pair<double, std::size_t>> keyed(log_.size());
+    for (std::size_t i = 0; i < log_.size(); ++i) keyed[i] = {log_[i].t_s, i};
+    std::sort(keyed.begin(), keyed.end());
     std::vector<std::size_t> order(log_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    // Stable: ties keep append order, so the export is deterministic AND
-    // monotonic even for events recorded after the clock passed them
-    // (arrivals noticed at the next dispatch instant).
-    std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-        return log_[a].t_s < log_[b].t_s;
-    });
+    for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
     return order;
 }
 
@@ -212,31 +222,50 @@ std::vector<std::size_t> Recorder::time_order() const {
 namespace {
 
 /// One breach-context event as a JSON object.
-std::string event_jsonl_object(const Event& e, const std::string& process,
-                               const std::string& thread) {
-    std::string o = "{\"t_s\":" + fmt_time(e.t_s);
-    o += ",\"ph\":\"" + std::string(1, e.phase) + "\"";
-    o += ",\"process\":" + jstr(process);
-    o += ",\"thread\":" + jstr(thread);
-    o += ",\"name\":" + jstr(e.name);
-    if (e.phase == 'b' || e.phase == 'e') o += ",\"id\":" + std::to_string(e.id);
-    if (e.phase == 'C') o += ",\"value\":" + jnum(e.value);
-    if (!e.args.empty()) o += ",\"args\":{" + e.args + "}";
-    o += "}";
-    return o;
+void append_event_jsonl(std::string& o, const Event& e, const std::string& process,
+                        const std::string& thread) {
+    o += "{\"t_s\":";
+    append_time(o, e.t_s);
+    o += ",\"ph\":\"";
+    o += e.phase;
+    o += "\",\"process\":";
+    append_jstr(o, process);
+    o += ",\"thread\":";
+    append_jstr(o, thread);
+    o += ",\"name\":";
+    append_jstr(o, e.name);
+    if (e.phase == 'b' || e.phase == 'e') {
+        o += ",\"id\":";
+        append_int(o, e.id);
+    }
+    if (e.phase == 'C') {
+        o += ",\"value\":";
+        append_jnum(o, e.value);
+    }
+    if (!e.args.empty()) {
+        o += ",\"args\":{";
+        o += e.args;
+        o += '}';
+    }
+    o += '}';
 }
 
 } // namespace
 
 std::string Recorder::chrome_trace_json() const {
-    std::string o = "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
+    // One event's fixed fields (keys, timestamp, pid/tid, category) take
+    // under 128 bytes; its name and args come on top.
+    std::size_t bytes = 256 + 128 * tracks_.size();
+    for (const auto& e : log_) bytes += 128 + e.name.size() + e.args.size();
+    std::string o;
+    o.reserve(bytes);
+    o += "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
     o += util::build_info_json_fields();
     o += "},\"traceEvents\":[";
     bool first = true;
-    const auto append = [&](const std::string& item) {
-        if (!first) o += ",";
+    const auto next_item = [&] {
+        if (!first) o += ',';
         first = false;
-        o += item;
     };
 
     // Metadata: name every process and thread so Perfetto renders devices
@@ -246,40 +275,58 @@ std::string Recorder::chrome_trace_json() const {
     for (const auto& t : tracks_) {
         if (!named[static_cast<std::size_t>(t.pid)]) {
             named[static_cast<std::size_t>(t.pid)] = true;
-            append("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-                   std::to_string(t.pid) + ",\"tid\":0,\"args\":{\"name\":" +
-                   jstr(t.process) + "}}");
+            next_item();
+            o += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
+            append_int(o, t.pid);
+            o += ",\"tid\":0,\"args\":{\"name\":";
+            append_jstr(o, t.process);
+            o += "}}";
         }
-        append("{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(t.pid) +
-               ",\"tid\":" + std::to_string(t.tid) + ",\"args\":{\"name\":" +
-               jstr(t.thread) + "}}");
+        next_item();
+        o += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
+        append_int(o, t.pid);
+        o += ",\"tid\":";
+        append_int(o, t.tid);
+        o += ",\"args\":{\"name\":";
+        append_jstr(o, t.thread);
+        o += "}}";
     }
 
     for (const auto idx : time_order()) {
         const auto& e = log_[idx];
         const auto& t = tracks_[static_cast<std::size_t>(e.track)];
-        std::string ev = "{\"name\":" + jstr(e.name);
-        ev += ",\"ph\":\"" + std::string(1, e.phase) + "\"";
-        ev += ",\"ts\":" + fmt_ts_us(e.t_s);
-        ev += ",\"pid\":" + std::to_string(t.pid);
-        ev += ",\"tid\":" + std::to_string(t.tid);
+        next_item();
+        o += "{\"name\":";
+        append_jstr(o, e.name);
+        o += ",\"ph\":\"";
+        o += e.phase;
+        o += "\",\"ts\":";
+        append_ts_us(o, e.t_s);
+        o += ",\"pid\":";
+        append_int(o, t.pid);
+        o += ",\"tid\":";
+        append_int(o, t.tid);
         switch (e.phase) {
             case 'B':
-            case 'E': ev += ",\"cat\":\"sim\""; break;
-            case 'i': ev += ",\"cat\":\"sim\",\"s\":\"t\""; break;
+            case 'E': o += ",\"cat\":\"sim\""; break;
+            case 'i': o += ",\"cat\":\"sim\",\"s\":\"t\""; break;
             case 'b':
             case 'e':
-                ev += ",\"cat\":\"request\",\"id\":" + std::to_string(e.id);
+                o += ",\"cat\":\"request\",\"id\":";
+                append_int(o, e.id);
                 break;
             default: break;
         }
         if (e.phase == 'C') {
-            ev += ",\"args\":{\"value\":" + jnum(e.value) + "}";
+            o += ",\"args\":{\"value\":";
+            append_jnum(o, e.value);
+            o += '}';
         } else if (!e.args.empty()) {
-            ev += ",\"args\":{" + e.args + "}";
+            o += ",\"args\":{";
+            o += e.args;
+            o += '}';
         }
-        ev += "}";
-        append(ev);
+        o += '}';
     }
     o += "]}";
     return o;
@@ -288,20 +335,27 @@ std::string Recorder::chrome_trace_json() const {
 std::string Recorder::breaches_jsonl() const {
     std::string o;
     for (const auto& b : breaches_) {
-        std::string line = "{\"t_s\":" + fmt_time(b.t_s);
-        line += ",\"process\":" + jstr(b.process);
-        line += ",\"reason\":" + jstr(b.reason);
-        line += ",\"request\":" + std::to_string(b.request_id);
-        if (!b.args.empty()) line += ",\"args\":{" + b.args + "}";
-        line += ",\"events\":[";
-        for (std::size_t i = 0; i < b.context.size(); ++i) {
-            const auto& e = b.context[i];
-            const auto& t = tracks_[static_cast<std::size_t>(e.track)];
-            if (i != 0) line += ",";
-            line += event_jsonl_object(e, t.process, t.thread);
+        o += "{\"t_s\":";
+        append_time(o, b.t_s);
+        o += ",\"process\":";
+        append_jstr(o, b.process);
+        o += ",\"reason\":";
+        append_jstr(o, b.reason);
+        o += ",\"request\":";
+        append_int(o, b.request_id);
+        if (!b.args.empty()) {
+            o += ",\"args\":{";
+            o += b.args;
+            o += '}';
         }
-        line += "]}";
-        o += line + "\n";
+        o += ",\"events\":[";
+        for (std::size_t i = 0; i < b.context.size(); ++i) {
+            const auto& e = log_[b.context[i]];
+            const auto& t = tracks_[static_cast<std::size_t>(e.track)];
+            if (i != 0) o += ',';
+            append_event_jsonl(o, e, t.process, t.thread);
+        }
+        o += "]}\n";
     }
     return o;
 }

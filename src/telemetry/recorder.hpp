@@ -15,9 +15,9 @@
 // process (one thread per stream), and the fleet dispatcher under "fleet".
 // Events are durations (begin/end, strictly nested per track), async spans
 // (begin/end matched by id -- request lifecycles overlap freely), instants,
-// and counters. An SLO-breach flight recorder keeps the last-N events of
-// every process in a ring buffer; breach() snapshots that ring into a
-// compact report with the causal context of the miss.
+// and counters. An SLO-breach flight recorder keeps the log positions of
+// the last-N events of every process in a ring; breach() snapshots that
+// ring into a compact report with the causal context of the miss.
 //
 // Determinism: one Recorder is bound per episode via BindScope, and an
 // episode runs entirely on one worker thread, so the Recorder needs no
@@ -33,13 +33,18 @@
 // rollup.json and health.json (rollup.hpp). All timestamps are simulated
 // seconds; the event log is stable-sorted by time so the trace is
 // monotonic even when an event is recorded late (e.g. an arrival noticed
-// after the clock passed it).
+// after the clock passed it). Each exporter appends every field straight
+// into one output string through the append_* helpers below, with numbers
+// written by std::to_chars: locale-free and digit-for-digit the "C"
+// locale's printf, with no stream and no temporary string per field.
 
+#include <array>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -147,7 +152,14 @@ private:
         std::string reason;
         std::uint64_t request_id = 0;
         std::string args;
-        std::vector<Event> context; // ring snapshot, oldest first
+        std::vector<std::size_t> context; // ring snapshot (log_ indices), oldest first
+    };
+    /// One process's flight recorder: the log_ indices of its last
+    /// kRingCapacity events, as a circular buffer.
+    struct Ring {
+        std::array<std::size_t, kRingCapacity> index{};
+        std::size_t size = 0; // events held, at most kRingCapacity
+        std::size_t next = 0; // slot the next event overwrites
     };
 
     void emit(Event e);
@@ -160,7 +172,7 @@ private:
     std::vector<TrackInfo> tracks_;
     std::map<std::pair<std::string, std::string>, int> track_ids_;
     std::map<std::string, int> pids_;
-    std::map<int, std::deque<Event>> rings_; // per-pid flight recorder
+    std::vector<Ring> rings_; // flight recorder of pid p at rings_[p - 1]
     std::vector<Breach> breaches_;
     std::string context_ = "sim";
 };
@@ -206,5 +218,19 @@ private:
 [[nodiscard]] std::string jnum(double v);
 /// `s` as a JSON string with RFC 8259 escaping.
 [[nodiscard]] std::string jstr(const std::string& s);
+
+// The exporters' forms: append to `out` instead of returning a temporary.
+// jnum/jstr are these applied to an empty string -- one formatting path.
+
+/// jnum(v) appended to `out`.
+void append_jnum(std::string& out, double v);
+/// jstr(s) appended to `out`.
+void append_jstr(std::string& out, std::string_view s);
+/// `v` in decimal appended to `out` (std::to_string's digits).
+template <class Int>
+void append_int(std::string& out, Int v) {
+    char buf[24]; // 20 digits of UINT64_MAX, or a sign and 19
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 } // namespace lotus::telemetry

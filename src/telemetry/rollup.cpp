@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "telemetry/recorder.hpp"
 #include "util/build_info.hpp"
@@ -23,18 +24,38 @@ std::vector<double> quantiles(const std::vector<double>& values,
     return util::percentiles(values, ps);
 }
 
+/// `,"key":` appended to `o`, for a key that needs no escaping.
+void append_field_key(std::string& o, std::string_view key) {
+    o += ",\"";
+    o += key;
+    o += "\":";
+}
+
+/// `,"key":v` appended to `o`.
+void append_num_field(std::string& o, std::string_view key, double v) {
+    append_field_key(o, key);
+    append_jnum(o, v);
+}
+
+/// `,"key":n` appended to `o`.
+template <class Int>
+void append_int_field(std::string& o, std::string_view key, Int n) {
+    append_field_key(o, key);
+    append_int(o, n);
+}
+
 /// One per-window quantile object: sample count, exact extrema (p0/p100)
 /// and p50/p95/p99, all from one sort; null fields when empty.
-std::string quantile_json(const std::vector<double>& values) {
+void append_quantiles(std::string& o, const std::vector<double>& values) {
     const auto q = quantiles(values, {0.0, 50.0, 95.0, 99.0, 100.0});
-    std::string o = "{\"count\":" + std::to_string(values.size());
-    o += ",\"min\":" + jnum(q[0]);
-    o += ",\"max\":" + jnum(q[4]);
-    o += ",\"p50\":" + jnum(q[1]);
-    o += ",\"p95\":" + jnum(q[2]);
-    o += ",\"p99\":" + jnum(q[3]);
-    o += "}";
-    return o;
+    o += "{\"count\":";
+    append_int(o, values.size());
+    append_num_field(o, "min", q[0]);
+    append_num_field(o, "max", q[4]);
+    append_num_field(o, "p50", q[1]);
+    append_num_field(o, "p95", q[2]);
+    append_num_field(o, "p99", q[3]);
+    o += '}';
 }
 
 void append(std::vector<double>& to, const std::vector<double>& from) {
@@ -85,34 +106,32 @@ struct Agg {
         breaches += a.breaches;
     }
 
-    /// The shared scoreboard fields (no leading comma). Rates and
-    /// quantiles are null when undefined (no requests / no samples) rather
-    /// than fabricated.
-    [[nodiscard]] std::string fields() const {
+    /// The shared scoreboard fields appended to `o`, each with a leading
+    /// comma. Rates and quantiles are null when undefined (no requests / no
+    /// samples) rather than fabricated.
+    void append_fields(std::string& o) const {
         const auto n = requests();
         const double dn = static_cast<double>(n);
-        std::string o = "\"requests\":" + std::to_string(n);
-        o += ",\"served\":" + std::to_string(served());
-        o += ",\"shed\":" + std::to_string(shed);
-        o += ",\"missed\":" + std::to_string(missed());
-        o += ",\"attainment\":" +
-             jnum(n > 0 ? static_cast<double>(n - missed()) / dn : kNaN);
-        o += ",\"miss_rate\":" +
-             jnum(n > 0 ? static_cast<double>(missed()) / dn : kNaN);
-        o += ",\"shed_rate\":" +
-             jnum(n > 0 ? static_cast<double>(shed) / dn : kNaN);
+        append_int_field(o, "requests", n);
+        append_int_field(o, "served", served());
+        append_int_field(o, "shed", shed);
+        append_int_field(o, "missed", missed());
+        append_num_field(o, "attainment",
+                         n > 0 ? static_cast<double>(n - missed()) / dn : kNaN);
+        append_num_field(o, "miss_rate", n > 0 ? static_cast<double>(missed()) / dn : kNaN);
+        append_num_field(o, "shed_rate", n > 0 ? static_cast<double>(shed) / dn : kNaN);
         const auto e2e = quantiles(e2e_ms, {50.0, 95.0, 99.0});
-        o += ",\"e2e_p50_ms\":" + jnum(e2e[0]);
-        o += ",\"e2e_p95_ms\":" + jnum(e2e[1]);
-        o += ",\"e2e_p99_ms\":" + jnum(e2e[2]);
-        o += ",\"queue_wait_p95_ms\":" + jnum(quantiles(queue_wait_ms, {95.0})[0]);
-        o += ",\"energy_j\":" + jnum(energy_j);
-        o += ",\"throttle_s\":" + jnum(throttle_s);
-        o += ",\"peak_temp_c\":" +
-             jnum(temp_c.empty() ? kNaN : *std::max_element(temp_c.begin(), temp_c.end()));
-        o += ",\"headroom_min_c\":" + jnum(headroom_min_c); // inf -> null
-        o += ",\"breaches\":" + std::to_string(breaches);
-        return o;
+        append_num_field(o, "e2e_p50_ms", e2e[0]);
+        append_num_field(o, "e2e_p95_ms", e2e[1]);
+        append_num_field(o, "e2e_p99_ms", e2e[2]);
+        append_num_field(o, "queue_wait_p95_ms", quantiles(queue_wait_ms, {95.0})[0]);
+        append_num_field(o, "energy_j", energy_j);
+        append_num_field(o, "throttle_s", throttle_s);
+        append_num_field(
+            o, "peak_temp_c",
+            temp_c.empty() ? kNaN : *std::max_element(temp_c.begin(), temp_c.end()));
+        append_num_field(o, "headroom_min_c", headroom_min_c); // inf -> null
+        append_int_field(o, "breaches", breaches);
     }
 };
 
@@ -179,36 +198,42 @@ void Rollup::record_temp_sample(const std::string& device, double t_s,
 }
 
 std::string Rollup::rollup_json() const {
-    std::string o = "{" + util::build_info_json_fields();
-    o += ",\"window_s\":" + jnum(window_s_);
+    std::string o = "{";
+    o += util::build_info_json_fields();
+    append_num_field(o, "window_s", window_s_);
     o += ",\"devices\":[";
     bool first_dev = true;
     for (const auto& [device, series] : devices_) {
-        if (!first_dev) o += ",";
+        if (!first_dev) o += ',';
         first_dev = false;
-        o += "{\"device\":" + jstr(device) + ",\"windows\":[";
+        o += "{\"device\":";
+        append_jstr(o, device);
+        o += ",\"windows\":[";
         bool first_win = true;
         for (const auto& [window, win] : series) {
-            if (!first_win) o += ",";
+            if (!first_win) o += ',';
             first_win = false;
-            o += "{\"window\":" + std::to_string(window);
-            o += ",\"start_s\":" + jnum(static_cast<double>(window) * window_s_);
-            o += ",\"energy_j\":" + jnum(win.energy_j);
-            o += ",\"throttle_s\":" + jnum(win.throttle_s);
+            o += "{\"window\":";
+            append_int(o, window);
+            append_num_field(o, "start_s", static_cast<double>(window) * window_s_);
+            append_num_field(o, "energy_j", win.energy_j);
+            append_num_field(o, "throttle_s", win.throttle_s);
             o += ",\"opp_residency_s\":[";
             bool first_opp = true;
             for (const auto& [level, secs] : win.opp_residency_s) {
-                if (!first_opp) o += ",";
+                if (!first_opp) o += ',';
                 first_opp = false;
-                o += "[";
-                o += std::to_string(level);
-                o += ",";
-                o += jnum(secs);
-                o += "]";
+                o += '[';
+                append_int(o, level);
+                o += ',';
+                append_jnum(o, secs);
+                o += ']';
             }
-            o += "],\"headroom_min_c\":" + jnum(win.headroom_min_c);
-            o += ",\"temp_c\":" + quantile_json(win.temp_c);
-            o += "}";
+            o += ']';
+            append_num_field(o, "headroom_min_c", win.headroom_min_c);
+            o += ",\"temp_c\":";
+            append_quantiles(o, win.temp_c);
+            o += '}';
         }
         o += "]}";
     }
@@ -216,25 +241,31 @@ std::string Rollup::rollup_json() const {
     bool first_stream = true;
     for (const auto& [device, by_stream] : streams_) {
         for (const auto& [stream, series] : by_stream) {
-            if (!first_stream) o += ",";
+            if (!first_stream) o += ',';
             first_stream = false;
-            o += "{\"device\":" + jstr(device) + ",\"stream\":" + jstr(stream);
+            o += "{\"device\":";
+            append_jstr(o, device);
+            o += ",\"stream\":";
+            append_jstr(o, stream);
             o += ",\"windows\":[";
             bool first_win = true;
             for (const auto& [window, win] : series) {
-                if (!first_win) o += ",";
+                if (!first_win) o += ',';
                 first_win = false;
-                o += "{\"window\":" + std::to_string(window);
-                o += ",\"start_s\":" + jnum(static_cast<double>(window) * window_s_);
-                o += ",\"ok\":" + std::to_string(win.ok);
-                o += ",\"late\":" + std::to_string(win.late);
-                o += ",\"shed\":" + std::to_string(win.shed);
-                o += ",\"served\":" + std::to_string(win.ok + win.late);
-                o += ",\"missed\":" + std::to_string(win.late + win.shed);
-                o += ",\"requests\":" + std::to_string(win.ok + win.late + win.shed);
-                o += ",\"e2e_ms\":" + quantile_json(win.e2e_ms);
-                o += ",\"queue_wait_ms\":" + quantile_json(win.queue_wait_ms);
-                o += "}";
+                o += "{\"window\":";
+                append_int(o, window);
+                append_num_field(o, "start_s", static_cast<double>(window) * window_s_);
+                append_int_field(o, "ok", win.ok);
+                append_int_field(o, "late", win.late);
+                append_int_field(o, "shed", win.shed);
+                append_int_field(o, "served", win.ok + win.late);
+                append_int_field(o, "missed", win.late + win.shed);
+                append_int_field(o, "requests", win.ok + win.late + win.shed);
+                o += ",\"e2e_ms\":";
+                append_quantiles(o, win.e2e_ms);
+                o += ",\"queue_wait_ms\":";
+                append_quantiles(o, win.queue_wait_ms);
+                o += '}';
             }
             o += "]}";
         }
@@ -290,25 +321,33 @@ std::string Rollup::health_json(
     const double mean = served_stats.mean();
     const double skew = mean > 0.0 ? served_stats.stddev() / mean : 0.0;
 
-    std::string o = "{" + util::build_info_json_fields();
-    o += ",\"window_s\":" + jnum(window_s_);
-    o += ",\"windows\":" + std::to_string(window_ids.size());
-    o += ",\"fleet\":{\"devices\":" + std::to_string(devices_.size());
-    o += "," + fleet.fields();
-    o += ",\"load_skew\":" + jnum(skew) + "}";
-    o += ",\"devices\":[";
+    std::string o = "{";
+    o += util::build_info_json_fields();
+    append_num_field(o, "window_s", window_s_);
+    append_int_field(o, "windows", window_ids.size());
+    o += ",\"fleet\":{\"devices\":";
+    append_int(o, devices_.size());
+    fleet.append_fields(o);
+    append_num_field(o, "load_skew", skew);
+    o += "},\"devices\":[";
     bool first = true;
     for (const auto& [device, agg] : by_device) {
-        if (!first) o += ",";
+        if (!first) o += ',';
         first = false;
-        o += "{\"device\":" + jstr(device) + "," + agg.fields() + "}";
+        o += "{\"device\":";
+        append_jstr(o, device);
+        agg.append_fields(o);
+        o += '}';
     }
     o += "],\"streams\":[";
     first = true;
     for (const auto& [stream, agg] : by_stream) {
-        if (!first) o += ",";
+        if (!first) o += ',';
         first = false;
-        o += "{\"stream\":" + jstr(stream) + "," + agg.fields() + "}";
+        o += "{\"stream\":";
+        append_jstr(o, stream);
+        agg.append_fields(o);
+        o += '}';
     }
     o += "]}";
     return o;

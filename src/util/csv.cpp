@@ -1,7 +1,8 @@
 #include "util/csv.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 
 namespace lotus::util {
@@ -21,19 +22,41 @@ std::string csv_escape(const std::string& field) {
     return out;
 }
 
-std::string format_double(double v, int precision) {
-    if (std::isnan(v)) return "nan";
-    if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-    std::ostringstream ss;
-    ss.setf(std::ios::fixed);
-    ss.precision(precision);
-    ss << v;
-    std::string s = ss.str();
-    if (s.find('.') != std::string::npos) {
-        while (!s.empty() && s.back() == '0') s.pop_back();
-        if (!s.empty() && s.back() == '.') s.pop_back();
+void append_fixed(std::string& out, double v, int precision) {
+    constexpr int kMaxPrecision = 9;
+    if (precision < 0 || precision > kMaxPrecision) {
+        throw std::invalid_argument("append_fixed: precision outside 0..9");
     }
-    if (s == "-0") s = "0";
+    // The longest fixed rendering of a finite double: a sign, the 309
+    // integer digits of DBL_MAX, the point and the fraction digits.
+    char buf[1 + std::numeric_limits<double>::max_exponent10 + 1 + 1 + kMaxPrecision];
+    const auto [end, ec] =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+    if (ec != std::errc{}) throw std::logic_error("append_fixed: buffer too small");
+    out.append(buf, end);
+}
+
+void append_double(std::string& out, double v, int precision) {
+    if (std::isnan(v)) {
+        out += "nan";
+        return;
+    }
+    if (std::isinf(v)) {
+        out += v > 0 ? "inf" : "-inf";
+        return;
+    }
+    const std::size_t start = out.size();
+    append_fixed(out, v, precision);
+    if (precision > 0) {
+        const std::size_t last = out.find_last_not_of('0');
+        out.resize(out[last] == '.' ? last : last + 1);
+    }
+    if (out.compare(start, std::string::npos, "-0") == 0) out.erase(start, 1);
+}
+
+std::string format_double(double v, int precision) {
+    std::string s;
+    append_double(s, v, precision);
     return s;
 }
 

@@ -48,7 +48,19 @@ void close_checked(std::ofstream& out, const std::string& path);
 /// Escape a single CSV field per RFC 4180 (quote iff necessary).
 [[nodiscard]] std::string csv_escape(const std::string& field);
 
-/// Format a double with fixed precision, trimming trailing zeros.
+/// Format a double with fixed precision (0..9 digits, std::invalid_argument
+/// otherwise), trimming trailing zeros (and the point when nothing follows
+/// it); a value that rounds to zero prints "0", never "-0", and non-finite
+/// values print "nan", "inf" or "-inf". Numbers are rendered by
+/// std::to_chars: the "C" locale's printf("%.*f") digits, whatever the
+/// process locale.
 [[nodiscard]] std::string format_double(double v, int precision = 4);
+
+/// format_double(v, precision) appended to `out`.
+void append_double(std::string& out, double v, int precision = 4);
+
+/// printf("%.*f", precision, v) in the "C" locale appended to `out`,
+/// untrimmed (fixed-width timestamps); precision 0..9 as above.
+void append_fixed(std::string& out, double v, int precision);
 
 } // namespace lotus::util

@@ -10,9 +10,10 @@
 //    (per-device pretrain constraints), the fleet failure drain and a paper
 //    table cell (runner pretrain), in full-ledger mode, plus the per-request
 //    CSV ledgers, the `_summary.csv`, the printed summary table and the
-//    telemetry artifacts (health.json, trace.json, breaches.jsonl) of one
-//    serving and one fleet scenario. Those two run with telemetry on, which
-//    must not move their scenario JSON.
+//    telemetry artifacts (health.json, trace.json, breaches.jsonl,
+//    rollup.json, manifest.json) of one serving and one fleet scenario.
+//    Those two run with telemetry on, which must not move their scenario
+//    JSON.
 //  * Arm overrides: one scenario per kind of per-arm variation (detector,
 //    pinned proposal count, rescaled constraint), in full-ledger mode.
 
@@ -182,17 +183,21 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
         const char* health = "";
         const char* trace = "";
         const char* breaches = "";
+        const char* rollup = "";
+        const char* manifest = "";
     };
     const Pin pinned[] = {
         {"serve_light", "a4e31a9203d8cad8", ""},
         {"serve_saturation", "c3495244850f506e", "293a137bf0addaee", "18833f4f62250656",
-         "1183d7cb393f244b", "03eb3404041c81d3", "f276b6ab7ae7c11e", "23a83b558f9f28f7"},
+         "1183d7cb393f244b", "03eb3404041c81d3", "f276b6ab7ae7c11e", "23a83b558f9f28f7",
+         "a5373232d45dec3a", "c08cd1f79514451b"},
         {"serve_burst_storm", "7fd4cb743dd8ef6c", ""},
         {"serve_mixed_slo", "7f203dd72fb574ea", ""},
         {"serve_diurnal", "79c2f7ea77315435", ""},
         {"serve_latency_attack", "3ea010a9369624b7", ""},
         {"serve_fleet_hetero", "80213b67f3eb2697", "852c5f70c98febf1", "7aaf01102b181ae9",
-         "40dd8ac94985dc2b", "08f4ae8a9e922161", "b391c32d55129092", "4b13995c5c7c10e0"},
+         "40dd8ac94985dc2b", "08f4ae8a9e922161", "b391c32d55129092", "4b13995c5c7c10e0",
+         "336d9abde4eeae7f", "e7254c83df0ed25d"},
         {"serve_fleet_diurnal_holdout", "30a3035157548b10", ""},
         {"table1_frcnn_kitti", "1208fa59c5fa4e13", ""},
     };
@@ -214,6 +219,10 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
             EXPECT_EQ(telemetry_digest(results, &Recorder::chrome_trace_json), pin.trace)
                 << pin.scenario;
             EXPECT_EQ(telemetry_digest(results, &Recorder::breaches_jsonl), pin.breaches)
+                << pin.scenario;
+            EXPECT_EQ(telemetry_digest(results, &Recorder::rollup_json), pin.rollup)
+                << pin.scenario;
+            EXPECT_EQ(telemetry_digest(results, &Recorder::manifest_json), pin.manifest)
                 << pin.scenario;
         }
     }

@@ -134,6 +134,30 @@ TEST(Recorder, BreachSnapshotsCapBoundedPerProcessRing) {
     EXPECT_EQ(report.find("unrelated"), std::string::npos);
 }
 
+TEST(Recorder, BreachSnapshotOfAPartlyFilledRingIsOldestFirst) {
+    Recorder rec;
+    const int plat = rec.track("dev", "platform");
+    const int idle = rec.track("idle", "platform");
+    rec.instant(plat, "a", 0.1);
+    rec.instant(plat, "b", 0.2);
+    rec.instant(plat, "c", 0.3);
+    rec.breach(plat, "slo_miss", 1, 0.4);
+    rec.breach(idle, "shed", 2, 0.5);
+    const auto report = rec.breaches_jsonl();
+    const auto first_line = report.substr(0, report.find('\n'));
+    const auto a = first_line.find("\"name\":\"a\"");
+    const auto b = first_line.find("\"name\":\"b\"");
+    const auto c = first_line.find("\"name\":\"c\"");
+    ASSERT_NE(a, std::string::npos);
+    ASSERT_NE(b, std::string::npos);
+    ASSERT_NE(c, std::string::npos);
+    EXPECT_LT(a, b);
+    EXPECT_LT(b, c);
+    EXPECT_EQ(first_line.find("\"name\":\"c\"", c + 1), std::string::npos);
+    // A process that recorded nothing snapshots no events.
+    EXPECT_NE(report.find("\"request\":2,\"events\":[]}"), std::string::npos);
+}
+
 TEST(Recorder, WriteThrowsNamingTheFileOnAFullDisk) {
     if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
     const auto dir = std::filesystem::temp_directory_path() /

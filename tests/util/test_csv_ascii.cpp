@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "util/ascii.hpp"
 #include "util/csv.hpp"
@@ -64,6 +70,93 @@ TEST(FormatDouble, HandlesSpecials) {
 
 TEST(FormatDouble, NegativeZeroNormalized) {
     EXPECT_EQ(format_double(-0.0), "0");
+}
+
+/// printf("%.*f") in the "C" locale, untrimmed.
+std::string printf_fixed(double v, int precision) {
+    char buf[400]; // sign + 309 integer digits + point + precision digits
+    std::snprintf(buf, sizeof buf, "%.*f", precision, v);
+    return buf;
+}
+
+/// The reference format_double: printf digits with the same trimming.
+std::string printf_format_double(double v, int precision) {
+    std::string s = printf_fixed(v, precision);
+    if (s.find('.') != std::string::npos) {
+        while (s.back() == '0') s.pop_back();
+        if (s.back() == '.') s.pop_back();
+    }
+    return s == "-0" ? "0" : s;
+}
+
+TEST(FormatDouble, MatchesPrintfReferenceOnSeededGrid) {
+    std::mt19937_64 rng(0x10705);
+    const auto from_bits = [](std::uint64_t bits) {
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof v);
+        return v;
+    };
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 1e308, -1e308,
+        std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::denorm_min(),
+        0.125, 2.5, 0.5, -0.5, -0.4, -0.005, -1e-12,
+    };
+    for (int i = 0; i < 4000; ++i) {
+        // Random finite bit patterns: every magnitude up to +-1.8e308.
+        const double v = from_bits(rng());
+        if (std::isfinite(v)) values.push_back(v);
+    }
+    for (int i = 0; i < 500; ++i) {
+        // Subnormals of either sign.
+        values.push_back(from_bits(rng() & 0x800F'FFFF'FFFF'FFFFULL));
+    }
+    std::uniform_real_distribution<double> everyday(-1e6, 1e6);
+    for (int i = 0; i < 2000; ++i) values.push_back(everyday(rng));
+    for (int m = 1; m <= 11; ++m) {
+        // j / 2^m has m decimals ending in 5: an exact tie at precision m-1.
+        const double scale = std::ldexp(1.0, -m);
+        for (std::uint64_t j = 1; j < (1ULL << m); j += 2) {
+            values.push_back(static_cast<double>(j) * scale);
+            values.push_back(-static_cast<double>(j) * scale);
+            values.push_back(3.0 + static_cast<double>(j) * scale);
+        }
+    }
+    for (int p = 0; p <= 9; ++p) {
+        // Negatives that round to -0 at precision p.
+        std::uniform_real_distribution<double> tiny(0.0, 0.5 * std::pow(10.0, -p));
+        for (int i = 0; i < 50; ++i) values.push_back(-tiny(rng));
+    }
+
+    std::size_t mismatches = 0;
+    for (int precision = 0; precision <= 9; ++precision) {
+        for (const double v : values) {
+            const auto expected = printf_format_double(v, precision);
+            const auto got = format_double(v, precision);
+            std::string fixed;
+            append_fixed(fixed, v, precision);
+            if (got != expected || fixed != printf_fixed(v, precision)) {
+                if (++mismatches <= 5) {
+                    ADD_FAILURE() << "precision " << precision << " value "
+                                  << printf_fixed(v, 17) << ": format_double " << got
+                                  << " vs printf " << expected;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << values.size() * 10 << " renderings";
+}
+
+TEST(FormatDouble, RejectsPrecisionOutsideZeroToNine) {
+    EXPECT_THROW((void)format_double(1.0, -1), std::invalid_argument);
+    EXPECT_THROW((void)format_double(1.0, 10), std::invalid_argument);
+}
+
+TEST(FormatDouble, AppendsToExistingText) {
+    std::string s = "x=";
+    append_double(s, -0.0001, 2);
+    append_double(s, 1.250, 3);
+    EXPECT_EQ(s, "x=01.25");
 }
 
 TEST_F(CsvWriterTest, WritesHeaderAndRows) {
