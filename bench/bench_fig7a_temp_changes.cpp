@@ -11,7 +11,10 @@ using namespace lotus;
 int main() {
     const auto& sc = bench::scenario("fig7a_temp_changes");
     const auto iterations = sc.config.iterations;
-    const auto third = iterations / 3;
+    // Zone boundaries come from the scenario's ambient profile.
+    const auto& zones = sc.config.ambient.segments();
+    const auto cold_from = zones.at(1).first_iteration;
+    const auto warm_from = zones.at(2).first_iteration;
 
     std::printf("Fig. 7a -- temperature changes (warm 25C / cold 0C / warm 25C)\n");
     std::printf("MaskRCNN + VisDrone2019 on Jetson Orin Nano, %zu iterations\n\n",
@@ -23,9 +26,9 @@ int main() {
     // Per-zone summaries: the paper's claim is fast, smooth adaptation at
     // each boundary.
     for (const auto& r : results) {
-        const auto warm1 = r.trace.summary(0, third);
-        const auto cold = r.trace.summary(third, 2 * third);
-        const auto warm2 = r.trace.summary(2 * third, iterations);
+        const auto warm1 = r.trace.summary(0, cold_from);
+        const auto cold = r.trace.summary(cold_from, warm_from);
+        const auto warm2 = r.trace.summary(warm_from, iterations);
         std::printf("%-10s warm1: %6.1f ms / R_L %5.1f%% | cold: %6.1f ms / R_L %5.1f%% "
                     "| warm2: %6.1f ms / R_L %5.1f%%  (T_dev %4.1f / %4.1f / %4.1f C)\n",
                     r.arm.c_str(), warm1.mean_latency_s * 1e3,

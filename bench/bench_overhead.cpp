@@ -254,8 +254,8 @@ StepperRun run_stepper(const serving::ServingConfig& base, double accuracy_k,
     cfg.pretrain_iterations = 0; // deterministic baselines need no warm-up
     std::unique_ptr<governors::Governor> governor;
     if (governor_name == "default") {
-        governor = std::make_unique<governors::DefaultGovernor>(
-            governors::DefaultGovernor::orin_nano());
+        governor = std::make_unique<governors::KernelGovernor>(
+            governors::KernelGovernor::orin_nano());
     } else {
         governor = std::make_unique<governors::PerformanceGovernor>();
     }

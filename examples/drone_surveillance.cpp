@@ -7,11 +7,13 @@
 // launch site into cold air, loiters, and descends again. LOTUS is trained
 // on the ground and then flown; the example reports per-phase latency
 // stability against the stock governors. The mission lives in the registry
-// as "example_drone_mission" (phases are fractions of the mission length).
+// as "example_drone_mission"; its phases are the ambient profile's segments
+// (fractions of the mission length).
 //
 // Run: ./build/drone_surveillance
 
 #include <cstdio>
+#include <iterator>
 
 #include "lotus_repro.hpp"
 
@@ -27,15 +29,17 @@ void report_phase(const char* phase, const runtime::Trace& trace, std::size_t fi
                 s.satisfaction_rate * 100.0, s.mean_device_temp);
 }
 
-void report(const std::string& name, const runtime::Trace& trace) {
-    // Mission phases as fractions of the run: pre-flight / climb / loiter /
-    // descend (matches the registry's mission ambient profile).
-    const auto n = trace.size();
+void report(const std::string& name, const runtime::Trace& trace,
+            const workload::AmbientProfile& ambient) {
+    // Mission phases are the ambient profile's segments: pre-flight / climb /
+    // loiter / descend, then the landed tail (not reported separately).
+    const auto& phases = ambient.segments();
+    const char* const names[] = {"pre-flight", "climb", "loiter", "descend"};
     std::printf("  %s\n", name.c_str());
-    report_phase("pre-flight", trace, 0, n / 6);
-    report_phase("climb", trace, n / 6, n * 7 / 18);
-    report_phase("loiter", trace, n * 7 / 18, n * 13 / 18);
-    report_phase("descend", trace, n * 13 / 18, n * 17 / 18);
+    for (std::size_t k = 0; k < std::size(names) && k + 1 < phases.size(); ++k) {
+        report_phase(names[k], trace, phases[k].first_iteration,
+                     phases[k + 1].first_iteration);
+    }
     const auto s = trace.summary();
     std::printf("    %-10s mean %7.1f ms  std %6.1f ms  R_L %5.1f %%  energy %.0f J\n\n",
                 "mission", s.mean_latency_s * 1e3, s.std_latency_s * 1e3,
@@ -58,7 +62,7 @@ int main() {
 
     const harness::ExperimentHarness harness;
     for (const auto& r : harness.run(scenario)) {
-        report(r.arm, r.trace);
+        report(r.arm, r.trace, cfg.ambient);
     }
     return 0;
 }

@@ -64,37 +64,6 @@ std::size_t SimpleOndemandPolicy::decide(const TickObservation& tick) {
     return std::min(desired, max_level);
 }
 
-DefaultGovernor::DefaultGovernor(std::string label, SchedutilParams cpu_params,
-                                 SimpleOndemandParams gpu_params, double tick_interval_s)
-    : label_(std::move(label)),
-      cpu_policy_(cpu_params),
-      gpu_policy_(gpu_params),
-      tick_interval_s_(tick_interval_s) {}
-
-DefaultGovernor DefaultGovernor::orin_nano() {
-    // nvhost_podgov ramps aggressively under sustained load.
-    SimpleOndemandParams gpu;
-    gpu.upthreshold = 0.85;
-    gpu.downdifferential = 0.05;
-    return DefaultGovernor("default(schedutil+nvhost_podgov)", SchedutilParams{}, gpu);
-}
-
-DefaultGovernor DefaultGovernor::mi11_lite() {
-    // msm-adreno-tz is slightly more conservative scaling up.
-    SimpleOndemandParams gpu;
-    gpu.upthreshold = 0.93;
-    gpu.downdifferential = 0.07;
-    gpu.busy_ewma = 0.4;
-    return DefaultGovernor("default(schedutil+msm-adreno-tz)", SchedutilParams{}, gpu);
-}
-
-LevelRequest DefaultGovernor::on_tick(const TickObservation& tick) {
-    const auto cpu = cpu_policy_.decide(tick);
-    const auto gpu = gpu_policy_.decide(tick);
-    if (cpu == tick.cpu_level && gpu == tick.gpu_level) return LevelRequest::none();
-    return LevelRequest::set(cpu, gpu);
-}
-
 OndemandPolicy::OndemandPolicy(OndemandParams params) : params_(params) {}
 
 std::size_t OndemandPolicy::decide(const TickObservation& tick) {
@@ -143,6 +112,23 @@ KernelGovernor::KernelGovernor(std::string label, CpuPolicyKind cpu_kind,
       cpu_kind_(cpu_kind),
       gpu_policy_(gpu_params),
       tick_interval_s_(tick_interval_s) {}
+
+KernelGovernor KernelGovernor::orin_nano() {
+    // nvhost_podgov ramps aggressively under sustained load.
+    SimpleOndemandParams gpu;
+    gpu.upthreshold = 0.85;
+    gpu.downdifferential = 0.05;
+    return KernelGovernor("default(schedutil+nvhost_podgov)", CpuPolicyKind::schedutil, gpu);
+}
+
+KernelGovernor KernelGovernor::mi11_lite() {
+    // msm-adreno-tz is slightly more conservative scaling up.
+    SimpleOndemandParams gpu;
+    gpu.upthreshold = 0.93;
+    gpu.downdifferential = 0.07;
+    gpu.busy_ewma = 0.4;
+    return KernelGovernor("default(schedutil+msm-adreno-tz)", CpuPolicyKind::schedutil, gpu);
+}
 
 LevelRequest KernelGovernor::on_tick(const TickObservation& tick) {
     std::size_t cpu = tick.cpu_level;

@@ -10,9 +10,10 @@
 //                          With NVIDIA-ish thresholds it doubles for the
 //                          Jetson's nvhost_podgov; with Qualcomm-ish ones it
 //                          approximates msm-adreno-tz (Mi 11 Lite).
-// * DefaultGovernor     -- the paper's "default" baseline: schedutil on the
-//                          CPU + a devfreq policy on the GPU, both running on
-//                          kernel ticks, application-agnostic.
+// * KernelGovernor      -- a CPU policy + a devfreq GPU policy, both running
+//                          on kernel ticks, application-agnostic. Its board
+//                          presets (schedutil + the board's devfreq) are
+//                          the paper's "default" baseline.
 // * FixedGovernor / RandomGovernor -- diagnostics and lower/upper anchors.
 
 #include <cstdint>
@@ -73,29 +74,6 @@ private:
     bool initialized_ = false;
 };
 
-/// The paper's "default" baseline: application-agnostic kernel governors for
-/// both domains, acting only on kernel ticks.
-class DefaultGovernor final : public Governor {
-public:
-    DefaultGovernor(std::string label, SchedutilParams cpu_params,
-                    SimpleOndemandParams gpu_params, double tick_interval_s = 0.02);
-
-    /// Jetson Orin Nano default: schedutil + nvhost_podgov-like devfreq.
-    [[nodiscard]] static DefaultGovernor orin_nano();
-    /// Mi 11 Lite default: schedutil + msm-adreno-tz-like devfreq.
-    [[nodiscard]] static DefaultGovernor mi11_lite();
-
-    [[nodiscard]] std::string name() const override { return label_; }
-    [[nodiscard]] double tick_interval_s() const override { return tick_interval_s_; }
-    LevelRequest on_tick(const TickObservation& tick) override;
-
-private:
-    std::string label_;
-    SchedutilPolicy cpu_policy_;
-    SimpleOndemandPolicy gpu_policy_;
-    double tick_interval_s_;
-};
-
 struct OndemandParams {
     /// Busy percentage above which the governor jumps to max frequency.
     double up_threshold = 0.80;
@@ -143,12 +121,19 @@ private:
 /// CPU policy variants selectable for the composite kernel governor.
 enum class CpuPolicyKind { schedutil, ondemand, conservative };
 
-/// Composite kernel governor with a selectable CPU policy and a devfreq GPU
-/// policy -- generalises DefaultGovernor for governor-family studies.
+/// Composite kernel governor: a selectable CPU policy and a devfreq GPU
+/// policy, both acting only on kernel ticks (CPU decides first).
 class KernelGovernor final : public Governor {
 public:
     KernelGovernor(std::string label, CpuPolicyKind cpu_kind,
                    SimpleOndemandParams gpu_params, double tick_interval_s = 0.02);
+
+    /// The paper's "default" baseline on the Jetson Orin Nano: schedutil +
+    /// nvhost_podgov-like devfreq.
+    [[nodiscard]] static KernelGovernor orin_nano();
+    /// The paper's "default" baseline on the Mi 11 Lite: schedutil +
+    /// msm-adreno-tz-like devfreq.
+    [[nodiscard]] static KernelGovernor mi11_lite();
 
     [[nodiscard]] std::string name() const override { return label_; }
     [[nodiscard]] double tick_interval_s() const override { return tick_interval_s_; }

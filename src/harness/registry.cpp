@@ -69,19 +69,16 @@ ArmSpec constraint_arm(const platform::DeviceSpec& spec, const std::string& data
 }
 
 /// Drone mission ambient: ground (25 C) -> climb (linear to -5 C) -> loiter
-/// (-5 C) -> descend (back to 25 C), phased as fractions of the mission so
-/// fast mode shrinks cleanly.
+/// (-5 C) -> descend (back to 25 C) -> landed (25 C), phased as fractions of
+/// the mission so fast mode shrinks cleanly.
 workload::AmbientProfile mission_profile(std::size_t frames) {
-    const double n = static_cast<double>(frames);
-    return workload::AmbientProfile::custom(
-        [n](std::size_t i) {
-            const double t = static_cast<double>(i) / n;
-            if (t < 1.0 / 6.0) return 25.0;                                  // pre-flight
-            if (t < 7.0 / 18.0) return 25.0 - 30.0 * (t - 1.0 / 6.0) / (2.0 / 9.0);
-            if (t < 13.0 / 18.0) return -5.0;                                // loiter
-            if (t < 17.0 / 18.0) return -5.0 + 30.0 * (t - 13.0 / 18.0) / (2.0 / 9.0);
-            return 25.0;
-        },
+    return workload::AmbientProfile::piecewise(
+        frames,
+        {{.start = 0.0, .from_c = 25.0, .to_c = 25.0},                              // pre-flight
+         {.start = 1.0 / 6.0, .from_c = 25.0, .to_c = -5.0, .span = 2.0 / 9.0},     // climb
+         {.start = 7.0 / 18.0, .from_c = -5.0, .to_c = -5.0},                       // loiter
+         {.start = 13.0 / 18.0, .from_c = -5.0, .to_c = 25.0, .span = 2.0 / 9.0},   // descend
+         {.start = 17.0 / 18.0, .from_c = 25.0, .to_c = 25.0}},                     // landed
         "drone mission: ground/climb/loiter/descend");
 }
 
@@ -167,15 +164,12 @@ std::vector<fleet::FleetDevice> device_pool(const platform::DeviceSpec& spec,
 /// Heatwave ambient: 25 C baseline, ramp to a mid-run peak, ramp back --
 /// a summer-afternoon profile no paper figure covers.
 workload::AmbientProfile heatwave_profile(std::size_t frames, double peak_c) {
-    const double n = static_cast<double>(frames);
-    return workload::AmbientProfile::custom(
-        [n, peak_c](std::size_t i) {
-            const double t = static_cast<double>(i) / n;
-            if (t < 0.25) return 25.0;
-            if (t < 0.5) return 25.0 + (peak_c - 25.0) * (t - 0.25) / 0.25;
-            if (t < 0.75) return peak_c;
-            return peak_c - (peak_c - 25.0) * (t - 0.75) / 0.25;
-        },
+    return workload::AmbientProfile::piecewise(
+        frames,
+        {{.start = 0.0, .from_c = 25.0, .to_c = 25.0},
+         {.start = 0.25, .from_c = 25.0, .to_c = peak_c, .span = 0.25},
+         {.start = 0.5, .from_c = peak_c, .to_c = peak_c},
+         {.start = 0.75, .from_c = peak_c, .to_c = 25.0, .span = 0.25}},
         "heatwave: 25C -> " + util::format_double(peak_c, 0) + "C -> 25C");
 }
 

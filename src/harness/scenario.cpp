@@ -43,9 +43,9 @@ ArmSpec default_arm(const platform::DeviceSpec& spec) {
                     [](const platform::DeviceSpec& dev,
                        std::uint64_t) -> std::unique_ptr<governors::Governor> {
                         const bool orin = dev.name.find("orin") != std::string::npos;
-                        return std::make_unique<governors::DefaultGovernor>(
-                            orin ? governors::DefaultGovernor::orin_nano()
-                                 : governors::DefaultGovernor::mi11_lite());
+                        return std::make_unique<governors::KernelGovernor>(
+                            orin ? governors::KernelGovernor::orin_nano()
+                                 : governors::KernelGovernor::mi11_lite());
                     });
 }
 

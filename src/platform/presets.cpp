@@ -68,7 +68,6 @@ DeviceSpec orin_nano_spec() {
                 .g_to_board = {0.8, 0.9, 0.0},
                 .g_to_ambient = {0.02, 0.02, 0.22},
                 .initial = {25.0, 25.0, 25.0},
-                .max_dt = 0.005,
             },
         .cpu_throttle =
             ThrottleParams{
@@ -165,7 +164,6 @@ DeviceSpec mi11_lite_spec() {
                 .g_to_board = {0.8, 0.7, 0.0},
                 .g_to_ambient = {0.01, 0.01, 0.28},
                 .initial = {25.0, 25.0, 25.0},
-                .max_dt = 0.005,
             },
         // Phones throttle on skin temperature: a much lower bound with a
         // tighter hysteresis (Fig. 6 operates in the 28-40 degC band).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace lotus::platform {
 
@@ -23,7 +24,21 @@ ThermalNetwork::ThermalNetwork(ThermalParams params) : params_(params) {
     for (const double g : params_.g_to_ambient) {
         if (g < 0.0) throw std::invalid_argument("ThermalNetwork: negative conductance");
     }
-    if (params_.max_dt <= 0.0) throw std::invalid_argument("ThermalNetwork: max_dt must be > 0");
+    // Every node needs a conductive path to ambient: directly, or for a die
+    // through the board. Otherwise G is singular and has no steady state.
+    const auto& g_amb = params_.g_to_ambient;
+    const auto& g_board = params_.g_to_board;
+    const bool board_path = g_amb[kBoard] > 0.0 || (g_board[kCpu] > 0.0 && g_amb[kCpu] > 0.0) ||
+                            (g_board[kGpu] > 0.0 && g_amb[kGpu] > 0.0);
+    const bool path[] = {g_amb[kCpu] > 0.0 || (g_board[kCpu] > 0.0 && board_path),
+                         g_amb[kGpu] > 0.0 || (g_board[kGpu] > 0.0 && board_path), board_path};
+    const char* const names[] = {"cpu", "gpu", "board"};
+    for (std::size_t n = 0; n < kNumThermalNodes; ++n) {
+        if (!path[n]) {
+            throw std::invalid_argument(std::string("ThermalNetwork: the ") + names[n] +
+                                        " node has no path to ambient (no steady state)");
+        }
+    }
     temps_ = params_.initial;
     decompose();
 }
@@ -92,108 +107,6 @@ void ThermalNetwork::decompose() {
         eigenvalues_[k] = std::max(s[k][k], 0.0);
     }
     eigenvectors_ = v;
-    // Without a path to ambient G is singular: no steady state exists and
-    // the modal form has a zero mode, so the exact stepper is unavailable.
-    double lambda_min = eigenvalues_[0];
-    for (const double l : eigenvalues_) lambda_min = std::min(lambda_min, l);
-    has_closed_form_ = lambda_min > 1e-12;
-}
-
-void ThermalNetwork::step(double dt, const std::array<double, kNumThermalNodes>& power_w,
-                          double ambient_celsius) {
-    if (dt < 0.0) throw std::invalid_argument("ThermalNetwork::step: negative dt");
-    while (dt > 0.0) {
-        const double h = std::min(dt, params_.max_dt);
-        dt -= h;
-
-        const double t_cpu = temps_[kCpu];
-        const double t_gpu = temps_[kGpu];
-        const double t_board = temps_[kBoard];
-
-        const double q_cpu_board = params_.g_to_board[kCpu] * (t_board - t_cpu);
-        const double q_gpu_board = params_.g_to_board[kGpu] * (t_board - t_gpu);
-
-        const double d_cpu = power_w[kCpu] + q_cpu_board +
-                             params_.g_to_ambient[kCpu] * (ambient_celsius - t_cpu);
-        const double d_gpu = power_w[kGpu] + q_gpu_board +
-                             params_.g_to_ambient[kGpu] * (ambient_celsius - t_gpu);
-        const double d_board = power_w[kBoard] - q_cpu_board - q_gpu_board +
-                               params_.g_to_ambient[kBoard] * (ambient_celsius - t_board);
-
-        temps_[kCpu] += h * d_cpu / params_.capacity[kCpu];
-        temps_[kGpu] += h * d_gpu / params_.capacity[kGpu];
-        temps_[kBoard] += h * d_board / params_.capacity[kBoard];
-        ++steps_;
-    }
-}
-
-ThermalNetwork::Modal ThermalNetwork::project(
-    const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius) const {
-    Modal m;
-    m.t_ss = steady_state(power_w, ambient_celsius);
-    // Modal coordinates of the deviation from steady state: a = V^T C^{1/2}
-    // (T - T_ss); each mode decays as e^{-lambda_k t}.
-    for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
-        for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
-            m.a[k] += eigenvectors_[i][k] * sqrt_c_[i] * (temps_[i] - m.t_ss[i]);
-        }
-    }
-    return m;
-}
-
-double ThermalNetwork::drift_bound(const Modal& modal, double delta_k) const {
-    // Node i moves as T_i(t) - T_i(0) = sum_k c_ik (e^{-lambda_k t} - 1)
-    // with c_ik = V_ik a_k / sqrt(C_i). Two rigorous per-node bounds:
-    //   saturation: |dT_i(t)| <= A_i        = sum_k |c_ik|       (for all t)
-    //   rate:       |dT_i(t)| <= t * R_i,   R_i = sum_k |c_ik| lambda_k
-    // (1 - e^{-x} <= min(1, x)). A node with A_i <= delta can never drift
-    // that far; otherwise delta / R_i bounds its crossing time. Taking the
-    // per-node rate -- instead of amplitude * lambda_max -- keeps the slow,
-    // large-amplitude board mode from being charged at the fast die rate.
-    double step = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
-        double amplitude = 0.0;
-        double rate = 0.0;
-        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
-            const double c = std::abs(eigenvectors_[i][k] * modal.a[k]) / sqrt_c_[i];
-            amplitude += c;
-            rate += c * eigenvalues_[k];
-        }
-        if (amplitude <= delta_k || rate <= 0.0) continue;
-        step = std::min(step, delta_k / rate);
-    }
-    return step;
-}
-
-void ThermalNetwork::apply_decay(const Modal& modal, double dt) {
-    for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
-        double w = 0.0;
-        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
-            w += eigenvectors_[i][k] * modal.a[k] * std::exp(-eigenvalues_[k] * dt);
-        }
-        temps_[i] = modal.t_ss[i] + w / sqrt_c_[i];
-    }
-    ++steps_;
-}
-
-void ThermalNetwork::step_exact(double dt, const std::array<double, kNumThermalNodes>& power_w,
-                                double ambient_celsius) {
-    if (dt < 0.0) throw std::invalid_argument("ThermalNetwork::step_exact: negative dt");
-    if (dt == 0.0) return;
-    if (!has_closed_form_) {
-        step(dt, power_w, ambient_celsius);
-        return;
-    }
-    apply_decay(project(power_w, ambient_celsius), dt);
-}
-
-double ThermalNetwork::max_step_for_drift(const std::array<double, kNumThermalNodes>& power_w,
-                                          double ambient_celsius, double delta_k) const {
-    if (delta_k <= 0.0) {
-        throw std::invalid_argument("ThermalNetwork::max_step_for_drift: delta must be > 0");
-    }
-    if (!has_closed_form_) return std::numeric_limits<double>::infinity();
-    return drift_bound(project(power_w, ambient_celsius), delta_k);
 }
 
 double ThermalNetwork::advance_bounded(double dt_max,
@@ -206,15 +119,49 @@ double ThermalNetwork::advance_bounded(double dt_max,
         throw std::invalid_argument("ThermalNetwork::advance_bounded: delta must be > 0");
     }
     if (dt_max == 0.0) return 0.0;
-    if (!has_closed_form_) {
-        step(dt_max, power_w, ambient_celsius);
-        return dt_max;
+
+    // Modal coordinates of the deviation from steady state: a = V^T C^{1/2}
+    // (T - T_ss); each mode decays as e^{-lambda_k t}.
+    const auto t_ss = steady_state(power_w, ambient_celsius);
+    std::array<double, kNumThermalNodes> a{};
+    for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+        for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+            a[k] += eigenvectors_[i][k] * sqrt_c_[i] * (temps_[i] - t_ss[i]);
+        }
     }
-    const auto modal = project(power_w, ambient_celsius);
+
+    // Node i moves as T_i(t) - T_i(0) = sum_k c_ik (e^{-lambda_k t} - 1)
+    // with c_ik = V_ik a_k / sqrt(C_i). Two rigorous per-node bounds:
+    //   saturation: |dT_i(t)| <= A_i        = sum_k |c_ik|       (for all t)
+    //   rate:       |dT_i(t)| <= t * R_i,   R_i = sum_k |c_ik| lambda_k
+    // (1 - e^{-x} <= min(1, x)). A node with A_i <= delta can never drift
+    // that far; otherwise delta / R_i bounds its crossing time. Taking the
+    // per-node rate -- instead of amplitude * lambda_max -- keeps the slow,
+    // large-amplitude board mode from being charged at the fast die rate.
+    double bound = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+        double amplitude = 0.0;
+        double rate = 0.0;
+        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+            const double c = std::abs(eigenvectors_[i][k] * a[k]) / sqrt_c_[i];
+            amplitude += c;
+            rate += c * eigenvalues_[k];
+        }
+        if (amplitude <= delta_k || rate <= 0.0) continue;
+        bound = std::min(bound, delta_k / rate);
+    }
     // The 1 ns floor guarantees forward progress even if the bound ever
     // degenerates numerically.
-    const double h = std::min(dt_max, std::max(drift_bound(modal, delta_k), 1e-9));
-    apply_decay(modal, h);
+    const double h = std::min(dt_max, std::max(bound, 1e-9));
+
+    for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+        double w = 0.0;
+        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+            w += eigenvectors_[i][k] * a[k] * std::exp(-eigenvalues_[k] * h);
+        }
+        temps_[i] = t_ss[i] + w / sqrt_c_[i];
+    }
+    ++steps_;
     return h;
 }
 

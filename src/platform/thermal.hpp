@@ -16,10 +16,11 @@
 // it admits an exact solution: T(t) = T_ss + C^{-1/2} V e^{-Lambda t} V^T
 // C^{1/2} (T_0 - T_ss), where S = C^{-1/2} G C^{-1/2} = V Lambda V^T is a
 // constant symmetric matrix that only depends on the network parameters.
-// step_exact() evaluates that solution in one integration step regardless
-// of dt, and max_step_for_drift() gives the analytic step bound the device
-// uses to keep the power-freezing error (leakage drifts with temperature
-// inside a segment) below a configured tolerance.
+// advance_bounded() evaluates that solution in one integration step,
+// bounded analytically so the power-freezing error (leakage drifts with
+// temperature inside a segment) stays below a configured tolerance. Every
+// node needs a conductive path to ambient: without one G is singular and
+// there is no steady state to decay towards, so the constructor rejects it.
 
 #include <array>
 #include <cstddef>
@@ -39,50 +40,29 @@ struct ThermalParams {
     std::array<double, kNumThermalNodes> g_to_ambient{0.02, 0.02, 0.22};
     /// Initial temperatures [deg C].
     std::array<double, kNumThermalNodes> initial{25.0, 25.0, 25.0};
-    /// Maximum Euler integration sub-step [s].
-    double max_dt = 0.005;
 };
 
 class ThermalNetwork {
 public:
+    /// Throws std::invalid_argument on a non-positive capacity, a negative
+    /// conductance or a node with no conductive path to ambient.
     explicit ThermalNetwork(ThermalParams params);
 
-    /// Integrate for `dt` seconds with constant node powers [W] (board power
-    /// is usually 0) and the given ambient temperature [deg C]. dt is split
-    /// into explicit-Euler sub-steps of at most params.max_dt for stability.
-    void step(double dt, const std::array<double, kNumThermalNodes>& power_w,
-              double ambient_celsius);
-
-    /// Advance by `dt` seconds under constant power/ambient using the exact
-    /// closed-form exponential solution: one integration step regardless of
-    /// dt. Falls back to step() when the network has no path to ambient
-    /// (singular G has no steady state to decay towards).
-    void step_exact(double dt, const std::array<double, kNumThermalNodes>& power_w,
-                    double ambient_celsius);
-
-    /// Analytic upper bound on how long the network can evolve from its
-    /// current state (under constant power/ambient) before any node's
-    /// temperature drifts more than `delta_k` kelvin from its current value.
-    /// Per node i with modal coefficients c_ik = V_ik a_k / sqrt(C_i):
+    /// Advance under constant power [W] (board power is usually 0) and
+    /// ambient [deg C] by min(dt_max, drift bound) with the closed-form
+    /// solution, and return the time actually advanced (> 0 for
+    /// dt_max > 0). The drift bound is the longest time no node's
+    /// temperature can move more than `delta_k` kelvin: per node i with
+    /// modal coefficients c_ik = V_ik a_k / sqrt(C_i),
     /// |dT_i(t)| <= min(A_i, t * R_i) with A_i = sum_k |c_ik| (saturation)
     /// and R_i = sum_k |c_ik| lambda_k (initial-rate bound, from
     /// 1 - e^{-x} <= min(1, x)); nodes with A_i <= delta can never cross,
-    /// the rest cross no earlier than delta / R_i. Returns +infinity when no
-    /// node can ever drift that far.
-    [[nodiscard]] double max_step_for_drift(
-        const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius,
-        double delta_k) const;
-
-    /// Fused max_step_for_drift + step_exact: advance by
-    /// min(dt_max, drift bound) under constant power/ambient with ONE modal
-    /// projection, and return the time actually advanced (> 0 for
-    /// dt_max > 0). The advance loop's hot path. Falls back to step(dt_max)
-    /// on singular networks, like step_exact.
+    /// the rest cross no earlier than delta / R_i. An infinite `delta_k`
+    /// takes the whole dt_max in one step.
     double advance_bounded(double dt_max, const std::array<double, kNumThermalNodes>& power_w,
                            double ambient_celsius, double delta_k);
 
-    /// Integration steps taken so far (Euler sub-steps count individually,
-    /// each step_exact() counts once); cleared by reset().
+    /// advance_bounded() calls that moved time so far; cleared by reset().
     [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
     [[nodiscard]] double temperature(ThermalNode n) const noexcept {
@@ -103,31 +83,18 @@ public:
     [[nodiscard]] const ThermalParams& params() const noexcept { return params_; }
 
 private:
-    /// Steady state plus modal amplitudes a_k = (V^T C^{1/2} (T - T_ss))_k
-    /// of the current deviation -- everything the closed-form math needs.
-    struct Modal {
-        std::array<double, kNumThermalNodes> t_ss{};
-        std::array<double, kNumThermalNodes> a{};
-    };
-
     void decompose();
-    [[nodiscard]] Modal project(const std::array<double, kNumThermalNodes>& power_w,
-                                double ambient_celsius) const;
-    [[nodiscard]] double drift_bound(const Modal& modal, double delta_k) const;
-    void apply_decay(const Modal& modal, double dt);
 
     ThermalParams params_;
     std::array<double, kNumThermalNodes> temps_{};
     std::uint64_t steps_ = 0;
 
-    // Constant modal decomposition of S = C^{-1/2} G C^{-1/2} (symmetric):
-    // computed once at construction, shared by step_exact() and
-    // max_step_for_drift().
+    // Constant modal decomposition of S = C^{-1/2} G C^{-1/2} (symmetric),
+    // computed once at construction.
     std::array<double, kNumThermalNodes> sqrt_c_{};
     std::array<double, kNumThermalNodes> eigenvalues_{};          // 1/s, >= 0
     std::array<std::array<double, kNumThermalNodes>, kNumThermalNodes>
         eigenvectors_{};                                          // columns
-    bool has_closed_form_ = false;
 };
 
 } // namespace lotus::platform

@@ -18,6 +18,16 @@ namespace {
 /// estimate.
 constexpr double kServiceEwma = 0.3;
 
+std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& stream_name,
+                                  std::size_t index) {
+    return util::derive_seed(seed, "arrivals/" + stream_name, index);
+}
+
+std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& stream_name,
+                                std::size_t index) {
+    return util::derive_seed(seed, "frames/" + stream_name, index);
+}
+
 } // namespace
 
 void validate_streams(const std::vector<StreamSpec>& streams, const std::string& owner) {
@@ -88,10 +98,16 @@ double update_expected_service(double expected_s, double latency_s) {
 RequestTelemetry::RequestTelemetry(const std::vector<StreamSpec>& streams,
                                    std::vector<std::string> devices)
     : tel_(telemetry::current()), streams_(streams), devices_(std::move(devices)),
-      depths_(devices_.size(), static_cast<std::size_t>(-1)) {
+      depths_(devices_.size(), static_cast<std::size_t>(-1)),
+      queue_tracks_(devices_.size(), -1), platform_tracks_(devices_.size(), -1) {
     if (!tel_) return;
     stream_tracks_.reserve(streams.size());
     for (const auto& s : streams) stream_tracks_.push_back(tel_->track("streams", s.name));
+}
+
+int RequestTelemetry::track(int& slot, const std::string& process, const char* thread) {
+    if (slot < 0) slot = tel_->track(process, thread);
+    return slot;
 }
 
 void RequestTelemetry::arrival(const Request& r) {
@@ -105,7 +121,7 @@ void RequestTelemetry::arrival(const Request& r) {
 void RequestTelemetry::dispatch(std::size_t device, const Request& r, double now_s,
                                 double wait_s) {
     if (!tel_) return;
-    tel_->instant(tel_->track(devices_[device], "queue"), "dispatch", now_s,
+    tel_->instant(track(queue_tracks_[device], devices_[device], "queue"), "dispatch", now_s,
                   "\"request_id\":" + std::to_string(r.id) +
                       ",\"stream\":" + telemetry::jstr(streams_[r.stream].name) +
                       ",\"queue_wait_ms\":" + telemetry::jnum(wait_s * 1e3));
@@ -124,7 +140,8 @@ void RequestTelemetry::served(std::size_t device, const ServingRecord& row, doub
                     std::string("\"outcome\":\"") + (row.missed ? "missed" : "served") +
                         "\"" + device_arg + ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
     if (row.missed) {
-        tel_->breach(tel_->track(label, "platform"), "slo_miss", row.request_id, done_s,
+        tel_->breach(track(platform_tracks_[device], label, "platform"), "slo_miss",
+                     row.request_id, done_s,
                      "\"stream\":" + telemetry::jstr(stream) +
                          ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
                          ",\"slo_ms\":" + telemetry::jnum(row.slo_s * 1e3) + device_arg);
@@ -143,7 +160,9 @@ void RequestTelemetry::shed(std::size_t device, const Request& r, double now_s) 
                                   0.0, queued_ms);
     tel_->async_end(stream_tracks_[r.stream], "request", r.id, now_s,
                     "\"outcome\":\"shed\",\"queued_ms\":" + telemetry::jnum(queued_ms));
-    tel_->breach(tel_->track(process, on_device ? "platform" : "router"), "shed", r.id, now_s,
+    const int breach_track = on_device ? track(platform_tracks_[device], process, "platform")
+                                       : track(router_track_, process, "router");
+    tel_->breach(breach_track, "shed", r.id, now_s,
                  "\"stream\":" + telemetry::jstr(stream) +
                      ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3) +
                      ",\"device\":" + (on_device ? telemetry::jstr(process) : "null"));
@@ -153,7 +172,7 @@ void RequestTelemetry::queue_depth(std::size_t device, double t_s, std::size_t d
     if (!tel_) return;
     if (depth == depths_[device]) return;
     depths_[device] = depth;
-    tel_->counter(tel_->track(devices_[device], "queue"), "queue_depth", t_s,
+    tel_->counter(track(queue_tracks_[device], devices_[device], "queue"), "queue_depth", t_s,
                   static_cast<double>(depth));
 }
 
@@ -162,45 +181,52 @@ ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) 
     (void)make_scheduler(config_.scheduler); // throws on unknown policy
 }
 
-std::uint64_t arrival_stream_seed(std::uint64_t seed, const std::string& stream_name,
-                                  std::size_t index) {
-    return util::derive_seed(seed, "arrivals/" + stream_name, index);
+RequestTimeline::RequestTimeline(const std::vector<StreamSpec>& streams, std::uint64_t seed) {
+    heads_.reserve(streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+        const auto& stream = streams[s];
+        heads_.push_back(Head{
+            ArrivalGenerator(stream.arrival, stream.requests,
+                             arrival_stream_seed(seed, stream.name, s)),
+            workload::FrameStream(workload::dataset_by_name(stream.dataset),
+                                  frame_stream_seed(seed, stream.name, s)),
+            Request{}, false});
+        auto& head = heads_.back();
+        head.pending.stream = s;
+        head.pending.slo_s = stream.slo_s;
+        refill(head);
+        size_ += stream.requests;
+    }
 }
 
-std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& stream_name,
-                                std::size_t index) {
-    return util::derive_seed(seed, "frames/" + stream_name, index);
+void RequestTimeline::refill(Head& head) {
+    head.live = !head.arrivals.done();
+    if (!head.live) return;
+    head.pending.arrival_s = head.arrivals.next();
+    head.pending.frame = head.frames.next();
+}
+
+bool RequestTimeline::next(Request& out) {
+    Head* best = nullptr;
+    for (auto& head : heads_) {
+        if (head.live && (best == nullptr || head.pending.arrival_s < best->pending.arrival_s)) {
+            best = &head;
+        }
+    }
+    if (best == nullptr) return false;
+    out = best->pending;
+    out.id = next_id_++;
+    refill(*best);
+    return true;
 }
 
 std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& streams,
                                             std::uint64_t seed) {
+    RequestTimeline timeline(streams, seed);
     std::vector<Request> all;
-    std::size_t total = 0;
-    for (const auto& stream : streams) total += stream.requests;
-    all.reserve(total);
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        const auto& stream = streams[s];
-        ArrivalGenerator arrivals(stream.arrival, stream.requests,
-                                  arrival_stream_seed(seed, stream.name, s));
-        workload::FrameStream frames(workload::dataset_by_name(stream.dataset),
-                                     frame_stream_seed(seed, stream.name, s));
-        for (std::size_t k = 0; k < stream.requests; ++k) {
-            Request r;
-            r.stream = s;
-            r.arrival_s = arrivals.next();
-            r.slo_s = stream.slo_s;
-            r.frame = frames.next();
-            all.push_back(std::move(r));
-        }
-    }
-    // Merge the per-stream timelines; ids are global arrival order so every
-    // scheduler tie-break is a pure function of the timeline.
-    std::sort(all.begin(), all.end(), [](const Request& a, const Request& b) {
-        if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-        if (a.stream != b.stream) return a.stream < b.stream;
-        return a.frame.index < b.frame.index;
-    });
-    for (std::size_t i = 0; i < all.size(); ++i) all[i].id = i;
+    all.reserve(timeline.size());
+    Request r;
+    while (timeline.next(r)) all.push_back(r);
     trace::maybe_record(streams, all);
     return all;
 }

@@ -44,10 +44,40 @@ namespace lotus::serving {
 /// short of the instant it targeted. Guarantees event loops make progress.
 inline constexpr double kTimeEps = 1e-9;
 
-/// Materialise the merged, arrival-ordered request timeline of a stream set:
-/// per-stream arrival times and frame samples are pure functions of
-/// (seed, stream name, stream index), then the per-stream timelines merge
-/// with deterministic tie-breaks and ids in global arrival order.
+/// The merged request timeline of a stream set, drawn one request at a
+/// time. Each stream's arrival times and frame samples are pure functions
+/// of (seed, stream name, stream index); a k-way merge over one pending
+/// request per stream yields them in global arrival order, ties to the
+/// lower stream index and generation order within a stream, with ids
+/// numbering that order (so every scheduler tie-break is a pure function of
+/// the timeline). Memory is O(streams), whatever the request count.
+class RequestTimeline {
+public:
+    /// Throws std::invalid_argument on an unknown dataset or an arrival
+    /// spec ArrivalGenerator rejects.
+    RequestTimeline(const std::vector<StreamSpec>& streams, std::uint64_t seed);
+
+    /// Requests over all streams.
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+    /// Store the next request in `out`; false once every stream is drained.
+    bool next(Request& out);
+
+private:
+    struct Head {
+        ArrivalGenerator arrivals;
+        workload::FrameStream frames;
+        Request pending;
+        bool live = false;
+    };
+    void refill(Head& head);
+
+    std::vector<Head> heads_;
+    std::size_t size_ = 0;
+    std::size_t next_id_ = 0;
+};
+
+/// The whole RequestTimeline of a stream set, in order.
 [[nodiscard]] std::vector<Request> build_request_timeline(
     const std::vector<StreamSpec>& streams, std::uint64_t seed);
 
@@ -55,17 +85,6 @@ inline constexpr double kTimeEps = 1e-9;
 /// when set, else build_request_timeline(streams, seed).
 [[nodiscard]] std::vector<Request> replay_or_build_timeline(
     const std::vector<StreamSpec>& streams, std::uint64_t seed, const std::string& replay_trace);
-
-/// The derive_seed inputs build_request_timeline uses for stream `index`'s
-/// arrival process / frame stream. Exported so trace synthesis
-/// (trace::synth_trace) can reproduce a timeline stream-by-stream without
-/// materialising it.
-[[nodiscard]] std::uint64_t arrival_stream_seed(std::uint64_t seed,
-                                                const std::string& stream_name,
-                                                std::size_t index);
-[[nodiscard]] std::uint64_t frame_stream_seed(std::uint64_t seed,
-                                              const std::string& stream_name,
-                                              std::size_t index);
 
 /// Throws std::invalid_argument (prefixed with `owner`) on an empty stream
 /// set, a stream with zero requests, a non-positive SLO, an unknown dataset
@@ -95,7 +114,8 @@ void validate_streams(const std::vector<StreamSpec>& streams, const std::string&
 /// doing. Device-level events go to the device's "queue" track. Devices are
 /// addressed by index into the labels given at construction; kNoDevice is
 /// the fleet router, which sheds on "fleet"/"router" when no device is
-/// left. Device tracks are created on first use.
+/// left. Device tracks are created on first use and their ids cached, so
+/// an event costs no track lookup.
 class RequestTelemetry {
 public:
     static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
@@ -113,11 +133,17 @@ public:
     void queue_depth(std::size_t device, double t_s, std::size_t depth);
 
 private:
+    /// The cached track id in `slot`, creating (process, thread) on first use.
+    int track(int& slot, const std::string& process, const char* thread);
+
     telemetry::Recorder* tel_;
     const std::vector<StreamSpec>& streams_;
     std::vector<int> stream_tracks_;
     std::vector<std::string> devices_;
     std::vector<std::size_t> depths_; // last recorded queue depth per device
+    std::vector<int> queue_tracks_;    // per device, -1 until first use
+    std::vector<int> platform_tracks_; // per device, -1 until first use
+    int router_track_ = -1;
 };
 
 class ServingEngine {

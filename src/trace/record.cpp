@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "serving/engine.hpp"
-#include "workload/dataset.hpp"
 
 namespace lotus::trace {
 
@@ -154,67 +153,11 @@ void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>
     if (streams.empty()) {
         throw std::invalid_argument("synth_trace: no streams configured");
     }
-    // One lazily-advanced (arrival generator, frame stream) pair per
-    // stream; the k-way merge below reproduces build_request_timeline's
-    // (arrival_s, stream, frame.index) sort order without ever holding
-    // more than one pending request per stream.
-    struct Head {
-        serving::ArrivalGenerator arrivals;
-        workload::FrameStream frames;
-        double arrival_s = 0.0;
-        workload::FrameSample frame;
-        bool live = false;
-    };
-    std::vector<Head> heads;
-    heads.reserve(streams.size());
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-        const auto& stream = streams[s];
-        heads.push_back(Head{
-            serving::ArrivalGenerator(stream.arrival, stream.requests,
-                                      serving::arrival_stream_seed(seed, stream.name, s)),
-            workload::FrameStream(workload::dataset_by_name(stream.dataset),
-                                  serving::frame_stream_seed(seed, stream.name, s)),
-            0.0, workload::FrameSample{}, false});
-        auto& head = heads.back();
-        if (!head.arrivals.done()) {
-            head.arrival_s = head.arrivals.next();
-            head.frame = head.frames.next();
-            head.live = true;
-        }
-    }
-
+    serving::RequestTimeline timeline(streams, seed);
     create_parent_dirs(path);
     Writer out(path, stream_table(streams));
-    std::uint64_t next_id = 0;
-    for (;;) {
-        std::size_t best = heads.size();
-        for (std::size_t i = 0; i < heads.size(); ++i) {
-            if (!heads[i].live) continue;
-            if (best == heads.size() || heads[i].arrival_s < heads[best].arrival_s ||
-                (heads[i].arrival_s == heads[best].arrival_s && i < best)) {
-                best = i;
-            }
-        }
-        if (best == heads.size()) break;
-        auto& head = heads[best];
-        TraceRecord rec;
-        rec.id = next_id++;
-        rec.stream = static_cast<std::uint32_t>(best);
-        rec.proposals = head.frame.proposals;
-        rec.arrival_s = head.arrival_s;
-        rec.slo_s = streams[best].slo_s;
-        rec.resolution_scale = head.frame.resolution_scale;
-        rec.complexity = head.frame.complexity;
-        rec.jitter = head.frame.jitter;
-        rec.frame_index = head.frame.index;
-        out.add(rec);
-        if (!head.arrivals.done()) {
-            head.arrival_s = head.arrivals.next();
-            head.frame = head.frames.next();
-        } else {
-            head.live = false;
-        }
-    }
+    serving::Request req;
+    while (timeline.next(req)) out.add(to_record(req));
     out.close();
 }
 

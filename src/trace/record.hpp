@@ -91,9 +91,8 @@ private:
     const std::string& path, const std::vector<serving::StreamSpec>& streams);
 
 /// Synthesise the exact timeline `build_request_timeline(streams, seed)`
-/// would produce, streamed straight to disk: per-stream arrival generators
-/// and frame streams advance lazily under a k-way merge, so a
-/// million-request trace costs O(streams) memory and never materialises
+/// would produce, streamed straight to disk from serving::RequestTimeline:
+/// a million-request trace costs O(streams) memory and never materialises
 /// the request vector.
 void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
                  std::uint64_t seed);

@@ -3,19 +3,39 @@
 //
 // * AmbientProfile: ambient temperature as a function of iteration index --
 //   constant for the static experiments, warm/cold/warm zones for Fig. 7a,
-//   or arbitrary piecewise/custom profiles for the examples.
+//   or a table of flat and linear-ramp segments (the drone mission, the
+//   heatwave). A profile is plain data: it can be read, compared and
+//   printed, and its segment boundaries are the run's phase boundaries.
 // * DomainSchedule: which dataset (and latency constraint) is active at each
 //   iteration -- constant normally, KITTI -> VisDrone mid-run for Fig. 7b.
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace lotus::workload {
 
-/// Ambient temperature [deg C] per iteration.
+/// One segment of an AmbientProfile, in effect from `first_iteration` until
+/// the next segment's. A flat segment (span == 0) holds `from_c`. A ramp
+/// at iteration i of an n-iteration run is
+///     from_c + (to_c - from_c) * (i / n - start) / span,
+/// so it leaves from_c at run fraction `start` and reaches to_c at
+/// start + span. `span` is data, not the difference of two boundaries,
+/// because e.g. 7/18 - 1/6 is not 2/9 in binary64.
+struct AmbientSegment {
+    /// Run fraction where the segment begins (and a ramp is at from_c).
+    double start = 0.0;
+    double from_c = 0.0;
+    double to_c = 0.0;
+    /// Run fraction a ramp takes from from_c to to_c; 0 for a flat segment.
+    double span = 0.0;
+    /// Filled in by the profile: the first iteration i with i / n >= start
+    /// (zones give it directly).
+    std::size_t first_iteration = 0;
+};
+
+/// Ambient temperature [deg C] per iteration: a table of segments.
 class AmbientProfile {
 public:
     /// Constant ambient (the paper's "static external environment", 25 C).
@@ -26,17 +46,27 @@ public:
     [[nodiscard]] static AmbientProfile zones(
         std::vector<std::pair<std::size_t, double>> breakpoints);
 
-    /// Fully custom profile.
-    [[nodiscard]] static AmbientProfile custom(std::function<double(std::size_t)> fn,
-                                               std::string description);
+    /// Flat and ramp segments placed by run fraction of an `iterations`-long
+    /// run. Starts must ascend from 0 within [0, 1], values be finite, a
+    /// flat segment have to_c == from_c and a ramp a finite span > 0;
+    /// throws std::invalid_argument otherwise.
+    [[nodiscard]] static AmbientProfile piecewise(std::size_t iterations,
+                                                  std::vector<AmbientSegment> segments,
+                                                  std::string description);
 
     [[nodiscard]] double at(std::size_t iteration) const;
+    [[nodiscard]] const std::vector<AmbientSegment>& segments() const noexcept {
+        return segments_;
+    }
     [[nodiscard]] const std::string& description() const noexcept { return description_; }
 
 private:
-    AmbientProfile(std::function<double(std::size_t)> fn, std::string description);
+    AmbientProfile(double iterations, std::vector<AmbientSegment> segments,
+                   std::string description);
 
-    std::function<double(std::size_t)> fn_;
+    /// Run length n the ramps are normalised by (unused without ramps).
+    double iterations_;
+    std::vector<AmbientSegment> segments_;
     std::string description_;
 };
 

@@ -110,8 +110,8 @@ TEST(SimpleOndemandPolicy, HoldsInHysteresisBand) {
     EXPECT_EQ(level, 3u);
 }
 
-TEST(DefaultGovernor, TicksDriveBothDomains) {
-    auto gov = DefaultGovernor::orin_nano();
+TEST(KernelGovernorPreset, TicksDriveBothDomains) {
+    auto gov = KernelGovernor::orin_nano();
     EXPECT_GT(gov.tick_interval_s(), 0.0);
     EXPECT_EQ(gov.decision_overhead_s(), 0.0) << "kernel governors are free";
     // Sustained GPU load with idle CPU: GPU should head to max, CPU down.
@@ -131,10 +131,18 @@ TEST(DefaultGovernor, TicksDriveBothDomains) {
     EXPECT_LE(cpu, 3u);
 }
 
-TEST(DefaultGovernor, FrameCallbacksAreNoOps) {
-    auto gov = DefaultGovernor::mi11_lite();
+TEST(KernelGovernorPreset, FrameCallbacksAreNoOps) {
+    auto gov = KernelGovernor::mi11_lite();
     EXPECT_FALSE(gov.on_frame_start(make_obs()).has_request);
     EXPECT_FALSE(gov.on_post_rpn(make_obs()).has_request);
+}
+
+TEST(KernelGovernorPreset, DefaultBaselineLabelsAndTick) {
+    // The labels name the "default" arm's governor in every artifact.
+    EXPECT_EQ(KernelGovernor::orin_nano().name(), "default(schedutil+nvhost_podgov)");
+    EXPECT_EQ(KernelGovernor::mi11_lite().name(), "default(schedutil+msm-adreno-tz)");
+    EXPECT_EQ(KernelGovernor::orin_nano().tick_interval_s(), 0.02);
+    EXPECT_EQ(KernelGovernor::mi11_lite().tick_interval_s(), 0.02);
 }
 
 TEST(FixedGovernor, PinsRequestedLevels) {

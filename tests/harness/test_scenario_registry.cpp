@@ -1,11 +1,17 @@
 // Tests for the ScenarioRegistry: the catalog covers every paper
-// figure/table, lookups round-trip, and arm specs are well-formed.
+// figure/table, lookups round-trip, arm specs are well-formed, and the
+// ambient tables equal the closures they replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "harness/registry.hpp"
 
@@ -147,6 +153,73 @@ TEST(ScenarioRegistry, TagQueriesMatchTagMembership) {
     };
     EXPECT_EQ(count_prefix("table1_"), 4);
     EXPECT_EQ(count_prefix("table2_"), 4);
+}
+
+// The drone-mission and heatwave ambients as the closures the registry
+// used before they became segment tables; the tables must reproduce them
+// bit for bit at every iteration.
+double mission_reference(std::size_t i, double n) {
+    const double t = static_cast<double>(i) / n;
+    if (t < 1.0 / 6.0) return 25.0;
+    if (t < 7.0 / 18.0) return 25.0 - 30.0 * (t - 1.0 / 6.0) / (2.0 / 9.0);
+    if (t < 13.0 / 18.0) return -5.0;
+    if (t < 17.0 / 18.0) return -5.0 + 30.0 * (t - 13.0 / 18.0) / (2.0 / 9.0);
+    return 25.0;
+}
+
+double heatwave_reference(std::size_t i, double n, double peak_c) {
+    const double t = static_cast<double>(i) / n;
+    if (t < 0.25) return 25.0;
+    if (t < 0.5) return 25.0 + (peak_c - 25.0) * (t - 0.25) / 0.25;
+    if (t < 0.75) return peak_c;
+    return peak_c - (peak_c - 25.0) * (t - 0.75) / 0.25;
+}
+
+/// Restores LOTUS_BENCH_FAST when the test ends, however it ends.
+struct FastModeGuard {
+    FastModeGuard() {
+        if (const char* env = std::getenv("LOTUS_BENCH_FAST")) saved = env;
+    }
+    ~FastModeGuard() {
+        if (saved) {
+            ::setenv("LOTUS_BENCH_FAST", saved->c_str(), 1);
+        } else {
+            ::unsetenv("LOTUS_BENCH_FAST");
+        }
+    }
+    std::optional<std::string> saved;
+};
+
+TEST(ScenarioRegistry, AmbientTablesEqualTheirClosureReferencesBitForBit) {
+    const FastModeGuard guard;
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (const bool fast : {true, false}) {
+        SCOPED_TRACE(fast ? "fast" : "full");
+        if (fast) {
+            ::setenv("LOTUS_BENCH_FAST", "1", 1);
+        } else {
+            ::unsetenv("LOTUS_BENCH_FAST");
+        }
+        const ScenarioRegistry sizes;
+
+        const auto& mission = sizes.at("example_drone_mission").config;
+        EXPECT_EQ(mission.iterations, fast ? 600u : 1800u);
+        EXPECT_EQ(mission.ambient.description(), "drone mission: ground/climb/loiter/descend");
+        const double n_mission = static_cast<double>(mission.iterations);
+        for (std::size_t i = 0; i <= mission.iterations; ++i) {
+            ASSERT_EQ(bits(mission.ambient.at(i)), bits(mission_reference(i, n_mission)))
+                << "mission iteration " << i;
+        }
+
+        const auto& heat = sizes.at("stress_heatwave").config;
+        EXPECT_EQ(heat.iterations, fast ? 600u : 3000u);
+        EXPECT_EQ(heat.ambient.description(), "heatwave: 25C -> 45C -> 25C");
+        const double n_heat = static_cast<double>(heat.iterations);
+        for (std::size_t i = 0; i <= heat.iterations; ++i) {
+            ASSERT_EQ(bits(heat.ambient.at(i)), bits(heatwave_reference(i, n_heat, 45.0)))
+                << "heatwave iteration " << i;
+        }
+    }
 }
 
 } // namespace

@@ -64,7 +64,7 @@ TEST(EndToEnd, MidLadderNeverThrottles) {
 
 TEST(EndToEnd, DefaultGovernorShowsThermalOscillation) {
     runtime::ExperimentRunner runner(orin_config(1500, 0));
-    auto gov = governors::DefaultGovernor::orin_nano();
+    auto gov = governors::KernelGovernor::orin_nano();
     const auto trace = runner.run(gov);
     const auto hot = trace.summary(700, 1500);
     EXPECT_GT(hot.throttled_fraction, 0.4);
@@ -93,7 +93,7 @@ TEST(EndToEnd, LotusBeatsDefaultOnVarianceAndSatisfaction) {
     auto cfg = orin_config(1200, 2500);
     runtime::ExperimentRunner runner(cfg);
 
-    auto default_gov = governors::DefaultGovernor::orin_nano();
+    auto default_gov = governors::KernelGovernor::orin_nano();
     const auto trace_default = runner.run(default_gov);
 
     core::LotusAgent agent(8, 6, lotus_config());
@@ -130,7 +130,7 @@ TEST(EndToEnd, ZttLandsBetweenDefaultAndLotus) {
     auto cfg = orin_config(1200, 2500);
     runtime::ExperimentRunner runner(cfg);
 
-    auto default_gov = governors::DefaultGovernor::orin_nano();
+    auto default_gov = governors::KernelGovernor::orin_nano();
     const auto sd = runner.run(default_gov).summary();
 
     governors::ZttConfig zc;

@@ -1,6 +1,6 @@
 // Tests for the EdgeDevice facade: DVFS requests, the event-driven advance
-// loop, throttling, and the closed-form thermal stepper against a local
-// Euler reference.
+// loop, throttling, and the closed-form thermal stepper against the
+// test-local Euler reference (euler_reference.hpp).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "euler_reference.hpp"
 #include "platform/device.hpp"
 #include "platform/presets.hpp"
 
@@ -223,14 +224,13 @@ struct EulerResult {
 };
 
 /// Reference integrator local to this test: 20 ms slices of
-/// ThermalNetwork::step (5 ms Euler sub-steps), each under the domain
+/// EulerReference::step (5 ms Euler sub-steps), each under the domain
 /// powers PowerModel::total gives at the slice start. Slices also end on the
 /// 100 ms throttle-poll grid, so they fall where the device's event loop
 /// splits time. Levels stay fixed (the excursions never reach a trip point).
 EulerResult euler_reference(const DeviceSpec& spec, std::size_t cpu_level,
                             std::size_t gpu_level, const std::vector<Phase>& phases) {
-    ThermalNetwork net(spec.thermal);
-    net.reset(spec.initial_ambient_celsius);
+    EulerReference net(spec.thermal, spec.initial_ambient_celsius);
     const PowerModel cpu_power(spec.cpu.power);
     const PowerModel gpu_power(spec.gpu.power);
     const double poll_s = spec.gpu_throttle.poll_interval_s;

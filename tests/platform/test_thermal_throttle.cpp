@@ -3,15 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "euler_reference.hpp"
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
 
 namespace lotus::platform {
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 ThermalParams default_params() {
     return ThermalParams{};
+}
+
+/// Advance `net` by exactly `dt` seconds in drift-bounded closed-form steps
+/// (0.25 K per step, the presets' EdgeDevice accuracy).
+void advance(ThermalNetwork& net, double dt, const std::array<double, kNumThermalNodes>& power,
+             double ambient) {
+    while (dt > 0.0) dt -= net.advance_bounded(dt, power, ambient, 0.25);
 }
 
 TEST(ThermalNetwork, Validation) {
@@ -22,14 +34,14 @@ TEST(ThermalNetwork, Validation) {
     p.g_to_board[1] = -0.1;
     EXPECT_THROW(ThermalNetwork{p}, std::invalid_argument);
     p = default_params();
-    p.max_dt = 0.0;
+    p.g_to_ambient[2] = -0.1;
     EXPECT_THROW(ThermalNetwork{p}, std::invalid_argument);
 }
 
 TEST(ThermalNetwork, NoPowerStaysAtAmbient) {
     ThermalNetwork net(default_params());
     net.reset(25.0);
-    net.step(100.0, {0, 0, 0}, 25.0);
+    advance(net, 100.0, {0, 0, 0}, 25.0);
     for (const double t : net.temperatures()) EXPECT_NEAR(t, 25.0, 1e-9);
 }
 
@@ -38,7 +50,7 @@ TEST(ThermalNetwork, HeatsMonotonicallyUnderConstantPower) {
     net.reset(25.0);
     double prev = 25.0;
     for (int i = 0; i < 50; ++i) {
-        net.step(1.0, {2.0, 8.0, 0.0}, 25.0);
+        advance(net, 1.0, {2.0, 8.0, 0.0}, 25.0);
         const double t = net.temperature(ThermalNode::gpu);
         ASSERT_GE(t, prev - 1e-9);
         prev = t;
@@ -51,7 +63,7 @@ TEST(ThermalNetwork, ConvergesToClosedFormSteadyState) {
     net.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
     const auto expected = net.steady_state(power, 25.0);
-    for (int i = 0; i < 500; ++i) net.step(10.0, power, 25.0);
+    for (int i = 0; i < 500; ++i) advance(net, 10.0, power, 25.0);
     EXPECT_NEAR(net.temperature(ThermalNode::cpu), expected[0], 0.05);
     EXPECT_NEAR(net.temperature(ThermalNode::gpu), expected[1], 0.05);
     EXPECT_NEAR(net.temperature(ThermalNode::board), expected[2], 0.05);
@@ -74,16 +86,16 @@ TEST(ThermalNetwork, CpuGpuCoupledThroughBoard) {
     // "thermal coupling among processors").
     ThermalNetwork net(default_params());
     net.reset(25.0);
-    for (int i = 0; i < 300; ++i) net.step(5.0, {0.0, 10.0, 0.0}, 25.0);
+    for (int i = 0; i < 300; ++i) advance(net, 5.0, {0.0, 10.0, 0.0}, 25.0);
     EXPECT_GT(net.temperature(ThermalNode::cpu), 35.0);
 }
 
 TEST(ThermalNetwork, CoolsWhenPowerRemoved) {
     ThermalNetwork net(default_params());
     net.reset(25.0);
-    for (int i = 0; i < 100; ++i) net.step(5.0, {3.0, 12.0, 0.0}, 25.0);
+    for (int i = 0; i < 100; ++i) advance(net, 5.0, {3.0, 12.0, 0.0}, 25.0);
     const double hot = net.temperature(ThermalNode::gpu);
-    for (int i = 0; i < 100; ++i) net.step(5.0, {0.0, 0.0, 0.0}, 25.0);
+    for (int i = 0; i < 100; ++i) advance(net, 5.0, {0.0, 0.0, 0.0}, 25.0);
     EXPECT_LT(net.temperature(ThermalNode::gpu), hot);
 }
 
@@ -94,9 +106,12 @@ TEST(ThermalNetwork, AmbientShiftsEquilibrium) {
     EXPECT_NEAR(warm[1] - cold[1], 25.0, 0.5); // linear system: pure offset
 }
 
-TEST(ThermalNetwork, NegativeDtThrows) {
+TEST(ThermalNetwork, InvalidAdvanceThrows) {
     ThermalNetwork net(default_params());
-    EXPECT_THROW(net.step(-1.0, {0, 0, 0}, 25.0), std::invalid_argument);
+    EXPECT_THROW((void)net.advance_bounded(-1.0, {0, 0, 0}, 25.0, 0.25), std::invalid_argument);
+    EXPECT_THROW((void)net.advance_bounded(1.0, {0, 0, 0}, 25.0, 0.0), std::invalid_argument);
+    EXPECT_EQ(net.advance_bounded(0.0, {1, 1, 0}, 25.0, 0.25), 0.0);
+    EXPECT_EQ(net.steps(), 0u);
 }
 
 TEST(ThermalNetwork, SubstepIndependence) {
@@ -106,23 +121,25 @@ TEST(ThermalNetwork, SubstepIndependence) {
     a.reset(25.0);
     b.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 9.0, 0.0};
-    a.step(10.0, power, 25.0);
-    for (int i = 0; i < 100; ++i) b.step(0.1, power, 25.0);
+    advance(a, 10.0, power, 25.0);
+    for (int i = 0; i < 100; ++i) advance(b, 0.1, power, 25.0);
     EXPECT_NEAR(a.temperature(ThermalNode::gpu), b.temperature(ThermalNode::gpu), 1e-6);
 }
 
 // ---------------------------------------------------------------------------
-// Closed-form exponential stepper.
+// Closed-form exponential stepper. An infinite drift bound takes the whole
+// dt in one step.
 // ---------------------------------------------------------------------------
 
 TEST(ThermalNetworkExact, MatchesEulerReference) {
-    ThermalNetwork euler(default_params());
+    EulerReference euler(default_params(), 25.0);
     ThermalNetwork exact(default_params());
-    euler.reset(25.0);
     exact.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
-    euler.step(10.0, power, 25.0);   // 2000 Euler sub-steps
-    exact.step_exact(10.0, power, 25.0); // ONE step
+    euler.step(10.0, power, 25.0); // 2000 Euler sub-steps
+    EXPECT_EQ(exact.advance_bounded(10.0, power, 25.0, kInf), 10.0); // ONE step
+    EXPECT_EQ(euler.steps(), 2000u);
+    EXPECT_EQ(exact.steps(), 1u);
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         EXPECT_NEAR(exact.temperatures()[i], euler.temperatures()[i], 5e-3);
     }
@@ -136,9 +153,9 @@ TEST(ThermalNetworkExact, IsTimeAdditive) {
     a.reset(25.0);
     b.reset(25.0);
     const std::array<double, kNumThermalNodes> power{3.0, 12.0, 0.0};
-    a.step_exact(3.0, power, 25.0);
-    a.step_exact(7.0, power, 25.0);
-    b.step_exact(10.0, power, 25.0);
+    (void)a.advance_bounded(3.0, power, 25.0, kInf);
+    (void)a.advance_bounded(7.0, power, 25.0, kInf);
+    (void)b.advance_bounded(10.0, power, 25.0, kInf);
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         EXPECT_NEAR(a.temperatures()[i], b.temperatures()[i], 1e-9);
     }
@@ -149,7 +166,7 @@ TEST(ThermalNetworkExact, ConvergesToSteadyStateInOneStep) {
     net.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
     const auto expected = net.steady_state(power, 25.0);
-    net.step_exact(1e6, power, 25.0);
+    (void)net.advance_bounded(1e6, power, 25.0, kInf);
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         EXPECT_NEAR(net.temperatures()[i], expected[i], 1e-9);
     }
@@ -161,15 +178,15 @@ TEST(ThermalNetworkExact, DriftBoundIsHonored) {
     const std::array<double, kNumThermalNodes> power{3.0, 12.0, 0.0};
     // Walk towards steady state in bound-sized steps; no step may drift any
     // node more than the requested delta.
+    constexpr double kHorizon = 1e9;
     for (int i = 0; i < 50; ++i) {
-        const double h = net.max_step_for_drift(power, 25.0, 0.5);
-        if (std::isinf(h)) break;
-        ASSERT_GT(h, 0.0);
         const auto before = net.temperatures();
-        net.step_exact(h, power, 25.0);
+        const double h = net.advance_bounded(kHorizon, power, 25.0, 0.5);
+        ASSERT_GT(h, 0.0);
         for (std::size_t n = 0; n < kNumThermalNodes; ++n) {
             EXPECT_LE(std::abs(net.temperatures()[n] - before[n]), 0.5 + 1e-9);
         }
+        if (h == kHorizon) break; // no node could drift 0.5 K any more
     }
 }
 
@@ -177,36 +194,54 @@ TEST(ThermalNetworkExact, DriftBoundInfiniteAtSteadyState) {
     ThermalNetwork net(default_params());
     net.reset(25.0);
     const std::array<double, kNumThermalNodes> power{2.0, 8.0, 0.0};
-    net.step_exact(1e9, power, 25.0);
-    EXPECT_TRUE(std::isinf(net.max_step_for_drift(power, 25.0, 0.25)));
+    (void)net.advance_bounded(1e9, power, 25.0, kInf);
+    // No node can drift 0.25 K from steady state: the whole horizon is one step.
+    EXPECT_EQ(net.advance_bounded(1e12, power, 25.0, 0.25), 1e12);
 }
 
 TEST(ThermalNetworkExact, StepCounters) {
     ThermalNetwork net(default_params());
     net.reset(25.0);
     EXPECT_EQ(net.steps(), 0u);
-    net.step(1.0, {1, 1, 0}, 25.0); // 200 Euler sub-steps at max_dt = 5 ms
-    EXPECT_EQ(net.steps(), 200u);
-    net.step_exact(1.0, {1, 1, 0}, 25.0);
-    EXPECT_EQ(net.steps(), 201u);
+    (void)net.advance_bounded(1.0, {1, 1, 0}, 25.0, kInf);
+    EXPECT_EQ(net.steps(), 1u);
+    (void)net.advance_bounded(1.0, {1, 1, 0}, 25.0, kInf);
+    EXPECT_EQ(net.steps(), 2u);
     net.reset(25.0);
     EXPECT_EQ(net.steps(), 0u);
 }
 
-TEST(ThermalNetworkExact, IsolatedNetworkFallsBackToEuler) {
-    // Without any path to ambient the system is singular (no steady state);
-    // step_exact must fall back to Euler instead of dividing by zero.
+TEST(ThermalNetworkExact, NetworkWithoutPathToAmbientIsRejected) {
+    // Without a path to ambient the system is singular (no steady state for
+    // the closed form to decay towards): the constructor names the node.
+    const auto message = [](const ThermalParams& p) {
+        try {
+            ThermalNetwork net(p);
+        } catch (const std::invalid_argument& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
     auto p = default_params();
     p.g_to_ambient = {0.0, 0.0, 0.0};
-    ThermalNetwork net(p);
-    net.reset(25.0);
-    net.step_exact(1.0, {1.0, 1.0, 0.0}, 25.0);
-    for (const double t : net.temperatures()) {
-        EXPECT_TRUE(std::isfinite(t));
-        EXPECT_GT(t, 25.0); // heat with nowhere to go accumulates
-    }
-    EXPECT_EQ(net.steps(), 200u); // Euler sub-step count, not 1
-    EXPECT_TRUE(std::isinf(net.max_step_for_drift({1.0, 1.0, 0.0}, 25.0, 0.25)));
+    EXPECT_NE(message(p).find("cpu node has no path to ambient"), std::string::npos)
+        << message(p);
+    // A die cut off from both the board and ambient.
+    p = default_params();
+    p.g_to_board[1] = 0.0;
+    p.g_to_ambient[1] = 0.0;
+    EXPECT_NE(message(p).find("gpu node has no path to ambient"), std::string::npos)
+        << message(p);
+    // The board leaks only through a die that reaches ambient: accepted.
+    p = default_params();
+    p.g_to_ambient = {0.02, 0.0, 0.0};
+    EXPECT_EQ(message(p), "accepted");
+    // An uncoupled board without its own leak.
+    p = default_params();
+    p.g_to_board = {0.0, 0.0, 0.0};
+    p.g_to_ambient[2] = 0.0;
+    EXPECT_NE(message(p).find("board node has no path to ambient"), std::string::npos)
+        << message(p);
 }
 
 // ---------------------------------------------------------------------------

@@ -112,8 +112,8 @@ TEST_P(EngineMatrix, GovernorTicksReceiveSaneUtilization) {
     InferenceEngine engine(device);
     const auto m = model();
     const bool orin = device_spec.name.find("orin") != std::string::npos;
-    auto governor = orin ? governors::DefaultGovernor::orin_nano()
-                         : governors::DefaultGovernor::mi11_lite();
+    auto governor = orin ? governors::KernelGovernor::orin_nano()
+                         : governors::KernelGovernor::mi11_lite();
     for (std::size_t i = 0; i < 3; ++i) {
         const auto r = engine.run_frame(m, frame(), governor, 10.0, i);
         ASSERT_GT(r.latency_s, 0.0);

@@ -74,7 +74,6 @@ platform::DeviceSpec toy_hot_spec() {
                 .g_to_board = {0.0, 0.0, 0.0},
                 .g_to_ambient = {1.0, 1.0, 1.0},
                 .initial = {25.0, 25.0, 25.0},
-                .max_dt = 0.005,
             },
         .cpu_throttle = throttle,
         .gpu_throttle = throttle,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/stats.hpp"
 #include "workload/dataset.hpp"
@@ -152,13 +153,94 @@ TEST(AmbientProfile, ZoneValidation) {
                  std::invalid_argument);
 }
 
-TEST(AmbientProfile, CustomFunction) {
-    const auto p = AmbientProfile::custom(
-        [](std::size_t i) { return 20.0 + static_cast<double>(i % 3); }, "saw");
-    EXPECT_DOUBLE_EQ(p.at(0), 20.0);
-    EXPECT_DOUBLE_EQ(p.at(4), 21.0);
-    EXPECT_EQ(p.description(), "saw");
-    EXPECT_THROW((void)AmbientProfile::custom(nullptr, "x"), std::invalid_argument);
+TEST(AmbientProfile, PiecewiseFlatAndRampSegments) {
+    // 10 iterations: flat 20 C, a ramp 20 -> 30 C over 0.4 of the run, flat 30 C.
+    const auto p = AmbientProfile::piecewise(
+        10,
+        {{.start = 0.0, .from_c = 20.0, .to_c = 20.0},
+         {.start = 0.3, .from_c = 20.0, .to_c = 30.0, .span = 0.4},
+         {.start = 0.7, .from_c = 30.0, .to_c = 30.0}},
+        "ramp");
+    EXPECT_EQ(p.description(), "ramp");
+    ASSERT_EQ(p.segments().size(), 3u);
+    // First iteration whose fraction i / 10 reaches the start (3/10 = 0.3,
+    // 7/10 = 0.7 in binary64).
+    EXPECT_EQ(p.segments()[0].first_iteration, 0u);
+    EXPECT_EQ(p.segments()[1].first_iteration, 3u);
+    EXPECT_EQ(p.segments()[2].first_iteration, 7u);
+    EXPECT_EQ(p.at(0), 20.0);
+    EXPECT_EQ(p.at(2), 20.0);
+    EXPECT_DOUBLE_EQ(p.at(3), 20.0);
+    EXPECT_DOUBLE_EQ(p.at(5), 25.0);
+    EXPECT_EQ(p.at(7), 30.0);
+    EXPECT_EQ(p.at(100), 30.0);
+}
+
+TEST(AmbientProfile, PiecewiseBoundaryIsFirstIterationReachingTheFraction) {
+    // 600 iterations: 7/18 of the run is 233.33..., so iteration 233 is
+    // still before the boundary and 234 is the first past it.
+    const auto p = AmbientProfile::piecewise(
+        600, {{.start = 0.0, .from_c = 1.0, .to_c = 1.0}, {.start = 7.0 / 18.0, .from_c = 2.0,
+                                                          .to_c = 2.0}},
+        "step");
+    EXPECT_EQ(p.segments()[1].first_iteration, 234u);
+    EXPECT_EQ(p.at(233), 1.0);
+    EXPECT_EQ(p.at(234), 2.0);
+    // Boundaries so close that a segment covers no iteration: skipped.
+    const auto q = AmbientProfile::piecewise(
+        2,
+        {{.start = 0.0, .from_c = 1.0, .to_c = 1.0},
+         {.start = 0.1, .from_c = 2.0, .to_c = 2.0},
+         {.start = 0.2, .from_c = 3.0, .to_c = 3.0}},
+        "narrow");
+    EXPECT_EQ(q.segments()[1].first_iteration, 1u);
+    EXPECT_EQ(q.segments()[2].first_iteration, 1u);
+    EXPECT_EQ(q.at(0), 1.0);
+    EXPECT_EQ(q.at(1), 3.0);
+}
+
+TEST(AmbientProfile, PiecewiseValidation) {
+    const auto make = [](std::size_t n, std::vector<AmbientSegment> segs) {
+        return AmbientProfile::piecewise(n, std::move(segs), "x");
+    };
+    const AmbientSegment flat{.start = 0.0, .from_c = 25.0, .to_c = 25.0};
+    EXPECT_NO_THROW((void)make(10, {flat}));
+    EXPECT_THROW((void)make(0, {flat}), std::invalid_argument);  // no run
+    EXPECT_THROW((void)make(10, {}), std::invalid_argument);     // no segment
+    EXPECT_THROW((void)make(10, {{.start = 0.1, .from_c = 25.0, .to_c = 25.0}}),
+                 std::invalid_argument); // does not start at 0
+    EXPECT_THROW((void)make(10, {flat, {.start = 1.5, .from_c = 1.0, .to_c = 1.0}}),
+                 std::invalid_argument); // starts past the run
+    EXPECT_THROW((void)make(10, {flat, {.start = 0.5, .from_c = 1.0, .to_c = 1.0},
+                                 {.start = 0.5, .from_c = 2.0, .to_c = 2.0}}),
+                 std::invalid_argument); // starts do not ascend
+    EXPECT_THROW((void)make(10, {flat, {.start = 0.5, .from_c = 25.0, .to_c = 30.0}}),
+                 std::invalid_argument); // flat segment with two values
+    EXPECT_THROW(
+        (void)make(10, {flat, {.start = 0.5, .from_c = 25.0, .to_c = 30.0, .span = -0.1}}),
+        std::invalid_argument); // negative span
+    EXPECT_THROW((void)make(10, {flat, {.start = 0.5,
+                                        .from_c = 25.0,
+                                        .to_c = 30.0,
+                                        .span = std::numeric_limits<double>::infinity()}}),
+                 std::invalid_argument); // non-finite span
+    EXPECT_THROW((void)make(10, {flat, {.start = 0.5,
+                                        .from_c = std::numeric_limits<double>::quiet_NaN(),
+                                        .to_c = 30.0,
+                                        .span = 0.1}}),
+                 std::invalid_argument); // non-finite value
+}
+
+TEST(AmbientProfile, ConstantAndZonesAreFlatSegments) {
+    const auto c = AmbientProfile::constant(25.0);
+    ASSERT_EQ(c.segments().size(), 1u);
+    EXPECT_EQ(c.segments()[0].span, 0.0);
+    EXPECT_EQ(c.description(), "constant 25 C");
+    const auto z = AmbientProfile::zones({{0, 25.0}, {200, 0.0}, {400, 25.0}});
+    ASSERT_EQ(z.segments().size(), 3u);
+    EXPECT_EQ(z.segments()[1].first_iteration, 200u);
+    EXPECT_EQ(z.segments()[2].first_iteration, 400u);
+    EXPECT_EQ(z.description(), "zones: @0->25C @200->0C @400->25C");
 }
 
 TEST(DomainSchedule, ConstantSchedule) {
