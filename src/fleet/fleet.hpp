@@ -75,9 +75,9 @@ struct FleetConfig {
     double pretrain_constraint_s = 0.0;
     std::uint64_t seed = 42;
     double ambient_celsius = 25.0;
-    /// Materialise the per-request ledger. Turn off for the summary-only
-    /// fast path (bit-identical summaries, no per-row storage) when no CSV
-    /// dump or chart column extraction is needed.
+    /// Store the per-request ledger rows (FleetTrace). Summaries come from
+    /// the same live accumulators either way; turn off when no CSV dump or
+    /// chart column extraction needs the rows.
     bool capture_rows = true;
     /// Path of a recorded .ltrc trace to replay instead of generating the
     /// timeline from the streams' arrival processes (see

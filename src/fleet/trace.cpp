@@ -1,9 +1,9 @@
 #include "fleet/trace.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
+#include "runtime/trace.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -12,12 +12,10 @@ namespace lotus::fleet {
 FleetTrace::FleetTrace(std::vector<std::string> device_names,
                        std::vector<std::string> stream_names, bool capture_rows)
     : device_names_(std::move(device_names)), stream_names_(std::move(stream_names)),
-      device_stats_(device_names_.size()), capture_rows_(capture_rows) {
-    if (!capture_rows_) {
-        device_accs_.resize(device_names_.size());
-        stream_accs_.resize(stream_names_.size());
-    }
-}
+      device_stats_(device_names_.size()),
+      capture_rows_(capture_rows),
+      device_accs_(device_names_.size()),
+      stream_accs_(stream_names_.size()) {}
 
 void FleetTrace::add(FleetRecord record) {
     if (record.device != FleetRecord::kNoDevice && record.device >= device_names_.size()) {
@@ -26,16 +24,12 @@ void FleetTrace::add(FleetRecord record) {
     if (record.row.stream >= stream_names_.size()) {
         throw std::out_of_range("FleetTrace::add: unknown stream index");
     }
-    ++count_;
-    if (capture_rows_) {
-        records_.push_back(std::move(record));
-        return;
-    }
     aggregate_acc_.add(record.row);
     if (record.device != FleetRecord::kNoDevice) {
         device_accs_[record.device].add(record.row);
     }
     stream_accs_[record.row.stream].add(record.row);
+    if (capture_rows_) records_.push_back(std::move(record));
 }
 
 void FleetTrace::set_device_stats(std::size_t device, DeviceStats stats) {
@@ -66,33 +60,15 @@ std::size_t FleetTrace::migrations() const noexcept {
 
 double FleetTrace::load_skew() const {
     util::RunningStats stats;
-    if (!capture_rows_) {
-        for (std::size_t d = 0; d < device_accs_.size(); ++d) {
-            if (!device_stats_[d].failed) {
-                stats.add(static_cast<double>(device_accs_[d].served()));
-            }
-        }
-    } else {
-        std::vector<std::size_t> served(device_names_.size(), 0);
-        for (const auto& r : records_) {
-            if (r.device != FleetRecord::kNoDevice && !r.row.shed) ++served[r.device];
-        }
-        for (std::size_t d = 0; d < served.size(); ++d) {
-            if (!device_stats_[d].failed) stats.add(static_cast<double>(served[d]));
-        }
+    for (std::size_t d = 0; d < device_accs_.size(); ++d) {
+        if (!device_stats_[d].failed) stats.add(static_cast<double>(device_accs_[d].served()));
     }
     const double mean = stats.mean();
     return mean > 0.0 ? stats.stddev() / mean : 0.0;
 }
 
-// Full-ledger traces replay the matching rows, in ledger order, into a local
-// accumulator (records_ is empty in summary-only mode, where the live
-// accumulators answer).
-
 serving::ServingSummary FleetTrace::aggregate() const {
-    serving::SummaryAccumulator ledger;
-    for (const auto& r : records_) ledger.add(r.row);
-    auto s = (capture_rows_ ? ledger : aggregate_acc_).summarize("fleet", makespan_s_);
+    auto s = aggregate_acc_.summarize("fleet", makespan_s_);
     // Charge the whole pool's energy (idle included) to the served load,
     // and report the run-long fleet peak rather than the completion-time
     // peak.
@@ -107,12 +83,7 @@ serving::ServingSummary FleetTrace::device_summary(std::size_t device) const {
     if (device >= device_names_.size()) {
         throw std::out_of_range("FleetTrace::device_summary: unknown device index");
     }
-    serving::SummaryAccumulator ledger;
-    for (const auto& r : records_) {
-        if (r.device == device) ledger.add(r.row);
-    }
-    auto s = (capture_rows_ ? ledger : device_accs_[device])
-                 .summarize(device_names_[device], makespan_s_);
+    auto s = device_accs_[device].summarize(device_names_[device], makespan_s_);
     const auto& stats = device_stats_[device];
     s.peak_device_temp_c = std::max(s.peak_device_temp_c, stats.peak_temp_c);
     if (s.served > 0 && stats.energy_j > 0.0) {
@@ -125,12 +96,7 @@ serving::ServingSummary FleetTrace::stream_summary(std::size_t stream) const {
     if (stream >= stream_names_.size()) {
         throw std::out_of_range("FleetTrace::stream_summary: unknown stream index");
     }
-    serving::SummaryAccumulator ledger;
-    for (const auto& r : records_) {
-        if (r.row.stream == stream) ledger.add(r.row);
-    }
-    return (capture_rows_ ? ledger : stream_accs_[stream])
-        .summarize(stream_names_[stream], makespan_s_);
+    return stream_accs_[stream].summarize(stream_names_[stream], makespan_s_);
 }
 
 std::vector<serving::ServingSummary> FleetTrace::all_summaries() const {
@@ -156,7 +122,9 @@ std::vector<double> FleetTrace::e2e_ms() const {
 std::vector<double> FleetTrace::device_temps() const {
     std::vector<double> out;
     out.reserve(records_.size());
-    for (const auto& r : records_) out.push_back(0.5 * (r.row.cpu_temp + r.row.gpu_temp));
+    for (const auto& r : records_) {
+        out.push_back(runtime::device_temp_c(r.row.cpu_temp, r.row.gpu_temp));
+    }
     return out;
 }
 

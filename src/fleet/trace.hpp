@@ -9,7 +9,8 @@
 // language, and adds the fleet-only signals: load-balance skew across the
 // pool, migration counts, and the fleet peak temperature (max over devices,
 // tracked across the whole run -- idle cooling included -- not just at
-// request completions).
+// request completions). As in ServingTrace, every summary is kept live as
+// requests are added, and storing the rows is a separate choice.
 
 #include <cstddef>
 #include <cstdint>
@@ -53,11 +54,11 @@ struct DeviceStats {
 class FleetTrace {
 public:
     FleetTrace() = default;
-    /// `capture_rows = false` selects the summary-only fast path: add() feeds
-    /// streaming serving::SummaryAccumulators (fleet-wide, per device, per
-    /// stream) instead of materialising FleetRecord rows; summaries and
-    /// load_skew stay bit-identical while the ledger (records(), write_csv,
-    /// chart columns) is unavailable.
+    /// add() always feeds the fleet-wide, per-device and per-stream
+    /// serving::SummaryAccumulators that every summary and load_skew read.
+    /// `capture_rows` only decides whether the FleetRecord rows are stored
+    /// too; without them the ledger (records(), write_csv, chart columns) is
+    /// unavailable.
     FleetTrace(std::vector<std::string> device_names, std::vector<std::string> stream_names,
                bool capture_rows = true);
 
@@ -68,9 +69,8 @@ public:
 
     [[nodiscard]] bool capture_rows() const noexcept { return capture_rows_; }
     /// Requests added (counted in both capture modes).
-    [[nodiscard]] std::size_t size() const noexcept { return count_; }
-    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-    [[nodiscard]] const FleetRecord& operator[](std::size_t i) const { return records_[i]; }
+    [[nodiscard]] std::size_t size() const noexcept { return aggregate_acc_.requests(); }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
     [[nodiscard]] const std::vector<FleetRecord>& records() const noexcept {
         return records_;
     }
@@ -126,8 +126,6 @@ private:
     std::vector<FleetRecord> records_;
     std::vector<DeviceStats> device_stats_;
     bool capture_rows_ = true;
-    std::size_t count_ = 0;
-    // Summary-only state (unused when capture_rows_).
     serving::SummaryAccumulator aggregate_acc_;
     std::vector<serving::SummaryAccumulator> device_accs_;
     std::vector<serving::SummaryAccumulator> stream_accs_;

@@ -35,10 +35,10 @@ struct HarnessConfig {
     std::size_t jobs = 0;
     /// Root experiment seed; all episode seeds derive from it.
     std::uint64_t seed = 42;
-    /// Run serving/fleet episodes with summary-only traces (no per-request
-    /// ledger rows). Summaries and JSON/summary.csv output are bit-identical
-    /// to full-ledger runs; per-request CSV dumps and chart columns are
-    /// unavailable, so only enable when no such sink is attached.
+    /// Run serving/fleet episodes without storing per-request ledger rows
+    /// (capture_rows = false). Summaries have one path, so JSON and
+    /// summary.csv output do not change; per-request CSV dumps and chart
+    /// columns need the rows, so only enable when no such sink is attached.
     bool summary_only = false;
     /// Record sim-time telemetry per episode (request spans, device
     /// time-series, breach flight recorder). Each episode gets its own

@@ -22,7 +22,7 @@ std::vector<double> Trace::latencies_ms() const {
 std::vector<double> Trace::device_temps() const {
     std::vector<double> out;
     out.reserve(rows_.size());
-    for (const auto& r : rows_) out.push_back(0.5 * (r.cpu_temp + r.gpu_temp));
+    for (const auto& r : rows_) out.push_back(device_temp_c(r.cpu_temp, r.gpu_temp));
     return out;
 }
 
@@ -57,13 +57,11 @@ Summary Trace::summary(std::size_t first, std::size_t last) const {
         latency.add(r.latency_s);
         cpu_temp.add(r.cpu_temp);
         gpu_temp.add(r.gpu_temp);
-        const double dev = 0.5 * (r.cpu_temp + r.gpu_temp);
+        const double dev = device_temp_c(r.cpu_temp, r.gpu_temp);
         device_temp.add(dev);
         max_dev_temp = std::max(max_dev_temp, dev);
         proposals.add(static_cast<double>(r.proposals));
-        // "<= is satisfied": the same boundary rule as util::satisfaction_rate
-        // and the serving layer's miss accounting.
-        if (r.latency_s <= r.constraint_s) ++satisfied;
+        if (util::meets_limit(r.latency_s, r.constraint_s)) ++satisfied;
         if (r.throttled) ++throttled;
         energy += r.energy_j;
         wall += r.latency_s;

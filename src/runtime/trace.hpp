@@ -13,6 +13,13 @@
 
 namespace lotus::runtime {
 
+/// The "device temperature" the paper plots in Figs. 4-7: the mean of the
+/// CPU and GPU temperatures. Every ledger (experiment, serving, fleet)
+/// derives its per-row device temperature here.
+[[nodiscard]] constexpr double device_temp_c(double cpu_temp, double gpu_temp) noexcept {
+    return 0.5 * (cpu_temp + gpu_temp);
+}
+
 struct TraceRow {
     std::size_t iteration = 0;
     double start_time_s = 0.0;
@@ -37,7 +44,7 @@ struct Summary {
     std::size_t frames = 0;
     double mean_latency_s = 0.0;
     double std_latency_s = 0.0;
-    /// Fraction of frames with latency < constraint (R_L).
+    /// Fraction of frames with util::meets_limit(latency, constraint) (R_L).
     double satisfaction_rate = 0.0;
     double mean_cpu_temp = 0.0;
     double mean_gpu_temp = 0.0;

@@ -9,6 +9,7 @@
 #include "telemetry/recorder.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace lotus::serving {
 
@@ -63,7 +64,7 @@ ServingRecord served_record(const Request& r, double wait_s,
     row.service_s = result.latency_s;
     row.e2e_s = result.e2e_latency_s();
     row.slo_s = r.slo_s;
-    row.missed = !slo_satisfied(row.e2e_s, r.slo_s);
+    row.missed = !util::meets_limit(row.e2e_s, r.slo_s);
     row.throttled = result.throttled;
     row.proposals = result.proposals_used;
     row.cpu_temp = result.cpu_temp;
@@ -207,9 +208,13 @@ void RequestTimeline::refill(Head& head) {
 }
 
 bool RequestTimeline::next(Request& out) {
+    const auto key = [](const Head& head) {
+        return trace::ArrivalKey{head.pending.arrival_s, head.pending.stream,
+                                 head.pending.frame.index};
+    };
     Head* best = nullptr;
     for (auto& head : heads_) {
-        if (head.live && (best == nullptr || head.pending.arrival_s < best->pending.arrival_s)) {
+        if (head.live && (best == nullptr || trace::arrives_before(key(head), key(*best)))) {
             best = &head;
         }
     }

@@ -47,8 +47,7 @@ inline constexpr double kTimeEps = 1e-9;
 /// The merged request timeline of a stream set, drawn one request at a
 /// time. Each stream's arrival times and frame samples are pure functions
 /// of (seed, stream name, stream index); a k-way merge over one pending
-/// request per stream yields them in global arrival order, ties to the
-/// lower stream index and generation order within a stream, with ids
+/// request per stream yields them in trace::arrives_before order, with ids
 /// numbering that order (so every scheduler tie-break is a pure function of
 /// the timeline). Memory is O(streams), whatever the request count.
 class RequestTimeline {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "runtime/trace.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -10,7 +11,7 @@ namespace lotus::serving {
 
 void SummaryAccumulator::add(const ServingRecord& record) {
     ++requests_;
-    const double dev = 0.5 * (record.cpu_temp + record.gpu_temp);
+    const double dev = runtime::device_temp_c(record.cpu_temp, record.gpu_temp);
     device_temp_.add(dev);
     peak_device_temp_c_ = std::max(peak_device_temp_c_, dev);
     if (record.shed) {
@@ -52,43 +53,28 @@ ServingSummary SummaryAccumulator::summarize(std::string label, double makespan_
 }
 
 ServingTrace::ServingTrace(std::vector<std::string> stream_names, bool capture_rows)
-    : stream_names_(std::move(stream_names)), capture_rows_(capture_rows) {
-    if (!capture_rows_) stream_accs_.resize(stream_names_.size());
-}
+    : stream_names_(std::move(stream_names)),
+      capture_rows_(capture_rows),
+      stream_accs_(stream_names_.size()) {}
 
 void ServingTrace::add(ServingRecord record) {
     if (record.stream >= stream_names_.size()) {
         throw std::out_of_range("ServingTrace::add: unknown stream index");
     }
-    ++count_;
-    if (capture_rows_) {
-        records_.push_back(std::move(record));
-        return;
-    }
     aggregate_acc_.add(record);
     stream_accs_[record.stream].add(record);
+    if (capture_rows_) records_.push_back(std::move(record));
 }
-
-// Full-ledger traces replay the matching rows, in ledger order, into a local
-// accumulator (records_ is empty in summary-only mode, where the live
-// accumulators answer).
 
 ServingSummary ServingTrace::stream_summary(std::size_t stream) const {
     if (stream >= stream_names_.size()) {
         throw std::out_of_range("ServingTrace::stream_summary: unknown stream index");
     }
-    SummaryAccumulator ledger;
-    for (const auto& r : records_) {
-        if (r.stream == stream) ledger.add(r);
-    }
-    return (capture_rows_ ? ledger : stream_accs_[stream])
-        .summarize(stream_names_[stream], makespan_s_);
+    return stream_accs_[stream].summarize(stream_names_[stream], makespan_s_);
 }
 
 ServingSummary ServingTrace::aggregate() const {
-    SummaryAccumulator ledger;
-    for (const auto& r : records_) ledger.add(r);
-    auto s = (capture_rows_ ? ledger : aggregate_acc_).summarize("all", makespan_s_);
+    auto s = aggregate_acc_.summarize("all", makespan_s_);
     // Charge the whole device energy (idle included) to the served load.
     if (s.served > 0 && total_energy_j_ > 0.0) {
         s.energy_per_req_j = total_energy_j_ / static_cast<double>(s.served);
@@ -116,7 +102,7 @@ std::vector<double> ServingTrace::e2e_ms() const {
 std::vector<double> ServingTrace::device_temps() const {
     std::vector<double> out;
     out.reserve(records_.size());
-    for (const auto& r : records_) out.push_back(0.5 * (r.cpu_temp + r.gpu_temp));
+    for (const auto& r : records_) out.push_back(runtime::device_temp_c(r.cpu_temp, r.gpu_temp));
     return out;
 }
 

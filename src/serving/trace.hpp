@@ -6,7 +6,8 @@
 // when did the request arrive, how long did it queue, was it shed, did it
 // meet its deadline -- per stream and in aggregate. The summaries speak the
 // language of serving systems (p50/p95/p99, miss rate, shed rate,
-// throughput) rather than the paper's (mean, sigma, R_L).
+// throughput) rather than the paper's (mean, sigma, R_L). Every summary is
+// kept live as requests are added; storing the rows is a separate choice.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,13 +17,6 @@
 #include "util/stats.hpp"
 
 namespace lotus::serving {
-
-/// The single SLO boundary rule of the repo: a request exactly on its SLO
-/// meets it ("<= limit is satisfied", matching util::satisfaction_rate and
-/// runtime::Trace::summary).
-[[nodiscard]] inline bool slo_satisfied(double e2e_s, double slo_s) noexcept {
-    return e2e_s <= slo_s;
-}
 
 /// Ledger entry for one request (served or shed).
 struct ServingRecord {
@@ -73,12 +67,11 @@ struct ServingSummary {
     double peak_device_temp_c = 0.0;
 };
 
-/// The one summary arithmetic of the serving and fleet ledgers. Feed it
-/// records in ledger order and it produces a ServingSummary: summary-only
-/// traces feed it live as requests complete, full-ledger traces replay the
-/// matching stored rows into a local one, so both modes summarise
-/// bit-identically. Only the served end-to-end latencies are retained
-/// (percentiles need the full sample); everything else is O(1) state.
+/// The one summary arithmetic of the serving and fleet ledgers. Traces feed
+/// it every record live, in ledger order, as requests complete, and read
+/// every summary from it -- whether or not they also store the rows. Only
+/// the served end-to-end latencies are retained (percentiles need the full
+/// sample); everything else is O(1) state.
 class SummaryAccumulator {
 public:
     void add(const ServingRecord& record);
@@ -103,10 +96,10 @@ private:
 class ServingTrace {
 public:
     ServingTrace() = default;
-    /// `capture_rows = false` selects the summary-only fast path: add() feeds
-    /// streaming accumulators instead of materialising ServingRecord rows, so
-    /// summaries stay bit-identical while the per-request ledger (records(),
-    /// write_csv, chart columns) is unavailable.
+    /// add() always feeds the aggregate and per-stream accumulators that
+    /// every summary reads. `capture_rows` only decides whether the
+    /// ServingRecord rows are stored too; without them the per-request
+    /// ledger (records(), write_csv, chart columns) is unavailable.
     explicit ServingTrace(std::vector<std::string> stream_names, bool capture_rows = true);
 
     void add(ServingRecord record);
@@ -116,9 +109,8 @@ public:
 
     [[nodiscard]] bool capture_rows() const noexcept { return capture_rows_; }
     /// Requests added (counted in both capture modes).
-    [[nodiscard]] std::size_t size() const noexcept { return count_; }
-    [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-    [[nodiscard]] const ServingRecord& operator[](std::size_t i) const { return records_[i]; }
+    [[nodiscard]] std::size_t size() const noexcept { return aggregate_acc_.requests(); }
+    [[nodiscard]] bool empty() const noexcept { return size() == 0; }
     [[nodiscard]] const std::vector<ServingRecord>& records() const noexcept {
         return records_;
     }
@@ -160,8 +152,6 @@ private:
     std::vector<std::string> stream_names_;
     std::vector<ServingRecord> records_;
     bool capture_rows_ = true;
-    std::size_t count_ = 0;
-    // Summary-only state (unused when capture_rows_).
     SummaryAccumulator aggregate_acc_;
     std::vector<SummaryAccumulator> stream_accs_;
     double makespan_s_ = 0.0;

@@ -304,14 +304,12 @@ void merge_traces(const std::vector<std::string>& inputs, const std::string& out
         bool live = false;
     };
     std::vector<Head> heads(readers.size());
+    const auto key = [](const Head& head) {
+        return ArrivalKey{head.rec.arrival_s, head.rec.stream, head.rec.frame_index};
+    };
     for (std::size_t i = 0; i < readers.size(); ++i) {
         heads[i].live = readers[i].next(heads[i].rec);
     }
-    const auto before = [](const TraceRecord& a, const TraceRecord& b) {
-        if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-        if (a.stream != b.stream) return a.stream < b.stream;
-        return a.frame_index < b.frame_index;
-    };
 
     Writer out(out_path, readers[0].info().streams);
     std::uint64_t next_id = 0;
@@ -319,7 +317,9 @@ void merge_traces(const std::vector<std::string>& inputs, const std::string& out
         std::size_t best = heads.size();
         for (std::size_t i = 0; i < heads.size(); ++i) {
             if (!heads[i].live) continue;
-            if (best == heads.size() || before(heads[i].rec, heads[best].rec)) best = i;
+            if (best == heads.size() || arrives_before(key(heads[i]), key(heads[best]))) {
+                best = i;
+            }
         }
         if (best == heads.size()) break;
         TraceRecord rec = heads[best].rec;

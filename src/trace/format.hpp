@@ -64,6 +64,23 @@ struct TraceRecord {
     std::uint64_t frame_index = 0;
 };
 
+/// The position of one request in a timeline's arrival order.
+struct ArrivalKey {
+    double arrival_s = 0.0;
+    std::uint64_t stream = 0;
+    std::uint64_t frame_index = 0;
+};
+
+/// The one arrival order of every request timeline: earlier arrival first,
+/// ties to the lower stream index, then to the earlier frame of that stream.
+/// serving::RequestTimeline emits requests in this order and merge_traces
+/// interleaves its sorted inputs by it.
+[[nodiscard]] constexpr bool arrives_before(const ArrivalKey& a, const ArrivalKey& b) noexcept {
+    if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
+    if (a.stream != b.stream) return a.stream < b.stream;
+    return a.frame_index < b.frame_index;
+}
+
 /// Parsed header + stream table of a trace file.
 struct TraceInfo {
     std::uint32_t format_version = kFormatVersion;

@@ -120,7 +120,7 @@ double satisfaction_rate(const std::vector<double>& values, double limit) noexce
     if (values.empty()) return 0.0;
     std::size_t ok = 0;
     for (const double v : values) {
-        if (v <= limit) ++ok;
+        if (meets_limit(v, limit)) ++ok;
     }
     return static_cast<double>(ok) / static_cast<double>(values.size());
 }

@@ -71,10 +71,16 @@ private:
 [[nodiscard]] std::vector<double> percentiles(std::vector<double> values,
                                               const std::vector<double>& ps);
 
-/// Fraction of samples satisfying x <= limit; the satisfaction rate R_L of
-/// Tables 1-2. A sample exactly on the limit is satisfied -- the same
-/// boundary rule as the serving layer's SLO accounting (missed means
-/// e2e > slo). Returns 0 for an empty range.
+/// The one latency-limit boundary rule of the repo: a value exactly on its
+/// limit meets it. R_L (satisfaction_rate, runtime::Trace::summary) and the
+/// serving ledger's SLO misses (missed means !meets_limit(e2e, slo)) all
+/// call this.
+[[nodiscard]] constexpr bool meets_limit(double value, double limit) noexcept {
+    return value <= limit;
+}
+
+/// Fraction of samples that meets_limit(x, limit); the satisfaction rate R_L
+/// of Tables 1-2. Returns 0 for an empty range.
 [[nodiscard]] double satisfaction_rate(const std::vector<double>& values, double limit) noexcept;
 
 /// Pearson correlation of two equal-length series (0 if degenerate).

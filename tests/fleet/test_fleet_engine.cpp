@@ -64,9 +64,10 @@ void expect_traces_identical(const FleetTrace& a, const FleetTrace& b,
     EXPECT_EQ(a.makespan_s(), b.makespan_s()) << label;
     EXPECT_EQ(a.total_energy_j(), b.total_energy_j()) << label;
     EXPECT_EQ(a.migrations(), b.migrations()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const auto& x = a[i];
-        const auto& y = b[i];
+    ASSERT_EQ(a.records().size(), b.records().size()) << label;
+    for (std::size_t i = 0; i < a.records().size(); ++i) {
+        const auto& x = a.records()[i];
+        const auto& y = b.records()[i];
         ASSERT_EQ(x.row.request_id, y.row.request_id) << label << " row " << i;
         ASSERT_EQ(x.device, y.device) << label << " row " << i;
         ASSERT_EQ(x.migrated, y.migrated) << label << " row " << i;

@@ -65,8 +65,8 @@ TEST(Trace, PerRowConstraints) {
 }
 
 TEST(Trace, ExactBoundaryCountsAsSatisfied) {
-    // "<= is satisfied": same boundary rule as util::satisfaction_rate and
-    // the serving layer's slo_satisfied.
+    // "<= is satisfied": Trace::summary calls util::meets_limit, the rule
+    // util::satisfaction_rate and the serving ledger's misses share.
     Trace t;
     t.add(make_row(0, 450, 450)); // exactly on the constraint
     EXPECT_NEAR(t.summary().satisfaction_rate, 1.0, 1e-12);

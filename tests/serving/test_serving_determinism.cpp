@@ -51,9 +51,10 @@ void expect_traces_identical(const ServingTrace& a, const ServingTrace& b,
     EXPECT_EQ(a.makespan_s(), b.makespan_s()) << label;
     EXPECT_EQ(a.total_energy_j(), b.total_energy_j()) << label;
     EXPECT_EQ(a.max_queue_depth(), b.max_queue_depth()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const auto& x = a[i];
-        const auto& y = b[i];
+    ASSERT_EQ(a.records().size(), b.records().size()) << label;
+    for (std::size_t i = 0; i < a.records().size(); ++i) {
+        const auto& x = a.records()[i];
+        const auto& y = b.records()[i];
         ASSERT_EQ(x.request_id, y.request_id) << label << " row " << i;
         ASSERT_EQ(x.stream, y.stream) << label << " row " << i;
         ASSERT_EQ(x.arrival_s, y.arrival_s) << label << " row " << i;

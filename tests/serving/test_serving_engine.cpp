@@ -237,11 +237,11 @@ TEST(ServingEngine, RequestTelemetryNamesTheDevice) {
 
 TEST(SloBoundary, ExactlyOnSloIsSatisfied) {
     // One boundary rule across the repo: "<= limit is satisfied". The
-    // serving ledger (missed = !slo_satisfied) and the experiment tables
+    // serving ledger (missed = !util::meets_limit) and the experiment tables
     // (util::satisfaction_rate) must agree on the exact-boundary case.
-    EXPECT_TRUE(slo_satisfied(2.0, 2.0));
-    EXPECT_TRUE(slo_satisfied(1.999, 2.0));
-    EXPECT_FALSE(slo_satisfied(std::nextafter(2.0, 3.0), 2.0));
+    EXPECT_TRUE(util::meets_limit(2.0, 2.0));
+    EXPECT_TRUE(util::meets_limit(1.999, 2.0));
+    EXPECT_FALSE(util::meets_limit(std::nextafter(2.0, 3.0), 2.0));
     EXPECT_DOUBLE_EQ(util::satisfaction_rate({2.0}, 2.0), 1.0);
     EXPECT_DOUBLE_EQ(util::satisfaction_rate({std::nextafter(2.0, 3.0)}, 2.0), 0.0);
 }

@@ -192,6 +192,53 @@ TEST(TraceFormat, SliceAndMergeReconstructByteForByte) {
     EXPECT_EQ(read_file(full), read_file(merged));
 }
 
+TEST(TraceFormat, ParitySplitOfATieHeavyTraceMergesBackByteForByte) {
+    // Periodic phase-0 streams at one rate tie across streams at every
+    // arrival; zero-spread bursty volleys tie within a stream. Splitting by
+    // id parity interleaves both kinds of tie across the two inputs, so the
+    // merge reproduces the trace only if it breaks ties exactly as the
+    // timeline that generated it (trace::arrives_before).
+    std::vector<serving::StreamSpec> streams;
+    for (std::size_t i = 0; i < 4; ++i) {
+        serving::StreamSpec s;
+        s.name = "tie" + std::to_string(i);
+        s.requests = 48;
+        s.arrival.kind = i < 2 ? serving::ArrivalKind::periodic : serving::ArrivalKind::bursty;
+        s.arrival.rate_hz = 2.0;
+        s.arrival.burst = 4;
+        s.arrival.burst_spread_s = 0.0;
+        streams.push_back(std::move(s));
+    }
+    const TempDir dir("parity");
+    const auto full = dir.file("full.ltrc");
+    synth_trace(full, streams, 21);
+
+    Reader in(full);
+    const auto even = dir.file("even.ltrc");
+    const auto odd = dir.file("odd.ltrc");
+    std::size_t cross_stream_ties = 0;
+    std::size_t within_stream_ties = 0;
+    {
+        Writer even_out(even, in.info().streams);
+        Writer odd_out(odd, in.info().streams);
+        TraceRecord prev;
+        TraceRecord rec;
+        for (bool first = true; in.next(rec); first = false) {
+            if (!first && rec.arrival_s == prev.arrival_s) {
+                ++(rec.stream == prev.stream ? within_stream_ties : cross_stream_ties);
+            }
+            (rec.id % 2 == 0 ? even_out : odd_out).add(rec);
+            prev = rec;
+        }
+    }
+    EXPECT_GT(cross_stream_ties, 10u);
+    EXPECT_GT(within_stream_ties, 10u);
+
+    const auto merged = dir.file("merged.ltrc");
+    merge_traces({odd, even}, merged);
+    EXPECT_EQ(read_file(full), read_file(merged));
+}
+
 TEST(TraceFormat, SliceTimeSelectsTheArrivalWindow) {
     const TempDir dir("slicetime");
     const auto full = dir.file("full.ltrc");
