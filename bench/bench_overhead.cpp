@@ -13,44 +13,35 @@
 //    the engine charges to every frame, as a share of the measured frame
 //    latency, for zTT (one decision) vs LOTUS (two decisions).
 //
-// The wall-clock numbers are inherently non-deterministic; everything
-// driven through the harness is seed-reproducible like every other bench.
-
-// PR 3 adds a second kind of overhead analysis: the cost of the simulator
-// itself. The single time-advance authority steps the RC thermal network
-// with a closed-form exponential solution between events instead of fixed
-// 20 ms slicing with 5 ms Euler sub-steps. The stepper cell below runs
-// serve_saturation and FAILS the bench (non-zero exit, it runs as a CTest
-// smoke) unless the closed form spends <= 1/3 of the integration steps the
-// Euler slicing took (a count recorded before that integrator was deleted)
-// while the serving-level latency and temperature metrics stay within 1% of
-// a closed-form run at 1/100 of the default accuracy bound.
+// Beyond the paper, the bench measures the simulator itself and FAILS
+// (non-zero exit; it runs as a CTest smoke) when a bar is missed:
 //
-// PR 6 extends the same pattern to the host-side hot path and records the
-// result as a machine-readable perf trajectory, BENCH_overhead.json
-// (stamped with its own cell-layout version + build id), written to the
-// working directory:
+//  * thermal stepper on serve_saturation: the closed-form exponential must
+//    spend <= 1/3 of the integration steps the deleted 20 ms-slice Euler
+//    integrator took (counts recorded before it was deleted), with the
+//    serving-level latency and temperature metrics within 1% of a run at
+//    1/100 of the default accuracy bound.
 //
-//  * DQN train step (batch 32, the paper's Q-network): us/step, matvec
-//    and allocation counts;
+// The perf trajectory, written to BENCH_overhead.json in the working
+// directory (stamped with its cell-layout version and the build id):
+//
+//  * DQN train step (batch 32, the paper's Q-network): us/step, matvec,
+//    allocation and bootstrap-memo counts;
 //  * serve_saturation end to end: wall-clock, host requests/sec, thermal
 //    steps, matvec counts (single-sample forwards: the act path) and
-//    allocation counts;
-//  * the summary-only ledger fast path vs full row capture (same JSON,
-//    fewer allocations);
-//  * the internal profiler's timers-enabled overhead on
-//    serve_fleet_saturation: scopes entered x CPU cost per scope must stay
-//    <= 2% of the run's CPU time (the median of interleaved on/off pair
-//    ratios is reported alongside);
-//  * the sim-time telemetry recorder's overhead on serve_saturation
-//    (PR 7; recording includes the windowed rollups), gated hard on
-//    byte-identical scenario JSON with recording on vs off, softly on
-//    wall-clock;
+//    allocation counts; summary-only ledgers must allocate fewer bytes;
+//  * profiler timers on serve_fleet_saturation: scopes entered x CPU cost
+//    per scope must stay <= 2% of the run's timers-off CPU time;
+//  * telemetry recording and trace replay on serve_saturation: each fails
+//    only past 50% AND 100 ms over its plain run;
 //  * the queue gate: 8 streams x 5,000 requests (20,000 in full mode)
 //    under edf at 0.3 Hz per stream, where the queue grows to thousands,
 //    must finish within 1.5x the wall-clock of the same load at 0.2 Hz,
 //    where it stays short.
 //
+// Sanitizer builds (CMake's LOTUS_SANITIZE) skip the trajectory: wall-clock
+// ratios mean nothing there. Byte-identity (summary-only vs full ledger,
+// telemetry on vs off, replay vs generation) is the test suite's job.
 // CI compares the JSON against the committed
 // bench/BENCH_overhead.baseline.json via tools/check_bench_regression.py:
 // serve_saturation throughput normalized by the queue gate's under-capacity
@@ -72,9 +63,9 @@
 #include <vector>
 
 #include <time.h>
+#include <unistd.h>
 
 #include "common.hpp"
-#include "harness/sinks.hpp"
 #include "prof/profiler.hpp"
 #include "util/build_info.hpp"
 
@@ -163,27 +154,6 @@ void microbench() {
         table.add_row({"Q-network forward, width 0.75",
                        util::format_double(mean_us_per_call(
                            [&] { g_sink = net.forward(x, 0.75)[0]; }, calls), 2)});
-    }
-    {
-        rl::DqnConfig dqn_cfg;
-        dqn_cfg.batch_size = 32;
-        rl::DqnCore dqn(paper_qnet_config(), dqn_cfg);
-        rl::ReplayBuffer buffer(256);
-        util::Rng rng(3);
-        for (int i = 0; i < 256; ++i) {
-            rl::Transition t;
-            t.state = std::vector<double>(core::kStateDim, rng.uniform());
-            t.action = static_cast<int>(rng.uniform_int(0, 47));
-            t.reward = rng.uniform(-1, 2);
-            t.next_state = std::vector<double>(core::kStateDim, rng.uniform());
-            t.width_state = (i % 2 == 0) ? 0.75 : 1.0;
-            t.width_next = (i % 2 == 0) ? 1.0 : 0.75;
-            buffer.push(std::move(t));
-        }
-        table.add_row({"DQN train step, batch 32",
-                       util::format_double(mean_us_per_call(
-                           [&] { g_sink = dqn.train_step(buffer, rng, 1); },
-                           calls / 10 + 1), 2)});
     }
     {
         // Both per-frame decisions including state encoding and action
@@ -337,16 +307,19 @@ bool stepper_comparison() {
 }
 
 // ---------------------------------------------------------------------------
-// PR 6: perf trajectory -> BENCH_overhead.json.
+// Perf trajectory -> BENCH_overhead.json.
 
 /// Version of BENCH_overhead.json's cell layout, checked by
 /// tools/check_bench_regression.py; bumped whenever a cell changes shape
 /// (3: train_step and serve_saturation are single flat cells, and
 /// serve_saturation carries the reference_wall_s it is normalized by; 4:
-/// train_step carries bootstrap_rows and bootstrap_memo_hits). The string
-/// train_step.kernels (the RL kernel set, rl::kernel_set()) came without a
-/// bump: the check reads a missing one as "unknown" and only prints it. So
-/// did telemetry_overhead.export_s and export_bytes, which no gate reads.
+/// train_step carries bootstrap_rows and bootstrap_memo_hits). Keys added
+/// or dropped that no gate reads came without a bump: the string
+/// train_step.kernels (the RL kernel set, rl::kernel_set(); the check reads
+/// a missing one as "unknown" and only prints it), telemetry_overhead's
+/// export_s and export_bytes, and the dropped json_bit_identical flags,
+/// profiler_overhead's pairs, timers_on_cpu_s and overhead_pct, and
+/// trace_replay's requests (the check never reads them).
 constexpr int kBenchSchemaVersion = 4;
 
 /// %.6g rendering for the JSON document (full precision is timer noise).
@@ -356,16 +329,18 @@ std::string json_num(double v) {
     return buf;
 }
 
-/// Harness for the perf cells: same LOTUS_BENCH_JOBS override as the shared
-/// bench harness, plus the summary-only knob the shared one cannot toggle.
-harness::HarnessConfig perf_harness_config(bool summary_only) {
-    harness::HarnessConfig cfg;
-    if (const char* jobs = std::getenv("LOTUS_BENCH_JOBS")) {
-        const auto v = std::strtoull(jobs, nullptr, 10);
-        if (v > 0) cfg.jobs = static_cast<std::size_t>(v);
-    }
-    cfg.summary_only = summary_only;
+/// The bench harness configuration without per-request ledger rows.
+harness::HarnessConfig summary_only_config() {
+    auto cfg = bench::harness_config();
+    cfg.summary_only = true;
     return cfg;
+}
+
+/// A per-process scratch directory under the system temp directory, so
+/// concurrent bench runs on one host never share (or delete) each other's.
+std::filesystem::path scratch_dir(const std::string& stem) {
+    return std::filesystem::temp_directory_path() /
+           (stem + "_" + std::to_string(::getpid()));
 }
 
 struct TrainCell {
@@ -424,18 +399,19 @@ struct ServeCell {
     std::uint64_t alloc_bytes = 0;
     /// Min-of-N wall of the reference scenario (0 without one).
     double reference_wall_s = 0.0;
-    std::string json;
 };
 
 /// Run one full registry scenario on a fresh harness. `repeats > 1` re-runs
 /// for a min-of-N wall-clock (deterministic output, so only the first run's
-/// JSON/counters are kept). With a `reference`, every repeat is followed by
-/// one timed summary-only run of it, so the two min-of-N walls come from the
+/// counters are kept). With a `reference`, every repeat is followed by one
+/// timed summary-only run of it, so the two min-of-N walls come from the
 /// same stretch of host time.
 ServeCell run_serve_cell(const bench::Scenario& sc, bool summary_only, int repeats,
                          const bench::Scenario* reference = nullptr) {
-    const harness::ExperimentHarness h(perf_harness_config(summary_only));
-    const harness::ExperimentHarness ref_h(perf_harness_config(/*summary_only=*/true));
+    auto cfg = bench::harness_config();
+    cfg.summary_only = summary_only;
+    const harness::ExperimentHarness h(cfg);
+    const harness::ExperimentHarness ref_h(summary_only_config());
     ServeCell cell;
     for (int rep = 0; rep < repeats; ++rep) {
         prof::reset();
@@ -455,7 +431,6 @@ ServeCell run_serve_cell(const bench::Scenario& sc, bool summary_only, int repea
                 cell.requests += r.serving_trace->size();
                 cell.thermal_steps += r.serving_trace->thermal_steps();
             }
-            cell.json = harness::scenario_json(sc, results);
         } else {
             cell.wall_s = std::min(cell.wall_s, wall);
         }
@@ -528,48 +503,11 @@ double cpu_of_run(const bench::Scenario& sc, const harness::ExperimentHarness& h
     return c1 - c0;
 }
 
-double median(std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-struct ProfilerAb {
-    double off_cpu_s = 0.0;    ///< median over pairs, timers off
-    double on_cpu_s = 0.0;     ///< median over pairs, timers on
-    double on_off_ratio = 1.0; ///< median of the per-pair on/off ratios
-    std::uint64_t scopes = 0;  ///< timed scopes one run enters (deterministic)
-};
-
 /// Timed scopes in the current profiler report: the calls of every region.
 std::uint64_t scope_count() {
     std::uint64_t n = 0;
     for (const auto& r : prof::capture().regions) n += r.calls;
     return n;
-}
-
-/// Process CPU time with timers off vs on, in interleaved pairs (off, on,
-/// off, on, ...) after one untimed warm-up run. Each pair is compared on
-/// its own, so drift in host speed cancels within the pair, and the median
-/// over pairs ignores the odd pair a noisy neighbour lands on. The scope
-/// count comes from the first timers-on run's report.
-ProfilerAb profiler_ab_cpu_s(const bench::Scenario& sc, const harness::ExperimentHarness& h,
-                             int pairs) {
-    prof::set_enabled(false);
-    g_sink = cpu_of_run(sc, h); // warm-up, discarded
-    std::vector<double> off_s, on_s, ratio;
-    std::uint64_t scopes = 0;
-    for (int rep = 0; rep < pairs; ++rep) {
-        prof::set_enabled(false);
-        off_s.push_back(cpu_of_run(sc, h));
-        prof::set_enabled(true);
-        on_s.push_back(cpu_of_run(sc, h));
-        if (rep == 0) scopes = scope_count();
-        ratio.push_back(on_s.back() / std::max(off_s.back(), 1e-9));
-    }
-    prof::set_enabled(false);
-    prof::reset();
-    return {median(off_s), median(on_s), median(ratio), scopes};
 }
 
 /// CPU seconds of one enabled timer scope, nested under a parent like the
@@ -622,8 +560,7 @@ bool perf_trajectory() {
     const int train_steps = fast ? 80 : 400;
     const int serve_repeats = fast ? 2 : 1;
     const int reference_pairs = fast ? 10 : 2;
-    const int fleet_pairs = 2;
-    const int profiler_pairs = 3;
+    const int overhead_pairs = 2;
 
     // --- cell 1: DQN train step ---------------------------------------------
     const auto train = run_train_cell(train_steps);
@@ -640,7 +577,7 @@ bool perf_trajectory() {
 
     // --- cell 2: serve_saturation end to end ---------------------------------
     // Timed in interleaved pairs with the queue gate's under-capacity load
-    // (cell 7): the performance governor, no RL work, so its wall tracks the
+    // (cell 6): the performance governor, no RL work, so its wall tracks the
     // host's speed and not the code under test. CI's regression check
     // normalizes serve_saturation's requests/sec by it.
     const std::size_t gate_requests = fast ? 5'000 : 20'000;
@@ -650,16 +587,11 @@ bool perf_trajectory() {
     const auto serve =
         run_serve_cell(sc, /*summary_only=*/false, reference_pairs, &under_sc);
 
-    // --- cell 3: summary-only ledgers vs full row capture -------------------
-    // Row capture is already allocation-*count* cheap (one reserve per
-    // trace), so the fast path's win is the O(requests) row storage it never
-    // materialises: the gate is on allocated bytes.
+    // Summary-only ledgers vs full row capture. Row capture is already
+    // allocation-*count* cheap (one reserve per trace), so the fast path's
+    // win is the O(requests) row storage it never materialises: the gate is
+    // on allocated bytes.
     const auto summary_s = run_serve_cell(sc, /*summary_only=*/true, serve_repeats);
-    const bool summary_identical = summary_s.json == serve.json;
-    if (!summary_identical) {
-        std::printf("FAIL: summary-only JSON differs from full-ledger JSON\n");
-        ok = false;
-    }
     if (summary_s.alloc_bytes >= serve.alloc_bytes) {
         std::printf("FAIL: summary-only mode does not shrink allocated bytes "
                     "(%llu >= %llu)\n",
@@ -683,8 +615,7 @@ bool perf_trajectory() {
     };
     serve_row("full ledger", serve);
     serve_row("summary-only", summary_s);
-    std::printf("%s", serve_table.render("hot-path layers on serve_saturation (all arms; "
-                                         "JSON byte-identical across rows)")
+    std::printf("%s", serve_table.render("hot-path layers on serve_saturation (all arms)")
                           .c_str());
     std::printf("summary-only skips %.0f KB of ledger rows; reference run (queue gate "
                 "load at 0.2 Hz, no RL): %.3fs, min of %d interleaved with the full-ledger "
@@ -692,62 +623,58 @@ bool perf_trajectory() {
                 static_cast<double>(ledger_bytes_saved) / 1e3, serve.reference_wall_s,
                 reference_pairs);
 
-    // --- cell 4: profiler timers-enabled overhead ---------------------------
+    // --- cell 3: profiler timers-enabled overhead ---------------------------
     // Gated on a deterministic product: the scopes one run enters (from the
     // profiler's own report) times the CPU cost of one scope (timed
-    // in-process), as a share of the run's timers-off CPU time. Per-pair A/B
-    // ratios on a shared host spread by tens of percent, far more than the
-    // 2% under test, so their median is reported only.
+    // in-process), as a share of the run's timers-off CPU time. An on/off
+    // A/B on a shared host spreads by tens of percent, far more than the 2%
+    // under test, so none is taken. The timers-on run also warms up the
+    // timers-off run that gives the denominator.
     const auto& fleet_sc = bench::scenario("serve_fleet_saturation");
-    const harness::ExperimentHarness fleet_h(perf_harness_config(/*summary_only=*/true));
-    const auto prof_ab = profiler_ab_cpu_s(fleet_sc, fleet_h, profiler_pairs);
-    const double overhead_pct = (prof_ab.on_off_ratio - 1.0) * 100.0;
+    const harness::ExperimentHarness fleet_h(summary_only_config());
+    prof::set_enabled(true);
+    g_sink = cpu_of_run(fleet_sc, fleet_h);
+    const std::uint64_t scopes = scope_count();
+    prof::set_enabled(false);
+    const double timers_off_cpu_s = cpu_of_run(fleet_sc, fleet_h);
+    prof::reset();
     const double scope_ns = scope_cost_s() * 1e9;
-    const double timer_cost_pct = static_cast<double>(prof_ab.scopes) * scope_ns * 1e-9 /
-                                  std::max(prof_ab.off_cpu_s, 1e-9) * 100.0;
+    const double timer_cost_pct = static_cast<double>(scopes) * scope_ns * 1e-9 /
+                                  std::max(timers_off_cpu_s, 1e-9) * 100.0;
     if (timer_cost_pct > 2.0) {
         std::printf("FAIL: profiler timers cost %.2f%% of serve_fleet_saturation (> 2%%)\n",
                     timer_cost_pct);
         ok = false;
     }
     std::printf("profiler timers on serve_fleet_saturation: %llu scopes x %.1f ns = %.3f%% "
-                "of %.3fs CPU (A/B, not gated: %.3fs on, median of %d pair ratios "
-                "%.2f%%)\n\n",
-                static_cast<unsigned long long>(prof_ab.scopes), scope_ns, timer_cost_pct,
-                prof_ab.off_cpu_s, prof_ab.on_cpu_s, profiler_pairs, overhead_pct);
+                "of %.3fs CPU\n\n",
+                static_cast<unsigned long long>(scopes), scope_ns, timer_cost_pct,
+                timers_off_cpu_s);
 
-    // --- cell 5: sim-time telemetry recording and export overhead -----------
-    // The hard gate is correctness: scenario JSON must be byte-identical with
-    // recording on vs off (instrumentation must not perturb the simulation).
+    // --- cell 4: sim-time telemetry recording and export overhead -----------
     // The wall-clock bar is deliberately loose -- recording allocates per
     // event, and this cell documents the cost rather than policing scheduler
     // noise: fail only past 50% AND a 100 ms absolute excess. Export
     // (rendering every artifact and Recorder::write into a temp dir) is
-    // timed on the recording-on run's recorders and not gated.
-    auto tel_cfg_off = perf_harness_config(/*summary_only=*/true);
-    auto tel_cfg_on = tel_cfg_off;
-    tel_cfg_on.telemetry = true;
-    const harness::ExperimentHarness tel_h_off(tel_cfg_off);
-    const harness::ExperimentHarness tel_h_on(tel_cfg_on);
+    // timed on one recording run's recorders and not gated.
+    const harness::ExperimentHarness plain_h(summary_only_config());
+    auto tel_cfg = summary_only_config();
+    tel_cfg.telemetry = true;
+    const harness::ExperimentHarness tel_h(tel_cfg);
     std::uint64_t tel_events = 0;
     std::uint64_t tel_breaches = 0;
-    bool tel_identical = false;
     double tel_export_s = 0.0;
     std::uintmax_t tel_export_bytes = 0;
     {
-        // Correctness pass (doubles as warm-up for the timed pairs).
-        const auto r_off = tel_h_off.run(sc);
-        const auto r_on = tel_h_on.run(sc);
-        tel_identical =
-            harness::scenario_json(sc, r_off) == harness::scenario_json(sc, r_on);
+        // Export pass (doubles as warm-up for the timed pairs).
+        const auto r_on = tel_h.run(sc);
         for (const auto& r : r_on) {
             if (!r.telemetry) continue;
             tel_events += r.telemetry->event_count();
             tel_breaches += r.telemetry->breach_count();
         }
-        const auto export_dir =
-            std::filesystem::temp_directory_path() / "bench_overhead_telemetry";
-        for (int rep = 0; rep < fleet_pairs; ++rep) {
+        const auto export_dir = scratch_dir("bench_overhead_telemetry");
+        for (int rep = 0; rep < overhead_pairs; ++rep) {
             std::filesystem::remove_all(export_dir);
             const auto t0 = std::chrono::steady_clock::now();
             for (std::size_t i = 0; i < r_on.size(); ++i) {
@@ -764,19 +691,11 @@ bool perf_trajectory() {
         }
         std::filesystem::remove_all(export_dir);
     }
-    if (!tel_identical) {
-        std::printf("FAIL: scenario JSON differs with telemetry recording on\n");
-        ok = false;
-    }
-    if (tel_events == 0) {
-        std::printf("FAIL: telemetry recording captured zero events\n");
-        ok = false;
-    }
     double tel_off_s = 0.0;
     double tel_on_s = 0.0;
-    for (int rep = 0; rep < fleet_pairs; ++rep) {
-        const double off = wall_of_run(sc, tel_h_off);
-        const double on = wall_of_run(sc, tel_h_on);
+    for (int rep = 0; rep < overhead_pairs; ++rep) {
+        const double off = wall_of_run(sc, plain_h);
+        const double on = wall_of_run(sc, tel_h);
         tel_off_s = rep == 0 ? off : std::min(tel_off_s, off);
         tel_on_s = rep == 0 ? on : std::min(tel_on_s, on);
     }
@@ -789,55 +708,31 @@ bool perf_trajectory() {
         ok = false;
     }
     std::printf("telemetry recording on serve_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead, %llu events, %llu breaches, JSON %s); export "
+                "(%.2f%% overhead, %llu events, %llu breaches); export "
                 "%.3fs for %llu bytes (not gated)\n\n",
                 tel_off_s, tel_on_s, tel_overhead_pct,
                 static_cast<unsigned long long>(tel_events),
-                static_cast<unsigned long long>(tel_breaches),
-                tel_identical ? "byte-identical" : "DIFFERS", tel_export_s,
+                static_cast<unsigned long long>(tel_breaches), tel_export_s,
                 static_cast<unsigned long long>(tel_export_bytes));
 
-    // --- cell 6: trace capture + replay -------------------------------------
-    // The trace subsystem's whole value rests on replay being *the same
-    // episode*: record serve_saturation's request timelines during one run,
-    // replay the scenario from the recorded .ltrc files, and hard-gate
-    // byte-identity of the scenario JSON. The wall bar mirrors cell 5
-    // (fail only past 50% AND a 100 ms absolute excess): replay skips the
-    // arrival/frame RNG work but pays file I/O, so the cell documents the
-    // trade rather than policing noise.
-    const auto trace_dir =
-        (std::filesystem::temp_directory_path() / "bench_overhead_traces").string();
+    // --- cell 5: trace capture + replay -------------------------------------
+    // Record serve_saturation's request timelines during one run, then time
+    // the scenario replayed from the recorded .ltrc files against analytic
+    // generation. The bar mirrors cell 4 (fail only past 50% AND a 100 ms
+    // absolute excess): replay skips the arrival/frame RNG work but pays
+    // file I/O, so the cell documents the trade rather than policing noise.
+    const auto trace_dir = scratch_dir("bench_overhead_traces").string();
     std::filesystem::remove_all(trace_dir);
-    auto rec_cfg = perf_harness_config(/*summary_only=*/true);
+    auto rec_cfg = summary_only_config();
     rec_cfg.trace_dir = trace_dir;
-    auto rep_cfg = perf_harness_config(/*summary_only=*/true);
+    auto rep_cfg = summary_only_config();
     rep_cfg.replay_dir = trace_dir;
-    const harness::ExperimentHarness rec_h(rec_cfg);
     const harness::ExperimentHarness rep_h(rep_cfg);
-    bool replay_identical = false;
-    std::uint64_t replay_requests = 0;
-    {
-        // Correctness pass (doubles as warm-up for the timed pairs).
-        const auto r_gen = rec_h.run(sc);
-        const auto r_rep = rep_h.run(sc);
-        replay_identical =
-            harness::scenario_json(sc, r_gen) == harness::scenario_json(sc, r_rep);
-        for (const auto& r : r_rep) {
-            if (r.serving_trace) replay_requests += r.serving_trace->size();
-        }
-    }
-    if (!replay_identical) {
-        std::printf("FAIL: scenario JSON differs between recorded and replayed runs\n");
-        ok = false;
-    }
-    if (replay_requests == 0) {
-        std::printf("FAIL: replayed run served zero requests\n");
-        ok = false;
-    }
+    g_sink = static_cast<double>(harness::ExperimentHarness(rec_cfg).run(sc).size());
     double gen_s = 0.0;
     double rep_s = 0.0;
-    for (int rep = 0; rep < fleet_pairs; ++rep) {
-        const double g = wall_of_run(sc, tel_h_off); // analytic arrivals, no capture
+    for (int rep = 0; rep < overhead_pairs; ++rep) {
+        const double g = wall_of_run(sc, plain_h); // analytic arrivals, no capture
         const double r = wall_of_run(sc, rep_h);
         gen_s = rep == 0 ? g : std::min(gen_s, g);
         rep_s = rep == 0 ? r : std::min(rep_s, r);
@@ -850,17 +745,15 @@ bool perf_trajectory() {
         ok = false;
     }
     std::printf("trace replay on serve_saturation: %.3fs generated, %.3fs replayed "
-                "(%.2f%% overhead, %llu requests, JSON %s)\n\n",
-                gen_s, rep_s, replay_overhead_pct,
-                static_cast<unsigned long long>(replay_requests),
-                replay_identical ? "byte-identical" : "DIFFERS");
+                "(%.2f%% overhead)\n\n",
+                gen_s, rep_s, replay_overhead_pct);
     std::filesystem::remove_all(trace_dir);
 
-    // --- cell 7: queue gate -------------------------------------------------
+    // --- cell 6: queue gate -------------------------------------------------
     // The same request count at an overloaded and an under-capacity rate:
     // simulated work is about equal, so a queue whose pick cost grows with
     // its depth shows up as the overloaded run's extra wall time.
-    const harness::ExperimentHarness gate_h(perf_harness_config(/*summary_only=*/true));
+    const harness::ExperimentHarness gate_h(summary_only_config());
     std::size_t overloaded_depth = 0;
     std::size_t under_depth = 0;
     {
@@ -905,16 +798,12 @@ bool perf_trajectory() {
        << "    \"summary_only_ledgers\": {\n"
        << "      \"full\": " << serve_cell_json(serve) << ",\n"
        << "      \"summary_only\": " << serve_cell_json(summary_s) << ",\n"
-       << "      \"ledger_bytes_saved\": " << ledger_bytes_saved << ",\n"
-       << "      \"json_bit_identical\": " << (summary_identical ? "true" : "false") << "\n"
+       << "      \"ledger_bytes_saved\": " << ledger_bytes_saved << "\n"
        << "    },\n"
        << "    \"profiler_overhead\": {\n"
        << "      \"scenario\": \"serve_fleet_saturation\",\n"
-       << "      \"pairs\": " << profiler_pairs << ",\n"
-       << "      \"timers_off_cpu_s\": " << json_num(prof_ab.off_cpu_s) << ",\n"
-       << "      \"timers_on_cpu_s\": " << json_num(prof_ab.on_cpu_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(overhead_pct) << ",\n"
-       << "      \"scopes\": " << prof_ab.scopes << ",\n"
+       << "      \"timers_off_cpu_s\": " << json_num(timers_off_cpu_s) << ",\n"
+       << "      \"scopes\": " << scopes << ",\n"
        << "      \"scope_ns\": " << json_num(scope_ns) << ",\n"
        << "      \"timer_cost_pct\": " << json_num(timer_cost_pct) << "\n"
        << "    },\n"
@@ -925,7 +814,6 @@ bool perf_trajectory() {
        << "      \"overhead_pct\": " << json_num(tel_overhead_pct) << ",\n"
        << "      \"events\": " << tel_events << ",\n"
        << "      \"breaches\": " << tel_breaches << ",\n"
-       << "      \"json_bit_identical\": " << (tel_identical ? "true" : "false") << ",\n"
        << "      \"export_s\": " << json_num(tel_export_s) << ",\n"
        << "      \"export_bytes\": " << tel_export_bytes << "\n"
        << "    },\n"
@@ -933,9 +821,7 @@ bool perf_trajectory() {
        << "      \"scenario\": \"serve_saturation\",\n"
        << "      \"generated_wall_s\": " << json_num(gen_s) << ",\n"
        << "      \"replayed_wall_s\": " << json_num(rep_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(replay_overhead_pct) << ",\n"
-       << "      \"requests\": " << replay_requests << ",\n"
-       << "      \"json_bit_identical\": " << (replay_identical ? "true" : "false") << "\n"
+       << "      \"overhead_pct\": " << json_num(replay_overhead_pct) << "\n"
        << "    },\n"
        << "    \"serve_overload\": {\n"
        << "      \"streams\": 8,\n"
@@ -997,16 +883,13 @@ int main() {
                 "argument.\n\n");
 
     const bool stepper_ok = stepper_comparison();
-    // Under instrumented builds (ASan CI) wall-clock ratios are meaningless
-    // and the trajectory's runs are 10x slower; LOTUS_BENCH_SKIP_PERF=1
-    // skips them (the deterministic byte-identity claims stay covered by
-    // the test suite, which the sanitizer job runs in full).
-    const char* skip = std::getenv("LOTUS_BENCH_SKIP_PERF");
-    bool trajectory_ok = true;
-    if (skip != nullptr && skip[0] != '\0' && skip[0] != '0') {
-        std::printf("perf trajectory skipped (LOTUS_BENCH_SKIP_PERF)\n");
-    } else {
-        trajectory_ok = perf_trajectory();
-    }
+#ifdef LOTUS_SANITIZED_BUILD
+    // Instrumented code runs 5-15x slower, unevenly, so its wall-clock
+    // ratios gate nothing.
+    std::printf("perf trajectory skipped (sanitizer build)\n");
+    const bool trajectory_ok = true;
+#else
+    const bool trajectory_ok = perf_trajectory();
+#endif
     return (stepper_ok && trajectory_ok) ? 0 : 1;
 }

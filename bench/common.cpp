@@ -12,18 +12,20 @@ bool env_flag(const char* name) {
 }
 
 const harness::ExperimentHarness& shared_harness() {
-    static const harness::ExperimentHarness h([] {
-        harness::HarnessConfig cfg;
-        if (const char* jobs = std::getenv("LOTUS_BENCH_JOBS")) {
-            const auto v = std::strtoull(jobs, nullptr, 10);
-            if (v > 0) cfg.jobs = static_cast<std::size_t>(v);
-        }
-        return cfg;
-    }());
+    static const harness::ExperimentHarness h(harness_config());
     return h;
 }
 
 } // namespace
+
+harness::HarnessConfig harness_config() {
+    harness::HarnessConfig cfg;
+    if (const char* jobs = std::getenv("LOTUS_BENCH_JOBS")) {
+        const auto v = std::strtoull(jobs, nullptr, 10);
+        if (v > 0) cfg.jobs = static_cast<std::size_t>(v);
+    }
+    return cfg;
+}
 
 const Scenario& scenario(const std::string& name) {
     return harness::ScenarioRegistry::instance().at(name);

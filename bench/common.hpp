@@ -21,6 +21,10 @@ namespace lotus::bench {
 using harness::EpisodeResult;
 using harness::Scenario;
 
+/// The bench harness configuration: defaults, with LOTUS_BENCH_JOBS as
+/// the pool size when set.
+[[nodiscard]] harness::HarnessConfig harness_config();
+
 /// The registry scenario with this name (throws if unknown).
 [[nodiscard]] const Scenario& scenario(const std::string& name);
 

@@ -101,12 +101,6 @@ double sorted_percentile(const std::vector<double>& sorted, double p) {
 
 } // namespace
 
-double percentile(std::vector<double> values, double p) {
-    if (values.empty()) throw std::invalid_argument("percentile: empty input");
-    std::sort(values.begin(), values.end());
-    return sorted_percentile(values, p);
-}
-
 std::vector<double> percentiles(std::vector<double> values, const std::vector<double>& ps) {
     if (values.empty()) throw std::invalid_argument("percentiles: empty input");
     std::sort(values.begin(), values.end());

@@ -60,14 +60,9 @@ private:
     std::vector<double> buf_;
 };
 
-/// Percentile over a copy of the data (exact, nearest-rank with linear
-/// interpolation). p in [0, 100].
-[[nodiscard]] double percentile(std::vector<double> values, double p);
-
-/// Several percentiles over ONE sort of the data: returns one value per
-/// entry of `ps` (each clamped to [0, 100]), in the same order, each equal
-/// to what percentile(values, p) would return. Use this instead of repeated
-/// percentile() calls when extracting p50/p95/p99 from the same series.
+/// Percentiles over ONE sort of a copy of the data: returns one value per
+/// entry of `ps` (each clamped to [0, 100]), in the same order. Exact:
+/// linear interpolation at rank p/100 * (n - 1). Throws on empty input.
 [[nodiscard]] std::vector<double> percentiles(std::vector<double> values,
                                               const std::vector<double>& ps);
 

@@ -12,7 +12,8 @@
 //    CSV ledgers, the `_summary.csv`, the printed summary table and the
 //    telemetry artifacts (health.json, trace.json, breaches.jsonl,
 //    rollup.json, manifest.json) of one serving and one fleet scenario.
-//    Those two run with telemetry on, which must not move their scenario
+//    Those two run with telemetry on, and again summary-only with telemetry
+//    off: neither the recorder nor the row capture may move their scenario
 //    JSON.
 //  * Arm overrides: one scenario per kind of per-arm variation (detector,
 //    pinned proposal count, rescaled constraint), in full-ledger mode.
@@ -213,6 +214,9 @@ TEST(LifecycleGoldenDigests, FullLedgerRunsMatchPinnedDigests) {
             EXPECT_EQ(table_digest(sc, results), pin.table) << pin.scenario;
         }
         if (pinned_telemetry) {
+            // The LOTUS arm neither reads the recorder nor needs the rows:
+            // summary-only with telemetry off renders the same JSON.
+            EXPECT_EQ(json_digest(sc, run_scenario(sc, true)), pin.json) << pin.scenario;
             using telemetry::Recorder;
             EXPECT_EQ(telemetry_digest(results, &Recorder::health_json), pin.health)
                 << pin.scenario;

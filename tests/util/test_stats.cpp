@@ -169,35 +169,35 @@ TEST(WindowedStats, ResetEmpties) {
 
 TEST(Percentile, KnownValues) {
     std::vector<double> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-    EXPECT_DOUBLE_EQ(percentile(v, 0), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 100), 10.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 50), 5.5);
+    EXPECT_DOUBLE_EQ(percentiles(v, {0})[0], 1.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {100})[0], 10.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {50})[0], 5.5);
 }
 
 TEST(Percentile, UnsortedInput) {
     std::vector<double> v{9, 1, 5, 3, 7};
-    EXPECT_DOUBLE_EQ(percentile(v, 50), 5.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {50})[0], 5.0);
 }
 
 TEST(Percentile, EmptyThrows) {
-    EXPECT_THROW((void)percentile({}, 50), std::invalid_argument);
+    EXPECT_THROW((void)percentiles({}, {50}), std::invalid_argument);
 }
 
 TEST(Percentile, ClampsP) {
     std::vector<double> v{1, 2, 3};
-    EXPECT_DOUBLE_EQ(percentile(v, -5), 1.0);
-    EXPECT_DOUBLE_EQ(percentile(v, 150), 3.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {-5})[0], 1.0);
+    EXPECT_DOUBLE_EQ(percentiles(v, {150})[0], 3.0);
 }
 
 TEST(Percentiles, MatchesSingleCallsOverOneSort) {
     const std::vector<double> v{9, 1, 5, 3, 7, 2, 8, 4, 6, 10};
     const auto batch = percentiles(v, {0.0, 50.0, 95.0, 99.0, 100.0});
     ASSERT_EQ(batch.size(), 5u);
-    EXPECT_DOUBLE_EQ(batch[0], percentile(v, 0.0));
-    EXPECT_DOUBLE_EQ(batch[1], percentile(v, 50.0));
-    EXPECT_DOUBLE_EQ(batch[2], percentile(v, 95.0));
-    EXPECT_DOUBLE_EQ(batch[3], percentile(v, 99.0));
-    EXPECT_DOUBLE_EQ(batch[4], percentile(v, 100.0));
+    EXPECT_DOUBLE_EQ(batch[0], percentiles(v, {0.0})[0]);
+    EXPECT_DOUBLE_EQ(batch[1], percentiles(v, {50.0})[0]);
+    EXPECT_DOUBLE_EQ(batch[2], percentiles(v, {95.0})[0]);
+    EXPECT_DOUBLE_EQ(batch[3], percentiles(v, {99.0})[0]);
+    EXPECT_DOUBLE_EQ(batch[4], percentiles(v, {100.0})[0]);
 }
 
 TEST(Percentiles, PreservesRequestOrderAndClamps) {

@@ -4,7 +4,8 @@
 Usage:
     check_bench_regression.py CURRENT BASELINE [--threshold 0.10] [--absolute]
 
-CURRENT is the BENCH_overhead.json a fresh bench_overhead run wrote;
+CURRENT is the BENCH_overhead.json a fresh bench_overhead run wrote (CI
+reads the one its bench_overhead_smoke CTest leaves in the build directory);
 BASELINE is the committed bench/BENCH_overhead.baseline.json.
 
 Raw requests/sec depend on the host CPU, so by default the check compares
@@ -20,11 +21,11 @@ serve_saturation runs (min of N each), so both walls come from the same
 stretch of host time. The check fails when the current value falls more
 than --threshold (10%) below the baseline's. It also fails when
 serve_saturation.matvec_calls (a deterministic count of single-sample
-Q-network forwards) exceeds the baseline's, re-asserts the correctness
-flags the bench already gated on (byte-identical JSON across ledger modes,
-telemetry recording and trace replay) and the queue gate (serve_overload
-wall_ratio <= 1.5: the overloaded run within 1.5x of the under-capacity
-one), so a stale or hand-edited trajectory file cannot slip through.
+Q-network forwards) exceeds the baseline's, and re-asserts the queue gate
+(serve_overload wall_ratio <= 1.5: the overloaded run within 1.5x of the
+under-capacity one), so a stale or hand-edited trajectory file cannot slip
+through. Byte-identity (ledger modes, telemetry recording, trace replay) is
+the test suite's to check, not the trajectory's.
 
 Even on a pass, every numeric metric of every cell present in both files
 is printed as a current-vs-baseline delta so CI logs show the trend, not
@@ -152,16 +153,6 @@ def main():
                         f"baseline fast_mode={base.get('fast_mode')} "
                         "(compare like with like)")
 
-    # Correctness flags: the bench exits non-zero when these fail, but a
-    # stale artifact would still carry false here.
-    flags = [
-        ("summary_only_ledgers", "json_bit_identical"),
-        ("telemetry_overhead", "json_bit_identical"),
-        ("trace_replay", "json_bit_identical"),
-    ]
-    for cell, flag in flags:
-        if cur.get("cells", {}).get(cell, {}).get(flag) is not True:
-            failures.append(f"current {cell}.{flag} is not true")
     queue_ratio = cur.get("cells", {}).get("serve_overload", {}).get("wall_ratio")
     if not isinstance(queue_ratio, (int, float)) or queue_ratio > QUEUE_GATE_RATIO:
         failures.append(f"current serve_overload.wall_ratio is {queue_ratio!r}, "
