@@ -98,6 +98,16 @@ FleetDevice make_device(std::string id, platform::DeviceSpec spec) {
     return FleetDevice(std::move(id), std::move(spec));
 }
 
+std::vector<FleetDevice> device_pool(const platform::DeviceSpec& spec,
+                                     const std::string& prefix, std::size_t n) {
+    std::vector<FleetDevice> pool;
+    pool.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        pool.push_back(make_device(prefix + std::to_string(i), spec));
+    }
+    return pool;
+}
+
 FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
     if (config_.devices.empty()) {
         throw std::invalid_argument("FleetEngine: no devices configured");

@@ -88,4 +88,8 @@ struct FleetConfig {
 /// Convenience builder for a pool slot.
 [[nodiscard]] FleetDevice make_device(std::string id, platform::DeviceSpec spec);
 
+/// A homogeneous pool of n copies of `spec`, ids <prefix>0..<prefix>n-1.
+[[nodiscard]] std::vector<FleetDevice> device_pool(const platform::DeviceSpec& spec,
+                                                   const std::string& prefix, std::size_t n);
+
 } // namespace lotus::fleet

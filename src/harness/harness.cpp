@@ -53,15 +53,15 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
     telemetry::BindScope bind(recorder.get());
 
     // Trace capture/replay applies to episodes with a request timeline
-    // (serving/fleet). The capture scope is thread-local, so concurrent
-    // episodes on other workers record to their own paths.
+    // (serving/fleet). Capture writes the timeline the engine is about to
+    // serve -- generated, or replayed when replay_dir is set, so recording a
+    // replay reproduces its input: record(replay(t)) == t.
     const bool has_timeline = scenario.fleet.has_value() || scenario.serving.has_value();
     std::string capture_to;
     if (has_timeline && !config_.trace_dir.empty()) {
         capture_to =
             episode_trace_path(config_.trace_dir, scenario.name, arm_index, arm.name);
     }
-    trace::CaptureScope capture(capture_to);
     std::string replay_from;
     if (has_timeline && !config_.replay_dir.empty()) {
         replay_from =
@@ -90,6 +90,9 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
             };
         }
         const fleet::FleetEngine engine(fleet_cfg);
+        if (!capture_to.empty()) {
+            trace::write_trace(capture_to, fleet_cfg.streams, engine.build_requests());
+        }
         auto trace = engine.run(factory, governor_root);
         EpisodeResult result{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),
@@ -110,6 +113,9 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         // Non-learning governors need no warm-up (same rule as below).
         if (governor->decision_overhead_s() == 0.0) serving_cfg.pretrain_iterations = 0;
         const serving::ServingEngine engine(serving_cfg);
+        if (!capture_to.empty()) {
+            trace::write_trace(capture_to, serving_cfg.streams, engine.build_requests());
+        }
         auto trace = engine.run(*governor);
         return EpisodeResult{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),

@@ -150,17 +150,6 @@ Scenario fleet_scenario(const platform::DeviceSpec& spec, std::string name,
     return s;
 }
 
-/// A homogeneous pool of n copies of `spec`, ids <prefix>0..<prefix>n-1.
-std::vector<fleet::FleetDevice> device_pool(const platform::DeviceSpec& spec,
-                                            const std::string& prefix, std::size_t n) {
-    std::vector<fleet::FleetDevice> pool;
-    pool.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.push_back(fleet::make_device(prefix + std::to_string(i), spec));
-    }
-    return pool;
-}
-
 /// Heatwave ambient: 25 C baseline, ramp to a mid-run peak, ramp back --
 /// a summer-afternoon profile no paper figure covers.
 workload::AmbientProfile heatwave_profile(std::size_t frames, double peak_c) {
@@ -675,7 +664,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "placement gives it exactly the load it can carry. The "
                 "headline router comparison (bench_fleet).",
                 "edf_admit");
-            s.fleet->devices = device_pool(orin, "orin", 4);
+            s.fleet->devices = fleet::device_pool(orin, "orin", 4);
             // Rack-position ambient gradient: the devices are identical, the
             // airflow is not -- which is exactly where placement decides
             // whether a die trips.
@@ -706,7 +695,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "edf_admit");
             const double mi11_l = workload::latency_constraint_s(
                 mi11.name, DetectorKind::faster_rcnn, "KITTI");
-            s.fleet->devices = device_pool(orin, "orin", 2);
+            s.fleet->devices = fleet::device_pool(orin, "orin", 2);
             for (std::size_t i = 0; i < 2; ++i) {
                 auto d = fleet::make_device("mi11_" + std::to_string(i), mi11);
                 d.pretrain_constraint_s = mi11_l;
@@ -733,7 +722,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "and its queue re-routes to the survivors -- the pool must "
                 "absorb the peak with 3/4 of its capacity.",
                 "edf_admit");
-            s.fleet->devices = device_pool(orin, "orin", 4);
+            s.fleet->devices = fleet::device_pool(orin, "orin", 4);
             const double rate = 1.15;
             // The timeline spans ~requests/rate seconds per stream; withdraw
             // the device at 40% of that horizon.
@@ -759,7 +748,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "queue to the rest of the pool instead of serving the "
                 "backlog at clamp speed.",
                 "edf_admit");
-            s.fleet->devices = device_pool(orin, "orin", 3);
+            s.fleet->devices = fleet::device_pool(orin, "orin", 3);
             // Strong airflow gradient: the choked corner trips under volley
             // load that the rest of the pool shrugs off -- the regime where
             // migration pays (or does not; that is the arm comparison).

@@ -27,6 +27,17 @@ std::string artifact_name(std::string s) {
 
 namespace {
 
+/// Sanitizing is lossy ("a,b" and "a.b" both map to "a_b"), so artifact
+/// names are made unique per directory: the first use of `base` keeps it,
+/// repeats get "_2", "_3", ... in call (declaration) order.
+std::string unique_name(std::set<std::string>& used, const std::string& base) {
+    std::string name = base;
+    for (std::size_t n = 2; !used.insert(name).second; ++n) {
+        name = base + "_" + std::to_string(n);
+    }
+    return name;
+}
+
 /// Largest latency constraint across an episode's schedule segments (the
 /// reference line drawn in multi-domain figures).
 double max_constraint_ms(const EpisodeResult& r) {
@@ -259,21 +270,15 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
                       const std::vector<EpisodeResult>& results, bool announce) {
     std::filesystem::create_directories(dir);
 
-    // Sanitizing is lossy ("a,b" and "a.b" both map to "a_b"): keep the
-    // trace files one-per-episode by suffixing repeats in declaration order.
+    // One trace file per episode, even where sanitized arm names collide.
     std::set<std::string> used;
-    const auto unique_path = [&](const std::string& base) {
-        std::string name = base;
-        for (std::size_t n = 2; !used.insert(name).second; ++n) {
-            name = base + "_" + std::to_string(n);
-        }
-        return dir + "/" + name + ".csv";
-    };
 
     const bool fleet = !results.empty() && results.front().is_fleet();
     const bool serving = !results.empty() && results.front().is_serving();
     for (const auto& r : results) {
-        const auto path = unique_path(artifact_name(stem) + "_" + artifact_name(r.arm));
+        const auto path =
+            dir + "/" + unique_name(used, artifact_name(stem) + "_" + artifact_name(r.arm)) +
+            ".csv";
         std::size_t rows = 0;
         if (r.fleet_trace) {
             r.fleet_trace->write_csv(path);
@@ -456,17 +461,12 @@ void print_profile_report(const std::string& heading) {
 void TelemetrySink::consume(const Scenario& scenario,
                             const std::vector<EpisodeResult>& results) {
     const std::string base = dir_ + "/" + artifact_name(scenario.name);
-    // Arm names are sanitized like CSV trace files; suffix repeats in
-    // declaration order so every episode keeps its own directory.
+    // Arm names are sanitized like CSV trace files, and every episode keeps
+    // its own directory even where they collide.
     std::set<std::string> used;
     for (const auto& r : results) {
         if (!r.telemetry) continue;
-        const std::string stem = artifact_name(r.arm);
-        std::string name = stem;
-        for (std::size_t n = 2; !used.insert(name).second; ++n) {
-            name = stem + "_" + std::to_string(n);
-        }
-        const auto dir = base + "/" + name;
+        const auto dir = base + "/" + unique_name(used, artifact_name(r.arm));
         r.telemetry->write(dir);
         if (announce_) {
             std::fprintf(stderr, "[telemetry] wrote %s (%zu events, %zu breaches)\n",

@@ -232,14 +232,13 @@ std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& strea
     all.reserve(timeline.size());
     Request r;
     while (timeline.next(r)) all.push_back(r);
-    trace::maybe_record(streams, all);
     return all;
 }
 
 std::vector<Request> replay_or_build_timeline(const std::vector<StreamSpec>& streams,
                                               std::uint64_t seed,
                                               const std::string& replay_trace) {
-    if (!replay_trace.empty()) return trace::load_requests(replay_trace, streams);
+    if (!replay_trace.empty()) return trace::TraceArrivalSource(replay_trace).requests(streams);
     return build_request_timeline(streams, seed);
 }
 

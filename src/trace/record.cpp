@@ -9,8 +9,6 @@ namespace lotus::trace {
 
 namespace {
 
-thread_local const std::string* g_capture_path = nullptr;
-
 void create_parent_dirs(const std::string& path) {
     const auto parent = std::filesystem::path(path).parent_path();
     if (!parent.empty()) std::filesystem::create_directories(parent);
@@ -24,20 +22,6 @@ void create_parent_dirs(const std::string& path) {
 }
 
 } // namespace
-
-CaptureScope::CaptureScope(std::string path) : path_(std::move(path)) {
-    if (!path_.empty()) {
-        prev_ = g_capture_path;
-        g_capture_path = &path_;
-        bound_ = true;
-    }
-}
-
-CaptureScope::~CaptureScope() {
-    if (bound_) g_capture_path = prev_;
-}
-
-const std::string* capture_path() noexcept { return g_capture_path; }
 
 std::vector<StreamInfo> stream_table(const std::vector<serving::StreamSpec>& streams) {
     std::vector<StreamInfo> table;
@@ -82,13 +66,6 @@ void write_trace(const std::string& path, const std::vector<serving::StreamSpec>
     Writer out(path, stream_table(streams));
     for (const auto& req : requests) out.add(to_record(req));
     out.close();
-}
-
-void maybe_record(const std::vector<serving::StreamSpec>& streams,
-                  const std::vector<serving::Request>& requests) {
-    const auto* path = capture_path();
-    if (path == nullptr) return;
-    write_trace(*path, streams, requests);
 }
 
 TraceArrivalSource::TraceArrivalSource(std::string path) : path_(std::move(path)) {
@@ -137,15 +114,6 @@ std::vector<serving::StreamSpec> TraceArrivalSource::stream_specs() const {
         specs.push_back(std::move(spec));
     }
     return specs;
-}
-
-std::vector<serving::Request> load_requests(
-    const std::string& path, const std::vector<serving::StreamSpec>& streams) {
-    const TraceArrivalSource source(path);
-    auto requests = source.requests(streams);
-    // Replay under a CaptureScope re-records the input: record(replay(t)) == t.
-    maybe_record(streams, requests);
-    return requests;
 }
 
 void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,

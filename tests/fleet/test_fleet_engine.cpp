@@ -5,6 +5,7 @@
 // fleet shapes of the JSON / CSV sinks.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -367,7 +368,8 @@ TEST(FleetSinks, SummaryCsvCarriesPeakTempAndShedRate) {
     scenario.arms.push_back(harness::fleet_arm(harness::fixed_arm(5, 3), "round_robin"));
 
     const auto results = harness::ExperimentHarness({.jobs = 1, .seed = 4}).run(scenario);
-    const auto dir = fs::temp_directory_path() / "lotus_fleet_csv_test";
+    const auto dir = fs::temp_directory_path() /
+                     ("lotus_fleet_csv_test_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     harness::write_csv_traces(dir.string(), scenario.name, results, /*announce=*/false);
 

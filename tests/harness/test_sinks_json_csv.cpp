@@ -4,6 +4,7 @@
 // and quotes.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -85,7 +86,8 @@ TEST(WriteCsvTraces, QuotesScenarioAndArmNamesInSummary) {
     const auto scenario = nasty_scenario();
     const auto results = ExperimentHarness({.jobs = 1, .seed = 3}).run(scenario);
 
-    const auto dir = fs::temp_directory_path() / "lotus_sink_quoting_test";
+    const auto dir = fs::temp_directory_path() /
+                     ("lotus_sink_quoting_test_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     write_csv_traces(dir.string(), scenario.name, results, /*announce=*/false);
 
@@ -105,20 +107,29 @@ TEST(WriteCsvTraces, QuotesScenarioAndArmNamesInSummary) {
 
 TEST(WriteCsvTraces, CollidingSanitizedArmNamesGetDistinctFiles) {
     const auto scenario = nasty_scenario();
-    const auto results = ExperimentHarness({.jobs = 1, .seed = 3}).run(scenario);
+    const auto results =
+        ExperimentHarness({.jobs = 1, .seed = 3, .telemetry = true}).run(scenario);
 
-    const auto dir = fs::temp_directory_path() / "lotus_sink_collision_test";
+    const auto dir = fs::temp_directory_path() /
+                     ("lotus_sink_collision_test_" + std::to_string(::getpid()));
     fs::remove_all(dir);
-    write_csv_traces(dir.string(), scenario.name, results, /*announce=*/false);
+    write_csv_traces((dir / "csv").string(), scenario.name, results, /*announce=*/false);
 
     std::size_t trace_files = 0;
-    for (const auto& entry : fs::directory_iterator(dir)) {
+    for (const auto& entry : fs::directory_iterator(dir / "csv")) {
         const auto name = entry.path().filename().string();
         if (name.find("_summary") == std::string::npos) ++trace_files;
     }
     // Both arms sanitize to the same stem; the writer must still emit two
     // distinct per-episode trace files.
     EXPECT_EQ(trace_files, 2u);
+
+    // The telemetry sink applies the same rule to per-episode directories:
+    // the repeat gets "_2" in declaration order.
+    TelemetrySink((dir / "telemetry").string(), /*announce=*/false).consume(scenario, results);
+    const auto episodes = dir / "telemetry" / "weird___scenario_";
+    EXPECT_TRUE(fs::is_directory(episodes / "arm_one__x_"));
+    EXPECT_TRUE(fs::is_directory(episodes / "arm_one__x__2"));
     fs::remove_all(dir);
 }
 

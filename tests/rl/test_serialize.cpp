@@ -1,6 +1,7 @@
 // Tests for Q-network checkpointing.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <sstream>
@@ -39,7 +40,9 @@ TEST(Serialize, RoundTripIsBitExact) {
 
 TEST(Serialize, FileRoundTrip) {
     const auto path =
-        (std::filesystem::temp_directory_path() / "lotus_mlp_test.ckpt").string();
+        (std::filesystem::temp_directory_path() /
+         ("lotus_mlp_test_" + std::to_string(::getpid()) + ".ckpt"))
+            .string();
     SlimmableMlp net(net_config(7));
     save_mlp(net, path);
     const auto restored = load_mlp(path);

@@ -1,6 +1,7 @@
 // Tests for Trace summaries/CSV and the ExperimentRunner harness.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -99,7 +100,9 @@ TEST(Trace, CsvRoundTrip) {
     t.add(make_row(0, 400));
     t.add(make_row(1, 500));
     const auto path =
-        (std::filesystem::temp_directory_path() / "lotus_trace_test.csv").string();
+        (std::filesystem::temp_directory_path() /
+         ("lotus_trace_test_" + std::to_string(::getpid()) + ".csv"))
+            .string();
     t.write_csv(path);
     std::ifstream in(path);
     std::string header;

@@ -2,9 +2,11 @@
 // recorded episode must reproduce the generating run's scenario JSON and
 // telemetry artifacts byte-for-byte, for both a serving and a fleet
 // scenario, at any --jobs count (the jobs-invariance family extended to
-// replayed episodes).
+// replayed episodes); capturing a replay writes the recorded traces back
+// byte for byte.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -31,7 +33,8 @@ const int kFastMode = []() { return ::setenv("LOTUS_BENCH_FAST", "1", 1); }();
 class TempDir {
 public:
     explicit TempDir(const std::string& tag)
-        : path_(fs::temp_directory_path() / ("lotus_replay_test_" + tag)) {
+        : path_(fs::temp_directory_path() /
+                ("lotus_replay_test_" + tag + "_" + std::to_string(::getpid()))) {
         fs::remove_all(path_);
         fs::create_directories(path_);
     }
@@ -112,15 +115,22 @@ void expect_replay_identity(const std::string& scenario_name) {
     EXPECT_EQ(gen_files, rep_files);
 
     // Jobs invariance extends to replay: serial and parallel replays of the
-    // same traces render identically.
+    // same traces render identically. Both also capture what they serve, and
+    // re-recording a replay reproduces the recorded traces byte for byte at
+    // any --jobs count: record(replay(t)) == t.
     auto serial_cfg = base_config(1);
     serial_cfg.replay_dir = dir.sub("traces");
+    serial_cfg.trace_dir = dir.sub("traces_serial");
     const auto serial = run_and_render(scenario, serial_cfg, dir.sub("telemetry_serial"));
     auto wide_cfg = base_config(4);
     wide_cfg.replay_dir = dir.sub("traces");
+    wide_cfg.trace_dir = dir.sub("traces_wide");
     const auto wide = run_and_render(scenario, wide_cfg, dir.sub("telemetry_wide"));
     EXPECT_EQ(serial, wide);
     EXPECT_EQ(serial, replayed);
+    const auto traces = dir_contents(dir.sub("traces"));
+    EXPECT_EQ(dir_contents(dir.sub("traces_serial")), traces);
+    EXPECT_EQ(dir_contents(dir.sub("traces_wide")), traces);
 }
 
 TEST(TraceReplay, ServingScenarioIsByteIdentical) {
@@ -139,23 +149,6 @@ TEST(TraceReplay, ReplayFromMissingDirectoryFails) {
     cfg.replay_dir = dir.sub("nonexistent");
     const ExperimentHarness harness(cfg);
     EXPECT_THROW((void)harness.run(scenario), std::runtime_error);
-}
-
-TEST(TraceReplay, RecapturingAReplayReproducesTheTraces) {
-    ASSERT_EQ(kFastMode, 0);
-    const auto& scenario = ScenarioRegistry::instance().at("serve_saturation");
-    const TempDir dir("rerecord");
-
-    auto record_cfg = base_config(2);
-    record_cfg.trace_dir = dir.sub("first");
-    (void)ExperimentHarness(record_cfg).run(scenario);
-
-    auto rerecord_cfg = base_config(2);
-    rerecord_cfg.replay_dir = dir.sub("first");
-    rerecord_cfg.trace_dir = dir.sub("second");
-    (void)ExperimentHarness(rerecord_cfg).run(scenario);
-
-    EXPECT_EQ(dir_contents(dir.sub("first")), dir_contents(dir.sub("second")));
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 // exact timeline build_request_timeline materialises.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
@@ -26,7 +27,8 @@ namespace fs = std::filesystem;
 class TempDir {
 public:
     explicit TempDir(const std::string& tag)
-        : path_(fs::temp_directory_path() / ("lotus_trace_test_" + tag)) {
+        : path_(fs::temp_directory_path() /
+                ("lotus_trace_test_" + tag + "_" + std::to_string(::getpid()))) {
         fs::remove_all(path_);
         fs::create_directories(path_);
     }
@@ -153,7 +155,7 @@ TEST(TraceFormat, WriteTraceLoadRequestsIsLossless) {
     const auto requests = serving::build_request_timeline(streams, 11);
     write_trace(path, streams, requests);
 
-    const auto loaded = load_requests(path, streams);
+    const auto loaded = TraceArrivalSource(path).requests(streams);
     ASSERT_EQ(loaded.size(), requests.size());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         EXPECT_TRUE(same_record(to_record(loaded[i]), to_record(requests[i])))
@@ -434,41 +436,12 @@ TEST(TraceFormat, LoadRequestsRejectsMismatchedStreams) {
     synth_trace(path, streams, 2);
     streams[1].requests += 1;
     try {
-        (void)load_requests(path, streams);
+        (void)TraceArrivalSource(path).requests(streams);
         FAIL() << "mismatched stream table accepted";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("stream table"), std::string::npos)
             << e.what();
     }
-}
-
-TEST(TraceFormat, CaptureScopeRecordsTimelineBuilds) {
-    const TempDir dir("capture");
-    const auto path = dir.file("captured.ltrc");
-    const auto streams = serving_streams(12);
-    {
-        CaptureScope scope(path);
-        ASSERT_NE(capture_path(), nullptr);
-        (void)serving::build_request_timeline(streams, 77);
-    }
-    EXPECT_EQ(capture_path(), nullptr);
-
-    const auto direct = dir.file("direct.ltrc");
-    write_trace(direct, streams, serving::build_request_timeline(streams, 77));
-    EXPECT_EQ(read_file(path), read_file(direct));
-}
-
-TEST(TraceFormat, RecordingAReplayRoundTripsTheFile) {
-    const TempDir dir("rerecord");
-    const auto original = dir.file("original.ltrc");
-    const auto rerecorded = dir.file("rerecorded.ltrc");
-    const auto streams = serving_streams(12);
-    synth_trace(original, streams, 4);
-    {
-        CaptureScope scope(rerecorded);
-        (void)load_requests(original, streams);
-    }
-    EXPECT_EQ(read_file(original), read_file(rerecorded));
 }
 
 } // namespace

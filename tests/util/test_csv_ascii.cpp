@@ -1,6 +1,7 @@
 // Tests for CSV emission and console rendering helpers.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
@@ -33,7 +34,9 @@ protected:
         if (!path_.empty()) std::filesystem::remove(path_);
     }
     std::string temp_path(const std::string& name) {
-        path_ = (std::filesystem::temp_directory_path() / name).string();
+        path_ = (std::filesystem::temp_directory_path() /
+                 (std::to_string(::getpid()) + "_" + name))
+                    .string();
         return path_;
     }
     std::string path_;

@@ -8,7 +8,7 @@
 // front-end job has one code path here: list_scenarios / run_scenarios run
 // registry scenarios for lotus_run and lotus_serve, run_batch runs and
 // renders any batch, StreamFlags + identical_streams build the ad-hoc load
-// of N phase-staggered streams, preset_pool builds a fleet of preset copies.
+// of N phase-staggered streams.
 
 #include <charconv>
 #include <cstdio>
@@ -176,17 +176,6 @@ inline std::vector<serving::StreamSpec> identical_streams(const StreamFlags& loa
         streams.push_back(std::move(stream));
     }
     return streams;
-}
-
-/// A fleet pool of n copies of one device preset, ids <preset>0..<preset>n-1.
-inline std::vector<fleet::FleetDevice> preset_pool(const std::string& preset,
-                                                   const platform::DeviceSpec& spec,
-                                                   std::size_t n) {
-    std::vector<fleet::FleetDevice> pool;
-    for (std::size_t d = 0; d < n; ++d) {
-        pool.push_back(fleet::make_device(preset + std::to_string(d), spec));
-    }
-    return pool;
 }
 
 /// Output format for result rendering.

@@ -184,7 +184,7 @@ int run_adhoc(const Options& opt) {
                                      : "lotus_serve ad-hoc serving experiment";
     if (opt.devices > 0) {
         fleet::FleetConfig cfg;
-        cfg.devices = cli::preset_pool(opt.device, spec, opt.devices);
+        cfg.devices = fleet::device_pool(spec, opt.device, opt.devices);
         cfg.detector = kind;
         cfg.scheduler = opt.scheduler;
         cfg.router = opt.router.empty() ? "round_robin" : opt.router;

@@ -228,7 +228,7 @@ std::vector<Cell> build_cells(const Options& opt) {
                                     scheduler + "/" + governor + "/" + cell.arrival;
 
                         fleet::FleetConfig cfg;
-                        cfg.devices = cli::preset_pool(opt.device, spec, pool);
+                        cfg.devices = fleet::device_pool(spec, opt.device, pool);
                         cfg.detector = kind;
                         cfg.scheduler = scheduler;
                         cfg.router = router;
