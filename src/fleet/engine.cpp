@@ -20,6 +20,7 @@ namespace lotus::fleet {
 
 namespace {
 
+using serving::kNoDevice;
 using serving::kTimeEps;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -195,7 +196,6 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     auto* tel = telemetry::current();
     const int tel_router = tel ? tel->track("fleet", "router") : -1;
     serving::RequestTelemetry req_tel(config_.streams, std::move(device_names));
-    static_assert(FleetRecord::kNoDevice == serving::RequestTelemetry::kNoDevice);
     const auto tel_queue_depth = [&](std::size_t index, double t) {
         req_tel.queue_depth(index, t, workers[index]->pending());
     };
@@ -205,12 +205,14 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         req_tel.shed(device_index, r, now);
         double cpu_temp = 0.0;
         double gpu_temp = 0.0;
-        if (device_index != FleetRecord::kNoDevice) {
+        if (device_index != kNoDevice) {
             cpu_temp = workers[device_index]->device.cpu_temp();
             gpu_temp = workers[device_index]->device.gpu_temp();
         }
-        trace.add(FleetRecord{serving::shed_record(r, now, cpu_temp, gpu_temp), device_index,
-                              migrated[r.id] != 0});
+        auto row = serving::shed_record(r, now, cpu_temp, gpu_temp);
+        row.device = device_index;
+        row.migrated = migrated[r.id] != 0;
+        trace.add(row);
     };
 
     const auto make_views = [&](double now, std::size_t exclude) {
@@ -245,8 +247,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         LOTUS_PROF_COUNT("fleet.routed", 1);
         const auto views = make_views(now, exclude);
         const auto idx = router->route(views, req, now);
-        if (idx == Router::npos) {
-            record_shed(req, now, FleetRecord::kNoDevice);
+        if (idx == kNoDevice) {
+            record_shed(req, now, kNoDevice);
             return;
         }
         if (tel) {
@@ -336,8 +338,10 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         w.observe_peak();
 
         auto row = serving::served_record(req, wait, result);
-        req_tel.served(index, row, w.device.now());
-        trace.add(FleetRecord{std::move(row), index, migrated[req.id] != 0});
+        row.device = index;
+        row.migrated = migrated[req.id] != 0;
+        req_tel.served(row, w.device.now());
+        trace.add(row);
         w.expected_service_s = serving::update_expected_service(w.expected_service_s,
                                                                 result.latency_s);
 
@@ -361,7 +365,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
 
         // Earliest per-device event (dispatch or failure drain); device
         // index breaks ties.
-        std::size_t best = Router::npos;
+        std::size_t best = kNoDevice;
         double t_evt = kInf;
         for (std::size_t i = 0; i < workers.size(); ++i) {
             const double t = workers[i]->next_event_s();
@@ -373,7 +377,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
 
         // Arrivals at time t are routed before dispatches at time t, the
         // same boundary rule the single-device engine applies.
-        if (best != Router::npos && t_evt + kTimeEps < t_arr) {
+        if (best != kNoDevice && t_evt + kTimeEps < t_arr) {
             auto& w = *workers[best];
             if (!w.alive(std::max(t_evt, w.device.now()))) {
                 withdraw(best);
@@ -399,7 +403,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
             if (!w.drained && !w.alive(t_arr) && w.pending() > 0) withdraw(i);
         }
         req_tel.arrival(req);
-        route_request(std::move(req), t_arr, Router::npos);
+        route_request(std::move(req), t_arr, kNoDevice);
     }
 
     // --- close out ----------------------------------------------------------

@@ -32,12 +32,13 @@
 //
 // The per-request lifecycle is the serving layer's (serving/engine.hpp):
 // stream validation, the replayed-or-generated timeline, the served and shed
-// ledger rows, the expected-service EWMA, and runtime::pretrain for the
-// per-device warm-up, and its RequestTelemetry for the request spans,
-// breaches and queue depths. What stays fleet-only: routing, migration,
-// failure drains (and their router instants), the expected-service prior
-// seeded from the pretrain constraint and the `<id>/pretrain/<dataset>`
-// seed namespace.
+// ledger rows, the expected-service EWMA, runtime::pretrain for the
+// per-device warm-up, and RequestTelemetry for the request spans, breaches
+// and queue depths. The engine only stamps each row's `device` and
+// `migrated` before FleetTrace (a view of serving::Ledger) takes it. What
+// stays fleet-only: routing, migration, failure drains (and their router
+// instants), the expected-service prior seeded from the pretrain
+// constraint and the `<id>/pretrain/<dataset>` seed namespace.
 //
 // run() is const and reentrant: every call builds its own devices,
 // engines, governors, router and queues, so harness episodes execute from

@@ -11,12 +11,12 @@ namespace {
 /// device index (scan order), so routing is a pure function of the views.
 template <typename Score>
 std::size_t pick_min(const std::vector<DeviceView>& views, Score&& score) {
-    std::size_t best = Router::npos;
+    std::size_t best = serving::kNoDevice;
     double best_score = 0.0;
     for (const auto& v : views) {
         if (!v.available) continue;
         const double s = score(v);
-        if (best == Router::npos || s < best_score) {
+        if (best == serving::kNoDevice || s < best_score) {
             best = v.index;
             best_score = s;
         }
@@ -30,7 +30,7 @@ std::size_t RoundRobinRouter::route(const std::vector<DeviceView>& views,
                                     const serving::Request& request, double now_s) {
     (void)request;
     (void)now_s;
-    if (views.empty()) return npos;
+    if (views.empty()) return serving::kNoDevice;
     // Rotate regardless of availability so a device rejoining the pool slots
     // back into the same cadence; skip unavailable slots for this pick.
     for (std::size_t probe = 0; probe < views.size(); ++probe) {
@@ -40,7 +40,7 @@ std::size_t RoundRobinRouter::route(const std::vector<DeviceView>& views,
             return views[i].index;
         }
     }
-    return npos;
+    return serving::kNoDevice;
 }
 
 std::size_t LeastQueueRouter::route(const std::vector<DeviceView>& views,

@@ -72,13 +72,11 @@ public:
 
     /// Pick the device that serves `request`, routed at simulated time
     /// `now_s`. Views cover the whole pool in index order; unavailable
-    /// devices must not be picked. Returns npos when no device is
-    /// available.
+    /// devices must not be picked. Returns serving::kNoDevice when no
+    /// device is available.
     [[nodiscard]] virtual std::size_t route(const std::vector<DeviceView>& views,
                                             const serving::Request& request,
                                             double now_s) = 0;
-
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
 
 class RoundRobinRouter final : public Router {

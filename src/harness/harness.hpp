@@ -93,6 +93,11 @@ struct EpisodeResult {
 
     [[nodiscard]] bool is_serving() const noexcept { return serving_trace.has_value(); }
     [[nodiscard]] bool is_fleet() const noexcept { return fleet_trace.has_value(); }
+    /// The per-request ledger under either trace; null for experiments.
+    [[nodiscard]] const serving::Ledger* ledger() const noexcept {
+        if (fleet_trace) return &*fleet_trace;
+        return serving_trace ? &*serving_trace : nullptr;
+    }
 };
 
 class ExperimentHarness {

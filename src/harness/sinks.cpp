@@ -228,15 +228,12 @@ void print_figure(const std::string& title, const std::vector<EpisodeResult>& re
     if (results.empty()) return;
     std::printf("%s\n%s\n", title.c_str(), std::string(title.size(), '=').c_str());
 
-    const bool fleet = results.front().is_fleet();
-    const bool serving = fleet || results.front().is_serving();
+    const bool serving = results.front().ledger() != nullptr;
     const auto temps = [&](const EpisodeResult& r) {
-        if (fleet) return r.fleet_trace->device_temps();
-        return serving ? r.serving_trace->device_temps() : r.trace.device_temps();
+        return serving ? r.ledger()->device_temps() : r.trace.device_temps();
     };
     const auto latencies = [&](const EpisodeResult& r) {
-        if (fleet) return r.fleet_trace->e2e_ms();
-        return serving ? r.serving_trace->e2e_ms() : r.trace.latencies_ms();
+        return serving ? r.ledger()->e2e_ms() : r.trace.latencies_ms();
     };
     const double throttle_bound_c =
         platform::throttle_bound_celsius(results.front().config.device_spec);
@@ -279,17 +276,14 @@ void write_csv_traces(const std::string& dir, const std::string& stem,
         const auto path =
             dir + "/" + unique_name(used, artifact_name(stem) + "_" + artifact_name(r.arm)) +
             ".csv";
-        std::size_t rows = 0;
         if (r.fleet_trace) {
             r.fleet_trace->write_csv(path);
-            rows = r.fleet_trace->size();
         } else if (r.serving_trace) {
             r.serving_trace->write_csv(path);
-            rows = r.serving_trace->size();
         } else {
             r.trace.write_csv(path);
-            rows = r.trace.size();
         }
+        const std::size_t rows = r.ledger() ? r.ledger()->size() : r.trace.size();
         if (announce) {
             std::fprintf(stderr, "[csv] wrote %s (%zu rows)\n", path.c_str(), rows);
         }
@@ -410,11 +404,6 @@ std::string scenario_json(const Scenario& scenario,
                 dev += "}";
                 o += dev;
             }
-            o += "],\"streams\":[";
-            for (std::size_t s = 0; s < t.stream_names().size(); ++s) {
-                if (s != 0) o += ",";
-                o += serving_summary_json(t.stream_summary(s));
-            }
             o += "]";
         } else if (r.serving_trace) {
             const auto agg = r.serving_trace->aggregate();
@@ -427,13 +416,6 @@ std::string scenario_json(const Scenario& scenario,
             o += ",\"peak_temp_c\":" + jnum(agg.peak_device_temp_c);
             o += ",\"shed_rate\":" + jnum(agg.shed_rate);
             o += ",\"aggregate\":" + serving_summary_json(agg);
-            o += ",\"streams\":[";
-            const auto names = r.serving_trace->stream_names();
-            for (std::size_t s = 0; s < names.size(); ++s) {
-                if (s != 0) o += ",";
-                o += serving_summary_json(r.serving_trace->stream_summary(s));
-            }
-            o += "]";
         } else {
             o += ",\"summary\":" + experiment_summary_json(r.trace.summary());
             if (r.paper) {
@@ -441,6 +423,14 @@ std::string scenario_json(const Scenario& scenario,
                 o += ",\"std_ms\":" + jnum(r.paper->std_ms);
                 o += ",\"satisfaction\":" + jnum(r.paper->satisfaction) + "}";
             }
+        }
+        if (const auto* ledger = r.ledger()) {
+            o += ",\"streams\":[";
+            for (std::size_t s = 0; s < ledger->stream_names().size(); ++s) {
+                if (s != 0) o += ",";
+                o += serving_summary_json(ledger->stream_summary(s));
+            }
+            o += "]";
         }
         o += "}";
     }

@@ -128,9 +128,9 @@ void RequestTelemetry::dispatch(std::size_t device, const Request& r, double now
                       ",\"queue_wait_ms\":" + telemetry::jnum(wait_s * 1e3));
 }
 
-void RequestTelemetry::served(std::size_t device, const ServingRecord& row, double done_s) {
+void RequestTelemetry::served(const ServingRecord& row, double done_s) {
     if (!tel_) return;
-    const auto& label = devices_[device];
+    const auto& label = devices_[row.device];
     const auto& stream = streams_[row.stream].name;
     const auto device_arg = ",\"device\":" + telemetry::jstr(label);
     tel_->rollup().record_request(label, stream, done_s,
@@ -141,7 +141,7 @@ void RequestTelemetry::served(std::size_t device, const ServingRecord& row, doub
                     std::string("\"outcome\":\"") + (row.missed ? "missed" : "served") +
                         "\"" + device_arg + ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
     if (row.missed) {
-        tel_->breach(track(platform_tracks_[device], label, "platform"), "slo_miss",
+        tel_->breach(track(platform_tracks_[row.device], label, "platform"), "slo_miss",
                      row.request_id, done_s,
                      "\"stream\":" + telemetry::jstr(stream) +
                          ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
@@ -320,7 +320,7 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
             engine.run_frame(model, req.frame, governor, req.slo_s, iteration++, wait);
 
         auto row = served_record(req, wait, result);
-        tel.served(0, row, device.now());
+        tel.served(row, device.now());
         trace.add(std::move(row));
         expected_service = update_expected_service(expected_service, result.latency_s);
     }

@@ -117,16 +117,15 @@ void validate_streams(const std::vector<StreamSpec>& streams, const std::string&
 /// an event costs no track lookup.
 class RequestTelemetry {
 public:
-    static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
-
     /// Creates the stream tracks, in stream order. `streams` must outlive
     /// the emitter.
     RequestTelemetry(const std::vector<StreamSpec>& streams, std::vector<std::string> devices);
 
     void arrival(const Request& r);
     void dispatch(std::size_t device, const Request& r, double now_s, double wait_s);
-    /// `row` is served_record's ledger row, completed at `done_s`.
-    void served(std::size_t device, const ServingRecord& row, double done_s);
+    /// `row` is served_record's ledger row (with its `device` set),
+    /// completed at `done_s`.
+    void served(const ServingRecord& row, double done_s);
     void shed(std::size_t device, const Request& r, double now_s);
     /// Counter sample, recorded only when `depth` changed since the last one.
     void queue_depth(std::size_t device, double t_s, std::size_t depth);

@@ -25,6 +25,10 @@
 
 namespace lotus::serving {
 
+/// The device index of "no device": a fleet router-level shed in a ledger
+/// row and in RequestTelemetry, and a router's "nothing available" pick.
+inline constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
+
 /// One in-flight inference request.
 struct Request {
     /// Global sequence number in arrival order (ties broken by stream index).

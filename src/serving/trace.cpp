@@ -52,29 +52,85 @@ ServingSummary SummaryAccumulator::summarize(std::string label, double makespan_
     return s;
 }
 
-ServingTrace::ServingTrace(std::vector<std::string> stream_names, bool capture_rows)
+Ledger::Ledger(std::vector<std::string> stream_names, bool capture_rows)
     : stream_names_(std::move(stream_names)),
       capture_rows_(capture_rows),
       stream_accs_(stream_names_.size()) {}
 
-void ServingTrace::add(ServingRecord record) {
+void Ledger::add(ServingRecord record) {
     if (record.stream >= stream_names_.size()) {
-        throw std::out_of_range("ServingTrace::add: unknown stream index");
+        throw std::out_of_range("Ledger::add: unknown stream index");
     }
     aggregate_acc_.add(record);
     stream_accs_[record.stream].add(record);
     if (capture_rows_) records_.push_back(std::move(record));
 }
 
-ServingSummary ServingTrace::stream_summary(std::size_t stream) const {
+ServingSummary Ledger::stream_summary(std::size_t stream) const {
     if (stream >= stream_names_.size()) {
-        throw std::out_of_range("ServingTrace::stream_summary: unknown stream index");
+        throw std::out_of_range("Ledger::stream_summary: unknown stream index");
     }
     return stream_accs_[stream].summarize(stream_names_[stream], makespan_s_);
 }
 
+ServingSummary Ledger::summarize_all(std::string label) const {
+    return aggregate_acc_.summarize(std::move(label), makespan_s_);
+}
+
+void Ledger::append_stream_summaries(std::vector<ServingSummary>& out) const {
+    for (std::size_t s = 0; s < stream_names_.size(); ++s) out.push_back(stream_summary(s));
+}
+
+std::vector<double> Ledger::e2e_ms() const {
+    std::vector<double> out;
+    out.reserve(records_.size());
+    for (const auto& r : records_) out.push_back(r.e2e_s * 1e3);
+    return out;
+}
+
+std::vector<double> Ledger::device_temps() const {
+    std::vector<double> out;
+    out.reserve(records_.size());
+    for (const auto& r : records_) out.push_back(runtime::device_temp_c(r.cpu_temp, r.gpu_temp));
+    return out;
+}
+
+void Ledger::write_ledger_csv(const std::string& path,
+                              const std::vector<std::string>& view_columns,
+                              const ViewCells& view_cells) const {
+    if (!capture_rows_) {
+        throw std::logic_error("Ledger::write_ledger_csv: summary-only trace holds no rows");
+    }
+    std::vector<std::string> columns = {"request_id", "stream"};
+    columns.insert(columns.end(), view_columns.begin(), view_columns.end());
+    columns.insert(columns.end(), {"arrival_s", "start_s", "queue_wait_ms", "service_ms",
+                                   "e2e_ms", "slo_ms", "shed", "missed", "throttled",
+                                   "proposals", "cpu_temp", "gpu_temp", "energy_j"});
+    util::CsvWriter csv(path, columns);
+    std::vector<std::string> cells;
+    for (const auto& r : records_) {
+        cells = {std::to_string(r.request_id), stream_names_[r.stream]};
+        if (view_cells) view_cells(r, cells);
+        cells.insert(cells.end(), {util::format_double(r.arrival_s, 4),
+                                   util::format_double(r.start_s, 4),
+                                   util::format_double(r.queue_wait_s * 1e3, 3),
+                                   util::format_double(r.service_s * 1e3, 3),
+                                   util::format_double(r.e2e_s * 1e3, 3),
+                                   util::format_double(r.slo_s * 1e3, 3),
+                                   r.shed ? "1" : "0",
+                                   r.missed ? "1" : "0",
+                                   r.throttled ? "1" : "0",
+                                   std::to_string(r.proposals),
+                                   util::format_double(r.cpu_temp, 3),
+                                   util::format_double(r.gpu_temp, 3),
+                                   util::format_double(r.energy_j, 4)});
+        csv.row(cells);
+    }
+    csv.close();
+}
+
 ServingSummary ServingTrace::aggregate() const {
-    auto s = aggregate_acc_.summarize("all", makespan_s_);
+    auto s = summarize_all("all");
     // Charge the whole device energy (idle included) to the served load.
     if (s.served > 0 && total_energy_j_ > 0.0) {
         s.energy_per_req_j = total_energy_j_ / static_cast<double>(s.served);
@@ -83,58 +139,13 @@ ServingSummary ServingTrace::aggregate() const {
 }
 
 std::vector<ServingSummary> ServingTrace::all_summaries() const {
-    std::vector<ServingSummary> out;
-    out.reserve(stream_names_.size() + 1);
-    out.push_back(aggregate());
-    for (std::size_t i = 0; i < stream_names_.size(); ++i) {
-        out.push_back(stream_summary(i));
-    }
-    return out;
-}
-
-std::vector<double> ServingTrace::e2e_ms() const {
-    std::vector<double> out;
-    out.reserve(records_.size());
-    for (const auto& r : records_) out.push_back(r.e2e_s * 1e3);
-    return out;
-}
-
-std::vector<double> ServingTrace::device_temps() const {
-    std::vector<double> out;
-    out.reserve(records_.size());
-    for (const auto& r : records_) out.push_back(runtime::device_temp_c(r.cpu_temp, r.gpu_temp));
+    std::vector<ServingSummary> out{aggregate()};
+    append_stream_summaries(out);
     return out;
 }
 
 void ServingTrace::write_csv(const std::string& path) const {
-    if (!capture_rows_) {
-        throw std::logic_error(
-            "ServingTrace::write_csv: summary-only trace holds no ledger rows");
-    }
-    util::CsvWriter csv(path, {"request_id", "stream", "arrival_s", "start_s",
-                               "queue_wait_ms", "service_ms", "e2e_ms", "slo_ms", "shed",
-                               "missed", "throttled", "proposals", "cpu_temp", "gpu_temp",
-                               "energy_j"});
-    for (const auto& r : records_) {
-        csv.row(std::vector<std::string>{
-            std::to_string(r.request_id),
-            stream_names_[r.stream],
-            util::format_double(r.arrival_s, 4),
-            util::format_double(r.start_s, 4),
-            util::format_double(r.queue_wait_s * 1e3, 3),
-            util::format_double(r.service_s * 1e3, 3),
-            util::format_double(r.e2e_s * 1e3, 3),
-            util::format_double(r.slo_s * 1e3, 3),
-            r.shed ? "1" : "0",
-            r.missed ? "1" : "0",
-            r.throttled ? "1" : "0",
-            std::to_string(r.proposals),
-            util::format_double(r.cpu_temp, 3),
-            util::format_double(r.gpu_temp, 3),
-            util::format_double(r.energy_j, 4),
-        });
-    }
-    csv.close();
+    write_ledger_csv(path, {}, {});
 }
 
 } // namespace lotus::serving

@@ -21,6 +21,8 @@
 #include "harness/sinks.hpp"
 #include "platform/presets.hpp"
 
+#include "../serving/ledger_checks.hpp"
+
 namespace lotus::fleet {
 namespace {
 
@@ -59,27 +61,10 @@ FleetConfig small_config() {
 
 void expect_traces_identical(const FleetTrace& a, const FleetTrace& b,
                              const std::string& label) {
-    ASSERT_EQ(a.size(), b.size()) << label;
     ASSERT_EQ(a.device_names(), b.device_names()) << label;
-    ASSERT_EQ(a.stream_names(), b.stream_names()) << label;
-    EXPECT_EQ(a.makespan_s(), b.makespan_s()) << label;
     EXPECT_EQ(a.total_energy_j(), b.total_energy_j()) << label;
     EXPECT_EQ(a.migrations(), b.migrations()) << label;
-    ASSERT_EQ(a.records().size(), b.records().size()) << label;
-    for (std::size_t i = 0; i < a.records().size(); ++i) {
-        const auto& x = a.records()[i];
-        const auto& y = b.records()[i];
-        ASSERT_EQ(x.row.request_id, y.row.request_id) << label << " row " << i;
-        ASSERT_EQ(x.device, y.device) << label << " row " << i;
-        ASSERT_EQ(x.migrated, y.migrated) << label << " row " << i;
-        ASSERT_EQ(x.row.arrival_s, y.row.arrival_s) << label << " row " << i;
-        ASSERT_EQ(x.row.start_s, y.row.start_s) << label << " row " << i;
-        ASSERT_EQ(x.row.e2e_s, y.row.e2e_s) << label << " row " << i;
-        ASSERT_EQ(x.row.shed, y.row.shed) << label << " row " << i;
-        ASSERT_EQ(x.row.missed, y.row.missed) << label << " row " << i;
-        ASSERT_EQ(x.row.cpu_temp, y.row.cpu_temp) << label << " row " << i;
-        ASSERT_EQ(x.row.energy_j, y.row.energy_j) << label << " row " << i;
-    }
+    serving::expect_ledgers_identical(a, b, label);
 }
 
 TEST(FleetEngine, ValidatesTheConfig) {
@@ -127,8 +112,8 @@ TEST(FleetEngine, EveryRequestIsAccountedExactlyOnce) {
     ASSERT_EQ(trace.size(), requests.size());
     std::set<std::size_t> seen;
     for (const auto& r : trace.records()) {
-        EXPECT_TRUE(seen.insert(r.row.request_id).second)
-            << "request " << r.row.request_id << " recorded twice";
+        EXPECT_TRUE(seen.insert(r.request_id).second)
+            << "request " << r.request_id << " recorded twice";
     }
 
     const auto agg = trace.aggregate();
@@ -250,7 +235,7 @@ TEST(FleetEngine, FailedDeviceIsWithdrawnAndItsQueueReRoutes) {
         if (r.device != 0) continue;
         // Nothing starts on the failed device after (roughly) the failure
         // instant -- only a frame already in flight may straddle it.
-        EXPECT_LE(r.row.start_s, 4.0 + 1.0) << "request " << r.row.request_id;
+        EXPECT_LE(r.start_s, 4.0 + 1.0) << "request " << r.request_id;
     }
     // The survivors absorbed the load: every request is still accounted.
     EXPECT_EQ(trace.aggregate().requests, trace.size());

@@ -45,11 +45,11 @@ TEST(RoundRobinRouter, SkipsUnavailableDevices) {
     EXPECT_EQ(router.route(views, request(), 0.0), 0u);
 }
 
-TEST(RoundRobinRouter, NoAvailableDeviceReturnsNpos) {
+TEST(RoundRobinRouter, NoAvailableDeviceReturnsNoDevice) {
     RoundRobinRouter router;
     std::vector<DeviceView> views = {view(0, 20, 0)};
     views[0].available = false;
-    EXPECT_EQ(router.route(views, request(), 0.0), Router::npos);
+    EXPECT_EQ(router.route(views, request(), 0.0), serving::kNoDevice);
 }
 
 TEST(LeastQueueRouter, PicksSmallestBacklog) {

@@ -10,6 +10,8 @@
 #include "platform/presets.hpp"
 #include "serving/engine.hpp"
 
+#include "ledger_checks.hpp"
+
 namespace lotus::serving {
 namespace {
 
@@ -46,31 +48,9 @@ harness::Scenario serving_scenario(const std::string& name) {
 
 void expect_traces_identical(const ServingTrace& a, const ServingTrace& b,
                              const std::string& label) {
-    ASSERT_EQ(a.size(), b.size()) << label;
-    ASSERT_EQ(a.stream_names(), b.stream_names()) << label;
-    EXPECT_EQ(a.makespan_s(), b.makespan_s()) << label;
     EXPECT_EQ(a.total_energy_j(), b.total_energy_j()) << label;
     EXPECT_EQ(a.max_queue_depth(), b.max_queue_depth()) << label;
-    ASSERT_EQ(a.records().size(), b.records().size()) << label;
-    for (std::size_t i = 0; i < a.records().size(); ++i) {
-        const auto& x = a.records()[i];
-        const auto& y = b.records()[i];
-        ASSERT_EQ(x.request_id, y.request_id) << label << " row " << i;
-        ASSERT_EQ(x.stream, y.stream) << label << " row " << i;
-        ASSERT_EQ(x.arrival_s, y.arrival_s) << label << " row " << i;
-        ASSERT_EQ(x.start_s, y.start_s) << label << " row " << i;
-        ASSERT_EQ(x.queue_wait_s, y.queue_wait_s) << label << " row " << i;
-        ASSERT_EQ(x.service_s, y.service_s) << label << " row " << i;
-        ASSERT_EQ(x.e2e_s, y.e2e_s) << label << " row " << i;
-        ASSERT_EQ(x.slo_s, y.slo_s) << label << " row " << i;
-        ASSERT_EQ(x.shed, y.shed) << label << " row " << i;
-        ASSERT_EQ(x.missed, y.missed) << label << " row " << i;
-        ASSERT_EQ(x.throttled, y.throttled) << label << " row " << i;
-        ASSERT_EQ(x.proposals, y.proposals) << label << " row " << i;
-        ASSERT_EQ(x.cpu_temp, y.cpu_temp) << label << " row " << i;
-        ASSERT_EQ(x.gpu_temp, y.gpu_temp) << label << " row " << i;
-        ASSERT_EQ(x.energy_j, y.energy_j) << label << " row " << i;
-    }
+    expect_ledgers_identical(a, b, label);
 }
 
 TEST(ServingDeterminism, EngineRepeatsByteIdentically) {

@@ -1,8 +1,9 @@
 // Tests for the ServingEngine: request-timeline construction, conservation
 // of requests (served + shed == offered), end-to-end latency accounting
 // (queue wait visible to the governor's reward), thermal carry-over across
-// interleaved streams, admission-control behaviour under overload, and the
-// per-stream/aggregate summaries.
+// interleaved streams, admission-control behaviour under overload, the
+// per-stream/aggregate summaries, and how the serving and fleet traces
+// reject a row with an unknown stream or device index.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,15 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "fleet/trace.hpp"
 #include "governors/linux_governors.hpp"
 #include "platform/presets.hpp"
 #include "serving/engine.hpp"
 #include "serving/scheduler.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/stats.hpp"
+
+#include "ledger_checks.hpp"
 
 namespace lotus::serving {
 namespace {
@@ -253,12 +257,51 @@ TEST(ServingEngine, ReportsThermalSteps) {
     EXPECT_GT(trace.thermal_steps(), 0u);
 }
 
+/// Adding `bad` must throw std::out_of_range and leave the trace's size,
+/// rows and every summary as they were.
+template <class Trace>
+void expect_rejected(Trace& trace, const ServingRecord& bad, const std::string& label) {
+    SCOPED_TRACE(label);
+    const auto size = trace.size();
+    const auto rows = trace.records().size();
+    const auto before = trace.all_summaries();
+    EXPECT_THROW(trace.add(bad), std::out_of_range);
+    EXPECT_EQ(trace.size(), size);
+    EXPECT_EQ(trace.records().size(), rows);
+    const auto after = trace.all_summaries();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < after.size(); ++i) expect_same_summary(after[i], before[i]);
+}
+
+/// A served row on stream 0, device 0.
+ServingRecord valid_row() {
+    ServingRecord r;
+    r.e2e_s = 0.2;
+    r.slo_s = 0.5;
+    r.cpu_temp = 50.0;
+    return r;
+}
+
 TEST(ServingTrace, RejectsUnknownStreamIndex) {
     ServingTrace trace(std::vector<std::string>{"a"});
-    ServingRecord r;
-    r.stream = 1;
-    EXPECT_THROW(trace.add(std::move(r)), std::out_of_range);
+    trace.add(valid_row());
+    auto bad_stream = valid_row();
+    bad_stream.stream = 1;
+    expect_rejected(trace, bad_stream, "unknown stream");
     EXPECT_THROW((void)trace.stream_summary(1), std::out_of_range);
+}
+
+TEST(FleetTrace, RejectsUnknownDeviceAndStreamIndex) {
+    fleet::FleetTrace trace({"d0"}, {"a"});
+    trace.add(valid_row());
+    auto bad_device = valid_row();
+    bad_device.device = 1;
+    expect_rejected(trace, bad_device, "unknown device");
+    // The row's device is valid: its accumulator must not see the row either.
+    auto bad_stream = valid_row();
+    bad_stream.stream = 1;
+    expect_rejected(trace, bad_stream, "unknown stream");
+    EXPECT_THROW((void)trace.device_summary(1), std::out_of_range);
 }
 
 } // namespace

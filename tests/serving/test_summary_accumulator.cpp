@@ -11,8 +11,11 @@
 #include <vector>
 
 #include "fleet/trace.hpp"
+#include "serving/request.hpp"
 #include "serving/trace.hpp"
 #include "util/stats.hpp"
+
+#include "ledger_checks.hpp"
 
 namespace lotus::serving {
 namespace {
@@ -114,15 +117,12 @@ TEST(SummaryAccumulator, ZeroMakespanYieldsZeroThroughput) {
 // energy and peak-temperature overrides. The traces now summarise live only;
 // this keeps the old arithmetic as the oracle they must match.
 
-const ServingRecord& row_of(const ServingRecord& r) { return r; }
-const ServingRecord& row_of(const fleet::FleetRecord& r) { return r.row; }
-
-template <class Row, class Keep>
-ServingSummary ledger_scan(const std::vector<Row>& rows, Keep keep, std::string label,
-                           double makespan_s) {
+template <class Keep>
+ServingSummary ledger_scan(const std::vector<ServingRecord>& rows, Keep keep,
+                           std::string label, double makespan_s) {
     SummaryAccumulator acc;
     for (const auto& r : rows) {
-        if (keep(r)) acc.add(row_of(r));
+        if (keep(r)) acc.add(r);
     }
     return acc.summarize(std::move(label), makespan_s);
 }
@@ -134,11 +134,11 @@ void charge_energy(ServingSummary& s, double energy_j) {
 }
 
 /// Served-count skew over the devices that never failed.
-double ledger_load_skew(const std::vector<fleet::FleetRecord>& rows,
+double ledger_load_skew(const std::vector<ServingRecord>& rows,
                         const std::vector<fleet::DeviceStats>& stats) {
     std::vector<std::size_t> served(stats.size(), 0);
     for (const auto& r : rows) {
-        if (r.device != fleet::FleetRecord::kNoDevice && !r.row.shed) ++served[r.device];
+        if (r.device != kNoDevice && !r.shed) ++served[r.device];
     }
     util::RunningStats skew;
     for (std::size_t d = 0; d < served.size(); ++d) {
@@ -146,25 +146,6 @@ double ledger_load_skew(const std::vector<fleet::FleetRecord>& rows,
     }
     const double mean = skew.mean();
     return mean > 0.0 ? skew.stddev() / mean : 0.0;
-}
-
-void expect_same_summary(const ServingSummary& a, const ServingSummary& b) {
-    EXPECT_EQ(a.stream, b.stream);
-    EXPECT_EQ(a.requests, b.requests) << a.stream;
-    EXPECT_EQ(a.served, b.served) << a.stream;
-    EXPECT_EQ(a.shed, b.shed) << a.stream;
-    EXPECT_EQ(a.missed, b.missed) << a.stream;
-    // Exact double equality: same arithmetic, same order, same bits.
-    EXPECT_EQ(a.p50_ms, b.p50_ms) << a.stream;
-    EXPECT_EQ(a.p95_ms, b.p95_ms) << a.stream;
-    EXPECT_EQ(a.p99_ms, b.p99_ms) << a.stream;
-    EXPECT_EQ(a.mean_wait_ms, b.mean_wait_ms) << a.stream;
-    EXPECT_EQ(a.miss_rate, b.miss_rate) << a.stream;
-    EXPECT_EQ(a.shed_rate, b.shed_rate) << a.stream;
-    EXPECT_EQ(a.throughput_rps, b.throughput_rps) << a.stream;
-    EXPECT_EQ(a.energy_per_req_j, b.energy_per_req_j) << a.stream;
-    EXPECT_EQ(a.mean_device_temp_c, b.mean_device_temp_c) << a.stream;
-    EXPECT_EQ(a.peak_device_temp_c, b.peak_device_temp_c) << a.stream;
 }
 
 TEST(SummaryAccumulator, MatchesLedgerScanOnMixedSyntheticRows) {
@@ -205,15 +186,16 @@ TEST(SummaryAccumulator, MatchesLedgerScanOnMixedSyntheticRows) {
     // all-shed stream, and a device (d2) withdrawn mid-run.
     const std::vector<std::string> devices = {"d0", "d1", "d2"};
     const auto on = [](std::size_t device, ServingRecord r) {
-        return fleet::FleetRecord{std::move(r), device, false};
+        r.device = device;
+        return r;
     };
-    std::vector<fleet::FleetRecord> fleet_rows;
+    std::vector<ServingRecord> fleet_rows;
     fleet_rows.push_back(on(0, rows[0]));
     fleet_rows.push_back(on(2, rows[1]));
     fleet_rows.push_back(on(1, rows[2]));
-    fleet_rows.push_back(on(fleet::FleetRecord::kNoDevice, rows[3]));
+    fleet_rows.push_back(on(kNoDevice, rows[3]));
     fleet_rows.push_back(on(0, rows[4]));
-    fleet_rows.push_back(on(fleet::FleetRecord::kNoDevice, rows[5]));
+    fleet_rows.push_back(on(kNoDevice, rows[5]));
     fleet_rows.push_back(on(1, rows[6]));
     fleet_rows.push_back(on(0, served(7, 1, 0.5, 0.01, 0.2, 0.9)));
     fleet_rows.back().migrated = true;
@@ -234,14 +216,14 @@ TEST(SummaryAccumulator, MatchesLedgerScanOnMixedSyntheticRows) {
         trace.set_makespan(4.0);
         EXPECT_EQ(trace.size(), fleet_rows.size());
 
-        auto agg = ledger_scan(fleet_rows, [](const fleet::FleetRecord&) { return true; },
+        auto agg = ledger_scan(fleet_rows, [](const ServingRecord&) { return true; },
                                "fleet", 4.0);
         charge_energy(agg, trace.total_energy_j());
         agg.peak_device_temp_c = std::max(agg.peak_device_temp_c, trace.peak_temp_c());
         expect_same_summary(trace.aggregate(), agg);
         for (std::size_t d = 0; d < devices.size(); ++d) {
             auto dev = ledger_scan(
-                fleet_rows, [d](const fleet::FleetRecord& r) { return r.device == d; },
+                fleet_rows, [d](const ServingRecord& r) { return r.device == d; },
                 devices[d], 4.0);
             dev.peak_device_temp_c = std::max(dev.peak_device_temp_c, stats[d].peak_temp_c);
             charge_energy(dev, stats[d].energy_j);
@@ -251,7 +233,7 @@ TEST(SummaryAccumulator, MatchesLedgerScanOnMixedSyntheticRows) {
             expect_same_summary(
                 trace.stream_summary(s),
                 ledger_scan(fleet_rows,
-                            [s](const fleet::FleetRecord& r) { return r.row.stream == s; },
+                            [s](const ServingRecord& r) { return r.stream == s; },
                             names[s], 4.0));
         }
         EXPECT_EQ(trace.load_skew(), ledger_load_skew(fleet_rows, stats));
