@@ -6,15 +6,10 @@
 #include <stdexcept>
 
 #include "fleet/router.hpp"
-#include "platform/presets.hpp"
 #include "prof/profiler.hpp"
-#include "runtime/runner.hpp"
 #include "serving/engine.hpp"
-#include "serving/queue.hpp"
-#include "serving/scheduler.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/rng.hpp"
-#include "workload/dataset.hpp"
 
 namespace lotus::fleet {
 
@@ -34,24 +29,25 @@ struct Staged {
     double ready_s = 0.0;
 };
 
-/// One device slot at run time: the simulated device, its inference engine,
-/// its own governor and queue discipline, and the dispatcher-side bookkeeping
-/// the router reads.
-struct Worker {
-    Worker(const FleetDevice& slot, double ambient, std::unique_ptr<governors::Governor> gov,
-           const std::string& scheduler_name)
-        : spec(&slot), device([&] {
-              auto s = slot.spec;
-              if (slot.ambient_overridden()) s.initial_ambient_celsius = slot.ambient_celsius;
-              return s;
-          }()),
-          engine(device), governor(std::move(gov)),
-          scheduler(serving::make_scheduler(scheduler_name)) {
+/// The slot's spec with its ambient override written in.
+platform::DeviceSpec slot_spec(const FleetDevice& slot) {
+    auto spec = slot.spec;
+    if (slot.ambient_overridden()) spec.initial_ambient_celsius = slot.ambient_celsius;
+    return spec;
+}
+
+/// One pool slot at run time: the slot's serving::Station plus the
+/// dispatcher's own state -- its governor, the staged requests, the
+/// bookkeeping the router and DeviceStats read, and the failure drain.
+struct Worker : serving::Station {
+    Worker(const FleetDevice& slot, std::unique_ptr<governors::Governor> gov,
+           const std::string& scheduler, const detector::DetectorModel& model,
+           std::size_t index)
+        : Station(slot_spec(slot), scheduler, model, index), spec(&slot),
+          governor(std::move(gov)) {
         // Telemetry processes are named by slot id, not spec name, so
         // identical twins stay distinguishable in a trace.
         device.set_telemetry_label(slot.id);
-        device.set_ambient(slot.ambient_overridden() ? slot.ambient_celsius : ambient);
-        device.reset(); // start in equilibrium with the (possibly overridden) ambient
         observe_peak();
     }
 
@@ -79,14 +75,8 @@ struct Worker {
     }
 
     const FleetDevice* spec;
-    platform::EdgeDevice device;
-    runtime::InferenceEngine engine;
     std::unique_ptr<governors::Governor> governor;
-    std::unique_ptr<serving::Scheduler> scheduler;
-    serving::RequestQueue queue;
     std::vector<Staged> inbox;
-    double expected_service_s = 0.0;
-    std::size_t iteration = 0;
     std::size_t max_depth = 0;
     std::size_t migrations_out = 0;
     double peak_temp_c = 0.0;
@@ -120,14 +110,12 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
             throw std::invalid_argument("FleetEngine: duplicate device id '" + d.id + "'");
         }
     }
-    serving::validate_streams(config_.streams, "FleetEngine");
-    (void)serving::make_scheduler(config_.scheduler); // throws on unknown policy
-    (void)make_router(config_.router);                // throws on unknown router
+    serving::validate_load(config_, "FleetEngine");
+    (void)make_router(config_.router); // throws on unknown router
 }
 
 std::vector<serving::Request> FleetEngine::build_requests() const {
-    return serving::replay_or_build_timeline(config_.streams, config_.seed,
-                                             config_.replay_trace);
+    return serving::replay_or_build_timeline(config_);
 }
 
 std::uint64_t FleetEngine::governor_seed(std::uint64_t governor_seed_root,
@@ -147,36 +135,24 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     for (std::size_t i = 0; i < config_.devices.size(); ++i) {
         const auto& slot = config_.devices[i];
         workers.push_back(std::make_unique<Worker>(
-            slot, config_.ambient_celsius,
-            make_governor(slot.spec, governor_seed(governor_seed_root, i)),
-            config_.scheduler));
+            slot, make_governor(slot.spec, governor_seed(governor_seed_root, i)),
+            config_.scheduler, model, i));
     }
 
-    const auto slot_pretrain_constraint = [&](const FleetDevice& slot) {
-        if (slot.pretrain_constraint_s > 0.0) return slot.pretrain_constraint_s;
-        if (config_.pretrain_constraint_s > 0.0) return config_.pretrain_constraint_s;
-        return config_.streams.front().slo_s;
-    };
-
-    // --- per-device pre-training (not recorded; device-id-namespaced) ------
-    const auto& warm = config_.streams.front();
     for (auto& w : workers) {
-        // Non-learning governors need no warm-up (harness rule).
-        if (w->governor->decision_overhead_s() == 0.0) continue;
-        // Device ids are unique, so the namespace alone decorrelates
-        // identical twins.
-        workload::FrameStream frames(
-            workload::dataset_by_name(warm.dataset),
-            util::derive_seed(config_.seed, w->spec->id + "/pretrain/" + warm.dataset, 0));
-        runtime::pretrain(w->device, w->engine, model, *w->governor, frames,
-                          slot_pretrain_constraint(*w->spec), config_.pretrain_iterations);
-    }
-
-    // Governor-informed service prior: before a device completes its first
-    // request, the router estimates its pace from the calibrated single-frame
-    // constraint (per-device in heterogeneous pools).
-    for (auto& w : workers) {
-        w->expected_service_s = slot_pretrain_constraint(*w->spec);
+        const double constraint = w->spec->pretrain_constraint_s > 0.0
+                                      ? w->spec->pretrain_constraint_s
+                                      : config_.warm_up_constraint_s();
+        // Per-device pre-training (not recorded). Non-learning governors
+        // need no warm-up (harness rule); device ids are unique, so the
+        // namespace alone decorrelates identical twins.
+        if (w->governor->decision_overhead_s() != 0.0) {
+            w->warm_up(config_, w->spec->id + "/", *w->governor, constraint);
+        }
+        // Governor-informed service prior: before a device completes its
+        // first request, the router estimates its pace from the calibrated
+        // single-frame constraint (per-device in heterogeneous pools).
+        w->expected_service_s = constraint;
     }
 
     const auto requests = build_requests();
@@ -200,19 +176,10 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         req_tel.queue_depth(index, t, workers[index]->pending());
     };
 
-    const auto record_shed = [&](const serving::Request& r, double now,
-                                 std::size_t device_index) {
-        req_tel.shed(device_index, r, now);
-        double cpu_temp = 0.0;
-        double gpu_temp = 0.0;
-        if (device_index != kNoDevice) {
-            cpu_temp = workers[device_index]->device.cpu_temp();
-            gpu_temp = workers[device_index]->device.gpu_temp();
-        }
-        auto row = serving::shed_record(r, now, cpu_temp, gpu_temp);
-        row.device = device_index;
-        row.migrated = migrated[r.id] != 0;
-        trace.add(row);
+    /// Stamp a terminal row with its migration mark and ledger it.
+    const auto add = [&](serving::ServingRecord row) {
+        row.migrated = migrated[row.request_id] != 0;
+        trace.add(std::move(row));
     };
 
     const auto make_views = [&](double now, std::size_t exclude) {
@@ -248,7 +215,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         const auto views = make_views(now, exclude);
         const auto idx = router->route(views, req, now);
         if (idx == kNoDevice) {
-            record_shed(req, now, kNoDevice);
+            req_tel.shed(kNoDevice, req, now);
+            add(serving::shed_record(req, now, kNoDevice, 0.0, 0.0));
             return;
         }
         if (tel) {
@@ -326,26 +294,14 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         }
 
         auto decision = w.scheduler->pick(w.queue, now, w.expected_service_s);
-        for (auto& r : decision.shed) record_shed(r, now, index);
+        for (const auto& r : decision.shed) add(w.shed(r, now, req_tel));
         tel_queue_depth(index, now);
         if (!decision.next) return;
 
-        serving::Request req = std::move(*decision.next);
-        const double wait = std::max(0.0, now - req.arrival_s);
-        req_tel.dispatch(index, req, now, wait);
-        const auto result = w.engine.run_frame(model, req.frame, *w.governor, req.slo_s,
-                                               w.iteration++, wait);
+        const auto row = w.serve(*decision.next, now, *w.governor, req_tel);
         w.observe_peak();
-
-        auto row = serving::served_record(req, wait, result);
-        row.device = index;
-        row.migrated = migrated[req.id] != 0;
-        req_tel.served(row, w.device.now());
-        trace.add(row);
-        w.expected_service_s = serving::update_expected_service(w.expected_service_s,
-                                                                result.latency_s);
-
-        if (config_.migrate_on_throttle && result.throttled && w.pending() > 0) {
+        add(row);
+        if (config_.migrate_on_throttle && row.throttled && w.pending() > 0) {
             migrate_off(index, w.device.now());
         }
     };

@@ -30,15 +30,13 @@
 // trips throttle likewise drains the device's queue to the rest of the
 // pool -- work shifts away from a hot die before the backlog bakes on it.
 //
-// The per-request lifecycle is the serving layer's (serving/engine.hpp):
-// stream validation, the replayed-or-generated timeline, the served and shed
-// ledger rows, the expected-service EWMA, runtime::pretrain for the
-// per-device warm-up, and RequestTelemetry for the request spans, breaches
-// and queue depths. The engine only stamps each row's `device` and
-// `migrated` before FleetTrace (a view of serving::Ledger) takes it. What
-// stays fleet-only: routing, migration, failure drains (and their router
-// instants), the expected-service prior seeded from the pretrain
-// constraint and the `<id>/pretrain/<dataset>` seed namespace.
+// Each pool slot is a serving::Station (serving/engine.hpp), the same
+// per-device serve step ServingEngine runs once: device start-up, the
+// `<id>/pretrain/<dataset>` warm-up, served and shed ledger rows and the
+// expected-service EWMA. What stays fleet-only: routing, staging, migration,
+// failure drains (and their router instants), the expected-service prior
+// seeded from the pretrain constraint, and governor seeds derived per device
+// id (see governor_seed).
 //
 // run() is const and reentrant: every call builds its own devices,
 // engines, governors, router and queues, so harness episodes execute from
@@ -67,7 +65,7 @@ public:
         const platform::DeviceSpec& spec, std::uint64_t seed)>;
 
     /// Validates the config (throws std::invalid_argument on an empty pool,
-    /// duplicate device ids, invalid streams -- see serving::validate_streams
+    /// duplicate device ids, invalid streams -- see serving::validate_load
     /// -- or unknown schedulers/routers).
     explicit FleetEngine(FleetConfig config);
 

@@ -4,23 +4,22 @@
 //
 // LOTUS manages thermals and latency on *one* device; a production
 // deployment puts many such devices behind a request dispatcher. A
-// FleetConfig describes that deployment: N devices (heterogeneous specs
-// allowed -- an Orin Nano rack mixed with repurposed phones), the client
-// streams whose merged request timeline the dispatcher routes, the
-// per-device queueing policy, and the routing policy that decides *which*
-// device each request lands on (see fleet/router.hpp). Each device runs its
-// own governor instance -- per-device LOTUS agents -- so fleet-level
-// placement composes with device-level DVFS control instead of replacing
-// it.
+// FleetConfig describes that deployment: the load half every serving run
+// shares (serving::LoadConfig -- the client streams whose merged request
+// timeline the dispatcher routes, the per-device queueing policy, warm-up
+// and seed), N devices (heterogeneous specs allowed -- an Orin Nano rack
+// mixed with repurposed phones), and the routing policy that decides
+// *which* device each request lands on (see fleet/router.hpp). Each device
+// runs its own governor instance -- per-device LOTUS agents -- so
+// fleet-level placement composes with device-level DVFS control instead of
+// replacing it.
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "detector/model.hpp"
 #include "platform/device.hpp"
 #include "serving/request.hpp"
 
@@ -36,16 +35,17 @@ struct FleetDevice {
     /// traces); e.g. "orin0".
     std::string id;
     platform::DeviceSpec spec;
-    /// Per-device ambient override [deg C]; NaN means the fleet ambient.
-    /// (A rack corner with bad airflow, a phone left in the sun.)
+    /// Per-device ambient override [deg C], written into the slot's
+    /// initial_ambient_celsius; NaN means the spec's own. (A rack corner
+    /// with bad airflow, a phone left in the sun.)
     double ambient_celsius = std::numeric_limits<double>::quiet_NaN();
     /// Simulated time at which the device is withdrawn from routing
     /// (failure / maintenance holdout); its still-queued requests are
     /// re-routed to the surviving pool. +infinity = never.
     double fail_at_s = std::numeric_limits<double>::infinity();
-    /// Per-device pre-training latency constraint [s]; 0 falls back to the
-    /// fleet-level FleetConfig::pretrain_constraint_s. Heterogeneous pools
-    /// need this: a phone's single-frame pace is ~4x an Orin's.
+    /// Per-device pre-training latency constraint [s]; 0 falls back to
+    /// LoadConfig::warm_up_constraint_s(). Heterogeneous pools need this: a
+    /// phone's single-frame pace is ~4x an Orin's.
     double pretrain_constraint_s = 0.0;
 
     [[nodiscard]] bool ambient_overridden() const noexcept {
@@ -54,13 +54,12 @@ struct FleetDevice {
 };
 
 /// The full fleet experiment: N devices behind a router, fed by the merged
-/// request timeline of the configured streams.
-struct FleetConfig {
+/// request timeline of the configured streams. The shared load half
+/// (serving::LoadConfig) runs per device: its scheduler is each device's
+/// queue policy, and each learning governor warms up on its own
+/// device-id-namespaced stream.
+struct FleetConfig : serving::LoadConfig {
     std::vector<FleetDevice> devices;
-    detector::DetectorKind detector = detector::DetectorKind::faster_rcnn;
-    std::vector<serving::StreamSpec> streams;
-    /// Per-device queue policy: "fifo", "edf" or "edf_admit".
-    std::string scheduler = "edf";
     /// Routing policy: "round_robin", "least_queue", "thermal_aware" or
     /// "lotus_fleet" (see fleet/router.hpp).
     std::string router = "round_robin";
@@ -68,21 +67,6 @@ struct FleetConfig {
     /// tripped throttle -- the fleet-level analogue of shifting work off a
     /// hot compute resource before it degrades further.
     bool migrate_on_throttle = false;
-    /// Unrecorded warm-up frames per learning governor, one independent
-    /// (device-id-namespaced) stream per device.
-    std::size_t pretrain_iterations = 0;
-    /// Fleet-default pre-training constraint [s]; 0 means stream 0's SLO.
-    double pretrain_constraint_s = 0.0;
-    std::uint64_t seed = 42;
-    double ambient_celsius = 25.0;
-    /// Store the per-request ledger rows (FleetTrace). Summaries come from
-    /// the same live accumulators either way; turn off when no CSV dump or
-    /// chart column extraction needs the rows.
-    bool capture_rows = true;
-    /// Path of a recorded .ltrc trace to replay instead of generating the
-    /// timeline from the streams' arrival processes (see
-    /// serving::ServingConfig::replay_trace). Empty generates analytically.
-    std::string replay_trace;
 };
 
 /// Convenience builder for a pool slot.

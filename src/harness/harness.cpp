@@ -52,29 +52,32 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
     if (config_.telemetry) recorder = std::make_shared<telemetry::Recorder>();
     telemetry::BindScope bind(recorder.get());
 
-    // Trace capture/replay applies to episodes with a request timeline
-    // (serving/fleet). Capture writes the timeline the engine is about to
-    // serve -- generated, or replayed when replay_dir is set, so recording a
-    // replay reproduces its input: record(replay(t)) == t.
-    const bool has_timeline = scenario.fleet.has_value() || scenario.serving.has_value();
-    std::string capture_to;
-    if (has_timeline && !config_.trace_dir.empty()) {
-        capture_to =
-            episode_trace_path(config_.trace_dir, scenario.name, arm_index, arm.name);
-    }
-    std::string replay_from;
-    if (has_timeline && !config_.replay_dir.empty()) {
-        replay_from =
-            episode_trace_path(config_.replay_dir, scenario.name, arm_index, arm.name);
-    }
+    // Serving and fleet episodes serve a request timeline. Each binds its
+    // workload seed, the timeline it replays (replay_dir) and whether the
+    // ledger keeps rows once, through the shared load half. Capture
+    // (trace_dir) writes the timeline the engine is about to serve --
+    // generated, or replayed, so recording a replay reproduces its input:
+    // record(replay(t)) == t.
+    const auto bind_load = [&](serving::LoadConfig& load) {
+        load.seed = cfg.seed;
+        if (!config_.replay_dir.empty()) {
+            load.replay_trace =
+                episode_trace_path(config_.replay_dir, scenario.name, arm_index, arm.name);
+        }
+        if (config_.summary_only) load.capture_rows = false;
+    };
+    const auto capture = [&](const auto& engine) {
+        if (config_.trace_dir.empty()) return;
+        trace::write_trace(
+            episode_trace_path(config_.trace_dir, scenario.name, arm_index, arm.name),
+            engine.config().streams, engine.build_requests());
+    };
 
     if (scenario.fleet) {
         auto fleet_cfg = *scenario.fleet;
         if (over.router) fleet_cfg.router = *over.router;
         if (over.migrate_on_throttle) fleet_cfg.migrate_on_throttle = *over.migrate_on_throttle;
-        fleet_cfg.seed = cfg.seed;
-        if (!replay_from.empty()) fleet_cfg.replay_trace = replay_from;
-        if (config_.summary_only) fleet_cfg.capture_rows = false;
+        bind_load(fleet_cfg);
         // The factory is invoked once per device by the engine, with
         // device-id-namespaced seeds derived from this root (the draw that
         // seeds the single governor of non-fleet episodes). Spec-dependent
@@ -90,9 +93,7 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
             };
         }
         const fleet::FleetEngine engine(fleet_cfg);
-        if (!capture_to.empty()) {
-            trace::write_trace(capture_to, fleet_cfg.streams, engine.build_requests());
-        }
+        capture(engine);
         auto trace = engine.run(factory, governor_root);
         EpisodeResult result{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),
@@ -107,15 +108,11 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
 
     if (scenario.serving) {
         auto serving_cfg = *scenario.serving;
-        serving_cfg.seed = cfg.seed;
-        if (!replay_from.empty()) serving_cfg.replay_trace = replay_from;
-        if (config_.summary_only) serving_cfg.capture_rows = false;
+        bind_load(serving_cfg);
         // Non-learning governors need no warm-up (same rule as below).
         if (governor->decision_overhead_s() == 0.0) serving_cfg.pretrain_iterations = 0;
         const serving::ServingEngine engine(serving_cfg);
-        if (!capture_to.empty()) {
-            trace::write_trace(capture_to, serving_cfg.streams, engine.build_requests());
-        }
+        capture(engine);
         auto trace = engine.run(*governor);
         return EpisodeResult{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),

@@ -105,49 +105,46 @@ serving::StreamSpec cam_stream(std::string name, std::string dataset, double slo
     return s;
 }
 
-/// Serving-scenario shell: the caller appends streams and arms. The classic
-/// config half still names the device/detector so arm factories and sinks
-/// (throttle bounds) keep working.
-Scenario serving_scenario(const platform::DeviceSpec& spec, std::string name,
-                          std::string title, std::string description,
-                          std::string scheduler) {
+/// Serving- or fleet-scenario shell: the caller appends streams (and, for
+/// a fleet, devices) and arms. The classic config half still names a
+/// representative device/detector so arm factories and sinks (throttle
+/// bounds) keep working. The shared load half warms up against the
+/// device-calibrated per-frame constraint, not the (queueing-padded) SLO: a
+/// saturated queue needs frames served at the single-frame pace.
+Scenario load_scenario(const platform::DeviceSpec& spec, std::string name, std::string title,
+                       std::string description, std::string scheduler, bool fleet) {
     Scenario s(runtime::static_experiment(spec, DetectorKind::faster_rcnn, "KITTI", 1, 0));
     s.name = std::move(name);
     s.title = std::move(title);
     s.description = std::move(description);
     s.tags = {"serving"};
-    serving::ServingConfig cfg(spec);
-    cfg.detector = DetectorKind::faster_rcnn;
-    cfg.scheduler = std::move(scheduler);
-    cfg.pretrain_iterations = pretrain_iterations();
-    // Warm up against the device-calibrated per-frame constraint, not the
-    // (queueing-padded) SLO: a saturated queue needs frames served at the
-    // single-frame pace.
-    cfg.pretrain_constraint_s = workload::latency_constraint_s(
-        spec.name, DetectorKind::faster_rcnn, "KITTI");
-    s.serving = std::move(cfg);
+    serving::LoadConfig* load = nullptr;
+    if (fleet) {
+        s.tags.push_back("fleet");
+        load = &s.fleet.emplace();
+    } else {
+        load = &s.serving.emplace(spec);
+    }
+    load->detector = DetectorKind::faster_rcnn;
+    load->scheduler = std::move(scheduler);
+    load->pretrain_iterations = pretrain_iterations();
+    load->pretrain_constraint_s =
+        workload::latency_constraint_s(spec.name, DetectorKind::faster_rcnn, "KITTI");
     return s;
 }
 
-/// Fleet-scenario shell: N devices behind a router; the caller appends
-/// streams, devices and arms. The classic config half still names a
-/// representative device/detector for arm factories and sinks.
+Scenario serving_scenario(const platform::DeviceSpec& spec, std::string name,
+                          std::string title, std::string description,
+                          std::string scheduler) {
+    return load_scenario(spec, std::move(name), std::move(title), std::move(description),
+                         std::move(scheduler), false);
+}
+
 Scenario fleet_scenario(const platform::DeviceSpec& spec, std::string name,
                         std::string title, std::string description,
                         std::string scheduler) {
-    Scenario s(runtime::static_experiment(spec, DetectorKind::faster_rcnn, "KITTI", 1, 0));
-    s.name = std::move(name);
-    s.title = std::move(title);
-    s.description = std::move(description);
-    s.tags = {"serving", "fleet"};
-    fleet::FleetConfig cfg;
-    cfg.detector = DetectorKind::faster_rcnn;
-    cfg.scheduler = std::move(scheduler);
-    cfg.pretrain_iterations = pretrain_iterations();
-    cfg.pretrain_constraint_s = workload::latency_constraint_s(
-        spec.name, DetectorKind::faster_rcnn, "KITTI");
-    s.fleet = std::move(cfg);
-    return s;
+    return load_scenario(spec, std::move(name), std::move(title), std::move(description),
+                         std::move(scheduler), true);
 }
 
 /// Heatwave ambient: 25 C baseline, ramp to a mid-run peak, ramp back --

@@ -5,7 +5,6 @@
 
 #include "prof/profiler.hpp"
 #include "runtime/runner.hpp"
-#include "serving/scheduler.hpp"
 #include "telemetry/recorder.hpp"
 #include "trace/record.hpp"
 #include "util/rng.hpp"
@@ -31,7 +30,8 @@ std::uint64_t frame_stream_seed(std::uint64_t seed, const std::string& stream_na
 
 } // namespace
 
-void validate_streams(const std::vector<StreamSpec>& streams, const std::string& owner) {
+void validate_load(const LoadConfig& load, const std::string& owner) {
+    const auto& streams = load.streams;
     if (streams.empty()) {
         throw std::invalid_argument(owner + ": no streams configured");
     }
@@ -51,33 +51,15 @@ void validate_streams(const std::vector<StreamSpec>& streams, const std::string&
             throw std::invalid_argument(owner + ": stream '" + s.name + "': " + e.what());
         }
     }
+    (void)make_scheduler(load.scheduler); // throws on unknown policy
 }
 
-ServingRecord served_record(const Request& r, double wait_s,
-                            const runtime::FrameResult& result) {
-    ServingRecord row;
-    row.request_id = r.id;
-    row.stream = r.stream;
-    row.arrival_s = r.arrival_s;
-    row.start_s = result.start_time_s;
-    row.queue_wait_s = wait_s;
-    row.service_s = result.latency_s;
-    row.e2e_s = result.e2e_latency_s();
-    row.slo_s = r.slo_s;
-    row.missed = !util::meets_limit(row.e2e_s, r.slo_s);
-    row.throttled = result.throttled;
-    row.proposals = result.proposals_used;
-    row.cpu_temp = result.cpu_temp;
-    row.gpu_temp = result.gpu_temp;
-    row.energy_j = result.energy_j;
-    return row;
-}
-
-ServingRecord shed_record(const Request& r, double now_s, double cpu_temp,
+ServingRecord shed_record(const Request& r, double now_s, std::size_t device, double cpu_temp,
                           double gpu_temp) {
     ServingRecord row;
     row.request_id = r.id;
     row.stream = r.stream;
+    row.device = device;
     row.arrival_s = r.arrival_s;
     row.start_s = now_s;
     row.queue_wait_s = std::max(0.0, now_s - r.arrival_s);
@@ -89,11 +71,6 @@ ServingRecord shed_record(const Request& r, double now_s, double cpu_temp,
     row.cpu_temp = cpu_temp;
     row.gpu_temp = gpu_temp;
     return row;
-}
-
-double update_expected_service(double expected_s, double latency_s) {
-    return expected_s <= 0.0 ? latency_s
-                             : (1.0 - kServiceEwma) * expected_s + kServiceEwma * latency_s;
 }
 
 RequestTelemetry::RequestTelemetry(const std::vector<StreamSpec>& streams,
@@ -177,9 +154,60 @@ void RequestTelemetry::queue_depth(std::size_t device, double t_s, std::size_t d
                   static_cast<double>(depth));
 }
 
+Station::Station(const platform::DeviceSpec& spec, const std::string& scheduler_name,
+                 const detector::DetectorModel& model, std::size_t index)
+    : device(spec), engine(device), scheduler(make_scheduler(scheduler_name)), model_(model),
+      index_(index) {}
+
+void Station::warm_up(const LoadConfig& load, const std::string& prefix,
+                      governors::Governor& governor, double constraint_s) {
+    const auto& dataset = load.streams.front().dataset;
+    workload::FrameStream frames(workload::dataset_by_name(dataset),
+                                 util::derive_seed(load.seed, prefix + "pretrain/" + dataset, 0));
+    runtime::pretrain(device, engine, model_, governor, frames, constraint_s,
+                      load.pretrain_iterations);
+}
+
+ServingRecord Station::shed(const Request& r, double now_s, RequestTelemetry& tel) const {
+    tel.shed(index_, r, now_s);
+    return shed_record(r, now_s, index_, device.cpu_temp(), device.gpu_temp());
+}
+
+ServingRecord Station::serve(const Request& r, double now_s, governors::Governor& governor,
+                             RequestTelemetry& tel) {
+    // Admission tolerates kTimeEps of clock shortfall; never report a
+    // negative wait for a request taken the instant it arrived.
+    const double wait = std::max(0.0, now_s - r.arrival_s);
+    tel.dispatch(index_, r, now_s, wait);
+    const auto result = engine.run_frame(model_, r.frame, governor, r.slo_s, frames++, wait);
+
+    ServingRecord row;
+    row.request_id = r.id;
+    row.stream = r.stream;
+    row.device = index_;
+    row.arrival_s = r.arrival_s;
+    row.start_s = result.start_time_s;
+    row.queue_wait_s = wait;
+    row.service_s = result.latency_s;
+    row.e2e_s = result.e2e_latency_s();
+    row.slo_s = r.slo_s;
+    row.missed = !util::meets_limit(row.e2e_s, r.slo_s);
+    row.throttled = result.throttled;
+    row.proposals = result.proposals_used;
+    row.cpu_temp = result.cpu_temp;
+    row.gpu_temp = result.gpu_temp;
+    row.energy_j = result.energy_j;
+    tel.served(row, device.now());
+
+    // The first sample replaces a missing estimate; later ones blend in.
+    expected_service_s = expected_service_s <= 0.0 ? result.latency_s
+                                                   : (1.0 - kServiceEwma) * expected_service_s +
+                                                         kServiceEwma * result.latency_s;
+    return row;
+}
+
 ServingEngine::ServingEngine(ServingConfig config) : config_(std::move(config)) {
-    validate_streams(config_.streams, "ServingEngine");
-    (void)make_scheduler(config_.scheduler); // throws on unknown policy
+    validate_load(config_, "ServingEngine");
 }
 
 RequestTimeline::RequestTimeline(const std::vector<StreamSpec>& streams, std::uint64_t seed) {
@@ -235,34 +263,25 @@ std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& strea
     return all;
 }
 
-std::vector<Request> replay_or_build_timeline(const std::vector<StreamSpec>& streams,
-                                              std::uint64_t seed,
-                                              const std::string& replay_trace) {
-    if (!replay_trace.empty()) return trace::TraceArrivalSource(replay_trace).requests(streams);
-    return build_request_timeline(streams, seed);
+std::vector<Request> replay_or_build_timeline(const LoadConfig& load) {
+    if (!load.replay_trace.empty()) {
+        return trace::TraceArrivalSource(load.replay_trace).requests(load.streams);
+    }
+    return build_request_timeline(load.streams, load.seed);
 }
 
 std::vector<Request> ServingEngine::build_requests() const {
-    return replay_or_build_timeline(config_.streams, config_.seed, config_.replay_trace);
+    return replay_or_build_timeline(config_);
 }
 
 ServingTrace ServingEngine::run(governors::Governor& governor) const {
     LOTUS_PROF_SCOPE("serving.run");
-    platform::EdgeDevice device(config_.device_spec);
-    device.set_ambient(config_.ambient_celsius);
-    runtime::InferenceEngine engine(device);
     const auto model = detector::make_detector(config_.detector);
-    auto scheduler = make_scheduler(config_.scheduler);
+    Station station(config_.device_spec, config_.scheduler, model, 0);
+    auto& device = station.device;
 
     // --- pre-training phase (not recorded; mirrors ExperimentRunner) --------
-    const auto& warm = config_.streams.front();
-    workload::FrameStream warm_frames(
-        workload::dataset_by_name(warm.dataset),
-        util::derive_seed(config_.seed, "pretrain/" + warm.dataset, 0));
-    runtime::pretrain(device, engine, model, governor, warm_frames,
-                      config_.pretrain_constraint_s > 0.0 ? config_.pretrain_constraint_s
-                                                          : warm.slo_s,
-                      config_.pretrain_iterations);
+    station.warm_up(config_, "", governor, config_.warm_up_constraint_s());
 
     const auto requests = build_requests();
     std::vector<std::string> names;
@@ -271,10 +290,8 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
 
     ServingTrace trace(std::move(names), config_.capture_rows);
     trace.reserve(requests.size());
-    RequestQueue queue;
+    auto& queue = station.queue;
     std::size_t next_arrival = 0;
-    std::size_t iteration = 0;
-    double expected_service = 0.0;
 
     // The device's tracks take their ids before the emitter's stream tracks:
     // trace.json numbers processes and threads in track-creation order.
@@ -296,33 +313,18 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
         if (queue.empty()) {
             // Device is free but no request is pending: idle (and cool)
             // until the next arrival.
-            engine.run_idle(std::max(requests[next_arrival].arrival_s - now, kTimeEps),
-                            governor);
+            station.engine.run_idle(std::max(requests[next_arrival].arrival_s - now, kTimeEps),
+                                    governor);
             continue;
         }
 
-        auto decision = scheduler->pick(queue, now, expected_service);
-        for (const auto& r : decision.shed) {
-            tel.shed(0, r, now);
-            trace.add(shed_record(r, now, device.cpu_temp(), device.gpu_temp()));
-        }
+        auto decision = station.scheduler->pick(queue, now, station.expected_service_s);
+        for (const auto& r : decision.shed) trace.add(station.shed(r, now, tel));
         tel.queue_depth(0, now, queue.size());
         if (!decision.next) continue;
         LOTUS_PROF_SCOPE("serving.dispatch");
         LOTUS_PROF_COUNT("serving.requests", 1);
-
-        Request req = std::move(*decision.next);
-        // Admission tolerates kTimeEps of clock shortfall; never report a
-        // negative wait for a request taken the instant it arrived.
-        const double wait = std::max(0.0, now - req.arrival_s);
-        tel.dispatch(0, req, now, wait);
-        const auto result =
-            engine.run_frame(model, req.frame, governor, req.slo_s, iteration++, wait);
-
-        auto row = served_record(req, wait, result);
-        tel.served(row, device.now());
-        trace.add(std::move(row));
-        expected_service = update_expected_service(expected_service, result.latency_s);
+        trace.add(station.serve(*decision.next, now, governor, tel));
     }
 
     trace.set_makespan(device.now());

@@ -17,20 +17,18 @@
 //    and timer-driven governors keep ticking;
 //  * shed requests (admission control) count as SLO violations.
 //
-// run() is const and reentrant: every call builds its own device, engine,
-// streams and scheduler, so harness episodes execute from concurrent
-// threads, one governor per thread, byte-identically to a serial run.
+// run() is const and reentrant: every call builds its own Station (device,
+// engine, scheduler, queue) and streams, so harness episodes execute from
+// concurrent threads, one governor per thread, byte-identically to a serial
+// run.
 //
-// The request lifecycle both this engine and fleet::FleetEngine run lives
-// here once: stream validation, the replayed-or-generated timeline, the
-// served and shed ledger rows, the expected-service EWMA, the clock
-// tolerance and the request telemetry (RequestTelemetry). The warm-up is
-// runtime::pretrain, drawn from the `pretrain/<dataset>` seed namespace;
-// the expected-service estimate starts at 0.
+// The Station below is the per-device serve step fleet::FleetEngine runs
+// once per pool slot.
 
 #include "governors/governor.hpp"
 #include "runtime/engine.hpp"
 #include "serving/request.hpp"
+#include "serving/scheduler.hpp"
 #include "serving/trace.hpp"
 
 namespace lotus::telemetry {
@@ -80,29 +78,20 @@ private:
 [[nodiscard]] std::vector<Request> build_request_timeline(
     const std::vector<StreamSpec>& streams, std::uint64_t seed);
 
-/// The timeline an engine serves: the recorded .ltrc trace at `replay_trace`
-/// when set, else build_request_timeline(streams, seed).
-[[nodiscard]] std::vector<Request> replay_or_build_timeline(
-    const std::vector<StreamSpec>& streams, std::uint64_t seed, const std::string& replay_trace);
+/// The timeline an engine serves: the recorded .ltrc trace at
+/// load.replay_trace when set, else build_request_timeline(streams, seed).
+[[nodiscard]] std::vector<Request> replay_or_build_timeline(const LoadConfig& load);
 
-/// Throws std::invalid_argument (prefixed with `owner`) on an empty stream
-/// set, a stream with zero requests, a non-positive SLO, an unknown dataset
-/// or an arrival spec ArrivalGenerator rejects.
-void validate_streams(const std::vector<StreamSpec>& streams, const std::string& owner);
+/// Throws std::invalid_argument (stream errors prefixed with `owner`) on an
+/// empty stream set, a stream with zero requests, a non-positive SLO, an
+/// unknown dataset, an arrival spec ArrivalGenerator rejects or an unknown
+/// scheduler.
+void validate_load(const LoadConfig& load, const std::string& owner);
 
-/// Ledger row of request `r`, dispatched after `wait_s` in the queue and
-/// executed as `result`.
-[[nodiscard]] ServingRecord served_record(const Request& r, double wait_s,
-                                          const runtime::FrameResult& result);
-/// Ledger row of request `r`, shed at `now_s` from a device at the given
-/// temperatures.
-[[nodiscard]] ServingRecord shed_record(const Request& r, double now_s, double cpu_temp,
-                                        double gpu_temp);
-
-/// Fold one service-time sample into a device's expected-service estimate
-/// (the scheduler's and router's pace prior); a non-positive estimate is
-/// replaced by the sample.
-[[nodiscard]] double update_expected_service(double expected_s, double latency_s);
+/// Ledger row of request `r`, shed at `now_s` by `device` (kNoDevice: the
+/// fleet router) at the given temperatures.
+[[nodiscard]] ServingRecord shed_record(const Request& r, double now_s, std::size_t device,
+                                        double cpu_temp, double gpu_temp);
 
 /// The request-lifecycle telemetry both engines emit into the thread's
 /// telemetry::current() recorder; every call is a no-op when recording is
@@ -123,8 +112,8 @@ public:
 
     void arrival(const Request& r);
     void dispatch(std::size_t device, const Request& r, double now_s, double wait_s);
-    /// `row` is served_record's ledger row (with its `device` set),
-    /// completed at `done_s`.
+    /// `row` is a served ledger row (with its `device` set), completed at
+    /// `done_s`.
     void served(const ServingRecord& row, double done_s);
     void shed(std::size_t device, const Request& r, double now_s);
     /// Counter sample, recorded only when `depth` changed since the last one.
@@ -142,6 +131,52 @@ private:
     std::vector<int> queue_tracks_;    // per device, -1 until first use
     std::vector<int> platform_tracks_; // per device, -1 until first use
     int router_track_ = -1;
+};
+
+/// One device serving its own queue: the EdgeDevice and its
+/// InferenceEngine, the scheduler and RequestQueue in front of them, the
+/// frames run so far and the expected-service estimate (the scheduler's and
+/// router's pace prior). ServingEngine runs one station; fleet::FleetEngine
+/// runs one per pool slot.
+class Station {
+public:
+    /// A device fresh from `spec` -- at its initial_ambient_celsius, in
+    /// equilibrium -- numbered `index` in its engine's ledger and telemetry.
+    /// Throws std::invalid_argument on an unknown scheduler.
+    Station(const platform::DeviceSpec& spec, const std::string& scheduler,
+            const detector::DetectorModel& model, std::size_t index);
+
+    /// Unrecorded warm-up of `governor` (runtime::pretrain) against
+    /// `constraint_s`: load.pretrain_iterations frames of stream 0's dataset,
+    /// drawn from the `<prefix>pretrain/<dataset>` seed namespace -- prefix
+    /// "" on one device, "<id>/" in a fleet.
+    void warm_up(const LoadConfig& load, const std::string& prefix,
+                 governors::Governor& governor, double constraint_s);
+
+    /// Ledger row of `r`, shed at `now_s` at this device's temperatures;
+    /// emits the shed telemetry.
+    [[nodiscard]] ServingRecord shed(const Request& r, double now_s,
+                                     RequestTelemetry& tel) const;
+
+    /// Dispatch `r` at `now_s` and run it under `governor`, emitting the
+    /// dispatch and served telemetry; the service time folds into
+    /// expected_service_s. Returns the served ledger row.
+    ServingRecord serve(const Request& r, double now_s, governors::Governor& governor,
+                        RequestTelemetry& tel);
+
+    platform::EdgeDevice device;
+    runtime::InferenceEngine engine;
+    std::unique_ptr<Scheduler> scheduler;
+    RequestQueue queue;
+    /// Frames served (the engine's iteration index).
+    std::size_t frames = 0;
+    /// EWMA of service times; 0 (no estimate) until the first sample
+    /// unless the owner seeds a prior.
+    double expected_service_s = 0.0;
+
+private:
+    const detector::DetectorModel& model_;
+    std::size_t index_;
 };
 
 class ServingEngine {

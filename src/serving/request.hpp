@@ -3,15 +3,15 @@
 //
 // A Request is one frame submitted by one client stream: it arrives at a
 // point in simulated time, carries the stream's latency SLO as a relative
-// deadline, and waits in a RequestQueue until the scheduler dispatches it to
-// the (single, shared) device. Everything the serving layer accounts --
-// queue wait, shedding, deadline misses -- hangs off this struct.
+// deadline, and waits in its device's RequestQueue until the scheduler
+// dispatches it. Everything the serving layer accounts -- queue wait,
+// shedding, deadline misses -- hangs off this struct.
 //
 // A StreamSpec describes one client stream: which dataset its frames come
 // from (workload intensity), its SLO, how many requests it emits and the
-// arrival process that times them. ServingConfig bundles N streams with the
-// device, detector and scheduler -- the serving analogue of
-// runtime::ExperimentConfig.
+// arrival process that times them. LoadConfig bundles N streams with the
+// detector, scheduler, warm-up and seed both engines share; ServingConfig
+// adds the one device -- the serving analogue of runtime::ExperimentConfig.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,19 +54,18 @@ struct StreamSpec {
     ArrivalSpec arrival;
 };
 
-/// The full serving experiment: N streams multiplexed onto one device.
-/// (Constructed from its DeviceSpec because DeviceSpec has no empty state.)
-struct ServingConfig {
-    explicit ServingConfig(platform::DeviceSpec spec) : device_spec(std::move(spec)) {}
-
-    platform::DeviceSpec device_spec;
+/// The load half of a serving or fleet experiment: the streams, what serves
+/// them, and how a run is seeded, warmed up and recorded. ServingConfig and
+/// fleet::FleetConfig add only where the requests run.
+struct LoadConfig {
     detector::DetectorKind detector = detector::DetectorKind::faster_rcnn;
     std::vector<StreamSpec> streams;
-    /// Scheduling policy: "fifo", "edf" or "edf_admit" (see make_scheduler).
+    /// Per-device queue policy: "fifo", "edf" or "edf_admit" (see
+    /// make_scheduler).
     std::string scheduler = "edf";
-    /// Unrecorded warm-up frames for learning governors (stream 0's
-    /// dataset); the device cold-restarts afterwards, the agent keeps its
-    /// learned weights -- mirrors runtime::ExperimentRunner.
+    /// Unrecorded warm-up frames per learning governor (stream 0's dataset,
+    /// one stream per device); the device cold-restarts afterwards, the
+    /// agent keeps its learned weights -- mirrors runtime::ExperimentRunner.
     std::size_t pretrain_iterations = 0;
     /// Latency constraint used during pre-training [s]; 0 means stream 0's
     /// SLO. Serving SLOs include queueing headroom, so pre-training against
@@ -75,10 +74,9 @@ struct ServingConfig {
     /// pace a saturated queue actually needs.
     double pretrain_constraint_s = 0.0;
     std::uint64_t seed = 42;
-    double ambient_celsius = 25.0;
-    /// Store the per-request ledger rows (ServingTrace). Summaries come from
-    /// the same live accumulators either way; turn off when no CSV dump or
-    /// chart column extraction needs the rows.
+    /// Store the per-request ledger rows. Summaries come from the same live
+    /// accumulators either way; turn off when no CSV dump or chart column
+    /// extraction needs the rows.
     bool capture_rows = true;
     /// Path of a recorded .ltrc trace to replay instead of generating the
     /// timeline from the streams' arrival processes. The trace's stream
@@ -86,6 +84,20 @@ struct ServingConfig {
     /// everything downstream of the timeline is then byte-identical to the
     /// generating run. Empty (default) generates analytically.
     std::string replay_trace;
+
+    /// The warm-up constraint: pretrain_constraint_s, else stream 0's SLO.
+    [[nodiscard]] double warm_up_constraint_s() const {
+        return pretrain_constraint_s > 0.0 ? pretrain_constraint_s : streams.front().slo_s;
+    }
+};
+
+/// The full serving experiment: N streams multiplexed onto one device, which
+/// starts at its spec's initial_ambient_celsius. (Constructed from its
+/// DeviceSpec because DeviceSpec has no empty state.)
+struct ServingConfig : LoadConfig {
+    explicit ServingConfig(platform::DeviceSpec spec) : device_spec(std::move(spec)) {}
+
+    platform::DeviceSpec device_spec;
 };
 
 } // namespace lotus::serving

@@ -1,8 +1,9 @@
 // FleetEngine tests: request accounting across the pool, byte-identical
 // determinism (repeat runs and --jobs invariance through the harness),
 // per-device governor-seed namespacing, thermal_aware routing flipping away
-// from an induced hot device, throttle migration, failure holdout, and the
-// fleet shapes of the JSON / CSV sinks.
+// from an induced hot device, both engines starting at the spec's ambient,
+// throttle migration, failure holdout, and the fleet shapes of the JSON /
+// CSV sinks.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -195,6 +197,59 @@ TEST(FleetEngine, ThermalAwareRoutingFlipsAwayFromAnInducedHotDevice) {
     EXPECT_LT(routed_to_hot(aware), blind.size() / 4);
     // ...and the hot die must end up cooler for it.
     EXPECT_LT(aware.device_stats(0).peak_temp_c, blind.device_stats(0).peak_temp_c);
+}
+
+/// Pins levels and stores the first frame's observation in `first`, which
+/// outlives the engine that owns the governor.
+class FirstObservation final : public governors::Governor {
+public:
+    explicit FirstObservation(std::optional<governors::Observation>& first) : first_(first) {}
+    [[nodiscard]] std::string name() const override { return "first_observation"; }
+    governors::LevelRequest on_frame_start(const governors::Observation& obs) override {
+        if (!first_) first_ = obs;
+        return governors::LevelRequest::set(5, 3);
+    }
+    void on_frame_end(const governors::FrameOutcome&) override {}
+
+private:
+    std::optional<governors::Observation>& first_;
+};
+
+TEST(FleetEngine, ServingAndFleetDevicesStartAtTheSpecAmbient) {
+    // A 35 C spec and no per-slot override: both engines' devices start
+    // there, and stay at or above it through a 300 s idle before the only
+    // request (idle power heats, nothing cools below ambient).
+    auto spec = platform::orin_nano_spec();
+    spec.initial_ambient_celsius = 35.0;
+    serving::StreamSpec stream;
+    stream.name = "cam";
+    stream.requests = 1;
+    stream.arrival.rate_hz = 1.0;
+    stream.arrival.phase_s = 300.0;
+
+    std::optional<governors::Observation> serving_first;
+    serving::ServingConfig serving_cfg(spec);
+    serving_cfg.streams = {stream};
+    FirstObservation serving_gov(serving_first);
+    (void)serving::ServingEngine(serving_cfg).run(serving_gov);
+
+    std::optional<governors::Observation> fleet_first;
+    FleetConfig fleet_cfg;
+    fleet_cfg.devices.push_back(make_device("hot0", spec));
+    fleet_cfg.streams = {stream};
+    const auto trace = FleetEngine(fleet_cfg).run(
+        [&](const platform::DeviceSpec&, std::uint64_t) -> std::unique_ptr<governors::Governor> {
+            return std::make_unique<FirstObservation>(fleet_first);
+        },
+        1);
+    EXPECT_GE(trace.device_stats(0).peak_temp_c, 35.0);
+
+    for (const auto& first : {serving_first, fleet_first}) {
+        ASSERT_TRUE(first.has_value());
+        EXPECT_GE(first->now_s, 300.0);
+        EXPECT_GE(first->cpu_temp, 35.0);
+        EXPECT_GE(first->gpu_temp, 35.0);
+    }
 }
 
 TEST(FleetEngine, ThrottleMigrationDrainsTheHotQueue) {

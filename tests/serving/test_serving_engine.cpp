@@ -2,8 +2,10 @@
 // of requests (served + shed == offered), end-to-end latency accounting
 // (queue wait visible to the governor's reward), thermal carry-over across
 // interleaved streams, admission-control behaviour under overload, the
-// per-stream/aggregate summaries, and how the serving and fleet traces
-// reject a row with an unknown stream or device index.
+// per-stream/aggregate summaries, the Station serve step both engines
+// share (expected-service EWMA, served and shed rows, frame counter), and
+// how the serving and fleet traces reject a row with an unknown stream or
+// device index.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +257,75 @@ TEST(ServingEngine, ReportsThermalSteps) {
     governors::FixedGovernor governor(5, 3);
     const auto trace = engine.run(governor);
     EXPECT_GT(trace.thermal_steps(), 0u);
+}
+
+/// A station numbered `index` (at most 2) on a fresh Orin Nano, a telemetry
+/// emitter for devices d0..d2 and the timeline of base_config(1, 3, 1.0).
+struct StationRig {
+    explicit StationRig(std::size_t index)
+        : model(detector::make_detector(detector::DetectorKind::faster_rcnn)),
+          station(platform::orin_nano_spec(), "edf", model, index),
+          cfg(base_config(1, 3, 1.0)), requests(ServingEngine(cfg).build_requests()),
+          tel(cfg.streams, {"d0", "d1", "d2"}) {}
+
+    ServingRecord serve(std::size_t i, governors::Governor& governor) {
+        return station.serve(requests[i], station.device.now(), governor, tel);
+    }
+
+    detector::DetectorModel model;
+    Station station;
+    ServingConfig cfg;
+    std::vector<Request> requests;
+    RequestTelemetry tel;
+};
+
+TEST(Station, FirstServiceSampleReplacesTheEstimateLaterOnesBlend) {
+    StationRig rig(0);
+    governors::FixedGovernor governor(5, 3);
+    ASSERT_EQ(rig.station.expected_service_s, 0.0);
+    const auto first = rig.serve(0, governor);
+    EXPECT_GT(first.service_s, 0.0);
+    EXPECT_EQ(rig.station.expected_service_s, first.service_s);
+    const auto second = rig.serve(1, governor);
+    EXPECT_NE(second.service_s, first.service_s);
+    EXPECT_DOUBLE_EQ(rig.station.expected_service_s,
+                     0.7 * first.service_s + 0.3 * second.service_s);
+}
+
+TEST(Station, ServedRowCarriesTheStationIndexAndCountsTheFrame) {
+    StationRig rig(2);
+    governors::FixedGovernor governor(5, 3);
+    // Dispatched before its arrival instant: the wait clamps at 0.
+    const auto early =
+        rig.station.serve(rig.requests[1], rig.requests[1].arrival_s - 0.5, governor, rig.tel);
+    EXPECT_EQ(early.queue_wait_s, 0.0);
+    EXPECT_EQ(early.device, 2u);
+    EXPECT_EQ(early.request_id, rig.requests[1].id);
+    EXPECT_FALSE(early.shed);
+    EXPECT_EQ(rig.station.frames, 1u);
+    const auto row = rig.serve(2, governor);
+    EXPECT_EQ(row.device, 2u);
+    EXPECT_EQ(rig.station.frames, 2u);
+    EXPECT_EQ(row.cpu_temp, rig.station.device.cpu_temp());
+}
+
+TEST(Station, ShedRowCarriesTheStationTemperaturesAndIndex) {
+    telemetry::Recorder rec;
+    const telemetry::BindScope bind(&rec);
+    StationRig rig(1);
+    governors::FixedGovernor governor(7, 5);
+    (void)rig.serve(0, governor); // heat the device off its ambient
+    const double now = rig.station.device.now();
+    const auto row = rig.station.shed(rig.requests[1], now, rig.tel);
+    EXPECT_TRUE(row.shed);
+    EXPECT_TRUE(row.missed);
+    EXPECT_EQ(row.device, 1u);
+    EXPECT_EQ(row.start_s, now);
+    EXPECT_GT(row.cpu_temp, 25.0);
+    EXPECT_EQ(row.cpu_temp, rig.station.device.cpu_temp());
+    EXPECT_EQ(row.gpu_temp, rig.station.device.gpu_temp());
+    EXPECT_EQ(rig.station.frames, 1u); // a shed runs no frame
+    EXPECT_NE(rec.breaches_jsonl().find("\"device\":\"d1\""), std::string::npos);
 }
 
 /// Adding `bad` must throw std::out_of_range and leave the trace's size,

@@ -4,9 +4,12 @@
 Runs the fleet serving smoke twice (same seed, LOTUS_BENCH_FAST honoured
 from the environment), then asserts:
 
+  0. `lotus_inspect summary A` and `lotus_inspect top A --by miss_rate
+     --limit 5` exit 0 and print their tables -- the read-only queries work
+     on a real telemetry tree;
   1. `lotus_inspect diff A B` on the two identical telemetry trees exits 0
      and reports zero regressions and zero improvements -- the determinism
-     contract the CI identity gate relies on;
+     contract a regression gate relies on;
   2. after perturbing one health.json counter in a copy of tree B, the diff
      exits non-zero and reports the regression -- the gate actually bites.
 
@@ -55,6 +58,15 @@ def main():
 
     failures = []
 
+    # Property 0: the read-only queries run and print their tables.
+    for query, expect in ((["summary", tree_a], "health"),
+                          (["top", tree_a, "--by", "miss_rate", "--limit", "5"],
+                           "worst by miss_rate")):
+        proc = run([args.inspect] + query)
+        if proc.returncode != 0 or expect not in proc.stdout:
+            failures.append(f"lotus_inspect {query[0]} exited "
+                            f"{proc.returncode}:\n{proc.stdout}{proc.stderr}")
+
     # Property 1: identical runs diff clean with exit 0.
     proc = run([args.inspect, "diff", tree_a, tree_b])
     if proc.returncode != 0:
@@ -91,7 +103,8 @@ def main():
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
-    print("inspect_diff_gate: identity diff clean, perturbation detected")
+    print("inspect_diff_gate: summary and top ran, identity diff clean, "
+          "perturbation detected")
     return 0
 
 

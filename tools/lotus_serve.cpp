@@ -182,25 +182,20 @@ int run_adhoc(const Options& opt) {
     scenario.name = opt.devices > 0 ? "cli_fleet" : "cli_serve";
     scenario.title = opt.devices > 0 ? "lotus_serve ad-hoc fleet experiment"
                                      : "lotus_serve ad-hoc serving experiment";
+    serving::LoadConfig* shared = nullptr;
     if (opt.devices > 0) {
-        fleet::FleetConfig cfg;
+        auto& cfg = scenario.fleet.emplace();
         cfg.devices = fleet::device_pool(spec, opt.device, opt.devices);
-        cfg.detector = kind;
-        cfg.scheduler = opt.scheduler;
         cfg.router = opt.router.empty() ? "round_robin" : opt.router;
-        cfg.pretrain_iterations = opt.pretrain;
-        cfg.pretrain_constraint_s = constraint;
-        cfg.streams = std::move(streams);
-        scenario.fleet = std::move(cfg);
+        shared = &cfg;
     } else {
-        serving::ServingConfig cfg(spec);
-        cfg.detector = kind;
-        cfg.scheduler = opt.scheduler;
-        cfg.pretrain_iterations = opt.pretrain;
-        cfg.pretrain_constraint_s = constraint;
-        cfg.streams = std::move(streams);
-        scenario.serving = std::move(cfg);
+        shared = &scenario.serving.emplace(spec);
     }
+    shared->detector = kind;
+    shared->scheduler = opt.scheduler;
+    shared->pretrain_iterations = opt.pretrain;
+    shared->pretrain_constraint_s = constraint;
+    shared->streams = std::move(streams);
     scenario.arms.push_back(cli::make_governor_arm(kTool, opt.governor, spec));
 
     std::fprintf(stderr,
