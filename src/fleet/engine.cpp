@@ -221,11 +221,11 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         }
         if (tel) {
             tel->instant(tel_router, "route", now,
-                         "\"request_id\":" + std::to_string(req.id) +
-                             ",\"stream\":" +
-                             telemetry::jstr(config_.streams[req.stream].name) +
-                             ",\"device\":" + telemetry::jstr(workers[idx]->spec->id) +
-                             ",\"rerouted\":" + (migrated[req.id] ? "true" : "false"));
+                         telemetry::Args()
+                             .integer("request_id", req.id)
+                             .str("stream", config_.streams[req.stream].name)
+                             .str("device", workers[idx]->spec->id)
+                             .boolean("rerouted", migrated[req.id] != 0));
         }
         auto& w = *workers[idx];
         w.inbox.push_back(Staged{std::move(req), now});
@@ -249,8 +249,9 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         w.migrations_out += displaced.size();
         if (tel && !displaced.empty()) {
             tel->instant(tel_router, "migrate_off", now,
-                         "\"device\":" + telemetry::jstr(w.spec->id) +
-                             ",\"requests\":" + std::to_string(displaced.size()));
+                         telemetry::Args()
+                             .str("device", w.spec->id)
+                             .integer("requests", displaced.size()));
         }
         tel_queue_depth(index, now);
         for (auto& r : displaced) {
@@ -267,8 +268,9 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         const double t_fail = std::max(w.device.now(), w.spec->fail_at_s);
         if (tel) {
             tel->instant(tel_router, "device_failed", t_fail,
-                         "\"device\":" + telemetry::jstr(w.spec->id) +
-                             ",\"pending\":" + std::to_string(w.pending()));
+                         telemetry::Args()
+                             .str("device", w.spec->id)
+                             .integer("pending", w.pending()));
         }
         migrate_off(index, t_fail);
     };

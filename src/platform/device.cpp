@@ -214,22 +214,27 @@ void EdgeDevice::publish_telemetry() {
         tel_cpu_level_ = cpu_level();
         tel_gpu_level_ = gpu_level();
         tel->instant(track, "opp_change", now_,
-                     "\"cpu_level\":" + std::to_string(tel_cpu_level_) +
-                         ",\"gpu_level\":" + std::to_string(tel_gpu_level_) +
-                         ",\"cpu_mhz\":" + telemetry::jnum(cpu_freq() / 1e6) +
-                         ",\"gpu_mhz\":" + telemetry::jnum(gpu_freq() / 1e6));
+                     telemetry::Args()
+                         .integer("cpu_level", tel_cpu_level_)
+                         .integer("gpu_level", tel_gpu_level_)
+                         .num("cpu_mhz", cpu_freq() / 1e6)
+                         .num("gpu_mhz", gpu_freq() / 1e6));
     }
     if (cpu_throttle_.engaged() != tel_cpu_engaged_) {
         tel_cpu_engaged_ = cpu_throttle_.engaged();
         tel->instant(track, tel_cpu_engaged_ ? "throttle_trip" : "throttle_clear", now_,
-                     "\"domain\":\"cpu\",\"cap\":" + std::to_string(cpu_throttle_.cap()) +
-                         ",\"temp_c\":" + telemetry::jnum(cpu_temp()));
+                     telemetry::Args()
+                         .str("domain", "cpu")
+                         .integer("cap", cpu_throttle_.cap())
+                         .num("temp_c", cpu_temp()));
     }
     if (gpu_throttle_.engaged() != tel_gpu_engaged_) {
         tel_gpu_engaged_ = gpu_throttle_.engaged();
         tel->instant(track, tel_gpu_engaged_ ? "throttle_trip" : "throttle_clear", now_,
-                     "\"domain\":\"gpu\",\"cap\":" + std::to_string(gpu_throttle_.cap()) +
-                         ",\"temp_c\":" + telemetry::jnum(gpu_temp()));
+                     telemetry::Args()
+                         .str("domain", "gpu")
+                         .integer("cap", gpu_throttle_.cap())
+                         .num("temp_c", gpu_temp()));
     }
     if (now_ + kTimeEps >= tel_next_sample_) {
         tel->counter(track, "cpu_temp_c", now_, cpu_temp());

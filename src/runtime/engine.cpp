@@ -53,10 +53,11 @@ void InferenceEngine::on_event(double now_s, double cpu_util, double gpu_util) {
         // platform thread).
         tel->set_context(device_.telemetry_label());
         tel->instant(tel->context_track("governor"), "tick", now_s,
-                     "\"cpu_temp_c\":" + telemetry::jnum(device_.cpu_temp()) +
-                         ",\"gpu_temp_c\":" + telemetry::jnum(device_.gpu_temp()) +
-                         ",\"cpu_level\":" + std::to_string(device_.cpu_level()) +
-                         ",\"gpu_level\":" + std::to_string(device_.gpu_level()));
+                     telemetry::Args()
+                         .num("cpu_temp_c", device_.cpu_temp())
+                         .num("gpu_temp_c", device_.gpu_temp())
+                         .integer("cpu_level", device_.cpu_level())
+                         .integer("gpu_level", device_.gpu_level()));
     }
     governors::TickObservation tick;
     tick.now_s = now_s;
@@ -188,9 +189,10 @@ FrameResult InferenceEngine::run_frame(const detector::DetectorModel& model,
         tel_engine = tel->context_track("engine");
         tel_gov = tel->context_track("governor");
         tel->begin(tel_engine, "frame", device_.now(),
-                   "\"iteration\":" + std::to_string(iteration) +
-                       ",\"constraint_ms\":" + telemetry::jnum(latency_constraint_s * 1e3) +
-                       ",\"queue_wait_ms\":" + telemetry::jnum(queue_wait_s * 1e3));
+                   telemetry::Args()
+                       .integer("iteration", iteration)
+                       .num("constraint_ms", latency_constraint_s * 1e3)
+                       .num("queue_wait_ms", queue_wait_s * 1e3));
     }
 
     FrameResult result;
@@ -214,10 +216,11 @@ FrameResult InferenceEngine::run_frame(const detector::DetectorModel& model,
     result.gpu_level_stage1 = device_.gpu_level();
     if (tel) {
         tel->instant(tel_gov, "decision", device_.now(),
-                     "\"point\":\"frame_start\",\"requested\":" +
-                         std::string(req_start.has_request ? "true" : "false") +
-                         ",\"cpu_level\":" + std::to_string(result.cpu_level_stage1) +
-                         ",\"gpu_level\":" + std::to_string(result.gpu_level_stage1));
+                     telemetry::Args()
+                         .str("point", "frame_start")
+                         .boolean("requested", req_start.has_request)
+                         .integer("cpu_level", result.cpu_level_stage1)
+                         .integer("gpu_level", result.gpu_level_stage1));
     }
 
     // --- stage 1: pre-processing -> backbone -> RPN -------------------------
@@ -241,11 +244,12 @@ FrameResult InferenceEngine::run_frame(const detector::DetectorModel& model,
         apply(req_rpn);
         if (tel) {
             tel->instant(tel_gov, "decision", device_.now(),
-                         "\"point\":\"post_rpn\",\"requested\":" +
-                             std::string(req_rpn.has_request ? "true" : "false") +
-                             ",\"proposals\":" + std::to_string(proposals_used) +
-                             ",\"cpu_level\":" + std::to_string(device_.cpu_level()) +
-                             ",\"gpu_level\":" + std::to_string(device_.gpu_level()));
+                         telemetry::Args()
+                             .str("point", "post_rpn")
+                             .boolean("requested", req_rpn.has_request)
+                             .integer("proposals", proposals_used)
+                             .integer("cpu_level", device_.cpu_level())
+                             .integer("gpu_level", device_.gpu_level()));
         }
     }
     result.cpu_level_stage2 = device_.cpu_level();

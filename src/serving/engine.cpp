@@ -93,36 +93,40 @@ void RequestTelemetry::arrival(const Request& r) {
     // The span opens at the true arrival instant, possibly a hair before the
     // clock that noticed it; the trace is time-sorted, so it stays monotonic.
     tel_->async_begin(stream_tracks_[r.stream], "request", r.id, r.arrival_s,
-                      "\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3));
+                      telemetry::Args().num("slo_ms", r.slo_s * 1e3));
 }
 
 void RequestTelemetry::dispatch(std::size_t device, const Request& r, double now_s,
                                 double wait_s) {
     if (!tel_) return;
     tel_->instant(track(queue_tracks_[device], devices_[device], "queue"), "dispatch", now_s,
-                  "\"request_id\":" + std::to_string(r.id) +
-                      ",\"stream\":" + telemetry::jstr(streams_[r.stream].name) +
-                      ",\"queue_wait_ms\":" + telemetry::jnum(wait_s * 1e3));
+                  telemetry::Args()
+                      .integer("request_id", r.id)
+                      .str("stream", streams_[r.stream].name)
+                      .num("queue_wait_ms", wait_s * 1e3));
 }
 
 void RequestTelemetry::served(const ServingRecord& row, double done_s) {
     if (!tel_) return;
     const auto& label = devices_[row.device];
     const auto& stream = streams_[row.stream].name;
-    const auto device_arg = ",\"device\":" + telemetry::jstr(label);
     tel_->rollup().record_request(label, stream, done_s,
                                   row.missed ? telemetry::Rollup::Outcome::late
                                              : telemetry::Rollup::Outcome::ok,
                                   row.e2e_s * 1e3, row.queue_wait_s * 1e3);
     tel_->async_end(stream_tracks_[row.stream], "request", row.request_id, done_s,
-                    std::string("\"outcome\":\"") + (row.missed ? "missed" : "served") +
-                        "\"" + device_arg + ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3));
+                    telemetry::Args()
+                        .str("outcome", row.missed ? "missed" : "served")
+                        .str("device", label)
+                        .num("e2e_ms", row.e2e_s * 1e3));
     if (row.missed) {
         tel_->breach(track(platform_tracks_[row.device], label, "platform"), "slo_miss",
                      row.request_id, done_s,
-                     "\"stream\":" + telemetry::jstr(stream) +
-                         ",\"e2e_ms\":" + telemetry::jnum(row.e2e_s * 1e3) +
-                         ",\"slo_ms\":" + telemetry::jnum(row.slo_s * 1e3) + device_arg);
+                     telemetry::Args()
+                         .str("stream", stream)
+                         .num("e2e_ms", row.e2e_s * 1e3)
+                         .num("slo_ms", row.slo_s * 1e3)
+                         .str("device", label));
     }
 }
 
@@ -133,17 +137,21 @@ void RequestTelemetry::shed(std::size_t device, const Request& r, double now_s) 
     const double queued_ms = std::max(0.0, now_s - r.arrival_s) * 1e3;
     // A router-level shed is charged to the "fleet" pseudo-device: its
     // rollup row, and its breach on the "fleet"/"router" track.
-    const std::string process = on_device ? devices_[device] : "fleet";
+    const std::string& process = on_device ? devices_[device] : router_process_;
     tel_->rollup().record_request(process, stream, now_s, telemetry::Rollup::Outcome::shed,
                                   0.0, queued_ms);
     tel_->async_end(stream_tracks_[r.stream], "request", r.id, now_s,
-                    "\"outcome\":\"shed\",\"queued_ms\":" + telemetry::jnum(queued_ms));
+                    telemetry::Args().str("outcome", "shed").num("queued_ms", queued_ms));
     const int breach_track = on_device ? track(platform_tracks_[device], process, "platform")
                                        : track(router_track_, process, "router");
-    tel_->breach(breach_track, "shed", r.id, now_s,
-                 "\"stream\":" + telemetry::jstr(stream) +
-                     ",\"slo_ms\":" + telemetry::jnum(r.slo_s * 1e3) +
-                     ",\"device\":" + (on_device ? telemetry::jstr(process) : "null"));
+    telemetry::Args args;
+    args.str("stream", stream).num("slo_ms", r.slo_s * 1e3);
+    if (on_device) {
+        args.str("device", process);
+    } else {
+        args.null("device");
+    }
+    tel_->breach(breach_track, "shed", r.id, now_s, args);
 }
 
 void RequestTelemetry::queue_depth(std::size_t device, double t_s, std::size_t depth) {

@@ -130,6 +130,7 @@ private:
     std::vector<std::size_t> depths_; // last recorded queue depth per device
     std::vector<int> queue_tracks_;    // per device, -1 until first use
     std::vector<int> platform_tracks_; // per device, -1 until first use
+    const std::string router_process_ = "fleet";
     int router_track_ = -1;
 };
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/build_info.hpp"
 #include "util/csv.hpp"
@@ -82,48 +83,149 @@ BindScope::~BindScope() { t_current = previous_; }
 SuspendScope::SuspendScope() noexcept : previous_(t_current) { t_current = nullptr; }
 SuspendScope::~SuspendScope() { t_current = previous_; }
 
+// --- Args --------------------------------------------------------------------
+
+namespace {
+
+/// Buffers of the builders not alive on this thread; a builder takes one
+/// (or makes one) and gives it back, so live builders never share.
+thread_local std::vector<std::unique_ptr<std::string>> t_free_args;
+
+} // namespace
+
+Args::Args() {
+    if (t_free_args.empty()) {
+        buf_ = std::make_unique<std::string>();
+    } else {
+        buf_ = std::move(t_free_args.back());
+        t_free_args.pop_back();
+        buf_->clear();
+    }
+}
+
+Args::~Args() { t_free_args.push_back(std::move(buf_)); }
+
+std::string& Args::field(std::string_view key) {
+    if (!buf_->empty()) *buf_ += ',';
+    *buf_ += '"';
+    *buf_ += key;
+    *buf_ += "\":";
+    return *buf_;
+}
+
+Args& Args::num(std::string_view key, double v) {
+    append_jnum(field(key), v);
+    return *this;
+}
+
+Args& Args::str(std::string_view key, std::string_view v) {
+    append_jstr(field(key), v);
+    return *this;
+}
+
+Args& Args::boolean(std::string_view key, bool v) {
+    field(key) += v ? "true" : "false";
+    return *this;
+}
+
+Args& Args::null(std::string_view key) {
+    field(key) += "null";
+    return *this;
+}
+
 // --- Recorder ----------------------------------------------------------------
 
-int Recorder::track(const std::string& process, const std::string& thread) {
-    const auto key = std::make_pair(process, thread);
-    const auto it = track_ids_.find(key);
-    if (it != track_ids_.end()) return it->second;
+Recorder::ProcessMap::value_type& Recorder::process(std::string_view name) {
+    auto it = processes_.find(name);
+    if (it == processes_.end()) {
+        const int pid = static_cast<int>(processes_.size()) + 1;
+        it = processes_.emplace(std::string(name), Process{pid, {}}).first;
+        rings_.emplace_back();
+    }
+    return *it;
+}
 
-    const auto [pit, inserted] =
-        pids_.emplace(process, static_cast<int>(pids_.size()) + 1);
-    if (inserted) rings_.emplace_back();
+int Recorder::thread_track(ProcessMap::value_type& process, std::string_view thread) {
+    auto& tracks = process.second.tracks;
+    const auto it = tracks.find(thread);
+    if (it != tracks.end()) return it->second;
+
     TrackInfo info;
-    info.process = process;
+    info.process = process.first;
     info.thread = thread;
-    info.pid = pit->second;
+    info.pid = process.second.pid;
     info.tid = static_cast<int>(tracks_.size()) + 1;
+    info.ids = ",\"pid\":";
+    append_int(info.ids, info.pid);
+    info.ids += ",\"tid\":";
+    append_int(info.ids, info.tid);
     const int id = static_cast<int>(tracks_.size());
     tracks_.push_back(std::move(info));
-    track_ids_.emplace(key, id);
+    tracks.emplace(std::string(thread), id);
     return id;
 }
 
-void Recorder::emit(Event e) {
-    if (e.track < 0 || static_cast<std::size_t>(e.track) >= tracks_.size()) {
+int Recorder::track(std::string_view process_name, std::string_view thread) {
+    return thread_track(process(process_name), thread);
+}
+
+void Recorder::set_context(std::string_view process_name) {
+    if (process_name == context_) return;
+    context_.assign(process_name);
+    context_process_ = nullptr;
+}
+
+int Recorder::context_track(std::string_view thread) {
+    if (context_process_ == nullptr) context_process_ = &process(context_);
+    return thread_track(*context_process_, thread);
+}
+
+std::uint32_t Recorder::intern(std::string_view name) {
+    const auto it = name_ids_.find(name);
+    if (it != name_ids_.end()) return it->second;
+    const auto id = static_cast<std::uint32_t>(names_.size());
+    std::string escaped;
+    append_jstr(escaped, name);
+    names_.push_back(std::move(escaped));
+    name_ids_.emplace(std::string(name), id);
+    return id;
+}
+
+ArgsSlice Recorder::store_args(std::string_view args) {
+    const ArgsSlice slice{args_.size(), static_cast<std::uint32_t>(args.size())};
+    args_ += args;
+    return slice;
+}
+
+void Recorder::emit(int track, char phase, double t_s, std::string_view name,
+                    std::string_view args, std::uint64_t id, double value) {
+    if (track < 0 || static_cast<std::size_t>(track) >= tracks_.size()) {
         throw std::out_of_range("Recorder: event on unknown track");
     }
+    Event e;
+    e.t_s = t_s;
+    e.value = value;
+    e.id = id;
+    e.name = intern(name);
+    e.track = track;
+    e.phase = phase;
+    append(e, args);
+}
+
+void Recorder::append(Event e, std::string_view args) {
+    e.args = store_args(args);
     const int pid = tracks_[static_cast<std::size_t>(e.track)].pid;
     auto& ring = rings_[static_cast<std::size_t>(pid - 1)];
     ring.index[ring.next] = log_.size();
     ring.next = (ring.next + 1) % kRingCapacity;
     ring.size = std::min(ring.size + 1, kRingCapacity);
-    log_.push_back(std::move(e));
+    log_.push_back(e);
 }
 
-void Recorder::begin(int track, std::string name, double t_s, std::string args) {
-    tracks_.at(static_cast<std::size_t>(track)).open.push_back(name);
-    Event e;
-    e.t_s = t_s;
-    e.phase = 'B';
-    e.track = track;
-    e.name = std::move(name);
-    e.args = std::move(args);
-    emit(std::move(e));
+void Recorder::begin(int track, std::string_view name, double t_s, std::string_view args) {
+    auto& open = tracks_.at(static_cast<std::size_t>(track)).open;
+    emit(track, 'B', t_s, name, args);
+    open.push_back(log_.back().name);
 }
 
 void Recorder::end(int track, double t_s) {
@@ -137,83 +239,77 @@ void Recorder::end(int track, double t_s) {
     e.t_s = t_s;
     e.phase = 'E';
     e.track = track;
-    e.name = std::move(open.back());
+    e.name = open.back();
     open.pop_back();
-    emit(std::move(e));
+    append(e, {});
 }
 
-void Recorder::instant(int track, std::string name, double t_s, std::string args) {
-    Event e;
-    e.t_s = t_s;
-    e.phase = 'i';
-    e.track = track;
-    e.name = std::move(name);
-    e.args = std::move(args);
-    emit(std::move(e));
+void Recorder::instant(int track, std::string_view name, double t_s, std::string_view args) {
+    emit(track, 'i', t_s, name, args);
 }
 
-void Recorder::counter(int track, std::string name, double t_s, double value) {
-    Event e;
-    e.t_s = t_s;
-    e.phase = 'C';
-    e.track = track;
-    e.name = std::move(name);
-    e.value = value;
-    emit(std::move(e));
+void Recorder::counter(int track, std::string_view name, double t_s, double value) {
+    emit(track, 'C', t_s, name, {}, 0, value);
 }
 
-void Recorder::async_begin(int track, std::string name, std::uint64_t id, double t_s,
-                           std::string args) {
-    Event e;
-    e.t_s = t_s;
-    e.phase = 'b';
-    e.track = track;
-    e.id = id;
-    e.name = std::move(name);
-    e.args = std::move(args);
-    emit(std::move(e));
+void Recorder::async_begin(int track, std::string_view name, std::uint64_t id, double t_s,
+                           std::string_view args) {
+    emit(track, 'b', t_s, name, args, id);
 }
 
-void Recorder::async_end(int track, std::string name, std::uint64_t id, double t_s,
-                         std::string args) {
-    Event e;
-    e.t_s = t_s;
-    e.phase = 'e';
-    e.track = track;
-    e.id = id;
-    e.name = std::move(name);
-    e.args = std::move(args);
-    emit(std::move(e));
+void Recorder::async_end(int track, std::string_view name, std::uint64_t id, double t_s,
+                         std::string_view args) {
+    emit(track, 'e', t_s, name, args, id);
 }
 
-void Recorder::breach(int track, std::string reason, std::uint64_t request_id, double t_s,
-                      std::string args) {
-    const auto& info = tracks_.at(static_cast<std::size_t>(track));
+void Recorder::breach(int track, std::string_view reason, std::uint64_t request_id,
+                      double t_s, std::string_view args) {
+    const int pid = tracks_.at(static_cast<std::size_t>(track)).pid;
     Breach b;
     b.t_s = t_s;
-    b.pid = info.pid;
-    b.process = info.process;
-    b.reason = std::move(reason);
+    b.track = track;
+    b.reason = intern(reason);
     b.request_id = request_id;
-    b.args = std::move(args);
-    const auto& ring = rings_[static_cast<std::size_t>(info.pid - 1)];
+    b.args = store_args(args);
+    const auto& ring = rings_[static_cast<std::size_t>(pid - 1)];
     const std::size_t oldest = ring.next + kRingCapacity - ring.size;
+    b.context.reserve(ring.size);
     for (std::size_t i = 0; i < ring.size; ++i) {
         b.context.push_back(ring.index[(oldest + i) % kRingCapacity]);
     }
     breaches_.push_back(std::move(b));
 }
 
-std::vector<std::size_t> Recorder::time_order() const {
+std::vector<std::size_t> time_order(const std::vector<Event>& log) {
     // Ties keep append order, so the export is deterministic AND monotonic
     // even for events recorded after the clock passed them (arrivals
-    // noticed at the next dispatch instant). Sorting (time, index) pairs is
-    // that stable order, with the keys held next to each other.
-    std::vector<std::pair<double, std::size_t>> keyed(log_.size());
-    for (std::size_t i = 0; i < log_.size(); ++i) keyed[i] = {log_[i].t_s, i};
-    std::sort(keyed.begin(), keyed.end());
-    std::vector<std::size_t> order(log_.size());
-    for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
+    // noticed at the next dispatch instant). The log is nearly sorted: the
+    // events that keep time order form one run, already in (time, index)
+    // order, and only the few recorded late need sorting.
+    std::vector<std::size_t> run;
+    std::vector<std::pair<double, std::size_t>> late;
+    run.reserve(log.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        if (run.empty() || log[i].t_s >= log[run.back()].t_s) {
+            run.push_back(i);
+        } else {
+            late.emplace_back(log[i].t_s, i);
+        }
+    }
+    if (late.empty()) return run;
+    std::sort(late.begin(), late.end());
+    std::vector<std::size_t> order;
+    order.reserve(log.size());
+    auto r = run.begin();
+    for (const auto& [t, i] : late) {
+        // Run events before the late one: earlier in time, or tied and
+        // appended first.
+        while (r != run.end() && (log[*r].t_s < t || (log[*r].t_s == t && *r < i))) {
+            order.push_back(*r++);
+        }
+        order.push_back(i);
+    }
+    order.insert(order.end(), r, run.end());
     return order;
 }
 
@@ -222,7 +318,8 @@ std::vector<std::size_t> Recorder::time_order() const {
 namespace {
 
 /// One breach-context event as a JSON object.
-void append_event_jsonl(std::string& o, const Event& e, const std::string& process,
+void append_event_jsonl(std::string& o, const Event& e, std::string_view name,
+                        std::string_view args, const std::string& process,
                         const std::string& thread) {
     o += "{\"t_s\":";
     append_time(o, e.t_s);
@@ -233,7 +330,7 @@ void append_event_jsonl(std::string& o, const Event& e, const std::string& proce
     o += ",\"thread\":";
     append_jstr(o, thread);
     o += ",\"name\":";
-    append_jstr(o, e.name);
+    o += name;
     if (e.phase == 'b' || e.phase == 'e') {
         o += ",\"id\":";
         append_int(o, e.id);
@@ -242,9 +339,9 @@ void append_event_jsonl(std::string& o, const Event& e, const std::string& proce
         o += ",\"value\":";
         append_jnum(o, e.value);
     }
-    if (!e.args.empty()) {
+    if (!args.empty()) {
         o += ",\"args\":{";
-        o += e.args;
+        o += args;
         o += '}';
     }
     o += '}';
@@ -252,13 +349,18 @@ void append_event_jsonl(std::string& o, const Event& e, const std::string& proce
 
 } // namespace
 
-std::string Recorder::chrome_trace_json() const {
-    // One event's fixed fields (keys, timestamp, pid/tid, category) take
-    // under 128 bytes; its name and args come on top.
-    std::size_t bytes = 256 + 128 * tracks_.size();
-    for (const auto& e : log_) bytes += 128 + e.name.size() + e.args.size();
+void Recorder::stream_chrome_trace(
+    const std::function<void(std::string_view)>& sink) const {
     std::string o;
-    o.reserve(bytes);
+    // A chunk ends with the event that crosses kTraceChunkBytes; the slack
+    // covers that event unless its args are unusually long.
+    o.reserve(kTraceChunkBytes + 4096);
+    const auto flush_full = [&] {
+        if (o.size() >= kTraceChunkBytes) {
+            sink(o);
+            o.clear();
+        }
+    };
     o += "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
     o += util::build_info_json_fields();
     o += "},\"traceEvents\":[";
@@ -271,7 +373,7 @@ std::string Recorder::chrome_trace_json() const {
     // Metadata: name every process and thread so Perfetto renders devices
     // and streams by name instead of by pid/tid number. A process is named
     // at its first track (pids number from 1 in first-seen order).
-    std::vector<bool> named(pids_.size() + 1, false);
+    std::vector<bool> named(processes_.size() + 1, false);
     for (const auto& t : tracks_) {
         if (!named[static_cast<std::size_t>(t.pid)]) {
             named[static_cast<std::size_t>(t.pid)] = true;
@@ -283,29 +385,24 @@ std::string Recorder::chrome_trace_json() const {
             o += "}}";
         }
         next_item();
-        o += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
-        append_int(o, t.pid);
-        o += ",\"tid\":";
-        append_int(o, t.tid);
+        o += "{\"ph\":\"M\",\"name\":\"thread_name\"";
+        o += t.ids;
         o += ",\"args\":{\"name\":";
         append_jstr(o, t.thread);
         o += "}}";
+        flush_full();
     }
 
-    for (const auto idx : time_order()) {
+    for (const auto idx : time_order(log_)) {
         const auto& e = log_[idx];
-        const auto& t = tracks_[static_cast<std::size_t>(e.track)];
         next_item();
         o += "{\"name\":";
-        append_jstr(o, e.name);
+        o += names_[e.name];
         o += ",\"ph\":\"";
         o += e.phase;
         o += "\",\"ts\":";
         append_ts_us(o, e.t_s);
-        o += ",\"pid\":";
-        append_int(o, t.pid);
-        o += ",\"tid\":";
-        append_int(o, t.tid);
+        o += tracks_[static_cast<std::size_t>(e.track)].ids;
         switch (e.phase) {
             case 'B':
             case 'E': o += ",\"cat\":\"sim\""; break;
@@ -321,14 +418,21 @@ std::string Recorder::chrome_trace_json() const {
             o += ",\"args\":{\"value\":";
             append_jnum(o, e.value);
             o += '}';
-        } else if (!e.args.empty()) {
+        } else if (e.args.size != 0) {
             o += ",\"args\":{";
-            o += e.args;
+            o += args_of(e.args);
             o += '}';
         }
         o += '}';
+        flush_full();
     }
     o += "]}";
+    sink(o);
+}
+
+std::string Recorder::chrome_trace_json() const {
+    std::string o;
+    stream_chrome_trace([&](std::string_view chunk) { o += chunk; });
     return o;
 }
 
@@ -338,14 +442,14 @@ std::string Recorder::breaches_jsonl() const {
         o += "{\"t_s\":";
         append_time(o, b.t_s);
         o += ",\"process\":";
-        append_jstr(o, b.process);
+        append_jstr(o, tracks_[static_cast<std::size_t>(b.track)].process);
         o += ",\"reason\":";
-        append_jstr(o, b.reason);
+        o += names_[b.reason];
         o += ",\"request\":";
         append_int(o, b.request_id);
-        if (!b.args.empty()) {
+        if (b.args.size != 0) {
             o += ",\"args\":{";
-            o += b.args;
+            o += args_of(b.args);
             o += '}';
         }
         o += ",\"events\":[";
@@ -353,7 +457,7 @@ std::string Recorder::breaches_jsonl() const {
             const auto& e = log_[b.context[i]];
             const auto& t = tracks_[static_cast<std::size_t>(e.track)];
             if (i != 0) o += ',';
-            append_event_jsonl(o, e, t.process, t.thread);
+            append_event_jsonl(o, e, names_[e.name], args_of(e.args), t.process, t.thread);
         }
         o += "]}\n";
     }
@@ -384,20 +488,30 @@ std::string Recorder::rollup_json() const { return rollup_.rollup_json(); }
 
 std::string Recorder::health_json() const {
     std::map<std::string, std::uint64_t> breaches_by_process;
-    for (const auto& b : breaches_) ++breaches_by_process[b.process];
+    for (const auto& b : breaches_) {
+        ++breaches_by_process[tracks_[static_cast<std::size_t>(b.track)].process];
+    }
     return rollup_.health_json(breaches_by_process);
 }
 
 void Recorder::write(const std::string& dir) const {
     std::filesystem::create_directories(dir);
-    const auto dump = [&](const std::string& name, const std::string& content) {
+    const auto stream = [&](const std::string& name,
+                            const std::function<void(std::ofstream&)>& render) {
         const auto path = dir + "/" + name;
         std::ofstream out(path, std::ios::binary);
         if (!out) throw std::runtime_error("Recorder::write: cannot open " + path);
-        out << content;
+        render(out);
         util::close_checked(out, path);
     };
-    dump("trace.json", chrome_trace_json());
+    const auto dump = [&](const std::string& name, const std::string& content) {
+        stream(name, [&](std::ofstream& out) { out << content; });
+    };
+    stream("trace.json", [&](std::ofstream& out) {
+        stream_chrome_trace([&](std::string_view chunk) {
+            out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+        });
+    });
     dump("breaches.jsonl", breaches_jsonl());
     dump("manifest.json", manifest_json());
     dump("rollup.json", rollup_json());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string_view>
@@ -56,6 +57,18 @@ void append_quantiles(std::string& o, const std::vector<double>& values) {
     append_num_field(o, "p95", q[2]);
     append_num_field(o, "p99", q[3]);
     o += '}';
+}
+
+/// series[w] for a window at or after the series' last one -- the case of
+/// every in-order sample -- found without a tree search.
+template <class Series>
+auto& window_at(Series& series, Rollup::WindowId w) {
+    if (!series.empty()) {
+        const auto last = std::prev(series.end());
+        if (last->first == w) return last->second;
+        if (last->first < w) return series.try_emplace(series.end(), w)->second;
+    }
+    return series[w];
 }
 
 void append(std::vector<double>& to, const std::vector<double>& from) {
@@ -147,6 +160,15 @@ Rollup::WindowId Rollup::window_of(double t_s) const {
     return static_cast<WindowId>(std::floor(t_s / window_s_));
 }
 
+Rollup::DeviceSeries& Rollup::device_series(const std::string& device) {
+    if (last_series_ == nullptr || *last_device_ != device) {
+        const auto it = devices_.try_emplace(device).first;
+        last_device_ = &it->first;
+        last_series_ = &it->second;
+    }
+    return *last_series_;
+}
+
 void Rollup::record_request(const std::string& device, const std::string& stream,
                             double t_s, Outcome outcome, double e2e_ms,
                             double wait_ms) {
@@ -172,7 +194,7 @@ void Rollup::record_device_span(const std::string& device, double from_s,
                                 bool throttled, double energy_j) {
     if (!(to_s > from_s)) return;
     const double total = to_s - from_s;
-    auto& series = devices_[device];
+    auto& series = device_series(device);
     double t = from_s;
     WindowId w = window_of(from_s);
     while (t < to_s) {
@@ -180,7 +202,7 @@ void Rollup::record_device_span(const std::string& device, double from_s,
         const double seg_end = std::min(to_s, wend);
         const double seg = seg_end - t;
         if (seg > 0.0) {
-            auto& win = series[w];
+            auto& win = window_at(series, w);
             win.opp_residency_s[opp_level] += seg;
             if (throttled) win.throttle_s += seg;
             win.energy_j += energy_j * (seg / total);
@@ -192,7 +214,7 @@ void Rollup::record_device_span(const std::string& device, double from_s,
 
 void Rollup::record_temp_sample(const std::string& device, double t_s,
                                 double temp_c, double headroom_c) {
-    auto& win = devices_[device][window_of(t_s)];
+    auto& win = window_at(device_series(device), window_of(t_s));
     win.temp_c.push_back(temp_c);
     win.headroom_min_c = std::min(win.headroom_min_c, headroom_c);
 }

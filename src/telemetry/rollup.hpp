@@ -60,6 +60,9 @@ public:
     };
 
     explicit Rollup(double window_s);
+    // Not copyable: the last-device cache points into its own map.
+    Rollup(const Rollup&) = delete;
+    Rollup& operator=(const Rollup&) = delete;
 
     [[nodiscard]] double window_s() const noexcept { return window_s_; }
 
@@ -107,10 +110,15 @@ public:
 
 private:
     [[nodiscard]] WindowId window_of(double t_s) const;
+    /// devices_[device], remembering it: consecutive spans and samples
+    /// come from one device, so most calls skip the map lookup.
+    DeviceSeries& device_series(const std::string& device);
 
     double window_s_;
     std::map<std::string, std::map<std::string, StreamSeries>> streams_;
     std::map<std::string, DeviceSeries> devices_;
+    const std::string* last_device_ = nullptr; // key of last_series_ in devices_
+    DeviceSeries* last_series_ = nullptr;
 };
 
 } // namespace lotus::telemetry

@@ -60,7 +60,12 @@ void close_checked(std::ofstream& out, const std::string& path);
 void append_double(std::string& out, double v, int precision = 4);
 
 /// printf("%.*f", precision, v) in the "C" locale appended to `out`,
-/// untrimmed (fixed-width timestamps); precision 0..9 as above.
+/// untrimmed (fixed-width timestamps); precision 0..9 as above. Normal
+/// values with |v| < 2^53 and at most 98 fraction bits -- every timestamp
+/// and counter the telemetry exports -- take an exact integer path (the
+/// fraction bits scaled by 10^precision in 128-bit arithmetic, ties to
+/// even); every other value goes through std::to_chars. Both print the
+/// same digits.
 void append_fixed(std::string& out, double v, int precision);
 
 } // namespace lotus::util

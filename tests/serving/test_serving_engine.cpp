@@ -49,7 +49,8 @@ ServingConfig base_config(std::size_t streams, std::size_t requests, double rate
     ServingConfig cfg(platform::orin_nano_spec());
     for (std::size_t i = 0; i < streams; ++i) {
         StreamSpec s;
-        s.name = "s" + std::to_string(i);
+        s.name = "s";
+        s.name += std::to_string(i); // "s" + ... trips GCC 12's -Wrestrict false positive
         s.dataset = "KITTI";
         s.slo_s = slo_s;
         s.requests = requests;

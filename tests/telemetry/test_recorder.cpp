@@ -1,16 +1,25 @@
-// Unit contract of the sim-time telemetry Recorder (PR 7): deterministic
-// track numbering, strict duration-span pairing, the per-process breach
-// flight recorder, byte-identical exports for identical event sequences,
-// failed artifact writes surfacing as errors, and the thread-local
-// BindScope/SuspendScope plumbing every instrumentation site branches on.
+// Unit contract of the sim-time telemetry Recorder: deterministic track
+// numbering, strict duration-span pairing, the per-process breach flight
+// recorder, byte-identical exports for identical event sequences, the
+// (time, append order) export order, the chunked trace.json writer, failed
+// artifact writes surfacing as errors, the Args fragment builder, and the
+// thread-local BindScope/SuspendScope plumbing every instrumentation site
+// branches on.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <limits>
+#include <memory>
+#include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "telemetry/recorder.hpp"
 
@@ -158,23 +167,103 @@ TEST(Recorder, BreachSnapshotOfAPartlyFilledRingIsOldestFirst) {
     EXPECT_NE(report.find("\"request\":2,\"events\":[]}"), std::string::npos);
 }
 
-TEST(Recorder, WriteThrowsNamingTheFileOnAFullDisk) {
-    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+/// A log whose trace.json spans several kTraceChunkBytes chunks.
+void record_long_episode(Recorder& rec) {
+    const int eng = rec.track("dev", "engine");
+    const int stream = rec.track("streams", "cam \"0\"");
+    for (int i = 0; i < 20000; ++i) {
+        const double t = 0.01 * i;
+        rec.async_begin(stream, "request", static_cast<std::uint64_t>(i), t,
+                        Args().num("slo_ms", 900.0).str("stream", "cam \"0\""));
+        rec.begin(eng, "frame", t, Args().integer("iteration", i).num("queue_wait_ms", 0.1 * i));
+        rec.counter(eng, "cpu_temp_c", t + 0.001, 40.0 + 0.001 * i);
+        rec.end(eng, t + 0.005);
+    }
+}
+
+std::string slurp(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/// A fresh per-process directory under the system temp directory.
+std::filesystem::path fresh_temp_dir(const std::string& stem) {
     const auto dir = std::filesystem::temp_directory_path() /
-                     ("lotus_recorder_full_" + std::to_string(::getpid()));
+                     (stem + "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    const auto health = (dir / "health.json").string();
-    std::filesystem::create_symlink("/dev/full", health);
+    return dir;
+}
+
+TEST(Recorder, WrittenTraceEqualsTheRenderedOneAcrossChunks) {
     Recorder rec;
-    record_episode(rec);
+    record_long_episode(rec);
+    const auto trace = rec.chrome_trace_json();
+    ASSERT_GT(trace.size(), 4 * kTraceChunkBytes);
+    const auto dir = fresh_temp_dir("lotus_recorder_chunks");
+    rec.write(dir.string());
+    EXPECT_TRUE(slurp(dir / "trace.json") == trace);
+    std::filesystem::remove_all(dir);
+}
+
+/// write(dir) with `file` a symlink to /dev/full must throw naming it.
+void expect_full_disk_error(const std::string& file) {
+    const auto dir = fresh_temp_dir("lotus_recorder_full");
+    const auto path = (dir / file).string();
+    std::filesystem::create_symlink("/dev/full", path);
+    Recorder rec;
+    record_long_episode(rec);
     try {
         rec.write(dir.string());
-        ADD_FAILURE() << "a failed write was reported as success";
+        ADD_FAILURE() << "a failed write of " << file << " was reported as success";
     } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find(health), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
     }
     std::filesystem::remove_all(dir);
+}
+
+TEST(Recorder, WriteThrowsNamingTheFileOnAFullDisk) {
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    expect_full_disk_error("health.json");
+    // trace.json goes out in chunks; a failed one is not lost among them.
+    expect_full_disk_error("trace.json");
+}
+
+TEST(Recorder, TimeOrderEqualsASortOfTimeAndIndex) {
+    std::mt19937_64 rng(0x7123);
+    for (const std::size_t n : {0, 1, 2, 50, 5000}) {
+        for (const double late_share : {0.0, 0.05, 0.5, 1.0}) {
+            // Timestamps on a coarse grid (many ties); a `late_share` of
+            // events is stamped up to 20 ticks before the clock.
+            std::vector<Event> log(n);
+            double clock = 0.0;
+            for (auto& e : log) {
+                if (rng() % 3 == 0) clock += 0.25;
+                const bool late = static_cast<double>(rng() % 1000) < late_share * 1000.0;
+                e.t_s = late ? std::max(0.0, clock - 0.25 * static_cast<double>(rng() % 21))
+                             : clock;
+            }
+            std::vector<std::pair<double, std::size_t>> keyed;
+            for (std::size_t i = 0; i < n; ++i) keyed.emplace_back(log[i].t_s, i);
+            std::sort(keyed.begin(), keyed.end());
+            std::vector<std::size_t> expected;
+            for (const auto& [t, i] : keyed) expected.push_back(i);
+            EXPECT_EQ(time_order(log), expected) << n << " events, late share " << late_share;
+        }
+    }
+    // A log recorded backwards is all late.
+    std::vector<Event> reversed(100);
+    for (std::size_t i = 0; i < reversed.size(); ++i) {
+        reversed[i].t_s = static_cast<double>(reversed.size() - i / 2);
+    }
+    std::vector<std::size_t> expected;
+    for (std::size_t i = reversed.size(); i > 0; i -= 2) {
+        expected.push_back(i - 2);
+        expected.push_back(i - 1);
+    }
+    EXPECT_EQ(time_order(reversed), expected);
 }
 
 TEST(Recorder, ThreadLocalBindingNestsAndSuspends) {
@@ -190,6 +279,48 @@ TEST(Recorder, ThreadLocalBindingNestsAndSuspends) {
         EXPECT_EQ(current(), &rec); // restored after the suspend
     }
     EXPECT_EQ(current(), nullptr);
+}
+
+TEST(Recorder, ArgsRenderLikeTheJsonHelpers) {
+    const std::string odd = "a\"b\\c\n\x01";
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(std::string_view(Args()), "");
+    EXPECT_EQ(std::string_view(Args().str("s", odd)), "\"s\":" + jstr(odd));
+    EXPECT_EQ(std::string_view(Args().num("x", nan).num("y", -0.0000001).num("z", 2.5)),
+              "\"x\":" + jnum(nan) + ",\"y\":" + jnum(-0.0000001) + ",\"z\":" + jnum(2.5));
+    EXPECT_EQ(std::string_view(Args().integer("i", -7).integer("u", std::uint64_t{1} << 63)),
+              "\"i\":-7,\"u\":9223372036854775808");
+    EXPECT_EQ(std::string_view(Args().boolean("t", true).boolean("f", false).null("n")),
+              "\"t\":true,\"f\":false,\"n\":null");
+}
+
+TEST(Recorder, LiveArgsBuildersKeepTheirOwnBuffers) {
+    Args outer;
+    outer.integer("a", 1);
+    {
+        Args inner;
+        inner.str("b", "two");
+        outer.num("c", 3.0);
+        EXPECT_EQ(std::string_view(inner), "\"b\":\"two\"");
+    }
+    // The inner builder's buffer went back to the pool: the next builder
+    // takes it, starts empty, and still leaves the live one alone.
+    Args next;
+    next.null("d");
+    outer.boolean("e", true);
+    EXPECT_EQ(std::string_view(next), "\"d\":null");
+    EXPECT_EQ(std::string_view(outer), "\"a\":1,\"c\":3,\"e\":true");
+
+    // Builders released out of order never hand one buffer to two owners.
+    auto first = std::make_unique<Args>();
+    first->integer("f", 1);
+    Args second;
+    second.integer("s", 2);
+    first.reset();
+    Args third;
+    third.integer("t", 3);
+    EXPECT_EQ(std::string_view(second), "\"s\":2");
+    EXPECT_EQ(std::string_view(third), "\"t\":3");
 }
 
 TEST(Recorder, JsonHelpersEscapeAndDegrade) {

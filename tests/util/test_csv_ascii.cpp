@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -148,6 +149,89 @@ TEST(FormatDouble, MatchesPrintfReferenceOnSeededGrid) {
         }
     }
     EXPECT_EQ(mismatches, 0u) << "of " << values.size() * 10 << " renderings";
+}
+
+/// std::to_chars(..., fixed, precision): append_fixed's reference.
+std::string to_chars_fixed(double v, int precision) {
+    char buf[400]; // sign + 309 integer digits + point + precision digits
+    const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+    return std::string(buf, r.ptr);
+}
+
+/// Count (and report the first few of) the values append_fixed renders
+/// differently from std::to_chars at `precision`.
+std::size_t fixed_mismatches(const std::vector<double>& values, int precision) {
+    std::size_t mismatches = 0;
+    std::string got;
+    for (const double v : values) {
+        got.clear();
+        append_fixed(got, v, precision);
+        const auto expected = to_chars_fixed(v, precision);
+        if (got != expected && ++mismatches <= 5) {
+            ADD_FAILURE() << "precision " << precision << " value " << to_chars_fixed(v, 20)
+                          << ": append_fixed " << got << " vs to_chars " << expected;
+        }
+    }
+    return mismatches;
+}
+
+TEST(AppendFixed, MatchesToCharsOnAMillionSeededValuesPerPrecision) {
+    // Log-uniform magnitudes over 1e-15..2^53 (the exact integer path's
+    // range and the fallback below it), either sign, a quarter of them cut
+    // to few fraction bits so that rounding ties and short fractions come up.
+    std::mt19937_64 rng(0xF1AED);
+    std::uniform_real_distribution<double> exponent(-15.0, std::log10(0x1p53));
+    for (int precision = 0; precision <= 9; ++precision) {
+        std::vector<double> values(1'000'000);
+        for (auto& v : values) {
+            v = std::pow(10.0, exponent(rng));
+            if (rng() % 4 == 0) v = std::ldexp(std::round(std::ldexp(v, 12)), -12);
+            if (rng() % 2 == 0) v = -v;
+        }
+        EXPECT_EQ(fixed_mismatches(values, precision), 0u) << "precision " << precision;
+    }
+}
+
+TEST(AppendFixed, MatchesToCharsOnEdges) {
+    std::vector<double> values = {
+        // Carries through every printed digit.
+        0.9995, 9.5, 99.5, 0.99999999995, 999999.9999999, 0.5, 1.5, 2.5,
+        // Negative values and zeros.
+        -0.0, 0.0, -0.9995, -9.5, -1e-12, -0.0004, -123.456,
+        // Subnormals.
+        std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3.0,
+        // Around 2^53, where the integer path ends.
+        0x1p53 - 1.0, 0x1p53, 0x1p53 + 2.0, -(0x1p53 - 1.0), 0x1p53 - 0.5,
+        // Around the 98-fraction-bit cutoff: [2^-46, 2^-45) is the last
+        // binade the integer path takes.
+        0x1p-46, std::nextafter(0x1p-46, 0.0), std::nextafter(0x1p-45, 0.0), 0x1p-45,
+        0x1.fffffffffffffp-47, 0x1.8p-46, -0x1p-46,
+    };
+    for (int m = 0; m <= 40; ++m) {
+        // (2j + 1) / 2^(p + 1) has p + 1 decimals ending in 5: an exact tie
+        // at precision p, with an integer part of up to 40 bits.
+        for (int p = 0; p <= 9; ++p) {
+            const double j = std::ldexp(1.0, m) + static_cast<double>(2 * p + 1);
+            values.push_back(std::ldexp(2.0 * j + 1.0, -(p + 1)));
+            values.push_back(-std::ldexp(2.0 * j + 1.0, -(p + 1)));
+        }
+    }
+    for (int precision = 0; precision <= 9; ++precision) {
+        EXPECT_EQ(fixed_mismatches(values, precision), 0u) << "precision " << precision;
+    }
+    // Pinned ties: half to even, like printf.
+    const auto fixed = [](double v, int precision) {
+        std::string s;
+        append_fixed(s, v, precision);
+        return s;
+    };
+    EXPECT_EQ(fixed(0.125, 2), "0.12");
+    EXPECT_EQ(fixed(0.375, 2), "0.38");
+    EXPECT_EQ(fixed(2.5, 0), "2");
+    EXPECT_EQ(fixed(9.5, 0), "10");
+    EXPECT_EQ(fixed(-0.0, 3), "-0.000");
+    EXPECT_EQ(fixed(0x1p53, 1), "9007199254740992.0");
 }
 
 TEST(FormatDouble, RejectsPrecisionOutsideZeroToNine) {
