@@ -93,6 +93,7 @@ void* counted_alloc(std::size_t size) noexcept {
     return std::malloc(size ? size : 1);
 }
 
+#ifndef LOTUS_SANITIZED_BUILD // read only by the perf trajectory
 std::uint64_t alloc_count() noexcept {
     return g_alloc_count.load(std::memory_order_relaxed);
 }
@@ -100,6 +101,7 @@ std::uint64_t alloc_count() noexcept {
 std::uint64_t alloc_bytes() noexcept {
     return g_alloc_bytes.load(std::memory_order_relaxed);
 }
+#endif
 
 } // namespace
 
@@ -309,7 +311,9 @@ bool stepper_comparison() {
 }
 
 // ---------------------------------------------------------------------------
-// Perf trajectory -> BENCH_overhead.json.
+// Perf trajectory -> BENCH_overhead.json. Not compiled into a sanitizer
+// build, which skips it (see main).
+#ifndef LOTUS_SANITIZED_BUILD
 
 /// Version of BENCH_overhead.json's cell layout, checked by
 /// tools/check_bench_regression.py; bumped whenever a cell changes shape
@@ -877,6 +881,7 @@ bool perf_trajectory() {
     }
     return ok;
 }
+#endif // LOTUS_SANITIZED_BUILD
 
 } // namespace
 

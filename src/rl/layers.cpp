@@ -54,6 +54,10 @@ void SlimmableLinear::zero_grad() noexcept {
     auto gw = gw_.flat();
     std::fill(gw.begin(), gw.end(), 0.0);
     std::fill(gb_.begin(), gb_.end(), 0.0);
+    clear_marks();
+}
+
+void SlimmableLinear::clear_marks() noexcept {
     std::fill(marked_cols_.begin(), marked_cols_.end(), 0U);
 }
 

@@ -57,6 +57,11 @@ public:
 
     void zero_grad() noexcept;
 
+    /// Reset the touched prefixes only, for a caller that has already
+    /// zeroed every touched gradient (Adam::step): untouched entries never
+    /// accumulate, so the gradients are then all zero, as after zero_grad().
+    void clear_marks() noexcept;
+
     // Parameter/grad/touched-prefix access for the optimizer and for tests.
     [[nodiscard]] Matrix& weights() noexcept { return w_; }
     [[nodiscard]] const Matrix& weights() const noexcept { return w_; }
@@ -64,8 +69,8 @@ public:
     [[nodiscard]] std::span<const double> bias() const noexcept { return b_; }
     [[nodiscard]] Matrix& grad_weights() noexcept { return gw_; }
     [[nodiscard]] std::span<double> grad_bias() noexcept { return gb_; }
-    /// Touched columns per weight row since the last zero_grad(): row r's
-    /// touched entries are [0, marked_cols()[r]).
+    /// Touched columns per weight row since the last zero_grad() or
+    /// clear_marks(): row r's touched entries are [0, marked_cols()[r]).
     [[nodiscard]] std::span<const std::uint32_t> marked_cols() const noexcept {
         return marked_cols_;
     }
@@ -80,7 +85,7 @@ private:
     std::vector<double> b_;
     Matrix gw_;
     std::vector<double> gb_;
-    /// Per-row touched prefix length; reset by zero_grad().
+    /// Per-row touched prefix length; reset by zero_grad() and clear_marks().
     std::vector<std::uint32_t> marked_cols_;
 };
 

@@ -63,8 +63,30 @@ void Matrix::slice_matvec(const Matrix& a, std::span<const double> x,
                           std::span<const double> b, std::span<double> y,
                           std::size_t out, std::size_t in) noexcept {
     LOTUS_PROF_COUNT("rl.matvec_calls", 1);
-    for (std::size_t r = 0; r < out; ++r) {
-        const double* wrow = a.data_.data() + r * a.cols_;
+    // Four rows at a time as four independent chains (latency hidden), each
+    // still from b[r] over c ascending; then single rows.
+    const std::size_t ld = a.cols_;
+    std::size_t r = 0;
+    for (; r + 4 <= out; r += 4) {
+        const double* w = a.data_.data() + r * ld;
+        double acc0 = b[r];
+        double acc1 = b[r + 1];
+        double acc2 = b[r + 2];
+        double acc3 = b[r + 3];
+        for (std::size_t c = 0; c < in; ++c) {
+            const double xc = x[c];
+            acc0 += w[c] * xc;
+            acc1 += w[ld + c] * xc;
+            acc2 += w[2 * ld + c] * xc;
+            acc3 += w[3 * ld + c] * xc;
+        }
+        y[r] = acc0;
+        y[r + 1] = acc1;
+        y[r + 2] = acc2;
+        y[r + 3] = acc3;
+    }
+    for (; r < out; ++r) {
+        const double* wrow = a.data_.data() + r * ld;
         double acc = b[r];
         for (std::size_t c = 0; c < in; ++c) acc += wrow[c] * x[c];
         y[r] = acc;

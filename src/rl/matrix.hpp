@@ -54,6 +54,8 @@ public:
 
     /// y = A[0:out, 0:in] * x[0:in] + b[0:out]; the slicing is what makes the
     /// layer "slimmable" (only the leading sub-matrix participates).
+    /// Summation order: each y[r] is one chain that starts from b[r] and adds
+    /// A(r, c) * x[c] for c = 0, 1, ..., in - 1 in ascending order.
     static void slice_matvec(const Matrix& a, std::span<const double> x,
                              std::span<const double> b, std::span<double> y,
                              std::size_t out, std::size_t in) noexcept;

@@ -81,8 +81,14 @@ void SlimmableMlp::forward_batch(const Matrix& x, std::size_t batch, double widt
     cache.batch = batch;
     cache.activations.resize(layers_.size() + 1);
 
+    // Sample columns padded to a multiple of 4, whole vectors in every
+    // kernel set (2 or 4 doubles): a ragged batch would end in scalar
+    // columns that read X with a stride, each as slow as 4-8 vector
+    // columns. Columns are independent chains, so the padding (zero inputs)
+    // changes no real column, and nothing reads it back.
+    const std::size_t cols = (batch + 3) / 4 * 4;
     auto& input = cache.activations[0];
-    input.resize(in0, batch);
+    input.resize(in0, cols);
     for (std::size_t k = 0; k < batch; ++k) {
         for (std::size_t c = 0; c < in0; ++c) input(c, k) = x(k, c);
     }
@@ -90,8 +96,8 @@ void SlimmableMlp::forward_batch(const Matrix& x, std::size_t batch, double widt
         const std::size_t in_active = active_units(l, width);
         const std::size_t out_active = active_units(l + 1, width);
         auto& y = cache.activations[l + 1];
-        y.resize(out_active, batch);
-        layers_[l].forward_batch(cache.activations[l], y, in_active, out_active, batch);
+        y.resize(out_active, cols);
+        layers_[l].forward_batch(cache.activations[l], y, in_active, out_active, cols);
         if (l + 1 < layers_.size()) relu_inplace(y.flat(), y.size());
     }
 

@@ -41,10 +41,11 @@ struct MlpScratch {
 struct BatchCache {
     double width = 1.0;
     std::size_t batch = 0;
-    /// activations[b]: active_units(b) x batch, feature-major (column k =
-    /// sample k), at layer boundary b: [0] is the network input, [l] for
-    /// 0 < l < num_layers() the ReLU output of layer l-1, and the last entry
-    /// the output layer's result.
+    /// activations[b]: active_units(b) x (batch rounded up to a multiple of
+    /// 4), feature-major (column k = sample k), at layer boundary b: [0] is
+    /// the network input, [l] for 0 < l < num_layers() the ReLU output of
+    /// layer l-1, and the last entry the output layer's result. Columns
+    /// from `batch` on are padding that no reader may use.
     std::vector<Matrix> activations;
     /// batch x output_dim final outputs (row k = sample k, zero-filled past
     /// the active output units like forward()).

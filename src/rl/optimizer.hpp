@@ -48,6 +48,27 @@ public:
 
     /// Apply one update using the gradients (and touched prefixes)
     /// accumulated in `net`, then clear them. Returns the learning rate used.
+    ///
+    /// Bit-identical to the textbook loop: a global-norm clip from one
+    /// sequential sum of squares in flat order (each layer's weights, then
+    /// its biases), the update m/bc1, v/bc2 of every touched entry, and
+    /// zero_grad(). Three exact shortcuts make it cheaper:
+    /// - Once bc1 = 1 - beta1^t (or bc2) rounds to exactly 1.0 (t >= 356 for
+    ///   beta1 = 0.9, t >= 3725 for beta2 = 0.99), its divide is dropped:
+    ///   x / 1.0 == x bit for bit. The test is bc == 1.0 at run time.
+    /// - The clip's sequential sum runs only when the clip could fire. A
+    ///   pre-check sums the same n squares in 8 lanes. Any summation order
+    ///   of n nonnegative terms lies within a relative (n-1)u / (1 - (n-1)u)
+    ///   (u = 2^-53) of their exact sum, so the pre-check's sum times
+    ///   1 + (3n + 8)u, plus 2^-1000, bounds the sequential one from above
+    ///   (the 8u and 2^-1000 cover the bound's own roundings). sqrt is
+    ///   correctly rounded and monotone: if the bound's root is <=
+    ///   grad_clip, so is the sequential norm's, and the scale stays 1.0.
+    ///   Otherwise (a clip that fires, an ambiguous band, NaN or inf) the
+    ///   sequential sum runs.
+    /// - Each touched gradient is zeroed by the pass that reads it for the
+    ///   update, then the touched prefixes are cleared: gradients accumulate
+    ///   only inside the touched prefixes, so the rest are already 0.0.
     double step(SlimmableMlp& net);
 
     [[nodiscard]] std::size_t steps_taken() const noexcept { return t_; }

@@ -1,9 +1,11 @@
 // Byte-identity tests for the batched RL math (the hot-path perf layer).
 // Kernel and layer level: the sample-vectorized Matrix::slice_matmul versus
-// slice_matvec, and the batched backward of SlimmableLinear and
-// SlimmableMlp versus naive references local to this file -- plain loops in
-// the summation order the headers document, with the same `g == 0.0`
-// skips, plus the expected touched prefixes. Train-step level: DqnCore
+// slice_matvec, slice_matvec's interleaved rows and forward_batch's padded
+// sample columns versus plain loops and per-sample forwards, and the batched
+// backward of SlimmableLinear and SlimmableMlp versus naive references local
+// to this file -- plain loops in the summation order the headers document,
+// with the same `g == 0.0` skips, plus the expected touched prefixes (and
+// never a read of the padding). Train-step level: DqnCore
 // train_batch against pinned FNV-1a digests of its losses, parameters and
 // Q-values across widths, batch sizes and slimmable active dims (including
 // ragged out_active < out_ via slim_output, and the paper's
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -100,6 +103,31 @@ TEST(SliceMatmul, BitIdenticalToMatvecAcrossShapes) {
         }
         for (std::size_t r = 0; r <= s.out; ++r) {
             EXPECT_EQ(y_batched(r, s.batch), -99.0); // columns beyond `batch` too
+        }
+    }
+}
+
+// slice_matvec runs four rows at a time as four independent chains, then
+// single rows: every `out` from 1 to 7 and 48 to 51 covers each row tail.
+// Each y[r] must equal one plain chain from b[r] over c ascending; rows past
+// `out` stay untouched.
+TEST(SliceMatvec, MatchesScalarLoopsForEveryRowTail) {
+    util::Rng rng(9);
+    for (const std::size_t out : {1, 2, 3, 4, 5, 6, 7, 48, 49, 50, 51}) {
+        for (const std::size_t in : {1, 6, 7, 96, 128}) {
+            const Matrix a = random_matrix(out + 1, in + 3, rng); // wider than `in`
+            const auto x = random_vector(in + 3, rng);
+            const auto b = random_vector(out + 1, rng);
+            std::vector<double> y(out + 1, -99.0);
+            Matrix::slice_matvec(a, x, b, y, out, in);
+            std::vector<double> ref(out + 1, -99.0);
+            for (std::size_t r = 0; r < out; ++r) {
+                double acc = b[r];
+                for (std::size_t c = 0; c < in; ++c) acc += a(r, c) * x[c];
+                ref[r] = acc;
+            }
+            SCOPED_TRACE("out " + std::to_string(out) + " in " + std::to_string(in));
+            expect_bitwise_eq(ref, y);
         }
     }
 }
@@ -250,9 +278,11 @@ TEST(MlpForwardBatch, BitIdenticalToPerSampleForward) {
         const SlimmableMlp net(cfg);
         util::Rng rng(5);
         BatchCache cache; // reused across widths: resize paths exercised
+        // Every padding length of the sample columns, whole tiles plus tails.
+        std::vector<std::size_t> batches{31, 32, 33};
+        for (std::size_t b = 1; b <= 17; ++b) batches.push_back(b);
         for (const double width : {0.6, 0.75, 1.0}) {
-            for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
-                                            std::size_t{5}, std::size_t{32}}) {
+            for (const std::size_t batch : batches) {
                 Matrix x = random_matrix(batch, 7, rng);
                 net.forward_batch(x, batch, width, cache);
                 ASSERT_EQ(cache.batch, batch);
@@ -354,6 +384,58 @@ TEST(MlpBackwardBatch, BitIdenticalGradsToNaiveReference) {
         for (std::size_t l = 0; l < net.num_layers(); ++l) {
             SCOPED_TRACE("layer " + std::to_string(l));
             expect_grads_eq(ref[l], net.layers()[l]);
+        }
+    }
+}
+
+// No backward reads forward_batch's padding columns: gradients must not
+// change when every activation's columns from `batch` on are overwritten
+// with NaN after the forward. Two width groups of ragged sizes.
+TEST(MlpBackwardBatch, PaddingColumnsNeverRead) {
+    MlpConfig cfg;
+    cfg.dims = {7, 128, 128, 128, 48};
+    cfg.seed = 43;
+    SlimmableMlp net(cfg);
+    util::Rng rng(44);
+    for (const std::size_t batch : {1, 2, 3, 5, 6, 7, 9, 13, 17}) {
+        const double group_widths[] = {1.0, 0.75};
+        std::vector<BatchCache> caches(2);
+        std::vector<BatchSample> samples;
+        for (std::size_t g = 0; g < 2; ++g) {
+            const std::size_t m = g == 0 ? batch : batch + 2;
+            const Matrix x = random_matrix(m, 7, rng);
+            net.forward_batch(x, m, group_widths[g], caches[g]);
+            for (std::size_t k = 0; k < m; ++k) samples.push_back({&caches[g], k});
+        }
+        const Matrix dout = random_matrix(samples.size(), net.output_dim(), rng);
+        BackwardScratch scratch;
+        net.zero_grad();
+        net.backward_batch(samples, dout, scratch);
+        std::vector<LayerGrads> clean;
+        for (auto& layer : net.layers()) {
+            LayerGrads g(layer);
+            std::copy(layer.grad_weights().flat().begin(), layer.grad_weights().flat().end(),
+                      g.gw.flat().begin());
+            std::copy(layer.grad_bias().begin(), layer.grad_bias().end(), g.gb.begin());
+            std::copy(layer.marked_cols().begin(), layer.marked_cols().end(), g.marked.begin());
+            clean.push_back(std::move(g));
+        }
+
+        for (auto& cache : caches) {
+            for (auto& act : cache.activations) {
+                for (std::size_t r = 0; r < act.rows(); ++r) {
+                    for (std::size_t k = cache.batch; k < act.cols(); ++k) {
+                        act(r, k) = std::numeric_limits<double>::quiet_NaN();
+                    }
+                }
+            }
+        }
+        net.zero_grad();
+        net.backward_batch(samples, dout, scratch);
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        for (std::size_t l = 0; l < net.num_layers(); ++l) {
+            SCOPED_TRACE("layer " + std::to_string(l));
+            expect_grads_eq(clean[l], net.layers()[l]);
         }
     }
 }

@@ -1,12 +1,20 @@
-// Tests for Adam + cosine LR: convergence, masked ("slimmable") updates, and
-// gradient clipping. Gradients come from the production minibatch backward
-// on one-sample batches.
+// Tests for Adam + cosine LR: convergence, masked ("slimmable") updates,
+// gradient clipping, and bit identity with the textbook step
+// (adam_reference.hpp). Gradients come from the production minibatch
+// backward on one-sample batches.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "adam_reference.hpp"
 #include "one_sample.hpp"
+#include "prof/profiler.hpp"
 #include "rl/mlp.hpp"
 #include "rl/optimizer.hpp"
 #include "util/rng.hpp"
@@ -246,6 +254,133 @@ TEST(Adam, LrFollowsCosineSchedule) {
         last_lr = lr;
     }
     EXPECT_NEAR(last_lr, 1e-4, 1e-9);
+}
+
+/// Set the grads of one step: mark every layer's touched prefixes as a
+/// backward at `width` does (an all-zero upstream gradient adds nothing
+/// else), then give the touched gradients `values` in flat order (each
+/// layer's weight rows, then its biases). Returns how many were touched.
+std::size_t set_grads(SlimmableMlp& net, double width, std::span<const double> values) {
+    const std::vector<double> x(net.input_dim(), 0.5);
+    const std::vector<double> dout(net.output_dim(), 0.0);
+    test::backprop_one(net, x, width, dout);
+    std::size_t i = 0;
+    for (auto& layer : net.layers()) {
+        const auto marked = layer.marked_cols();
+        for (std::size_t r = 0; r < marked.size(); ++r) {
+            for (std::size_t c = 0; c < marked[r]; ++c) {
+                if (i < values.size()) layer.grad_weights()(r, c) = values[i];
+                ++i;
+            }
+        }
+        for (std::size_t r = 0; r < marked.size(); ++r) {
+            if (marked[r] == 0) continue;
+            if (i < values.size()) layer.grad_bias()[r] = values[i];
+            ++i;
+        }
+    }
+    return i;
+}
+
+[[nodiscard]] bool same_bits(std::span<const double> a, std::span<const double> b) {
+    return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// rl::Adam against the textbook step on the paper's network for 4,000
+// steps: past t = 356, where 1 - 0.9^t rounds to 1.0, and t = 3725, where
+// 1 - 0.99^t does. Touched spans alternate 0.75x / 1.0x, and each step's
+// gradient norm is a chosen multiple of grad_clip, so the clip's pre-check
+// takes both branches: well below the clip it must skip the sequential sum;
+// a clip that fires, a squared norm within 1e-12 of grad_clip^2, a NaN and
+// an inf gradient must fall back to it. After every step the parameters
+// must match bit for bit, and every gradient (untouched ones included) must
+// be 0.0 with no touched prefix left.
+TEST(Adam, BitIdenticalToTextbookStepAcrossBiasCorrectionThresholds) {
+    ASSERT_NE(1.0 - std::pow(0.9, 355.0), 1.0);
+    ASSERT_EQ(1.0 - std::pow(0.9, 356.0), 1.0);
+    ASSERT_NE(1.0 - std::pow(0.99, 3724.0), 1.0);
+    ASSERT_EQ(1.0 - std::pow(0.99, 3725.0), 1.0);
+
+    MlpConfig cfg;
+    cfg.dims = {7, 128, 128, 128, 48};
+    cfg.seed = 31;
+    SlimmableMlp net(cfg);
+    SlimmableMlp ref_net(cfg);
+    const AdamConfig acfg;
+    Adam adam(net, acfg);
+    test::AdamReference reference(ref_net, acfg);
+    const double clip = acfg.grad_clip;
+
+    constexpr std::size_t kSteps = 4000;
+    constexpr std::size_t kNearClipStep = 1000;
+    constexpr std::size_t kNanStep = 2000;
+    constexpr std::size_t kInfStep = 3000;
+    // Gradient norm as a multiple of grad_clip, by step: three of five
+    // steps stay below the clip, two clip.
+    constexpr double kNormOverClip[] = {0.3, 1.3, 0.7, 3.0, 0.95};
+
+    // Touched weights and biases at each width.
+    const auto touched = [&](double width) {
+        std::size_t n = 0;
+        for (std::size_t l = 0; l < net.num_layers(); ++l) {
+            n += net.active_units(l + 1, width) * (net.active_units(l, width) + 1);
+        }
+        return n;
+    };
+
+    util::Rng rng(32);
+    std::vector<double> values;
+    for (std::size_t t = 1; t <= kSteps; ++t) {
+        const double width = t % 2 == 0 ? 1.0 : 0.75;
+        values.assign(touched(width), 0.0);
+        double sq = 0.0;
+        for (auto& v : values) {
+            v = rng.uniform(-1.0, 1.0);
+            sq += v * v;
+        }
+        const double ratio = t == kNearClipStep ? 1.0 : kNormOverClip[t % 5];
+        const double s = ratio * clip / std::sqrt(sq);
+        sq = 0.0;
+        for (auto& v : values) {
+            v *= s;
+            sq += v * v; // the textbook clip's sequential sum
+        }
+        if (t == kNearClipStep) {
+            ASSERT_LE(std::abs(sq - clip * clip), 1e-12 * clip * clip);
+        }
+        if (t == kNanStep) values[values.size() / 2] = std::numeric_limits<double>::quiet_NaN();
+        if (t == kInfStep) values[values.size() / 3] = std::numeric_limits<double>::infinity();
+        const bool must_fall_back =
+            ratio > 1.0 || t == kNearClipStep || t == kNanStep || t == kInfStep;
+
+        ASSERT_EQ(set_grads(ref_net, width, values), values.size());
+        ASSERT_EQ(set_grads(net, width, values), values.size());
+        const double ref_lr = reference.step(ref_net);
+        const std::uint64_t before = prof::counter_total("rl.adam_exact_clip");
+        const double lr = adam.step(net);
+        const std::uint64_t fell_back = prof::counter_total("rl.adam_exact_clip") - before;
+
+        const std::string at = "step " + std::to_string(t);
+        ASSERT_EQ(lr, ref_lr) << at;
+        if (must_fall_back) {
+            ASSERT_EQ(fell_back, 1u) << at;
+        } else {
+            ASSERT_EQ(fell_back, 0u) << at << ": the pre-check should skip the exact sum";
+        }
+        for (std::size_t l = 0; l < net.layers().size(); ++l) {
+            auto& layer = net.layers()[l];
+            auto& ref_layer = ref_net.layers()[l];
+            ASSERT_TRUE(same_bits(layer.weights().flat(), ref_layer.weights().flat()))
+                << at << " layer " << l << " weights";
+            ASSERT_TRUE(same_bits(layer.bias(), ref_layer.bias())) << at << " layer " << l;
+            ASSERT_TRUE(same_bits(layer.grad_weights().flat(), ref_layer.grad_weights().flat()))
+                << at << " layer " << l << ": gradients not cleared";
+            ASSERT_TRUE(same_bits(layer.grad_bias(), ref_layer.grad_bias()))
+                << at << " layer " << l << ": bias gradients not cleared";
+            for (const auto m : layer.marked_cols()) ASSERT_EQ(m, 0u) << at;
+        }
+    }
+    EXPECT_EQ(adam.steps_taken(), kSteps);
 }
 
 } // namespace
