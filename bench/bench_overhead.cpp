@@ -13,42 +13,36 @@
 //    the engine charges to every frame, as a share of the measured frame
 //    latency, for zTT (one decision) vs LOTUS (two decisions).
 //
-// Beyond the paper, the bench measures the simulator itself and FAILS
-// (non-zero exit; it runs as a CTest smoke) when a bar is missed:
+// Beyond the paper, the bench checks the simulator and FAILS (non-zero
+// exit; it runs as a CTest smoke) when a bar is missed. Every bar is a
+// count, which does not move with the host's speed, or a ratio of two runs
+// timed in this process:
 //
 //  * thermal stepper on serve_saturation: the closed-form exponential must
 //    spend <= 1/3 of the integration steps the deleted 20 ms-slice Euler
 //    integrator took (counts recorded before it was deleted), with the
 //    serving-level latency and temperature metrics within 1% of a run at
-//    1/100 of the default accuracy bound.
-//
-// The perf trajectory, written to BENCH_overhead.json in the working
-// directory (stamped with its cell-layout version and the build id):
-//
-//  * DQN train step (batch 32, the paper's Q-network): us/step, matvec,
-//    allocation and bootstrap-memo counts;
-//  * serve_saturation end to end: wall-clock, host requests/sec, thermal
-//    steps, matvec counts (single-sample forwards: the act path) and
-//    allocation counts; summary-only ledgers must allocate fewer bytes;
+//    1/100 of the default accuracy bound;
+//  * counts on serve_saturation: at most kActMatvecCalls single-sample
+//    Q-network forwards (the act path), fewer allocated bytes with
+//    summary-only ledgers than with the full ledger, and at most
+//    kMaxAllocsPerEvent allocations per recorded telemetry event;
 //  * profiler timers on serve_fleet_saturation: scopes entered x CPU cost
 //    per scope must stay <= 2% of the run's timers-off CPU time;
 //  * telemetry recording and trace replay on serve_saturation: each fails
-//    only past 50% AND 100 ms over its plain run; recording must also stay
-//    under kMaxAllocsPerEvent allocations per recorded event (a count, so
-//    the bar does not move with the host);
+//    only past 50% AND 100 ms over its plain run;
 //  * the queue gate: 8 streams x 5,000 requests (20,000 in full mode)
 //    under edf at 0.3 Hz per stream, where the queue grows to thousands,
 //    must finish within 1.5x the wall-clock of the same load at 0.2 Hz,
 //    where it stays short.
 //
-// Sanitizer builds (CMake's LOTUS_SANITIZE) skip the trajectory: wall-clock
-// ratios mean nothing there. Byte-identity (summary-only vs full ledger,
-// telemetry on vs off, replay vs generation) is the test suite's job.
-// CI compares the JSON against the committed
-// bench/BENCH_overhead.baseline.json via tools/check_bench_regression.py:
-// serve_saturation throughput normalized by the queue gate's under-capacity
-// run (no RL work, so it tracks host speed only; timed in pairs with the
-// serve_saturation runs) and the deterministic matvec count.
+// Sanitizer builds (CMake's LOTUS_SANITIZE) skip the last three, the timed
+// ones: instrumentation slows code 5-15x, unevenly. How fast the simulator
+// runs is perfbench's to measure (perfbench/run.py, calibrated CPU time);
+// CI gates serve_saturation_short's ref_cpu_s against
+// bench/perfbench_baseline.json with tools/check_bench_regression.py.
+// Byte-identity (summary-only vs full ledger, telemetry on vs off, replay
+// vs generation) is the test suite's job.
 
 #include <algorithm>
 #include <atomic>
@@ -58,10 +52,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <new>
-#include <sstream>
+#include <utility>
 #include <vector>
 
 #include <time.h>
@@ -69,14 +62,13 @@
 
 #include "common.hpp"
 #include "prof/profiler.hpp"
-#include "util/build_info.hpp"
 
 using namespace lotus;
 
 // ---------------------------------------------------------------------------
 // Allocation accounting. This binary replaces the global allocation
 // functions with thin malloc wrappers that bump one relaxed counter, so the
-// perf-trajectory cells below can report allocations per scenario run (the
+// count gates below can read allocations per scenario run (the
 // summary-only ledger fast path exists to drive that number down). The
 // override is linked into the bench binary only; liblotus is untouched.
 // Over-aligned allocations keep the toolchain defaults (uncounted) -- the
@@ -93,7 +85,6 @@ void* counted_alloc(std::size_t size) noexcept {
     return std::malloc(size ? size : 1);
 }
 
-#ifndef LOTUS_SANITIZED_BUILD // read only by the perf trajectory
 std::uint64_t alloc_count() noexcept {
     return g_alloc_count.load(std::memory_order_relaxed);
 }
@@ -101,7 +92,6 @@ std::uint64_t alloc_count() noexcept {
 std::uint64_t alloc_bytes() noexcept {
     return g_alloc_bytes.load(std::memory_order_relaxed);
 }
-#endif
 
 } // namespace
 
@@ -216,6 +206,16 @@ constexpr EulerStepCount kEulerSteps[] = {
     {"performance", 18'324, 96'030},
 };
 
+/// Single-sample Q-network forwards (the act path) serve_saturation makes
+/// across all its arms, recorded at commit 8f8958f; {fast mode, full mode}.
+/// A deterministic count: one extra forward per greedy decision fails the
+/// gate.
+struct RecordedCount {
+    std::uint64_t fast;
+    std::uint64_t full;
+};
+constexpr RecordedCount kActMatvecCalls = {2'704, 27'784};
+
 struct StepperRun {
     serving::ServingTrace trace;
     serving::ServingSummary agg;
@@ -311,37 +311,14 @@ bool stepper_comparison() {
 }
 
 // ---------------------------------------------------------------------------
-// Perf trajectory -> BENCH_overhead.json. Not compiled into a sanitizer
-// build, which skips it (see main).
-#ifndef LOTUS_SANITIZED_BUILD
+// Count gates: deterministic, so they run in every build.
 
-/// Version of BENCH_overhead.json's cell layout, checked by
-/// tools/check_bench_regression.py; bumped whenever a cell changes shape
-/// (3: train_step and serve_saturation are single flat cells, and
-/// serve_saturation carries the reference_wall_s it is normalized by; 4:
-/// train_step carries bootstrap_rows and bootstrap_memo_hits). Keys added
-/// or dropped that no gate reads came without a bump: the string
-/// train_step.kernels (the RL kernel set, rl::kernel_set(); the check reads
-/// a missing one as "unknown" and only prints it), telemetry_overhead's
-/// export_s, export_bytes and allocs_per_event (gated here, not by the
-/// check), and the dropped json_bit_identical flags,
-/// profiler_overhead's pairs, timers_on_cpu_s and overhead_pct, and
-/// trace_replay's requests (the check never reads them).
-constexpr int kBenchSchemaVersion = 4;
-
-/// Cell 4's allocation bar: allocations per recorded event, a recording
-/// run's count minus a plain run's. Measured at 0.27 (fast mode) and 0.26
-/// (full mode) on serve_saturation -- nearly all of it the rollup's
-/// per-window sample vectors -- against 2.16 when every event held its
-/// name and args in strings of its own.
+/// Telemetry recording's allocation bar: allocations per recorded event, a
+/// recording run's count minus a plain run's. Measured at 0.27 (fast mode)
+/// and 0.26 (full mode) on serve_saturation -- nearly all of it the
+/// rollup's per-window sample vectors -- against 2.16 when every event held
+/// its name and args in strings of its own.
 constexpr double kMaxAllocsPerEvent = 0.35;
-
-/// %.6g rendering for the JSON document (full precision is timer noise).
-std::string json_num(double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
 
 /// The bench harness configuration without per-request ledger rows.
 harness::HarnessConfig summary_only_config() {
@@ -350,115 +327,111 @@ harness::HarnessConfig summary_only_config() {
     return cfg;
 }
 
+struct CountedRun {
+    std::vector<bench::EpisodeResult> results;
+    std::uint64_t matvec_calls = 0;
+    std::uint64_t allocs = 0;
+    std::uint64_t alloc_bytes = 0;
+};
+
+/// One run of `sc` on `h` with its single-sample forwards and allocations.
+CountedRun counted_run(const bench::Scenario& sc, const harness::ExperimentHarness& h) {
+    CountedRun run;
+    prof::reset();
+    const std::uint64_t a0 = alloc_count();
+    const std::uint64_t b0 = alloc_bytes();
+    run.results = h.run(sc);
+    run.allocs = alloc_count() - a0;
+    run.alloc_bytes = alloc_bytes() - b0;
+    run.matvec_calls = prof::counter_total("rl.matvec_calls");
+    return run;
+}
+
+/// Gate the act path's forwards and the allocation counts on
+/// serve_saturation; returns false (failing the bench) on a missed bar.
+bool count_gates() {
+    bool ok = true;
+    const auto& sc = bench::scenario("serve_saturation");
+    const harness::ExperimentHarness full_h(bench::harness_config());
+    const harness::ExperimentHarness plain_h(summary_only_config());
+    auto tel_cfg = summary_only_config();
+    tel_cfg.telemetry = true;
+    const harness::ExperimentHarness tel_h(tel_cfg);
+
+    const auto full = counted_run(sc, full_h);
+    const std::uint64_t matvec_bar =
+        harness::fast_mode() ? kActMatvecCalls.fast : kActMatvecCalls.full;
+    if (full.matvec_calls > matvec_bar) {
+        std::printf("FAIL: serve_saturation makes %llu single-sample forwards (> %llu "
+                    "recorded)\n",
+                    static_cast<unsigned long long>(full.matvec_calls),
+                    static_cast<unsigned long long>(matvec_bar));
+        ok = false;
+    }
+
+    // Summary-only ledgers vs full row capture. Row capture is already
+    // allocation-*count* cheap (one reserve per trace), so the fast path's
+    // win is the O(requests) row storage it never materialises: the gate is
+    // on allocated bytes.
+    const auto plain = counted_run(sc, plain_h);
+    if (plain.alloc_bytes >= full.alloc_bytes) {
+        std::printf("FAIL: summary-only mode does not shrink allocated bytes "
+                    "(%llu >= %llu)\n",
+                    static_cast<unsigned long long>(plain.alloc_bytes),
+                    static_cast<unsigned long long>(full.alloc_bytes));
+        ok = false;
+    }
+
+    // The allocations a recording run makes beyond the plain summary-only
+    // run (the same configuration, telemetry off), per recorded event.
+    // Events live in a flat log, names in an interned table and args in one
+    // arena, so the count is the amortized growth of those buffers and the
+    // rollup's windows, far below one per event.
+    const auto recording = counted_run(sc, tel_h);
+    std::uint64_t events = 0;
+    for (const auto& r : recording.results) {
+        if (r.telemetry) events += r.telemetry->event_count();
+    }
+    const double allocs_per_event =
+        (static_cast<double>(recording.allocs) - static_cast<double>(plain.allocs)) /
+        static_cast<double>(std::max<std::uint64_t>(events, 1));
+    if (allocs_per_event > kMaxAllocsPerEvent) {
+        std::printf("FAIL: telemetry recording makes %.4f allocations per event "
+                    "(> %.2f)\n",
+                    allocs_per_event, kMaxAllocsPerEvent);
+        ok = false;
+    }
+
+    util::TextTable table({"serve_saturation run", "matvec calls", "allocs", "alloc MB"});
+    const auto row = [&](const char* name, const CountedRun& c) {
+        table.add_row({name, std::to_string(c.matvec_calls), std::to_string(c.allocs),
+                       util::format_double(static_cast<double>(c.alloc_bytes) / 1e6, 2)});
+    };
+    row("full ledger", full);
+    row("summary-only", plain);
+    row("summary-only + telemetry", recording);
+    std::printf("%s", table.render("count gates on serve_saturation (all arms)").c_str());
+    std::printf("act path: %llu single-sample forwards (at most %llu); summary-only skips "
+                "%.0f KB of ledger rows; telemetry: %llu events, %.4f allocations per "
+                "event (at most %.2f)\n\n",
+                static_cast<unsigned long long>(full.matvec_calls),
+                static_cast<unsigned long long>(matvec_bar),
+                (static_cast<double>(full.alloc_bytes) - static_cast<double>(plain.alloc_bytes)) /
+                    1e3,
+                static_cast<unsigned long long>(events), allocs_per_event, kMaxAllocsPerEvent);
+    return ok;
+}
+
+// ---------------------------------------------------------------------------
+// Timing gates: each compares runs timed in this process. Not compiled into
+// a sanitizer build, which skips them (see main).
+#ifndef LOTUS_SANITIZED_BUILD
+
 /// A per-process scratch directory under the system temp directory, so
 /// concurrent bench runs on one host never share (or delete) each other's.
 std::filesystem::path scratch_dir(const std::string& stem) {
     return std::filesystem::temp_directory_path() /
            (stem + "_" + std::to_string(::getpid()));
-}
-
-struct TrainCell {
-    double us_per_step = 0.0;
-    std::uint64_t matvec_calls = 0;
-    std::uint64_t allocs = 0;
-    std::uint64_t alloc_bytes = 0;
-    /// Non-terminal minibatch rows, and those whose bootstrap value came
-    /// from the memo instead of a target forward.
-    std::uint64_t bootstrap_rows = 0;
-    std::uint64_t bootstrap_memo_hits = 0;
-};
-
-/// Time `steps` DQN updates on a replay buffer of LOTUS-style alternating
-/// widths (fixed seeds, so every run trains on the same batches).
-TrainCell run_train_cell(int steps) {
-    rl::DqnConfig dqn_cfg;
-    dqn_cfg.batch_size = 32;
-    rl::DqnCore dqn(paper_qnet_config(), dqn_cfg);
-    rl::ReplayBuffer buffer(256);
-    util::Rng fill(3);
-    for (int i = 0; i < 256; ++i) {
-        rl::Transition t;
-        t.state = std::vector<double>(core::kStateDim, fill.uniform());
-        t.action = static_cast<int>(fill.uniform_int(0, 47));
-        t.reward = fill.uniform(-1, 2);
-        t.next_state = std::vector<double>(core::kStateDim, fill.uniform());
-        t.width_state = (i % 2 == 0) ? 0.75 : 1.0;
-        t.width_next = (i % 2 == 0) ? 1.0 : 0.75;
-        buffer.push(std::move(t));
-    }
-    util::Rng rng(11); // batch sampling
-    TrainCell cell;
-    prof::reset();
-    const std::uint64_t a0 = alloc_count();
-    const std::uint64_t b0 = alloc_bytes();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < steps; ++i) g_sink = dqn.train_step(buffer, rng, 1);
-    const auto t1 = std::chrono::steady_clock::now();
-    cell.us_per_step = std::chrono::duration<double, std::micro>(t1 - t0).count() / steps;
-    cell.allocs = alloc_count() - a0;
-    cell.alloc_bytes = alloc_bytes() - b0;
-    cell.matvec_calls = prof::counter_total("rl.matvec_calls");
-    cell.bootstrap_rows = prof::counter_total("rl.bootstrap_rows");
-    cell.bootstrap_memo_hits = prof::counter_total("rl.bootstrap_memo_hits");
-    return cell;
-}
-
-struct ServeCell {
-    double wall_s = 0.0;
-    double requests_per_sec = 0.0;
-    std::uint64_t requests = 0;
-    std::uint64_t thermal_steps = 0;
-    std::uint64_t matvec_calls = 0;
-    std::uint64_t allocs = 0;
-    std::uint64_t alloc_bytes = 0;
-    /// Min-of-N wall of the reference scenario (0 without one).
-    double reference_wall_s = 0.0;
-};
-
-/// Run one full registry scenario on a fresh harness. `repeats > 1` re-runs
-/// for a min-of-N wall-clock (deterministic output, so only the first run's
-/// counters are kept). With a `reference`, every repeat is followed by one
-/// timed summary-only run of it, so the two min-of-N walls come from the
-/// same stretch of host time.
-ServeCell run_serve_cell(const bench::Scenario& sc, bool summary_only, int repeats,
-                         const bench::Scenario* reference = nullptr) {
-    auto cfg = bench::harness_config();
-    cfg.summary_only = summary_only;
-    const harness::ExperimentHarness h(cfg);
-    const harness::ExperimentHarness ref_h(summary_only_config());
-    ServeCell cell;
-    for (int rep = 0; rep < repeats; ++rep) {
-        prof::reset();
-        const std::uint64_t a0 = alloc_count();
-        const std::uint64_t b0 = alloc_bytes();
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto results = h.run(sc);
-        const auto t1 = std::chrono::steady_clock::now();
-        const double wall = std::chrono::duration<double>(t1 - t0).count();
-        if (rep == 0) {
-            cell.wall_s = wall;
-            cell.allocs = alloc_count() - a0;
-            cell.alloc_bytes = alloc_bytes() - b0;
-            cell.matvec_calls = prof::counter_total("rl.matvec_calls");
-            for (const auto& r : results) {
-                if (!r.serving_trace) continue;
-                cell.requests += r.serving_trace->size();
-                cell.thermal_steps += r.serving_trace->thermal_steps();
-            }
-        } else {
-            cell.wall_s = std::min(cell.wall_s, wall);
-        }
-        if (reference != nullptr) {
-            const auto r0 = std::chrono::steady_clock::now();
-            g_sink = static_cast<double>(ref_h.run(*reference).size());
-            const double ref_wall =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - r0).count();
-            cell.reference_wall_s =
-                rep == 0 ? ref_wall : std::min(cell.reference_wall_s, ref_wall);
-        }
-    }
-    cell.requests_per_sec = static_cast<double>(cell.requests) / std::max(cell.wall_s, 1e-9);
-    return cell;
 }
 
 /// CPU time of the whole process (every harness thread). Unlike wall time
@@ -550,94 +523,28 @@ double scope_cost_s() {
     return best;
 }
 
-/// One serve cell as a JSON object (no key, no trailing comma);
-/// reference_wall_s only for a cell timed against a reference.
-std::string serve_cell_json(const ServeCell& c) {
-    std::ostringstream js;
-    js << "{\"wall_s\": " << json_num(c.wall_s) << ", \"requests\": " << c.requests
-       << ", \"requests_per_sec\": " << json_num(c.requests_per_sec)
-       << ", \"thermal_steps\": " << c.thermal_steps
-       << ", \"matvec_calls\": " << c.matvec_calls << ", \"allocs\": " << c.allocs
-       << ", \"alloc_bytes\": " << c.alloc_bytes;
-    if (c.reference_wall_s > 0.0) {
-        js << ", \"reference_wall_s\": " << json_num(c.reference_wall_s);
+/// Min-of-`pairs` walls of two runs timed in interleaved pairs, so both
+/// come from the same stretch of host time.
+std::pair<double, double> paired_walls(const bench::Scenario& a,
+                                       const harness::ExperimentHarness& a_h,
+                                       const bench::Scenario& b,
+                                       const harness::ExperimentHarness& b_h, int pairs) {
+    double a_s = 1e300;
+    double b_s = 1e300;
+    for (int rep = 0; rep < pairs; ++rep) {
+        a_s = std::min(a_s, wall_of_run(a, a_h));
+        b_s = std::min(b_s, wall_of_run(b, b_h));
     }
-    js << "}";
-    return js.str();
+    return {a_s, b_s};
 }
 
-/// Measure the perf cells, print them, gate the acceptance bars and write
-/// BENCH_overhead.json. Returns false (failing the bench) on any missed bar.
-bool perf_trajectory() {
+/// Gate the profiler, telemetry, replay and queue costs; returns false
+/// (failing the bench) on any missed bar.
+bool timing_gates() {
     bool ok = true;
-    const bool fast = harness::fast_mode();
-    const int train_steps = fast ? 80 : 400;
-    const int serve_repeats = fast ? 2 : 1;
-    const int reference_pairs = fast ? 10 : 2;
-    const int overhead_pairs = 2;
-
-    // --- cell 1: DQN train step ---------------------------------------------
-    const auto train = run_train_cell(train_steps);
-    util::TextTable train_table({"train step (batch 32)", "us/step", "matvec calls", "allocs",
-                                 "bootstrap rows", "memo hits"});
-    train_table.add_row({"train_batch", util::format_double(train.us_per_step, 2),
-                         std::to_string(train.matvec_calls), std::to_string(train.allocs),
-                         std::to_string(train.bootstrap_rows),
-                         std::to_string(train.bootstrap_memo_hits)});
-    std::printf("%s", train_table.render("DQN train step on the paper's Q-network (" +
-                                         std::to_string(train_steps) + " steps, " +
-                                         rl::kernel_set().name + " kernels)")
-                          .c_str());
-
-    // --- cell 2: serve_saturation end to end ---------------------------------
-    // Timed in interleaved pairs with the queue gate's under-capacity load
-    // (cell 6): the performance governor, no RL work, so its wall tracks the
-    // host's speed and not the code under test. CI's regression check
-    // normalizes serve_saturation's requests/sec by it.
-    const std::size_t gate_requests = fast ? 5'000 : 20'000;
-    const auto overloaded_sc = overload_scenario(0.3, gate_requests);
-    const auto under_sc = overload_scenario(0.2, gate_requests);
     const auto& sc = bench::scenario("serve_saturation");
-    const auto serve =
-        run_serve_cell(sc, /*summary_only=*/false, reference_pairs, &under_sc);
 
-    // Summary-only ledgers vs full row capture. Row capture is already
-    // allocation-*count* cheap (one reserve per trace), so the fast path's
-    // win is the O(requests) row storage it never materialises: the gate is
-    // on allocated bytes.
-    const auto summary_s = run_serve_cell(sc, /*summary_only=*/true, serve_repeats);
-    if (summary_s.alloc_bytes >= serve.alloc_bytes) {
-        std::printf("FAIL: summary-only mode does not shrink allocated bytes "
-                    "(%llu >= %llu)\n",
-                    static_cast<unsigned long long>(summary_s.alloc_bytes),
-                    static_cast<unsigned long long>(serve.alloc_bytes));
-        ok = false;
-    }
-    const std::uint64_t ledger_bytes_saved =
-        serve.alloc_bytes > summary_s.alloc_bytes ? serve.alloc_bytes - summary_s.alloc_bytes
-                                                  : 0;
-
-    util::TextTable serve_table({"serve_saturation cell", "wall (s)", "req/s",
-                                 "thermal steps", "matvec calls", "allocs",
-                                 "alloc MB"});
-    const auto serve_row = [&](const char* name, const ServeCell& c) {
-        serve_table.add_row({name, util::format_double(c.wall_s, 3),
-                             util::format_double(c.requests_per_sec, 1),
-                             std::to_string(c.thermal_steps),
-                             std::to_string(c.matvec_calls), std::to_string(c.allocs),
-                             util::format_double(static_cast<double>(c.alloc_bytes) / 1e6, 2)});
-    };
-    serve_row("full ledger", serve);
-    serve_row("summary-only", summary_s);
-    std::printf("%s", serve_table.render("hot-path layers on serve_saturation (all arms)")
-                          .c_str());
-    std::printf("summary-only skips %.0f KB of ledger rows; reference run (queue gate "
-                "load at 0.2 Hz, no RL): %.3fs, min of %d interleaved with the full-ledger "
-                "runs\n\n",
-                static_cast<double>(ledger_bytes_saved) / 1e3, serve.reference_wall_s,
-                reference_pairs);
-
-    // --- cell 3: profiler timers-enabled overhead ---------------------------
+    // --- profiler timers-enabled overhead -----------------------------------
     // Gated on a deterministic product: the scopes one run enters (from the
     // profiler's own report) times the CPU cost of one scope (timed
     // in-process), as a share of the run's timers-off CPU time. An on/off
@@ -665,95 +572,15 @@ bool perf_trajectory() {
                 static_cast<unsigned long long>(scopes), scope_ns, timer_cost_pct,
                 timers_off_cpu_s);
 
-    // --- cell 4: sim-time telemetry recording and export overhead -----------
-    // The wall-clock bar is deliberately loose -- this cell documents the
-    // cost rather than policing scheduler noise: fail only past 50% AND a
-    // 100 ms absolute excess. The allocation bar is exact instead: the
-    // allocations one recording run makes beyond a plain run, per recorded
-    // event. Events live in a flat log, names in an interned table and args
-    // in one arena, so the count is the amortized growth of those buffers
-    // and the rollup's windows, far below one per event. Export (rendering
-    // every artifact and Recorder::write into a temp dir) is timed on one
-    // recording run's recorders and not gated.
+    // --- telemetry recording and trace replay -------------------------------
+    // The bars are deliberately loose -- they document the cost rather than
+    // police scheduler noise: each fails only past 50% AND a 100 ms
+    // absolute excess over the plain run. Replay skips the arrival/frame RNG
+    // work but pays file I/O; its traces are recorded by one run first.
     const harness::ExperimentHarness plain_h(summary_only_config());
     auto tel_cfg = summary_only_config();
     tel_cfg.telemetry = true;
     const harness::ExperimentHarness tel_h(tel_cfg);
-    std::uint64_t tel_events = 0;
-    std::uint64_t tel_breaches = 0;
-    double tel_export_s = 0.0;
-    std::uintmax_t tel_export_bytes = 0;
-    double tel_allocs_per_event = 0.0;
-    {
-        // The recording run's allocations, against the plain summary-only
-        // run of cell 2 (the same configuration, telemetry off); its
-        // results feed the export pass (which doubles as warm-up for the
-        // timed pairs).
-        const std::uint64_t on0 = alloc_count();
-        const auto r_on = tel_h.run(sc);
-        const std::uint64_t on_allocs = alloc_count() - on0;
-        for (const auto& r : r_on) {
-            if (!r.telemetry) continue;
-            tel_events += r.telemetry->event_count();
-            tel_breaches += r.telemetry->breach_count();
-        }
-        tel_allocs_per_event =
-            (static_cast<double>(on_allocs) - static_cast<double>(summary_s.allocs)) /
-            static_cast<double>(std::max<std::uint64_t>(tel_events, 1));
-        const auto export_dir = scratch_dir("bench_overhead_telemetry");
-        for (int rep = 0; rep < overhead_pairs; ++rep) {
-            std::filesystem::remove_all(export_dir);
-            const auto t0 = std::chrono::steady_clock::now();
-            for (std::size_t i = 0; i < r_on.size(); ++i) {
-                if (r_on[i].telemetry) {
-                    r_on[i].telemetry->write((export_dir / std::to_string(i)).string());
-                }
-            }
-            const double s =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-            tel_export_s = rep == 0 ? s : std::min(tel_export_s, s);
-        }
-        for (const auto& f : std::filesystem::recursive_directory_iterator(export_dir)) {
-            if (f.is_regular_file()) tel_export_bytes += f.file_size();
-        }
-        std::filesystem::remove_all(export_dir);
-    }
-    double tel_off_s = 0.0;
-    double tel_on_s = 0.0;
-    for (int rep = 0; rep < overhead_pairs; ++rep) {
-        const double off = wall_of_run(sc, plain_h);
-        const double on = wall_of_run(sc, tel_h);
-        tel_off_s = rep == 0 ? off : std::min(tel_off_s, off);
-        tel_on_s = rep == 0 ? on : std::min(tel_on_s, on);
-    }
-    const double tel_overhead_pct =
-        (tel_on_s - tel_off_s) / std::max(tel_off_s, 1e-9) * 100.0;
-    if (tel_overhead_pct > 50.0 && (tel_on_s - tel_off_s) > 0.1) {
-        std::printf("FAIL: telemetry recording costs %.2f%% of serve_saturation "
-                    "(>= 50%%)\n",
-                    tel_overhead_pct);
-        ok = false;
-    }
-    if (tel_allocs_per_event > kMaxAllocsPerEvent) {
-        std::printf("FAIL: telemetry recording makes %.4f allocations per event "
-                    "(> %.2f)\n",
-                    tel_allocs_per_event, kMaxAllocsPerEvent);
-        ok = false;
-    }
-    std::printf("telemetry recording on serve_saturation: %.3fs off, %.3fs on "
-                "(%.2f%% overhead, %llu events, %llu breaches, %.4f allocations "
-                "per event); export %.3fs for %llu bytes (not gated)\n\n",
-                tel_off_s, tel_on_s, tel_overhead_pct,
-                static_cast<unsigned long long>(tel_events),
-                static_cast<unsigned long long>(tel_breaches), tel_allocs_per_event,
-                tel_export_s, static_cast<unsigned long long>(tel_export_bytes));
-
-    // --- cell 5: trace capture + replay -------------------------------------
-    // Record serve_saturation's request timelines during one run, then time
-    // the scenario replayed from the recorded .ltrc files against analytic
-    // generation. The bar mirrors cell 4 (fail only past 50% AND a 100 ms
-    // absolute excess): replay skips the arrival/frame RNG work but pays
-    // file I/O, so the cell documents the trade rather than policing noise.
     const auto trace_dir = scratch_dir("bench_overhead_traces").string();
     std::filesystem::remove_all(trace_dir);
     auto rec_cfg = summary_only_config();
@@ -762,46 +589,40 @@ bool perf_trajectory() {
     rep_cfg.replay_dir = trace_dir;
     const harness::ExperimentHarness rep_h(rep_cfg);
     g_sink = static_cast<double>(harness::ExperimentHarness(rec_cfg).run(sc).size());
-    double gen_s = 0.0;
-    double rep_s = 0.0;
-    for (int rep = 0; rep < overhead_pairs; ++rep) {
-        const double g = wall_of_run(sc, plain_h); // analytic arrivals, no capture
-        const double r = wall_of_run(sc, rep_h);
-        gen_s = rep == 0 ? g : std::min(gen_s, g);
-        rep_s = rep == 0 ? r : std::min(rep_s, r);
-    }
-    const double replay_overhead_pct = (rep_s - gen_s) / std::max(gen_s, 1e-9) * 100.0;
-    if (replay_overhead_pct > 50.0 && (rep_s - gen_s) > 0.1) {
-        std::printf("FAIL: trace replay costs %.2f%% over analytic generation "
-                    "(>= 50%%)\n",
-                    replay_overhead_pct);
-        ok = false;
-    }
-    std::printf("trace replay on serve_saturation: %.3fs generated, %.3fs replayed "
-                "(%.2f%% overhead)\n\n",
-                gen_s, rep_s, replay_overhead_pct);
+    const auto [tel_off_s, tel_on_s] = paired_walls(sc, plain_h, sc, tel_h, 2);
+    const auto [gen_s, rep_s] = paired_walls(sc, plain_h, sc, rep_h, 2);
     std::filesystem::remove_all(trace_dir);
+    const struct {
+        const char* what;
+        double plain_s;
+        double with_s;
+    } bars[] = {{"telemetry recording", tel_off_s, tel_on_s},
+                {"trace replay", gen_s, rep_s}};
+    for (const auto& bar : bars) {
+        const double pct = (bar.with_s - bar.plain_s) / std::max(bar.plain_s, 1e-9) * 100.0;
+        if (pct > 50.0 && (bar.with_s - bar.plain_s) > 0.1) {
+            std::printf("FAIL: %s costs %.2f%% over the plain run (>= 50%%)\n", bar.what, pct);
+            ok = false;
+        }
+        std::printf("%s on serve_saturation: %.3fs plain, %.3fs with (%.2f%% overhead)\n",
+                    bar.what, bar.plain_s, bar.with_s, pct);
+    }
+    std::printf("\n");
 
-    // --- cell 6: queue gate -------------------------------------------------
+    // --- queue gate ---------------------------------------------------------
     // The same request count at an overloaded and an under-capacity rate:
     // simulated work is about equal, so a queue whose pick cost grows with
     // its depth shows up as the overloaded run's extra wall time.
+    const std::size_t gate_requests = harness::fast_mode() ? 5'000 : 20'000;
+    const auto overloaded_sc = overload_scenario(0.3, gate_requests);
+    const auto under_sc = overload_scenario(0.2, gate_requests);
     const harness::ExperimentHarness gate_h(summary_only_config());
-    std::size_t overloaded_depth = 0;
-    std::size_t under_depth = 0;
-    {
-        // Depth pass (doubles as warm-up for the timed pairs).
-        overloaded_depth = gate_h.run(overloaded_sc).at(0).serving_trace->max_queue_depth();
-        under_depth = gate_h.run(under_sc).at(0).serving_trace->max_queue_depth();
-    }
-    double overloaded_s = 0.0;
-    double under_s = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        const double o = wall_of_run(overloaded_sc, gate_h);
-        const double u = wall_of_run(under_sc, gate_h);
-        overloaded_s = rep == 0 ? o : std::min(overloaded_s, o);
-        under_s = rep == 0 ? u : std::min(under_s, u);
-    }
+    // Depth pass (doubles as warm-up for the timed pairs).
+    const std::size_t overloaded_depth =
+        gate_h.run(overloaded_sc).at(0).serving_trace->max_queue_depth();
+    const std::size_t under_depth = gate_h.run(under_sc).at(0).serving_trace->max_queue_depth();
+    const auto [overloaded_s, under_s] =
+        paired_walls(overloaded_sc, gate_h, under_sc, gate_h, 3);
     const double queue_ratio = overloaded_s / std::max(under_s, 1e-9);
     if (queue_ratio > 1.5) {
         std::printf("FAIL: overloaded run takes %.2fx the under-capacity run (> 1.5x)\n",
@@ -812,73 +633,6 @@ bool perf_trajectory() {
                 "%.3fs at 0.2 Hz (max depth %zu), ratio %.2fx\n\n",
                 gate_requests, overloaded_s, overloaded_depth, under_s, under_depth,
                 queue_ratio);
-
-    // --- BENCH_overhead.json -------------------------------------------------
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"schema_version\": " << kBenchSchemaVersion << ",\n"
-       << "  \"build\": \"" << util::build_id() << "\",\n"
-       << "  \"bench\": \"bench_overhead\",\n"
-       << "  \"fast_mode\": " << (fast ? "true" : "false") << ",\n"
-       << "  \"cells\": {\n"
-       << "    \"train_step\": {\"us_per_step\": " << json_num(train.us_per_step)
-       << ", \"matvec_calls\": " << train.matvec_calls << ", \"allocs\": " << train.allocs
-       << ", \"alloc_bytes\": " << train.alloc_bytes
-       << ", \"bootstrap_rows\": " << train.bootstrap_rows
-       << ", \"bootstrap_memo_hits\": " << train.bootstrap_memo_hits
-       << ", \"kernels\": \"" << rl::kernel_set().name << "\"},\n"
-       << "    \"serve_saturation\": " << serve_cell_json(serve) << ",\n"
-       << "    \"summary_only_ledgers\": {\n"
-       << "      \"full\": " << serve_cell_json(serve) << ",\n"
-       << "      \"summary_only\": " << serve_cell_json(summary_s) << ",\n"
-       << "      \"ledger_bytes_saved\": " << ledger_bytes_saved << "\n"
-       << "    },\n"
-       << "    \"profiler_overhead\": {\n"
-       << "      \"scenario\": \"serve_fleet_saturation\",\n"
-       << "      \"timers_off_cpu_s\": " << json_num(timers_off_cpu_s) << ",\n"
-       << "      \"scopes\": " << scopes << ",\n"
-       << "      \"scope_ns\": " << json_num(scope_ns) << ",\n"
-       << "      \"timer_cost_pct\": " << json_num(timer_cost_pct) << "\n"
-       << "    },\n"
-       << "    \"telemetry_overhead\": {\n"
-       << "      \"scenario\": \"serve_saturation\",\n"
-       << "      \"recording_off_wall_s\": " << json_num(tel_off_s) << ",\n"
-       << "      \"recording_on_wall_s\": " << json_num(tel_on_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(tel_overhead_pct) << ",\n"
-       << "      \"events\": " << tel_events << ",\n"
-       << "      \"breaches\": " << tel_breaches << ",\n"
-       << "      \"allocs_per_event\": " << json_num(tel_allocs_per_event) << ",\n"
-       << "      \"export_s\": " << json_num(tel_export_s) << ",\n"
-       << "      \"export_bytes\": " << tel_export_bytes << "\n"
-       << "    },\n"
-       << "    \"trace_replay\": {\n"
-       << "      \"scenario\": \"serve_saturation\",\n"
-       << "      \"generated_wall_s\": " << json_num(gen_s) << ",\n"
-       << "      \"replayed_wall_s\": " << json_num(rep_s) << ",\n"
-       << "      \"overhead_pct\": " << json_num(replay_overhead_pct) << "\n"
-       << "    },\n"
-       << "    \"serve_overload\": {\n"
-       << "      \"streams\": 8,\n"
-       << "      \"requests_per_stream\": " << gate_requests << ",\n"
-       << "      \"overloaded_wall_s\": " << json_num(overloaded_s) << ",\n"
-       << "      \"overloaded_max_depth\": " << overloaded_depth << ",\n"
-       << "      \"under_capacity_wall_s\": " << json_num(under_s) << ",\n"
-       << "      \"under_capacity_max_depth\": " << under_depth << ",\n"
-       << "      \"wall_ratio\": " << json_num(queue_ratio) << "\n"
-       << "    }\n"
-       << "  }\n"
-       << "}\n";
-
-    const char* out_path = "BENCH_overhead.json";
-    std::ofstream out(out_path);
-    out << js.str();
-    if (!out) {
-        std::printf("FAIL: could not write %s\n", out_path);
-        ok = false;
-    } else {
-        std::printf("perf trajectory written to %s (schema_version %d)\n\n", out_path,
-                    kBenchSchemaVersion);
-    }
     return ok;
 }
 #endif // LOTUS_SANITIZED_BUILD
@@ -918,13 +672,14 @@ int main() {
                 "argument.\n\n");
 
     const bool stepper_ok = stepper_comparison();
+    const bool counts_ok = count_gates();
 #ifdef LOTUS_SANITIZED_BUILD
     // Instrumented code runs 5-15x slower, unevenly, so its wall-clock
     // ratios gate nothing.
-    std::printf("perf trajectory skipped (sanitizer build)\n");
-    const bool trajectory_ok = true;
+    std::printf("timing gates skipped (sanitizer build)\n");
+    const bool timing_ok = true;
 #else
-    const bool trajectory_ok = perf_trajectory();
+    const bool timing_ok = timing_gates();
 #endif
-    return (stepper_ok && trajectory_ok) ? 0 : 1;
+    return (stepper_ok && counts_ok && timing_ok) ? 0 : 1;
 }

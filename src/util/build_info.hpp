@@ -1,10 +1,10 @@
 #pragma once
 // Build identity shared by every JSON emitter in the repo.
 //
-// scenario_json, BENCH_overhead.json and the telemetry exporters all stamp
-// their documents with the same schema version and the git-describe build
-// id, so artifacts can be attributed to the commit that produced them and
-// diffed across PRs without guessing which emitter wrote what.
+// scenario_json and the telemetry exporters all stamp their documents with
+// the same schema version and the git-describe build id, so artifacts can
+// be attributed to the commit that produced them and diffed across PRs
+// without guessing which emitter wrote what.
 
 #include <string>
 

@@ -1,51 +1,37 @@
 #!/usr/bin/env python3
-"""Fail CI when bench_overhead's perf trajectory regresses vs the baseline.
+"""Fail CI when perfbench's serve_saturation_short gets slower than the baseline.
 
 Usage:
-    check_bench_regression.py CURRENT BASELINE [--threshold 0.10] [--absolute]
+    check_bench_regression.py OUTPUT BASELINE
 
-CURRENT is the BENCH_overhead.json a fresh bench_overhead run wrote (CI
-reads the one its bench_overhead_smoke CTest leaves in the build directory);
-BASELINE is the committed bench/BENCH_overhead.baseline.json.
+OUTPUT is the saved stdout of
 
-Raw requests/sec depend on the host CPU, so by default the check compares
-the host-normalized throughput
+    python3 perfbench/run.py --workload serve_saturation_short --seconds 3
 
-    serve_saturation.requests_per_sec * serve_saturation.reference_wall_s
+whose last line is one JSON object with the keys correct, failed and
+metrics (CI's perfbench digest loop tees it to a file). BASELINE is the
+committed bench/perfbench_baseline.json: the median ref_cpu_s of several
+such runs, with the workload, seed, --seconds, build and host they came
+from.
 
-i.e. serve_saturation's throughput measured in units of the queue gate's
-under-capacity run (8 streams at 0.2 Hz under the performance governor).
-That run does no RL work, so it tracks the host's speed but not the code
-under test; bench_overhead times it in interleaved pairs with the
-serve_saturation runs (min of N each), so both walls come from the same
-stretch of host time. The check fails when the current value falls more
-than --threshold (10%) below the baseline's. It also fails when
-serve_saturation.matvec_calls (a deterministic count of single-sample
-Q-network forwards) exceeds the baseline's, and re-asserts the queue gate
-(serve_overload wall_ratio <= 1.5: the overloaded run within 1.5x of the
-under-capacity one), so a stale or hand-edited trajectory file cannot slip
-through. Byte-identity (ledger modes, telemetry recording, trace replay) is
-the test suite's to check, not the trajectory's.
+ref_cpu_s is host CPU time rescaled to a reference core speed by a
+calibration kernel timed on the same thread, so it follows the code more
+than the host. The check fails (exit 1) when the run is not correct, when
+an episode failed, or when ref_cpu_s exceeds the baseline's by more than
+MAX_SLOWDOWN. Malformed input exits 2: a last line that is not a JSON
+object, a missing correct, failed or ref_cpu_s, or a ref_cpu_s that is NaN,
+infinite or not positive.
 
-Even on a pass, every numeric metric of every cell present in both files
-is printed as a current-vs-baseline delta so CI logs show the trend, not
-just the verdict. The train_step cell also names the RL kernel set each
-run used (train_step.kernels: "avx2" or "baseline"); when the two differ,
-or the baseline names none, a notice says the host throughputs come from
-different instruction sets. The notice never changes the verdict.
-
---absolute additionally compares raw serve_saturation requests_per_sec, for
-same-machine trend tracking; do not enable it on shared CI runners.
-
-Stdlib only; exit 0 on pass, 1 on regression, 2 on malformed input.
+Stdlib only; exit 0 on pass.
 """
 
 import argparse
 import json
+import math
 import sys
 
-# bench_overhead's queue gate: overloaded wall / under-capacity wall.
-QUEUE_GATE_RATIO = 1.5
+# Allowed fractional growth of ref_cpu_s over the baseline.
+MAX_SLOWDOWN = 0.10
 
 
 def fail_input(message):
@@ -53,142 +39,69 @@ def fail_input(message):
     sys.exit(2)
 
 
-def load(path):
+def read_json(path, last_line):
+    """The JSON object in the file, or in its last non-blank line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
+            text = fh.read()
+    except OSError as exc:
         fail_input(f"cannot read {path}: {exc}")
-
-
-def cell_number(doc, path, cell, key):
-    """The non-negative number at cells.<cell>.<key>; exit 2 otherwise."""
+    if last_line:
+        lines = [line for line in text.splitlines() if line.strip()]
+        text = lines[-1] if lines else ""
     try:
-        value = float(doc["cells"][cell][key])
-    except (KeyError, TypeError, ValueError):
-        fail_input(f"{path} has no numeric cells.{cell}.{key}")
-    if not value >= 0.0:
-        fail_input(f"{path} has a negative or NaN cells.{cell}.{key}")
-    return value
+        doc = json.loads(text)
+    except ValueError as exc:
+        fail_input(f"{path}: not JSON ({exc})")
+    if not isinstance(doc, dict):
+        fail_input(f"{path}: not a JSON object")
+    return doc
 
 
-def normalized_throughput(doc, path):
-    """serve_saturation requests/sec in units of the no-RL reference run."""
-    value = (cell_number(doc, path, "serve_saturation", "requests_per_sec") *
-             cell_number(doc, path, "serve_saturation", "reference_wall_s"))
-    if value <= 0.0:
-        fail_input(f"{path} has a zero serve_saturation throughput or reference run")
-    return value
-
-
-def numeric_leaves(node, prefix=""):
-    """Flatten a cell into sorted (dotted.path, float) pairs, skipping bools."""
-    out = []
-    if isinstance(node, dict):
-        for key in sorted(node):
-            out.extend(numeric_leaves(node[key], f"{prefix}.{key}" if prefix else key))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        out.append((prefix, float(node)))
-    return out
-
-
-def print_cell_deltas(cur, base):
-    """Print current-vs-baseline deltas for every shared numeric metric.
-
-    Informational only (never fails the check): raw wall-clock and
-    requests/sec depend on the host, but the per-cell trend is what a CI
-    log reader wants when deciding whether a pass was comfortable or
-    marginal.
-    """
-    cur_cells = cur.get("cells") if isinstance(cur.get("cells"), dict) else {}
-    base_cells = base.get("cells") if isinstance(base.get("cells"), dict) else {}
-    for cell in sorted(set(cur_cells) & set(base_cells)):
-        cur_leaves = dict(numeric_leaves(cur_cells[cell]))
-        base_leaves = dict(numeric_leaves(base_cells[cell]))
-        shared = sorted(set(cur_leaves) & set(base_leaves))
-        if not shared:
-            continue
-        print(f"cell {cell}:")
-        for path in shared:
-            c, b = cur_leaves[path], base_leaves[path]
-            if b != 0.0:
-                delta = f"{100.0 * (c - b) / abs(b):+.1f}%"
-            else:
-                delta = "n/a" if c == 0.0 else "new"
-            print(f"  {path}: current {c:g}, baseline {b:g} ({delta})")
-        if cell == "train_step":
-            print_kernel_sets(cur_cells[cell], base_cells[cell])
-
-
-def print_kernel_sets(cur_train, base_train):
-    """Print the RL kernel set of each train_step cell; flag a mismatch."""
-    cur_set = cur_train.get("kernels", "unknown")
-    base_set = base_train.get("kernels", "unknown")
-    print(f"  kernels: current {cur_set}, baseline {base_set}")
-    if cur_set != base_set:
-        print(f"NOTICE: train_step kernel sets differ (current {cur_set}, baseline "
-              f"{base_set}): host throughput is compared across instruction sets")
+def positive(value, what):
+    """value as a float; exit 2 unless it is a finite positive number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not math.isfinite(value) or value <= 0.0:
+        fail_input(f"{what} is {value!r}, not a positive number")
+    return float(value)
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="compare BENCH_overhead.json against the committed baseline")
-    parser.add_argument("current", help="freshly produced BENCH_overhead.json")
-    parser.add_argument("baseline", help="committed BENCH_overhead.baseline.json")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="allowed fractional regression (default 0.10)")
-    parser.add_argument("--absolute", action="store_true",
-                        help="also compare raw requests_per_sec (same-machine only)")
+        description="gate perfbench's ref_cpu_s against the committed baseline")
+    parser.add_argument("output", help="saved stdout of perfbench/run.py")
+    parser.add_argument("baseline", help="committed bench/perfbench_baseline.json")
     args = parser.parse_args()
 
-    cur = load(args.current)
-    base = load(args.baseline)
+    result = read_json(args.output, last_line=True)
+    baseline = read_json(args.baseline, last_line=False)
+    correct = result.get("correct")
+    failed = result.get("failed")
+    if not isinstance(correct, bool):
+        fail_input(f"{args.output}: correct is {correct!r}, not a boolean")
+    if isinstance(failed, bool) or not isinstance(failed, int) or failed < 0:
+        fail_input(f"{args.output}: failed is {failed!r}, not a count")
+    metrics = result.get("metrics")
+    metric = metrics.get("ref_cpu_s") if isinstance(metrics, dict) else None
+    ref = positive(metric.get("value") if isinstance(metric, dict) else None,
+                   f"{args.output}: ref_cpu_s")
+    base = positive(baseline.get("ref_cpu_s"), f"{args.baseline}: ref_cpu_s")
+
+    ceiling = base * (1.0 + MAX_SLOWDOWN)
+    print(f"{baseline.get('workload', 'perfbench')} ref_cpu_s: current {ref:.4f} s, "
+          f"baseline {base:.4f} s ({100.0 * (ref / base - 1.0):+.1f}%), "
+          f"ceiling {ceiling:.4f} s")
     failures = []
-
-    if cur.get("schema_version") != base.get("schema_version"):
-        failures.append(f"schema_version mismatch: current {cur.get('schema_version')} "
-                        f"vs baseline {base.get('schema_version')}")
-    if cur.get("fast_mode") != base.get("fast_mode"):
-        failures.append(f"mode mismatch: current fast_mode={cur.get('fast_mode')} vs "
-                        f"baseline fast_mode={base.get('fast_mode')} "
-                        "(compare like with like)")
-
-    queue_ratio = cur.get("cells", {}).get("serve_overload", {}).get("wall_ratio")
-    if not isinstance(queue_ratio, (int, float)) or queue_ratio > QUEUE_GATE_RATIO:
-        failures.append(f"current serve_overload.wall_ratio is {queue_ratio!r}, "
-                        f"not <= {QUEUE_GATE_RATIO}")
-
-    print_cell_deltas(cur, base)
-
-    if not failures:
-        m_cur = cell_number(cur, args.current, "serve_saturation", "matvec_calls")
-        m_base = cell_number(base, args.baseline, "serve_saturation", "matvec_calls")
-        print(f"serve_saturation matvec_calls: current {m_cur:.0f}, baseline {m_base:.0f}")
-        if m_cur > m_base:
-            failures.append(f"serve_saturation matvec_calls grew: {m_cur:.0f} > {m_base:.0f}")
-
-        t_cur = normalized_throughput(cur, args.current)
-        t_base = normalized_throughput(base, args.baseline)
-        floor = t_base * (1.0 - args.threshold)
-        print(f"serve_saturation requests per reference run: "
-              f"current {t_cur:.1f}, baseline {t_base:.1f}, floor {floor:.1f}")
-        if t_cur < floor:
-            failures.append(
-                f"normalized throughput regressed {100.0 * (1.0 - t_cur / t_base):.1f}% "
-                f"(> {100.0 * args.threshold:.0f}%): {t_cur:.1f} < {floor:.1f}")
-
-        if args.absolute:
-            c = cell_number(cur, args.current, "serve_saturation", "requests_per_sec")
-            b = cell_number(base, args.baseline, "serve_saturation", "requests_per_sec")
-            print(f"serve_saturation requests/sec: current {c:.1f}, baseline {b:.1f}")
-            if c < b * (1.0 - args.threshold):
-                failures.append(
-                    f"requests/sec regressed {100.0 * (1.0 - c / b):.1f}%: {c:.1f} < "
-                    f"{b * (1.0 - args.threshold):.1f}")
-
+    if not correct:
+        failures.append("perfbench reports the run as not correct")
+    if failed > 0:
+        failures.append(f"{failed} episode(s) failed")
+    if ref > ceiling:
+        failures.append(f"ref_cpu_s {ref:.4f} s exceeds the baseline by more than "
+                        f"{100.0 * MAX_SLOWDOWN:.0f}%")
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
     if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
         return 1
     print("bench regression check passed")
     return 0
