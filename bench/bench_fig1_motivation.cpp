@@ -7,8 +7,8 @@
 // paper's motivation section measures -- so the two-stage numbers include
 // both proposal-count variance and thermal-throttling variance, while
 // YOLOv5's fixed-work pipeline shows a tight distribution. mAP values are
-// static metadata reproduced from the paper (we do not run real networks;
-// see DESIGN.md "Substitutions").
+// static metadata reproduced from the paper (the detectors are simulated,
+// so there is no mAP to measure).
 
 #include <cstdio>
 

@@ -53,7 +53,7 @@ bool jobs_identity_check(const bench::Scenario& sc) {
     subset.fleet = sc.fleet;
     subset.arms.push_back(harness::fleet_arm(harness::performance_arm(), "round_robin"));
     subset.arms.push_back(
-        harness::fleet_arm(harness::default_arm(sc.config.device_spec), "lotus_fleet"));
+        harness::fleet_arm(harness::default_arm(), "lotus_fleet"));
 
     const harness::ExperimentHarness serial({.jobs = 1, .seed = 42});
     const harness::ExperimentHarness parallel({.jobs = 4, .seed = 42});

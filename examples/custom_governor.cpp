@@ -87,13 +87,13 @@ int main() {
         harness::pretrain_iterations()));
     scenario.name = "custom_governor_sandbox";
     scenario.title = "Custom governor sandbox";
-    scenario.arms.push_back(harness::default_arm(spec));
+    scenario.arms.push_back(harness::default_arm());
     {
         harness::ArmSpec arm;
         arm.name = "budget-heuristic";
-        arm.make = [t_safe = platform::reward_threshold_celsius(spec)](std::uint64_t)
+        arm.make_for = [](const platform::DeviceSpec& dev, std::uint64_t)
             -> std::unique_ptr<governors::Governor> {
-            return std::make_unique<BudgetGovernor>(t_safe);
+            return std::make_unique<BudgetGovernor>(platform::reward_threshold_celsius(dev));
         };
         scenario.arms.push_back(std::move(arm));
     }

@@ -78,8 +78,8 @@ private:
     DetectorSpec spec_;
 };
 
-/// Model zoo calibrated against the paper's profiling (see DESIGN.md
-/// "Calibration constants"): stage 1 carries ~80% of fixed-frequency
+/// Model zoo calibrated against the paper's profiling (Fig. 2 and Tables
+/// 1-2; open gaps: ROADMAP.md item 9): stage 1 carries ~80% of fixed-frequency
 /// latency; stage-2 latency is affine in the proposal count with the
 /// Fig. 2 slopes (Mask R-CNN per-proposal cost >> Faster R-CNN's).
 [[nodiscard]] DetectorModel faster_rcnn_r50();

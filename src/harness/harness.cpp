@@ -78,23 +78,14 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         if (over.router) fleet_cfg.router = *over.router;
         if (over.migrate_on_throttle) fleet_cfg.migrate_on_throttle = *over.migrate_on_throttle;
         bind_load(fleet_cfg);
-        // The factory is invoked once per device by the engine, with
+        // The arm's factory is invoked once per device by the engine, with
         // device-id-namespaced seeds derived from this root (the draw that
-        // seeds the single governor of non-fleet episodes). Spec-dependent
-        // arms provide make_for so each pool device gets a governor sized
-        // for its own ladder; spec-independent arms fall back to make.
+        // seeds the single governor of non-fleet episodes), so each pool
+        // device gets a governor sized for its own ladder.
         const auto governor_root = sm.next();
-        fleet::FleetEngine::GovernorFactory factory;
-        if (arm.make_for) {
-            factory = arm.make_for;
-        } else {
-            factory = [&arm](const platform::DeviceSpec&, std::uint64_t seed) {
-                return arm.make(seed);
-            };
-        }
         const fleet::FleetEngine engine(fleet_cfg);
         capture(engine);
-        auto trace = engine.run(factory, governor_root);
+        auto trace = engine.run(arm.make_for, governor_root);
         EpisodeResult result{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),
                              runtime::Trace{}, arm.paper,
@@ -104,7 +95,7 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         return result;
     }
 
-    auto governor = arm.make(sm.next());
+    auto governor = arm.make_for(scenario.config.device_spec, sm.next());
 
     if (scenario.serving) {
         auto serving_cfg = *scenario.serving;

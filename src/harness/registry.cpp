@@ -21,51 +21,10 @@ bool env_flag(const char* name) {
 
 std::vector<ArmSpec> standard_arms(const platform::DeviceSpec& spec) {
     std::vector<ArmSpec> arms;
-    arms.push_back(default_arm(spec));
-    arms.push_back(ztt_arm(spec));
+    arms.push_back(default_arm());
+    arms.push_back(ztt_arm());
     arms.push_back(lotus_arm(spec));
     return arms;
-}
-
-std::vector<ArmSpec> standard_arms_with_paper(const platform::DeviceSpec& spec,
-                                              PaperRow paper_default, PaperRow paper_ztt,
-                                              PaperRow paper_lotus) {
-    auto arms = standard_arms(spec);
-    arms[0].paper = paper_default;
-    arms[1].paper = paper_ztt;
-    arms[2].paper = paper_lotus;
-    return arms;
-}
-
-/// Fig. 1 arm: stock governors, but the *detector* varies per arm.
-ArmSpec detector_arm(const platform::DeviceSpec& spec, DetectorKind kind,
-                     const std::string& dataset) {
-    auto arm = default_arm(spec);
-    arm.name = detector::to_string(kind);
-    arm.overrides.detector = kind;
-    arm.overrides.schedule = workload::DomainSchedule::constant(
-        dataset, workload::latency_constraint_s(spec.name, kind, dataset));
-    return arm;
-}
-
-/// Fig. 2 arm: one frame with a pinned proposal count at a pinned frequency,
-/// executed from a cold device (each arm is its own episode; the scenario
-/// config runs one frame with no warm-up).
-ArmSpec proposal_probe_arm(int proposals) {
-    auto arm = fixed_arm(5, 3);
-    arm.name = "p=" + std::to_string(proposals);
-    arm.overrides.pinned_proposals = proposals;
-    return arm;
-}
-
-/// Constraint-sweep arm: LOTUS run against a scaled latency constraint.
-ArmSpec constraint_arm(const platform::DeviceSpec& spec, const std::string& dataset,
-                       DetectorKind kind, double scale) {
-    auto arm = lotus_arm(spec);
-    arm.name = "Lotus@" + util::format_double(scale, 2) + "L";
-    arm.overrides.schedule = workload::DomainSchedule::constant(
-        dataset, workload::latency_constraint_s(spec.name, kind, dataset) * scale);
-    return arm;
 }
 
 /// Drone mission ambient: ground (25 C) -> climb (linear to -5 C) -> loiter
@@ -188,7 +147,11 @@ ScenarioRegistry::ScenarioRegistry() {
         s.tags = {"paper", "figure"};
         for (const auto kind : {DetectorKind::faster_rcnn, DetectorKind::mask_rcnn,
                                 DetectorKind::yolo_v5}) {
-            s.arms.push_back(detector_arm(orin, kind, dataset));
+            auto arm = governor_arm(StockGovernors{}, detector::to_string(kind));
+            arm.overrides.detector = kind;
+            arm.overrides.schedule = workload::DomainSchedule::constant(
+                dataset, workload::latency_constraint_s(orin.name, kind, dataset));
+            s.arms.push_back(std::move(arm));
         }
         scenarios_.push_back(std::move(s));
     }
@@ -214,7 +177,9 @@ ScenarioRegistry::ScenarioRegistry() {
             s.tags = {"paper", "figure", "probe"};
             s.config.schedule = workload::DomainSchedule::constant("KITTI", 10.0);
             for (int p = 0; p <= sweep.max; p += sweep.step) {
-                s.arms.push_back(proposal_probe_arm(p));
+                auto arm = governor_arm(Fixed{5, 3}, "p=" + std::to_string(p));
+                arm.overrides.pinned_proposals = p;
+                s.arms.push_back(std::move(arm));
             }
             scenarios_.push_back(std::move(s));
         }
@@ -343,8 +308,10 @@ ScenarioRegistry::ScenarioRegistry() {
         s.description = std::string("Quantitative cell on the ") + c.spec->name +
                         " printed next to the paper's reported values.";
         s.tags = {"paper", "table"};
-        s.arms = standard_arms_with_paper(*c.spec, c.paper_default, c.paper_ztt,
-                                          c.paper_lotus);
+        s.arms = standard_arms(*c.spec);
+        s.arms[0].paper = c.paper_default;
+        s.arms[1].paper = c.paper_ztt;
+        s.arms[2].paper = c.paper_lotus;
         scenarios_.push_back(std::move(s));
     }
 
@@ -357,37 +324,24 @@ ScenarioRegistry::ScenarioRegistry() {
         s.description = "Each design choice of Secs. 4.2-4.3.5 removed in isolation on "
                         "the hardest static cell (Orin + FasterRCNN + VisDrone2019).";
         s.tags = {"paper", "ablation"};
-        const auto base = [&] {
-            core::LotusConfig c;
-            c.reward.t_thres_celsius = platform::reward_threshold_celsius(orin);
-            return c;
-        };
-        s.arms.push_back(lotus_arm_with(orin, "Lotus(full)", base()));
-        {
-            auto c = base();
-            c.decision_mode = core::DecisionMode::frame_start_only;
-            s.arms.push_back(lotus_arm_with(orin, "frame-start-only", c));
-        }
-        {
-            auto c = base();
-            c.decision_mode = core::DecisionMode::post_rpn_only;
-            s.arms.push_back(lotus_arm_with(orin, "post-rpn-only", c));
-        }
-        {
-            auto c = base();
-            c.use_two_networks = true;
-            s.arms.push_back(lotus_arm_with(orin, "two-networks", c));
-        }
-        {
-            auto c = base();
-            c.ztt_style_cooldown = true;
-            s.arms.push_back(lotus_arm_with(orin, "ztt-cooldown", c));
-        }
-        {
-            auto c = base();
-            c.double_dqn = true;
-            s.arms.push_back(lotus_arm_with(orin, "double-dqn", c));
-        }
+        // Each arm edits a fresh copy of the full config: one change apiece.
+        const auto full = lotus_config(orin);
+        s.arms.push_back(governor_arm(Lotus{full}, "Lotus(full)"));
+        auto c = full;
+        c.decision_mode = core::DecisionMode::frame_start_only;
+        s.arms.push_back(governor_arm(Lotus{c}, "frame-start-only"));
+        c = full;
+        c.decision_mode = core::DecisionMode::post_rpn_only;
+        s.arms.push_back(governor_arm(Lotus{c}, "post-rpn-only"));
+        c = full;
+        c.use_two_networks = true;
+        s.arms.push_back(governor_arm(Lotus{c}, "two-networks"));
+        c = full;
+        c.ztt_style_cooldown = true;
+        s.arms.push_back(governor_arm(Lotus{c}, "ztt-cooldown"));
+        c = full;
+        c.double_dqn = true;
+        s.arms.push_back(governor_arm(Lotus{c}, "double-dqn"));
         scenarios_.push_back(std::move(s));
     }
 
@@ -426,7 +380,7 @@ ScenarioRegistry::ScenarioRegistry() {
                         "altitude drives the ambient temperature.";
         s.tags = {"example", "dynamic"};
         s.config.ambient = mission_profile(frames);
-        s.arms.push_back(default_arm(orin));
+        s.arms.push_back(default_arm());
         s.arms.push_back(lotus_arm(orin));
         scenarios_.push_back(std::move(s));
     }
@@ -503,9 +457,14 @@ ScenarioRegistry::ScenarioRegistry() {
                         "to 1.2x the calibrated L -- how gracefully does satisfaction "
                         "degrade as the deadline tightens?";
         s.tags = {"stress", "sweep"};
+        const double l = workload::latency_constraint_s(orin.name, DetectorKind::faster_rcnn,
+                                                        "VisDrone2019");
         for (const double scale : {0.8, 0.9, 1.0, 1.1, 1.2}) {
-            s.arms.push_back(
-                constraint_arm(orin, "VisDrone2019", DetectorKind::faster_rcnn, scale));
+            auto arm = governor_arm(Lotus{lotus_config(orin)},
+                                    "Lotus@" + util::format_double(scale, 2) + "L");
+            arm.overrides.schedule =
+                workload::DomainSchedule::constant("VisDrone2019", l * scale);
+            s.arms.push_back(std::move(arm));
         }
         scenarios_.push_back(std::move(s));
     }
@@ -534,7 +493,7 @@ ScenarioRegistry::ScenarioRegistry() {
                     {.kind = serving::ArrivalKind::periodic, .rate_hz = 0.3,
                      .phase_s = 0.8 * i}));
             }
-            s.arms.push_back(default_arm(orin));
+            s.arms.push_back(default_arm());
             s.arms.push_back(lotus_arm(orin));
             scenarios_.push_back(std::move(s));
         }
@@ -552,9 +511,9 @@ ScenarioRegistry::ScenarioRegistry() {
                     {.kind = serving::ArrivalKind::poisson, .rate_hz = 0.42,
                      .phase_s = 0.25 * i}));
             }
-            s.arms.push_back(default_arm(orin));
+            s.arms.push_back(default_arm());
             s.arms.push_back(performance_arm());
-            s.arms.push_back(ztt_arm(orin));
+            s.arms.push_back(ztt_arm());
             s.arms.push_back(lotus_arm(orin));
             scenarios_.push_back(std::move(s));
         }
@@ -571,7 +530,7 @@ ScenarioRegistry::ScenarioRegistry() {
                     {.kind = serving::ArrivalKind::bursty, .rate_hz = 0.33,
                      .phase_s = 2.1 * i, .burst = 6}));
             }
-            s.arms.push_back(default_arm(orin));
+            s.arms.push_back(default_arm());
             s.arms.push_back(lotus_arm(orin));
             scenarios_.push_back(std::move(s));
         }
@@ -592,7 +551,7 @@ ScenarioRegistry::ScenarioRegistry() {
                     {.kind = serving::ArrivalKind::poisson, .rate_hz = 0.18,
                      .phase_s = 1.0 + 0.5 * i}));
             }
-            s.arms.push_back(default_arm(orin));
+            s.arms.push_back(default_arm());
             s.arms.push_back(lotus_arm(orin));
             scenarios_.push_back(std::move(s));
         }
@@ -609,7 +568,7 @@ ScenarioRegistry::ScenarioRegistry() {
                     {.kind = serving::ArrivalKind::diurnal, .rate_hz = 0.4,
                      .phase_s = 0.7 * i}));
             }
-            s.arms.push_back(default_arm(orin));
+            s.arms.push_back(default_arm());
             s.arms.push_back(lotus_arm(orin));
             scenarios_.push_back(std::move(s));
         }
@@ -633,7 +592,7 @@ ScenarioRegistry::ScenarioRegistry() {
                     {.kind = serving::ArrivalKind::attack, .rate_hz = 0.5,
                      .phase_s = 3.0 * i, .burst = 10}));
             }
-            s.arms.push_back(default_arm(orin));
+            s.arms.push_back(default_arm());
             s.arms.push_back(lotus_arm(orin));
             scenarios_.push_back(std::move(s));
         }
@@ -779,7 +738,7 @@ ScenarioRegistry::ScenarioRegistry() {
                         "(two decisions). bench_overhead adds wall-clock "
                         "microbenchmarks of the Q-network on top.";
         s.tags = {"paper", "overhead"};
-        s.arms.push_back(ztt_arm(orin));
+        s.arms.push_back(ztt_arm());
         s.arms.push_back(lotus_arm(orin));
         scenarios_.push_back(std::move(s));
     }

@@ -14,12 +14,19 @@
 // latency-constraint sweeps (stress scenarios) and router shoot-outs
 // (fleet scenarios) without bespoke drivers. An override can only select a
 // config the scenario config could already express.
+//
+// An arm's governor is a value too: a GovernorSpec (stock kernel preset,
+// ondemand, conservative, zTT, LOTUS with its config, fixed levels,
+// performance, powersave, random) that build() turns into a governor for
+// the device it will drive. Specs compare with ==: arms of two scenarios
+// that run the same governor hold equal specs.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "fleet/fleet.hpp"
@@ -52,22 +59,54 @@ struct ArmOverrides {
     std::optional<bool> migrate_on_throttle;
 };
 
-/// One experiment arm: a named, seed-parameterised governor factory plus
-/// config overrides. The factory receives a seed derived from (harness
-/// seed, scenario name, arm index) -- arms must not bake in their own
-/// entropy, or parallel runs would stop being reproducible.
+/// Which governor an arm runs, as a plain value: one alternative per entry
+/// of the registry's and the CLIs' vocabulary. build() resolves the
+/// device-dependent details against the device the governor will drive.
+struct StockGovernors { bool operator==(const StockGovernors&) const = default; };
+struct Ondemand { bool operator==(const Ondemand&) const = default; };
+struct Conservative { bool operator==(const Conservative&) const = default; };
+struct Ztt { bool operator==(const Ztt&) const = default; };
+struct Lotus {
+    core::LotusConfig config;
+    bool operator==(const Lotus&) const = default;
+};
+struct Fixed {
+    std::size_t cpu = 0;
+    std::size_t gpu = 0;
+    bool operator==(const Fixed&) const = default;
+};
+struct Performance { bool operator==(const Performance&) const = default; };
+struct Powersave { bool operator==(const Powersave&) const = default; };
+struct Random { bool operator==(const Random&) const = default; };
+
+using GovernorSpec = std::variant<StockGovernors, Ondemand, Conservative, Ztt, Lotus, Fixed,
+                                  Performance, Powersave, Random>;
+
+/// The governor `g` describes, built for `dev` with `seed` (which replaces
+/// any seed stored in `g`). Every device-dependent rule lives here: the
+/// stock preset by device name, zTT's T_thres, LOTUS's fallback to the
+/// device's threshold when the stored one is at/above its throttle bound
+/// (heterogeneous pools rely on it), and the ladder check that makes Fixed
+/// throw std::invalid_argument.
+[[nodiscard]] std::unique_ptr<governors::Governor> build(const GovernorSpec& g,
+                                                         const platform::DeviceSpec& dev,
+                                                         std::uint64_t seed);
+
+/// One experiment arm: a named governor value plus config overrides. The
+/// harness builds each episode's governor with `make_for`, for the device it
+/// drives and a seed derived from (harness seed, scenario name, arm index);
+/// arms must not bake in their own entropy, or parallel runs would stop
+/// being reproducible.
 struct ArmSpec {
     std::string name;
-    std::function<std::unique_ptr<governors::Governor>(std::uint64_t seed)> make;
-    /// Device-parameterised factory for fleet episodes: builds a governor
-    /// sized for the given device's spec (level counts, thermal
-    /// thresholds). Heterogeneous pools run one governor per device, so an
-    /// arm built against an Orin must not hand Orin-shaped agents to a
-    /// phone. When absent, fleet episodes fall back to `make` (correct for
-    /// spec-independent governors like performance/powersave/fixed).
+    GovernorSpec governor;
+    /// build(governor, ...) for arms made by governor_arm(); an arm that
+    /// runs a governor outside the vocabulary sets its own factory.
     std::function<std::unique_ptr<governors::Governor>(const platform::DeviceSpec& spec,
                                                        std::uint64_t seed)>
         make_for;
+    /// Unused by the harness; only perfbench's adapters still name it.
+    std::function<std::unique_ptr<governors::Governor>(std::uint64_t seed)> make;
     std::optional<PaperRow> paper;
     ArmOverrides overrides;
 };
@@ -98,30 +137,29 @@ struct Scenario {
 };
 
 // --- standard arm factories --------------------------------------------------
-// Shared by the registry, the bench binaries, the examples and lotus_run.
+// Shared by the registry, the bench binaries, the examples and the CLIs.
+
+/// An arm running `g`, named `name` (empty: the vocabulary name, e.g.
+/// "default", "zTT", "Lotus", "fixed(5,3)"). Its make_for is build(g, ...).
+[[nodiscard]] ArmSpec governor_arm(GovernorSpec g, std::string name = {});
+
+/// The LOTUS config sized to `spec`: T_thres = reward_threshold_celsius(spec).
+[[nodiscard]] core::LotusConfig lotus_config(const platform::DeviceSpec& spec);
 
 /// The board's stock kernel governors (schedutil + simple_ondemand presets).
-[[nodiscard]] ArmSpec default_arm(const platform::DeviceSpec& spec);
-
+[[nodiscard]] inline ArmSpec default_arm() { return governor_arm(StockGovernors{}); }
 /// zTT baseline (frame-start-only DRL governor).
-[[nodiscard]] ArmSpec ztt_arm(const platform::DeviceSpec& spec);
-
-/// Full LOTUS agent.
-[[nodiscard]] ArmSpec lotus_arm(const platform::DeviceSpec& spec);
-
-/// LOTUS agent with a customised configuration (ablations). The config's
-/// seed field is overwritten with the derived episode seed at run time.
-[[nodiscard]] ArmSpec lotus_arm_with(const platform::DeviceSpec& spec,
-                                     const std::string& label, core::LotusConfig cfg);
-
-/// Frequency ladder pinned at (cpu_level, gpu_level).
-[[nodiscard]] ArmSpec fixed_arm(std::size_t cpu_level, std::size_t gpu_level);
-
+[[nodiscard]] inline ArmSpec ztt_arm() { return governor_arm(Ztt{}); }
+/// Full LOTUS agent sized to `spec`.
+[[nodiscard]] inline ArmSpec lotus_arm(const platform::DeviceSpec& spec) {
+    return governor_arm(Lotus{lotus_config(spec)});
+}
+/// Frequency ladder pinned at (cpu, gpu).
+[[nodiscard]] inline ArmSpec fixed_arm(std::size_t cpu, std::size_t gpu) {
+    return governor_arm(Fixed{cpu, gpu});
+}
 /// Linux `performance` governor (both domains pinned to the top level).
-[[nodiscard]] ArmSpec performance_arm();
-
-/// Linux `powersave` governor (both domains pinned to the bottom level).
-[[nodiscard]] ArmSpec powersave_arm();
+[[nodiscard]] inline ArmSpec performance_arm() { return governor_arm(Performance{}); }
 
 /// Retarget any governor arm at one fleet routing policy: the arm name
 /// becomes "<base>+<router>[+migrate]" and its overrides set the router and

@@ -245,20 +245,15 @@ void LotusAgent::train() {
     // "at time step 2i, the sampled transitions are used to update the
     // Q-network with alpha-x width, while the remaining weights are not
     // updated").
-    //
-    // The max(min_replay, 1) guard of DqnCore::train_step: every
-    // train_batch below updates, so only real losses enter the mean.
-    const std::size_t min_replay = std::max<std::size_t>(config_.min_replay, 1);
+    // train_step returns -1 below its replay minimum; only real losses
+    // enter the mean. A braced list evaluates in order: even draws first.
     double loss_sum = 0.0;
     int updates = 0;
-    if (even_buffer_.size() >= min_replay) {
-        loss_sum += dqn_even().train_batch(
-            even_buffer_.sample(rng_, config_.batch_size, sample_scratch_));
-        ++updates;
-    }
-    if (odd_buffer_.size() >= min_replay) {
-        loss_sum += dqn_odd().train_batch(
-            odd_buffer_.sample(rng_, config_.batch_size, sample_scratch_));
+    for (const double loss :
+         {dqn_even().train_step(even_buffer_, rng_, config_.min_replay),
+          dqn_odd().train_step(odd_buffer_, rng_, config_.min_replay)}) {
+        if (loss < 0.0) continue;
+        loss_sum += loss;
         ++updates;
     }
     if (updates > 0) last_loss_ = loss_sum / updates;

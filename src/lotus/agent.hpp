@@ -82,6 +82,8 @@ struct LotusConfig {
     bool ztt_style_cooldown = false;
     /// Double DQN targets (extension; the paper uses vanilla DQN).
     bool double_dqn = false;
+
+    bool operator==(const LotusConfig&) const = default;
 };
 
 class LotusAgent final : public governors::Governor {
@@ -155,7 +157,6 @@ private:
     std::unique_ptr<rl::DqnCore> dqn_second_; // odd net in 2-net mode only
     rl::ReplayBuffer even_buffer_;
     rl::ReplayBuffer odd_buffer_;
-    rl::ReplayBuffer::SampleScratch sample_scratch_;
 
     rl::ExponentialDecay eps_;
     rl::SinusoidalTriggerDecay eps_t_;

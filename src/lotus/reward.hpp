@@ -29,6 +29,8 @@ struct RewardConfig {
     std::size_t sigma_window = 10;
     /// Temperature threshold T_thres [deg C].
     double t_thres_celsius = 80.0;
+
+    bool operator==(const RewardConfig&) const = default;
 };
 
 struct RewardBreakdown {

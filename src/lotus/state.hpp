@@ -9,8 +9,8 @@
 // ceil(0.75 * 7) = 6 input units, which drops exactly the proposal feature
 // -- the design observation of Sec. 4.3.4.
 //
-// DeltaL semantics (the paper leaves the frame-start instance implicit; see
-// DESIGN.md "DRL design notes"):
+// DeltaL semantics (the paper leaves the frame-start instance implicit, so
+// the frame-start definition below is this reproduction's choice):
 //   * frame start: DeltaL = L - l_{i-1}   (slack achieved on the previous
 //     frame -- the natural "how are we doing" signal available then);
 //   * post-RPN:    DeltaL = L - elapsed_i (budget remaining for stage 2).
@@ -56,6 +56,8 @@ struct StateEncoderConfig {
     /// range. 0 means "taken from the reward threshold" (set by the agent).
     double temp_ref_celsius = 0.0;
     double temp_scale_k = 15.0;
+
+    bool operator==(const StateEncoderConfig&) const = default;
 };
 
 /// Normalising encoder from engine observations to network inputs.

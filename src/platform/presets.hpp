@@ -1,7 +1,7 @@
 #pragma once
 // Calibrated device presets for the paper's two evaluation platforms.
 //
-// The constants are calibrated (see DESIGN.md and EXPERIMENTS.md) so that:
+// The constants are calibrated (open gaps: ROADMAP.md item 9) so that:
 //  * sustained max-frequency inference overheats both devices (engaging the
 //    step_wise throttler), while mid-ladder operation is thermally
 //    sustainable -- the regime split that makes DVFS control non-trivial;

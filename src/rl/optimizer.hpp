@@ -39,6 +39,8 @@ struct AdamConfig {
     double epsilon = 1e-8;
     /// Global-norm gradient clip; <= 0 disables.
     double grad_clip = 10.0;
+
+    bool operator==(const AdamConfig&) const = default;
 };
 
 class Adam {

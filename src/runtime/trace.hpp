@@ -39,7 +39,7 @@ struct TraceRow {
 };
 
 /// Aggregates reported in the paper's tables (plus a few extras used by
-/// EXPERIMENTS.md and the examples).
+/// the bench reports and the examples).
 struct Summary {
     std::size_t frames = 0;
     double mean_latency_s = 0.0;

@@ -6,7 +6,8 @@
 // datasets and models due to their varied computation demands" (Sec. 5.1.2)
 // but does not print the values; these are chosen so the *default*
 // governor's satisfaction rate lands near the paper's reported R_L column
-// (see EXPERIMENTS.md for the resulting paper-vs-measured comparison).
+// (the table scenarios print the measured values beside the paper's, see
+// README "Scenario catalog"; the open Table 2 gap is ROADMAP.md item 9).
 
 #include <string>
 
@@ -20,9 +21,8 @@ namespace lotus::workload {
                                           detector::DetectorKind detector,
                                           const std::string& dataset_name);
 
-/// mAP@0.5 metadata for Fig. 1 -- constants reproduced from the paper (this
-/// repository does not train detection networks; see DESIGN.md
-/// "Substitutions").
+/// mAP@0.5 metadata for Fig. 1 -- constants reproduced from the paper (the
+/// detectors are simulated, so there is no mAP to measure).
 [[nodiscard]] double map50(detector::DetectorKind detector, const std::string& dataset_name);
 
 } // namespace lotus::workload

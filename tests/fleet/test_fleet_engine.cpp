@@ -315,7 +315,7 @@ TEST(FleetEngine, HeterogeneousPoolGetsDeviceSizedGovernors) {
     cfg.devices.push_back(make_device("phone0", mi11));
     for (auto& s : cfg.streams) s.slo_s = 4.0; // room for a phone-served frame
     scenario.fleet = std::move(cfg);
-    scenario.arms.push_back(harness::fleet_arm(harness::ztt_arm(mi11), "least_queue"));
+    scenario.arms.push_back(harness::fleet_arm(harness::ztt_arm(), "least_queue"));
 
     const auto results = harness::ExperimentHarness({.jobs = 1, .seed = 5}).run(scenario);
     ASSERT_TRUE(results[0].fleet_trace.has_value());
@@ -331,7 +331,7 @@ TEST(FleetEngine, ParallelHarnessEqualsSerial) {
     scenario.title = scenario.name;
     scenario.fleet = small_config();
     scenario.arms.push_back(harness::fleet_arm(harness::fixed_arm(5, 3), "least_queue"));
-    scenario.arms.push_back(harness::fleet_arm(harness::default_arm(spec), "round_robin"));
+    scenario.arms.push_back(harness::fleet_arm(harness::default_arm(), "round_robin"));
     scenario.arms.push_back(
         harness::fleet_arm(harness::performance_arm(), "lotus_fleet"));
 

@@ -22,9 +22,9 @@ Scenario small_scenario(const std::string& name, std::size_t iterations = 60) {
                                           "KITTI", iterations, /*pretrain=*/40));
     s.name = name;
     s.title = name;
-    s.arms.push_back(default_arm(spec));
+    s.arms.push_back(default_arm());
     s.arms.push_back(fixed_arm(5, 3));
-    s.arms.push_back(ztt_arm(spec));
+    s.arms.push_back(ztt_arm());
     return s;
 }
 
@@ -131,7 +131,8 @@ TEST(ExperimentHarness, EpisodeFailuresPropagate) {
     s.name = "failing";
     auto bad = fixed_arm(5, 3);
     bad.name = "bad";
-    bad.make = [](std::uint64_t) -> std::unique_ptr<governors::Governor> {
+    bad.make_for = [](const platform::DeviceSpec&,
+                      std::uint64_t) -> std::unique_ptr<governors::Governor> {
         throw std::invalid_argument("bad arm");
     };
     s.arms.push_back(fixed_arm(5, 3));

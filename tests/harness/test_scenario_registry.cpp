@@ -1,6 +1,7 @@
 // Tests for the ScenarioRegistry: the catalog covers every paper
-// figure/table, lookups round-trip, arm specs are well-formed, and the
-// ambient tables equal the closures they replaced.
+// figure/table, lookups round-trip, arm specs are well-formed and compare
+// as values, build() applies the device rules, and the ambient tables
+// equal the closures they replaced.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +13,10 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <variant>
 
 #include "harness/registry.hpp"
+#include "platform/presets.hpp"
 
 namespace lotus::harness {
 namespace {
@@ -76,7 +79,7 @@ TEST(ScenarioRegistry, ScenariosAreWellFormed) {
         std::set<std::string> arm_names;
         for (const auto& arm : s.arms) {
             EXPECT_FALSE(arm.name.empty()) << s.name;
-            EXPECT_TRUE(arm.make != nullptr) << s.name << "/" << arm.name;
+            EXPECT_TRUE(arm.make_for != nullptr) << s.name << "/" << arm.name;
             EXPECT_TRUE(arm_names.insert(arm.name).second)
                 << "duplicate arm " << arm.name << " in " << s.name;
         }
@@ -86,10 +89,62 @@ TEST(ScenarioRegistry, ScenariosAreWellFormed) {
 TEST(ScenarioRegistry, ArmFactoriesProduceGovernors) {
     const auto& s = registry().at("fig4_kitti");
     for (const auto& arm : s.arms) {
-        const auto governor = arm.make(/*seed=*/123);
+        const auto governor = arm.make_for(s.config.device_spec, /*seed=*/123);
         ASSERT_NE(governor, nullptr);
         EXPECT_FALSE(governor->name().empty());
     }
+}
+
+const ArmSpec& arm_named(const std::string& scenario, const std::string& arm) {
+    for (const auto& a : registry().at(scenario).arms) {
+        if (a.name == arm) return a;
+    }
+    throw std::out_of_range(scenario + " has no arm " + arm);
+}
+
+TEST(ScenarioRegistry, SharedLotusWarmupsHaveEqualGovernorSpecs) {
+    // Arms are values: the same LOTUS agent on the same device compares
+    // equal across scenarios (the warm-up a pretrain cache could share).
+    const auto& fig4 = arm_named("fig4_kitti", "Lotus").governor;
+    EXPECT_TRUE(std::holds_alternative<Lotus>(fig4));
+    EXPECT_EQ(fig4, arm_named("table1_frcnn_kitti", "Lotus").governor);
+    EXPECT_EQ(fig4, arm_named("ablation_design", "Lotus(full)").governor);
+    EXPECT_NE(fig4, arm_named("fig4_kitti", "zTT").governor);
+    EXPECT_NE(fig4, arm_named("fig6_kitti", "Lotus").governor); // Mi 11 threshold
+}
+
+TEST(ScenarioRegistry, AblationArmsAreDistinctGovernors) {
+    const auto& arms = registry().at("ablation_design").arms;
+    ASSERT_EQ(arms.size(), 6u);
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+        for (std::size_t j = i + 1; j < arms.size(); ++j) {
+            EXPECT_NE(arms[i].governor, arms[j].governor)
+                << arms[i].name << " vs " << arms[j].name;
+        }
+    }
+}
+
+TEST(GovernorSpec, FixedLevelsOutsideTheLadderThrow) {
+    const auto orin = platform::orin_nano_spec();
+    EXPECT_THROW((void)build(Fixed{9, 9}, orin, 1), std::invalid_argument);
+    EXPECT_THROW((void)build(Fixed{0, orin.gpu.opp.num_levels()}, orin, 1),
+                 std::invalid_argument);
+    EXPECT_EQ(build(Fixed{5, 3}, orin, 1)->name(), "fixed");
+}
+
+TEST(GovernorSpec, BuildSizesLotusToTheDevice) {
+    // A stored threshold at/above the device's throttle bound falls back to
+    // the device's own reward threshold; one below it is kept.
+    const auto orin = platform::orin_nano_spec();
+    const auto mi11 = platform::mi11_lite_spec();
+    const Lotus orin_lotus{lotus_config(orin)};
+    const auto on_phone = build(orin_lotus, mi11, 3);
+    const auto& phone_cfg = dynamic_cast<const core::LotusAgent&>(*on_phone).config();
+    EXPECT_EQ(phone_cfg.reward.t_thres_celsius, platform::reward_threshold_celsius(mi11));
+    EXPECT_EQ(phone_cfg.seed, 3u);
+    const auto on_orin = build(orin_lotus, orin, 4);
+    EXPECT_EQ(dynamic_cast<const core::LotusAgent&>(*on_orin).config().reward.t_thres_celsius,
+              platform::reward_threshold_celsius(orin));
 }
 
 TEST(ScenarioRegistry, Fig1ArmsSweepTheDetector) {

@@ -143,9 +143,9 @@ Scenario serving_scenario(const std::string& name) {
     s.name = name;
     s.title = name;
     s.serving = serving_config();
-    s.arms.push_back(default_arm(spec));
+    s.arms.push_back(default_arm());
     s.arms.push_back(fixed_arm(5, 3));
-    s.arms.push_back(ztt_arm(spec));
+    s.arms.push_back(ztt_arm());
     return s;
 }
 
@@ -157,7 +157,7 @@ Scenario fleet_scenario(const std::string& name) {
     s.title = name;
     s.fleet = fleet_config();
     s.arms.push_back(fleet_arm(fixed_arm(5, 3), "least_queue"));
-    s.arms.push_back(fleet_arm(default_arm(spec), "round_robin"));
+    s.arms.push_back(fleet_arm(default_arm(), "round_robin"));
     return s;
 }
 

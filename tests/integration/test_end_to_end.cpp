@@ -54,7 +54,7 @@ TEST(EndToEnd, MaxFrequencyEventuallyThrottles) {
 
 TEST(EndToEnd, MidLadderNeverThrottles) {
     runtime::ExperimentRunner runner(orin_config(1200, 0));
-    governors::FixedGovernor gov(5, 3); // DESIGN.md's sustainable point
+    governors::FixedGovernor gov(5, 3); // the calibrated sustainable mid-ladder point
     const auto trace = runner.run(gov);
     const auto s = trace.summary();
     EXPECT_LT(s.throttled_fraction, 0.01);

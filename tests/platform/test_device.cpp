@@ -102,7 +102,7 @@ TEST(EdgeDevice, SustainedMaxLoadTripsGpuThrottle) {
 
 TEST(EdgeDevice, MidLadderIsThermallySustainable) {
     auto dev = make_orin();
-    dev.request_levels(5, 3); // the sustainable operating point of DESIGN.md
+    dev.request_levels(5, 3); // sustainable by calibration (platform/presets.hpp)
     for (int i = 0; i < 600; ++i) dev.advance(1.0, 0.3, 0.8);
     EXPECT_FALSE(dev.gpu_throttled());
     EXPECT_LT(dev.gpu_temp(), dev.spec().gpu_throttle.trip_celsius);

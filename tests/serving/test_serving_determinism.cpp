@@ -40,9 +40,9 @@ harness::Scenario serving_scenario(const std::string& name) {
     s.name = name;
     s.title = name;
     s.serving = small_config();
-    s.arms.push_back(harness::default_arm(spec));
+    s.arms.push_back(harness::default_arm());
     s.arms.push_back(harness::fixed_arm(5, 3));
-    s.arms.push_back(harness::ztt_arm(spec));
+    s.arms.push_back(harness::ztt_arm());
     return s;
 }
 

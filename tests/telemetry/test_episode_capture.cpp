@@ -44,7 +44,7 @@ Scenario serving_scenario(const std::string& name) {
     s.name = name;
     s.title = name;
     s.serving = serving_config();
-    s.arms.push_back(default_arm(spec));
+    s.arms.push_back(default_arm());
     s.arms.push_back(fixed_arm(5, 3));
     return s;
 }

@@ -6,8 +6,9 @@ Usage:
 
 Writes perfbench-shaped outputs (banner lines, then the one-line JSON
 result) and a synthetic baseline into a temp directory, runs the check on
-each and compares its exit code: 0 at the baseline, 1 past the allowed
-slowdown or on a run perfbench reports as failed, 2 on malformed input.
+each case's outputs and compares its exit code: 0 at the baseline, 1 when
+the median run is past the allowed slowdown or any run perfbench reports
+as failed, 2 on malformed input.
 The committed BASELINE must also parse and pass an output at its own value.
 """
 
@@ -36,7 +37,7 @@ def main():
     no_ref = json.dumps({"correct": True, "attempted": 38, "failed": 0,
                          "metrics": {"peak_rss_mb": {"value": 15.75, "unit": "MB"}}})
     cases = [
-        # (name, last stdout line, baseline, expected exit code)
+        # (name, last stdout line(s) -- one per run, baseline, expected exit code)
         ("at the baseline", result_line(base_ref), None, 0),
         ("committed baseline", result_line(committed_ref), committed, 0),
         ("baseline x 1.09", result_line(base_ref * 1.09), None, 0),
@@ -48,17 +49,25 @@ def main():
         ("ref_cpu_s NaN", result_line(float("nan")), None, 2),
         ("ref_cpu_s zero", result_line(0.0), None, 2),
         ("ref_cpu_s negative", result_line(-0.5), None, 2),
+        ("1 slow run of 3", [result_line(base_ref * 1.3), result_line(base_ref),
+                             result_line(base_ref * 1.05)], None, 0),
+        ("2 slow runs of 3", [result_line(base_ref * 1.3), result_line(base_ref),
+                              result_line(base_ref * 1.2)], None, 1),
+        ("median fine, one run failed", [result_line(base_ref), result_line(base_ref),
+                                         result_line(base_ref, failed=1)], None, 1),
     ]
     bad = 0
     with tempfile.TemporaryDirectory(prefix="check_bench_regression_") as tmp:
         synthetic = Path(tmp) / "baseline.json"
         synthetic.write_text(json.dumps({"workload": "serve_saturation_short",
                                          "ref_cpu_s": base_ref}))
-        for i, (name, last, baseline, expected) in enumerate(cases):
-            output = Path(tmp) / f"out{i}.txt"
-            output.write_text(BANNER + last + "\n")
+        for i, (name, lasts, baseline, expected) in enumerate(cases):
+            outputs = []
+            for j, last in enumerate([lasts] if isinstance(lasts, str) else lasts):
+                outputs.append(Path(tmp) / f"out{i}_{j}.txt")
+                outputs[-1].write_text(BANNER + last + "\n")
             proc = subprocess.run(
-                [sys.executable, check, str(output), baseline or str(synthetic)],
+                [sys.executable, check, *map(str, outputs), baseline or str(synthetic)],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             verdict = "ok" if proc.returncode == expected else "WRONG"
             print(f"{verdict}: {name}: exit {proc.returncode}, expected {expected}")

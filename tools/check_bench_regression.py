@@ -2,23 +2,25 @@
 """Fail CI when perfbench's serve_saturation_short gets slower than the baseline.
 
 Usage:
-    check_bench_regression.py OUTPUT BASELINE
+    check_bench_regression.py OUTPUT [OUTPUT ...] BASELINE
 
-OUTPUT is the saved stdout of
+Each OUTPUT is the saved stdout of one run of
 
     python3 perfbench/run.py --workload serve_saturation_short --seconds 3
 
 whose last line is one JSON object with the keys correct, failed and
-metrics (CI's perfbench digest loop tees it to a file). BASELINE is the
+metrics (CI tees three runs to files). BASELINE is the
 committed bench/perfbench_baseline.json: the median ref_cpu_s of several
 such runs, with the workload, seed, --seconds, build and host they came
 from.
 
 ref_cpu_s is host CPU time rescaled to a reference core speed by a
 calibration kernel timed on the same thread, so it follows the code more
-than the host. The check fails (exit 1) when the run is not correct, when
-an episode failed, or when ref_cpu_s exceeds the baseline's by more than
-MAX_SLOWDOWN. Malformed input exits 2: a last line that is not a JSON
+than the host; the median over the runs keeps one run slowed by a busy
+neighbour from failing the gate. The check fails (exit 1) when any run is
+not correct, when an episode failed, or when the median ref_cpu_s exceeds
+the baseline's by more than MAX_SLOWDOWN. Malformed input exits 2: a last
+line that is not a JSON
 object, a missing correct, failed or ref_cpu_s, or a ref_cpu_s that is NaN,
 infinite or not positive.
 
@@ -28,6 +30,7 @@ Stdlib only; exit 0 on pass.
 import argparse
 import json
 import math
+import statistics
 import sys
 
 # Allowed fractional growth of ref_cpu_s over the baseline.
@@ -69,35 +72,39 @@ def positive(value, what):
 def main():
     parser = argparse.ArgumentParser(
         description="gate perfbench's ref_cpu_s against the committed baseline")
-    parser.add_argument("output", help="saved stdout of perfbench/run.py")
+    parser.add_argument("output", nargs="+", help="saved stdout of perfbench/run.py")
     parser.add_argument("baseline", help="committed bench/perfbench_baseline.json")
     args = parser.parse_args()
 
-    result = read_json(args.output, last_line=True)
     baseline = read_json(args.baseline, last_line=False)
-    correct = result.get("correct")
-    failed = result.get("failed")
-    if not isinstance(correct, bool):
-        fail_input(f"{args.output}: correct is {correct!r}, not a boolean")
-    if isinstance(failed, bool) or not isinstance(failed, int) or failed < 0:
-        fail_input(f"{args.output}: failed is {failed!r}, not a count")
-    metrics = result.get("metrics")
-    metric = metrics.get("ref_cpu_s") if isinstance(metrics, dict) else None
-    ref = positive(metric.get("value") if isinstance(metric, dict) else None,
-                   f"{args.output}: ref_cpu_s")
+    refs = []
+    failures = []
+    for output in args.output:
+        result = read_json(output, last_line=True)
+        correct = result.get("correct")
+        failed = result.get("failed")
+        if not isinstance(correct, bool):
+            fail_input(f"{output}: correct is {correct!r}, not a boolean")
+        if isinstance(failed, bool) or not isinstance(failed, int) or failed < 0:
+            fail_input(f"{output}: failed is {failed!r}, not a count")
+        metrics = result.get("metrics")
+        metric = metrics.get("ref_cpu_s") if isinstance(metrics, dict) else None
+        refs.append(positive(metric.get("value") if isinstance(metric, dict) else None,
+                             f"{output}: ref_cpu_s"))
+        if not correct:
+            failures.append(f"perfbench reports {output} as not correct")
+        if failed > 0:
+            failures.append(f"{output}: {failed} episode(s) failed")
+    ref = statistics.median(refs)
     base = positive(baseline.get("ref_cpu_s"), f"{args.baseline}: ref_cpu_s")
 
     ceiling = base * (1.0 + MAX_SLOWDOWN)
-    print(f"{baseline.get('workload', 'perfbench')} ref_cpu_s: current {ref:.4f} s, "
+    print(f"{baseline.get('workload', 'perfbench')} ref_cpu_s: median {ref:.4f} s of "
+          f"{len(refs)} run(s) ({', '.join(f'{r:.4f}' for r in refs)}), "
           f"baseline {base:.4f} s ({100.0 * (ref / base - 1.0):+.1f}%), "
           f"ceiling {ceiling:.4f} s")
-    failures = []
-    if not correct:
-        failures.append("perfbench reports the run as not correct")
-    if failed > 0:
-        failures.append(f"{failed} episode(s) failed")
     if ref > ceiling:
-        failures.append(f"ref_cpu_s {ref:.4f} s exceeds the baseline by more than "
+        failures.append(f"median ref_cpu_s {ref:.4f} s exceeds the baseline by more than "
                         f"{100.0 * MAX_SLOWDOWN:.0f}%")
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

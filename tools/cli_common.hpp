@@ -383,56 +383,37 @@ inline int run_scenarios(const std::string& tool, const CommonOptions& opt,
     return 0;
 }
 
-/// The full governor vocabulary both tools accept:
+/// Parse the governor vocabulary every tool accepts:
 ///   default | ztt | lotus | performance | powersave | random | ondemand
 /// | conservative | fixed:<cpu>,<gpu>
-inline harness::ArmSpec make_governor_arm(const std::string& tool, const std::string& g,
-                                          const platform::DeviceSpec& spec) {
-    if (g == "default") return harness::default_arm(spec);
-    if (g == "ztt") return harness::ztt_arm(spec);
-    if (g == "lotus") return harness::lotus_arm(spec);
-    if (g == "performance") return harness::performance_arm();
-    if (g == "powersave") return harness::powersave_arm();
-
-    const auto simple = [&g](auto factory) {
-        harness::ArmSpec arm;
-        arm.name = g;
-        arm.make = std::move(factory);
-        return arm;
-    };
-    if (g == "ondemand" || g == "conservative") {
-        return simple([g](std::uint64_t) -> std::unique_ptr<governors::Governor> {
-            return std::make_unique<governors::KernelGovernor>(
-                g + "+simple_ondemand",
-                g == "ondemand" ? governors::CpuPolicyKind::ondemand
-                                : governors::CpuPolicyKind::conservative,
-                governors::SimpleOndemandParams{});
-        });
+/// LOTUS is sized to `spec`; a fixed level outside its ladder exits 2.
+inline harness::GovernorSpec parse_governor(const std::string& tool, const std::string& g,
+                                            const platform::DeviceSpec& spec) {
+    if (g == "default") return harness::StockGovernors{};
+    if (g == "ztt") return harness::Ztt{};
+    if (g == "lotus") return harness::Lotus{harness::lotus_config(spec)};
+    if (g == "performance") return harness::Performance{};
+    if (g == "powersave") return harness::Powersave{};
+    if (g == "random") return harness::Random{};
+    if (g == "ondemand") return harness::Ondemand{};
+    if (g == "conservative") return harness::Conservative{};
+    if (g.rfind("fixed:", 0) != 0) usage_error(tool, "unknown governor " + g);
+    const auto spec_str = g.substr(6);
+    const auto comma = spec_str.find(',');
+    if (comma == std::string::npos) {
+        usage_error(tool, "malformed --governor '" + g + "': fixed wants fixed:<cpu>,<gpu>");
     }
-    if (g == "random") {
-        return simple([](std::uint64_t seed) -> std::unique_ptr<governors::Governor> {
-            return std::make_unique<governors::RandomGovernor>(seed);
-        });
+    const harness::GovernorSpec fixed = harness::Fixed{
+        static_cast<std::size_t>(
+            parse_u64(tool, "--governor fixed:<cpu>", spec_str.substr(0, comma))),
+        static_cast<std::size_t>(
+            parse_u64(tool, "--governor fixed:<gpu>", spec_str.substr(comma + 1)))};
+    try {
+        (void)harness::build(fixed, spec, 0);
+    } catch (const std::invalid_argument& e) {
+        usage_error(tool, e.what());
     }
-    if (g.rfind("fixed:", 0) == 0) {
-        const auto spec_str = g.substr(6);
-        const auto comma = spec_str.find(',');
-        if (comma == std::string::npos) {
-            usage_error(tool, "malformed --governor '" + g + "': fixed wants fixed:<cpu>,<gpu>");
-        }
-        const auto cpu = static_cast<std::size_t>(
-            parse_u64(tool, "--governor fixed:<cpu>", spec_str.substr(0, comma)));
-        const auto gpu = static_cast<std::size_t>(
-            parse_u64(tool, "--governor fixed:<gpu>", spec_str.substr(comma + 1)));
-        if (cpu >= spec.cpu.opp.num_levels() || gpu >= spec.gpu.opp.num_levels()) {
-            usage_error(tool, "fixed:" + std::to_string(cpu) + "," + std::to_string(gpu) +
-                                  " is outside the device's ladder (" +
-                                  std::to_string(spec.cpu.opp.num_levels()) + " CPU x " +
-                                  std::to_string(spec.gpu.opp.num_levels()) + " GPU levels)");
-        }
-        return harness::fixed_arm(cpu, gpu);
-    }
-    usage_error(tool, "unknown governor " + g);
+    return fixed;
 }
 
 } // namespace lotus::cli

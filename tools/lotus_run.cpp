@@ -129,7 +129,8 @@ int run_single(const Options& opt) {
         scenario.config.schedule =
             workload::DomainSchedule::constant(dataset, opt.constraint_ms / 1e3);
     }
-    scenario.arms.push_back(cli::make_governor_arm(kTool, opt.governor, spec));
+    scenario.arms.push_back(
+        harness::governor_arm(cli::parse_governor(kTool, opt.governor, spec)));
 
     // Keep stdout clean for --format json; the banner is status, not data.
     std::fprintf(opt.format == cli::OutputFormat::json ? stderr : stdout,

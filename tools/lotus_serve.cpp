@@ -196,7 +196,8 @@ int run_adhoc(const Options& opt) {
     shared->pretrain_iterations = opt.pretrain;
     shared->pretrain_constraint_s = constraint;
     shared->streams = std::move(streams);
-    scenario.arms.push_back(cli::make_governor_arm(kTool, opt.governor, spec));
+    scenario.arms.push_back(
+        harness::governor_arm(cli::parse_governor(kTool, opt.governor, spec)));
 
     std::fprintf(stderr,
                  "%s: %s + %s + %s | %zu streams x %zu req @ %.2f Hz (%s), SLO %.0f ms, "

@@ -253,7 +253,7 @@ std::vector<Cell> build_cells(const Options& opt) {
                         scenario->title = "lotus_sweep cell " + cell.name;
                         scenario->fleet = std::move(cfg);
                         scenario->arms.push_back(
-                            cli::make_governor_arm(kTool, governor, spec));
+                            harness::governor_arm(cli::parse_governor(kTool, governor, spec)));
                         cell.scenario = std::move(scenario);
                         cells.push_back(std::move(cell));
                     }
