@@ -30,6 +30,11 @@ struct Builder {
     std::uint64_t seed;
     using Ptr = std::unique_ptr<Governor>;
 
+    Ptr operator()(const Custom& c) const {
+        throw std::invalid_argument("custom governor '" + c.name +
+                                    "' has no vocabulary governor to build; its arm sets "
+                                    "make_for");
+    }
     Ptr operator()(const StockGovernors&) const {
         const bool orin = dev.name.find("orin") != std::string::npos;
         return std::make_unique<KernelGovernor>(orin ? KernelGovernor::orin_nano()
@@ -79,6 +84,7 @@ struct Builder {
 
 /// The vocabulary name of each alternative (the default arm name).
 struct VocabularyName {
+    std::string operator()(const Custom& c) const { return c.name; }
     std::string operator()(const StockGovernors&) const { return "default"; }
     std::string operator()(const Ondemand&) const { return "ondemand"; }
     std::string operator()(const Conservative&) const { return "conservative"; }

@@ -62,6 +62,13 @@ struct ArmOverrides {
 /// Which governor an arm runs, as a plain value: one alternative per entry
 /// of the registry's and the CLIs' vocabulary. build() resolves the
 /// device-dependent details against the device the governor will drive.
+/// Custom, the default, marks an arm that sets its own make_for: it runs a
+/// governor outside the vocabulary, so it never equals a vocabulary arm and
+/// build() refuses it.
+struct Custom {
+    std::string name;
+    bool operator==(const Custom&) const = default;
+};
 struct StockGovernors { bool operator==(const StockGovernors&) const = default; };
 struct Ondemand { bool operator==(const Ondemand&) const = default; };
 struct Conservative { bool operator==(const Conservative&) const = default; };
@@ -79,15 +86,15 @@ struct Performance { bool operator==(const Performance&) const = default; };
 struct Powersave { bool operator==(const Powersave&) const = default; };
 struct Random { bool operator==(const Random&) const = default; };
 
-using GovernorSpec = std::variant<StockGovernors, Ondemand, Conservative, Ztt, Lotus, Fixed,
-                                  Performance, Powersave, Random>;
+using GovernorSpec = std::variant<Custom, StockGovernors, Ondemand, Conservative, Ztt, Lotus,
+                                  Fixed, Performance, Powersave, Random>;
 
 /// The governor `g` describes, built for `dev` with `seed` (which replaces
 /// any seed stored in `g`). Every device-dependent rule lives here: the
 /// stock preset by device name, zTT's T_thres, LOTUS's fallback to the
 /// device's threshold when the stored one is at/above its throttle bound
 /// (heterogeneous pools rely on it), and the ladder check that makes Fixed
-/// throw std::invalid_argument.
+/// throw std::invalid_argument. Custom throws std::invalid_argument too.
 [[nodiscard]] std::unique_ptr<governors::Governor> build(const GovernorSpec& g,
                                                          const platform::DeviceSpec& dev,
                                                          std::uint64_t seed);
@@ -101,7 +108,8 @@ struct ArmSpec {
     std::string name;
     GovernorSpec governor;
     /// build(governor, ...) for arms made by governor_arm(); an arm that
-    /// runs a governor outside the vocabulary sets its own factory.
+    /// runs a governor outside the vocabulary sets its own factory and
+    /// leaves `governor` Custom.
     std::function<std::unique_ptr<governors::Governor>(const platform::DeviceSpec& spec,
                                                        std::uint64_t seed)>
         make_for;

@@ -109,8 +109,12 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
     if (dt == 0.0) return 0.0;
     LOTUS_PROF_SCOPE("device.advance");
 
+    // The bound recorder is fixed for the whole call: a listener callback
+    // binds or suspends recorders only in scopes that close before it returns.
+    telemetry::Recorder* const tel = telemetry::current();
     double remaining = dt;
     double elapsed = 0.0;
+    std::uint64_t segments = 0;
     fire_due_events(cpu_util, gpu_util);
     while (remaining > 0.0) {
         const auto cl = cpu_level();
@@ -137,7 +141,7 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
         // advances it; h <= budget.
         const double h =
             thermal_.advance_bounded(budget, power, ambient_, spec_.thermal_accuracy_k);
-        LOTUS_PROF_COUNT("device.thermal_segments", 1);
+        ++segments;
         last_power_ = {p_cpu, p_gpu};
         energy_j_ += (p_cpu + p_gpu) * h;
         now_ += h;
@@ -153,7 +157,7 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
         if (listener_ && polled && (cpu_throttle_.engaged() || gpu_throttle_.engaged())) {
             listener_->on_throttle(now_, cpu_throttle_.engaged(), gpu_throttle_.engaged());
         }
-        publish_telemetry();
+        if (tel) publish_telemetry(tel);
         // Deliver due listener events (kernel ticks). These may nest another
         // advance (a tick requesting new levels pays the DVFS stall), which
         // runs this loop re-entrantly on top of the current segment.
@@ -161,6 +165,7 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
 
         if (stop_on_level_change && (cpu_level() != cl || gl != gpu_level())) break;
     }
+    LOTUS_PROF_COUNT("device.thermal_segments", segments);
     return elapsed;
 }
 
@@ -177,9 +182,7 @@ void EdgeDevice::reset() {
     tel_next_sample_ = 0.0;
 }
 
-void EdgeDevice::publish_telemetry() {
-    auto* tel = telemetry::current();
-    if (!tel) return;
+void EdgeDevice::publish_telemetry(telemetry::Recorder* tel) {
     if (tel != tel_recorder_ || tel_track_ < 0) {
         // First publication under this recorder (or after reset/relabel):
         // prime the change detectors and schedule an immediate sample. The

@@ -31,6 +31,10 @@
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
 
+namespace lotus::telemetry {
+class Recorder;
+} // namespace lotus::telemetry
+
 namespace lotus::platform {
 
 /// Observer of the device's time-advance loop. The InferenceEngine
@@ -201,10 +205,10 @@ private:
                              bool stop_on_level_change);
     /// Deliver every listener event whose deadline is already due.
     void fire_due_events(double cpu_util, double gpu_util);
-    /// Emit platform telemetry for the segment that just ended: OPP-change
-    /// and throttle trip/clear instants, plus the periodic temperature /
-    /// frequency / power samples. No-op when no recorder is bound.
-    void publish_telemetry();
+    /// Emit platform telemetry for the segment that just ended into `tel`
+    /// (the bound recorder, non-null): OPP-change and throttle trip/clear
+    /// instants, plus the periodic temperature / frequency / power samples.
+    void publish_telemetry(telemetry::Recorder* tel);
 
     DeviceSpec spec_;
     PowerModel cpu_power_;

@@ -22,9 +22,4 @@ OppTable::OppTable(std::string domain_name, std::vector<OperatingPoint> points)
     }
 }
 
-const OperatingPoint& OppTable::level(std::size_t i) const {
-    if (i >= points_.size()) throw std::out_of_range("OppTable::level");
-    return points_[i];
-}
-
 } // namespace lotus::platform

@@ -5,6 +5,7 @@
 // voltage used by the power model (P_dyn ~ C f V^2).
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,10 @@ public:
     [[nodiscard]] const std::string& domain() const noexcept { return domain_; }
     [[nodiscard]] std::size_t num_levels() const noexcept { return points_.size(); }
 
-    [[nodiscard]] const OperatingPoint& level(std::size_t i) const;
+    [[nodiscard]] const OperatingPoint& level(std::size_t i) const {
+        if (i >= points_.size()) throw std::out_of_range("OppTable::level");
+        return points_[i];
+    }
 
     [[nodiscard]] double freq(std::size_t i) const { return level(i).freq_hz; }
     [[nodiscard]] double voltage(std::size_t i) const { return level(i).voltage_v; }

@@ -1,7 +1,5 @@
 #include "platform/power.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace lotus::platform {
@@ -13,21 +11,6 @@ PowerModel::PowerModel(PowerParams params) : params_(params) {
     if (params_.idle_fraction < 0.0 || params_.idle_fraction > 1.0) {
         throw std::invalid_argument("PowerModel: idle_fraction out of [0,1]");
     }
-}
-
-double PowerModel::dynamic_power(double f, double v, double u) const noexcept {
-    u = std::clamp(u, 0.0, 1.0);
-    const double u_eff = params_.idle_fraction + (1.0 - params_.idle_fraction) * u;
-    return u_eff * params_.c_eff * f * v * v;
-}
-
-double PowerModel::leakage(double v, double t_celsius) const noexcept {
-    return params_.leak0_w_per_v * v *
-           std::exp(params_.leak_temp_coeff * (t_celsius - params_.t0_celsius));
-}
-
-double PowerModel::total(double f, double v, double u, double t_celsius) const noexcept {
-    return dynamic_power(f, v, u) + leakage(v, t_celsius);
 }
 
 } // namespace lotus::platform

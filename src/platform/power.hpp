@@ -9,6 +9,12 @@
 // grows exponentially with temperature, which is what makes sustained
 // high-frequency operation thermally unstable on passively cooled edge
 // devices -- the effect LOTUS and zTT must learn to avoid.
+//
+// The evaluation functions are defined here so the device's per-segment
+// loop can inline them.
+
+#include <algorithm>
+#include <cmath>
 
 namespace lotus::platform {
 
@@ -31,13 +37,22 @@ public:
 
     /// Dynamic switching power at frequency f [Hz], voltage V, utilization
     /// u in [0, 1].
-    [[nodiscard]] double dynamic_power(double f, double v, double u) const noexcept;
+    [[nodiscard]] double dynamic_power(double f, double v, double u) const noexcept {
+        u = std::clamp(u, 0.0, 1.0);
+        const double u_eff = params_.idle_fraction + (1.0 - params_.idle_fraction) * u;
+        return u_eff * params_.c_eff * f * v * v;
+    }
 
     /// Temperature-dependent leakage at voltage V and temperature T [deg C].
-    [[nodiscard]] double leakage(double v, double t_celsius) const noexcept;
+    [[nodiscard]] double leakage(double v, double t_celsius) const noexcept {
+        return params_.leak0_w_per_v * v *
+               std::exp(params_.leak_temp_coeff * (t_celsius - params_.t0_celsius));
+    }
 
     /// Total domain power.
-    [[nodiscard]] double total(double f, double v, double u, double t_celsius) const noexcept;
+    [[nodiscard]] double total(double f, double v, double u, double t_celsius) const noexcept {
+        return dynamic_power(f, v, u) + leakage(v, t_celsius);
+    }
 
     [[nodiscard]] const PowerParams& params() const noexcept { return params_; }
 

@@ -107,6 +107,20 @@ void ThermalNetwork::decompose() {
         eigenvalues_[k] = std::max(s[k][k], 0.0);
     }
     eigenvectors_ = v;
+    for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+            projection_[i][k] = eigenvectors_[i][k] * sqrt_c_[i];
+        }
+    }
+
+    // steady_state()'s power-independent terms (see there).
+    const double g0b = params_.g_to_board[kCpu];
+    const double g1b = params_.g_to_board[kGpu];
+    ss_s0_ = g0b + params_.g_to_ambient[kCpu];
+    ss_s1_ = g1b + params_.g_to_ambient[kGpu];
+    const double k0 = g0b * (g0b / ss_s0_ - 1.0);
+    const double k1 = g1b * (g1b / ss_s1_ - 1.0);
+    ss_board_den_ = params_.g_to_ambient[kBoard] - k0 - k1;
 }
 
 double ThermalNetwork::advance_bounded(double dt_max,
@@ -120,13 +134,20 @@ double ThermalNetwork::advance_bounded(double dt_max,
     }
     if (dt_max == 0.0) return 0.0;
 
+    // Full-step decays first: they do not depend on the temperatures, so
+    // they run alongside the divisions below instead of after them.
+    std::array<double, kNumThermalNodes> decay{};
+    for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+        decay[k] = std::exp(-eigenvalues_[k] * dt_max);
+    }
+
     // Modal coordinates of the deviation from steady state: a = V^T C^{1/2}
     // (T - T_ss); each mode decays as e^{-lambda_k t}.
     const auto t_ss = steady_state(power_w, ambient_celsius);
     std::array<double, kNumThermalNodes> a{};
     for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
         for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
-            a[k] += eigenvectors_[i][k] * sqrt_c_[i] * (temps_[i] - t_ss[i]);
+            a[k] += projection_[i][k] * (temps_[i] - t_ss[i]);
         }
     }
 
@@ -153,11 +174,16 @@ double ThermalNetwork::advance_bounded(double dt_max,
     // The 1 ns floor guarantees forward progress even if the bound ever
     // degenerates numerically.
     const double h = std::min(dt_max, std::max(bound, 1e-9));
+    if (h != dt_max) {
+        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+            decay[k] = std::exp(-eigenvalues_[k] * h);
+        }
+    }
 
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
         double w = 0.0;
         for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
-            w += eigenvectors_[i][k] * a[k] * std::exp(-eigenvalues_[k] * h);
+            w += eigenvectors_[i][k] * a[k] * decay[k];
         }
         temps_[i] = t_ss[i] + w / sqrt_c_[i];
     }
@@ -169,6 +195,13 @@ std::array<double, kNumThermalNodes> ThermalNetwork::steady_state(
     const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius) const {
     // Eliminate the die nodes, then solve the board balance.
     //   T_die = (P_die + Gdb * T_board + Gda * T_amb) / (Gdb + Gda)
+    // Heat flowing die -> board expressed in T_board, for both dies:
+    //   Q_d = Gdb * ((P_d + Gda Ta) / s_d + (Gdb / s_d - 1) T_board),
+    //   s_d = Gdb + Gda,
+    // so the board equation 0 = P_board + Q_cpu + Q_gpu + g2a (Ta - T_board)
+    // is linear in T_board with denominator g2a - k0 - k1, k_d = Gdb (Gdb /
+    // s_d - 1). s_d and that denominator depend on the network only, so
+    // decompose() computes them once.
     const double g0b = params_.g_to_board[kCpu];
     const double g0a = params_.g_to_ambient[kCpu];
     const double g1b = params_.g_to_board[kGpu];
@@ -176,22 +209,12 @@ std::array<double, kNumThermalNodes> ThermalNetwork::steady_state(
     const double g2a = params_.g_to_ambient[kBoard];
     const double ta = ambient_celsius;
 
-    // Heat flowing die -> board expressed in T_board:
-    //   Q_d = Gdb * (T_die - T_board)
-    //       = Gdb * ((P_d + Gda*Ta - Ga_sum*T_board + Gdb*T_board) ... )
-    // Work it through for both dies and solve the linear board equation
-    //   0 = P_board + Q_cpu + Q_gpu + g2a (Ta - T_board).
-    const double s0 = g0b + g0a;
-    const double s1 = g1b + g1a;
-    // Q_cpu = g0b * ((P0 + g0a Ta)/s0 + (g0b/s0 - 1) T_board)
-    const double c0 = g0b * (power_w[kCpu] + g0a * ta) / s0;
-    const double k0 = g0b * (g0b / s0 - 1.0);
-    const double c1 = g1b * (power_w[kGpu] + g1a * ta) / s1;
-    const double k1 = g1b * (g1b / s1 - 1.0);
+    const double c0 = g0b * (power_w[kCpu] + g0a * ta) / ss_s0_;
+    const double c1 = g1b * (power_w[kGpu] + g1a * ta) / ss_s1_;
 
-    const double t_board = (power_w[kBoard] + c0 + c1 + g2a * ta) / (g2a - k0 - k1);
-    const double t_cpu = (power_w[kCpu] + g0b * t_board + g0a * ta) / s0;
-    const double t_gpu = (power_w[kGpu] + g1b * t_board + g1a * ta) / s1;
+    const double t_board = (power_w[kBoard] + c0 + c1 + g2a * ta) / ss_board_den_;
+    const double t_cpu = (power_w[kCpu] + g0b * t_board + g0a * ta) / ss_s0_;
+    const double t_gpu = (power_w[kGpu] + g1b * t_board + g1a * ta) / ss_s1_;
     return {t_cpu, t_gpu, t_board};
 }
 

@@ -21,6 +21,16 @@
 // temperature inside a segment) stays below a configured tolerance. Every
 // node needs a conductive path to ambient: without one G is singular and
 // there is no steady state to decay towards, so the constructor rejects it.
+//
+// A segment is one serial chain -- steady state, projection, drift bound,
+// step length h, decays e^{-lambda_k h}, new temperatures -- so its cost is
+// the chain's latency. Most segments end at dt_max (the next poll or event),
+// not at the drift bound, so advance_bounded() starts the three
+// e^{-lambda_k dt_max} before the chain's divisions, where they overlap,
+// and recomputes the decays only when the bound or the 1 ns floor made h
+// shorter. Both are the same expression of the same h, so every bit of the
+// result is unchanged; the power-independent products and sums of the
+// projection and of steady_state() are computed once, in decompose().
 
 #include <array>
 #include <cstddef>
@@ -95,6 +105,12 @@ private:
     std::array<double, kNumThermalNodes> eigenvalues_{};          // 1/s, >= 0
     std::array<std::array<double, kNumThermalNodes>, kNumThermalNodes>
         eigenvectors_{};                                          // columns
+    // projection_[i][k] = V_ik sqrt(C_i): a_k = sum_i projection_[i][k] (T_i - T_ss,i).
+    std::array<std::array<double, kNumThermalNodes>, kNumThermalNodes> projection_{};
+    // steady_state()'s die sums s_d = Gdb + Gda and board denominator.
+    double ss_s0_ = 0.0;
+    double ss_s1_ = 0.0;
+    double ss_board_den_ = 0.0;
 };
 
 } // namespace lotus::platform

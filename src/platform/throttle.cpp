@@ -21,12 +21,11 @@ ThermalThrottler::ThermalThrottler(ThrottleParams params)
     }
 }
 
-std::size_t ThermalThrottler::update(double now, double temp_celsius) {
+void ThermalThrottler::poll(double now, double temp_celsius) {
     // One decision per elapsed polling interval. If the simulation jumped
     // several intervals (a long frame), the kernel would have polled during
-    // that window too, so apply the decision repeatedly.
-    // The epsilon absorbs floating-point residue when callers step time in
-    // exact multiples of the polling interval.
+    // that window too, so apply the decision repeatedly (same epsilon as
+    // update()).
     while (now - last_poll_ >= params_.poll_interval_s - 1e-12) {
         last_poll_ += params_.poll_interval_s;
         if (temp_celsius >= params_.trip_celsius) {
@@ -41,7 +40,6 @@ std::size_t ThermalThrottler::update(double now, double temp_celsius) {
         }
         // Inside the hysteresis band: hold the current cap.
     }
-    return cap_;
 }
 
 void ThermalThrottler::reset() {

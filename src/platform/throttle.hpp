@@ -36,8 +36,14 @@ public:
 
     /// Advance to time `now` [s]. At each elapsed polling interval: clamp
     /// hard if at/above trip, hold inside the hysteresis band, release one
-    /// level per interval below it.
-    std::size_t update(double now, double temp_celsius);
+    /// level per interval below it. The device calls this after every
+    /// thermal segment and most segments reach no poll, so that check is
+    /// inline. The epsilon absorbs floating-point residue when callers step
+    /// time in exact multiples of the polling interval.
+    std::size_t update(double now, double temp_celsius) {
+        if (now - last_poll_ >= params_.poll_interval_s - 1e-12) poll(now, temp_celsius);
+        return cap_;
+    }
 
     /// Highest OPP level currently allowed.
     [[nodiscard]] std::size_t cap() const noexcept { return cap_; }
@@ -61,6 +67,9 @@ public:
     [[nodiscard]] const ThrottleParams& params() const noexcept { return params_; }
 
 private:
+    /// Apply every polling decision due by `now`.
+    void poll(double now, double temp_celsius);
+
     ThrottleParams params_;
     std::size_t cap_;
     double last_poll_ = 0.0;

@@ -129,12 +129,14 @@ TEST(ExperimentHarness, EpisodeFailuresPropagate) {
     Scenario s(runtime::static_experiment(spec, detector::DetectorKind::faster_rcnn,
                                           "KITTI", 10, 0));
     s.name = "failing";
-    auto bad = fixed_arm(5, 3);
+    ArmSpec bad;
     bad.name = "bad";
     bad.make_for = [](const platform::DeviceSpec&,
                       std::uint64_t) -> std::unique_ptr<governors::Governor> {
         throw std::invalid_argument("bad arm");
     };
+    // A hand-made arm keeps the Custom spec: it never reads as the stock governors.
+    EXPECT_NE(bad.governor, default_arm().governor);
     s.arms.push_back(fixed_arm(5, 3));
     s.arms.push_back(std::move(bad));
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <variant>
 
+#include "../../examples/budget_governor.hpp"
 #include "harness/registry.hpp"
 #include "platform/presets.hpp"
 
@@ -145,6 +146,20 @@ TEST(GovernorSpec, BuildSizesLotusToTheDevice) {
     const auto on_orin = build(orin_lotus, orin, 4);
     EXPECT_EQ(dynamic_cast<const core::LotusAgent&>(*on_orin).config().reward.t_thres_celsius,
               platform::reward_threshold_celsius(orin));
+}
+
+TEST(GovernorSpec, HandMadeArmsAreCustom) {
+    // An arm with its own make_for runs a governor outside the vocabulary:
+    // its spec is Custom, never equal to a vocabulary arm's, and build()
+    // has nothing to make from it.
+    const auto budget = budget_arm();
+    EXPECT_EQ(budget.governor, GovernorSpec{Custom{"budget-heuristic"}});
+    EXPECT_NE(budget.governor, default_arm().governor);
+    EXPECT_NE(ArmSpec{}.governor, default_arm().governor);
+    EXPECT_NE(budget.governor, ArmSpec{}.governor);
+    const auto orin = platform::orin_nano_spec();
+    EXPECT_THROW((void)build(budget.governor, orin, 1), std::invalid_argument);
+    EXPECT_EQ(budget.make_for(orin, 1)->name(), "budget-heuristic");
 }
 
 TEST(ScenarioRegistry, Fig1ArmsSweepTheDetector) {

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "closed_form_reference.hpp"
 #include "euler_reference.hpp"
+#include "platform/presets.hpp"
 #include "platform/thermal.hpp"
 #include "platform/throttle.hpp"
+#include "util/rng.hpp"
 
 namespace lotus::platform {
 namespace {
@@ -242,6 +247,70 @@ TEST(ThermalNetworkExact, NetworkWithoutPathToAmbientIsRejected) {
     p.g_to_ambient[2] = 0.0;
     EXPECT_NE(message(p).find("board node has no path to ambient"), std::string::npos)
         << message(p);
+}
+
+TEST(ThermalNetworkExact, BitIdenticalToClosedFormReference) {
+    // The optimised stepper must reproduce the reference stepper bit for bit:
+    // temperatures, step length and step count, on the presets and on random
+    // valid networks, from ambient up to 110 C, at 0-20 W, across step
+    // budgets from sub-nanosecond (the 1 ns floor binds) through one throttle
+    // poll to 1e4 s (every decay underflows), and drift tolerances from tight
+    // to unbounded.
+    util::Rng rng(20261019);
+    std::vector<ThermalParams> networks{platform::orin_nano_spec().thermal,
+                                        platform::mi11_lite_spec().thermal};
+    while (networks.size() < 12) {
+        ThermalParams p;
+        for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+            p.capacity[i] = rng.uniform(0.5, 200.0);
+            p.g_to_ambient[i] = rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.001, 0.5);
+        }
+        p.g_to_board = {rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), 0.0};
+        try {
+            ThermalNetwork probe(p);
+        } catch (const std::invalid_argument&) {
+            continue; // no path to ambient: not a valid network
+        }
+        networks.push_back(p);
+    }
+    const double poll = platform::orin_nano_spec().cpu_throttle.poll_interval_s;
+    const double budgets[] = {0.0, 1e-12, std::nextafter(1e-9, 0.0), poll, 1e4};
+    const double deltas[] = {0.01, 0.25, kInf};
+
+    std::size_t full_steps = 0;
+    std::size_t cut_steps = 0;
+    for (const auto& base : networks) {
+        for (int trial = 0; trial < 200; ++trial) {
+            ThermalParams p = base;
+            const double ambient = rng.uniform(0.0, 45.0);
+            for (auto& t : p.initial) t = rng.uniform(ambient, 110.0);
+            ThermalNetwork net(p);
+            ClosedFormReference ref(p);
+            for (int step = 0; step < 8; ++step) {
+                const std::array<double, kNumThermalNodes> power{
+                    rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0),
+                    rng.uniform() < 0.8 ? 0.0 : rng.uniform(0.0, 20.0)};
+                const double dt_max = rng.uniform() < 0.2
+                                          ? rng.uniform(0.0, poll)
+                                          : budgets[rng.uniform_int(0, 4)];
+                const double delta = deltas[rng.uniform_int(0, 2)];
+                const double h = net.advance_bounded(dt_max, power, ambient, delta);
+                const double h_ref = ref.advance_bounded(dt_max, power, ambient, delta);
+                ASSERT_EQ(std::memcmp(&h, &h_ref, sizeof h), 0)
+                    << "h " << h << " vs " << h_ref << " at dt_max " << dt_max;
+                ASSERT_EQ(std::memcmp(net.temperatures().data(), ref.temperatures().data(),
+                                      sizeof(double) * kNumThermalNodes),
+                          0)
+                    << "temperatures differ at dt_max " << dt_max << ", delta " << delta;
+                ASSERT_EQ(net.steps(), ref.steps());
+                if (dt_max > 0.0) ++(h == dt_max ? full_steps : cut_steps);
+            }
+        }
+    }
+    // Both ways a segment ends: at its budget (the decays started early are
+    // used) and at the drift bound or the 1 ns floor (they are recomputed).
+    EXPECT_GT(full_steps, 2000u);
+    EXPECT_GT(cut_steps, 2000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 """Exit codes of tools/check_bench_regression.py on synthetic perfbench output.
 
 Usage:
-    test_check_bench_regression.py CHECK_SCRIPT BASELINE
+    test_check_bench_regression.py CHECK_SCRIPT BASELINE [BASELINE ...]
 
 Writes perfbench-shaped outputs (banner lines, then the one-line JSON
 result) and a synthetic baseline into a temp directory, runs the check on
 each case's outputs and compares its exit code: 0 at the baseline, 1 when
 the median run is past the allowed slowdown or any run perfbench reports
-as failed, 2 on malformed input.
-The committed BASELINE must also parse and pass an output at its own value.
+as failed, 2 on malformed input, a baseline without a workload name or a
+run of another workload than the baseline's.
+Each committed BASELINE must also parse and pass an output of its own
+workload at its own value.
 """
 
 import json
@@ -18,9 +20,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-BANNER = ("serve_saturation_short seed 42: end-to-end metrics\n"
-          "  ref_cpu_s                          1.000000 s\n"
-          "  episode digests vs recorded: identical\n")
+
+def banner(workload="serve_saturation_short"):
+    return (f"{workload} seed 42: end-to-end metrics\n"
+            "  ref_cpu_s                          1.000000 s\n"
+            "  episode digests vs recorded: identical\n")
 
 
 def result_line(ref_cpu_s=1.0, correct=True, failed=0):
@@ -31,15 +35,15 @@ def result_line(ref_cpu_s=1.0, correct=True, failed=0):
 
 
 def main():
-    check, committed = sys.argv[1], sys.argv[2]
+    check, committed = sys.argv[1], sys.argv[2:]
     base_ref = 1.0
-    committed_ref = json.loads(Path(committed).read_text())["ref_cpu_s"]
     no_ref = json.dumps({"correct": True, "attempted": 38, "failed": 0,
                          "metrics": {"peak_rss_mb": {"value": 15.75, "unit": "MB"}}})
+    other = "serve_overload_40k"
     cases = [
-        # (name, last stdout line(s) -- one per run, baseline, expected exit code)
+        # (name, last stdout line(s) -- one per run, baseline, expected exit
+        # code); a (workload, line) pair is a run of that workload.
         ("at the baseline", result_line(base_ref), None, 0),
-        ("committed baseline", result_line(committed_ref), committed, 0),
         ("baseline x 1.09", result_line(base_ref * 1.09), None, 0),
         ("baseline x 1.11", result_line(base_ref * 1.11), None, 1),
         ("correct false", result_line(base_ref, correct=False), None, 1),
@@ -55,19 +59,32 @@ def main():
                               result_line(base_ref * 1.2)], None, 1),
         ("median fine, one run failed", [result_line(base_ref), result_line(base_ref),
                                          result_line(base_ref, failed=1)], None, 1),
+        ("run of another workload", [(other, result_line(base_ref))], None, 2),
+        ("1 of 3 runs of another workload", [result_line(base_ref), result_line(base_ref),
+                                             (other, result_line(base_ref))], None, 2),
+        ("baseline without a workload", result_line(base_ref), "unnamed", 2),
     ]
+    for path in committed:
+        doc = json.loads(Path(path).read_text())
+        cases.append((f"committed {Path(path).name}",
+                      [(doc["workload"], result_line(doc["ref_cpu_s"]))], path, 0))
     bad = 0
     with tempfile.TemporaryDirectory(prefix="check_bench_regression_") as tmp:
         synthetic = Path(tmp) / "baseline.json"
         synthetic.write_text(json.dumps({"workload": "serve_saturation_short",
                                          "ref_cpu_s": base_ref}))
+        unnamed = Path(tmp) / "unnamed.json"
+        unnamed.write_text(json.dumps({"ref_cpu_s": base_ref}))
+        baselines = {None: str(synthetic), "unnamed": str(unnamed)}
         for i, (name, lasts, baseline, expected) in enumerate(cases):
             outputs = []
-            for j, last in enumerate([lasts] if isinstance(lasts, str) else lasts):
+            for j, run in enumerate([lasts] if isinstance(lasts, str) else lasts):
+                workload, last = run if isinstance(run, tuple) else (
+                    "serve_saturation_short", run)
                 outputs.append(Path(tmp) / f"out{i}_{j}.txt")
-                outputs[-1].write_text(BANNER + last + "\n")
+                outputs[-1].write_text(banner(workload) + last + "\n")
             proc = subprocess.run(
-                [sys.executable, check, *map(str, outputs), baseline or str(synthetic)],
+                [sys.executable, check, *map(str, outputs), baselines.get(baseline, baseline)],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             verdict = "ok" if proc.returncode == expected else "WRONG"
             print(f"{verdict}: {name}: exit {proc.returncode}, expected {expected}")

@@ -28,7 +28,9 @@
 //   --devices LIST     pool sizes, e.g. 1,2,4          (default 1,2)
 //   --router LIST      routing policies                (default round_robin)
 //   --scheduler LIST   queue policies                  (default edf)
-//   --governor LIST    governor vocabulary of lotus_serve (default performance)
+//   --governor LIST    governor vocabulary of lotus_serve (default performance);
+//                      an element starting with fixed: takes the next element as
+//                      its GPU level, so performance,fixed:5,3 is two governors
 //   --rate LIST        per-stream mean rates [Hz]      (default 0.25)
 //   --trace LIST       replay .ltrc traces instead of generating arrivals
 //                      (mutually exclusive with --rate; streams come from
@@ -103,6 +105,20 @@ std::vector<std::string> split_list(const std::string& flag, const std::string& 
     return out;
 }
 
+/// split_list for --governor: `fixed:<cpu>,<gpu>` holds a comma itself, so
+/// an element starting with "fixed:" takes the next element as its GPU level.
+std::vector<std::string> split_governors(const std::string& flag, const std::string& raw) {
+    const auto items = split_list(flag, raw);
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        out.push_back(items[i]);
+        if (items[i].rfind("fixed:", 0) == 0 && i + 1 < items.size()) {
+            out.back() += "," + items[++i];
+        }
+    }
+    return out;
+}
+
 Options parse(int argc, char** argv) {
     Options opt;
     bool rates_given = false;
@@ -123,7 +139,7 @@ Options parse(int argc, char** argv) {
         } else if (flag == "--scheduler") {
             opt.schedulers = split_list(flag, need_value(i));
         } else if (flag == "--governor") {
-            opt.governors = split_list(flag, need_value(i));
+            opt.governors = split_governors(flag, need_value(i));
         } else if (flag == "--rate") {
             opt.rates = split_list(flag, need_value(i));
             rates_given = true;
