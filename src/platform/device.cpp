@@ -1,6 +1,7 @@
 #include "platform/device.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "prof/profiler.hpp"
@@ -92,9 +93,11 @@ double EdgeDevice::advance_work(double dt, double cpu_util, double gpu_util) {
     return advance_segmented(dt, cpu_util, gpu_util, /*stop_on_level_change=*/true);
 }
 
-void EdgeDevice::fire_due_events(double cpu_util, double gpu_util) {
-    if (!listener_) return;
-    for (int guard = 0; listener_->next_event_s() <= now_ + kTimeEps; ++guard) {
+double EdgeDevice::fire_due_events(double cpu_util, double gpu_util) {
+    if (!listener_) return std::numeric_limits<double>::infinity();
+    for (int guard = 0;; ++guard) {
+        const double next = listener_->next_event_s();
+        if (next > now_ + kTimeEps) return next;
         if (guard > 4096) {
             throw std::logic_error(
                 "EdgeDevice::advance: listener does not move its event deadline forward");
@@ -115,14 +118,36 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
     double remaining = dt;
     double elapsed = 0.0;
     std::uint64_t segments = 0;
-    fire_due_events(cpu_util, gpu_util);
+    std::uint64_t exact_bounds = 0;
+    // Each domain's voltage and dynamic power depend only on its granted
+    // level within this call (the utilizations are fixed), so they are
+    // recomputed only when that level changes; the sum below is
+    // PowerModel::total()'s, term for term.
+    std::size_t cl_powered = cpu_levels();
+    std::size_t gl_powered = gpu_levels();
+    double v_cpu = 0.0;
+    double v_gpu = 0.0;
+    double dyn_cpu = 0.0;
+    double dyn_gpu = 0.0;
+    // The listener's next deadline, as read after its last callback: it
+    // moves only inside listener callbacks, and fire_due_events() runs after
+    // each segment's.
+    double next_event = fire_due_events(cpu_util, gpu_util);
     while (remaining > 0.0) {
         const auto cl = cpu_level();
         const auto gl = gpu_level();
-        const double p_cpu = cpu_power_.total(spec_.cpu.opp.freq(cl), spec_.cpu.opp.voltage(cl),
-                                              cpu_util, cpu_temp());
-        const double p_gpu = gpu_power_.total(spec_.gpu.opp.freq(gl), spec_.gpu.opp.voltage(gl),
-                                              gpu_util, gpu_temp());
+        if (cl != cl_powered) {
+            cl_powered = cl;
+            v_cpu = spec_.cpu.opp.voltage(cl);
+            dyn_cpu = cpu_power_.dynamic_power(spec_.cpu.opp.freq(cl), v_cpu, cpu_util);
+        }
+        if (gl != gl_powered) {
+            gl_powered = gl;
+            v_gpu = spec_.gpu.opp.voltage(gl);
+            dyn_gpu = gpu_power_.dynamic_power(spec_.gpu.opp.freq(gl), v_gpu, gpu_util);
+        }
+        const double p_cpu = dyn_cpu + cpu_power_.leakage(v_cpu, cpu_temp());
+        const double p_gpu = dyn_gpu + gpu_power_.leakage(v_gpu, gpu_temp());
         const std::array<double, kNumThermalNodes> power{p_cpu, p_gpu, 0.0};
 
         // Segment budget: up to the earliest of caller deadline, throttle
@@ -133,15 +158,17 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
         double t_next = now_ + remaining;
         t_next = std::min(t_next, cpu_throttle_.next_poll_s());
         t_next = std::min(t_next, gpu_throttle_.next_poll_s());
-        if (listener_) t_next = std::min(t_next, listener_->next_event_s());
+        t_next = std::min(t_next, next_event);
         t_next = std::max(t_next, now_ + 1e-9); // progress guarantee
         const double budget = std::min(t_next - now_, remaining);
 
         // One modal projection bounds the step (thermal_accuracy_k) and
         // advances it; h <= budget.
+        const std::uint64_t exact_before = thermal_.exact_bounds();
         const double h =
             thermal_.advance_bounded(budget, power, ambient_, spec_.thermal_accuracy_k);
         ++segments;
+        exact_bounds += thermal_.exact_bounds() - exact_before;
         last_power_ = {p_cpu, p_gpu};
         energy_j_ += (p_cpu + p_gpu) * h;
         now_ += h;
@@ -161,11 +188,12 @@ double EdgeDevice::advance_segmented(double dt, double cpu_util, double gpu_util
         // Deliver due listener events (kernel ticks). These may nest another
         // advance (a tick requesting new levels pays the DVFS stall), which
         // runs this loop re-entrantly on top of the current segment.
-        fire_due_events(cpu_util, gpu_util);
+        next_event = fire_due_events(cpu_util, gpu_util);
 
         if (stop_on_level_change && (cpu_level() != cl || gl != gpu_level())) break;
     }
     LOTUS_PROF_COUNT("device.thermal_segments", segments);
+    LOTUS_PROF_COUNT("device.thermal_exact_bounds", exact_bounds);
     return elapsed;
 }
 

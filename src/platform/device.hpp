@@ -203,8 +203,9 @@ private:
     /// Shared event-driven advance loop behind advance()/advance_work().
     double advance_segmented(double dt, double cpu_util, double gpu_util,
                              bool stop_on_level_change);
-    /// Deliver every listener event whose deadline is already due.
-    void fire_due_events(double cpu_util, double gpu_util);
+    /// Deliver every listener event whose deadline is already due; returns
+    /// the listener's next deadline (+inf without a listener).
+    double fire_due_events(double cpu_util, double gpu_util);
     /// Emit platform telemetry for the segment that just ended into `tel`
     /// (the bound recorder, non-null): OPP-change and throttle trip/clear
     /// instants, plus the periodic temperature / frequency / power samples.

@@ -121,11 +121,28 @@ void ThermalNetwork::decompose() {
     const double k0 = g0b * (g0b / ss_s0_ - 1.0);
     const double k1 = g1b * (g1b / ss_s1_ - 1.0);
     ss_board_den_ = params_.g_to_ambient[kBoard] - k0 - k1;
+
+    // Free-step test constants (the proof is at advance_bounded() in the
+    // header). Each rounding of mu_ik is followed by one step up, so mu_ik
+    // bounds rho_ik (1 + m) / sqrt(C_i) from above.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kMargin = 0x1p-40;
+    double lambda_sum = 0.0;
+    for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+        lambda_sum += eigenvalues_[k];
+        for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+            const double rho =
+                sqrt_c_[i] < 1.0 ? std::max(eigenvalues_[k], 1.0) : eigenvalues_[k];
+            const double rate = std::nextafter(rho / sqrt_c_[i], kInf);
+            free_rate_[i][k] = std::nextafter(rate * (1.0 + kMargin), kInf);
+        }
+    }
+    free_floor_ = 0x1p-1000 * (lambda_sum + 1.0);
 }
 
-double ThermalNetwork::advance_bounded(double dt_max,
-                                       const std::array<double, kNumThermalNodes>& power_w,
-                                       double ambient_celsius, double delta_k) {
+[[gnu::aligned(64)]] double ThermalNetwork::advance_bounded(
+    double dt_max, const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius,
+    double delta_k) {
     if (dt_max < 0.0) {
         throw std::invalid_argument("ThermalNetwork::advance_bounded: negative dt");
     }
@@ -151,32 +168,48 @@ double ThermalNetwork::advance_bounded(double dt_max,
         }
     }
 
-    // Node i moves as T_i(t) - T_i(0) = sum_k c_ik (e^{-lambda_k t} - 1)
-    // with c_ik = V_ik a_k / sqrt(C_i). Two rigorous per-node bounds:
-    //   saturation: |dT_i(t)| <= A_i        = sum_k |c_ik|       (for all t)
-    //   rate:       |dT_i(t)| <= t * R_i,   R_i = sum_k |c_ik| lambda_k
-    // (1 - e^{-x} <= min(1, x)). A node with A_i <= delta can never drift
-    // that far; otherwise delta / R_i bounds its crossing time. Taking the
-    // per-node rate -- instead of amplitude * lambda_max -- keeps the slow,
-    // large-amplitude board mode from being charged at the fast die rate.
-    double bound = std::numeric_limits<double>::infinity();
+    // Free-step test: no node can bind within dt_max (see the header for
+    // why a pass proves that the drift bound below would return dt_max).
+    const double delta_free = delta_k - std::numeric_limits<double>::denorm_min();
+    bool full_step = true;
     for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
-        double amplitude = 0.0;
-        double rate = 0.0;
+        double r = free_floor_;
         for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
-            const double c = std::abs(eigenvectors_[i][k] * a[k]) / sqrt_c_[i];
-            amplitude += c;
-            rate += c * eigenvalues_[k];
+            r += std::abs(eigenvectors_[i][k] * a[k]) * free_rate_[i][k];
         }
-        if (amplitude <= delta_k || rate <= 0.0) continue;
-        bound = std::min(bound, delta_k / rate);
+        full_step &= r * dt_max <= delta_free;
     }
-    // The 1 ns floor guarantees forward progress even if the bound ever
-    // degenerates numerically.
-    const double h = std::min(dt_max, std::max(bound, 1e-9));
-    if (h != dt_max) {
-        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
-            decay[k] = std::exp(-eigenvalues_[k] * h);
+
+    double h = dt_max;
+    if (!full_step) {
+        ++exact_bounds_;
+        // Node i moves as T_i(t) - T_i(0) = sum_k c_ik (e^{-lambda_k t} - 1)
+        // with c_ik = V_ik a_k / sqrt(C_i). Two rigorous per-node bounds:
+        //   saturation: |dT_i(t)| <= A_i        = sum_k |c_ik|       (for all t)
+        //   rate:       |dT_i(t)| <= t * R_i,   R_i = sum_k |c_ik| lambda_k
+        // (1 - e^{-x} <= min(1, x)). A node with A_i <= delta can never drift
+        // that far; otherwise delta / R_i bounds its crossing time. Taking the
+        // per-node rate -- instead of amplitude * lambda_max -- keeps the slow,
+        // large-amplitude board mode from being charged at the fast die rate.
+        double bound = std::numeric_limits<double>::infinity();
+        for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+            double amplitude = 0.0;
+            double rate = 0.0;
+            for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+                const double c = std::abs(eigenvectors_[i][k] * a[k]) / sqrt_c_[i];
+                amplitude += c;
+                rate += c * eigenvalues_[k];
+            }
+            if (amplitude <= delta_k || rate <= 0.0) continue;
+            bound = std::min(bound, delta_k / rate);
+        }
+        // The 1 ns floor guarantees forward progress even if the bound ever
+        // degenerates numerically.
+        h = std::min(dt_max, std::max(bound, 1e-9));
+        if (h != dt_max) {
+            for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+                decay[k] = std::exp(-eigenvalues_[k] * h);
+            }
         }
     }
 
@@ -221,11 +254,13 @@ std::array<double, kNumThermalNodes> ThermalNetwork::steady_state(
 void ThermalNetwork::reset(double ambient_celsius) {
     temps_ = {ambient_celsius, ambient_celsius, ambient_celsius};
     steps_ = 0;
+    exact_bounds_ = 0;
 }
 
 void ThermalNetwork::reset() {
     temps_ = params_.initial;
     steps_ = 0;
+    exact_bounds_ = 0;
 }
 
 } // namespace lotus::platform

@@ -26,11 +26,15 @@
 // step length h, decays e^{-lambda_k h}, new temperatures -- so its cost is
 // the chain's latency. Most segments end at dt_max (the next poll or event),
 // not at the drift bound, so advance_bounded() starts the three
-// e^{-lambda_k dt_max} before the chain's divisions, where they overlap,
-// and recomputes the decays only when the bound or the 1 ns floor made h
-// shorter. Both are the same expression of the same h, so every bit of the
-// result is unchanged; the power-independent products and sums of the
-// projection and of steady_state() are computed once, in decompose().
+// e^{-lambda_k dt_max} before the chain, where they overlap, and runs a
+// division-free free-step test before the drift bound's divisions: when it
+// proves that no node can bind, h is dt_max and the bound is skipped. The
+// exact bound runs only when the test fails, and the decays are recomputed
+// only when the bound or the 1 ns floor made h shorter. The test passes only
+// when the exact bound would have returned dt_max (proof at
+// advance_bounded()), so every bit of the result is unchanged; the
+// power-independent products and sums of the projection, of steady_state()
+// and of the test are computed once, in decompose().
 
 #include <array>
 #include <cstddef>
@@ -69,11 +73,52 @@ public:
     /// 1 - e^{-x} <= min(1, x)); nodes with A_i <= delta can never cross,
     /// the rest cross no earlier than delta / R_i. An infinite `delta_k`
     /// takes the whole dt_max in one step.
+    ///
+    /// Free-step test. With p_ik = |V_ik a_k| (the same rounded products
+    /// the exact bound divides by sqrt(C_i)), the test passes when, for
+    /// every node i,
+    ///   fl(r_i * dt_max) <= fl(delta - 2^-1074),
+    ///   r_i = fl(tau + sum_k p_ik mu_ik),  mu_ik >= rho_ik (1 + m) / sqrt(C_i),
+    /// summed in k order, with m = 2^-40 and rho_ik = lambda_k, or
+    /// max(lambda_k, 1) for a node with sqrt(C_i) < 1. mu_ik is rho_ik /
+    /// sqrt(C_i) times 1 + m, each rounding followed by one step up
+    /// (nextafter), so it bounds the real value from above even when it is
+    /// subnormal. A pass implies fl(delta / R_i) >= dt_max for every node
+    /// that the exact bound does not skip, hence h == dt_max (u = 2^-53,
+    /// eta = 2^-1075 the absolute error of a rounding into the subnormal
+    /// range):
+    /// - Overflow fails the test first. mu_ik > lambda_k (1 + m) / sqrt(C_i),
+    ///   so a product |c_ik| lambda_k or a rate sum of the exact bound that
+    ///   rounds to inf makes p_ik mu_ik or r_i inf as well. A quotient
+    ///   |c_ik| = p_ik / sqrt(C_i) can round to inf only when sqrt(C_i) < 1,
+    ///   and there mu_ik > (1 + m) / sqrt(C_i) makes p_ik mu_ik inf too. On a
+    ///   pass with a finite delta every rounding of the exact rate costs at
+    ///   most a factor 1 + u and an absolute eta: R_i <= (1 + u)^4 S_i /
+    ///   sqrt(C_i) + E with S_i = sum_k p_ik lambda_k and E <= 2 eta
+    ///   (sum lambda + 3).
+    /// - The test's 3 products and 3 sums give r_i >= (1 - u)^4 (1 + m)
+    ///   S_i / sqrt(C_i) + (tau - 3 eta)(1 - u)^3. The absolute term tau =
+    ///   2^-1000 (sum lambda + 1) exceeds 3 eta + 2E, so it covers every
+    ///   subnormal product on both sides: R_i <= (1 + u)^4 r_i / ((1 + m)
+    ///   (1 - u)^4).
+    /// - Subtracting 2^-1074 from delta covers the rounding of
+    ///   r_i * dt_max into the subnormal range: r_i dt_max <= delta (1 + u)
+    ///   / (1 - u), also for a subnormal delta.
+    /// - Together R_i dt_max <= delta ((1 + u) / (1 - u))^5 / (1 + m) <=
+    ///   delta, since 11u < m: the relative margin m covers every rounding
+    ///   of both sums, of the comparison and of delta / R_i. Rounding is
+    ///   monotone and dt_max is a double, so fl(delta / R_i) >= dt_max.
+    /// A NaN fails the comparison, and an infinite delta passes only where
+    /// the exact bound skips every node; every other outcome runs the exact
+    /// bound. exact_bounds() counts those runs.
     double advance_bounded(double dt_max, const std::array<double, kNumThermalNodes>& power_w,
                            double ambient_celsius, double delta_k);
 
     /// advance_bounded() calls that moved time so far; cleared by reset().
     [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
+    /// Of those, the steps whose free-step test failed and that ran the
+    /// exact drift bound; cleared by reset().
+    [[nodiscard]] std::uint64_t exact_bounds() const noexcept { return exact_bounds_; }
 
     [[nodiscard]] double temperature(ThermalNode n) const noexcept {
         return temps_[static_cast<std::size_t>(n)];
@@ -98,6 +143,7 @@ private:
     ThermalParams params_;
     std::array<double, kNumThermalNodes> temps_{};
     std::uint64_t steps_ = 0;
+    std::uint64_t exact_bounds_ = 0;
 
     // Constant modal decomposition of S = C^{-1/2} G C^{-1/2} (symmetric),
     // computed once at construction.
@@ -111,6 +157,9 @@ private:
     double ss_s0_ = 0.0;
     double ss_s1_ = 0.0;
     double ss_board_den_ = 0.0;
+    // Free-step test constants (see advance_bounded()): mu_ik and tau.
+    std::array<std::array<double, kNumThermalNodes>, kNumThermalNodes> free_rate_{};
+    double free_floor_ = 0.0;
 };
 
 } // namespace lotus::platform

@@ -26,14 +26,66 @@ constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
 
 std::atomic<bool> g_enabled{false};
 
-/// Per-thread accumulation for one region. `parent_plus1` is the region id
-/// under which this region was first entered on this thread, plus one
-/// (0 = unknown / root).
-struct LocalRegion {
+/// One node of a call tree: a region entered under one parent node. The
+/// same region under two parents is two nodes.
+struct Node {
+    RegionId region = 0;
+    std::size_t parent = kNoParent;
     std::uint64_t calls = 0;
     std::uint64_t total_ns = 0;
     std::uint64_t child_ns = 0;
-    std::size_t parent_plus1 = 0;
+};
+
+/// A call tree keyed by (parent node, region). Node 0 is the root, under
+/// which top-level regions hang; nodes are appended when first entered, so
+/// a parent always precedes its children.
+class Tree {
+public:
+    static constexpr std::size_t kRoot = 0;
+
+    Tree() : nodes_(1), first_child_(1, kNoParent), next_sibling_(1, kNoParent) {}
+
+    [[nodiscard]] const std::vector<Node>& nodes() const noexcept { return nodes_; }
+    Node& operator[](std::size_t i) noexcept { return nodes_[i]; }
+
+    /// Index of the node for `region` under `parent`, created on first use.
+    std::size_t child(std::size_t parent, RegionId region) {
+        for (std::size_t n = first_child_[parent]; n != kNoParent; n = next_sibling_[n]) {
+            if (nodes_[n].region == region) return n;
+        }
+        Node node;
+        node.region = region;
+        node.parent = parent;
+        nodes_.push_back(node);
+        next_sibling_.push_back(first_child_[parent]);
+        first_child_.push_back(kNoParent);
+        first_child_[parent] = nodes_.size() - 1;
+        return nodes_.size() - 1;
+    }
+
+    /// Add every node of `src` to the node at the same path here.
+    void fold(const Tree& src) {
+        std::vector<std::size_t> here(src.nodes_.size(), kRoot);
+        for (std::size_t i = kRoot + 1; i < src.nodes_.size(); ++i) {
+            const Node& s = src.nodes_[i];
+            here[i] = child(here[s.parent], s.region);
+            Node& d = nodes_[here[i]];
+            d.calls += s.calls;
+            d.total_ns += s.total_ns;
+            d.child_ns += s.child_ns;
+        }
+    }
+
+    /// Zero every count; the nodes (and so the names) stay.
+    void zero() noexcept {
+        for (auto& n : nodes_) n.calls = n.total_ns = n.child_ns = 0;
+    }
+
+private:
+    std::vector<Node> nodes_;
+    // Sibling lists: the first child and the next sibling of each node.
+    std::vector<std::size_t> first_child_;
+    std::vector<std::size_t> next_sibling_;
 };
 
 struct ThreadLog;
@@ -71,37 +123,26 @@ public:
 private:
     std::mutex mu_;
     std::vector<ThreadLog*> live_;
-    std::vector<LocalRegion> retired_regions_;
+    Tree retired_tree_;
     std::vector<std::uint64_t> retired_counters_;
 
-    void fold_locked(const std::vector<LocalRegion>& regions,
-                     const std::vector<std::uint64_t>& counters) {
-        if (retired_regions_.size() < regions.size()) retired_regions_.resize(regions.size());
-        for (std::size_t i = 0; i < regions.size(); ++i) {
-            auto& dst = retired_regions_[i];
-            dst.calls += regions[i].calls;
-            dst.total_ns += regions[i].total_ns;
-            dst.child_ns += regions[i].child_ns;
-            if (dst.parent_plus1 == 0) dst.parent_plus1 = regions[i].parent_plus1;
-        }
-        if (retired_counters_.size() < counters.size()) retired_counters_.resize(counters.size());
-        for (std::size_t i = 0; i < counters.size(); ++i) retired_counters_[i] += counters[i];
+    static void fold_counters(std::vector<std::uint64_t>& dst,
+                              const std::vector<std::uint64_t>& src) {
+        if (dst.size() < src.size()) dst.resize(src.size());
+        for (std::size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
     }
 };
 
 /// One thread's accumulation log; folds itself into the registry on exit.
 struct ThreadLog {
-    std::vector<LocalRegion> regions;
+    Tree tree;
     std::vector<std::uint64_t> counters;
-    std::vector<RegionId> stack;
+    /// Tree nodes of the open timers, innermost last.
+    std::vector<std::size_t> stack;
 
     ThreadLog() { Registry::instance().attach(this); }
     ~ThreadLog() { Registry::instance().detach_and_fold(this); }
 
-    LocalRegion& region(RegionId id) {
-        if (regions.size() <= id) regions.resize(id + 1);
-        return regions[id];
-    }
     std::uint64_t& counter(CounterId id) {
         if (counters.size() <= id) counters.resize(id + 1, 0);
         return counters[id];
@@ -116,69 +157,56 @@ ThreadLog& tls() {
 void Registry::detach_and_fold(ThreadLog* log) {
     const std::lock_guard<std::mutex> lock(mu_);
     live_.erase(std::remove(live_.begin(), live_.end(), log), live_.end());
-    fold_locked(log->regions, log->counters);
+    retired_tree_.fold(log->tree);
+    fold_counters(retired_counters_, log->counters);
 }
 
 Report Registry::capture() {
     const std::lock_guard<std::mutex> lock(mu_);
-    std::vector<LocalRegion> regions = retired_regions_;
+    Tree tree = retired_tree_;
     std::vector<std::uint64_t> counters = retired_counters_;
-    const auto fold_into = [](auto& dst, const auto& src, auto&& merge) {
-        if (dst.size() < src.size()) dst.resize(src.size());
-        for (std::size_t i = 0; i < src.size(); ++i) merge(dst[i], src[i]);
-    };
     for (const auto* log : live_) {
-        fold_into(regions, log->regions, [](LocalRegion& d, const LocalRegion& s) {
-            d.calls += s.calls;
-            d.total_ns += s.total_ns;
-            d.child_ns += s.child_ns;
-            if (d.parent_plus1 == 0) d.parent_plus1 = s.parent_plus1;
-        });
-        fold_into(counters, log->counters,
-                  [](std::uint64_t& d, std::uint64_t s) { d += s; });
+        tree.fold(log->tree);
+        fold_counters(counters, log->counters);
     }
 
+    // Emission boundary: node order is first-execution order, which under a
+    // parallel harness depends on which worker reaches a call site first.
+    // Reports must be a pure function of the run, so sort the nodes by name,
+    // then by their parent's path, and remap the parent links.
+    const auto& nodes = tree.nodes();
+    std::vector<std::string> paths(nodes.size());
+    std::vector<std::size_t> order;
+    order.reserve(nodes.size() - 1);
+    for (std::size_t i = Tree::kRoot + 1; i < nodes.size(); ++i) {
+        paths[i] = paths[nodes[i].parent] + '/' + region_names_[nodes[i].region];
+        order.push_back(i);
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        const auto& na = region_names_[nodes[a].region];
+        const auto& nb = region_names_[nodes[b].region];
+        return na != nb ? na < nb : paths[a] < paths[b];
+    });
+    std::vector<std::size_t> row(nodes.size(), kNoParent); // the root has no row
+    for (std::size_t i = 0; i < order.size(); ++i) row[order[i]] = i;
+
     Report report;
-    report.regions.resize(region_names_.size());
-    for (std::size_t i = 0; i < region_names_.size(); ++i) {
-        auto& r = report.regions[i];
-        r.name = region_names_[i];
-        if (i < regions.size()) {
-            r.calls = regions[i].calls;
-            r.total_ns = regions[i].total_ns;
-            r.child_ns = regions[i].child_ns;
-            r.parent = regions[i].parent_plus1 == 0 ? kNoParent : regions[i].parent_plus1 - 1;
-        } else {
-            r.parent = kNoParent;
-        }
+    report.regions.reserve(order.size());
+    for (const auto idx : order) {
+        const Node& n = nodes[idx];
+        report.regions.push_back(RegionReport{
+            .name = region_names_[n.region],
+            .parent = row[n.parent],
+            .calls = n.calls,
+            .total_ns = n.total_ns,
+            .child_ns = n.child_ns,
+        });
     }
     report.counters.resize(counter_names_.size());
     for (std::size_t i = 0; i < counter_names_.size(); ++i) {
         report.counters[i].name = counter_names_[i];
         report.counters[i].value = i < counters.size() ? counters[i] : 0;
     }
-
-    // Emission boundary: interning order is first-execution order, which
-    // under a parallel harness depends on which worker reaches a call site
-    // first. Reports must be a pure function of the run, so sort regions and
-    // counters by name and remap the parent links through the permutation.
-    std::vector<std::size_t> order(report.regions.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return report.regions[a].name < report.regions[b].name;
-    });
-    std::vector<std::size_t> inverse(order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) inverse[order[i]] = i;
-    std::vector<RegionReport> sorted_regions;
-    sorted_regions.reserve(order.size());
-    for (const auto idx : order) {
-        auto& r = report.regions[idx];
-        if (r.parent != kNoParent && r.parent < inverse.size()) {
-            r.parent = inverse[r.parent];
-        }
-        sorted_regions.push_back(std::move(r));
-    }
-    report.regions = std::move(sorted_regions);
     std::sort(report.counters.begin(), report.counters.end(),
               [](const CounterReport& a, const CounterReport& b) { return a.name < b.name; });
     return report;
@@ -186,10 +214,10 @@ Report Registry::capture() {
 
 void Registry::reset() {
     const std::lock_guard<std::mutex> lock(mu_);
-    retired_regions_.assign(retired_regions_.size(), LocalRegion{});
+    retired_tree_.zero();
     retired_counters_.assign(retired_counters_.size(), 0);
     for (auto* log : live_) {
-        log->regions.assign(log->regions.size(), LocalRegion{});
+        log->tree.zero();
         log->counters.assign(log->counters.size(), 0);
     }
 }
@@ -216,12 +244,11 @@ void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relax
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
-ScopedTimer::ScopedTimer(RegionId id) noexcept : id_(id), active_(enabled()) {
+ScopedTimer::ScopedTimer(RegionId id) noexcept : active_(enabled()) {
     if (!active_) return;
     auto& log = tls();
-    auto& r = log.region(id_);
-    if (r.parent_plus1 == 0 && !log.stack.empty()) r.parent_plus1 = log.stack.back() + 1;
-    log.stack.push_back(id_);
+    node_ = log.tree.child(log.stack.empty() ? Tree::kRoot : log.stack.back(), id);
+    log.stack.push_back(node_);
     start_ns_ = now_ns();
 }
 
@@ -230,10 +257,10 @@ ScopedTimer::~ScopedTimer() {
     const std::uint64_t elapsed = now_ns() - start_ns_;
     auto& log = tls();
     log.stack.pop_back();
-    auto& r = log.region(id_);
-    r.calls += 1;
-    r.total_ns += elapsed;
-    if (!log.stack.empty()) log.region(log.stack.back()).child_ns += elapsed;
+    auto& n = log.tree[node_];
+    n.calls += 1;
+    n.total_ns += elapsed;
+    if (!log.stack.empty()) log.tree[log.stack.back()].child_ns += elapsed;
 }
 
 Report capture() { return Registry::instance().capture(); }
@@ -261,10 +288,9 @@ std::string report_text() {
 
     std::string out;
     if (any_timed) {
-        // Children grouped under their first-seen parent, siblings in name
-        // order (capture() sorts the merged report so rendering is
-        // deterministic across thread interleavings); indentation encodes
-        // depth.
+        // Children grouped under their parent node, siblings in name order
+        // (capture() sorts the merged report so rendering is deterministic
+        // across thread interleavings); indentation encodes depth.
         std::vector<std::vector<std::size_t>> children(report.regions.size());
         std::vector<std::size_t> roots;
         for (std::size_t i = 0; i < report.regions.size(); ++i) {

@@ -3,9 +3,11 @@
 //
 // APEX-style instrumentation: RAII scoped timers over named regions plus
 // monotonic counters, accumulated per thread (no locks or atomics on the
-// hot path) and merged when a report is captured. Regions remember the
-// parent under which they were first entered, so the report renders as a
-// call tree with self-time (total minus time attributed to child regions).
+// hot path) and merged when a report is captured. Timings are kept per
+// call-tree node, keyed by (parent node, region name): a region entered
+// under two different parents is two nodes, so the report renders as the
+// call tree it ran, with self-time (total minus time attributed to child
+// nodes), and every child's total is at most its parent's.
 //
 // The profiler is always compiled in. `prof::set_enabled(bool)` is the one
 // gate: it switches the *timers* at runtime (scoped-timer construction reads
@@ -35,15 +37,15 @@
 
 namespace lotus::prof {
 
-/// One merged region row of a captured report. `parent` is the index of the
-/// region this one was first entered under, or npos for roots.
+/// One merged call-tree node of a captured report: a region under one
+/// parent. `parent` is the index of the parent node's row, or npos for
+/// roots; a region entered under several parents has one row per parent.
 struct RegionReport {
     std::string name;
     std::size_t parent = static_cast<std::size_t>(-1);
     std::uint64_t calls = 0;
     std::uint64_t total_ns = 0;
-    /// Nanoseconds attributed to child regions (self = total - child,
-    /// clamped at zero for recursive regions).
+    /// Nanoseconds attributed to child nodes (self = total - child).
     std::uint64_t child_ns = 0;
 
     [[nodiscard]] std::uint64_t self_ns() const noexcept {
@@ -88,14 +90,16 @@ public:
     ScopedTimer& operator=(const ScopedTimer&) = delete;
 
 private:
-    RegionId id_;
+    std::size_t node_ = 0;
     std::uint64_t start_ns_ = 0;
     bool active_;
 };
 
-/// Merge every thread's log (live and exited) into one snapshot. Regions
-/// and counters are name-sorted (parent links remapped), so the snapshot is
-/// independent of which thread first executed each call site.
+/// Merge every thread's log (live and exited) into one snapshot: nodes at
+/// the same path are summed. Nodes are sorted by name, then by their
+/// parent's path, and counters by name (parent links remapped), so the
+/// snapshot is independent of which thread first executed each call site.
+/// Only regions entered with timers on have rows; reset() keeps them.
 [[nodiscard]] Report capture();
 /// Merged value of one counter by name (0 if never registered).
 [[nodiscard]] std::uint64_t counter_total(std::string_view name);

@@ -26,14 +26,16 @@ void SlimmableLinear::forward(std::span<const double> x, std::span<double> y,
     Matrix::slice_matvec(w_, x, b_, y, out_active, in_active);
 }
 
-void SlimmableLinear::forward_batch(const Matrix& x, Matrix& y, std::size_t in_active,
-                                    std::size_t out_active,
-                                    std::size_t batch) const noexcept {
+[[gnu::aligned(64)]] void SlimmableLinear::forward_batch(const Matrix& x, Matrix& y,
+                                                        std::size_t in_active,
+                                                        std::size_t out_active,
+                                                        std::size_t batch) const noexcept {
     Matrix::slice_matmul(w_, x, b_, y, out_active, in_active, batch);
 }
 
-void SlimmableLinear::backward_batch(const Matrix& x, const Matrix& dy, Matrix* dx,
-                                     std::span<const Matrix::Slice> slices) noexcept {
+[[gnu::aligned(64)]] void SlimmableLinear::backward_batch(
+    const Matrix& x, const Matrix& dy, Matrix* dx,
+    std::span<const Matrix::Slice> slices) noexcept {
     if (dx != nullptr) Matrix::slice_matmul_transposed(w_, dy, *dx, slices);
     Matrix::slice_outer_accumulate_batch(gw_, dy, x, slices);
     for (std::size_t k = 0; k < slices.size(); ++k) {

@@ -331,38 +331,42 @@ template <class V>
 }
 
 // The kernel sets: each instantiates the templates above for one vector
-// type, inside a function compiled for that vector's ISA.
+// type, inside a function compiled for that vector's ISA. Like the other
+// hot kernels (the layers' and the network's batched passes, Adam::step,
+// ThermalNetwork::advance_bounded), each starts on a 64-byte boundary, so
+// a change elsewhere in the library cannot move its loops across cache
+// lines and fetch blocks.
 
-void matmul_baseline(const Matrix& a, const Matrix& x, std::span<const double> b, Matrix& y,
+[[gnu::aligned(64)]] void matmul_baseline(const Matrix& a, const Matrix& x, std::span<const double> b, Matrix& y,
                      std::size_t out, std::size_t in, std::size_t batch) noexcept {
     matmul<V2, 2>(a, x, b, y, out, in, batch);
 }
 
-void matmul_transposed_baseline(const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
+[[gnu::aligned(64)]] void matmul_transposed_baseline(const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
                                 std::span<const Matrix::Slice> slices) noexcept {
     matmul_transposed<V2>(a, y_grad, x_grad, slices);
 }
 
-void outer_accumulate_batch_baseline(Matrix& grad, const Matrix& y_grad, const Matrix& x,
+[[gnu::aligned(64)]] void outer_accumulate_batch_baseline(Matrix& grad, const Matrix& y_grad, const Matrix& x,
                                      std::span<const Matrix::Slice> slices) noexcept {
     outer_accumulate_batch<V2>(grad, y_grad, x, slices);
 }
 
 #ifdef LOTUS_RL_KERNELS_X86
-__attribute__((target("avx2"))) void matmul_avx2(const Matrix& a, const Matrix& x,
+__attribute__((target("avx2"), aligned(64))) void matmul_avx2(const Matrix& a, const Matrix& x,
                                                  std::span<const double> b, Matrix& y,
                                                  std::size_t out, std::size_t in,
                                                  std::size_t batch) noexcept {
     matmul<V4, 4>(a, x, b, y, out, in, batch);
 }
 
-__attribute__((target("avx2"))) void matmul_transposed_avx2(
+__attribute__((target("avx2"), aligned(64))) void matmul_transposed_avx2(
     const Matrix& a, const Matrix& y_grad, Matrix& x_grad,
     std::span<const Matrix::Slice> slices) noexcept {
     matmul_transposed<V4>(a, y_grad, x_grad, slices);
 }
 
-__attribute__((target("avx2"))) void outer_accumulate_batch_avx2(
+__attribute__((target("avx2"), aligned(64))) void outer_accumulate_batch_avx2(
     Matrix& grad, const Matrix& y_grad, const Matrix& x,
     std::span<const Matrix::Slice> slices) noexcept {
     outer_accumulate_batch<V4>(grad, y_grad, x, slices);

@@ -110,8 +110,9 @@ void SlimmableMlp::forward_batch(const Matrix& x, std::size_t batch, double widt
     }
 }
 
-void SlimmableMlp::backward_batch(std::span<const BatchSample> samples,
-                                  const Matrix& dout, BackwardScratch& scratch) {
+[[gnu::aligned(64)]] void SlimmableMlp::backward_batch(std::span<const BatchSample> samples,
+                                                      const Matrix& dout,
+                                                      BackwardScratch& scratch) {
     const std::size_t n = samples.size();
     if (dout.cols() != output_dim() || dout.rows() < n) {
         throw std::invalid_argument("SlimmableMlp::backward_batch: dout shape mismatch");

@@ -121,7 +121,7 @@ void update_span(double* __restrict p, double* __restrict g, double* __restrict 
 
 } // namespace
 
-double Adam::step(SlimmableMlp& net) {
+[[gnu::aligned(64)]] double Adam::step(SlimmableMlp& net) {
     if (net.layers().size() != moments_.size()) {
         throw std::invalid_argument("Adam::step: network topology changed");
     }

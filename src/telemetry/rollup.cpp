@@ -59,6 +59,17 @@ void append_quantiles(std::string& o, const std::vector<double>& values) {
     o += '}';
 }
 
+/// A window's sample vectors start at the sizes of the series' window
+/// before it: sample rates drift slowly, so most windows fill without
+/// regrowing their vectors.
+void reserve_like(Rollup::StreamWindow& w, const Rollup::StreamWindow& prev) {
+    w.e2e_ms.reserve(prev.e2e_ms.size());
+    w.queue_wait_ms.reserve(prev.queue_wait_ms.size());
+}
+void reserve_like(Rollup::DeviceWindow& w, const Rollup::DeviceWindow& prev) {
+    w.temp_c.reserve(prev.temp_c.size());
+}
+
 /// series[w] for a window at or after the series' last one -- the case of
 /// every in-order sample -- found without a tree search.
 template <class Series>
@@ -66,7 +77,11 @@ auto& window_at(Series& series, Rollup::WindowId w) {
     if (!series.empty()) {
         const auto last = std::prev(series.end());
         if (last->first == w) return last->second;
-        if (last->first < w) return series.try_emplace(series.end(), w)->second;
+        if (last->first < w) {
+            auto& win = series.try_emplace(series.end(), w)->second;
+            reserve_like(win, last->second);
+            return win;
+        }
     }
     return series[w];
 }
@@ -172,7 +187,7 @@ Rollup::DeviceSeries& Rollup::device_series(const std::string& device) {
 void Rollup::record_request(const std::string& device, const std::string& stream,
                             double t_s, Outcome outcome, double e2e_ms,
                             double wait_ms) {
-    auto& win = streams_[device][stream][window_of(t_s)];
+    auto& win = window_at(streams_[device][stream], window_of(t_s));
     switch (outcome) {
         case Outcome::ok:
             ++win.ok;

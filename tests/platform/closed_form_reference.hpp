@@ -33,6 +33,36 @@ public:
     }
     [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
 
+    /// Each node's crossing time fl(delta / R_i) under advance_bounded()'s
+    /// drift bound at the current temperatures, +inf where the bound skips
+    /// the node; the same arithmetic, so tests can aim step budgets at the
+    /// exact boundary.
+    [[nodiscard]] std::array<double, kNumThermalNodes> crossing_times(
+        const std::array<double, kNumThermalNodes>& power_w, double ambient_celsius,
+        double delta_k) const {
+        const auto t_ss = steady_state(power_w, ambient_celsius);
+        std::array<double, kNumThermalNodes> a{};
+        for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+            for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+                a[k] += eigenvectors_[i][k] * sqrt_c_[i] * (temps_[i] - t_ss[i]);
+            }
+        }
+        std::array<double, kNumThermalNodes> times{};
+        for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
+            double amplitude = 0.0;
+            double rate = 0.0;
+            for (std::size_t k = 0; k < kNumThermalNodes; ++k) {
+                const double c = std::abs(eigenvectors_[i][k] * a[k]) / sqrt_c_[i];
+                amplitude += c;
+                rate += c * eigenvalues_[k];
+            }
+            times[i] = amplitude <= delta_k || rate <= 0.0
+                           ? std::numeric_limits<double>::infinity()
+                           : delta_k / rate;
+        }
+        return times;
+    }
+
     double advance_bounded(double dt_max, const std::array<double, kNumThermalNodes>& power_w,
                            double ambient_celsius, double delta_k) {
         if (dt_max < 0.0) {

@@ -252,17 +252,20 @@ TEST(ThermalNetworkExact, NetworkWithoutPathToAmbientIsRejected) {
 TEST(ThermalNetworkExact, BitIdenticalToClosedFormReference) {
     // The optimised stepper must reproduce the reference stepper bit for bit:
     // temperatures, step length and step count, on the presets and on random
-    // valid networks, from ambient up to 110 C, at 0-20 W, across step
-    // budgets from sub-nanosecond (the 1 ns floor binds) through one throttle
-    // poll to 1e4 s (every decay underflows), and drift tolerances from tight
-    // to unbounded.
+    // valid networks (some with sub-1 J/K capacities), from ambient up to
+    // 110 C, at 0-20 W, across step budgets from sub-nanosecond (the 1 ns
+    // floor binds) through one throttle poll to 1e4 s (every decay
+    // underflows), budgets within 1-64 ulps either side of a node's exact
+    // crossing time delta / R_i (where the free-step test must give way to
+    // the exact bound), and drift tolerances from tight to unbounded.
     util::Rng rng(20261019);
     std::vector<ThermalParams> networks{platform::orin_nano_spec().thermal,
                                         platform::mi11_lite_spec().thermal};
-    while (networks.size() < 12) {
+    while (networks.size() < 16) {
         ThermalParams p;
+        const double c_max = networks.size() < 12 ? 200.0 : 1.0;
         for (std::size_t i = 0; i < kNumThermalNodes; ++i) {
-            p.capacity[i] = rng.uniform(0.5, 200.0);
+            p.capacity[i] = rng.uniform(c_max < 1.0 ? 0.01 : 0.5, c_max);
             p.g_to_ambient[i] = rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.001, 0.5);
         }
         p.g_to_board = {rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0), 0.0};
@@ -279,6 +282,9 @@ TEST(ThermalNetworkExact, BitIdenticalToClosedFormReference) {
 
     std::size_t full_steps = 0;
     std::size_t cut_steps = 0;
+    std::size_t boundary_steps = 0;
+    std::uint64_t free_steps = 0;
+    std::uint64_t exact_steps = 0;
     for (const auto& base : networks) {
         for (int trial = 0; trial < 200; ++trial) {
             ThermalParams p = base;
@@ -290,10 +296,27 @@ TEST(ThermalNetworkExact, BitIdenticalToClosedFormReference) {
                 const std::array<double, kNumThermalNodes> power{
                     rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0),
                     rng.uniform() < 0.8 ? 0.0 : rng.uniform(0.0, 20.0)};
-                const double dt_max = rng.uniform() < 0.2
-                                          ? rng.uniform(0.0, poll)
-                                          : budgets[rng.uniform_int(0, 4)];
+                double dt_max = rng.uniform() < 0.2 ? rng.uniform(0.0, poll)
+                                                    : budgets[rng.uniform_int(0, 4)];
                 const double delta = deltas[rng.uniform_int(0, 2)];
+                if (rng.uniform() < 0.4) {
+                    // Aim at one node's crossing time (usually the binding,
+                    // smallest one), 1-64 ulps below or above it.
+                    const auto times = ref.crossing_times(power, ambient, delta);
+                    const auto node = rng.uniform() < 0.7
+                                          ? static_cast<std::size_t>(
+                                                std::min_element(times.begin(), times.end()) -
+                                                times.begin())
+                                          : static_cast<std::size_t>(rng.uniform_int(0, 2));
+                    if (std::isfinite(times[node])) {
+                        dt_max = times[node];
+                        const double toward = rng.uniform() < 0.5 ? 0.0 : kInf;
+                        for (int u = rng.uniform_int(1, 64); u > 0; --u) {
+                            dt_max = std::nextafter(dt_max, toward);
+                        }
+                        ++boundary_steps;
+                    }
+                }
                 const double h = net.advance_bounded(dt_max, power, ambient, delta);
                 const double h_ref = ref.advance_bounded(dt_max, power, ambient, delta);
                 ASSERT_EQ(std::memcmp(&h, &h_ref, sizeof h), 0)
@@ -305,12 +328,58 @@ TEST(ThermalNetworkExact, BitIdenticalToClosedFormReference) {
                 ASSERT_EQ(net.steps(), ref.steps());
                 if (dt_max > 0.0) ++(h == dt_max ? full_steps : cut_steps);
             }
+            exact_steps += net.exact_bounds();
+            free_steps += net.steps() - net.exact_bounds();
         }
     }
     // Both ways a segment ends: at its budget (the decays started early are
-    // used) and at the drift bound or the 1 ns floor (they are recomputed).
+    // used) and at the drift bound or the 1 ns floor (they are recomputed);
+    // and both ways its length is decided: by the free-step test alone and
+    // by the exact drift bound.
     EXPECT_GT(full_steps, 2000u);
     EXPECT_GT(cut_steps, 2000u);
+    EXPECT_GT(boundary_steps, 2000u);
+    EXPECT_GT(free_steps, 1000u);
+    EXPECT_GT(exact_steps, 1000u);
+}
+
+TEST(ThermalNetworkExact, FreeStepTestGivesWayWhereTheExactBoundOverflows) {
+    // A sub-1 J/K die beside heavy nodes at ~1e306 C: the exact bound's
+    // quotients |V_ik a_k| / sqrt(C_i) round to inf for the die, so it cuts
+    // every step to the 1 ns floor even under a huge finite tolerance. The
+    // free-step test must not take the full step there.
+    ThermalParams p;
+    p.capacity = {1e-4, 100.0, 100.0};
+    p.g_to_board = {2.0, 2.0, 0.0};
+    p.g_to_ambient = {0.0, 0.0, 0.2};
+    p.initial = {25.0, 1e306, 1e306};
+    std::size_t cut = 0;
+    for (const double dt_max : {1e-6, 1e-3, 1.0, 100.0}) {
+        ThermalNetwork net(p);
+        ClosedFormReference ref(p);
+        const std::array<double, kNumThermalNodes> power{0.0, 0.0, 0.0};
+        const double h = net.advance_bounded(dt_max, power, 25.0, 1e300);
+        const double h_ref = ref.advance_bounded(dt_max, power, 25.0, 1e300);
+        EXPECT_EQ(std::memcmp(&h, &h_ref, sizeof h), 0) << h << " vs " << h_ref;
+        cut += h_ref < dt_max;
+    }
+    EXPECT_GT(cut, 0u); // the exact bound did overflow and cut a step
+}
+
+TEST(ThermalNetworkExact, ExactBoundsCountTheStepsTheFreeTestCannotDecide) {
+    ThermalNetwork net(default_params());
+    net.reset(25.0);
+    const std::array<double, kNumThermalNodes> power{3.0, 12.0, 0.0};
+    // Far from steady state a 0.01 K tolerance binds within a 1 s budget:
+    // the exact bound runs and cuts the step.
+    EXPECT_LT(net.advance_bounded(1.0, power, 25.0, 0.01), 1.0);
+    EXPECT_EQ(net.exact_bounds(), 1u);
+    // A 1 us budget cannot drift any node 0.01 K: the free-step test decides.
+    EXPECT_EQ(net.advance_bounded(1e-6, power, 25.0, 0.01), 1e-6);
+    EXPECT_EQ(net.exact_bounds(), 1u);
+    EXPECT_EQ(net.steps(), 2u);
+    net.reset(25.0);
+    EXPECT_EQ(net.exact_bounds(), 0u);
 }
 
 // ---------------------------------------------------------------------------
