@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "fleet/router.hpp"
 #include "prof/profiler.hpp"
@@ -115,7 +116,7 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
 }
 
 std::vector<serving::Request> FleetEngine::build_requests() const {
-    return serving::replay_or_build_timeline(config_);
+    return serving::RequestSource(config_).drain();
 }
 
 std::uint64_t FleetEngine::governor_seed(std::uint64_t governor_seed_root,
@@ -155,15 +156,16 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         w->expected_service_s = constraint;
     }
 
-    const auto requests = build_requests();
-    std::vector<char> migrated(requests.size(), 0);
+    serving::RequestSource source(config_);
+    // Re-routed requests not yet ledgered, by id (a replayed slice's ids run past its size).
+    std::unordered_set<std::size_t> migrated;
 
     std::vector<std::string> device_names;
     for (const auto& d : config_.devices) device_names.push_back(d.id);
     std::vector<std::string> stream_names;
     for (const auto& s : config_.streams) stream_names.push_back(s.name);
     FleetTrace trace(device_names, std::move(stream_names), config_.capture_rows);
-    trace.reserve(requests.size());
+    trace.reserve(source.size());
 
     auto router = make_router(config_.router);
 
@@ -178,7 +180,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
 
     /// Stamp a terminal row with its migration mark and ledger it.
     const auto add = [&](serving::ServingRecord row) {
-        row.migrated = migrated[row.request_id] != 0;
+        row.migrated = migrated.erase(row.request_id) != 0;
         trace.add(std::move(row));
     };
 
@@ -225,7 +227,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
                              .integer("request_id", req.id)
                              .str("stream", config_.streams[req.stream].name)
                              .str("device", workers[idx]->spec->id)
-                             .boolean("rerouted", migrated[req.id] != 0));
+                             .boolean("rerouted", migrated.contains(req.id)));
         }
         auto& w = *workers[idx];
         w.inbox.push_back(Staged{std::move(req), now});
@@ -255,7 +257,7 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         }
         tel_queue_depth(index, now);
         for (auto& r : displaced) {
-            migrated[r.id] = 1;
+            migrated.insert(r.id);
             route_request(std::move(r), now, index);
         }
     };
@@ -309,7 +311,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
     };
 
     // --- the dispatcher loop ------------------------------------------------
-    std::size_t next_arrival = 0;
+    serving::Request next; // one request of look-ahead
+    bool arriving = source.next(next);
     const auto any_pending = [&] {
         for (const auto& w : workers) {
             if (w->pending() > 0) return true;
@@ -317,9 +320,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         return false;
     };
 
-    while (next_arrival < requests.size() || any_pending()) {
-        const double t_arr =
-            next_arrival < requests.size() ? requests[next_arrival].arrival_s : kInf;
+    while (arriving || any_pending()) {
+        const double t_arr = arriving ? next.arrival_s : kInf;
 
         // Earliest per-device event (dispatch or failure drain); device
         // index breaks ties.
@@ -348,7 +350,8 @@ FleetTrace FleetEngine::run(const GovernorFactory& make_governor,
         // Route the next arrival. Idle (and cool) every live, empty device
         // up to the routing instant first, so the router reads pool
         // temperatures evaluated at this arrival.
-        serving::Request req = requests[next_arrival++];
+        serving::Request req = next;
+        arriving = source.next(next);
         for (std::size_t i = 0; i < workers.size(); ++i) {
             auto& w = *workers[i];
             if (w.pending() == 0 && w.alive(t_arr) &&

@@ -55,9 +55,9 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
     // Serving and fleet episodes serve a request timeline. Each binds its
     // workload seed, the timeline it replays (replay_dir) and whether the
     // ledger keeps rows once, through the shared load half. Capture
-    // (trace_dir) writes the timeline the engine is about to serve --
-    // generated, or replayed, so recording a replay reproduces its input:
-    // record(replay(t)) == t.
+    // (trace_dir) drains its own RequestSource of the load the engine is
+    // about to serve -- generated, or replayed, so recording a replay
+    // reproduces its input: record(replay(t)) == t.
     const auto bind_load = [&](serving::LoadConfig& load) {
         load.seed = cfg.seed;
         if (!config_.replay_dir.empty()) {
@@ -66,11 +66,10 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         }
         if (config_.summary_only) load.capture_rows = false;
     };
-    const auto capture = [&](const auto& engine) {
+    const auto capture = [&](const serving::LoadConfig& load) {
         if (config_.trace_dir.empty()) return;
         trace::write_trace(
-            episode_trace_path(config_.trace_dir, scenario.name, arm_index, arm.name),
-            engine.config().streams, engine.build_requests());
+            episode_trace_path(config_.trace_dir, scenario.name, arm_index, arm.name), load);
     };
 
     if (scenario.fleet) {
@@ -84,7 +83,7 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         // device gets a governor sized for its own ladder.
         const auto governor_root = sm.next();
         const fleet::FleetEngine engine(fleet_cfg);
-        capture(engine);
+        capture(engine.config());
         auto trace = engine.run(arm.make_for, governor_root);
         EpisodeResult result{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),
@@ -103,7 +102,7 @@ EpisodeResult ExperimentHarness::run_episode(const Scenario& scenario,
         // Non-learning governors need no warm-up (same rule as below).
         if (governor->decision_overhead_s() == 0.0) serving_cfg.pretrain_iterations = 0;
         const serving::ServingEngine engine(serving_cfg);
-        capture(engine);
+        capture(engine.config());
         auto trace = engine.run(*governor);
         return EpisodeResult{scenario.name,    arm.name,
                              episode_seed,     std::move(cfg),

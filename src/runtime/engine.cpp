@@ -39,14 +39,14 @@ void InferenceEngine::reset() {
 // --- AdvanceListener ---------------------------------------------------------
 
 double InferenceEngine::next_event_s() const {
-    if (!gov_ || !tick_initialized_ || gov_->tick_interval_s() <= 0.0) {
+    if (!tick_initialized_ || tick_interval_s_ <= 0.0) {
         return platform::AdvanceListener::kNoEvent;
     }
     return next_tick_due_;
 }
 
 void InferenceEngine::on_event(double now_s, double cpu_util, double gpu_util) {
-    const double interval = gov_->tick_interval_s();
+    const double interval = tick_interval_s_;
     if (auto* tel = telemetry::current()) {
         // Per-tick observation: what the kernel-style governor sees at this
         // cadence instant (its action shows up as an opp_change on the
@@ -83,9 +83,9 @@ void InferenceEngine::on_throttle(double, bool, bool) {
 
 void InferenceEngine::bind(governors::Governor& governor) {
     gov_ = &governor;
-    const double interval = governor.tick_interval_s();
-    if (interval > 0.0 && !tick_initialized_) {
-        next_tick_due_ = device_.now() + interval;
+    tick_interval_s_ = governor.tick_interval_s();
+    if (tick_interval_s_ > 0.0 && !tick_initialized_) {
+        next_tick_due_ = device_.now() + tick_interval_s_;
         tick_initialized_ = true;
     }
 }

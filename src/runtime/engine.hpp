@@ -112,6 +112,7 @@ private:
     platform::EdgeDevice& device_;
     EngineConfig cfg_;
     governors::Governor* gov_ = nullptr;
+    double tick_interval_s_ = 0.0; // gov_'s, read once per bind()
     double last_latency_ = 0.0;
     double next_tick_due_ = 0.0;
     bool tick_initialized_ = false;

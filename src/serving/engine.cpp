@@ -261,25 +261,45 @@ bool RequestTimeline::next(Request& out) {
     return true;
 }
 
-std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& streams,
-                                            std::uint64_t seed) {
-    RequestTimeline timeline(streams, seed);
+RequestSource::RequestSource(const LoadConfig& load) {
+    if (load.replay_trace.empty()) {
+        timeline_.emplace(load.streams, load.seed);
+        return;
+    }
+    reader_.emplace(load.replay_trace);
+    trace::require_streams(load.replay_trace, reader_->info(), load.streams);
+}
+
+std::size_t RequestSource::size() const noexcept {
+    return reader_ ? static_cast<std::size_t>(reader_->info().record_count) : timeline_->size();
+}
+
+bool RequestSource::next(Request& out) {
+    if (!reader_) return timeline_->next(out);
+    trace::TraceRecord rec;
+    if (!reader_->next(rec)) return false;
+    out = trace::to_request(rec);
+    return true;
+}
+
+std::vector<Request> RequestSource::drain() {
     std::vector<Request> all;
-    all.reserve(timeline.size());
+    all.reserve(size());
     Request r;
-    while (timeline.next(r)) all.push_back(r);
+    while (next(r)) all.push_back(r);
     return all;
 }
 
-std::vector<Request> replay_or_build_timeline(const LoadConfig& load) {
-    if (!load.replay_trace.empty()) {
-        return trace::TraceArrivalSource(load.replay_trace).requests(load.streams);
-    }
-    return build_request_timeline(load.streams, load.seed);
+std::vector<Request> build_request_timeline(const std::vector<StreamSpec>& streams,
+                                            std::uint64_t seed) {
+    LoadConfig load;
+    load.streams = streams;
+    load.seed = seed;
+    return RequestSource(load).drain();
 }
 
 std::vector<Request> ServingEngine::build_requests() const {
-    return replay_or_build_timeline(config_);
+    return RequestSource(config_).drain();
 }
 
 ServingTrace ServingEngine::run(governors::Governor& governor) const {
@@ -291,15 +311,16 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
     // --- pre-training phase (not recorded; mirrors ExperimentRunner) --------
     station.warm_up(config_, "", governor, config_.warm_up_constraint_s());
 
-    const auto requests = build_requests();
+    RequestSource source(config_);
     std::vector<std::string> names;
     names.reserve(config_.streams.size());
     for (const auto& s : config_.streams) names.push_back(s.name);
 
     ServingTrace trace(std::move(names), config_.capture_rows);
-    trace.reserve(requests.size());
+    trace.reserve(source.size());
     auto& queue = station.queue;
-    std::size_t next_arrival = 0;
+    Request next; // one request of look-ahead
+    bool arriving = source.next(next);
 
     // The device's tracks take their ids before the emitter's stream tracks:
     // trace.json numbers processes and threads in track-creation order.
@@ -310,19 +331,18 @@ ServingTrace ServingEngine::run(governors::Governor& governor) const {
     }
     RequestTelemetry tel(config_.streams, {device.telemetry_label()});
 
-    while (next_arrival < requests.size() || !queue.empty()) {
+    while (arriving || !queue.empty()) {
         const double now = device.now();
-        while (next_arrival < requests.size() &&
-               requests[next_arrival].arrival_s <= now + kTimeEps) {
-            tel.arrival(requests[next_arrival]);
-            queue.push(requests[next_arrival++]);
+        while (arriving && next.arrival_s <= now + kTimeEps) {
+            tel.arrival(next);
+            queue.push(next);
+            arriving = source.next(next);
         }
         tel.queue_depth(0, now, queue.size());
         if (queue.empty()) {
             // Device is free but no request is pending: idle (and cool)
             // until the next arrival.
-            station.engine.run_idle(std::max(requests[next_arrival].arrival_s - now, kTimeEps),
-                                    governor);
+            station.engine.run_idle(std::max(next.arrival_s - now, kTimeEps), governor);
             continue;
         }
 

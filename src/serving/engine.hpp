@@ -1,10 +1,11 @@
 #pragma once
 // ServingEngine: multiplexes N request streams onto one simulated device.
 //
-// The serving analogue of runtime::ExperimentRunner. One run materialises
-// every stream's arrival times and frame samples up front (pure functions of
-// the config seed), then replays the merged request timeline against a
-// single EdgeDevice + InferenceEngine under the chosen scheduling policy:
+// The serving analogue of runtime::ExperimentRunner. One run pulls the
+// merged request timeline from a RequestSource -- generated from the
+// streams' arrival processes (pure functions of the config seed) or read
+// from a recorded trace -- one request ahead of the clock, and serves it on
+// a single EdgeDevice + InferenceEngine under the chosen scheduling policy:
 //
 //  * the device is the shared resource -- thermal state carries across
 //    interleaved streams, so a burst on stream 3 heats the silicon that
@@ -25,11 +26,14 @@
 // The Station below is the per-device serve step fleet::FleetEngine runs
 // once per pool slot.
 
+#include <optional>
+
 #include "governors/governor.hpp"
 #include "runtime/engine.hpp"
 #include "serving/request.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/trace.hpp"
+#include "trace/format.hpp"
 
 namespace lotus::telemetry {
 class Recorder;
@@ -74,13 +78,33 @@ private:
     std::size_t next_id_ = 0;
 };
 
+/// The timeline a load serves, pulled one request at a time: the .ltrc
+/// trace at load.replay_trace when set, else the RequestTimeline of
+/// load.streams under load.seed. Both engines serve from one and
+/// trace::write_trace drains one, in O(streams) memory.
+class RequestSource {
+public:
+    /// Throws std::runtime_error on an unreadable trace or a stream table
+    /// other than load.streams', else what RequestTimeline throws.
+    explicit RequestSource(const LoadConfig& load);
+
+    /// Requests in the timeline (a replayed trace's record count).
+    [[nodiscard]] std::size_t size() const noexcept;
+
+    /// Store the next request in `out`; false once the timeline is drained.
+    bool next(Request& out);
+
+    /// The rest of the timeline, in order.
+    [[nodiscard]] std::vector<Request> drain();
+
+private:
+    std::optional<trace::Reader> reader_;
+    std::optional<RequestTimeline> timeline_;
+};
+
 /// The whole RequestTimeline of a stream set, in order.
 [[nodiscard]] std::vector<Request> build_request_timeline(
     const std::vector<StreamSpec>& streams, std::uint64_t seed);
-
-/// The timeline an engine serves: the recorded .ltrc trace at
-/// load.replay_trace when set, else build_request_timeline(streams, seed).
-[[nodiscard]] std::vector<Request> replay_or_build_timeline(const LoadConfig& load);
 
 /// Throws std::invalid_argument (stream errors prefixed with `owner`) on an
 /// empty stream set, a stream with zero requests, a non-positive SLO, an
@@ -190,8 +214,8 @@ public:
     /// Serve every stream's requests to completion under the governor.
     [[nodiscard]] ServingTrace run(governors::Governor& governor) const;
 
-    /// The merged, arrival-ordered request timeline this config generates
-    /// (exposed for tests and load inspection).
+    /// The merged, arrival-ordered request timeline this config serves: its
+    /// RequestSource, drained (exposed for tests and load inspection).
     [[nodiscard]] std::vector<Request> build_requests() const;
 
     [[nodiscard]] const ServingConfig& config() const noexcept { return config_; }

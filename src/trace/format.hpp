@@ -2,11 +2,11 @@
 // Compact binary request-trace format (.ltrc).
 //
 // A trace is a serving/fleet request timeline frozen on disk: the merged,
-// arrival-sorted output of serving::build_request_timeline, one fixed-width
-// record per request. Replaying a trace through TraceArrivalSource
-// (trace/record.hpp) reproduces the generating episode byte-for-byte, so
+// arrival-sorted output of serving::RequestTimeline, one fixed-width record
+// per request. Replaying a trace through serving::RequestSource (see
+// trace/record.hpp) reproduces the generating episode byte-for-byte, so
 // timelines of millions of requests can be recorded once and diffed,
-// sliced, sharded and replayed across PRs without re-deriving them.
+// sliced, sharded and replayed without re-deriving them.
 //
 // Layout (all integers little-endian, doubles as IEEE-754 bit patterns):
 //
@@ -167,7 +167,7 @@ void slice_time(Reader& in, const std::string& out_path, double t0, double t1);
 /// K-way-merge the (arrival-sorted) inputs into `out_path`, renumbering
 /// ids 0..n-1 in merge order. All inputs must share one stream table;
 /// ordering ties break on (stream, frame_index), which is a strict total
-/// order for timelines produced by build_request_timeline, so merging the
+/// order for timelines produced by serving::RequestTimeline, so merging the
 /// slices of a trace reconstructs it byte-for-byte.
 void merge_traces(const std::vector<std::string>& inputs, const std::string& out_path);
 

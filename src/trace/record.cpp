@@ -9,11 +9,6 @@ namespace lotus::trace {
 
 namespace {
 
-void create_parent_dirs(const std::string& path) {
-    const auto parent = std::filesystem::path(path).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent);
-}
-
 [[noreturn]] void replay_mismatch(const std::string& path, const std::string& what) {
     throw std::runtime_error("trace '" + path + "': recorded stream table does not " +
                              "match the configured streams (" + what +
@@ -60,73 +55,46 @@ serving::Request to_request(const TraceRecord& rec) {
     return req;
 }
 
-void write_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
-                 const std::vector<serving::Request>& requests) {
-    create_parent_dirs(path);
-    Writer out(path, stream_table(streams));
-    for (const auto& req : requests) out.add(to_record(req));
+void write_trace(const std::string& path, const serving::LoadConfig& load) {
+    serving::RequestSource source(load);
+    const auto parent = std::filesystem::path(path).parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent);
+    // Written aside, then renamed over `path`: the source may be reading it.
+    const auto partial = path + ".partial";
+    Writer out(partial, stream_table(load.streams));
+    serving::Request req;
+    while (source.next(req)) out.add(to_record(req));
     out.close();
+    std::filesystem::rename(partial, path);
 }
 
-TraceArrivalSource::TraceArrivalSource(std::string path) : path_(std::move(path)) {
-    Reader reader(path_);
-    info_ = reader.info();
-}
-
-std::vector<serving::Request> TraceArrivalSource::requests(
-    const std::vector<serving::StreamSpec>& streams) const {
-    if (!same_streams(info_.streams, stream_table(streams))) {
-        if (info_.streams.size() != streams.size()) {
-            replay_mismatch(path_, "trace has " + std::to_string(info_.streams.size()) +
-                                       " streams, config has " +
-                                       std::to_string(streams.size()));
-        }
-        for (std::size_t i = 0; i < streams.size(); ++i) {
-            const auto& rec = info_.streams[i];
-            const auto& cfg = streams[i];
-            if (rec.name != cfg.name || rec.dataset != cfg.dataset ||
-                rec.slo_s != cfg.slo_s || rec.requests != cfg.requests) {
-                replay_mismatch(path_, "stream " + std::to_string(i) + ": trace has '" +
-                                           rec.name + "'/" + rec.dataset +
-                                           ", config has '" + cfg.name + "'/" +
-                                           cfg.dataset);
-            }
-        }
-        replay_mismatch(path_, "SLO bit pattern differs");
+void require_streams(const std::string& path, const TraceInfo& info,
+                     const std::vector<serving::StreamSpec>& streams) {
+    if (same_streams(info.streams, stream_table(streams))) return;
+    if (info.streams.size() != streams.size()) {
+        replay_mismatch(path, "trace has " + std::to_string(info.streams.size()) +
+                                  " streams, config has " + std::to_string(streams.size()));
     }
-    Reader reader(path_);
-    std::vector<serving::Request> out;
-    out.reserve(info_.record_count);
-    TraceRecord rec;
-    while (reader.next(rec)) out.push_back(to_request(rec));
-    return out;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+        const auto& rec = info.streams[i];
+        const auto& cfg = streams[i];
+        if (rec.name != cfg.name || rec.dataset != cfg.dataset || rec.slo_s != cfg.slo_s ||
+            rec.requests != cfg.requests) {
+            replay_mismatch(path, "stream " + std::to_string(i) + ": trace has '" + rec.name +
+                                      "'/" + rec.dataset + ", config has '" + cfg.name +
+                                      "'/" + cfg.dataset);
+        }
+    }
+    replay_mismatch(path, "SLO bit pattern differs");
 }
 
-std::vector<serving::StreamSpec> TraceArrivalSource::stream_specs() const {
+std::vector<serving::StreamSpec> stream_specs(const TraceInfo& info) {
     std::vector<serving::StreamSpec> specs;
-    specs.reserve(info_.streams.size());
-    for (const auto& s : info_.streams) {
-        serving::StreamSpec spec;
-        spec.name = s.name;
-        spec.dataset = s.dataset;
-        spec.slo_s = s.slo_s;
-        spec.requests = s.requests;
-        specs.push_back(std::move(spec));
+    specs.reserve(info.streams.size());
+    for (const auto& s : info.streams) {
+        specs.push_back(serving::StreamSpec{s.name, s.dataset, s.slo_s, s.requests, {}});
     }
     return specs;
-}
-
-void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
-                 std::uint64_t seed) {
-    if (streams.empty()) {
-        throw std::invalid_argument("synth_trace: no streams configured");
-    }
-    serving::RequestTimeline timeline(streams, seed);
-    create_parent_dirs(path);
-    Writer out(path, stream_table(streams));
-    serving::Request req;
-    while (timeline.next(req)) out.add(to_record(req));
-    out.close();
 }
 
 } // namespace lotus::trace

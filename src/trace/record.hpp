@@ -1,15 +1,15 @@
 #pragma once
 // Trace capture and replay glue between .ltrc files and the serving layer.
 //
-// Both directions are explicit. Capture: the harness calls write_trace()
-// with the timeline an episode's engine is about to serve
-// (engine.build_requests()), at the path HarnessConfig::trace_dir names.
-// Replay: ServingConfig/FleetConfig carry a `replay_trace` path, and the
-// engines build their timeline from TraceArrivalSource instead of the
-// analytic arrival processes. A replayed episode consumes the exact
-// recorded timeline, so its scenario JSON, ledgers and telemetry are
-// byte-identical to the generating run's, and capturing a replay writes
-// the input trace back byte for byte.
+// Both directions run through serving::RequestSource. Capture: the harness
+// calls write_trace() with the load an episode's engine is about to serve,
+// at the path HarnessConfig::trace_dir names; it drains a fresh source of
+// that load to disk. Replay: ServingConfig/FleetConfig carry a
+// `replay_trace` path, and the source reads that trace (after
+// require_streams) instead of the analytic arrival processes, so scenario
+// JSON, ledgers and telemetry are byte-identical to the generating run's
+// and capturing a replay writes its input back byte for byte. Memory is
+// O(streams) whatever the request count.
 
 #include <cstdint>
 #include <string>
@@ -27,39 +27,18 @@ namespace lotus::trace {
 [[nodiscard]] TraceRecord to_record(const serving::Request& req);
 [[nodiscard]] serving::Request to_request(const TraceRecord& rec);
 
-/// Write a complete timeline as a trace file (parent directories created).
-void write_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
-                 const std::vector<serving::Request>& requests);
+/// Write the timeline `load` serves -- a fresh serving::RequestSource of
+/// it, drained -- as a trace file (parent directories created).
+void write_trace(const std::string& path, const serving::LoadConfig& load);
 
-/// A recorded trace acting as a drop-in for the analytic arrival
-/// processes: validates the trace against the configured streams and
-/// materialises the exact recorded timeline.
-class TraceArrivalSource {
-public:
-    explicit TraceArrivalSource(std::string path);
+/// Check a trace's stream table against the configured streams (name,
+/// dataset, SLO, request count); throws std::runtime_error naming `path`
+/// and the first mismatch otherwise.
+void require_streams(const std::string& path, const TraceInfo& info,
+                     const std::vector<serving::StreamSpec>& streams);
 
-    [[nodiscard]] const TraceInfo& info() const noexcept { return info_; }
-
-    /// Materialise the timeline, first checking that `streams` matches the
-    /// recorded stream table (name, dataset, SLO, request count); throws
-    /// std::runtime_error naming the first mismatch otherwise.
-    [[nodiscard]] std::vector<serving::Request> requests(
-        const std::vector<serving::StreamSpec>& streams) const;
-
-    /// StreamSpecs reconstructed from the stream table (arrival process
-    /// left at its default -- meaningful only for replay).
-    [[nodiscard]] std::vector<serving::StreamSpec> stream_specs() const;
-
-private:
-    std::string path_;
-    TraceInfo info_;
-};
-
-/// Synthesise the exact timeline `build_request_timeline(streams, seed)`
-/// would produce, streamed straight to disk from serving::RequestTimeline:
-/// a million-request trace costs O(streams) memory and never materialises
-/// the request vector.
-void synth_trace(const std::string& path, const std::vector<serving::StreamSpec>& streams,
-                 std::uint64_t seed);
+/// StreamSpecs reconstructed from a trace's stream table (arrival process
+/// left at its default -- meaningful only for replay).
+[[nodiscard]] std::vector<serving::StreamSpec> stream_specs(const TraceInfo& info);
 
 } // namespace lotus::trace

@@ -1,7 +1,8 @@
 // Contract tests for the .ltrc trace format: Writer -> Reader is lossless
 // at the bit level, malformed files fail with clear errors instead of
-// crashing, slices reassemble byte-for-byte, and synth_trace streams the
-// exact timeline build_request_timeline materialises.
+// crashing, slices reassemble byte-for-byte, write_trace streams the exact
+// timeline build_request_timeline materialises, and serving::RequestSource
+// replays what it wrote, slices included.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,6 +14,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fleet/engine.hpp"
+#include "governors/linux_governors.hpp"
+#include "platform/presets.hpp"
 #include "serving/engine.hpp"
 #include "trace/format.hpp"
 #include "trace/record.hpp"
@@ -72,6 +76,15 @@ std::vector<serving::StreamSpec> serving_streams(std::size_t requests) {
         streams.push_back(std::move(s));
     }
     return streams;
+}
+
+/// The load that generates `streams` under `seed`.
+serving::LoadConfig load_of(const std::vector<serving::StreamSpec>& streams,
+                            std::uint64_t seed) {
+    serving::LoadConfig load;
+    load.streams = streams;
+    load.seed = seed;
+    return load;
 }
 
 std::vector<char> read_file(const std::string& path) {
@@ -148,14 +161,16 @@ TEST(TraceFormat, RequestConversionRoundTrips) {
     }
 }
 
-TEST(TraceFormat, WriteTraceLoadRequestsIsLossless) {
+TEST(TraceFormat, WriteTraceReplayIsLossless) {
     const TempDir dir("timeline");
     const auto path = dir.file("t.ltrc");
     const auto streams = serving_streams(32);
-    const auto requests = serving::build_request_timeline(streams, 11);
-    write_trace(path, streams, requests);
+    auto load = load_of(streams, 11);
+    write_trace(path, load);
 
-    const auto loaded = TraceArrivalSource(path).requests(streams);
+    const auto requests = serving::build_request_timeline(streams, 11);
+    load.replay_trace = path;
+    const auto loaded = serving::RequestSource(load).drain();
     ASSERT_EQ(loaded.size(), requests.size());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         EXPECT_TRUE(same_record(to_record(loaded[i]), to_record(requests[i])))
@@ -163,21 +178,98 @@ TEST(TraceFormat, WriteTraceLoadRequestsIsLossless) {
     }
 }
 
-TEST(TraceFormat, SynthMatchesWriteTraceByteForByte) {
+TEST(TraceFormat, WriteTraceStreamsTheMaterialisedTimelineByteForByte) {
     const TempDir dir("synth");
-    const auto streams = serving_streams(40);
+    // Over 8 KiB of records, so a reader cannot hold the whole file in its
+    // buffer when the trace is re-recorded in place below.
+    const auto streams = serving_streams(400);
     const auto materialised = dir.file("materialised.ltrc");
-    const auto synthed = dir.file("synthed.ltrc");
-    write_trace(materialised, streams, serving::build_request_timeline(streams, 123));
-    synth_trace(synthed, streams, 123);
-    EXPECT_EQ(read_file(materialised), read_file(synthed));
+    const auto streamed = dir.file("streamed.ltrc");
+    const auto rerecorded = dir.file("rerecorded.ltrc");
+    {
+        Writer out(materialised, stream_table(streams));
+        for (const auto& req : serving::build_request_timeline(streams, 123)) {
+            out.add(to_record(req));
+        }
+    }
+    auto load = load_of(streams, 123);
+    write_trace(streamed, load);
+    EXPECT_EQ(read_file(materialised), read_file(streamed));
+
+    // Recording a replay writes its input back: record(replay(t)) == t,
+    // also over the very file it replays.
+    load.replay_trace = streamed;
+    write_trace(rerecorded, load);
+    EXPECT_EQ(read_file(streamed), read_file(rerecorded));
+    write_trace(streamed, load);
+    EXPECT_EQ(read_file(materialised), read_file(streamed));
+}
+
+TEST(TraceFormat, EnginesServeTheDrainOfTheirSource) {
+    const TempDir dir("engines");
+    const auto path = dir.file("t.ltrc");
+    serving::ServingConfig serving_cfg(platform::orin_nano_spec());
+    static_cast<serving::LoadConfig&>(serving_cfg) = load_of(serving_streams(12), 8);
+    write_trace(path, serving_cfg);
+    fleet::FleetConfig fleet_cfg;
+    static_cast<serving::LoadConfig&>(fleet_cfg) = serving_cfg;
+    fleet_cfg.devices = fleet::device_pool(platform::orin_nano_spec(), "d", 2);
+
+    const auto same = [](const std::vector<serving::Request>& got,
+                         const serving::LoadConfig& load, const char* label) {
+        serving::RequestSource source(load);
+        EXPECT_EQ(got.size(), source.size()) << label;
+        serving::Request want;
+        for (const auto& req : got) {
+            ASSERT_TRUE(source.next(want)) << label;
+            EXPECT_TRUE(same_record(to_record(req), to_record(want))) << label;
+        }
+        EXPECT_FALSE(source.next(want)) << label;
+    };
+    for (const bool replayed : {false, true}) {
+        serving_cfg.replay_trace = fleet_cfg.replay_trace = replayed ? path : "";
+        const char* label = replayed ? "replayed" : "generated";
+        same(serving::ServingEngine(serving_cfg).build_requests(), serving_cfg, label);
+        same(fleet::FleetEngine(fleet_cfg).build_requests(), fleet_cfg, label);
+    }
+}
+
+TEST(TraceFormat, ReplayedSliceOnAFleetKeepsItsIdsAndMigratesNothing) {
+    // A slice keeps its parent's ids, so ids run past the slice's own
+    // request count. A round-robin fleet without failures or throttle
+    // migration re-routes nothing; no ledger row may read migrated.
+    const TempDir dir("fleetslice");
+    const auto full = dir.file("full.ltrc");
+    const auto window = dir.file("window.ltrc");
+    fleet::FleetConfig cfg;
+    static_cast<serving::LoadConfig&>(cfg) = load_of(serving_streams(40), 4);
+    cfg.devices = fleet::device_pool(platform::orin_nano_spec(), "d", 2);
+    cfg.router = "round_robin";
+    write_trace(full, cfg);
+    Reader in(full);
+    ASSERT_GE(in.info().record_count, 70u);
+    slice_records(in, window, 60, 70);
+
+    cfg.replay_trace = window;
+    const auto trace = fleet::FleetEngine(cfg).run(
+        [](const platform::DeviceSpec&, std::uint64_t) -> std::unique_ptr<governors::Governor> {
+            return std::make_unique<governors::PerformanceGovernor>();
+        },
+        1);
+    ASSERT_EQ(trace.records().size(), 10u);
+    EXPECT_EQ(trace.migrations(), 0u);
+    for (const auto& row : trace.records()) {
+        EXPECT_FALSE(row.migrated) << "request " << row.request_id;
+        EXPECT_GE(row.request_id, 60u);
+        EXPECT_LT(row.request_id, 70u);
+    }
 }
 
 TEST(TraceFormat, SliceAndMergeReconstructByteForByte) {
     const TempDir dir("slices");
     const auto full = dir.file("full.ltrc");
     const auto streams = serving_streams(30);
-    synth_trace(full, streams, 5);
+    write_trace(full, load_of(streams, 5));
 
     Reader in(full);
     const auto n = in.info().record_count;
@@ -213,7 +305,7 @@ TEST(TraceFormat, ParitySplitOfATieHeavyTraceMergesBackByteForByte) {
     }
     const TempDir dir("parity");
     const auto full = dir.file("full.ltrc");
-    synth_trace(full, streams, 21);
+    write_trace(full, load_of(streams, 21));
 
     Reader in(full);
     const auto even = dir.file("even.ltrc");
@@ -244,7 +336,7 @@ TEST(TraceFormat, ParitySplitOfATieHeavyTraceMergesBackByteForByte) {
 TEST(TraceFormat, SliceTimeSelectsTheArrivalWindow) {
     const TempDir dir("slicetime");
     const auto full = dir.file("full.ltrc");
-    synth_trace(full, serving_streams(20), 9);
+    write_trace(full, load_of(serving_streams(20), 9));
 
     Reader in(full);
     TraceRecord first;
@@ -271,7 +363,7 @@ TEST(TraceFormat, SliceTimeSelectsTheArrivalWindow) {
 TEST(TraceFormat, SliceRejectsEmptyOrOutOfRangeWindows) {
     const TempDir dir("slicebad");
     const auto full = dir.file("full.ltrc");
-    synth_trace(full, serving_streams(5), 3);
+    write_trace(full, load_of(serving_streams(5), 3));
     Reader in(full);
     const auto n = in.info().record_count;
     EXPECT_THROW(slice_records(in, dir.file("x.ltrc"), 3, 3), std::invalid_argument);
@@ -284,9 +376,9 @@ TEST(TraceFormat, MergeRejectsMismatchedStreamTables) {
     const auto a = dir.file("a.ltrc");
     const auto b = dir.file("b.ltrc");
     auto streams = serving_streams(5);
-    synth_trace(a, streams, 3);
+    write_trace(a, load_of(streams, 3));
     streams[0].slo_s += 0.125; // bit-level table difference
-    synth_trace(b, streams, 3);
+    write_trace(b, load_of(streams, 3));
     EXPECT_THROW(merge_traces({a, b}, dir.file("out.ltrc")), std::runtime_error);
 }
 
@@ -298,7 +390,7 @@ TEST(TraceFormat, ReaderRejectsMissingFile) {
 TEST(TraceFormat, ReaderRejectsBadMagic) {
     const TempDir dir("badmagic");
     const auto path = dir.file("t.ltrc");
-    synth_trace(path, serving_streams(4), 1);
+    write_trace(path, load_of(serving_streams(4), 1));
     {
         std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
         f.seekp(0);
@@ -315,7 +407,7 @@ TEST(TraceFormat, ReaderRejectsBadMagic) {
 TEST(TraceFormat, ReaderRejectsUnknownFormatVersion) {
     const TempDir dir("badversion");
     const auto path = dir.file("t.ltrc");
-    synth_trace(path, serving_streams(4), 1);
+    write_trace(path, load_of(serving_streams(4), 1));
     {
         std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
         f.seekp(8);
@@ -333,7 +425,7 @@ TEST(TraceFormat, ReaderRejectsUnknownFormatVersion) {
 TEST(TraceFormat, ReaderRejectsTruncatedFile) {
     const TempDir dir("truncated");
     const auto path = dir.file("t.ltrc");
-    synth_trace(path, serving_streams(10), 1);
+    write_trace(path, load_of(serving_streams(10), 1));
     fs::resize_file(path, fs::file_size(path) - kRecordBytes / 2);
     try {
         Reader reader(path);
@@ -367,7 +459,7 @@ TEST(TraceFormat, ReaderRejectsAbandonedWriter) {
 TEST(TraceFormat, ReaderRejectsGarbageStreamTable) {
     const TempDir dir("badtable");
     const auto path = dir.file("t.ltrc");
-    synth_trace(path, serving_streams(4), 1);
+    write_trace(path, load_of(serving_streams(4), 1));
     {
         // Stream table starts right after the fixed header; blow up the
         // first name length.
@@ -404,7 +496,7 @@ TEST(TraceFormat, ReaderRejectsOverflowingRecordCount) {
     // u64 arithmetic, so a size check that multiplies passes it.
     const TempDir dir("countwrap");
     const auto path = dir.file("t.ltrc");
-    synth_trace(path, serving_streams(4), 1);
+    write_trace(path, load_of(serving_streams(4), 1));
     const std::uint64_t count = Reader(path).info().record_count;
     ASSERT_GT(count, 0u);
     patch_le(path, 56, count + (std::uint64_t{1} << 58), 8);
@@ -416,7 +508,7 @@ TEST(TraceFormat, ReaderRejectsStreamCountBeyondFile) {
     // cannot hold is rejected before anything is allocated for it.
     const TempDir dir("streamcount");
     const auto path = dir.file("t.ltrc");
-    synth_trace(path, serving_streams(4), 1);
+    write_trace(path, load_of(serving_streams(4), 1));
     patch_le(path, 64, 0xFFFFFFF0u, 4);
     expect_reader_error(path, "corrupt stream table");
 }
@@ -429,14 +521,15 @@ TEST(TraceFormat, WriterRejectsOutOfRangeStreamId) {
     EXPECT_THROW(writer.add(rec), std::invalid_argument);
 }
 
-TEST(TraceFormat, LoadRequestsRejectsMismatchedStreams) {
+TEST(TraceFormat, RequestSourceRejectsMismatchedStreamsWhenItOpens) {
     const TempDir dir("replaymismatch");
     const auto path = dir.file("t.ltrc");
-    auto streams = serving_streams(8);
-    synth_trace(path, streams, 2);
-    streams[1].requests += 1;
+    auto load = load_of(serving_streams(8), 2);
+    write_trace(path, load);
+    load.streams[1].requests += 1;
+    load.replay_trace = path;
     try {
-        (void)TraceArrivalSource(path).requests(streams);
+        const serving::RequestSource source(load);
         FAIL() << "mismatched stream table accepted";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("stream table"), std::string::npos)

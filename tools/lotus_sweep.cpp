@@ -254,7 +254,7 @@ std::vector<Cell> build_cells(const Options& opt) {
                             // The trace's stream table defines the streams;
                             // replay substitutes for the arrival processes.
                             cfg.streams =
-                                trace::TraceArrivalSource(arrival_token).stream_specs();
+                                trace::stream_specs(trace::Reader(arrival_token).info());
                             cfg.replay_trace = arrival_token;
                         } else {
                             load.rate_hz = cli::parse_positive_double(kTool, "--rate",

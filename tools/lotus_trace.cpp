@@ -199,7 +199,10 @@ int cmd_synth(const Args& a) {
     if (a.load.requests == 0) cli::usage_error(kTool, "synth wants --requests N");
     auto load = a.load;
     if (load.slo_s == 0.0) load.slo_s = 0.5;
-    trace::synth_trace(a.positional[0], cli::identical_streams(load), a.seed.value);
+    serving::LoadConfig timeline;
+    timeline.streams = cli::identical_streams(load);
+    timeline.seed = a.seed.value;
+    trace::write_trace(a.positional[0], timeline);
     const trace::Reader out(a.positional[0]);
     std::printf("%s: %llu records (%zu streams x %zu requests)\n", a.positional[0].c_str(),
                 static_cast<unsigned long long>(out.info().record_count), load.streams,

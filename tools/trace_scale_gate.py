@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Scale gate for the .ltrc trace pipeline: million-request traces in O(1)
-memory.
+"""Scale gate for the .ltrc trace pipeline and the serving engine:
+million-request timelines in bounded memory.
 
 Drives lotus_trace through synth -> info -> slice on a 1,000,000-request
 trace and asserts:
@@ -11,12 +11,19 @@ trace and asserts:
      (the slice holds exactly the requested window);
   3. peak RSS of every child stays under --rss-limit-mb: the Writer,
      Reader and slicer all stream, so memory must not scale with record
-     count. The bound is generous (default 128 MiB; sanitizer builds need
-     more) -- materialising 10^6 requests would blow well past it.
+     count.
+
+With --serve, it also serves a 1,000,000-request non-learning load
+(8 streams x 125,000 requests, performance governor) through lotus_serve
+twice: once recording its timeline (--record-trace), once replaying that
+trace (--replay-trace). The two stdouts must match byte for byte, and both
+runs fall under the same RSS bound: the engine pulls its timeline one
+request at a time, so what grows with the request count is the ledger's
+served samples (8 B each), not the timeline.
 
 Usage:
-    trace_scale_gate.py --trace PATH/TO/lotus_trace [--requests N]
-        [--rss-limit-mb M] [--workdir DIR]
+    trace_scale_gate.py --trace PATH/TO/lotus_trace [--serve PATH/TO/lotus_serve]
+        [--requests N] [--rss-limit-mb M] [--workdir DIR]
 
 Exit 0 when every property holds, 1 otherwise, 2 on setup failure.
 """
@@ -47,8 +54,9 @@ def run_measured(cmd):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--trace", required=True)
+    ap.add_argument("--serve")
     ap.add_argument("--requests", type=int, default=1_000_000)
-    ap.add_argument("--rss-limit-mb", type=float, default=128.0)
+    ap.add_argument("--rss-limit-mb", type=float, default=48.0)
     ap.add_argument("--workdir")
     args = ap.parse_args()
 
@@ -97,12 +105,27 @@ def main():
         failures.append(f"slice holds {m.group(1) if m else 'nothing'} records, "
                         f"expected {hi - lo}")
 
+    if args.serve:
+        serve = [args.serve, "--streams", "8", "--rate", "0.15", "--requests", "125000",
+                 "--governor", "performance", "--jobs", "1"]
+        recorded = os.path.join(workdir, "serve_traces")
+        proc, rss = run_measured(serve + ["--record-trace", recorded])
+        check_child("serve --record-trace", proc, rss)
+        recorded_stdout = proc.stdout
+        proc, rss = run_measured(serve + ["--replay-trace", recorded])
+        check_child("serve --replay-trace", proc, rss)
+        if proc.stdout != recorded_stdout:
+            failures.append("serve: replayed stdout differs from the recording run's")
+        if "1000000" not in recorded_stdout:
+            failures.append("serve: stdout reports no 1000000-request row")
+
     shutil.rmtree(workdir, ignore_errors=True)
     if failures:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"trace_scale_gate: {total} records synthesised, inspected and sliced "
+    served = ", 1000000 requests served, recorded and replayed" if args.serve else ""
+    print(f"trace_scale_gate: {total} records synthesised, inspected and sliced{served} "
           f"under {args.rss_limit_mb:.0f} MiB")
     return 0
 
