@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "common.hpp"
+#include "lotus_repro.hpp"
 
 using namespace lotus;
 
@@ -26,8 +26,8 @@ int main() {
 
     // One registry scenario per dataset; one arm per detector.
     for (const char* name : {"fig1_kitti", "fig1_visdrone"}) {
-        const auto& sc = bench::scenario(name);
-        const auto results = bench::run(sc);
+        const auto& sc = harness::ScenarioRegistry::instance().at(name);
+        const auto results = harness::ExperimentHarness().run(sc);
         for (const auto& r : results) {
             const auto s = r.trace.summary();
             const auto pct = util::percentiles(r.trace.latencies_ms(), {5.0, 95.0});
@@ -42,7 +42,6 @@ int main() {
                 util::format_double(workload::map50(r.config.detector, dataset), 1),
             });
         }
-        bench::maybe_dump_csv(sc.name, results);
     }
     std::printf("%s\n", table.render("Fig. 1 (measured latency; mAP from paper)").c_str());
     std::printf("Expected shape: two-stage detectors show std an order of magnitude\n"

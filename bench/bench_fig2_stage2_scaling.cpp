@@ -9,15 +9,15 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common.hpp"
+#include "lotus_repro.hpp"
 
 using namespace lotus;
 
 namespace {
 
 void sweep(const char* scenario_name) {
-    const auto& sc = bench::scenario(scenario_name);
-    const auto results = bench::run(sc);
+    const auto& sc = harness::ScenarioRegistry::instance().at(scenario_name);
+    const auto results = harness::ExperimentHarness().run(sc);
 
     // Probe episodes are exactly one frame each; the pinned levels and the
     // proposal counts come from the executed traces, not from re-stating the

@@ -4,12 +4,12 @@
 
 #include <cstdio>
 
-#include "common.hpp"
+#include "lotus_repro.hpp"
 
 using namespace lotus;
 
 int main() {
-    const auto& sc = bench::scenario("fig7a_temp_changes");
+    const auto& sc = harness::ScenarioRegistry::instance().at("fig7a_temp_changes");
     const auto iterations = sc.config.iterations;
     // Zone boundaries come from the scenario's ambient profile.
     const auto& zones = sc.config.ambient.segments();
@@ -20,7 +20,7 @@ int main() {
     std::printf("MaskRCNN + VisDrone2019 on Jetson Orin Nano, %zu iterations\n\n",
                 iterations);
 
-    const auto results = bench::run(sc);
+    const auto results = harness::ExperimentHarness().run(sc);
     harness::print_figure("Fig. 7a traces", results);
 
     // Per-zone summaries: the paper's claim is fast, smooth adaptation at
@@ -37,7 +37,6 @@ int main() {
                     warm2.satisfaction_rate * 100, warm1.mean_device_temp,
                     cold.mean_device_temp, warm2.mean_device_temp);
     }
-    bench::maybe_dump_csv(sc.name, results);
     std::printf("\nExpected shape: in the cold zone every method cools and speeds up\n"
                 "(more thermal headroom); Lotus exploits it most while staying stable,\n"
                 "and re-adapts fastest when the warm zone returns.\n");

@@ -4,12 +4,12 @@
 
 #include <cstdio>
 
-#include "common.hpp"
+#include "lotus_repro.hpp"
 
 using namespace lotus;
 
 int main() {
-    const auto& sc = bench::scenario("fig7b_domain_changes");
+    const auto& sc = harness::ScenarioRegistry::instance().at("fig7b_domain_changes");
     const auto iterations = sc.config.iterations;
     const auto& segments = sc.config.schedule.all();
     const auto half = segments.at(1).first_iteration;
@@ -20,7 +20,7 @@ int main() {
                 iterations, segments.at(0).latency_constraint_s * 1e3,
                 segments.at(1).latency_constraint_s * 1e3);
 
-    const auto results = bench::run(sc);
+    const auto results = harness::ExperimentHarness().run(sc);
     harness::print_figure("Fig. 7b traces", results);
 
     for (const auto& r : results) {
@@ -34,7 +34,6 @@ int main() {
                     kitti.satisfaction_rate * 100, visdrone.mean_latency_s * 1e3,
                     visdrone.satisfaction_rate * 100, adapt.satisfaction_rate * 100);
     }
-    bench::maybe_dump_csv(sc.name, results);
     std::printf("\nExpected shape: all methods jump in latency at the switch (bigger\n"
                 "inputs, more proposals); Lotus recovers a stable band fastest and keeps\n"
                 "the highest satisfaction rate in both domains.\n");

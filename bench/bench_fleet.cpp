@@ -21,7 +21,7 @@
 #include <cstdio>
 #include <string>
 
-#include "common.hpp"
+#include "lotus_repro.hpp"
 
 using namespace lotus;
 
@@ -34,7 +34,7 @@ struct FleetPoint {
     bool found = false;
 };
 
-FleetPoint point_of(const std::vector<bench::EpisodeResult>& results,
+FleetPoint point_of(const std::vector<harness::EpisodeResult>& results,
                     const std::string& arm) {
     for (const auto& r : results) {
         if (r.arm != arm || !r.fleet_trace) continue;
@@ -46,7 +46,7 @@ FleetPoint point_of(const std::vector<bench::EpisodeResult>& results,
 /// --jobs byte-identity on the fleet engine: a two-arm, pretrain-free copy
 /// of the scenario (kernel-governor arms only) rendered to JSON under
 /// serial and parallel harnesses must match byte for byte.
-bool jobs_identity_check(const bench::Scenario& sc) {
+bool jobs_identity_check(const harness::Scenario& sc) {
     harness::Scenario subset(sc.config);
     subset.name = sc.name;
     subset.title = sc.title + " (jobs identity subset)";
@@ -70,7 +70,7 @@ bool jobs_identity_check(const bench::Scenario& sc) {
 } // namespace
 
 int main() {
-    const auto& sc = bench::scenario("serve_fleet_saturation");
+    const auto& sc = harness::ScenarioRegistry::instance().at("serve_fleet_saturation");
     std::printf("Fleet routing under saturation -- %zu devices, %zu streams, router "
                 "shoot-out\n",
                 sc.fleet->devices.size(), sc.fleet->streams.size());
@@ -80,9 +80,8 @@ int main() {
 
     if (!jobs_identity_check(sc)) return 1;
 
-    const auto results = bench::run(sc);
+    const auto results = harness::ExperimentHarness().run(sc);
     harness::print_fleet_table(sc.title, results);
-    bench::maybe_dump_csv(sc.name, results);
 
     const auto rr = point_of(results, "Lotus+round_robin");
     const auto ta = point_of(results, "Lotus+thermal_aware");

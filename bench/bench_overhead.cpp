@@ -60,7 +60,7 @@
 #include <time.h>
 #include <unistd.h>
 
-#include "common.hpp"
+#include "lotus_repro.hpp"
 #include "prof/profiler.hpp"
 
 using namespace lotus;
@@ -242,7 +242,7 @@ StepperRun run_stepper(const serving::ServingConfig& base, double accuracy_k,
 /// Gate the closed-form stepper on serve_saturation; returns false (failing
 /// the bench) if the acceptance bar is missed.
 bool stepper_comparison() {
-    const auto& sc = bench::scenario("serve_saturation");
+    const auto& sc = harness::ScenarioRegistry::instance().at("serve_saturation");
     if (!sc.serving) {
         std::printf("serve_saturation is not a serving scenario?\n");
         return false;
@@ -321,21 +321,17 @@ bool stepper_comparison() {
 constexpr double kMaxAllocsPerEvent = 0.35;
 
 /// The bench harness configuration without per-request ledger rows.
-harness::HarnessConfig summary_only_config() {
-    auto cfg = bench::harness_config();
-    cfg.summary_only = true;
-    return cfg;
-}
+harness::HarnessConfig summary_only_config() { return {.summary_only = true}; }
 
 struct CountedRun {
-    std::vector<bench::EpisodeResult> results;
+    std::vector<harness::EpisodeResult> results;
     std::uint64_t matvec_calls = 0;
     std::uint64_t allocs = 0;
     std::uint64_t alloc_bytes = 0;
 };
 
 /// One run of `sc` on `h` with its single-sample forwards and allocations.
-CountedRun counted_run(const bench::Scenario& sc, const harness::ExperimentHarness& h) {
+CountedRun counted_run(const harness::Scenario& sc, const harness::ExperimentHarness& h) {
     CountedRun run;
     prof::reset();
     const std::uint64_t a0 = alloc_count();
@@ -351,8 +347,8 @@ CountedRun counted_run(const bench::Scenario& sc, const harness::ExperimentHarne
 /// serve_saturation; returns false (failing the bench) on a missed bar.
 bool count_gates() {
     bool ok = true;
-    const auto& sc = bench::scenario("serve_saturation");
-    const harness::ExperimentHarness full_h(bench::harness_config());
+    const auto& sc = harness::ScenarioRegistry::instance().at("serve_saturation");
+    const harness::ExperimentHarness full_h;
     const harness::ExperimentHarness plain_h(summary_only_config());
     auto tel_cfg = summary_only_config();
     tel_cfg.telemetry = true;
@@ -447,14 +443,10 @@ double process_cpu_s() {
 /// performance governor (serve_overload_40k's shape). The device serves
 /// about 2 requests/s, so 0.3 Hz per stream overloads it and 0.2 Hz does
 /// not.
-bench::Scenario overload_scenario(double rate_hz, std::size_t requests_per_stream) {
-    const auto spec = platform::orin_nano_spec();
-    bench::Scenario s(runtime::static_experiment(
-        spec, detector::DetectorKind::faster_rcnn, "KITTI", 1, 0));
-    s.name = "queue_gate";
-    s.title = s.name;
-    serving::ServingConfig cfg(spec);
-    cfg.scheduler = "edf";
+harness::Scenario overload_scenario(double rate_hz, std::size_t requests_per_stream) {
+    auto s = harness::load_scenario(platform::orin_nano_spec(), "queue_gate", "queue_gate",
+                                    {.scheduler = "edf"});
+    auto& cfg = *s.serving;
     for (int i = 0; i < 8; ++i) {
         serving::StreamSpec stream;
         stream.name = "stream" + std::to_string(i);
@@ -465,13 +457,12 @@ bench::Scenario overload_scenario(double rate_hz, std::size_t requests_per_strea
         stream.arrival.phase_s = i / (8.0 * rate_hz);
         cfg.streams.push_back(std::move(stream));
     }
-    s.serving = std::move(cfg);
     s.arms.push_back(harness::performance_arm());
     return s;
 }
 
 /// One timed scenario run (the result is discarded, only the clock matters).
-double wall_of_run(const bench::Scenario& sc, const harness::ExperimentHarness& h) {
+double wall_of_run(const harness::Scenario& sc, const harness::ExperimentHarness& h) {
     prof::reset();
     const auto t0 = std::chrono::steady_clock::now();
     const auto results = h.run(sc);
@@ -481,7 +472,7 @@ double wall_of_run(const bench::Scenario& sc, const harness::ExperimentHarness& 
 }
 
 /// Process CPU seconds of one scenario run.
-double cpu_of_run(const bench::Scenario& sc, const harness::ExperimentHarness& h) {
+double cpu_of_run(const harness::Scenario& sc, const harness::ExperimentHarness& h) {
     prof::reset();
     const double c0 = process_cpu_s();
     const auto results = h.run(sc);
@@ -525,9 +516,9 @@ double scope_cost_s() {
 
 /// Min-of-`pairs` walls of two runs timed in interleaved pairs, so both
 /// come from the same stretch of host time.
-std::pair<double, double> paired_walls(const bench::Scenario& a,
+std::pair<double, double> paired_walls(const harness::Scenario& a,
                                        const harness::ExperimentHarness& a_h,
-                                       const bench::Scenario& b,
+                                       const harness::Scenario& b,
                                        const harness::ExperimentHarness& b_h, int pairs) {
     double a_s = 1e300;
     double b_s = 1e300;
@@ -542,7 +533,7 @@ std::pair<double, double> paired_walls(const bench::Scenario& a,
 /// (failing the bench) on any missed bar.
 bool timing_gates() {
     bool ok = true;
-    const auto& sc = bench::scenario("serve_saturation");
+    const auto& sc = harness::ScenarioRegistry::instance().at("serve_saturation");
 
     // --- profiler timers-enabled overhead -----------------------------------
     // Gated on a deterministic product: the scopes one run enters (from the
@@ -551,7 +542,7 @@ bool timing_gates() {
     // A/B on a shared host spreads by tens of percent, far more than the 2%
     // under test, so none is taken. The timers-on run also warms up the
     // timers-off run that gives the denominator.
-    const auto& fleet_sc = bench::scenario("serve_fleet_saturation");
+    const auto& fleet_sc = harness::ScenarioRegistry::instance().at("serve_fleet_saturation");
     const harness::ExperimentHarness fleet_h(summary_only_config());
     prof::set_enabled(true);
     g_sink = cpu_of_run(fleet_sc, fleet_h);
@@ -645,9 +636,8 @@ int main() {
 
     // Modelled communication overhead, via the registry scenario: how much
     // of each measured frame the engine charged to agent round-trips.
-    const auto& sc = bench::scenario("overhead_analysis");
-    const auto results = bench::run(sc);
-    bench::maybe_dump_csv(sc.name, results);
+    const auto& sc = harness::ScenarioRegistry::instance().at("overhead_analysis");
+    const auto results = harness::ExperimentHarness().run(sc);
 
     const double per_decision_ms = core::LotusConfig{}.decision_overhead_s * 1e3;
     util::TextTable table({"method", "decisions/frame", "charged overhead (ms)",

@@ -115,10 +115,6 @@ FleetEngine::FleetEngine(FleetConfig config) : config_(std::move(config)) {
     (void)make_router(config_.router); // throws on unknown router
 }
 
-std::vector<serving::Request> FleetEngine::build_requests() const {
-    return serving::RequestSource(config_).drain();
-}
-
 std::uint64_t FleetEngine::governor_seed(std::uint64_t governor_seed_root,
                                          std::size_t index) const {
     return util::derive_seed(governor_seed_root,

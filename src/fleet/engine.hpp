@@ -73,10 +73,6 @@ public:
     [[nodiscard]] FleetTrace run(const GovernorFactory& make_governor,
                                  std::uint64_t governor_seed_root) const;
 
-    /// The merged, arrival-ordered dispatcher timeline, drained from its
-    /// serving::RequestSource (exposed for tests and load inspection).
-    [[nodiscard]] std::vector<serving::Request> build_requests() const;
-
     /// The seed handed to the governor factory for device `index` -- a pure
     /// function of (root, device id, index), exposed so tests can pin the
     /// per-device namespacing.

@@ -21,7 +21,7 @@
 //    time: work slices, idle gaps (run_idle), agent decision overhead and
 //    DVFS-transition stalls alike;
 //  * the tick count over a span of simulated time is therefore invariant to
-//    how the engine slices its work integration (EngineConfig::max_slice_s);
+//    how the engine slices its work integration;
 //  * a level request returned from on_tick takes effect immediately
 //    (mid-stage); its DVFS stall is charged on top of the in-flight slice,
 //    and ticks keep firing during the stall;

@@ -41,10 +41,6 @@ workload::AmbientProfile mission_profile(std::size_t frames) {
         "drone mission: ground/climb/loiter/descend");
 }
 
-/// Requests each serving stream emits (shrunk in fast mode like the
-/// iteration budgets).
-std::size_t serve_requests() { return fast_mode() ? 25 : 150; }
-
 /// Requests per stream for the FLEET scenarios. Deliberately shorter than
 /// the single-device serving budget: the fleet scenarios study the
 /// transient regime where an airflow gradient leaves real headroom
@@ -64,46 +60,17 @@ serving::StreamSpec cam_stream(std::string name, std::string dataset, double slo
     return s;
 }
 
-/// Serving- or fleet-scenario shell: the caller appends streams (and, for
-/// a fleet, devices) and arms. The classic config half still names a
-/// representative device/detector so arm factories and sinks (throttle
-/// bounds) keep working. The shared load half warms up against the
-/// device-calibrated per-frame constraint, not the (queueing-padded) SLO: a
-/// saturated queue needs frames served at the single-frame pace.
-Scenario load_scenario(const platform::DeviceSpec& spec, std::string name, std::string title,
-                       std::string description, std::string scheduler, bool fleet) {
-    Scenario s(runtime::static_experiment(spec, DetectorKind::faster_rcnn, "KITTI", 1, 0));
-    s.name = std::move(name);
-    s.title = std::move(title);
-    s.description = std::move(description);
-    s.tags = {"serving"};
-    serving::LoadConfig* load = nullptr;
-    if (fleet) {
-        s.tags.push_back("fleet");
-        load = &s.fleet.emplace();
-    } else {
-        load = &s.serving.emplace(spec);
-    }
-    load->detector = DetectorKind::faster_rcnn;
-    load->scheduler = std::move(scheduler);
-    load->pretrain_iterations = pretrain_iterations();
-    load->pretrain_constraint_s =
-        workload::latency_constraint_s(spec.name, DetectorKind::faster_rcnn, "KITTI");
-    return s;
-}
-
+/// A registry serving (or fleet) scenario: load_scenario's shell on the
+/// Faster R-CNN / KITTI pair with the registry's warm-up budget.
 Scenario serving_scenario(const platform::DeviceSpec& spec, std::string name,
                           std::string title, std::string description,
-                          std::string scheduler) {
-    return load_scenario(spec, std::move(name), std::move(title), std::move(description),
-                         std::move(scheduler), false);
-}
-
-Scenario fleet_scenario(const platform::DeviceSpec& spec, std::string name,
-                        std::string title, std::string description,
-                        std::string scheduler) {
-    return load_scenario(spec, std::move(name), std::move(title), std::move(description),
-                         std::move(scheduler), true);
+                          std::string scheduler, bool fleet = false) {
+    auto s = load_scenario(spec, std::move(name), std::move(title),
+                           {.scheduler = std::move(scheduler),
+                            .pretrain_iterations = pretrain_iterations(),
+                            .fleet = fleet});
+    s.description = std::move(description);
+    return s;
 }
 
 /// Heatwave ambient: 25 C baseline, ramp to a mid-run peak, ramp back --
@@ -126,6 +93,7 @@ std::size_t orin_iterations() { return fast_mode() ? 600 : 3000; }
 std::size_t mi11_iterations() { return fast_mode() ? 300 : 1000; }
 std::size_t pretrain_iterations() { return fast_mode() ? 500 : 2500; }
 std::size_t mi11_pretrain_iterations() { return fast_mode() ? 500 : 6000; }
+std::size_t serve_requests() { return fast_mode() ? 25 : 150; }
 
 ScenarioRegistry::ScenarioRegistry() {
     const auto orin = platform::orin_nano_spec();
@@ -610,7 +578,7 @@ ScenarioRegistry::ScenarioRegistry() {
         const std::size_t n = fleet_requests();
 
         {
-            Scenario s = fleet_scenario(
+            Scenario s = serving_scenario(
                 orin, "serve_fleet_saturation", "Fleet: homogeneous saturation",
                 "8 Poisson KITTI streams at ~9.6 req/s offered to a pool of 4 "
                 "identical Orin Nanos (right at pool capacity) racked in a "
@@ -619,7 +587,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "it can dissipate and its queue spirals, headroom-aware "
                 "placement gives it exactly the load it can carry. The "
                 "headline router comparison (bench_fleet).",
-                "edf_admit");
+                "edf_admit", true);
             s.fleet->devices = fleet::device_pool(orin, "orin", 4);
             // Rack-position ambient gradient: the devices are identical, the
             // airflow is not -- which is exactly where placement decides
@@ -642,13 +610,13 @@ ScenarioRegistry::ScenarioRegistry() {
             scenarios_.push_back(std::move(s));
         }
         {
-            Scenario s = fleet_scenario(
+            Scenario s = serving_scenario(
                 orin, "serve_fleet_hetero", "Fleet: heterogeneous pool",
                 "2 Orin Nanos + 2 Mi 11 Lites (a ~4x per-frame speed gap) "
                 "serve 6 Poisson KITTI streams near pool capacity: blind "
                 "placement drowns the phones, backlog- and pace-aware routers "
                 "keep them useful for the load they can actually carry.",
-                "edf_admit");
+                "edf_admit", true);
             const double mi11_l = workload::latency_constraint_s(
                 mi11.name, DetectorKind::faster_rcnn, "KITTI");
             s.fleet->devices = fleet::device_pool(orin, "orin", 2);
@@ -671,13 +639,13 @@ ScenarioRegistry::ScenarioRegistry() {
             scenarios_.push_back(std::move(s));
         }
         {
-            Scenario s = fleet_scenario(
+            Scenario s = serving_scenario(
                 orin, "serve_fleet_diurnal_holdout", "Fleet: diurnal ramp with a failure",
                 "6 diurnal KITTI streams over 4 Orin Nanos; one device is "
                 "withdrawn at 40% of the run (failure / maintenance holdout) "
                 "and its queue re-routes to the survivors -- the pool must "
                 "absorb the peak with 3/4 of its capacity.",
-                "edf_admit");
+                "edf_admit", true);
             s.fleet->devices = fleet::device_pool(orin, "orin", 4);
             const double rate = 1.15;
             // The timeline spans ~requests/rate seconds per stream; withdraw
@@ -694,7 +662,7 @@ ScenarioRegistry::ScenarioRegistry() {
             scenarios_.push_back(std::move(s));
         }
         {
-            Scenario s = fleet_scenario(
+            Scenario s = serving_scenario(
                 orin, "serve_fleet_burst_migration", "Fleet: burst storm, migration on/off",
                 "6 motion-triggered KITTI streams volley 10 requests at a "
                 "time into 3 Orin Nanos with badly skewed airflow (68C at "
@@ -703,7 +671,7 @@ ScenarioRegistry::ScenarioRegistry() {
                 "migration enabled, the trip drains the clamped device's "
                 "queue to the rest of the pool instead of serving the "
                 "backlog at clamp speed.",
-                "edf_admit");
+                "edf_admit", true);
             s.fleet->devices = fleet::device_pool(orin, "orin", 3);
             // Strong airflow gradient: the choked corner trips under volley
             // load that the rest of the pool shrugs off -- the regime where

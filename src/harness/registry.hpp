@@ -34,6 +34,10 @@ namespace lotus::harness {
 [[nodiscard]] std::size_t pretrain_iterations();
 [[nodiscard]] std::size_t mi11_pretrain_iterations();
 
+/// Requests each single-device serving stream emits, registry and ad-hoc
+/// CLI runs alike.
+[[nodiscard]] std::size_t serve_requests();
+
 class ScenarioRegistry {
 public:
     /// Builds the full built-in catalog.

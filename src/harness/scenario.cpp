@@ -6,11 +6,33 @@
 #include "governors/linux_governors.hpp"
 #include "governors/ztt.hpp"
 #include "platform/presets.hpp"
+#include "workload/presets.hpp"
 
 namespace lotus::harness {
 
 bool Scenario::has_tag(const std::string& tag) const {
     return std::find(tags.begin(), tags.end(), tag) != tags.end();
+}
+
+Scenario load_scenario(const platform::DeviceSpec& spec, std::string name, std::string title,
+                       const LoadShape& shape) {
+    Scenario s(runtime::static_experiment(spec, shape.detector, shape.dataset, 1, 0));
+    s.name = std::move(name);
+    s.title = std::move(title);
+    s.tags = {"serving"};
+    serving::LoadConfig* load = nullptr;
+    if (shape.fleet) {
+        s.tags.push_back("fleet");
+        load = &s.fleet.emplace();
+    } else {
+        load = &s.serving.emplace(spec);
+    }
+    load->detector = shape.detector;
+    load->scheduler = shape.scheduler;
+    load->pretrain_iterations = shape.pretrain_iterations;
+    load->pretrain_constraint_s =
+        workload::latency_constraint_s(spec.name, shape.detector, shape.dataset);
+    return s;
 }
 
 ArmSpec fleet_arm(ArmSpec base, const std::string& router, bool migrate) {

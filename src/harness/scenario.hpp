@@ -169,6 +169,27 @@ struct Scenario {
 /// Linux `performance` governor (both domains pinned to the top level).
 [[nodiscard]] inline ArmSpec performance_arm() { return governor_arm(Performance{}); }
 
+/// What a serving or fleet scenario serves, besides its streams and arms.
+struct LoadShape {
+    detector::DetectorKind detector = detector::DetectorKind::faster_rcnn;
+    std::string dataset = "KITTI";
+    /// Queue policy (see serving/scheduler.hpp).
+    std::string scheduler = "edf";
+    std::size_t pretrain_iterations = 0;
+    /// A fleet scenario (the caller fills its devices) instead of one device.
+    bool fleet = false;
+};
+
+/// The one builder of a serving- or fleet-scenario shell on `spec`, for the
+/// registry and the CLIs alike: the caller appends streams (and, for a
+/// fleet, devices) and arms. The classic config half names the device,
+/// detector and dataset so arm factories and sinks (throttle bounds) keep
+/// working. The load warms up against the device-calibrated per-frame
+/// constraint L, not the (queueing-padded) SLO: a saturated queue needs
+/// frames served at the single-frame pace.
+[[nodiscard]] Scenario load_scenario(const platform::DeviceSpec& spec, std::string name,
+                                     std::string title, const LoadShape& shape);
+
 /// Retarget any governor arm at one fleet routing policy: the arm name
 /// becomes "<base>+<router>[+migrate]" and its overrides set the router and
 /// the migration switch (router shoot-outs express each policy as an arm).

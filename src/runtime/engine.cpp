@@ -16,13 +16,15 @@ constexpr double kWorkEpsilon = 1.0;
 constexpr double kCpuUtilDuringGpu = 0.15;
 /// CPU utilization while idle / waiting for the agent.
 constexpr double kIdleCpuUtil = 0.05;
+/// Upper bound on one work-integration slice [s]. A guard only: work
+/// accounting and kernel-tick delivery are exact for any value (the device
+/// splits time at frequency changes, tick deadlines and throttle polls), so
+/// this merely caps how much work the engine commits to one throughput
+/// sample.
+constexpr double kMaxSliceS = 0.25;
 } // namespace
 
-InferenceEngine::InferenceEngine(platform::EdgeDevice& device, EngineConfig config)
-    : device_(device), cfg_(config) {
-    if (cfg_.max_slice_s <= 0.0) {
-        throw std::invalid_argument("InferenceEngine: max_slice_s must be > 0");
-    }
+InferenceEngine::InferenceEngine(platform::EdgeDevice& device) : device_(device) {
     device_.set_advance_listener(this);
 }
 
@@ -135,7 +137,7 @@ void InferenceEngine::charge_decision_overhead() {
 void InferenceEngine::execute_cpu_work(double ops) {
     while (ops > kWorkEpsilon) {
         const double throughput = device_.cpu_throughput();
-        const double t_need = std::min(ops / throughput, cfg_.max_slice_s);
+        const double t_need = std::min(ops / throughput, kMaxSliceS);
         // advance_work returns early if the granted frequency changed, so
         // `throughput` is exact over the h it reports.
         const double h = device_.advance_work(t_need, 1.0, 0.0);
@@ -148,7 +150,7 @@ void InferenceEngine::execute_gpu_work(double ops, double bytes) {
         const double throughput = device_.gpu_throughput();
         const double bw = device_.mem_bandwidth();
         const double t_need = ops / throughput + bytes / bw;
-        const double t_slice = std::min(t_need, cfg_.max_slice_s);
+        const double t_slice = std::min(t_need, kMaxSliceS);
         const double h = device_.advance_work(t_slice, kCpuUtilDuringGpu, 1.0);
         const double frac = h / t_need;
         ops -= ops * frac;

@@ -21,15 +21,6 @@
 
 namespace lotus::runtime {
 
-struct EngineConfig {
-    /// Upper bound on one work-integration slice [s]. A guard only: work
-    /// accounting and kernel-tick delivery are exact for any value (the
-    /// device splits time at frequency changes, tick deadlines and throttle
-    /// polls), so this merely caps how much work the engine commits to one
-    /// throughput sample.
-    double max_slice_s = 0.25;
-};
-
 struct FrameResult {
     std::size_t iteration = 0;
     double start_time_s = 0.0;
@@ -61,7 +52,7 @@ class InferenceEngine final : private platform::AdvanceListener {
 public:
     /// Registers the engine as `device`'s advance listener for its lifetime
     /// (one engine per device).
-    InferenceEngine(platform::EdgeDevice& device, EngineConfig config = {});
+    explicit InferenceEngine(platform::EdgeDevice& device);
     ~InferenceEngine() override;
     InferenceEngine(const InferenceEngine&) = delete;
     InferenceEngine& operator=(const InferenceEngine&) = delete;
@@ -88,7 +79,6 @@ public:
     void reset();
 
     [[nodiscard]] double last_frame_latency_s() const noexcept { return last_latency_; }
-    [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
 
 private:
     // --- platform::AdvanceListener (tick delivery + throttle observation) --
@@ -110,7 +100,6 @@ private:
     void execute_gpu_work(double ops, double bytes);
 
     platform::EdgeDevice& device_;
-    EngineConfig cfg_;
     governors::Governor* gov_ = nullptr;
     double tick_interval_s_ = 0.0; // gov_'s, read once per bind()
     double last_latency_ = 0.0;

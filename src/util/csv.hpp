@@ -1,9 +1,9 @@
 #pragma once
 // Minimal CSV emission for bench/experiment traces.
 //
-// Benches print human-readable tables to stdout; when the LOTUS_BENCH_CSV
-// environment variable is set they additionally dump raw per-iteration
-// traces with this writer so figures can be re-plotted externally.
+// The CSV sink (`--csv DIR` of lotus_run / lotus_serve) dumps raw
+// per-iteration and per-request traces with this writer so figures can be
+// re-plotted externally; lotus_sweep writes its sweep.csv with it too.
 
 #include <fstream>
 #include <string>

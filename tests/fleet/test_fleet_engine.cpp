@@ -110,7 +110,7 @@ TEST(FleetEngine, EveryRequestIsAccountedExactlyOnce) {
     const FleetEngine engine(small_config());
     const auto trace = engine.run(fixed_factory(5, 3), 1);
 
-    const auto requests = engine.build_requests();
+    const auto requests = serving::RequestSource(small_config()).drain();
     ASSERT_EQ(trace.size(), requests.size());
     std::set<std::size_t> seen;
     for (const auto& r : trace.records()) {
@@ -136,7 +136,7 @@ TEST(FleetEngine, EveryRequestIsAccountedExactlyOnce) {
 
 TEST(FleetEngine, DispatcherTimelineMatchesServingDerivation) {
     const auto cfg = small_config();
-    const auto fleet_requests = FleetEngine(cfg).build_requests();
+    const auto fleet_requests = serving::RequestSource(cfg).drain();
     const auto serving_requests =
         serving::build_request_timeline(cfg.streams, cfg.seed);
     ASSERT_EQ(fleet_requests.size(), serving_requests.size());

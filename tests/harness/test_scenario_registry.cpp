@@ -18,6 +18,7 @@
 #include "../../examples/budget_governor.hpp"
 #include "harness/registry.hpp"
 #include "platform/presets.hpp"
+#include "workload/presets.hpp"
 
 namespace lotus::harness {
 namespace {
@@ -290,6 +291,43 @@ TEST(ScenarioRegistry, AmbientTablesEqualTheirClosureReferencesBitForBit) {
                 << "heatwave iteration " << i;
         }
     }
+}
+
+TEST(LoadScenario, ShellCarriesItsShapeOnEitherEngine) {
+    using detector::DetectorKind;
+    const auto mi11 = platform::mi11_lite_spec();
+    const LoadShape shape{.detector = DetectorKind::mask_rcnn,
+                          .dataset = "VisDrone2019",
+                          .scheduler = "fifo",
+                          .pretrain_iterations = 7};
+    const double l =
+        workload::latency_constraint_s(mi11.name, DetectorKind::mask_rcnn, "VisDrone2019");
+
+    const auto one = load_scenario(mi11, "one", "One device", shape);
+    ASSERT_TRUE(one.is_serving());
+    EXPECT_FALSE(one.is_fleet());
+    EXPECT_EQ(one.name, "one");
+    EXPECT_EQ(one.title, "One device");
+    EXPECT_EQ(one.tags, (std::vector<std::string>{"serving"}));
+    EXPECT_EQ(one.serving->device_spec.name, mi11.name);
+    EXPECT_EQ(one.serving->detector, DetectorKind::mask_rcnn);
+    EXPECT_EQ(one.serving->scheduler, "fifo");
+    EXPECT_EQ(one.serving->pretrain_iterations, 7u);
+    EXPECT_EQ(one.serving->pretrain_constraint_s, l);
+    EXPECT_TRUE(one.serving->streams.empty());
+    EXPECT_EQ(one.config.detector, DetectorKind::mask_rcnn);
+    EXPECT_EQ(one.config.schedule.at(0).dataset, "VisDrone2019");
+    EXPECT_TRUE(one.arms.empty());
+
+    auto fleet_shape = shape;
+    fleet_shape.fleet = true;
+    const auto pool = load_scenario(mi11, "pool", "Pool", fleet_shape);
+    ASSERT_TRUE(pool.is_fleet());
+    EXPECT_FALSE(pool.is_serving());
+    EXPECT_EQ(pool.tags, (std::vector<std::string>{"serving", "fleet"}));
+    EXPECT_TRUE(pool.fleet->devices.empty());
+    EXPECT_EQ(pool.fleet->scheduler, "fifo");
+    EXPECT_EQ(pool.fleet->pretrain_constraint_s, l);
 }
 
 } // namespace

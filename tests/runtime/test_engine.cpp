@@ -270,11 +270,5 @@ TEST_F(EngineTest, InvalidConstraintThrows) {
                  std::invalid_argument);
 }
 
-TEST_F(EngineTest, EngineConfigValidation) {
-    EngineConfig bad;
-    bad.max_slice_s = 0.0;
-    EXPECT_THROW(InferenceEngine(device_, bad), std::invalid_argument);
-}
-
 } // namespace
 } // namespace lotus::runtime

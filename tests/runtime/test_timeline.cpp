@@ -2,8 +2,8 @@
 // single time-advance authority. Pins the PR-3 bug class -- throttle events
 // inside DVFS transitions or decision-overhead windows were invisible to
 // run_frame -- and the kernel-tick delivery guarantees (exact cadence
-// across work, idle, DVFS stalls and decision overhead; count invariant to
-// the engine's work-slicing granularity).
+// across work, idle, DVFS stalls and decision overhead, and through the
+// engine's work slices).
 
 #include <gtest/gtest.h>
 
@@ -84,13 +84,14 @@ platform::DeviceSpec toy_hot_spec() {
     return spec;
 }
 
-/// ~4 ms of work on the toy device at its low OPP level.
-detector::DetectorModel toy_model() {
+/// ~4 ms of work on the toy device at its low OPP level (with the default
+/// backbone).
+detector::DetectorModel toy_model(double backbone_gpu_ops = 2e6) {
     detector::DetectorSpec spec;
     spec.name = "toy-rcnn";
     spec.kind = detector::DetectorKind::faster_rcnn;
     spec.preprocess = {1e6, 0.0, 0.0};
-    spec.backbone = {0.0, 2e6, 0.0};
+    spec.backbone = {0.0, backbone_gpu_ops, 0.0};
     spec.rpn = {0.0, 0.5e6, 0.0};
     spec.roi_base = {0.0, 0.2e6, 0.0};
     spec.roi_per_proposal = {0.0, 1e3, 0.0};
@@ -206,33 +207,22 @@ TEST(UnifiedTimeline, TicksKeepFiringDuringDecisionOverhead) {
     EXPECT_NEAR(gov.ticks[2].now_s, 0.09, 1e-9);
 }
 
-TEST(UnifiedTimeline, TickCountInvariantToWorkSlicing) {
-    const auto model = detector::faster_rcnn_r50();
-    workload::FrameSample frame;
-    frame.resolution_scale = 1.0;
-    frame.complexity = 1.0;
-    frame.proposals = 150;
-    frame.jitter = 1.0;
+TEST(UnifiedTimeline, TickCadenceSurvivesWorkSlicing) {
+    // ~2 s of backbone work at the toy device's 1 GHz level: the engine
+    // commits it in bounded slices whose ends fall between tick deadlines.
+    platform::EdgeDevice device(toy_hot_spec());
+    InferenceEngine engine(device);
+    SpyGovernor gov;
+    gov.tick_interval = 0.02;
+    engine.run_frame(toy_model(2e9), toy_frame(), gov, 5.0, 0);
+    engine.run_idle(0.5, gov);
 
-    auto run_with_slice = [&](double max_slice_s) {
-        platform::EdgeDevice device(platform::orin_nano_spec());
-        EngineConfig cfg;
-        cfg.max_slice_s = max_slice_s;
-        InferenceEngine engine(device, cfg);
-        SpyGovernor gov;
-        gov.tick_interval = 0.02;
-        engine.run_frame(model, frame, gov, 0.45, 0);
-        engine.run_idle(0.5, gov);
-        return gov.ticks;
-    };
-
-    const auto fine = run_with_slice(0.004);
-    const auto coarse = run_with_slice(0.25);
-    ASSERT_EQ(fine.size(), coarse.size());
-    for (std::size_t k = 0; k < fine.size(); ++k) {
-        EXPECT_NEAR(fine[k].now_s, coarse[k].now_s, 1e-6);
-        EXPECT_NEAR(std::remainder(fine[k].now_s, 0.02), 0.0, 1e-9);
+    ASSERT_GT(device.now(), 2.0);
+    ASSERT_FALSE(gov.ticks.empty());
+    for (std::size_t k = 0; k < gov.ticks.size(); ++k) {
+        EXPECT_NEAR(gov.ticks[k].now_s, 0.02 * static_cast<double>(k + 1), 1e-6) << k;
     }
+    EXPECT_LT(device.now() - gov.ticks.back().now_s, 0.02 + 1e-9);
 }
 
 } // namespace

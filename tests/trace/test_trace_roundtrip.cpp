@@ -205,15 +205,12 @@ TEST(TraceFormat, WriteTraceStreamsTheMaterialisedTimelineByteForByte) {
     EXPECT_EQ(read_file(materialised), read_file(streamed));
 }
 
-TEST(TraceFormat, EnginesServeTheDrainOfTheirSource) {
+TEST(TraceFormat, ServingEngineServesTheDrainOfItsSource) {
     const TempDir dir("engines");
     const auto path = dir.file("t.ltrc");
     serving::ServingConfig serving_cfg(platform::orin_nano_spec());
     static_cast<serving::LoadConfig&>(serving_cfg) = load_of(serving_streams(12), 8);
     write_trace(path, serving_cfg);
-    fleet::FleetConfig fleet_cfg;
-    static_cast<serving::LoadConfig&>(fleet_cfg) = serving_cfg;
-    fleet_cfg.devices = fleet::device_pool(platform::orin_nano_spec(), "d", 2);
 
     const auto same = [](const std::vector<serving::Request>& got,
                          const serving::LoadConfig& load, const char* label) {
@@ -227,10 +224,9 @@ TEST(TraceFormat, EnginesServeTheDrainOfTheirSource) {
         EXPECT_FALSE(source.next(want)) << label;
     };
     for (const bool replayed : {false, true}) {
-        serving_cfg.replay_trace = fleet_cfg.replay_trace = replayed ? path : "";
+        serving_cfg.replay_trace = replayed ? path : "";
         const char* label = replayed ? "replayed" : "generated";
         same(serving::ServingEngine(serving_cfg).build_requests(), serving_cfg, label);
-        same(fleet::FleetEngine(fleet_cfg).build_requests(), fleet_cfg, label);
     }
 }
 

@@ -5,14 +5,17 @@
 // The tools speak the same dialect -- strict flag validation (unknown
 // flags, enum values and malformed numbers exit 2, no silent fallbacks),
 // the same device/detector/dataset/governor vocabularies -- and each
-// front-end job has one code path here: list_scenarios / run_scenarios run
-// registry scenarios for lotus_run and lotus_serve, run_batch runs and
-// renders any batch, StreamFlags + identical_streams build the ad-hoc load
-// of N phase-staggered streams.
+// front-end job has one code path here. Every flag two tools accept is
+// parsed by one flag group (ArgWalk and the *Flags structs below);
+// list_scenarios / run_scenarios run registry scenarios for lotus_run and
+// lotus_serve, run_batch runs and renders any batch, and adhoc_scenario
+// builds lotus_serve's ad-hoc run and every lotus_sweep cell on
+// harness::load_scenario, the registry's serving/fleet scenario builder.
 
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,12 +31,57 @@ namespace lotus::cli {
     std::exit(2);
 }
 
-/// The value after the flag at argv[i], advancing i past it; a missing value
-/// exits 2.
-inline std::string flag_value(const std::string& tool, int argc, char** argv, int& i) {
-    if (i + 1 >= argc) usage_error(tool, std::string("missing value for ") + argv[i]);
-    return argv[++i];
-}
+/// One tool's walk over its arguments. Each flag group below owns some
+/// flags: its parse_flag consumes the flag under the cursor (and its value)
+/// when it owns it and returns false otherwise, so a tool chains the groups
+/// it accepts and rejects what is left. A group whose flags apply to one
+/// mode only (single-run / ad-hoc) marks each one it consumes, in argv
+/// order, so the tool's scenario mode can reject them (reject_mode_flags).
+/// --help / -h is answered here, for every tool.
+class ArgWalk {
+public:
+    /// Walks argv[first..argc).
+    ArgWalk(std::string tool, int argc, char** argv, int first = 1)
+        : tool_(std::move(tool)), args_(argv + first, argv + argc) {}
+    ArgWalk(std::string tool, std::vector<std::string> args)
+        : tool_(std::move(tool)), args_(std::move(args)) {}
+
+    /// Step to the next argument; false past the last one.
+    bool next() {
+        if (next_ >= args_.size()) return false;
+        flag_ = args_[next_++];
+        if (flag_ == "--help" || flag_ == "-h") {
+            std::printf("see the header comment of tools/%s.cpp for usage\n", tool_.c_str());
+            std::exit(0);
+        }
+        return true;
+    }
+
+    [[nodiscard]] const std::string& tool() const noexcept { return tool_; }
+    /// The argument next() stepped to.
+    [[nodiscard]] const std::string& flag() const noexcept { return flag_; }
+
+    /// The flag's value, stepping past it; a missing value exits 2.
+    std::string value() {
+        if (next_ >= args_.size()) error("missing value for " + flag_);
+        return args_[next_++];
+    }
+
+    void mark_mode_only() { mode_flags_.push_back(flag_); }
+    /// The mode-only flags consumed so far, in argv order.
+    [[nodiscard]] const std::vector<std::string>& mode_flags() const noexcept {
+        return mode_flags_;
+    }
+
+    [[noreturn]] void error(const std::string& message) const { usage_error(tool_, message); }
+
+private:
+    std::string tool_;
+    std::vector<std::string> args_;
+    std::size_t next_ = 0;
+    std::string flag_;
+    std::vector<std::string> mode_flags_;
+};
 
 inline std::uint64_t parse_u64(const std::string& tool, const std::string& flag,
                                const std::string& value) {
@@ -47,22 +95,11 @@ inline std::uint64_t parse_u64(const std::string& tool, const std::string& flag,
     return out;
 }
 
-/// `--seed <u64>` override state shared by every tool. Tracking whether
-/// the flag was given (not just its value) lets verbs whose output is
-/// fully determined by an input file -- lotus_trace info/cat/slice/merge
-/// -- reject a seed that could not possibly apply, instead of silently
-/// ignoring it.
-struct SeedFlag {
-    std::uint64_t value = 42;
-    bool set = false;
-};
-
-/// Strictly parse a --seed value into `seed`: non-negative integer only
-/// (no sign, no decimals, no trailing junk), at most once per invocation.
-inline void parse_seed(const std::string& tool, const std::string& raw, SeedFlag& seed) {
-    if (seed.set) usage_error(tool, "--seed given more than once");
-    seed.value = parse_u64(tool, "--seed", raw);
-    seed.set = true;
+/// The flag's value as a count of at least 1.
+inline std::size_t parse_count(ArgWalk& args) {
+    const auto n = static_cast<std::size_t>(parse_u64(args.tool(), args.flag(), args.value()));
+    if (n == 0) args.error(args.flag() + " must be >= 1");
+    return n;
 }
 
 inline double parse_positive_double(const std::string& tool, const std::string& flag,
@@ -106,9 +143,102 @@ inline std::string parse_router(const std::string& tool, const std::string& s) {
     return s;
 }
 
+/// `--seed <u64>`, for every tool that generates anything. Tracking whether
+/// the flag was given (not just its value) lets verbs whose output is fully
+/// determined by an input file -- lotus_trace info/cat/slice/merge -- reject
+/// a seed that could not possibly apply, instead of silently ignoring it.
+struct SeedFlag {
+    std::uint64_t value = 42;
+    bool set = false;
+
+    /// Strict: a non-negative integer (no sign, decimals or trailing junk),
+    /// at most once per invocation.
+    bool parse_flag(ArgWalk& args) {
+        if (args.flag() != "--seed") return false;
+        if (set) args.error("--seed given more than once");
+        value = parse_u64(args.tool(), "--seed", args.value());
+        set = true;
+        return true;
+    }
+};
+
+/// The harness flags of the tools that run episodes: --seed and --jobs.
+struct HarnessFlags {
+    SeedFlag seed;
+    std::size_t jobs = 0; // 0 -> hardware concurrency
+
+    bool parse_flag(ArgWalk& args) {
+        if (seed.parse_flag(args)) return true;
+        if (args.flag() != "--jobs") return false;
+        jobs = parse_count(args);
+        return true;
+    }
+};
+
+/// --dataset, the one flag lotus_run's single run shares with the load
+/// flags: the canonical dataset name.
+inline bool parse_dataset_flag(ArgWalk& args, std::string& dataset) {
+    if (args.flag() != "--dataset") return false;
+    dataset = parse_dataset(args.tool(), args.value());
+    args.mark_mode_only();
+    return true;
+}
+
+/// What an ad-hoc run runs: --device, --detector, --governor, --pretrain.
+/// The names stay as given until the run is built (the governor is sized
+/// to the device; the device name also prefixes fleet device ids).
+struct TargetFlags {
+    std::string device = "orin";
+    std::string detector = "frcnn";
+    std::string governor = "lotus";
+    /// Unrecorded warm-up frames (learning governors only).
+    std::size_t pretrain = 2500;
+
+    bool parse_flag(ArgWalk& args) {
+        const auto& flag = args.flag();
+        if (flag == "--device") {
+            device = args.value();
+        } else if (flag == "--detector") {
+            detector = args.value();
+        } else if (flag == "--governor") {
+            governor = args.value();
+        } else if (flag == "--pretrain") {
+            pretrain = static_cast<std::size_t>(parse_u64(args.tool(), flag, args.value()));
+        } else {
+            return false;
+        }
+        args.mark_mode_only();
+        return true;
+    }
+};
+
+/// How an ad-hoc load is served: the --scheduler queue policy, on one
+/// device or, with --devices N, on a fleet of N copies of it behind the
+/// --router policy.
+struct ServingFlags {
+    std::string scheduler = "edf";
+    std::size_t devices = 0; // 0 = not passed: one device
+    std::string router;      // "" = not passed
+
+    bool parse_flag(ArgWalk& args) {
+        const auto& flag = args.flag();
+        if (flag == "--scheduler") {
+            scheduler = args.value();
+        } else if (flag == "--devices") {
+            devices = parse_count(args);
+        } else if (flag == "--router") {
+            router = parse_router(args.tool(), args.value());
+        } else {
+            return false;
+        }
+        args.mark_mode_only();
+        return true;
+    }
+};
+
 /// The ad-hoc load flags lotus_serve, lotus_sweep and lotus_trace synth
 /// share: --streams/--requests/--arrival/--rate/--burst/--slo/--dataset.
-/// Unset requests/SLO read 0; each tool fills in its own default before
+/// Unset requests/SLO read 0; the tool fills in its default before
 /// building the streams.
 struct StreamFlags {
     std::size_t streams = 4;
@@ -121,37 +251,29 @@ struct StreamFlags {
     /// Canonical dataset name (parse_dataset).
     std::string dataset = "KITTI";
 
-    /// Consume argv[i] (and its value) when it is a load flag; false leaves
-    /// it to the tool.
-    bool parse_flag(const std::string& tool, int argc, char** argv, int& i) {
-        const std::string flag = argv[i];
-        const auto value = [&] { return flag_value(tool, argc, argv, i); };
-        const auto count = [&] {
-            const auto n = static_cast<std::size_t>(parse_u64(tool, flag, value()));
-            if (n == 0) usage_error(tool, flag + " must be >= 1");
-            return n;
-        };
+    bool parse_flag(ArgWalk& args) {
+        if (parse_dataset_flag(args, dataset)) return true;
+        const auto& flag = args.flag();
         if (flag == "--streams") {
-            streams = count();
+            streams = parse_count(args);
         } else if (flag == "--requests") {
-            requests = count();
+            requests = parse_count(args);
         } else if (flag == "--arrival") {
             try {
-                arrival = serving::arrival_kind_from(value());
+                arrival = serving::arrival_kind_from(args.value());
             } catch (const std::invalid_argument& e) {
-                usage_error(tool, e.what());
+                args.error(e.what());
             }
         } else if (flag == "--rate") {
-            rate_hz = parse_positive_double(tool, flag, value());
+            rate_hz = parse_positive_double(args.tool(), flag, args.value());
         } else if (flag == "--burst") {
-            burst = count();
+            burst = parse_count(args);
         } else if (flag == "--slo") {
-            slo_s = parse_positive_double(tool, flag, value()) / 1e3;
-        } else if (flag == "--dataset") {
-            dataset = parse_dataset(tool, value());
+            slo_s = parse_positive_double(args.tool(), flag, args.value()) / 1e3;
         } else {
             return false;
         }
+        args.mark_mode_only();
         return true;
     }
 };
@@ -218,64 +340,78 @@ inline void reject_chart_with_json(const std::string& tool, const RenderOptions&
     }
 }
 
-/// The flags lotus_run and lotus_serve share: scenario selection, jobs,
-/// seed, the output renderers and --help.
+/// The flags lotus_run and lotus_serve share: scenario selection, the
+/// harness flags and the output renderers.
 struct CommonOptions {
-    SeedFlag seed;
-    OutputFormat format = OutputFormat::table;
-    /// --csv: the output directory.
-    std::string csv;
-    std::string telemetry_dir;
-    bool chart = false;
-    bool profile = false;
+    HarnessFlags harness;
+    RenderOptions render;
     bool list_scenarios = false;
     std::vector<std::string> scenarios;
-    std::size_t jobs = 0; // 0 -> hardware concurrency
+    /// The mode-only flags given (ArgWalk::mode_flags), which scenario mode
+    /// rejects.
+    std::vector<std::string> mode_flags;
 
-    /// Consume argv[i] (and its value) when it is a shared flag; false
-    /// leaves it to the tool.
-    bool parse_flag(const std::string& tool, int argc, char** argv, int& i) {
-        const std::string flag = argv[i];
-        const auto value = [&] { return flag_value(tool, argc, argv, i); };
-        if (flag == "--seed") {
-            parse_seed(tool, value(), seed);
-        } else if (flag == "--format") {
-            format = parse_format(tool, value());
+    bool parse_flag(ArgWalk& args) {
+        if (harness.parse_flag(args)) return true;
+        const auto& flag = args.flag();
+        if (flag == "--format") {
+            render.format = parse_format(args.tool(), args.value());
         } else if (flag == "--csv") {
-            csv = value();
+            render.csv_dir = args.value();
         } else if (flag == "--telemetry") {
-            telemetry_dir = value();
-            if (telemetry_dir.empty()) usage_error(tool, "--telemetry wants a directory");
+            render.telemetry_dir = args.value();
+            if (render.telemetry_dir.empty()) args.error("--telemetry wants a directory");
         } else if (flag == "--chart") {
-            chart = true;
+            render.chart = true;
         } else if (flag == "--profile") {
-            profile = true;
+            render.profile = true;
         } else if (flag == "--list-scenarios") {
             list_scenarios = true;
         } else if (flag == "--scenario") {
-            scenarios.push_back(value());
-        } else if (flag == "--jobs") {
-            jobs = static_cast<std::size_t>(parse_u64(tool, flag, value()));
-            if (jobs == 0) usage_error(tool, "--jobs must be >= 1");
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/%s.cpp for usage\n", tool.c_str());
-            std::exit(0);
+            scenarios.push_back(args.value());
         } else {
             return false;
         }
         return true;
     }
+};
 
-    /// The renderers these flags select; rejects --chart with --format json.
-    [[nodiscard]] RenderOptions render_options(const std::string& tool) const {
-        RenderOptions r;
-        r.format = format;
-        r.chart = chart;
-        r.csv_dir = csv;
-        r.profile = profile;
-        r.telemetry_dir = telemetry_dir;
-        reject_chart_with_json(tool, r);
-        return r;
+/// lotus_serve's request-trace capture and replay directories
+/// (HarnessConfig::trace_dir / replay_dir; empty = off), in either mode.
+struct TraceFlags {
+    std::string record_dir;
+    std::string replay_dir;
+
+    bool parse_flag(ArgWalk& args) {
+        const auto& flag = args.flag();
+        auto* dir = flag == "--record-trace"   ? &record_dir
+                    : flag == "--replay-trace" ? &replay_dir
+                                               : nullptr;
+        if (dir == nullptr) return false;
+        *dir = args.value();
+        if (dir->empty()) args.error(flag + " wants a directory");
+        return true;
+    }
+
+    /// Exit 2 when both flags name one directory, however it is spelled:
+    /// capture would overwrite the traces being replayed.
+    void reject_same_dir(const std::string& tool) const {
+        if (record_dir.empty() || replay_dir.empty()) return;
+        namespace fs = std::filesystem;
+        // weakly_canonical leaves a relative path with no existing prefix
+        // relative ("a", not "./a"), and keeps a trailing "." as an empty
+        // last element.
+        const auto key = [](const std::string& dir) {
+            const auto p = fs::weakly_canonical(fs::absolute(dir));
+            return p.has_filename() ? p : p.parent_path();
+        };
+        const bool same = fs::exists(record_dir) && fs::exists(replay_dir)
+                              ? fs::equivalent(record_dir, replay_dir)
+                              : key(record_dir) == key(replay_dir);
+        if (same) {
+            usage_error(tool, "--record-trace and --replay-trace must not point at the same "
+                              "directory (capture would overwrite the traces being replayed)");
+        }
     }
 };
 
@@ -316,21 +452,21 @@ inline void render_results(const RenderOptions& opt,
     }
 }
 
-/// Run a batch on the harness the shared flags configure and render it.
-/// lotus_serve passes its --record-trace / --replay-trace directories.
-/// Without --csv/--chart serving and fleet episodes run summary-only (no
+/// Run a batch on the harness the shared flags configure and render it,
+/// capturing or replaying request traces as `traces` asks. Without
+/// --csv/--chart serving and fleet episodes run summary-only (no
 /// per-request ledger rows; every table and JSON byte is the same).
 inline void run_batch(const std::string& tool, const CommonOptions& opt,
                       const std::vector<const harness::Scenario*>& batch,
-                      const std::string& trace_dir = {}, const std::string& replay_dir = {}) {
-    const auto render = opt.render_options(tool);
+                      const TraceFlags& traces = {}) {
+    const auto& render = opt.render;
     if (render.profile) prof::set_enabled(true);
-    const harness::ExperimentHarness harness({.jobs = opt.jobs,
-                                              .seed = opt.seed.value,
+    const harness::ExperimentHarness harness({.jobs = opt.harness.jobs,
+                                              .seed = opt.harness.seed.value,
                                               .summary_only = render.summary_only(),
                                               .telemetry = !render.telemetry_dir.empty(),
-                                              .trace_dir = trace_dir,
-                                              .replay_dir = replay_dir});
+                                              .trace_dir = traces.record_dir,
+                                              .replay_dir = traces.replay_dir});
     // Status goes to stderr so stdout is byte-identical at any --jobs count.
     std::fprintf(stderr, "%s: %zu scenario(s), %zu jobs, seed %llu\n", tool.c_str(),
                  batch.size(), harness.config().jobs,
@@ -367,7 +503,7 @@ inline void reject_mode_flags(const std::string& tool, const std::vector<std::st
 /// Scenario mode: look every --scenario name up in the registry and run
 /// them as one batch. An unknown name exits 2.
 inline int run_scenarios(const std::string& tool, const CommonOptions& opt,
-                         const std::string& trace_dir = {}, const std::string& replay_dir = {}) {
+                         const TraceFlags& traces = {}) {
     const auto& registry = harness::ScenarioRegistry::instance();
     std::vector<const harness::Scenario*> batch;
     for (const auto& name : opt.scenarios) {
@@ -379,7 +515,7 @@ inline int run_scenarios(const std::string& tool, const CommonOptions& opt,
         }
         batch.push_back(s);
     }
-    run_batch(tool, opt, batch, trace_dir, replay_dir);
+    run_batch(tool, opt, batch, traces);
     return 0;
 }
 
@@ -414,6 +550,66 @@ inline harness::GovernorSpec parse_governor(const std::string& tool, const std::
         usage_error(tool, e.what());
     }
     return fixed;
+}
+
+/// An ad-hoc serving run: lotus_serve's ad-hoc mode, and each lotus_sweep
+/// cell (the sweep sets its axis values on a copy).
+struct AdhocOptions {
+    TargetFlags target;
+    ServingFlags serving;
+    StreamFlags load;
+
+    bool parse_flag(ArgWalk& args) {
+        return target.parse_flag(args) || serving.parse_flag(args) || load.parse_flag(args);
+    }
+
+    /// Set `flag` to `value` as if the command line gave it.
+    void set(const std::string& tool, const std::string& flag, const std::string& value) {
+        ArgWalk args(tool, {flag, value});
+        if (!args.next() || !parse_flag(args)) usage_error(tool, "unknown flag " + flag);
+    }
+};
+
+/// The scenario of an ad-hoc run, named `name`: harness::load_scenario's
+/// shell with the flags' N identical streams and one arm. A fleet of
+/// --devices copies of the device preset behind --router when --devices is
+/// set, else one device. Unset --slo is 2x the device-calibrated per-frame
+/// constraint L, unset --requests harness::serve_requests().
+inline harness::Scenario adhoc_scenario(const std::string& tool, const AdhocOptions& opt,
+                                        std::string name, std::string title) {
+    if (opt.serving.devices == 0 && !opt.serving.router.empty()) {
+        usage_error(tool, "--router picks the fleet routing policy and requires --devices N "
+                          "(a single device has nothing to route)");
+    }
+    const auto spec = parse_device(tool, opt.target.device);
+    const auto kind = parse_detector(tool, opt.target.detector);
+    try {
+        (void)serving::make_scheduler(opt.serving.scheduler);
+    } catch (const std::invalid_argument& e) {
+        usage_error(tool, e.what());
+    }
+    auto scenario = harness::load_scenario(spec, std::move(name), std::move(title),
+                                           {.detector = kind,
+                                            .dataset = opt.load.dataset,
+                                            .scheduler = opt.serving.scheduler,
+                                            .pretrain_iterations = opt.target.pretrain,
+                                            .fleet = opt.serving.devices > 0});
+    serving::LoadConfig* shell = nullptr;
+    if (scenario.fleet) {
+        auto& cfg = *scenario.fleet;
+        cfg.devices = fleet::device_pool(spec, opt.target.device, opt.serving.devices);
+        if (!opt.serving.router.empty()) cfg.router = opt.serving.router;
+        shell = &cfg;
+    } else {
+        shell = &*scenario.serving;
+    }
+    auto load = opt.load;
+    if (load.slo_s == 0.0) load.slo_s = 2.0 * shell->pretrain_constraint_s;
+    if (load.requests == 0) load.requests = harness::serve_requests();
+    shell->streams = identical_streams(load);
+    scenario.arms.push_back(
+        harness::governor_arm(parse_governor(tool, opt.target.governor, spec)));
+    return scenario;
 }
 
 } // namespace lotus::cli

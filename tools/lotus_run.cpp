@@ -64,65 +64,44 @@ namespace {
 const std::string kTool = "lotus_run";
 
 struct Options : cli::CommonOptions {
-    std::string device = "orin";
-    std::string detector = "frcnn";
-    std::string dataset = "kitti";
-    std::string governor = "lotus";
+    cli::TargetFlags target;
+    std::string dataset = "KITTI";
     std::size_t iterations = 0; // 0 -> device default
-    std::size_t pretrain = 2500;
     double constraint_ms = 0.0; // 0 -> preset
-    /// Single-run-only flags the user explicitly passed, so scenario mode
-    /// can reject them instead of silently ignoring an override.
-    std::vector<std::string> single_run_flags;
 };
 
 Options parse(int argc, char** argv) {
     Options opt;
-    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
-    const auto u64 = [&](const std::string& flag, const std::string& v) {
-        return cli::parse_u64(kTool, flag, v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const bool single_run_only =
-            flag == "--device" || flag == "--detector" || flag == "--dataset" ||
-            flag == "--governor" || flag == "--iterations" || flag == "--pretrain" ||
-            flag == "--constraint";
-        if (single_run_only) opt.single_run_flags.push_back(flag);
-        if (opt.parse_flag(kTool, argc, argv, i)) continue;
-        if (flag == "--device") {
-            opt.device = need_value(i);
-        } else if (flag == "--detector") {
-            opt.detector = need_value(i);
-        } else if (flag == "--dataset") {
-            opt.dataset = need_value(i);
-        } else if (flag == "--governor") {
-            opt.governor = need_value(i);
-        } else if (flag == "--iterations") {
-            opt.iterations = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.iterations == 0) cli::usage_error(kTool, "--iterations must be > 0");
-        } else if (flag == "--pretrain") {
-            opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--constraint") {
-            opt.constraint_ms = cli::parse_positive_double(kTool, flag, need_value(i));
-        } else {
-            cli::usage_error(kTool, "unknown flag " + flag);
+    cli::ArgWalk args(kTool, argc, argv);
+    while (args.next()) {
+        if (opt.parse_flag(args) || opt.target.parse_flag(args) ||
+            cli::parse_dataset_flag(args, opt.dataset)) {
+            continue;
         }
+        const auto& flag = args.flag();
+        if (flag == "--iterations") {
+            opt.iterations = cli::parse_count(args);
+        } else if (flag == "--constraint") {
+            opt.constraint_ms = cli::parse_positive_double(kTool, flag, args.value());
+        } else {
+            args.error("unknown flag " + flag);
+        }
+        args.mark_mode_only();
     }
+    opt.mode_flags = args.mode_flags();
     return opt;
 }
 
 int run_single(const Options& opt) {
-    (void)opt.render_options(kTool); // reject bad flag combinations before the banner
-    const auto spec = cli::parse_device(kTool, opt.device);
+    const auto spec = cli::parse_device(kTool, opt.target.device);
     const bool orin = spec.name.find("orin") != std::string::npos;
-    const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto dataset = cli::parse_dataset(kTool, opt.dataset);
+    const auto kind = cli::parse_detector(kTool, opt.target.detector);
+    const auto& dataset = opt.dataset;
     const std::size_t iterations =
         opt.iterations > 0 ? opt.iterations : (orin ? 3000 : 1000);
 
     harness::Scenario scenario(
-        runtime::static_experiment(spec, kind, dataset, iterations, opt.pretrain));
+        runtime::static_experiment(spec, kind, dataset, iterations, opt.target.pretrain));
     scenario.name = "cli";
     scenario.title = "lotus_run single experiment";
     if (opt.constraint_ms > 0.0) {
@@ -130,15 +109,15 @@ int run_single(const Options& opt) {
             workload::DomainSchedule::constant(dataset, opt.constraint_ms / 1e3);
     }
     scenario.arms.push_back(
-        harness::governor_arm(cli::parse_governor(kTool, opt.governor, spec)));
+        harness::governor_arm(cli::parse_governor(kTool, opt.target.governor, spec)));
 
     // Keep stdout clean for --format json; the banner is status, not data.
-    std::fprintf(opt.format == cli::OutputFormat::json ? stderr : stdout,
+    std::fprintf(opt.render.format == cli::OutputFormat::json ? stderr : stdout,
                  "lotus_run: %s + %s + %s under %s (%zu iterations, seed %llu, "
                  "L=%.0f ms)\n",
                  spec.name.c_str(), detector::to_string(kind), dataset.c_str(),
                  scenario.arms[0].name.c_str(), iterations,
-                 static_cast<unsigned long long>(opt.seed.value),
+                 static_cast<unsigned long long>(opt.harness.seed.value),
                  scenario.config.schedule.at(0).latency_constraint_s * 1e3);
 
     cli::run_batch(kTool, opt, {&scenario});
@@ -151,8 +130,9 @@ int main(int argc, char** argv) {
     const auto opt = parse(argc, argv);
     try {
         if (opt.list_scenarios) return cli::list_scenarios();
+        cli::reject_chart_with_json(kTool, opt.render);
         if (!opt.scenarios.empty()) {
-            cli::reject_mode_flags(kTool, opt.single_run_flags, "single-run");
+            cli::reject_mode_flags(kTool, opt.mode_flags, "single-run");
             return cli::run_scenarios(kTool, opt);
         }
         return run_single(opt);

@@ -83,137 +83,47 @@ namespace {
 const std::string kTool = "lotus_serve";
 
 struct Options : cli::CommonOptions {
-    std::string device = "orin";
-    std::string detector = "frcnn";
-    std::string governor = "lotus";
-    std::string scheduler = "edf";
-    cli::StreamFlags load;
-    std::size_t pretrain = 2500;
-    /// Ad-hoc fleet: a pool of N preset copies behind the router.
-    std::size_t devices = 0; // 0 = not passed
-    std::string router;      // "" = not passed
-    /// Trace capture/replay directories (see HarnessConfig::trace_dir /
-    /// replay_dir); empty = off.
-    std::string record_trace_dir;
-    std::string replay_trace_dir;
-    /// Ad-hoc-only flags the user explicitly passed, so scenario mode can
-    /// reject them instead of silently ignoring an override.
-    std::vector<std::string> adhoc_flags;
+    cli::AdhocOptions adhoc;
+    cli::TraceFlags traces;
 };
 
 Options parse(int argc, char** argv) {
     Options opt;
-    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
-    const auto u64 = [&](const std::string& flag, const std::string& v) {
-        return cli::parse_u64(kTool, flag, v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        const bool adhoc_only =
-            flag == "--device" || flag == "--detector" || flag == "--dataset" ||
-            flag == "--governor" || flag == "--scheduler" || flag == "--arrival" ||
-            flag == "--streams" || flag == "--rate" || flag == "--slo" ||
-            flag == "--requests" || flag == "--burst" || flag == "--pretrain" ||
-            flag == "--devices" || flag == "--router";
-        if (adhoc_only) opt.adhoc_flags.push_back(flag);
-        if (opt.parse_flag(kTool, argc, argv, i)) continue;
-        if (opt.load.parse_flag(kTool, argc, argv, i)) continue;
-        if (flag == "--device") {
-            opt.device = need_value(i);
-        } else if (flag == "--detector") {
-            opt.detector = need_value(i);
-        } else if (flag == "--governor") {
-            opt.governor = need_value(i);
-        } else if (flag == "--scheduler") {
-            opt.scheduler = need_value(i);
-        } else if (flag == "--pretrain") {
-            opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--devices") {
-            opt.devices = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.devices == 0) cli::usage_error(kTool, "--devices must be >= 1");
-        } else if (flag == "--router") {
-            opt.router = cli::parse_router(kTool, need_value(i));
-        } else if (flag == "--record-trace") {
-            opt.record_trace_dir = need_value(i);
-            if (opt.record_trace_dir.empty()) {
-                cli::usage_error(kTool, "--record-trace wants a directory");
-            }
-        } else if (flag == "--replay-trace") {
-            opt.replay_trace_dir = need_value(i);
-            if (opt.replay_trace_dir.empty()) {
-                cli::usage_error(kTool, "--replay-trace wants a directory");
-            }
-        } else {
-            cli::usage_error(kTool, "unknown flag " + flag);
+    cli::ArgWalk args(kTool, argc, argv);
+    while (args.next()) {
+        if (!opt.parse_flag(args) && !opt.adhoc.parse_flag(args) &&
+            !opt.traces.parse_flag(args)) {
+            args.error("unknown flag " + args.flag());
         }
     }
-    if (!opt.record_trace_dir.empty() && !opt.replay_trace_dir.empty() &&
-        opt.record_trace_dir == opt.replay_trace_dir) {
-        cli::usage_error(kTool, "--record-trace and --replay-trace must not point at "
-                                "the same directory (capture would overwrite the "
-                                "traces being replayed)");
-    }
+    opt.mode_flags = args.mode_flags();
     return opt;
 }
 
 int run_adhoc(const Options& opt) {
-    if (opt.devices == 0 && !opt.router.empty()) {
-        cli::usage_error(kTool, "--router picks the fleet routing policy and requires "
-                                "--devices N (a single device has nothing to route)");
-    }
-    (void)opt.render_options(kTool); // reject bad flag combinations before the banner
-    const auto spec = cli::parse_device(kTool, opt.device);
-    const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto& dataset = opt.load.dataset;
-    try {
-        (void)serving::make_scheduler(opt.scheduler);
-    } catch (const std::invalid_argument& e) {
-        cli::usage_error(kTool, e.what());
-    }
-
-    const double constraint = workload::latency_constraint_s(spec.name, kind, dataset);
-    auto load = opt.load;
-    if (load.slo_s == 0.0) load.slo_s = 2.0 * constraint;
-    if (load.requests == 0) load.requests = harness::fast_mode() ? 25 : 150;
-    auto streams = cli::identical_streams(load);
-
-    harness::Scenario scenario(
-        runtime::static_experiment(spec, kind, dataset, 1, 0, opt.seed.value));
-    scenario.name = opt.devices > 0 ? "cli_fleet" : "cli_serve";
-    scenario.title = opt.devices > 0 ? "lotus_serve ad-hoc fleet experiment"
-                                     : "lotus_serve ad-hoc serving experiment";
-    serving::LoadConfig* shared = nullptr;
-    if (opt.devices > 0) {
-        auto& cfg = scenario.fleet.emplace();
-        cfg.devices = fleet::device_pool(spec, opt.device, opt.devices);
-        cfg.router = opt.router.empty() ? "round_robin" : opt.router;
-        shared = &cfg;
-    } else {
-        shared = &scenario.serving.emplace(spec);
-    }
-    shared->detector = kind;
-    shared->scheduler = opt.scheduler;
-    shared->pretrain_iterations = opt.pretrain;
-    shared->pretrain_constraint_s = constraint;
-    shared->streams = std::move(streams);
-    scenario.arms.push_back(
-        harness::governor_arm(cli::parse_governor(kTool, opt.governor, spec)));
-
+    const bool fleet = opt.adhoc.serving.devices > 0;
+    const auto scenario = cli::adhoc_scenario(
+        kTool, opt.adhoc, fleet ? "cli_fleet" : "cli_serve",
+        fleet ? "lotus_serve ad-hoc fleet experiment" : "lotus_serve ad-hoc serving experiment");
+    const auto& load = opt.adhoc.load;
+    const auto& stream = fleet ? scenario.fleet->streams.front()
+                               : scenario.serving->streams.front();
     std::fprintf(stderr,
                  "%s: %s + %s + %s | %zu streams x %zu req @ %.2f Hz (%s), SLO %.0f ms, "
                  "scheduler %s, governor %s, seed %llu",
-                 kTool.c_str(), spec.name.c_str(), detector::to_string(kind),
-                 dataset.c_str(), load.streams, load.requests, load.rate_hz,
-                 serving::to_string(load.arrival), load.slo_s * 1e3, opt.scheduler.c_str(),
-                 scenario.arms[0].name.c_str(),
-                 static_cast<unsigned long long>(opt.seed.value));
-    if (opt.devices > 0) {
-        std::fprintf(stderr, " | fleet of %zu, router %s", opt.devices,
+                 kTool.c_str(), scenario.config.device_spec.name.c_str(),
+                 detector::to_string(scenario.config.detector), load.dataset.c_str(),
+                 load.streams, stream.requests, load.rate_hz,
+                 serving::to_string(load.arrival), stream.slo_s * 1e3,
+                 opt.adhoc.serving.scheduler.c_str(), scenario.arms[0].name.c_str(),
+                 static_cast<unsigned long long>(opt.harness.seed.value));
+    if (fleet) {
+        std::fprintf(stderr, " | fleet of %zu, router %s", opt.adhoc.serving.devices,
                      scenario.fleet->router.c_str());
     }
     std::fprintf(stderr, "\n");
 
-    cli::run_batch(kTool, opt, {&scenario}, opt.record_trace_dir, opt.replay_trace_dir);
+    cli::run_batch(kTool, opt, {&scenario}, opt.traces);
     return 0;
 }
 
@@ -222,10 +132,12 @@ int run_adhoc(const Options& opt) {
 int main(int argc, char** argv) {
     const auto opt = parse(argc, argv);
     try {
+        opt.traces.reject_same_dir(kTool);
         if (opt.list_scenarios) return cli::list_scenarios();
+        cli::reject_chart_with_json(kTool, opt.render);
         if (!opt.scenarios.empty()) {
-            cli::reject_mode_flags(kTool, opt.adhoc_flags, "ad-hoc");
-            return cli::run_scenarios(kTool, opt, opt.record_trace_dir, opt.replay_trace_dir);
+            cli::reject_mode_flags(kTool, opt.mode_flags, "ad-hoc");
+            return cli::run_scenarios(kTool, opt, opt.traces);
         }
         return run_adhoc(opt);
     } catch (const std::exception& e) {

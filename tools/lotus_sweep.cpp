@@ -51,6 +51,7 @@
 // Unknown flags, malformed values, empty axes and out-of-range shards are
 // rejected with exit 2.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -70,116 +71,92 @@ namespace {
 
 const std::string kTool = "lotus_sweep";
 
+/// One list axis of the grid: the flag that sets it, its key in sweep.json
+/// and its values.
+struct Axis {
+    std::string flag;
+    std::string key;
+    std::vector<std::string> values;
+    bool given = false;
+};
+
 struct Options {
     std::string out_dir;
-    std::vector<std::string> devices{"1", "2"};
-    std::vector<std::string> routers{"round_robin"};
-    std::vector<std::string> schedulers{"edf"};
-    std::vector<std::string> governors{"performance"};
-    std::vector<std::string> rates{"0.25"};
-    std::vector<std::string> traces;
-    std::string device = "orin";
-    std::string detector = "frcnn";
-    /// Per-cell load; its rate is the --rate axis value of each cell.
-    cli::StreamFlags load;
-    std::size_t pretrain = 2500;
-    cli::SeedFlag seed;
-    std::size_t jobs = 0;
+    /// Outermost first. A cell sets its value of each axis on a copy of
+    /// `adhoc`, except a --trace value, which replaces the streams.
+    std::vector<Axis> axes{{"--devices", "devices", {"1", "2"}},
+                           {"--router", "router", {"round_robin"}},
+                           {"--scheduler", "scheduler", {"edf"}},
+                           {"--governor", "governor", {"performance"}},
+                           {"--rate", "arrival", {"0.25"}}};
+    /// Every cell's ad-hoc run before its axis values are set.
+    cli::AdhocOptions adhoc;
+    cli::HarnessFlags harness;
     std::size_t shard_k = 1;
     std::size_t shard_n = 1;
 };
 
+/// A comma list. `fixed:<cpu>,<gpu>` holds the separator itself, so an
+/// element starting with "fixed:" takes the next element as its GPU level.
 std::vector<std::string> split_list(const std::string& flag, const std::string& raw) {
     std::vector<std::string> out;
+    bool gpu_level = false;
     std::size_t start = 0;
     while (start <= raw.size()) {
         const auto comma = raw.find(',', start);
         const auto end = comma == std::string::npos ? raw.size() : comma;
         const auto item = raw.substr(start, end - start);
         if (item.empty()) cli::usage_error(kTool, flag + " has an empty list element");
-        out.push_back(item);
+        if (gpu_level) {
+            out.back() += "," + item;
+        } else {
+            out.push_back(item);
+        }
+        gpu_level = !gpu_level && item.rfind("fixed:", 0) == 0;
         if (comma == std::string::npos) break;
         start = comma + 1;
-    }
-    if (out.empty()) cli::usage_error(kTool, flag + " wants a non-empty list");
-    return out;
-}
-
-/// split_list for --governor: `fixed:<cpu>,<gpu>` holds a comma itself, so
-/// an element starting with "fixed:" takes the next element as its GPU level.
-std::vector<std::string> split_governors(const std::string& flag, const std::string& raw) {
-    const auto items = split_list(flag, raw);
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        out.push_back(items[i]);
-        if (items[i].rfind("fixed:", 0) == 0 && i + 1 < items.size()) {
-            out.back() += "," + items[++i];
-        }
     }
     return out;
 }
 
 Options parse(int argc, char** argv) {
     Options opt;
-    bool rates_given = false;
-    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
-    const auto u64 = [&](const std::string& flag, const std::string& v) {
-        return cli::parse_u64(kTool, flag, v);
-    };
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        // --rate is a list axis here, so it is read before the load flags.
-        if (flag != "--rate" && opt.load.parse_flag(kTool, argc, argv, i)) continue;
-        if (flag == "--out") {
-            opt.out_dir = need_value(i);
-        } else if (flag == "--devices") {
-            opt.devices = split_list(flag, need_value(i));
-        } else if (flag == "--router") {
-            opt.routers = split_list(flag, need_value(i));
-        } else if (flag == "--scheduler") {
-            opt.schedulers = split_list(flag, need_value(i));
-        } else if (flag == "--governor") {
-            opt.governors = split_governors(flag, need_value(i));
-        } else if (flag == "--rate") {
-            opt.rates = split_list(flag, need_value(i));
-            rates_given = true;
+    std::vector<std::string> traces;
+    cli::ArgWalk args(kTool, argc, argv);
+    while (args.next()) {
+        const auto& flag = args.flag();
+        const auto axis = std::find_if(opt.axes.begin(), opt.axes.end(),
+                                       [&](const Axis& a) { return a.flag == flag; });
+        if (axis != opt.axes.end()) {
+            axis->values = split_list(flag, args.value());
+            axis->given = true;
         } else if (flag == "--trace") {
-            opt.traces = split_list(flag, need_value(i));
-        } else if (flag == "--device") {
-            opt.device = need_value(i);
-        } else if (flag == "--detector") {
-            opt.detector = need_value(i);
-        } else if (flag == "--pretrain") {
-            opt.pretrain = static_cast<std::size_t>(u64(flag, need_value(i)));
-        } else if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), opt.seed);
-        } else if (flag == "--jobs") {
-            opt.jobs = static_cast<std::size_t>(u64(flag, need_value(i)));
-            if (opt.jobs == 0) cli::usage_error(kTool, "--jobs must be >= 1");
+            traces = split_list(flag, args.value());
+        } else if (flag == "--out") {
+            opt.out_dir = args.value();
         } else if (flag == "--shard") {
-            const auto raw = need_value(i);
+            const auto raw = args.value();
             const auto slash = raw.find('/');
             if (slash == std::string::npos) {
-                cli::usage_error(kTool, "--shard wants k/N, got '" + raw + "'");
+                args.error("--shard wants k/N, got '" + raw + "'");
             }
             opt.shard_k = static_cast<std::size_t>(
-                u64("--shard", raw.substr(0, slash)));
+                cli::parse_u64(kTool, "--shard", raw.substr(0, slash)));
             opt.shard_n = static_cast<std::size_t>(
-                u64("--shard", raw.substr(slash + 1)));
+                cli::parse_u64(kTool, "--shard", raw.substr(slash + 1)));
             if (opt.shard_n == 0 || opt.shard_k == 0 || opt.shard_k > opt.shard_n) {
-                cli::usage_error(kTool, "--shard wants 1 <= k <= N, got '" + raw + "'");
+                args.error("--shard wants 1 <= k <= N, got '" + raw + "'");
             }
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_sweep.cpp for usage\n");
-            std::exit(0);
-        } else {
-            cli::usage_error(kTool, "unknown flag " + flag);
+        } else if (!opt.adhoc.parse_flag(args) && !opt.harness.parse_flag(args)) {
+            args.error("unknown flag " + flag);
         }
     }
-    if (opt.out_dir.empty()) cli::usage_error(kTool, "--out DIR is required");
-    if (!opt.traces.empty() && rates_given) {
-        cli::usage_error(kTool, "--rate and --trace are alternative arrival axes; "
-                                "pass one of them");
+    if (opt.out_dir.empty()) args.error("--out DIR is required");
+    if (!traces.empty()) {
+        if (opt.axes.back().given) {
+            args.error("--rate and --trace are alternative arrival axes; pass one of them");
+        }
+        opt.axes.back() = {"--trace", "arrival", traces};
     }
     return opt;
 }
@@ -189,101 +166,49 @@ struct Cell {
     std::size_t index = 0;
     std::string name;
     std::size_t devices = 0;
-    std::string router;
-    std::string scheduler;
-    std::string governor;
-    /// The arrival-axis token: the rate string, or the trace file stem.
-    std::string arrival;
+    /// The cell's value on each axis, as given (a trace as its file stem).
+    std::vector<std::string> values;
     std::unique_ptr<harness::Scenario> scenario;
 };
 
 std::vector<Cell> build_cells(const Options& opt) {
-    const auto spec = cli::parse_device(kTool, opt.device);
-    const auto kind = cli::parse_detector(kTool, opt.detector);
-    const auto& dataset = opt.load.dataset;
-    const double constraint = workload::latency_constraint_s(spec.name, kind, dataset);
-    auto load = opt.load;
-    if (load.slo_s == 0.0) load.slo_s = 2.0 * constraint;
-    if (load.requests == 0) load.requests = harness::fast_mode() ? 25 : 150;
-
-    // Validate schedulers/routers once, up front, so a typo fails before
-    // any cell runs.
-    for (const auto& s : opt.schedulers) {
-        try {
-            (void)serving::make_scheduler(s);
-        } catch (const std::invalid_argument& e) {
-            cli::usage_error(kTool, e.what());
-        }
-    }
-    for (const auto& r : opt.routers) (void)cli::parse_router(kTool, r);
-
-    const bool trace_axis = !opt.traces.empty();
-    const auto& arrival_axis = trace_axis ? opt.traces : opt.rates;
-
-    std::vector<Cell> cells;
-    std::size_t index = 0;
-    for (const auto& devices_token : opt.devices) {
-        const auto pool = static_cast<std::size_t>(
-            cli::parse_u64(kTool, "--devices", devices_token));
-        if (pool == 0) cli::usage_error(kTool, "--devices entries must be >= 1");
-        for (const auto& router : opt.routers) {
-            for (const auto& scheduler : opt.schedulers) {
-                for (const auto& governor : opt.governors) {
-                    for (const auto& arrival_token : arrival_axis) {
-                        Cell cell;
-                        cell.index = index++;
-                        cell.devices = pool;
-                        cell.router = router;
-                        cell.scheduler = scheduler;
-                        cell.governor = governor;
-                        cell.arrival =
-                            trace_axis
-                                ? std::filesystem::path(arrival_token).stem().string()
-                                : arrival_token;
-                        cell.name = "sweep/d" + devices_token + "/" + router + "/" +
-                                    scheduler + "/" + governor + "/" + cell.arrival;
-
-                        fleet::FleetConfig cfg;
-                        cfg.devices = fleet::device_pool(spec, opt.device, pool);
-                        cfg.detector = kind;
-                        cfg.scheduler = scheduler;
-                        cfg.router = router;
-                        cfg.pretrain_iterations = opt.pretrain;
-                        cfg.pretrain_constraint_s = constraint;
-                        if (trace_axis) {
-                            // The trace's stream table defines the streams;
-                            // replay substitutes for the arrival processes.
-                            cfg.streams =
-                                trace::stream_specs(trace::Reader(arrival_token).info());
-                            cfg.replay_trace = arrival_token;
-                        } else {
-                            load.rate_hz = cli::parse_positive_double(kTool, "--rate",
-                                                                      arrival_token);
-                            cfg.streams = cli::identical_streams(load);
-                        }
-
-                        auto scenario = std::make_unique<harness::Scenario>(
-                            runtime::static_experiment(spec, kind, dataset, 1, 0,
-                                                       opt.seed.value));
-                        scenario->name = cell.name;
-                        scenario->title = "lotus_sweep cell " + cell.name;
-                        scenario->fleet = std::move(cfg);
-                        scenario->arms.push_back(
-                            harness::governor_arm(cli::parse_governor(kTool, governor, spec)));
-                        cell.scenario = std::move(scenario);
-                        cells.push_back(std::move(cell));
-                    }
-                }
+    std::size_t total = 1;
+    for (const auto& axis : opt.axes) total *= axis.values.size();
+    std::vector<Cell> cells(total);
+    for (std::size_t index = 0; index < total; ++index) {
+        auto& cell = cells[index];
+        cell.index = index;
+        auto adhoc = opt.adhoc;
+        std::string replay;
+        std::size_t stride = total;
+        for (const auto& axis : opt.axes) {
+            stride /= axis.values.size();
+            const auto& value = axis.values[index / stride % axis.values.size()];
+            if (axis.flag == "--trace") {
+                replay = value;
+                cell.values.push_back(std::filesystem::path(value).stem().string());
+            } else {
+                adhoc.set(kTool, axis.flag, value);
+                cell.values.push_back(value);
             }
+            cell.name += (cell.name.empty() ? "sweep/d" : "/") + cell.values.back();
+        }
+        cell.devices = adhoc.serving.devices;
+        cell.scenario = std::make_unique<harness::Scenario>(
+            cli::adhoc_scenario(kTool, adhoc, cell.name, "lotus_sweep cell " + cell.name));
+        if (!replay.empty()) {
+            // The trace's stream table defines the streams; replay
+            // substitutes for the arrival processes.
+            auto& cfg = *cell.scenario->fleet;
+            cfg.streams = trace::stream_specs(trace::Reader(replay).info());
+            cfg.replay_trace = replay;
         }
     }
     return cells;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
-    const auto opt = parse(argc, argv);
+/// Run the shard's cells and write its sweep.csv / sweep.json.
+int sweep(const Options& opt) {
     auto cells = build_cells(opt);
     const std::size_t total = cells.size();
 
@@ -292,11 +217,8 @@ int main(int argc, char** argv) {
     const std::size_t lo = (opt.shard_k - 1) * total / opt.shard_n;
     const std::size_t hi = opt.shard_k * total / opt.shard_n;
 
-    harness::HarnessConfig cfg;
-    cfg.jobs = opt.jobs;
-    cfg.seed = opt.seed.value;
-    cfg.summary_only = true;
-    const harness::ExperimentHarness harness(cfg);
+    const harness::ExperimentHarness harness(
+        {.jobs = opt.harness.jobs, .seed = opt.harness.seed.value, .summary_only = true});
     std::vector<const harness::Scenario*> batch;
     batch.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) batch.push_back(cells[i].scenario.get());
@@ -305,13 +227,7 @@ int main(int argc, char** argv) {
                  harness.config().jobs,
                  static_cast<unsigned long long>(harness.config().seed));
 
-    std::vector<harness::EpisodeResult> results;
-    try {
-        results = harness.run(batch);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
-        return 1;
-    }
+    const auto results = harness.run(batch);
 
     std::filesystem::create_directories(opt.out_dir);
     std::ofstream csv(opt.out_dir + "/sweep.csv", std::ios::binary);
@@ -342,23 +258,19 @@ int main(int argc, char** argv) {
         // Meta line: only the first shard carries it, so shard
         // concatenation reproduces the unsharded file byte-for-byte. The
         // declared cell count is the FULL cartesian size.
-        std::string axes = "{\"devices\":[";
-        const auto join = [](const std::vector<std::string>& items) {
-            std::string out;
-            for (std::size_t i = 0; i < items.size(); ++i) {
-                if (i != 0) out += ",";
-                out += telemetry::jstr(items[i]);
+        std::string axes = "{";
+        for (const auto& axis : opt.axes) {
+            if (axes.size() > 1) axes += "],";
+            axes += telemetry::jstr(axis.key) + ":[";
+            for (std::size_t i = 0; i < axis.values.size(); ++i) {
+                if (i != 0) axes += ",";
+                axes += telemetry::jstr(axis.values[i]);
             }
-            return out;
-        };
-        axes += join(opt.devices) + "],\"router\":[" + join(opt.routers);
-        axes += "],\"scheduler\":[" + join(opt.schedulers);
-        axes += "],\"governor\":[" + join(opt.governors);
-        axes += "],\"arrival\":[" +
-                join(opt.traces.empty() ? opt.rates : opt.traces) + "]}";
+        }
+        axes += "]}";
         json << "{" << util::build_info_json_fields()
              << ",\"generator\":\"lotus_sweep\",\"cells\":" << total
-             << ",\"seed\":" << telemetry::jstr(std::to_string(opt.seed.value))
+             << ",\"seed\":" << telemetry::jstr(std::to_string(opt.harness.seed.value))
              << ",\"axes\":" << axes << "}\n";
     }
 
@@ -369,9 +281,9 @@ int main(int argc, char** argv) {
         const auto agg = t.aggregate();
         const auto seed_str = std::to_string(r.episode_seed);
 
-        csv_line({std::to_string(cell.index), cell.name,
-                  std::to_string(cell.devices), cell.router, cell.scheduler,
-                  cell.governor, cell.arrival, seed_str,
+        const auto& v = cell.values;
+        csv_line({std::to_string(cell.index), cell.name, std::to_string(cell.devices), v[1],
+                  v[2], v[3], v[4], seed_str,
                   std::to_string(agg.requests), std::to_string(agg.served),
                   std::to_string(agg.shed), std::to_string(agg.missed),
                   util::format_double(agg.miss_rate, 4),
@@ -389,11 +301,10 @@ int main(int argc, char** argv) {
                   util::format_double(t.load_skew(), 4)});
 
         json << "{\"cell\":" << cell.index << ",\"name\":" << telemetry::jstr(cell.name)
-             << ",\"devices\":" << cell.devices
-             << ",\"router\":" << telemetry::jstr(cell.router)
-             << ",\"scheduler\":" << telemetry::jstr(cell.scheduler)
-             << ",\"governor\":" << telemetry::jstr(cell.governor)
-             << ",\"arrival\":" << telemetry::jstr(cell.arrival)
+             << ",\"devices\":" << cell.devices << ",\"router\":" << telemetry::jstr(v[1])
+             << ",\"scheduler\":" << telemetry::jstr(v[2])
+             << ",\"governor\":" << telemetry::jstr(v[3])
+             << ",\"arrival\":" << telemetry::jstr(v[4])
              << ",\"episode_seed\":" << telemetry::jstr(seed_str) << ",\"summary\":{"
              << "\"requests\":" << agg.requests << ",\"served\":" << agg.served
              << ",\"shed\":" << agg.shed << ",\"missed\":" << agg.missed
@@ -411,14 +322,21 @@ int main(int argc, char** argv) {
              << ",\"migrations\":" << t.migrations()
              << ",\"load_skew\":" << telemetry::jnum(t.load_skew()) << "}}\n";
     }
-    try {
-        util::close_checked(csv, opt.out_dir + "/sweep.csv");
-        util::close_checked(json, opt.out_dir + "/sweep.json");
-    } catch (const std::runtime_error& e) {
-        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
-        return 1;
-    }
+    util::close_checked(csv, opt.out_dir + "/sweep.csv");
+    util::close_checked(json, opt.out_dir + "/sweep.json");
     std::fprintf(stderr, "%s: wrote %s/sweep.csv and %s/sweep.json\n", kTool.c_str(),
                  opt.out_dir.c_str(), opt.out_dir.c_str());
     return 0;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    const auto opt = parse(argc, argv);
+    try {
+        return sweep(opt);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", kTool.c_str(), e.what());
+        return 1;
+    }
 }

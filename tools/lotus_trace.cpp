@@ -69,23 +69,18 @@ Args parse(int argc, char** argv) {
         a.verb != "synth") {
         cli::usage_error(kTool, "unknown verb '" + a.verb + "' (info|cat|slice|merge|synth)");
     }
-    const auto need_value = [&](int& i) { return cli::flag_value(kTool, argc, argv, i); };
-    for (int i = 2; i < argc; ++i) {
-        const std::string flag = argv[i];
-        if (a.load.parse_flag(kTool, argc, argv, i)) continue;
-        if (flag == "--seed") {
-            cli::parse_seed(kTool, need_value(i), a.seed);
-        } else if (flag == "--ids") {
-            a.ids_range = need_value(i);
+    cli::ArgWalk args(kTool, argc, argv, 2);
+    while (args.next()) {
+        if (a.seed.parse_flag(args) || a.load.parse_flag(args)) continue;
+        const auto& flag = args.flag();
+        if (flag == "--ids") {
+            a.ids_range = args.value();
         } else if (flag == "--time") {
-            a.time_range = need_value(i);
+            a.time_range = args.value();
         } else if (flag == "--limit") {
-            a.limit = cli::parse_u64(kTool, flag, need_value(i));
-        } else if (flag == "--help" || flag == "-h") {
-            std::printf("see the header comment of tools/lotus_trace.cpp for usage\n");
-            std::exit(0);
+            a.limit = cli::parse_u64(kTool, flag, args.value());
         } else if (!flag.empty() && flag[0] == '-') {
-            cli::usage_error(kTool, "unknown flag " + flag);
+            args.error("unknown flag " + flag);
         } else {
             a.positional.push_back(flag);
         }
